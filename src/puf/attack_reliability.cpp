@@ -1,10 +1,12 @@
 #include "puf/attack_reliability.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "puf/transform.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -64,13 +66,14 @@ bool ReliabilityAttackResult::predict(const Challenge& challenge) const {
   bool parity = parity_flip;
   for (const auto& w : recovered) {
     // Delay-domain sign decision (not the 0.5-centered soft space).
+    // Suffix-parity signs, highest stage first (sim::feature_fill's order).
     double s = 0.0;
-    double acc = 1.0;
+    std::uint64_t suffix = 0;
     s += w[challenge.size()];
     for (std::size_t ii = challenge.size(); ii > 0; --ii) {
       const std::size_t i = ii - 1;
-      acc *= challenge[i] ? -1.0 : 1.0;
-      s += w[i] * acc;
+      suffix ^= static_cast<std::uint64_t>(challenge[i] != 0);
+      s += w[i] * sim::parity_sign(suffix);
     }
     parity ^= s > 0.0;
   }

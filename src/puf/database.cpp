@@ -282,12 +282,16 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   if (want > 0) {
     ChallengeScreener screener(view, config_.n_pufs, config_.screening);
     const StreamFamily family = device_family(chip_id);
+    // Keys already waiting in the pool: the undrained carry-over, then each
+    // one this walk accepts.
+    std::set<std::string> pooled(next.keys.begin(), next.keys.end());
     const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
       std::string key = store::pack_challenge(challenge);
-      // Already-issued challenges never enter the pool; skipping them here
-      // (instead of at drain time) keeps the drain's replay count a pure
-      // crash-recovery signal.
-      if (ledger.count(key) != 0) return false;
+      // Already-issued and already-pooled challenges never enter the pool;
+      // skipping them here (instead of at drain time) keeps the drain's
+      // replay count a pure reuse / crash-recovery signal. With short
+      // challenges a refill can meet a key that is still undrained.
+      if (ledger.count(key) != 0 || !pooled.insert(key).second) return false;
       next.keys.push_back(std::move(key));
       next.expected.push_back(bit ? 1 : 0);
       return true;

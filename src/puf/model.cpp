@@ -1,6 +1,9 @@
 #include "puf/model.hpp"
 
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -11,13 +14,14 @@ double ArbiterPufModel::predict_raw(const Challenge& challenge) const {
   // in ASCENDING index order: phi entries are exact +/-1, so summing
   // w_0 phi_0, w_1 phi_1, ... reproduces the span/GEMM accumulation order
   // bit for bit — the batched evaluation core's equivalence contract.
-  // phi_0 is the full suffix product; phi_{i+1} = phi_i * (1 - 2 c_i).
-  double sign = 1.0;
-  for (const auto bit : challenge) sign *= bit ? -1.0 : 1.0;
+  // phi_i is (-1)^(parity of c_i..c_{k-1}): start from the full parity and
+  // drop c_i after using phi_i (sim::feature_fill's sign-bit contract).
+  std::uint64_t parity = 0;
+  for (const auto bit : challenge) parity ^= static_cast<std::uint64_t>(bit != 0);
   double sum = 0.0;
   for (std::size_t i = 0; i < challenge.size(); ++i) {
-    sum += weights_[i] * sign;
-    sign *= challenge[i] ? -1.0 : 1.0;
+    sum += weights_[i] * sim::parity_sign(parity);
+    parity ^= static_cast<std::uint64_t>(challenge[i] != 0);
   }
   return sum + weights_[challenge.size()];  // constant feature last
 }

@@ -16,6 +16,16 @@ namespace {
 /// only balances scheduling overhead against load spread.
 constexpr std::size_t kEvalRowChunk = 64;
 
+/// Candidate layout shared by both walks: word w (the stream's w-th
+/// next_u64() draw) holds stages 64w .. 64w + 63, least-significant bit
+/// first. Writes the stages of word w into an already-sized `out`.
+void unpack_word(Challenge& out, std::size_t w, std::uint64_t word) {
+  const std::size_t base = w * 64;
+  const std::size_t bits = std::min<std::size_t>(64, out.size() - base);
+  for (std::size_t j = 0; j < bits; ++j)
+    out[base + j] = static_cast<std::uint8_t>((word >> j) & 1U);
+}
+
 }  // namespace
 
 // Pure accounting: every (tried, accepted) pair is legal, including zeros.
@@ -54,12 +64,8 @@ ChallengeScreener::ChallengeScreener(const ModelView& view, std::size_t n_pufs,
 void ChallengeScreener::candidate_into(Challenge& out, std::size_t stages, Rng& rng) {
   XPUF_REQUIRE(stages >= 1, "a challenge needs at least one stage");
   out.resize(stages);
-  for (std::size_t base = 0; base < stages; base += 64) {
-    const std::uint64_t word = rng.next_u64();
-    const std::size_t bits = std::min<std::size_t>(64, stages - base);
-    for (std::size_t j = 0; j < bits; ++j)
-      out[base + j] = static_cast<std::uint8_t>((word >> j) & 1u);
-  }
+  for (std::size_t w = 0; w < sim::packed_words(stages); ++w)
+    unpack_word(out, w, rng.next_u64());
 }
 
 ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
@@ -114,26 +120,30 @@ ChallengeScreener::Outcome ChallengeScreener::screen_serial(
   return out;
 }
 
-// Params are validated by screen().  xpuf-lint: guarded-by(candidate_into)
+// Params are validated by screen().  xpuf-lint: guarded-by(assign_packed)
 ChallengeScreener::Outcome ChallengeScreener::screen_batched(
     const StreamFamily& family, std::uint64_t first_index, std::size_t count,
     std::size_t max_attempts, const Sink& sink) {
   Outcome out;
   const std::size_t stages = view_->stages();
+  const std::size_t n_words = sim::packed_words(stages);
   // Geometric block ramp: start near the expected candidate demand of a
   // small quota, grow toward options_.block. Purely a cost knob — candidate
   // j's bits depend only on its stream index, so the block partition is
   // invisible in the issued sequence.
   std::size_t ramp = std::min(options_.block, std::max<std::size_t>(8, 2 * count));
+  Challenge candidate;
   while (out.accepted < count && out.tried < max_attempts) {
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
     ramp = std::min(options_.block, ramp * 2);
-    candidates_.resize(want);
+    // Candidates stay packed: the same words candidate_into unpacks, and
+    // Phi straight from them. Only a stable row becomes a Challenge.
+    words_.resize(want * n_words);
     for (std::size_t i = 0; i < want; ++i) {
       Rng rng = family.stream(first_index + out.tried + i);
-      candidate_into(candidates_[i], stages, rng);
+      for (std::size_t w = 0; w < n_words; ++w) words_[i * n_words + w] = rng.next_u64();
     }
-    block_.assign(candidates_);
+    block_.assign_packed(words_, want, stages);
     raw_.resize(want * n_pufs_);
     // One register-blocked weight product per tile; each output cell is the
     // same ascending-index dot as the serial walk (sim/linear contract).
@@ -145,14 +155,18 @@ ChallengeScreener::Outcome ChallengeScreener::screen_batched(
     for (std::size_t i = 0; i < want && out.accepted < count; ++i) {
       ++out.tried;
       const double* row = raw_.data() + i * n_pufs_;
-      bool stable = true;
-      for (std::size_t p = 0; p < n_pufs_ && stable; ++p)
-        stable = thresholds_[p].classify(row[p]) != StableClass::kUnstable;
-      if (!stable) continue;
+      // One mask over all n PUFs: no early exit, no data-dependent branch
+      // until the verdict.
+      bool unstable = false;
+      for (std::size_t p = 0; p < n_pufs_; ++p) unstable |= thresholds_[p].unstable(row[p]);
+      if (unstable) continue;
       ++out.stable;
       bool bit = false;
       for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= row[p] > 0.5;
-      if (sink(std::move(candidates_[i]), bit)) ++out.accepted;
+      candidate.resize(stages);
+      for (std::size_t w = 0; w < n_words; ++w)
+        unpack_word(candidate, w, words_[i * n_words + w]);
+      if (sink(std::move(candidate), bit)) ++out.accepted;
     }
   }
   out.filled = out.accepted >= count;

@@ -11,6 +11,13 @@
 //   candidate j of a screening walk is a pure function of (family, j): its
 //   challenge bits come from StreamFamily::stream(first_index + j) alone.
 //
+// The batched walk keeps candidates packed: candidate j is the
+// packed_words(stages) next_u64() draws of its stream, stage bit i in bit
+// i % 64 of word i / 64 (exactly what candidate_into unpacks). Phi is built
+// from those words by suffix parity (FeatureBlock::assign_packed), all n
+// PUFs are classified with one branch-free mask, and a Challenge is
+// materialised only for a stable candidate.
+//
 // So the issued-challenge sequence, the expected-response bits, and the
 // exact candidates_tried count are identical across serial/batched modes,
 // block sizes, and thread counts; and a screening walk consumes NOTHING
@@ -63,10 +70,11 @@ class ChallengeScreener {
   Outcome screen(const StreamFamily& family, std::uint64_t first_index,
                  std::size_t count, std::size_t max_attempts, const Sink& sink);
 
-  /// The candidate generator both modes share: stage bits drawn 64 per
-  /// next_u64() word (LSB-first). Faster than per-bit bernoulli and equally
-  /// uniform; the per-candidate stream makes the draw count per candidate
-  /// irrelevant to every other candidate.
+  /// The serial walk's candidate generator: stage bits drawn 64 per
+  /// next_u64() word (LSB-first); the batched walk draws the same words and
+  /// keeps them packed. Faster than per-bit bernoulli and equally uniform;
+  /// the per-candidate stream makes the draw count per candidate irrelevant
+  /// to every other candidate.
   static void candidate_into(Challenge& out, std::size_t stages, Rng& rng);
 
   const ScreeningOptions& options() const { return options_; }
@@ -82,10 +90,10 @@ class ChallengeScreener {
   ScreeningOptions options_;
   std::vector<ThresholdPair> thresholds_;  ///< beta-adjusted, derived once
   sim::ChipLinearView chip_view_;          ///< stacked weights for the tile kernels
-  // Reused batch storage: challenge rows, their Phi block, and the raw
-  // prediction tile (block rows x n_pufs) — allocated on the first block,
-  // refilled in place after.
-  std::vector<Challenge> candidates_;
+  // Reused batch storage: packed candidate words (packed_words(stages) per
+  // row), their Phi block, and the raw prediction tile (block rows x
+  // n_pufs) — allocated on the first block, refilled in place after.
+  std::vector<std::uint64_t> words_;
   sim::FeatureBlock block_;
   std::vector<double> raw_;
 };

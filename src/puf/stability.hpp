@@ -40,6 +40,15 @@ struct ThresholdPair {
   bool is_stable(double predicted) const {
     return classify(predicted) != StableClass::kUnstable;
   }
+
+  /// classify(predicted) == kUnstable without a branch: both comparisons
+  /// always run and combine bitwise, so a screener can OR the verdicts of
+  /// all n PUFs into one mask. NaN fails both comparisons — unstable, as in
+  /// classify.
+  bool unstable(double predicted) const {
+    return static_cast<bool>(static_cast<unsigned>(!(predicted < thr0)) &
+                             static_cast<unsigned>(!(predicted > thr1)));
+  }
 };
 
 /// Derives Thr('0')/Thr('1') from paired (predicted, measured) soft

@@ -1,6 +1,8 @@
 #include "sim/device.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -70,14 +72,18 @@ double ArbiterPufDevice::delay_difference(const Challenge& challenge,
   const double shift = env_model_.sensitivity_shift(env);
   const double aging = aging_level();
   // Recursive race: a crossed stage swaps the two signal paths, negating the
-  // accumulated top-minus-bottom difference before adding its own.
+  // accumulated top-minus-bottom difference before adding its own. Both the
+  // negation (a sign-bit flip) and the stage's straight/crossed delay are
+  // selected by the bit, not branched on, so each stage is one add — the
+  // same IEEE operations as `delta += straight` / `delta = -delta + crossed`.
   double delta = 0.0;
   for (std::size_t i = 0; i < challenge.size(); ++i) {
-    if (challenge[i] == 0) {
-      delta += effective_straight(i, scale, shift, aging);
-    } else {
-      delta = -delta + effective_crossed(i, scale, shift, aging);
-    }
+    const std::uint64_t crossed = challenge[i] != 0;
+    const double stage[2] = {effective_straight(i, scale, shift, aging),
+                             effective_crossed(i, scale, shift, aging)};
+    const double flipped =
+        std::bit_cast<double>(std::bit_cast<std::uint64_t>(delta) ^ (crossed << 63));
+    delta = flipped + stage[crossed];
   }
   return delta;
 }

@@ -9,16 +9,33 @@
 
 namespace xpuf::sim {
 
+namespace {
+
+/// Bit i of the result is the XOR of bits i..63 of x — the within-word
+/// suffix parity, by an xor-shift cascade toward the low end.
+std::uint64_t suffix_parity(std::uint64_t x) {
+  x ^= x >> 1;
+  x ^= x >> 2;
+  x ^= x >> 4;
+  x ^= x >> 8;
+  x ^= x >> 16;
+  x ^= x >> 32;
+  return x;
+}
+
+}  // namespace
+
 void feature_fill(const Challenge& challenge, double* out) {
   XPUF_REQUIRE(out != nullptr, "feature_fill needs a buffer of size() + 1 doubles");
   const std::size_t k = challenge.size();
-  // Suffix products: phi_k = 1 - 2 c_k, phi_i = (1 - 2 c_i) * phi_{i+1}.
-  double acc = 1.0;
+  // Suffix products phi_i = (1 - 2 c_i) * phi_{i+1} are (-1)^(c_i ^ ... ^
+  // c_{k-1}): a running XOR parity sets each entry's sign bit.
+  std::uint64_t parity = 0;
   out[k] = 1.0;
   for (std::size_t ii = k; ii > 0; --ii) {
     const std::size_t i = ii - 1;
-    acc *= challenge[i] ? -1.0 : 1.0;
-    out[i] = acc;
+    parity ^= static_cast<std::uint64_t>(challenge[i] != 0);
+    out[i] = parity_sign(parity);
   }
 }
 
@@ -58,6 +75,43 @@ void FeatureBlock::assign(const std::vector<Challenge>& challenges) {
   for (std::size_t r = 0; r < challenges_.size(); ++r) {
     XPUF_REQUIRE(challenges_[r].size() == stages_, "mixed challenge lengths in batch");
     feature_fill(challenges_[r], phi_.row(r));
+  }
+}
+
+void FeatureBlock::assign_packed(std::span<const std::uint64_t> words, std::size_t rows,
+                                 std::size_t stages) {
+  XPUF_REQUIRE(rows == 0 || stages > 0, "feature block of zero-stage challenges");
+  const std::size_t n_words = packed_words(stages);
+  XPUF_REQUIRE(words.size() == rows * n_words,
+               "packed block needs packed_words(stages) words per row");
+  challenges_.clear();
+  if (rows == 0) {
+    stages_ = 0;
+    phi_.resize(0, 0);
+    return;
+  }
+  stages_ = stages;
+  phi_.resize(rows, stages + 1);
+  // The last word holds 1..64 stage bits; the mask keeps exactly those
+  // (a shift by 64 - tail, never by 64, when stages % 64 == 0).
+  const std::size_t tail = stages - (n_words - 1) * 64;
+  const std::uint64_t tail_mask = ~0ULL >> (64 - tail);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::uint64_t* w = words.data() + r * n_words;
+    double* out = phi_.row(r);
+    out[stages] = 1.0;
+    // Walk words high to low; `carry` is the parity of every higher stage
+    // bit, broadcast to all 64 bits so one XOR folds it into the word.
+    std::uint64_t carry = 0;
+    for (std::size_t ww = n_words; ww > 0; --ww) {
+      const std::size_t wi = ww - 1;
+      const bool last = ww == n_words;
+      const std::uint64_t s = suffix_parity(last ? w[wi] & tail_mask : w[wi]) ^ carry;
+      carry = 0 - (s & 1U);
+      double* o = out + wi * 64;
+      const std::size_t bits = last ? tail : 64;
+      for (std::size_t j = 0; j < bits; ++j) o[j] = parity_sign(s >> j);
+    }
   }
 }
 

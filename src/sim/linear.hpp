@@ -24,7 +24,9 @@
 // calls or environment changes. Rebuild it per (Environment, aging) state.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,10 +37,21 @@
 
 namespace xpuf::sim {
 
+/// The exact double (-1)^parity: +1.0 for an even parity, -1.0 for an odd
+/// one (only bit 0 of `parity` counts). The sign bit is set directly, so a
+/// running XOR parity replaces the multiply-and-branch chain
+/// `acc *= c ? -1.0 : 1.0` bit for bit — every phi entry is exactly +/-1.
+inline double parity_sign(std::uint64_t parity) {
+  return std::bit_cast<double>(0x3FF0000000000000ULL | ((parity & 1U) << 63));
+}
+
 /// Writes phi(c) into a caller-provided buffer of challenge.size() + 1
 /// doubles: phi_i = prod_{j >= i} (1 - 2 c_j), phi_{k+1} = 1. This is the
 /// canonical parity-transform kernel; puf/transform.hpp delegates here.
 void feature_fill(const Challenge& challenge, double* out);
+
+/// Number of 64-bit words a packed `stages`-bit challenge occupies.
+constexpr std::size_t packed_words(std::size_t stages) { return (stages + 63) / 64; }
 
 /// Draws `count` uniformly random challenges (no dedup: with 2^32+ space,
 /// collisions are negligible at paper scale and the paper samples
@@ -61,13 +74,23 @@ class FeatureBlock {
   /// chunk (after the first chunk warms the buffers).
   void assign(const std::vector<Challenge>& challenges);
 
-  std::size_t size() const { return challenges_.size(); }
-  bool empty() const { return challenges_.empty(); }
+  /// Rebuilds the block in place from `rows` packed challenges: row r is
+  /// words[r * packed_words(stages), ...), stage bit i in bit i % 64 of word
+  /// i / 64 (least-significant bit first); bits above `stages` in the last
+  /// word are ignored. Phi comes straight from the words by suffix parity
+  /// and is byte-identical to feature_fill of the unpacked challenge. A
+  /// packed block keeps no Challenge rows: challenges() is empty.
+  void assign_packed(std::span<const std::uint64_t> words, std::size_t rows,
+                     std::size_t stages);
+
+  std::size_t size() const { return phi_.rows(); }
+  bool empty() const { return phi_.rows() == 0; }
   /// Stage count k (0 for an empty block).
   std::size_t stages() const { return stages_; }
   /// Feature count k + 1 (0 for an empty block).
   std::size_t features() const { return empty() ? 0 : stages_ + 1; }
 
+  /// The challenge rows (empty for a block built by assign_packed).
   const std::vector<Challenge>& challenges() const { return challenges_; }
   const Challenge& challenge(std::size_t i) const { return challenges_[i]; }
   const linalg::Matrix& phi() const { return phi_; }

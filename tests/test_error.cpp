@@ -113,6 +113,7 @@ TEST(LintRegistry, RegistryListsTheDocumentedRules) {
   EXPECT_TRUE(xpuf::lint::is_known_rule("wire-portability"));
   EXPECT_TRUE(xpuf::lint::is_known_rule("scalar-eval"));
   EXPECT_TRUE(xpuf::lint::is_known_rule("ml-dot"));
+  EXPECT_TRUE(xpuf::lint::is_known_rule("parity-chain"));
   EXPECT_TRUE(xpuf::lint::is_known_rule("bad-suppression"));
   // Semantic (cross-TU) rules run by the engine over the project index.
   EXPECT_TRUE(xpuf::lint::is_known_rule("layering"));

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -76,6 +79,98 @@ TEST(FeatureBlock, EmptyBlockIsLegal) {
   EXPECT_EQ(block.features(), 0u);
   const sim::FeatureBlock block2{std::vector<sim::Challenge>{}};
   EXPECT_TRUE(block2.empty());
+  sim::FeatureBlock block3(fixed_challenges(8, 3));
+  block3.assign_packed({}, 0, 8);
+  EXPECT_TRUE(block3.empty());
+  EXPECT_EQ(block3.features(), 0u);
+}
+
+TEST(FeatureFill, ParitySignsEqualTheSuffixProductChainByteForByte) {
+  for (const std::size_t stages : {1u, 7u, 32u, 64u, 65u}) {
+    for (const auto& c : fixed_challenges(stages, 50, 17 + stages)) {
+      std::vector<double> got(stages + 1);
+      sim::feature_fill(c, got.data());
+      // The multiply-and-branch chain feature_fill replaced.
+      std::vector<double> want(stages + 1);
+      double acc = 1.0;
+      want[stages] = 1.0;
+      for (std::size_t ii = stages; ii > 0; --ii) {
+        acc = acc * (c[ii - 1] ? -1.0 : 1.0);
+        want[ii - 1] = acc;
+      }
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)), 0)
+          << "stages " << stages;
+    }
+  }
+}
+
+/// The challenge a packed row stands for: stage i is bit i % 64 of word
+/// i / 64, least-significant bit first.
+sim::Challenge unpack(const std::uint64_t* words, std::size_t stages) {
+  sim::Challenge c(stages);
+  for (std::size_t i = 0; i < stages; ++i)
+    c[i] = static_cast<std::uint8_t>((words[i / 64] >> (i % 64)) & 1U);
+  return c;
+}
+
+TEST(FeatureBlock, AssignPackedEqualsFeatureFillByteForByte) {
+  Rng rng(0x9ac4ed);
+  for (const std::size_t stages : {1u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+    const std::size_t n_words = sim::packed_words(stages);
+    // Random rows, then an all-zero and an all-one row. Random and all-one
+    // rows carry set bits above `stages` whenever stages % 64 != 0.
+    const std::size_t rows = 40;
+    std::vector<std::uint64_t> words(rows * n_words);
+    for (auto& w : words) w = rng.next_u64();
+    for (std::size_t w = 0; w < n_words; ++w) {
+      words[(rows - 2) * n_words + w] = 0;
+      words[(rows - 1) * n_words + w] = ~0ULL;
+    }
+    sim::FeatureBlock block;
+    block.assign_packed(words, rows, stages);
+    ASSERT_EQ(block.size(), rows);
+    EXPECT_EQ(block.stages(), stages);
+    EXPECT_EQ(block.features(), stages + 1);
+    EXPECT_TRUE(block.challenges().empty());
+    std::vector<double> ref(stages + 1);
+    for (std::size_t r = 0; r < rows; ++r) {
+      sim::feature_fill(unpack(words.data() + r * n_words, stages), ref.data());
+      ASSERT_EQ(std::memcmp(block.row(r), ref.data(), ref.size() * sizeof(double)), 0)
+          << "stages " << stages << " row " << r;
+    }
+    // Garbage above `stages` never reaches Phi.
+    if (stages % 64 != 0) {
+      std::vector<std::uint64_t> dirty = words;
+      for (std::size_t r = 0; r < rows; ++r)
+        dirty[r * n_words + n_words - 1] ^= ~0ULL << (stages % 64);
+      sim::FeatureBlock dirty_block;
+      dirty_block.assign_packed(dirty, rows, stages);
+      EXPECT_EQ(dirty_block.phi(), block.phi()) << "stages " << stages;
+    }
+  }
+}
+
+TEST(FeatureBlock, AssignPackedAndAssignShareOneBlock) {
+  // A block refilled by assign_packed, then assign, stays consistent:
+  // sizes, Phi, and the challenge rows (present only after assign).
+  const std::size_t stages = 70;
+  const std::size_t n_words = sim::packed_words(stages);
+  const auto challenges = fixed_challenges(stages, 5);
+  std::vector<std::uint64_t> words(5 * n_words);
+  for (std::size_t r = 0; r < 5; ++r)
+    for (std::size_t i = 0; i < stages; ++i)
+      words[r * n_words + i / 64] |= static_cast<std::uint64_t>(challenges[r][i]) << (i % 64);
+  sim::FeatureBlock block(fixed_challenges(12, 9));
+  block.assign_packed(words, 5, stages);
+  const sim::FeatureBlock reference(challenges);
+  EXPECT_EQ(block.size(), 5u);
+  EXPECT_EQ(block.phi(), reference.phi());
+  EXPECT_TRUE(block.challenges().empty());
+  block.assign(challenges);
+  EXPECT_EQ(block.phi(), reference.phi());
+  EXPECT_EQ(block.challenges(), challenges);
+  EXPECT_THROW(block.assign_packed(words, 4, stages), std::invalid_argument);
+  EXPECT_THROW(block.assign_packed(words, 5, 0), std::invalid_argument);
 }
 
 TEST(DeviceLinearView, DelayIsTheAscendingDotOfReducedWeights) {

@@ -458,6 +458,52 @@ TEST(LintScalarEval, ADeclaredScalarFallbackIsBudgetedByItsAllowComment) {
   EXPECT_EQ(report.stats.suppressions_by_rule.at("scalar-eval"), 1u);
 }
 
+// --- Parity chain ------------------------------------------------------------
+
+TEST(LintParityChain, FlagsAHandRolledSignChainInEitherArmOrder) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/puf/predict.cpp",
+       "double predict(const Challenge& c, const double* w) {\n"
+       "  double acc = 1.0, s = 0.0;\n"
+       "  for (std::size_t i = c.size(); i > 0; --i) {\n"
+       "    acc *= c[i - 1] ? -1.0 : 1.0;\n"
+       "    s += w[i - 1] * acc;\n"
+       "  }\n"
+       "  return s;\n"
+       "}\n"},
+      {"tests/test_sign.cpp", "void f(bool b, double& x) { x *= b ? 1 : -1; }\n"},
+  });
+  const auto hits = with_rule(report, "parity-chain");
+  ASSERT_EQ(hits.size(), 2u);
+  for (const Violation& v : hits) {
+    if (v.file == "src/puf/predict.cpp") {
+      EXPECT_EQ(v.line, 4u);
+      EXPECT_NE(v.message.find("parity_sign"), std::string::npos);
+    } else {
+      EXPECT_EQ(v.file, "tests/test_sign.cpp");
+      EXPECT_EQ(v.line, 1u);
+    }
+  }
+}
+
+TEST(LintParityChain, ParityKernelsAndOtherSignsAreClean) {
+  const Report report = xpuf::lint::analyze_files({
+      // The canonical kernel itself is exempt.
+      {"src/sim/linear.cpp", "void g(bool b, double& acc) { acc *= b ? -1.0 : 1.0; }\n"},
+      {"src/puf/clean.cpp",
+       // A parity-driven sign, a one-shot +/-1 value, and a multiply by a
+       // non-unit factor are not sign chains.
+       "void h(bool b, std::uint64_t& parity, double* out, double& x, double& y) {\n"
+       "  parity ^= b;\n"
+       "  out[0] = sim::parity_sign(parity);\n"
+       "  y = b ? 1.0 : -1.0;\n"
+       "  x *= b ? -1.5 : 1.0;\n"
+       "  x *= b ? -1.0 : 10.0;\n"
+       "}\n"},
+  });
+  EXPECT_TRUE(with_rule(report, "parity-chain").empty());
+}
+
 // --- Suppression budget -----------------------------------------------------
 
 TEST(LintSuppressionBudget, AllowMarkersAreCountedAndFilterFindings) {

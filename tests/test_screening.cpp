@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -146,6 +148,74 @@ TEST(ScreeningEquivalence, BatchedMatchesSerialAtEveryBlockSizeAndThreadCount) {
     }
   }
   ThreadPool::set_global_threads(0);
+}
+
+/// A 3-PUF model with Gaussian weights and an unstable band around the
+/// 0.5 centre about 0.8 weight-sigmas wide per PUF, so roughly a third of
+/// candidates pass all three — at any stage count.
+ServerModel make_random_model(std::size_t stages, std::uint64_t seed) {
+  Rng rng(seed);
+  const double sd = std::sqrt(static_cast<double>(stages + 1));
+  std::vector<PufEnrollment> pufs;
+  for (std::size_t p = 0; p < 3; ++p) {
+    PufEnrollment e;
+    linalg::Vector w(stages + 1);
+    for (std::size_t i = 0; i <= stages; ++i) w[i] = rng.normal(0.0, 1.0);
+    e.model = ArbiterPufModel(std::move(w));
+    e.thresholds.thr0 = 0.5 - 0.4 * sd;
+    e.thresholds.thr1 = 0.5 + 0.4 * sd;
+    e.train_r_squared = 0.99;
+    e.fit_time_ms = 1.0;
+    pufs.push_back(std::move(e));
+  }
+  return ServerModel(0, std::move(pufs));
+}
+
+TEST(ScreeningEquivalence, PackedWalkMatchesSerialAcrossWordBoundaries) {
+  // 32 stages is the paper's width (one word, upper half ignored); 64 fills
+  // a word exactly; 65 spills one stage into a second word.
+  for (const std::size_t stages : {32u, 64u, 65u}) {
+    const ServerModel model = make_random_model(stages, 600 + stages);
+    const ModelView view = ModelView::of(model);
+    const std::uint64_t base = 0x5eed0000ULL + stages;
+    const Walk ref =
+        run_walk(view, {.block = 256, .batched = false}, base, 3, 40, 1'000'000);
+    ASSERT_TRUE(ref.out.filled);
+    ASSERT_GT(ref.out.tried, 2 * ref.out.accepted) << "stages " << stages;
+    ASSERT_EQ(ref.challenges.front().size(), stages);
+    for (const std::size_t block : {1u, 7u, 256u}) {
+      for (const std::size_t threads : {1u, 2u, 8u}) {
+        ThreadPool::set_global_threads(threads);
+        const Walk got =
+            run_walk(view, {.block = block, .batched = true}, base, 3, 40, 1'000'000);
+        SCOPED_TRACE("stages=" + std::to_string(stages) + " block=" +
+                     std::to_string(block) + " threads=" + std::to_string(threads));
+        expect_walks_identical(ref, got);
+      }
+    }
+  }
+  ThreadPool::set_global_threads(0);
+}
+
+TEST(ScreeningMask, BranchFreeMaskEqualsClassifyOnEdgeValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const ThresholdPair pairs[] = {{0.25, 0.75}, {0.0, 0.0},  {-0.0, 0.0}, {0.0, -0.0},
+                                 {-inf, inf},  {inf, -inf}, {0.6, 0.4},  {nan, 0.5}};
+  for (const ThresholdPair& t : pairs) {
+    const double values[] = {0.0,    -0.0,   inf,    -inf, nan, -nan, 0.25,
+                             0.75,   0.5,    1e-300, -1e-300, t.thr0, t.thr1};
+    for (const double x : values)
+      EXPECT_EQ(t.unstable(x), t.classify(x) == StableClass::kUnstable)
+          << "x=" << x << " thr0=" << t.thr0 << " thr1=" << t.thr1;
+  }
+  // Values on a threshold are unstable; NaN is never stable.
+  const ThresholdPair t{0.25, 0.75};
+  EXPECT_TRUE(t.unstable(0.25));
+  EXPECT_TRUE(t.unstable(0.75));
+  EXPECT_TRUE(t.unstable(nan));
+  EXPECT_FALSE(t.unstable(-inf));
+  EXPECT_FALSE(t.unstable(inf));
 }
 
 TEST(ScreeningEquivalence, WalkResumesFromNextIndexWithoutSeams) {
@@ -291,6 +361,47 @@ TEST(IssuancePool, DrainRefillAccountingAndReplayFreedom) {
   EXPECT_EQ(after.gauges.at("auth.pool_size"),
             static_cast<double>(db.pool_remaining(0)));
   EXPECT_GE(db.pool_remaining(0), 8u);
+}
+
+TEST(IssuancePool, RefillNeverPoolsAKeyThatIsAlreadyPooled) {
+  // 8-stage challenges leave 256 keys, so a 52-entry pool and every refill
+  // are sure to screen keys already pooled — earlier in the same walk or
+  // carried over undrained. None may enter the pool twice. Sizing: 16 per
+  // batch leaves 4 < low_water 8 undrained after every third batch, so each
+  // refill carries 4 keys over.
+  const std::string dir = unique_dir("short_keys");
+  fs::remove_all(dir);
+  {
+    ServerDatabase db = ServerDatabase::open(dir, pooled_config(52));
+    db.register_device(make_plain_model(0, 8));
+    const auto expect_distinct_pool = [&](const std::string& when) {
+      store::PoolPayload pool;
+      ASSERT_TRUE(db.store().read_pool(0, pool)) << when;
+      EXPECT_EQ(pool.keys.size(), 52u) << when;
+      const std::set<std::string> unique(pool.keys.begin(), pool.keys.end());
+      EXPECT_EQ(unique.size(), pool.keys.size()) << when;
+    };
+    expect_distinct_pool("after registration");
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    std::set<Challenge> seen;
+    for (int round = 1; round <= 6; ++round) {
+      Rng rng(static_cast<std::uint64_t>(round));
+      const ChallengeBatch batch = db.issue(0, rng);
+      ASSERT_EQ(batch.challenges.size(), 16u);
+      EXPECT_EQ(batch.replay_rejected, 0u) << "round " << round;
+      for (const auto& c : batch.challenges)
+        EXPECT_TRUE(seen.insert(c).second) << "challenge reused in round " << round;
+      expect_distinct_pool("after round " + std::to_string(round));
+    }
+    const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+    EXPECT_EQ(counter_or_zero(after, "auth.replay_rejected"),
+              counter_or_zero(before, "auth.replay_rejected"));
+    // Rounds 3 and 6 each ended with a carry-over refill.
+    EXPECT_EQ(counter_or_zero(after, "auth.pool_refills") -
+                  counter_or_zero(before, "auth.pool_refills"),
+              2u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(IssuancePool, DisabledPoolingIsBitIdenticalToLiveScreening) {

@@ -52,6 +52,10 @@ const std::vector<RuleInfo> kRules = {
      "hand-rolled row-wise dot-product loop in src/ml/; route it through linalg::dot or "
      "the GEMM kernels (matmul_nt / matmul_tn) so batch and scalar paths share one "
      "accumulation order"},
+    {"parity-chain",
+     "hand-rolled +/-1 sign chain (`acc *= c ? -1.0 : 1.0`) outside src/sim/linear.cpp; "
+     "keep a running XOR parity and take the sign from sim::parity_sign, or build phi "
+     "through sim::feature_fill / FeatureBlock"},
     {"bad-suppression", "xpuf-lint allow comment names a rule that does not exist"},
     // Semantic rules — emitted by the cross-TU passes (passes/) and the
     // engine's guarded-by policy, registered here so the suppression
@@ -502,6 +506,20 @@ std::vector<Violation> lint_source(const std::string& rel_path, const std::strin
         report("ml-dot", i,
                "hand-rolled row-wise dot product; use linalg::dot (scalar) or "
                "matmul_nt/matmul_tn (batched) so the accumulation order stays shared");
+  }
+
+  // parity-chain: phi entries are exactly +/-1, so a suffix "product" is a
+  // parity. A `*= bit ? -1.0 : 1.0` chain serialises one FP multiply per
+  // stage behind a branch on random bits — the cost the parity kernel in
+  // sim/linear.cpp removed. Either arm order counts.
+  if (rel_path != "src/sim/linear.cpp") {
+    static const std::regex chain(
+        R"(\*=[^;?]*\?\s*(-\s*1(\.0*)?\s*:\s*\+?\s*1(\.0*)?|\+?\s*1(\.0*)?\s*:\s*-\s*1(\.0*)?)(?![\w.]))");
+    for (std::size_t i = 0; i < code_lines.size(); ++i)
+      if (std::regex_search(code_lines[i], chain))
+        report("parity-chain", i,
+               "+/-1 sign chain by multiply-and-branch; keep a running XOR parity and "
+               "take the sign from sim::parity_sign (sim/linear.hpp)");
   }
 
   // include-order.
