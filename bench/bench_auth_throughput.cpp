@@ -9,8 +9,10 @@
 // zero-metrics-drift audits run in-process (the exit code IS the audit):
 //
 //   screening A/B — ChallengeScreener serial (per-candidate reference walk)
-//       vs batched (sim::FeatureBlock + ChipLinearView tile kernels, one Phi
-//       build + one register-blocked weight product per block). The issued
+//       vs batched (packed candidate blocks screened as a survivor
+//       cascade: PUF p is evaluated, by sim::parity_dots over the
+//       candidates' suffix-parity words, only on the candidates still
+//       stable on PUFs 0..p-1). The issued
 //       challenge sequence, expected-response bits and exact
 //       candidates_tried are asserted bit-identical per sampled device
 //       before either side is timed.

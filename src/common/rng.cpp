@@ -6,27 +6,6 @@
 
 namespace xpuf {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-}  // namespace
-
-Rng::Rng(std::uint64_t seed) {
-  SplitMix64 sm(seed);
-  for (auto& s : state_) s = sm.next();
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
 double Rng::uniform() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }

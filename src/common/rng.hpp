@@ -7,6 +7,7 @@
 // decorrelated child streams via Rng::fork().
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -39,15 +40,31 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  /// Seeds the four words of state from splitmix64(seed).
-  explicit Rng(std::uint64_t seed = 0x9d8f7e6c5b4a3920ULL);
+  /// Seeds the four words of state from splitmix64(seed). Inline with
+  /// next_u64, so a caller that reads only the first words of a fresh
+  /// stream (a screening candidate) lets the compiler drop the state
+  /// updates it never observes.
+  explicit Rng(std::uint64_t seed = 0x9d8f7e6c5b4a3920ULL) {
+    SplitMix64 sm(seed);
+    for (auto& s : state_) s = sm.next();
+  }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
   result_type operator()() { return next_u64(); }
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform();

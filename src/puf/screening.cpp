@@ -5,16 +5,10 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 
 namespace xpuf::puf {
 
 namespace {
-
-/// Rows per parallel_for chunk when evaluating a block tile. Chunking is
-/// bit-invisible (each output cell is an independent ascending dot), so this
-/// only balances scheduling overhead against load spread.
-constexpr std::size_t kEvalRowChunk = 64;
 
 /// Candidate layout shared by both walks: word w (the stream's w-th
 /// next_u64() draw) holds stages 64w .. 64w + 63, least-significant bit
@@ -48,17 +42,7 @@ ChallengeScreener::ChallengeScreener(const ModelView& view, std::size_t n_pufs,
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= view.puf_count(), "screener n_pufs out of range");
   XPUF_REQUIRE(options.block >= 1, "screening block must hold at least one candidate");
   thresholds_.reserve(n_pufs);
-  std::vector<sim::DeviceLinearView> devices;
-  devices.reserve(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) {
-    thresholds_.push_back(view.adjusted_thresholds(p));
-    const std::span<const double> w = view.weights(p);
-    // sigma is irrelevant here: screening consumes only the raw linear
-    // product (delay_differences), never the noise CDF.
-    devices.push_back(sim::DeviceLinearView{
-        linalg::Vector(std::vector<double>(w.begin(), w.end())), 1.0});
-  }
-  chip_view_ = sim::ChipLinearView(std::move(devices));
+  for (std::size_t p = 0; p < n_pufs; ++p) thresholds_.push_back(view.adjusted_thresholds(p));
 }
 
 void ChallengeScreener::candidate_into(Challenge& out, std::size_t stages, Rng& rng) {
@@ -120,7 +104,7 @@ ChallengeScreener::Outcome ChallengeScreener::screen_serial(
   return out;
 }
 
-// Params are validated by screen().  xpuf-lint: guarded-by(assign_packed)
+// Params are validated by screen().  xpuf-lint: guarded-by(parity_dots)
 ChallengeScreener::Outcome ChallengeScreener::screen_batched(
     const StreamFamily& family, std::uint64_t first_index, std::size_t count,
     std::size_t max_attempts, const Sink& sink) {
@@ -136,38 +120,48 @@ ChallengeScreener::Outcome ChallengeScreener::screen_batched(
   while (out.accepted < count && out.tried < max_attempts) {
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
     ramp = std::min(options_.block, ramp * 2);
-    // Candidates stay packed: the same words candidate_into unpacks, and
-    // Phi straight from them. Only a stable row becomes a Challenge.
+    // Candidates stay packed: the same words candidate_into unpacks, plus
+    // their suffix-parity form, from which every Phi sign is read.
     words_.resize(want * n_words);
     for (std::size_t i = 0; i < want; ++i) {
       Rng rng = family.stream(first_index + out.tried + i);
       for (std::size_t w = 0; w < n_words; ++w) words_[i * n_words + w] = rng.next_u64();
     }
-    block_.assign_packed(words_, want, stages);
-    raw_.resize(want * n_pufs_);
-    // One register-blocked weight product per tile; each output cell is the
-    // same ascending-index dot as the serial walk (sim/linear contract).
-    parallel_for(want, kEvalRowChunk,
-                 [&](std::size_t begin, std::size_t end, std::size_t) {
-                   chip_view_.delay_differences_into(block_, begin, end,
-                                                     raw_.data() + begin * n_pufs_);
-                 });
-    for (std::size_t i = 0; i < want && out.accepted < count; ++i) {
-      ++out.tried;
-      const double* row = raw_.data() + i * n_pufs_;
-      // One mask over all n PUFs: no early exit, no data-dependent branch
-      // until the verdict.
-      bool unstable = false;
-      for (std::size_t p = 0; p < n_pufs_; ++p) unstable |= thresholds_[p].unstable(row[p]);
-      if (unstable) continue;
+    parity_.resize(words_.size());
+    sim::suffix_parity_words(words_, stages, parity_);
+    // The cascade: PUF p is evaluated only on the rows still stable on PUFs
+    // 0 .. p-1. Each delay is the serial walk's ascending dot (sim/linear
+    // contract), and compaction keeps the survivors in index order.
+    survivors_.resize(want);
+    for (std::size_t i = 0; i < want; ++i) survivors_[i] = i;
+    bits_.assign(want, 0);
+    for (std::size_t p = 0; p < n_pufs_ && !survivors_.empty(); ++p) {
+      delays_.resize(survivors_.size());
+      sim::parity_dots(view_->weights(p), parity_, survivors_, delays_);
+      const ThresholdPair& t = thresholds_[p];
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < survivors_.size(); ++k) {
+        const std::size_t row = survivors_[k];
+        const double x = delays_[k];
+        bits_[row] ^= static_cast<std::uint8_t>(x > 0.5);
+        survivors_[kept] = row;
+        kept += static_cast<std::size_t>(!t.unstable(x));
+      }
+      survivors_.resize(kept);
+    }
+    // Rows the cascade dropped count as tried; the walk stops right after
+    // the candidate that fills the quota, exactly where the serial walk does.
+    std::size_t walked = want;
+    for (const std::size_t row : survivors_) {
+      if (out.accepted >= count) break;
+      walked = row + 1;
       ++out.stable;
-      bool bit = false;
-      for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= row[p] > 0.5;
       candidate.resize(stages);
       for (std::size_t w = 0; w < n_words; ++w)
-        unpack_word(candidate, w, words_[i * n_words + w]);
-      if (sink(std::move(candidate), bit)) ++out.accepted;
+        unpack_word(candidate, w, words_[row * n_words + w]);
+      if (sink(std::move(candidate), bits_[row] != 0)) ++out.accepted;
     }
+    out.tried += out.accepted >= count ? walked : want;
   }
   out.filled = out.accepted >= count;
   return out;

@@ -3,20 +3,21 @@
 // The paper's issuance is rejection sampling: draw random challenges, keep
 // those predicted stable on ALL n PUFs (acceptance ~0.800^n, ~10.7% at
 // n = 10). ChallengeScreener runs that walk either serially (the reference)
-// or in blocks through sim::FeatureBlock + the ChipLinearView tile kernels
-// (one Phi build + one register-blocked weight product per block), with a
-// determinism contract that makes the two modes — and any block size or
-// thread count — bit-invisible:
+// or in blocks as a survivor cascade, with a determinism contract that makes
+// the two modes — and any block size or thread count — bit-invisible:
 //
 //   candidate j of a screening walk is a pure function of (family, j): its
 //   challenge bits come from StreamFamily::stream(first_index + j) alone.
 //
 // The batched walk keeps candidates packed: candidate j is the
 // packed_words(stages) next_u64() draws of its stream, stage bit i in bit
-// i % 64 of word i / 64 (exactly what candidate_into unpacks). Phi is built
-// from those words by suffix parity (FeatureBlock::assign_packed), all n
-// PUFs are classified with one branch-free mask, and a Challenge is
-// materialised only for a stable candidate.
+// i % 64 of word i / 64 (exactly what candidate_into unpacks), plus those
+// words' suffix-parity form (sim::suffix_parity_words), which carries every
+// Phi sign. PUF p is then evaluated (sim::parity_dots, the serial walk's
+// ascending dot bit for bit) only on the rows still stable on PUFs
+// 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n)) evaluations at
+// acceptance A instead of n. The survivors stay in index order, and a
+// Challenge is materialised only for a stable candidate the sink sees.
 //
 // So the issued-challenge sequence, the expected-response bits, and the
 // exact candidates_tried count are identical across serial/batched modes,
@@ -36,8 +37,8 @@
 namespace xpuf::puf {
 
 struct ScreeningOptions {
-  /// Max candidates evaluated per block in batched mode. Any value >= 1
-  /// yields the identical issued sequence; it only trades GEMM amortization
+  /// Max candidates drawn per block in batched mode. Any value >= 1 yields
+  /// the identical issued sequence; it only trades per-block overhead
   /// against wasted tail evaluations past the quota.
   std::size_t block = 256;
   /// false = the serial per-candidate reference walk (bench A/B + tests).
@@ -89,13 +90,16 @@ class ChallengeScreener {
   std::size_t n_pufs_;
   ScreeningOptions options_;
   std::vector<ThresholdPair> thresholds_;  ///< beta-adjusted, derived once
-  sim::ChipLinearView chip_view_;          ///< stacked weights for the tile kernels
-  // Reused batch storage: packed candidate words (packed_words(stages) per
-  // row), their Phi block, and the raw prediction tile (block rows x
-  // n_pufs) — allocated on the first block, refilled in place after.
+  // Reused block storage, allocated on the first block and refilled in place
+  // after: packed candidate words and their suffix-parity words
+  // (packed_words(stages) per row), the rows still stable on every PUF
+  // screened so far (ascending), their delays under the current PUF, and
+  // each row's running XOR of predicted bits.
   std::vector<std::uint64_t> words_;
-  sim::FeatureBlock block_;
-  std::vector<double> raw_;
+  std::vector<std::uint64_t> parity_;
+  std::vector<std::size_t> survivors_;
+  std::vector<double> delays_;
+  std::vector<std::uint8_t> bits_;
 };
 
 /// Selection-cost accounting shared by every screening call site (the

@@ -78,41 +78,137 @@ void FeatureBlock::assign(const std::vector<Challenge>& challenges) {
   }
 }
 
-void FeatureBlock::assign_packed(std::span<const std::uint64_t> words, std::size_t rows,
-                                 std::size_t stages) {
-  XPUF_REQUIRE(rows == 0 || stages > 0, "feature block of zero-stage challenges");
+void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,
+                         std::span<std::uint64_t> out) {
+  XPUF_REQUIRE(stages >= 1, "packed challenges need at least one stage");
   const std::size_t n_words = packed_words(stages);
-  XPUF_REQUIRE(words.size() == rows * n_words,
-               "packed block needs packed_words(stages) words per row");
-  challenges_.clear();
-  if (rows == 0) {
-    stages_ = 0;
-    phi_.resize(0, 0);
-    return;
-  }
-  stages_ = stages;
-  phi_.resize(rows, stages + 1);
+  XPUF_REQUIRE(words.size() % n_words == 0, "packed rows need packed_words(stages) words each");
+  XPUF_REQUIRE(out.size() == words.size(), "parity output must match the packed rows");
   // The last word holds 1..64 stage bits; the mask keeps exactly those
   // (a shift by 64 - tail, never by 64, when stages % 64 == 0).
   const std::size_t tail = stages - (n_words - 1) * 64;
   const std::uint64_t tail_mask = ~0ULL >> (64 - tail);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::uint64_t* w = words.data() + r * n_words;
-    double* out = phi_.row(r);
-    out[stages] = 1.0;
+  for (std::size_t r = 0; r < words.size(); r += n_words) {
     // Walk words high to low; `carry` is the parity of every higher stage
     // bit, broadcast to all 64 bits so one XOR folds it into the word.
     std::uint64_t carry = 0;
     for (std::size_t ww = n_words; ww > 0; --ww) {
-      const std::size_t wi = ww - 1;
-      const bool last = ww == n_words;
-      const std::uint64_t s = suffix_parity(last ? w[wi] & tail_mask : w[wi]) ^ carry;
+      const std::size_t wi = r + ww - 1;
+      const std::uint64_t w = ww == n_words ? words[wi] & tail_mask : words[wi];
+      const std::uint64_t s = suffix_parity(w) ^ carry;
       carry = 0 - (s & 1U);
-      double* o = out + wi * 64;
-      const std::size_t bits = last ? tail : 64;
-      for (std::size_t j = 0; j < bits; ++j) o[j] = parity_sign(s >> j);
+      out[wi] = s;
     }
   }
+}
+
+namespace {
+
+/// Word wi of a row holds stages 64 wi .. 64 wi + 63; the last one only the
+/// `stages - 64 (n_words - 1)` that exist.
+std::size_t word_bits(std::size_t wi, std::size_t n_words, std::size_t stages) {
+  return wi + 1 == n_words ? stages - wi * 64 : 64;
+}
+
+#if defined(__AVX2__)
+
+/// 4 V candidate rows, one per vector lane: each lane adds w_i with the
+/// sign bit of its own parity bit i, in ascending i, then w_stages. vaddpd
+/// and vxorpd are per-lane IEEE/bitwise operations, so every lane is the
+/// scalar dot bit for bit; V independent add chains hide the vaddpd
+/// latency. `rows` holds exactly 4 V valid row indices; the first `m` lanes
+/// are stored.
+template <std::size_t V>
+void parity_rows_avx2(const double* w, std::size_t stages, const std::uint64_t* parity,
+                      const std::size_t* rows, std::size_t m, double* out) {
+  const std::size_t n_words = packed_words(stages);
+  __m256d acc[V];
+  for (std::size_t v = 0; v < V; ++v) acc[v] = _mm256_setzero_pd();
+  for (std::size_t wi = 0; wi < n_words; ++wi) {
+    // Lane l of bits[v] is row rows[4 v + l]'s parity word; shifting right
+    // one bit per stage brings bit i to bit 0, and a left shift by 63 turns
+    // it into a lone sign bit.
+    __m256i bits[V];
+    for (std::size_t v = 0; v < V; ++v) {
+      const std::size_t* r = rows + 4 * v;
+      bits[v] = _mm256_set_epi64x(
+          static_cast<long long>(parity[r[3] * n_words + wi]),
+          static_cast<long long>(parity[r[2] * n_words + wi]),
+          static_cast<long long>(parity[r[1] * n_words + wi]),
+          static_cast<long long>(parity[r[0] * n_words + wi]));
+    }
+    const double* wp = w + wi * 64;
+    const std::size_t count = word_bits(wi, n_words, stages);
+    for (std::size_t j = 0; j < count; ++j) {
+      const __m256d wj = _mm256_broadcast_sd(wp + j);
+      for (std::size_t v = 0; v < V; ++v) {
+        const __m256d sign = _mm256_castsi256_pd(_mm256_slli_epi64(bits[v], 63));
+        bits[v] = _mm256_srli_epi64(bits[v], 1);
+        acc[v] = _mm256_add_pd(acc[v], _mm256_xor_pd(wj, sign));
+      }
+    }
+  }
+  const __m256d last = _mm256_broadcast_sd(w + stages);
+  double tmp[4 * V];
+  for (std::size_t v = 0; v < V; ++v) _mm256_storeu_pd(tmp + 4 * v, _mm256_add_pd(acc[v], last));
+  for (std::size_t k = 0; k < m; ++k) out[k] = tmp[k];
+}
+
+#else
+
+/// The portable kernel: one row at a time, the same operations in the same
+/// order as the AVX2 lanes.
+void parity_row_scalar(const double* w, std::size_t stages, const std::uint64_t* parity,
+                       double* out) {
+  const std::size_t n_words = packed_words(stages);
+  double acc = 0.0;
+  for (std::size_t wi = 0; wi < n_words; ++wi) {
+    std::uint64_t bits = parity[wi];
+    const double* wp = w + wi * 64;
+    const std::size_t count = word_bits(wi, n_words, stages);
+    for (std::size_t j = 0; j < count; ++j, bits >>= 1)
+      acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(wp[j]) ^ (bits << 63));
+  }
+  *out = acc + w[stages];
+}
+
+#endif  // __AVX2__
+
+}  // namespace
+
+void parity_dots(std::span<const double> weights, std::span<const std::uint64_t> parity,
+                 std::span<const std::size_t> rows, std::span<double> out) {
+  XPUF_REQUIRE(weights.size() >= 2, "parity_dots needs at least one stage weight plus the bias");
+  const std::size_t stages = weights.size() - 1;
+  const std::size_t n_words = packed_words(stages);
+  XPUF_REQUIRE(parity.size() % n_words == 0, "parity rows need packed_words(stages) words each");
+  XPUF_REQUIRE(out.size() >= rows.size(), "parity_dots output shorter than the row list");
+  const std::size_t n_rows = parity.size() / n_words;
+  for (const std::size_t r : rows) XPUF_REQUIRE(r < n_rows, "parity_dots row index out of range");
+  const std::size_t m = rows.size();
+  if (m == 0) return;
+  const double* w = weights.data();
+  const std::uint64_t* p = parity.data();
+  const std::size_t* idx = rows.data();
+  double* o = out.data();
+#if defined(__AVX2__)
+  std::size_t k = 0;
+  for (; k + 16 <= m; k += 16) parity_rows_avx2<4>(w, stages, p, idx + k, 16, o + k);
+  if (k == m) return;
+  // 1..15 rows left: one pass of just enough vectors, padding the index
+  // list with a valid row whose lanes are never stored.
+  std::size_t padded[16];
+  const std::size_t rest = m - k;
+  for (std::size_t q = 0; q < 16; ++q) padded[q] = idx[k + (q < rest ? q : 0)];
+  switch ((rest + 3) / 4) {
+    case 1: parity_rows_avx2<1>(w, stages, p, padded, rest, o + k); break;
+    case 2: parity_rows_avx2<2>(w, stages, p, padded, rest, o + k); break;
+    case 3: parity_rows_avx2<3>(w, stages, p, padded, rest, o + k); break;
+    default: parity_rows_avx2<4>(w, stages, p, padded, rest, o + k); break;
+  }
+#else
+  for (std::size_t k = 0; k < m; ++k) parity_row_scalar(w, stages, p + idx[k] * n_words, o + k);
+#endif
 }
 
 double DeviceLinearView::delay(std::span<const double> phi) const {

@@ -13,12 +13,17 @@
 //  - ChipLinearView: the stacked n_pufs x (k+1) weight matrix of a chip, so
 //    a whole scan tile is ONE matmul_nt followed by normal_cdf_batch.
 //
-// Determinism contract: the full-batch products (matmul_nt) and the
-// row-range `_into` tile kernels both accumulate each output element with
-// the same ascending-index dot, so batch results are bit-identical to the
-// scalar linear-view evaluation at any thread count or tile size. The tile
-// kernels are serial by design — they are meant to run inside parallel_for
-// chunk bodies, where nested parallelism already degrades to serial.
+// Packed candidates (stable-challenge screening) skip Phi altogether:
+// suffix_parity_words turns their bit-words into Phi's signs, and
+// parity_dots evaluates one PUF on any subset of them.
+//
+// Determinism contract: the full-batch products (matmul_nt), the
+// row-range `_into` tile kernels and parity_dots all accumulate each output
+// element with the same ascending-index dot, so batch results are
+// bit-identical to the scalar linear-view evaluation at any thread count or
+// tile size. The tile kernels are serial by design — they are meant to run
+// inside parallel_for chunk bodies, where nested parallelism already
+// degrades to serial.
 //
 // A linear view is a snapshot: it does NOT track later ArbiterPufDevice::age
 // calls or environment changes. Rebuild it per (Environment, aging) state.
@@ -53,6 +58,32 @@ void feature_fill(const Challenge& challenge, double* out);
 /// Number of 64-bit words a packed `stages`-bit challenge occupies.
 constexpr std::size_t packed_words(std::size_t stages) { return (stages + 63) / 64; }
 
+/// Suffix-parity form of packed challenges. `words` holds whole rows of
+/// packed_words(stages) words: stage bit i of a row in bit i % 64 of word
+/// i / 64, least-significant bit first; bits above `stages` in the last word
+/// are ignored. Writes the same shape into `out` (which must not alias
+/// `words`): bit i of a row is the XOR of its stage bits i .. stages - 1, so
+/// phi_i = parity_sign(bit i) — the set bits are exactly the -1 entries of
+/// feature_fill's row. Bits above `stages` come out zero.
+void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,
+                         std::span<std::uint64_t> out);
+
+/// Noise-free delays of selected packed candidates under one weight row:
+/// out[k] = weights . phi(candidate rows[k]) for k < rows.size(), where
+/// `parity` holds suffix_parity_words rows of a stages = weights.size() - 1
+/// challenge batch. Nothing past out[rows.size() - 1] is written.
+///
+/// Each output is accumulated exactly as linalg::dot(weights, phi) does it:
+/// ascending i from +0.0, term i being w_i with phi_i's sign — the sign bit
+/// flipped where the parity bit is set, which is exact (w * -1.0 == -w) for
+/// every non-NaN weight — and w_stages last. So the result is bit-identical
+/// to DeviceLinearView::delay and the tile kernels; a NaN weight yields NaN
+/// either way (its sign may differ). The AVX2 build puts one row per vector
+/// lane and four vectors in flight; the scalar build walks rows one by one
+/// through the same operations.
+void parity_dots(std::span<const double> weights, std::span<const std::uint64_t> parity,
+                 std::span<const std::size_t> rows, std::span<double> out);
+
 /// Draws `count` uniformly random challenges (no dedup: with 2^32+ space,
 /// collisions are negligible at paper scale and the paper samples
 /// uniformly). The single shared implementation behind puf::random_challenges
@@ -74,15 +105,6 @@ class FeatureBlock {
   /// chunk (after the first chunk warms the buffers).
   void assign(const std::vector<Challenge>& challenges);
 
-  /// Rebuilds the block in place from `rows` packed challenges: row r is
-  /// words[r * packed_words(stages), ...), stage bit i in bit i % 64 of word
-  /// i / 64 (least-significant bit first); bits above `stages` in the last
-  /// word are ignored. Phi comes straight from the words by suffix parity
-  /// and is byte-identical to feature_fill of the unpacked challenge. A
-  /// packed block keeps no Challenge rows: challenges() is empty.
-  void assign_packed(std::span<const std::uint64_t> words, std::size_t rows,
-                     std::size_t stages);
-
   std::size_t size() const { return phi_.rows(); }
   bool empty() const { return phi_.rows() == 0; }
   /// Stage count k (0 for an empty block).
@@ -90,7 +112,6 @@ class FeatureBlock {
   /// Feature count k + 1 (0 for an empty block).
   std::size_t features() const { return empty() ? 0 : stages_ + 1; }
 
-  /// The challenge rows (empty for a block built by assign_packed).
   const std::vector<Challenge>& challenges() const { return challenges_; }
   const Challenge& challenge(std::size_t i) const { return challenges_[i]; }
   const linalg::Matrix& phi() const { return phi_; }

@@ -6,9 +6,12 @@
 // paths must reproduce their scalar-mode outputs byte for byte.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "linalg/vector.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/selection.hpp"
 #include "puf/transform.hpp"
@@ -80,7 +84,7 @@ TEST(FeatureBlock, EmptyBlockIsLegal) {
   const sim::FeatureBlock block2{std::vector<sim::Challenge>{}};
   EXPECT_TRUE(block2.empty());
   sim::FeatureBlock block3(fixed_challenges(8, 3));
-  block3.assign_packed({}, 0, 8);
+  block3.assign({});
   EXPECT_TRUE(block3.empty());
   EXPECT_EQ(block3.features(), 0u);
 }
@@ -113,64 +117,164 @@ sim::Challenge unpack(const std::uint64_t* words, std::size_t stages) {
   return c;
 }
 
-TEST(FeatureBlock, AssignPackedEqualsFeatureFillByteForByte) {
+/// Bit patterns of `n` doubles, so NaN payloads and signed zeros compare
+/// exactly.
+bool same_bits(const double* a, const double* b, std::size_t n = 1) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+/// Random packed rows for `stages`-bit challenges — set bits above `stages`
+/// included whenever stages % 64 != 0 — then an all-zero and an all-one row.
+std::vector<std::uint64_t> packed_rows(std::size_t stages, std::size_t rows, Rng& rng) {
+  const std::size_t n_words = sim::packed_words(stages);
+  std::vector<std::uint64_t> words(rows * n_words);
+  for (auto& w : words) w = rng.next_u64();
+  for (std::size_t w = 0; w < n_words; ++w) {
+    words[(rows - 2) * n_words + w] = 0;
+    words[(rows - 1) * n_words + w] = ~0ULL;
+  }
+  return words;
+}
+
+TEST(ParityDots, SuffixParityWordsCarryExactlyThePhiSigns) {
   Rng rng(0x9ac4ed);
-  for (const std::size_t stages : {1u, 31u, 32u, 33u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+  for (std::size_t stages = 1; stages <= 129; ++stages) {
     const std::size_t n_words = sim::packed_words(stages);
-    // Random rows, then an all-zero and an all-one row. Random and all-one
-    // rows carry set bits above `stages` whenever stages % 64 != 0.
-    const std::size_t rows = 40;
-    std::vector<std::uint64_t> words(rows * n_words);
-    for (auto& w : words) w = rng.next_u64();
-    for (std::size_t w = 0; w < n_words; ++w) {
-      words[(rows - 2) * n_words + w] = 0;
-      words[(rows - 1) * n_words + w] = ~0ULL;
-    }
-    sim::FeatureBlock block;
-    block.assign_packed(words, rows, stages);
-    ASSERT_EQ(block.size(), rows);
-    EXPECT_EQ(block.stages(), stages);
-    EXPECT_EQ(block.features(), stages + 1);
-    EXPECT_TRUE(block.challenges().empty());
-    std::vector<double> ref(stages + 1);
+    const std::size_t rows = 12;
+    const std::vector<std::uint64_t> words = packed_rows(stages, rows, rng);
+    std::vector<std::uint64_t> parity(words.size());
+    sim::suffix_parity_words(words, stages, parity);
+    std::vector<double> phi(stages + 1);
     for (std::size_t r = 0; r < rows; ++r) {
-      sim::feature_fill(unpack(words.data() + r * n_words, stages), ref.data());
-      ASSERT_EQ(std::memcmp(block.row(r), ref.data(), ref.size() * sizeof(double)), 0)
-          << "stages " << stages << " row " << r;
+      const std::uint64_t* p = parity.data() + r * n_words;
+      sim::feature_fill(unpack(words.data() + r * n_words, stages), phi.data());
+      for (std::size_t i = 0; i < stages; ++i) {
+        const double want = sim::parity_sign(p[i / 64] >> (i % 64));
+        ASSERT_TRUE(same_bits(&phi[i], &want)) << "stages " << stages << " row " << r;
+      }
+      // Bits above `stages` come out zero.
+      if (stages % 64 != 0) {
+        EXPECT_EQ(p[n_words - 1] >> (stages % 64), 0u);
+      }
     }
-    // Garbage above `stages` never reaches Phi.
+    // Garbage above `stages` never reaches the parity words.
     if (stages % 64 != 0) {
       std::vector<std::uint64_t> dirty = words;
       for (std::size_t r = 0; r < rows; ++r)
         dirty[r * n_words + n_words - 1] ^= ~0ULL << (stages % 64);
-      sim::FeatureBlock dirty_block;
-      dirty_block.assign_packed(dirty, rows, stages);
-      EXPECT_EQ(dirty_block.phi(), block.phi()) << "stages " << stages;
+      std::vector<std::uint64_t> dirty_parity(dirty.size());
+      sim::suffix_parity_words(dirty, stages, dirty_parity);
+      EXPECT_EQ(dirty_parity, parity) << "stages " << stages;
     }
   }
 }
 
-TEST(FeatureBlock, AssignPackedAndAssignShareOneBlock) {
-  // A block refilled by assign_packed, then assign, stays consistent:
-  // sizes, Phi, and the challenge rows (present only after assign).
-  const std::size_t stages = 70;
-  const std::size_t n_words = sim::packed_words(stages);
-  const auto challenges = fixed_challenges(stages, 5);
-  std::vector<std::uint64_t> words(5 * n_words);
-  for (std::size_t r = 0; r < 5; ++r)
-    for (std::size_t i = 0; i < stages; ++i)
-      words[r * n_words + i / 64] |= static_cast<std::uint64_t>(challenges[r][i]) << (i % 64);
-  sim::FeatureBlock block(fixed_challenges(12, 9));
-  block.assign_packed(words, 5, stages);
-  const sim::FeatureBlock reference(challenges);
-  EXPECT_EQ(block.size(), 5u);
-  EXPECT_EQ(block.phi(), reference.phi());
-  EXPECT_TRUE(block.challenges().empty());
-  block.assign(challenges);
-  EXPECT_EQ(block.phi(), reference.phi());
-  EXPECT_EQ(block.challenges(), challenges);
-  EXPECT_THROW(block.assign_packed(words, 4, stages), std::invalid_argument);
-  EXPECT_THROW(block.assign_packed(words, 5, 0), std::invalid_argument);
+TEST(ParityDots, EqualFeatureFillPlusDotBitForBit) {
+  Rng rng(0x5d07);
+  const double sentinel = -12345.678;
+  for (std::size_t stages = 1; stages <= 129; ++stages) {
+    const std::size_t n_words = sim::packed_words(stages);
+    const std::size_t rows = 21;
+    const std::vector<std::uint64_t> words = packed_rows(stages, rows, rng);
+    std::vector<std::uint64_t> parity(words.size());
+    sim::suffix_parity_words(words, stages, parity);
+    std::vector<double> w(stages + 1);
+    for (auto& x : w) x = rng.normal(0.0, 1.0);
+    std::vector<double> phi(stages + 1);
+    std::vector<double> ref(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      sim::feature_fill(unpack(words.data() + r * n_words, stages), phi.data());
+      ref[r] = linalg::dot(w, phi);
+    }
+    // 0..17 survivors reach the empty list, every padded remainder of the
+    // one-to-four-vector pass, and the full 16-row pass plus a remainder.
+    // The row lists skip and revisit rows, in no particular order.
+    for (std::size_t m = 0; m <= 17; ++m) {
+      std::vector<std::size_t> sel(m);
+      for (std::size_t k = 0; k < m; ++k) sel[k] = (k * 7 + stages) % rows;
+      std::vector<double> out(m + 1, sentinel);
+      sim::parity_dots(w, parity, sel, std::span<double>(out.data(), m));
+      for (std::size_t k = 0; k < m; ++k) {
+        ASSERT_TRUE(same_bits(&out[k], &ref[sel[k]]))
+            << "stages " << stages << " m " << m << " k " << k << ": " << out[k]
+            << " vs " << ref[sel[k]];
+      }
+      EXPECT_TRUE(same_bits(&out[m], &sentinel)) << "stages " << stages << " m " << m;
+    }
+  }
+}
+
+TEST(ParityDots, SignedZerosInfinitiesAndNanWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(0x2e70);
+  for (const std::size_t stages : {1u, 5u, 32u, 64u, 65u}) {
+    const std::size_t n_words = sim::packed_words(stages);
+    const std::size_t rows = 19;
+    const std::vector<std::uint64_t> words = packed_rows(stages, rows, rng);
+    std::vector<std::uint64_t> parity(words.size());
+    sim::suffix_parity_words(words, stages, parity);
+    std::vector<std::size_t> all(rows);
+    for (std::size_t r = 0; r < rows; ++r) all[r] = r;
+    // Weight rows: all +0, all -0, mixed signed zeros with a one-sided
+    // infinity, opposing infinities (NaN sums), and a NaN weight.
+    std::vector<std::vector<double>> cases;
+    cases.emplace_back(stages + 1, 0.0);
+    cases.emplace_back(stages + 1, -0.0);
+    std::vector<double> mixed(stages + 1);
+    for (std::size_t i = 0; i <= stages; ++i) mixed[i] = i % 2 ? -0.0 : 0.0;
+    mixed[stages / 2] = inf;
+    cases.push_back(mixed);
+    std::vector<double> opposed(stages + 1, 1.5);
+    opposed[0] = inf;
+    opposed[stages] = -inf;
+    cases.push_back(opposed);
+    std::vector<double> with_nan(stages + 1, -2.25);
+    with_nan[stages / 2] = nan;
+    cases.push_back(with_nan);
+    std::vector<double> phi(stages + 1);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      const std::vector<double>& w = cases[c];
+      std::vector<double> out(rows);
+      sim::parity_dots(w, parity, all, out);
+      for (std::size_t r = 0; r < rows; ++r) {
+        sim::feature_fill(unpack(words.data() + r * n_words, stages), phi.data());
+        const double ref = linalg::dot(w, phi);
+        SCOPED_TRACE("stages " + std::to_string(stages) + " case " + std::to_string(c) +
+                     " row " + std::to_string(r));
+        // A NaN comes out NaN either way (its sign may differ); everything
+        // else matches bit for bit, the sign of a zero sum included.
+        if (std::isnan(ref)) {
+          EXPECT_TRUE(std::isnan(out[r]));
+        } else {
+          EXPECT_TRUE(same_bits(&out[r], &ref)) << out[r] << " vs " << ref;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParityDots, RejectMisshapedInputs) {
+  const std::vector<std::uint64_t> words = {1, 2, 3, 4};  // two rows at 65..128 stages
+  std::vector<std::uint64_t> parity(4);
+  EXPECT_THROW(sim::suffix_parity_words(words, 0, parity), std::invalid_argument);
+  EXPECT_THROW(sim::suffix_parity_words(words, 300, parity), std::invalid_argument);
+  std::vector<std::uint64_t> short_out(3);
+  EXPECT_THROW(sim::suffix_parity_words(words, 70, short_out), std::invalid_argument);
+  sim::suffix_parity_words(words, 70, parity);
+
+  const std::vector<double> w(71, 1.0);
+  const std::vector<std::size_t> rows = {1, 0};
+  std::vector<double> out(2);
+  sim::parity_dots(w, parity, rows, out);
+  EXPECT_THROW(sim::parity_dots(std::vector<double>{1.0}, parity, rows, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::parity_dots(std::vector<double>(300, 1.0), parity, rows, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::parity_dots(w, parity, std::vector<std::size_t>{0, 2}, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::parity_dots(w, parity, rows, std::span<double>(out.data(), 1)),
+               std::invalid_argument);
 }
 
 TEST(DeviceLinearView, DelayIsTheAscendingDotOfReducedWeights) {

@@ -94,8 +94,9 @@ struct Walk {
 };
 
 Walk run_walk(const ModelView& view, ScreeningOptions opts, std::uint64_t family_base,
-              std::uint64_t first, std::size_t count, std::size_t max_attempts) {
-  ChallengeScreener screener(view, 3, opts);
+              std::uint64_t first, std::size_t count, std::size_t max_attempts,
+              std::size_t n_pufs = 3) {
+  ChallengeScreener screener(view, n_pufs, opts);
   Walk w;
   w.out = screener.screen(StreamFamily(family_base), first, count, max_attempts,
                           [&](Challenge&& c, bool bit) {
@@ -195,6 +196,78 @@ TEST(ScreeningEquivalence, PackedWalkMatchesSerialAcrossWordBoundaries) {
     }
   }
   ThreadPool::set_global_threads(0);
+}
+
+/// What the first PUF's thresholds do to every candidate of a cascade.
+enum class FirstPuf { kRejectAll, kAcceptAll, kPassMost };
+
+/// An n-PUF model with Gaussian weights. PUFs 1..n-1 pass about 63 % of
+/// candidates each (the per-PUF pass rate of the paper's n = 10 lot); PUF 0
+/// rejects every candidate, accepts every candidate, or passes ~63 % too.
+ServerModel make_cascade_model(std::size_t stages, std::size_t n, FirstPuf first,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  const double sd = std::sqrt(static_cast<double>(stages + 1));
+  std::vector<PufEnrollment> pufs;
+  for (std::size_t p = 0; p < n; ++p) {
+    PufEnrollment e;
+    linalg::Vector w(stages + 1);
+    for (std::size_t i = 0; i <= stages; ++i) w[i] = rng.normal(0.0, 1.0);
+    e.model = ArbiterPufModel(std::move(w));
+    // |z| > 0.48 holds for ~63 % of a standard normal.
+    e.thresholds.thr0 = 0.5 - 0.48 * sd;
+    e.thresholds.thr1 = 0.5 + 0.48 * sd;
+    if (p == 0 && first == FirstPuf::kRejectAll) {
+      e.thresholds.thr0 = -1e18;  // nothing below, nothing above: all unstable
+      e.thresholds.thr1 = 1e18;
+    } else if (p == 0 && first == FirstPuf::kAcceptAll) {
+      e.thresholds.thr0 = 1e18;  // every finite delay is a stable '0' call
+      e.thresholds.thr1 = 1e18;
+    }
+    e.train_r_squared = 0.99;
+    e.fit_time_ms = 1.0;
+    pufs.push_back(std::move(e));
+  }
+  return ServerModel(0, std::move(pufs));
+}
+
+TEST(ScreeningEquivalence, CascadeMatchesSerialWhateverTheFirstPufDecides) {
+  const std::size_t stages = 32;
+  for (const std::size_t n : {1u, 2u, 3u, 10u}) {
+    for (const FirstPuf first :
+         {FirstPuf::kRejectAll, FirstPuf::kAcceptAll, FirstPuf::kPassMost}) {
+      const ServerModel model = make_cascade_model(stages, n, first, 900 + n);
+      const ModelView view = ModelView::of(model);
+      const std::uint64_t base = 0xca5cade0ULL + n;
+      // A rejecting first PUF can never fill the quota: the walk must
+      // exhaust max_attempts, not loop.
+      const std::size_t max_attempts = first == FirstPuf::kRejectAll ? 3'000 : 1'000'000;
+      const Walk ref = run_walk(view, {.block = 256, .batched = false}, base, 5, 12,
+                                max_attempts, n);
+      if (first == FirstPuf::kRejectAll) {
+        ASSERT_FALSE(ref.out.filled);
+        ASSERT_EQ(ref.out.tried, max_attempts);
+        ASSERT_EQ(ref.out.stable, 0u);
+      } else {
+        ASSERT_TRUE(ref.out.filled);
+      }
+      // With PUF 0 accepting everything, a single-PUF walk accepts every
+      // candidate; otherwise something must have been rejected.
+      if (first == FirstPuf::kAcceptAll && n == 1) {
+        ASSERT_EQ(ref.out.tried, 12u);
+      } else {
+        ASSERT_GT(ref.out.tried, ref.out.accepted);
+      }
+      for (const std::size_t block : {1u, 7u, 256u}) {
+        const Walk got = run_walk(view, {.block = block, .batched = true}, base, 5, 12,
+                                  max_attempts, n);
+        SCOPED_TRACE("n=" + std::to_string(n) + " first=" +
+                     std::to_string(static_cast<int>(first)) +
+                     " block=" + std::to_string(block));
+        expect_walks_identical(ref, got);
+      }
+    }
+  }
 }
 
 TEST(ScreeningMask, BranchFreeMaskEqualsClassifyOnEdgeValues) {

@@ -42,6 +42,9 @@
 #             overload phase (exit code is the audit); net.async.* schema
 #             check (--expect-net-socket), lockstep-vs-socket timing gate,
 #             and tests/test_async_service under TSan
+#   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
+#             tests/test_linear + tests/test_screening on the portable
+#             scalar kernels, the only path on hosts without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -94,6 +97,20 @@ asan_job() {
     cmake --build "${prefix}-asan" -j "${jobs}" &&
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
       ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
+}
+
+# The batch kernels' scalar fallback: the same bit-identity suites as the
+# release job, built without AVX2.
+simd_off_job() {
+  cmake -B "${prefix}-simd-off" -S . \
+    -DCMAKE_BUILD_TYPE=Release \
+    -DXPUF_BATCH_SIMD=OFF \
+    -DXPUF_WERROR=ON \
+    -DXPUF_BUILD_BENCHMARKS=OFF \
+    -DXPUF_BUILD_EXAMPLES=OFF &&
+    cmake --build "${prefix}-simd-off" -j "${jobs}" --target test_linear test_screening &&
+    "${prefix}-simd-off/tests/test_linear" &&
+    "${prefix}-simd-off/tests/test_screening"
 }
 
 tsan_configure() {
@@ -268,6 +285,7 @@ run_job auth auth_job
 run_job metrics metrics_job
 run_job service service_job
 run_job service-socket service_socket_job
+run_job simd-off simd_off_job
 run_job asan asan_job
 run_job tsan tsan_job
 run_job tidy ./tools/tidy.sh "${prefix}-tidy"
