@@ -21,10 +21,10 @@
 //       reference) vs issue (drains the device's pre-screened persistent
 //       pool, refilled off the hot path). Disjoint scattered device slices
 //       keep the replay ledgers independent; a purity audit re-derives a
-//       pooled batch from a fresh in-memory twin database and asserts the
-//       store-backed drain issued the identical challenges — the pooled
-//       sequence is a pure function of (pool seed, device id), not of
-//       serving mode, caller RNG, or fleet history.
+//       pooled batch from a fresh private-store twin database and asserts
+//       the durable fleet's drain issued the identical challenges — the
+//       pooled sequence is a pure function of (pool seed, device id), not
+//       of store location, caller RNG, or fleet history.
 //
 // The fleet is store-backed (durable sharded op log) with the model LRU
 // capped at --cache-pct of the fleet and the log compacted before traffic,
@@ -241,9 +241,9 @@ int main(int argc, char** argv) {
   XPUF_REQUIRE(db.device_count() == devices, "fleet went missing during enrollment");
 
   // --- phase 2: compaction — arms the zero-copy serving path ---------------
-  // save() on a backed database compacts the log in place and the store
-  // maps the compacted shards, so every cold model resolution below can
-  // hand out weight views pointing straight into the mapped files.
+  // save() compacts the log in place and the store maps the compacted
+  // shards, so every cold model resolution below can hand out weight views
+  // pointing straight into the mapped files.
   timer.reset();
   db.save(dir);
   const double compact_seconds = timer.seconds();
@@ -432,9 +432,9 @@ int main(int argc, char** argv) {
                          " replay-ledger growth)");
 
   // --- phase 6: pooled purity — drain == fresh-twin drain ------------------
-  // A fresh in-memory database with the same DatabaseConfig, fed the same
-  // synthetic enrollment, must issue the identical first batch for a device
-  // as the store-backed fleet does: the pooled sequence depends on nothing
+  // A fresh private-store database with the same DatabaseConfig, fed the
+  // same synthetic enrollment, must issue the identical first batch for a
+  // device as the durable fleet does: the pooled sequence depends on nothing
   // but (pool seed, device id) and the drain history. The sampled ids sit
   // past both timed slices so their store-backed pools are undrained.
   for (std::uint64_t j = 0; j < 4; ++j) {

@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
   const auto spot_id = static_cast<std::size_t>(devices / 2);
   const auto spot_before = db.model_snapshot(spot_id);
   timer.reset();
-  db.save(dir);  // backed mode: compacts the log in place
+  db.save(dir);  // compacts the log in place
   const double compact_seconds = timer.seconds();
   const auto spot_after = db.model_snapshot(spot_id);
   XPUF_REQUIRE(db.device_count() == devices, "compaction lost devices");

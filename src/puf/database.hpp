@@ -4,46 +4,37 @@
 // the server database" and runs the Fig 7 flow per authentication request.
 // This module is the deployment-shaped wrapper around those pieces: a
 // registry of enrolled chips, per-device authentication with the zero-HD
-// policy, challenge-replay protection (a challenge is never reused for a
-// device — otherwise an eavesdropper could replay recorded responses), and
-// persistence of the whole registry to a directory of model files.
+// policy, and challenge-replay protection (a challenge is never reused for a
+// device — otherwise an eavesdropper could replay recorded responses).
 //
-// Two serving modes share the same API:
-//
-//   in-memory (the historical default): every model and ledger lives in the
-//   registry maps; save() writes a complete binary snapshot (sharded store
-//   files committed via write-temp-then-rename — never delete-then-write)
-//   and load() reads either that binary format or a legacy CSV directory,
-//   upgrading the latter on its first save.
-//
-//   backed (open()): the database fronts a store::EnrollmentStore — every
-//   register/revoke/issue is appended durably to a sharded crc'd op log
-//   before the call returns, ledgers stay memory-resident per shard, and
-//   model weights are served through a capacity-bounded LRU cache
-//   (db.cache_hits/db.cache_misses/db.cache_evictions), so authentication
-//   over a million-device fleet runs in bounded memory. save() compacts the
-//   log in place.
+// Every ServerDatabase fronts a store::EnrollmentStore, the one place device
+// state lives: each register/revoke/issue/pool refill is appended to a
+// sharded crc'd op log before the call returns, ledgers stay memory-resident,
+// and model weights are served through a capacity-bounded LRU cache
+// (db.cache_hits/db.cache_misses/db.cache_evictions), so authentication over
+// a million-device fleet runs in bounded memory. open(dir) puts that store in
+// a caller-named directory, durable across processes and crashes; save()
+// compacts it in place. The plain constructor puts it in a fresh private
+// directory under the system temp path that the database deletes when it
+// dies — the same log code, but NOT durable past the object's lifetime.
 //
 // Concurrency contract: issue(), verify(), authenticate() and the const
 // accessors are safe to call concurrently for DISTINCT pre-registered
-// devices — they never mutate the registry maps themselves, only the
-// per-device ledger set the caller's device owns (std::map lookups tolerate
-// concurrent readers, and disjoint mapped values may be mutated in
-// parallel; the backed store locks its shared cache and shard files
-// internally). register_device(), revoke_device(), save() and load() mutate
-// the maps and require exclusive access; the net/ ServiceEngine satisfies
-// this by giving each shard its own ServerDatabase and keeping all calls on
-// the owning shard lane. tests/test_observability.cpp exercises the
-// concurrent half of the contract under TSan.
+// devices — they never mutate the store's index or ledger maps, only the
+// per-device ledger set the caller's device owns, and the store locks its
+// shared cache, pool slots and shard files internally. register_device(),
+// revoke_device() and save() mutate the maps and require exclusive access;
+// the net/ ServiceEngine satisfies this by giving each shard its own
+// ServerDatabase and keeping all calls on the owning shard lane.
+// tests/test_observability.cpp exercises the concurrent half of the contract
+// under TSan, with pooling off and on.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "puf/authentication.hpp"
@@ -55,14 +46,13 @@ namespace xpuf::puf {
 /// Per-device pre-screened stable-challenge pools — the issuance hot path.
 /// With pooling on, registration (and a low-water refill) screens `target`
 /// predicted-stable challenges per device through the batched screener and
-/// persists them (backed mode: a durable POOL record; in-memory mode: a
-/// registry entry), so a steady-state issue() drains O(challenge_count)
-/// entries instead of rejection-sampling ~challenge_count / 0.800^n live
-/// candidates. Pool candidates come from a per-device StreamFamily keyed by
-/// `seed ^ f(device_id)` with a persisted resume cursor, so the pooled
-/// challenge sequence is a pure function of (seed, device, drain history) —
-/// crash + replay re-drains the same prefix and the replay ledger screens
-/// out what was already issued.
+/// persists them as a durable POOL record, so a steady-state issue() drains
+/// O(challenge_count) entries instead of rejection-sampling
+/// ~challenge_count / 0.800^n live candidates. Pool candidates come from a
+/// per-device StreamFamily keyed by `seed ^ f(device_id)` with a persisted
+/// resume cursor, so the pooled challenge sequence is a pure function of
+/// (seed, device, drain history) — crash + replay re-drains the same prefix
+/// and the replay ledger screens out what was already issued.
 struct PoolPolicy {
   std::size_t target = 0;     ///< pool entries per device; 0 disables pooling
   std::size_t low_water = 8;  ///< refill when undrained entries drop below this
@@ -85,29 +75,23 @@ struct DatabaseAuthOutcome {
 
 class ServerDatabase {
  public:
-  explicit ServerDatabase(DatabaseConfig config) : config_(config) {}
+  /// A database over a private store in a fresh directory under
+  /// std::filesystem::temp_directory_path(), removed on destruction. One
+  /// shard: an engine running a database per lane holds one log file each.
+  explicit ServerDatabase(DatabaseConfig config);
 
-  ServerDatabase(ServerDatabase&& other) noexcept;
-  ServerDatabase& operator=(ServerDatabase&& other) noexcept;
-
-  /// Opens (creating if needed) a store-backed database at `directory`:
-  /// durable sharded op log + LRU-bounded model serving.
+  /// Opens (creating if needed) a database over the durable store at
+  /// `directory`; the directory outlives the object.
   static ServerDatabase open(const std::string& directory, DatabaseConfig config,
                              store::StoreOptions options = {});
 
-  bool backed() const { return store_ != nullptr; }
-
-  /// The underlying store of a backed database (introspection: shard
-  /// totals, cache occupancy, compaction offsets).
-  const store::EnrollmentStore& store() const;
+  /// The underlying store (introspection: shard totals, cache occupancy,
+  /// compaction offsets).
+  const store::EnrollmentStore& store() const { return store_; }
 
   const DatabaseConfig& config() const { return config_; }
-  std::size_t device_count() const {
-    return store_ ? store_->device_count() : models_.size();
-  }
-  bool knows(std::size_t chip_id) const {
-    return store_ ? store_->knows(chip_id) : models_.count(chip_id) != 0;
-  }
+  std::size_t device_count() const { return store_.device_count(); }
+  bool knows(std::size_t chip_id) const { return store_.knows(chip_id); }
 
   /// Registers an enrolled chip; rejects duplicate ids and width mismatches.
   void register_device(ServerModel model);
@@ -115,15 +99,11 @@ class ServerDatabase {
   /// Removes a device and its replay history.
   void revoke_device(std::size_t chip_id);
 
-  /// Direct registry reference — in-memory mode only: a backed database
-  /// serves models through the bounded cache, where references can be
-  /// evicted under the caller; use model_snapshot() there.
-  const ServerModel& model(std::size_t chip_id) const;
-
-  /// Mode-independent model access. Backed: the cached (or freshly decoded)
-  /// model, kept alive by the shared_ptr across evictions. In-memory: a
-  /// copy — intended for tests and tooling, not hot paths.
-  std::shared_ptr<const ServerModel> model_snapshot(std::size_t chip_id) const;
+  /// The cached (or freshly decoded) model, kept alive by the shared_ptr
+  /// across evictions.
+  std::shared_ptr<const ServerModel> model_snapshot(std::size_t chip_id) const {
+    return store_.model(chip_id);
+  }
 
   /// Issues a fresh stable-challenge batch for a device, excluding every
   /// challenge the server has ever sent to it (replay protection). The
@@ -155,54 +135,37 @@ class ServerDatabase {
                                    const sim::Environment& env, Rng& rng);
 
   /// Challenges ever issued to a device.
-  std::size_t issued_count(std::size_t chip_id) const;
+  std::size_t issued_count(std::size_t chip_id) const {
+    return store_.ledger(chip_id).size();
+  }
 
-  /// In-memory mode: writes a complete binary store snapshot into
-  /// `directory` (created if absent) — manifest + sharded record logs, each
-  /// file committed via write-temp-then-rename — then removes any legacy
-  /// `device_*`/`ledger_*` CSV files, completing the format migration. A
-  /// crash at any point leaves every device readable in either its old or
-  /// new state; nothing is deleted before its replacement is durable.
-  /// Backed mode: compacts the store in place (`directory` must be the
-  /// store's own directory).
-  void save(const std::string& directory) const;
-
-  /// Restores an in-memory registry from `directory`: binary store layout
-  /// when a manifest is present, legacy CSV otherwise. Orphaned legacy
-  /// `ledger_*` files (their `device_*` partner missing — the residue of a
-  /// mid-save crash of the old writer) are a ParseError, never silently
-  /// forgotten issued challenges.
-  static ServerDatabase load(const std::string& directory, DatabaseConfig config);
+  /// Compacts the store in place (`directory` must be the store's own
+  /// directory): every op is already durable, so this only shrinks the log.
+  void save(const std::string& directory);
 
  private:
-  /// In-memory pool state (backed mode keeps pools in the store instead).
-  /// Dropped by save()/load(): pools are a rebuildable cache, not registry
-  /// state — the first post-load issue recreates them.
-  struct MemPool {
-    store::PoolPayload pool;
-    std::uint32_t head = 0;
+  /// Owns a private store's directory and removes it on destruction. Empty
+  /// for open() databases and after a move.
+  class OwnedDir {
+   public:
+    OwnedDir() = default;
+    explicit OwnedDir(std::string path) : path_(std::move(path)) {}
+    OwnedDir(OwnedDir&& other) noexcept : path_(std::exchange(other.path_, {})) {}
+    OwnedDir& operator=(OwnedDir&& other) noexcept;
+    OwnedDir(const OwnedDir&) = delete;
+    OwnedDir& operator=(const OwnedDir&) = delete;
+    ~OwnedDir();
+    const std::string& path() const { return path_; }
+
+   private:
+    std::string path_;
   };
 
-  /// Mode-independent model access for screening: zero-copy mapped view,
-  /// cached model, or borrowed registry reference.
-  ModelView resolve_view(std::size_t chip_id) const;
-  std::set<std::string>& ledger_ref(std::size_t chip_id);
-  std::uint32_t device_stages(std::size_t chip_id) const;
+  ServerDatabase(DatabaseConfig config, store::EnrollmentStore store);
+
   /// The device's pool candidate stream family — pure function of
   /// (config_.pool.seed, chip_id).
   StreamFamily device_family(std::size_t chip_id) const;
-
-  // Pool state accessors spanning both serving modes. All are safe
-  // concurrently for distinct devices (store pool mutex / mem_pool_mu_).
-  bool pool_peek(std::size_t chip_id, std::uint32_t& head, std::uint32_t& count,
-                 std::uint64_t& cursor, std::uint32_t& epoch) const;
-  void pool_read(std::size_t chip_id, std::uint32_t first, std::uint32_t n,
-                 std::vector<std::string>& keys,
-                 std::vector<std::uint8_t>& expected) const;
-  void pool_set_head(std::size_t chip_id, std::uint32_t head);
-  void pool_write(std::size_t chip_id, store::PoolPayload pool);
-  /// Fleet-wide undrained pool entries (behind the auth.pool_size gauge).
-  std::uint64_t pool_entries_total() const;
 
   /// (Re)builds the device's pool: carries over undrained entries, screens
   /// fresh candidates from the persisted cursor, persists the result with
@@ -219,21 +182,8 @@ class ServerDatabase {
                     const std::vector<std::string>& fresh);
 
   DatabaseConfig config_;
-  std::map<std::size_t, ServerModel> models_;
-  /// Replay ledger: packed challenge keys (store::pack_challenge) per device.
-  std::map<std::size_t, std::set<std::string>> issued_;
-  /// Fleet-wide issued-challenge count behind the db.ledger_size gauge
-  /// (in-memory mode); atomic because concurrent issue() calls for distinct
-  /// devices both retire into it.
-  std::atomic<std::uint64_t> ledger_total_{0};
-  std::map<std::size_t, MemPool> mem_pools_;
-  /// Fleet-wide undrained entries over mem_pools_, maintained incrementally
-  /// (same O(1) gauge-refresh contract as the store's counter). Guarded by
-  /// mem_pool_mu_.
-  std::uint64_t mem_pool_undrained_ = 0;
-  /// Guards mem_pools_ (lookup and lazy insertion under concurrent issue).
-  std::unique_ptr<std::mutex> mem_pool_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<store::EnrollmentStore> store_;
+  OwnedDir owned_dir_;  ///< declared before store_, so removed after it closes
+  store::EnrollmentStore store_;
 };
 
 }  // namespace xpuf::puf

@@ -5,7 +5,7 @@
 // geometry. A ModelView carries exactly that as borrowed pointers plus a
 // type-erased owner handle, so the same screening code serves
 //
-//   - an in-memory ServerModel (selection/issue on the registry map),
+//   - a borrowed ServerModel (single-model selection in AuthenticationServer),
 //   - an LRU-cached shared_ptr<const ServerModel> (store cache hit), and
 //   - a raw mmap'd REGISTER payload (store cold path, zero parse/copy:
 //     store::model_view_from_payload points the weight spans straight into
@@ -88,7 +88,7 @@ class ModelView {
     return tighten(raw_thresholds(p), betas_);
   }
 
-  /// The keep-alive handle (null for a borrowed in-memory model).
+  /// The keep-alive handle (null for a borrowed model).
   const std::shared_ptr<const void>& owner() const { return owner_; }
 
  private:

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "common/csv.hpp"
@@ -45,8 +44,10 @@ bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {
   return true;
 }
 
-}  // namespace
-
+/// Commits `bytes` under `path` without ever exposing a partial file: the
+/// contents land in `<path>.tmp` first and the rename is the atomic switch.
+/// Refuses empty contents — an empty shard is an empty or absent file, so
+/// committing a zero-byte file is always a caller bug.
 void write_file_atomic(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   XPUF_REQUIRE(!bytes.empty(), "write_file_atomic: refusing to commit an empty file");
   const std::string tmp = path + ".tmp";
@@ -64,6 +65,20 @@ void write_file_atomic(const std::string& path, const std::vector<std::uint8_t>&
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     throw AccessError("cannot rename " + tmp + " over " + path + errno_suffix());
 }
+
+/// Reads `dir`'s shard manifest into `n_shards`. Returns false when no
+/// manifest exists; throws ParseError when one exists but is corrupt.
+bool read_manifest(const std::string& dir, std::uint32_t& n_shards) {
+  const std::string manifest_path = dir + "/store_manifest";
+  std::vector<std::uint8_t> manifest;
+  if (!read_file(manifest_path, manifest)) return false;
+  const RecordStatus status = decode_manifest(manifest.data(), manifest.size(), n_shards);
+  if (status != RecordStatus::kOk)
+    throw ParseError("store manifest " + manifest_path + ": " + std::string(to_string(status)));
+  return true;
+}
+
+}  // namespace
 
 // --- AppendLog ---------------------------------------------------------------
 
@@ -88,8 +103,9 @@ AppendLog& AppendLog::operator=(AppendLog&& other) noexcept {
 
 AppendLog AppendLog::open(const std::string& path) {
   errno = 0;
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  if (f == nullptr) f = std::fopen(path.c_str(), "w+b");
+  // Append mode (O_APPEND): every write lands at the current end of file,
+  // so append() needs no seek; reads go through pread and never move it.
+  std::FILE* f = std::fopen(path.c_str(), "a+b");
   if (f == nullptr) throw AccessError("cannot open log " + path + errno_suffix());
   std::fseek(f, 0, SEEK_END);
   const long end = std::ftell(f);
@@ -106,7 +122,6 @@ AppendLog AppendLog::open(const std::string& path) {
 
 std::uint64_t AppendLog::append(const std::vector<std::uint8_t>& bytes) {
   XPUF_REQUIRE(is_open(), "append on a closed log");
-  std::fseek(file_, 0, SEEK_END);
   const std::size_t put = std::fwrite(bytes.data(), 1, bytes.size(), file_);
   if (put != bytes.size() || std::fflush(file_) != 0)
     throw AccessError("short append to " + path_);
@@ -114,13 +129,7 @@ std::uint64_t AppendLog::append(const std::vector<std::uint8_t>& bytes) {
   return size_;
 }
 
-void AppendLog::read_all(std::vector<std::uint8_t>& out) const {
-  XPUF_REQUIRE(is_open(), "read_all on a closed log");
-  out.resize(static_cast<std::size_t>(size_));
-  std::fseek(file_, 0, SEEK_SET);
-  const std::size_t got = std::fread(out.data(), 1, out.size(), file_);
-  if (got != out.size()) throw AccessError("short read from " + path_);
-}
+void AppendLog::read_all(std::vector<std::uint8_t>& out) const { read_at(0, size_, out); }
 
 void AppendLog::read_at(std::uint64_t offset, std::uint64_t length,
                         std::vector<std::uint8_t>& out) const {
@@ -130,9 +139,16 @@ void AppendLog::read_at(std::uint64_t offset, std::uint64_t length,
                       std::to_string(length) + ") outside " + path_ + " (size " +
                       std::to_string(size_) + "): index/log mismatch");
   out.resize(static_cast<std::size_t>(length));
-  std::fseek(file_, static_cast<long>(offset), SEEK_SET);
-  const std::size_t got = std::fread(out.data(), 1, out.size(), file_);
-  if (got != out.size()) throw AccessError("short read from " + path_);
+  // pread(2) on the descriptor, bypassing the stdio buffer: append() flushes
+  // before returning, so every acknowledged byte is already in the file.
+  std::size_t got = 0;
+  while (got < out.size()) {
+    errno = 0;
+    const ssize_t n = ::pread(fileno(file_), out.data() + got, out.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n <= 0) throw AccessError("short read from " + path_ + errno_suffix());
+    got += static_cast<std::size_t>(n);
+  }
 }
 
 void AppendLog::truncate_to(std::uint64_t new_size) {
@@ -146,40 +162,18 @@ void AppendLog::truncate_to(std::uint64_t new_size) {
 
 void AppendLog::replace_with(const std::vector<std::uint8_t>& bytes) {
   XPUF_REQUIRE(is_open(), "replace_with on a closed log");
-  const std::string tmp = path_ + ".tmp";
-  errno = 0;
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) throw AccessError("cannot create " + tmp + errno_suffix());
-  const std::size_t put = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (put != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw AccessError("short write to " + tmp);
-  }
-  // The rename is the commit point: readers see the complete old file up to
-  // this call and the complete new file after it, never a mix.
+  // The rename inside write_file_atomic is the commit point: readers see the
+  // complete old file up to it and the complete new file after it, never a
+  // mix. The open handle names the old inode until it is reopened here.
+  write_file_atomic(path_, bytes);
   std::fclose(file_);
-  file_ = nullptr;
   errno = 0;
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0)
-    throw AccessError("cannot rename " + tmp + " over " + path_ + errno_suffix());
-  file_ = std::fopen(path_.c_str(), "r+b");
+  file_ = std::fopen(path_.c_str(), "a+b");
   if (file_ == nullptr) throw AccessError("cannot reopen " + path_ + errno_suffix());
   size_ = bytes.size();
 }
 
 // --- ShardedLog --------------------------------------------------------------
-
-bool read_manifest(const std::string& dir, std::uint32_t& n_shards) {
-  const std::string manifest_path = dir + "/store_manifest";
-  std::vector<std::uint8_t> manifest;
-  if (!read_file(manifest_path, manifest)) return false;
-  const RecordStatus status = decode_manifest(manifest.data(), manifest.size(), n_shards);
-  if (status != RecordStatus::kOk)
-    throw ParseError("store manifest " + manifest_path + ": " + std::string(to_string(status)));
-  return true;
-}
 
 ShardedLog ShardedLog::open(const std::string& dir, std::uint32_t default_shards) {
   XPUF_REQUIRE(default_shards > 0, "ShardedLog: zero shards");
@@ -193,10 +187,6 @@ ShardedLog ShardedLog::open(const std::string& dir, std::uint32_t default_shards
   for (std::uint32_t k = 0; k < n_shards; ++k)
     log.shards_.push_back(AppendLog::open(dir + "/shard_" + std::to_string(k) + ".log"));
   return log;
-}
-
-bool ShardedLog::is_store_dir(const std::string& dir) {
-  return std::filesystem::exists(std::filesystem::path(dir) / "store_manifest");
 }
 
 AppendLog& ShardedLog::shard(std::uint32_t k) {

@@ -1,12 +1,13 @@
 // Sharded append-only log files of the enrollment store.
 //
-// An AppendLog is one shard file: records are only ever appended (fseek to
-// the end + fwrite + fflush), read back either whole (recovery replay) or by
-// exact [offset, length) window (cache misses), and replaced wholesale only
-// through write-temp-then-rename (compaction / snapshot) — so at every
-// instant the named file on disk is either the complete old contents or the
-// complete new contents, never a partial mix. A crash mid-append leaves at
-// most one torn record at the tail, which recovery truncates away.
+// An AppendLog is one shard file: records are only ever appended (an
+// append-mode fwrite + fflush), read back with pread(2) either whole (recovery
+// replay) or by exact [offset, length) window (cache misses, pool drains),
+// and replaced wholesale only through write-temp-then-rename (compaction) —
+// so at every instant the named file on disk is either the complete old
+// contents or the complete new contents, never a partial mix. A crash
+// mid-append leaves at most one torn record at the tail, which recovery
+// truncates away.
 //
 // ShardedLog owns the directory: a fixed-size crc'd manifest records the
 // shard fan-out (device_id % n_shards routes every op), and shard k lives
@@ -19,16 +20,6 @@
 #include <vector>
 
 namespace xpuf::puf::store {
-
-/// Commits `bytes` under `path` without ever exposing a partial file: the
-/// contents land in `<path>.tmp` first and the rename is the atomic switch.
-/// Refuses empty contents — absence of a file is the representation of an
-/// empty shard, so committing a zero-byte file is always a caller bug.
-void write_file_atomic(const std::string& path, const std::vector<std::uint8_t>& bytes);
-
-/// Reads `dir`'s shard manifest into `n_shards`. Returns false when no
-/// manifest exists; throws ParseError when one exists but is corrupt.
-bool read_manifest(const std::string& dir, std::uint32_t& n_shards);
 
 class AppendLog {
  public:
@@ -82,10 +73,6 @@ class ShardedLog {
   /// if corrupt), otherwise creates one recording `default_shards`. The
   /// manifest itself is committed via temp-then-rename.
   static ShardedLog open(const std::string& dir, std::uint32_t default_shards);
-
-  /// True when `dir` holds a binary store (manifest file present) — the
-  /// format probe ServerDatabase::load() uses to pick binary vs legacy CSV.
-  static bool is_store_dir(const std::string& dir);
 
   const std::string& dir() const { return dir_; }
   std::uint32_t n_shards() const { return static_cast<std::uint32_t>(shards_.size()); }

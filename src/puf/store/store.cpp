@@ -13,8 +13,8 @@ namespace xpuf::puf::store {
 namespace {
 
 /// Issued-challenge keys per ISSUE record: 65536 keys of a 4096-stage model
-/// stay far below kMaxRecordPayloadBytes, so compaction and snapshotting of
-/// arbitrarily large ledgers never produce an oversized record.
+/// stay far below kMaxRecordPayloadBytes, so compaction of arbitrarily large
+/// ledgers never produces an oversized record.
 constexpr std::size_t kLedgerKeysPerRecord = 65536;
 
 std::string shard_gauge_name(std::uint32_t k) {
@@ -551,38 +551,6 @@ void EnrollmentStore::compact() {
 std::size_t EnrollmentStore::cache_size() const {
   std::lock_guard<std::mutex> lock(*cache_mu_);
   return cache_.size();
-}
-
-void write_snapshot(const std::string& dir, std::uint32_t default_shards,
-                    const std::map<std::size_t, ServerModel>& models,
-                    const std::map<std::size_t, std::set<std::string>>& ledgers) {
-  XPUF_REQUIRE(default_shards > 0, "write_snapshot: zero shards");
-  ensure_directory(dir);
-  std::uint32_t n_shards = default_shards;
-  if (!read_manifest(dir, n_shards))
-    write_file_atomic(dir + "/store_manifest", encode_manifest(n_shards));
-  std::vector<std::vector<std::uint8_t>> buffers(n_shards);
-  for (const auto& [id, m] : models) {
-    std::vector<std::uint8_t>& out = buffers[id % n_shards];
-    append_alignment_pad(out);
-    encode_record(out, OpType::kRegister, id, encode_model(m));
-    const auto lit = ledgers.find(id);
-    if (lit == ledgers.end() || lit->second.empty()) continue;
-    append_issue_records(out, id, static_cast<std::uint32_t>(m.stages()),
-                         lit->second.begin(), lit->second.end());
-  }
-  namespace fs = std::filesystem;
-  for (std::uint32_t k = 0; k < n_shards; ++k) {
-    const std::string path = dir + "/shard_" + std::to_string(k) + ".log";
-    if (buffers[k].empty()) {
-      // A shard with no surviving devices is represented by file absence —
-      // a crash right here just leaves an empty-equivalent old file.
-      fs::remove(path);
-      fs::remove(path + ".tmp");
-    } else {
-      write_file_atomic(path, buffers[k]);
-    }
-  }
 }
 
 }  // namespace xpuf::puf::store

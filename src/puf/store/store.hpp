@@ -85,9 +85,6 @@ class EnrollmentStore {
   /// counted under db.log_truncated; mid-file corruption throws ParseError.
   static EnrollmentStore open(const std::string& dir, StoreOptions options);
 
-  /// True when `dir` holds a binary store (manifest present).
-  static bool is_store_dir(const std::string& dir) { return ShardedLog::is_store_dir(dir); }
-
   const std::string& dir() const { return log_.dir(); }
   const StoreOptions& options() const { return options_; }
   std::uint32_t n_shards() const { return log_.n_shards(); }
@@ -207,15 +204,5 @@ class EnrollmentStore {
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_ledger_total_;
   std::vector<Gauge*> shard_gauges_;
 };
-
-/// Writes a complete binary store (manifest + shard logs) for an in-memory
-/// registry, honouring an existing manifest's fan-out when `dir` already is
-/// a store. Every file is committed via write-temp-then-rename and shard
-/// files with no surviving devices are removed — at no point can a reader
-/// observe a partial file. This is ServerDatabase::save()'s backend and the
-/// CSV -> binary migration writer.
-void write_snapshot(const std::string& dir, std::uint32_t default_shards,
-                    const std::map<std::size_t, ServerModel>& models,
-                    const std::map<std::size_t, std::set<std::string>>& ledgers);
 
 }  // namespace xpuf::puf::store

@@ -1,15 +1,18 @@
 // Tests for the multi-device server database: registration, replay
-// protection, authentication routing, and persistence.
+// protection, authentication routing, the private store's lifetime, and
+// persistence through open/save/reopen.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
+#include <utility>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "puf/database.hpp"
-#include "puf/model_store.hpp"
 #include "puf/threshold_adjust.hpp"
 #include "sim/population.hpp"
 
@@ -42,6 +45,28 @@ class DatabaseTest : public ::testing::Test {
     return cfg;
   }
 
+  static DatabaseConfig db_config(std::size_t pool_target = 0) {
+    return DatabaseConfig{.n_pufs = kNPufs,
+                          .policy = {.challenge_count = 16},
+                          .screening = {},
+                          .pool = {.target = pool_target}};
+  }
+
+  /// A fresh (removed-if-present) directory path for a durable store.
+  static std::string scratch_dir(const std::string& tag) {
+    const auto dir = (std::filesystem::temp_directory_path() /
+                      ("xpuf_db_" + tag + "_" + std::to_string(::getpid())))
+                         .string();
+    std::filesystem::remove_all(dir);
+    return dir;
+  }
+
+  /// Registers copies of the fixture's enrolled models into `db`.
+  void register_fleet(ServerDatabase& db) const {
+    for (std::size_t id = 0; id < pop_.size(); ++id)
+      db.register_device(ServerModel(*db_.model_snapshot(id)));
+  }
+
   sim::ChipPopulation pop_;
   Rng rng_;
   ServerDatabase db_;
@@ -52,8 +77,62 @@ TEST_F(DatabaseTest, RegistryBookkeeping) {
   EXPECT_TRUE(db_.knows(0));
   EXPECT_TRUE(db_.knows(1));
   EXPECT_FALSE(db_.knows(7));
-  EXPECT_THROW(db_.model(7), std::invalid_argument);
-  EXPECT_NO_THROW(db_.model(0));
+  EXPECT_THROW(db_.model_snapshot(7), std::invalid_argument);
+  EXPECT_NE(db_.model_snapshot(0), nullptr);
+}
+
+// The constructor's store lives in a private directory: present while the
+// database lives (a move hands it over intact, and destroying the moved-from
+// object removes nothing), gone after destruction.
+TEST_F(DatabaseTest, PrivateStoreDirectoryLivesExactlyAsLongAsTheDatabase) {
+  namespace fs = std::filesystem;
+  std::string dir;
+  {
+    std::optional<ServerDatabase> source(std::in_place, db_config());
+    dir = source->store().dir();
+    EXPECT_TRUE(fs::is_directory(dir));
+    EXPECT_EQ(source->store().n_shards(), 1u);
+    ServerDatabase moved(std::move(*source));
+    source.reset();
+    EXPECT_TRUE(fs::is_directory(dir)) << "a move removed the directory early";
+    register_fleet(moved);
+    EXPECT_EQ(moved.issue(0, rng_).challenges.size(), 16u);
+
+    ServerDatabase target(db_config());
+    const std::string replaced = target.store().dir();
+    target = std::move(moved);
+    EXPECT_FALSE(fs::exists(replaced)) << "an overwritten database leaked its directory";
+    EXPECT_TRUE(fs::is_directory(dir)) << "move assignment removed the directory early";
+    EXPECT_EQ(target.issued_count(0), 16u);
+  }
+  EXPECT_FALSE(fs::exists(dir)) << "the private store outlived its database";
+}
+
+// A private store and a durable open() store run the same code, so the same
+// models and RNG streams must yield bit-identical batches, pooled or live.
+TEST_F(DatabaseTest, PrivateAndDurableStoresIssueIdenticalBatches) {
+  for (const std::size_t pool_target : {std::size_t{0}, std::size_t{32}}) {
+    const std::string dir = scratch_dir("twin");
+    {
+      ServerDatabase private_db(db_config(pool_target));
+      ServerDatabase durable_db = ServerDatabase::open(dir, db_config(pool_target));
+      register_fleet(private_db);
+      register_fleet(durable_db);
+      Rng private_rng(4242);
+      Rng durable_rng(4242);
+      for (int round = 0; round < 6; ++round) {
+        for (std::size_t id = 0; id < pop_.size(); ++id) {
+          const ChallengeBatch a = private_db.issue(id, private_rng);
+          const ChallengeBatch b = durable_db.issue(id, durable_rng);
+          EXPECT_EQ(a.challenges, b.challenges) << "pool " << pool_target;
+          EXPECT_EQ(a.expected, b.expected) << "pool " << pool_target;
+          EXPECT_EQ(a.candidates_tried, b.candidates_tried) << "pool " << pool_target;
+        }
+      }
+      EXPECT_EQ(private_db.issued_count(0), durable_db.issued_count(0));
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(DatabaseTest, DuplicateRegistrationRejected) {
@@ -137,48 +216,49 @@ TEST_F(DatabaseTest, ReplayedSessionRejectionsAreCounted) {
 
 // Regression (ISSUE 3, reworked in ISSUE 8): save() once deleted stale
 // device_*/ledger_* files before writing — revoke -> save over an existing
-// directory could resurrect the revoked device on load(), and a crash
-// between delete and write lost the fleet. The binary snapshot writer must
-// keep the fix structurally: each save is a complete write-temp-then-rename
-// image of the surviving registry.
+// directory could resurrect the revoked device on load, and a crash between
+// delete and write lost the fleet. The store keeps the fix structurally: the
+// REVOKE record is durable before revoke_device() returns, and compaction
+// swaps each shard for a complete image of the surviving devices.
 TEST_F(DatabaseTest, RevokeThenSaveDoesNotResurrectOnLoad) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_revoke_" + std::to_string(::getpid())))
-                       .string();
-  db_.issue(1, rng_);  // give device 1 ledger entries too
-  db_.save(dir);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"))
-      << "save() writes the binary store layout";
+  const std::string dir = scratch_dir("revoke");
   {
-    ServerDatabase first = ServerDatabase::load(
-        dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+    ServerDatabase db = ServerDatabase::open(dir, db_config());
+    register_fleet(db);
+    db.issue(1, rng_);  // give device 1 ledger entries too
+    db.save(dir);
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"))
+      << "the database writes the binary store layout";
+  {
+    ServerDatabase first = ServerDatabase::open(dir, db_config());
     EXPECT_TRUE(first.knows(1));
     EXPECT_EQ(first.issued_count(1), 16u);
+    first.revoke_device(1);
+    first.save(dir);  // must reconcile, not accrete
   }
-
-  db_.revoke_device(1);
-  db_.save(dir);  // must reconcile, not accrete
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+  ServerDatabase loaded = ServerDatabase::open(dir, db_config());
   EXPECT_EQ(loaded.device_count(), 1u);
   EXPECT_TRUE(loaded.knows(0));
-  EXPECT_FALSE(loaded.knows(1)) << "revoked device resurrected from stale files";
+  EXPECT_FALSE(loaded.knows(1)) << "revoked device resurrected from stale records";
   std::filesystem::remove_all(dir);
 }
 
 TEST_F(DatabaseTest, SavePreservesUnrelatedFiles) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_unrelated_" + std::to_string(::getpid())))
-                       .string();
+  const std::string dir = scratch_dir("unrelated");
   std::filesystem::create_directories(dir);
   {
     std::ofstream note(dir + "/README.txt");
     note << "operator notes\n";
   }
-  db_.save(dir);
+  {
+    ServerDatabase db = ServerDatabase::open(dir, db_config());
+    register_fleet(db);
+    db.issue(0, rng_);
+    db.save(dir);
+  }
   EXPECT_TRUE(std::filesystem::exists(dir + "/README.txt"))
-      << "save() must only reconcile its own device_*/ledger_* naming";
+      << "save() must only rewrite the store's own shard files";
   std::filesystem::remove_all(dir);
 }
 
@@ -194,19 +274,28 @@ TEST_F(DatabaseTest, UnknownDeviceIsDeniedWithoutThrowing) {
 }
 
 TEST_F(DatabaseTest, SaveAndLoadPreservesModelsAndLedger) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_" + std::to_string(::getpid())))
-                       .string();
-  db_.issue(0, rng_);
-  db_.issue(0, rng_);
-  const std::size_t issued_before = db_.issued_count(0);
-  db_.save(dir);
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+  const std::string dir = scratch_dir("persist");
+  std::size_t issued_before = 0;
+  {
+    ServerDatabase db = ServerDatabase::open(dir, db_config());
+    register_fleet(db);
+    db.issue(0, rng_);
+    db.issue(0, rng_);
+    issued_before = db.issued_count(0);
+    db.save(dir);
+  }
+  ServerDatabase loaded = ServerDatabase::open(dir, db_config());
   EXPECT_EQ(loaded.device_count(), 2u);
   EXPECT_EQ(loaded.issued_count(0), issued_before);
   EXPECT_EQ(loaded.issued_count(1), 0u);
+  for (std::size_t id = 0; id < pop_.size(); ++id) {
+    const auto original = db_.model_snapshot(id);
+    const auto survived = loaded.model_snapshot(id);
+    ASSERT_EQ(survived->puf_count(), original->puf_count());
+    for (std::size_t p = 0; p < original->puf_count(); ++p)
+      EXPECT_EQ(survived->puf(p).model.weights().raw(),
+                original->puf(p).model.weights().raw());
+  }
   // The restored database still authenticates the genuine chip.
   const DatabaseAuthOutcome out =
       loaded.authenticate(pop_.chip(0), sim::Environment::nominal(), rng_);
@@ -214,119 +303,11 @@ TEST_F(DatabaseTest, SaveAndLoadPreservesModelsAndLedger) {
   std::filesystem::remove_all(dir);
 }
 
-// The legacy CSV layout (PR 3's save format) must keep loading, and one
-// save() must migrate it to the binary store bit-exactly: same models, same
-// ledger keys, challenge strings converted to packed form.
-TEST_F(DatabaseTest, LegacyCsvDirectoryMigratesToBinaryOnFirstSave) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_legacy_" + std::to_string(::getpid())))
-                       .string();
-  std::filesystem::create_directories(dir);
-  // Write the legacy layout by hand: device_<id>.csv per model plus a
-  // ledger_<id>.csv of '0'/'1' challenge strings.
-  const std::size_t stages = db_.model(0).stages();
-  std::vector<std::string> rows;
-  Rng crng(4242);
-  for (int r = 0; r < 5; ++r) {
-    std::string row(stages, '0');
-    for (auto& ch : row) ch = crng.uniform() < 0.5 ? '0' : '1';
-    rows.push_back(row);
-  }
-  for (std::size_t id : {std::size_t{0}, std::size_t{1}})
-    save_server_model(db_.model(id), dir + "/device_" + std::to_string(id) + ".csv");
-  {
-    CsvWriter ledger(dir + "/ledger_0.csv", {"challenge"});
-    for (const auto& row : rows) ledger.write_row(std::vector<std::string>{row});
-  }
-
-  ServerDatabase loaded = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(loaded.device_count(), 2u);
-  EXPECT_EQ(loaded.issued_count(0), rows.size());
-  EXPECT_EQ(loaded.issued_count(1), 0u);
-
-  loaded.save(dir);  // the migration point
-  EXPECT_TRUE(std::filesystem::exists(dir + "/store_manifest"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/device_0.csv"))
-      << "migration must retire the CSV files after the snapshot is durable";
-  EXPECT_FALSE(std::filesystem::exists(dir + "/ledger_0.csv"));
-
-  // Round trip through the binary format is bit-exact: model weights and the
-  // packed form of every legacy ledger row survive.
-  ServerDatabase migrated = ServerDatabase::load(
-      dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-  EXPECT_EQ(migrated.device_count(), 2u);
-  for (std::size_t id : {std::size_t{0}, std::size_t{1}}) {
-    const ServerModel& original = db_.model(id);
-    const ServerModel& survived = migrated.model(id);
-    ASSERT_EQ(survived.puf_count(), original.puf_count());
-    for (std::size_t p = 0; p < original.puf_count(); ++p)
-      EXPECT_EQ(survived.puf(p).model.weights().raw(),
-                original.puf(p).model.weights().raw());
-  }
-  const store::EnrollmentStore st =
-      store::EnrollmentStore::open(dir, store::StoreOptions{});
-  std::set<std::string> expected_keys;
-  for (const auto& row : rows) {
-    Challenge c;
-    for (char ch : row) c.push_back(ch == '1' ? 1 : 0);
-    expected_keys.insert(store::pack_challenge(c));
-  }
-  EXPECT_EQ(st.ledger(0), expected_keys);
-  std::filesystem::remove_all(dir);
-}
-
-// Regression (ISSUE 8): load() silently skipped ledger_* files whose
-// device_* partner was missing — the residue of a mid-save crash of the old
-// delete-then-write writer. Forgetting issued challenges re-opens the replay
-// window, so an orphan must fail loudly.
-TEST_F(DatabaseTest, OrphanedLegacyLedgerIsAParseError) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_orphan_" + std::to_string(::getpid())))
-                       .string();
-  std::filesystem::create_directories(dir);
-  save_server_model(db_.model(0), dir + "/device_0.csv");
-  {
-    CsvWriter ledger(dir + "/ledger_9.csv", {"challenge"});
-    ledger.write_row(std::vector<std::string>{std::string(db_.model(0).stages(), '1')});
-  }
-  EXPECT_THROW(ServerDatabase::load(
-                   dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {}, .screening = {}, .pool = {}}),
-               ParseError);
-  std::filesystem::remove_all(dir);
-}
-
-// Corrupt legacy ledger rows (bad characters or wrong width) must be a
-// ParseError, not a silently different replay key.
-TEST_F(DatabaseTest, CorruptLegacyLedgerRowIsAParseError) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_badrow_" + std::to_string(::getpid())))
-                       .string();
-  for (const char* bad : {"01x", "01"}) {
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    save_server_model(db_.model(0), dir + "/device_0.csv");
-    {
-      CsvWriter ledger(dir + "/ledger_0.csv", {"challenge"});
-      ledger.write_row(std::vector<std::string>{bad});
-    }
-    EXPECT_THROW(ServerDatabase::load(
-                     dir, DatabaseConfig{.n_pufs = kNPufs, .policy = {}, .screening = {}, .pool = {}}),
-                 ParseError)
-        << "ledger row '" << bad << "' accepted";
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// A store-backed database shares the serving semantics of the in-memory one
-// but every op is durable: kill the object at any point and reopen.
+// A durable database serves like a private one, and every op survives the
+// object: kill it at any point and reopen.
 TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
-  const auto dir = (std::filesystem::temp_directory_path() /
-                    ("xpuf_db_backed_" + std::to_string(::getpid())))
-                       .string();
-  std::filesystem::remove_all(dir);
-  const DatabaseConfig cfg{
-      .n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}};
+  const std::string dir = scratch_dir("backed");
+  const DatabaseConfig cfg = db_config();
   store::StoreOptions opts;
   opts.n_shards = 2;
   opts.cache_capacity = 1;  // harsher than any deployment would pick
@@ -335,7 +316,6 @@ TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
   ecfg.trials = 2'000;
   {
     ServerDatabase db = ServerDatabase::open(dir, cfg, opts);
-    EXPECT_TRUE(db.backed());
     for (std::size_t i = 0; i < pop_.size(); ++i) {
       ServerModel m = Enroller(ecfg).enroll(pop_.chip(i), rng_);
       m.set_betas(BetaFactors{0.85, 1.15});
@@ -350,8 +330,6 @@ TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
   ServerDatabase reopened = ServerDatabase::open(dir, cfg, opts);
   EXPECT_EQ(reopened.device_count(), 2u);
   EXPECT_EQ(reopened.issued_count(0), 16u);
-  EXPECT_THROW(reopened.model(0), std::invalid_argument)
-      << "backed databases serve via model_snapshot(), not references";
   EXPECT_NE(reopened.model_snapshot(0), nullptr);
   const DatabaseAuthOutcome out =
       reopened.authenticate(pop_.chip(0), sim::Environment::nominal(), rng_);
@@ -359,9 +337,12 @@ TEST_F(DatabaseTest, BackedDatabaseAuthenticatesAndSurvivesReopen) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(DatabaseTest, LoadRejectsMissingDirectory) {
-  EXPECT_THROW(ServerDatabase::load("/nonexistent/db/dir", DatabaseConfig{}),
-               std::invalid_argument);
+TEST_F(DatabaseTest, OpenRejectsAnUncreatableDirectory) {
+  const std::string file = scratch_dir("not_a_dir");
+  { std::ofstream(file) << "a regular file\n"; }
+  EXPECT_THROW(ServerDatabase::open(file + "/db", db_config()),
+               std::filesystem::filesystem_error);
+  std::filesystem::remove(file);
 }
 
 TEST_F(DatabaseTest, WidthMismatchRejectedAtRegistration) {

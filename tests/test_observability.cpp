@@ -393,7 +393,9 @@ TEST(ObservabilityIntegration, TesterAndAdamCountersMatchWorkload) {
 // The concurrent half of the ServerDatabase contract (database.hpp):
 // issue/verify/authenticate for DISTINCT pre-registered devices may run in
 // parallel, and the registry counters must still equal the summed outcome
-// fields — at 1, 2, and 8 threads, with bit-identical totals.
+// fields — at 1, 2, and 8 threads, with bit-identical totals. Run with
+// pooling off (live screening) and on (target 32: concurrent drains and
+// refills cross the store's shard, cache and pool mutexes).
 TEST(ObservabilityIntegration, ConcurrentDatabaseUseKeepsCountersExact) {
   constexpr std::size_t kDevices = 4;
   constexpr std::size_t kRequests = 3;
@@ -408,61 +410,67 @@ TEST(ObservabilityIntegration, ConcurrentDatabaseUseKeepsCountersExact) {
   const puf::Enroller enroller(ecfg);
 
   auto& registry = MetricsRegistry::global();
-  std::uint64_t previous_issued = 0;
-  for (const std::size_t threads : kThreadGrid) {
-    ThreadPool::set_global_threads(threads);
-    puf::ServerDatabase db(
-        puf::DatabaseConfig{.n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
-    // register/revoke need exclusive access: enroll + register serially...
-    Rng enroll_rng(808);
-    for (std::size_t i = 0; i < kDevices; ++i) {
-      puf::ServerModel m = enroller.enroll(pop.chip(i), enroll_rng);
-      m.set_betas(puf::BetaFactors{0.85, 1.15});
-      db.register_device(std::move(m));
+  for (const std::size_t pool_target : {std::size_t{0}, std::size_t{32}}) {
+    std::uint64_t previous_issued = 0;
+    for (const std::size_t threads : kThreadGrid) {
+      ThreadPool::set_global_threads(threads);
+      puf::ServerDatabase db(puf::DatabaseConfig{.n_pufs = 3,
+                                                 .policy = {.challenge_count = 16},
+                                                 .screening = {},
+                                                 .pool = {.target = pool_target}});
+      // register/revoke need exclusive access: enroll + register serially...
+      Rng enroll_rng(808);
+      for (std::size_t i = 0; i < kDevices; ++i) {
+        puf::ServerModel m = enroller.enroll(pop.chip(i), enroll_rng);
+        m.set_betas(puf::BetaFactors{0.85, 1.15});
+        db.register_device(std::move(m));
+      }
+      registry.reset();
+      // ...then authenticate all devices concurrently, one device per chunk,
+      // each on its own stream so the workload is thread-count invariant.
+      const StreamFamily sessions(Rng(777).fork_base());
+      std::vector<puf::DatabaseAuthOutcome> outcomes(kDevices * kRequests);
+      parallel_for(kDevices, 1,
+                   [&](std::size_t begin, std::size_t end, std::size_t) {
+                     for (std::size_t i = begin; i < end; ++i) {
+                       Rng rng = sessions.stream(i);
+                       for (std::size_t r = 0; r < kRequests; ++r)
+                         outcomes[i * kRequests + r] = db.authenticate(
+                             pop.chip(i), sim::Environment::nominal(), rng);
+                     }
+                   });
+      std::uint64_t tried = 0, replays = 0, issued = 0, mismatches = 0;
+      for (const auto& out : outcomes) {
+        EXPECT_TRUE(out.known_device);
+        tried += out.outcome.candidates_tried;
+        replays += out.replay_rejected;
+        issued += out.outcome.challenges_used;
+        mismatches += out.outcome.mismatches;
+      }
+      const MetricsSnapshot snap = registry.snapshot();
+      EXPECT_EQ(snap.counters.at("selection.candidates_tried"), tried)
+          << "pool=" << pool_target << " threads=" << threads;
+      EXPECT_EQ(snap.counters.at("auth.replay_rejected"), replays)
+          << "pool=" << pool_target << " threads=" << threads;
+      EXPECT_EQ(snap.counters.at("db.challenges_issued"), issued)
+          << "pool=" << pool_target << " threads=" << threads;
+      EXPECT_EQ(snap.counters.at("auth.mismatches"), mismatches)
+          << "pool=" << pool_target << " threads=" << threads;
+      EXPECT_EQ(snap.counters.at("db.auth_requests"), kDevices * kRequests)
+          << "pool=" << pool_target << " threads=" << threads;
+      EXPECT_EQ(issued, kDevices * kRequests * 16u)
+          << "pool=" << pool_target << " threads=" << threads;
+      // Bit-identical across the thread grid: stream-keyed sessions make the
+      // summed totals a pure function of the workload.
+      if (previous_issued == 0)
+        previous_issued = tried + mismatches;
+      else
+        EXPECT_EQ(previous_issued, tried + mismatches)
+            << "pool=" << pool_target << " threads=" << threads;
+      for (std::size_t i = 0; i < kDevices; ++i)
+        EXPECT_EQ(db.issued_count(i), kRequests * 16u)
+            << "pool=" << pool_target << " device " << i;
     }
-    registry.reset();
-    // ...then authenticate all devices concurrently, one device per chunk,
-    // each on its own stream so the workload is thread-count invariant.
-    const StreamFamily sessions(Rng(777).fork_base());
-    std::vector<puf::DatabaseAuthOutcome> outcomes(kDevices * kRequests);
-    parallel_for(kDevices, 1,
-                 [&](std::size_t begin, std::size_t end, std::size_t) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     Rng rng = sessions.stream(i);
-                     for (std::size_t r = 0; r < kRequests; ++r)
-                       outcomes[i * kRequests + r] = db.authenticate(
-                           pop.chip(i), sim::Environment::nominal(), rng);
-                   }
-                 });
-    std::uint64_t tried = 0, replays = 0, issued = 0, mismatches = 0;
-    for (const auto& out : outcomes) {
-      EXPECT_TRUE(out.known_device);
-      tried += out.outcome.candidates_tried;
-      replays += out.replay_rejected;
-      issued += out.outcome.challenges_used;
-      mismatches += out.outcome.mismatches;
-    }
-    const MetricsSnapshot snap = registry.snapshot();
-    EXPECT_EQ(snap.counters.at("selection.candidates_tried"), tried)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.counters.at("auth.replay_rejected"), replays)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.counters.at("db.challenges_issued"), issued)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.counters.at("auth.mismatches"), mismatches)
-        << "threads=" << threads;
-    EXPECT_EQ(snap.counters.at("db.auth_requests"), kDevices * kRequests)
-        << "threads=" << threads;
-    EXPECT_EQ(issued, kDevices * kRequests * 16u) << "threads=" << threads;
-    // Bit-identical across the thread grid: stream-keyed sessions make the
-    // summed totals a pure function of the workload.
-    if (previous_issued == 0)
-      previous_issued = tried + mismatches;
-    else
-      EXPECT_EQ(previous_issued, tried + mismatches)
-          << "threads=" << threads;
-    for (std::size_t i = 0; i < kDevices; ++i)
-      EXPECT_EQ(db.issued_count(i), kRequests * 16u) << "device " << i;
   }
   ThreadPool::set_global_threads(0);
 }

@@ -1,11 +1,13 @@
 // Tests for the crash-safe enrollment store: the binary record codec, the
 // sharded append-only log, recovery semantics (torn tails vs corruption),
-// the LRU model cache and its metrics, and compaction.
+// the LRU model cache and its metrics, compaction, and the one-device model
+// directory that carries a server model between processes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -13,8 +15,11 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "puf/authentication.hpp"
+#include "puf/database.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
+#include "sim/population.hpp"
 
 namespace xpuf::puf::store {
 namespace {
@@ -74,6 +79,25 @@ class StoreDirTest : public ::testing::Test {
 };
 
 // --- codec ------------------------------------------------------------------
+
+// The table-sliced crc must equal the plain bitwise CRC-32 (IEEE, reflected)
+// at every length, so stores written before it still verify.
+TEST(StoreCodec, Crc32MatchesTheBitwiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  std::vector<std::uint8_t> bytes;
+  for (std::uint32_t len = 0; len <= 67; ++len) {
+    std::uint32_t reference = 0xFFFFFFFFu;
+    for (const std::uint8_t b : bytes) {
+      reference ^= b;
+      for (int k = 0; k < 8; ++k)
+        reference = (reference & 1u) ? (0xEDB88320u ^ (reference >> 1)) : (reference >> 1);
+    }
+    EXPECT_EQ(crc32(bytes.data(), bytes.size()), reference ^ 0xFFFFFFFFu) << "length " << len;
+    bytes.push_back(static_cast<std::uint8_t>(len * 37u + 11u));
+  }
+}
 
 TEST(StoreCodec, RecordRoundTripsAllOps) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
@@ -485,36 +509,148 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
   fs::remove_all(torn_dir);
 }
 
-// --- snapshot writer --------------------------------------------------------
+// --- one-device model directory ---------------------------------------------
+//
+// A server model travels between processes (xpuf_cli enroll --out /
+// authenticate --model) as a one-shard store holding one device, written
+// through ServerDatabase::open + register_device and read back through
+// EnrollmentStore::model — the record format the server serves from.
 
-TEST_F(StoreDirTest, WriteSnapshotProducesAReplayableStore) {
-  std::map<std::size_t, ServerModel> models;
-  std::map<std::size_t, std::set<std::string>> ledgers;
-  for (std::size_t id : {0u, 3u, 17u}) {
-    models.emplace(id, make_model(id, 2, 8));
-    ledgers[id].insert(std::string(1, static_cast<char>(id)));
-  }
-  write_snapshot(dir_, 4, models, ledgers);
-  EXPECT_TRUE(EnrollmentStore::is_store_dir(dir_));
+class ModelStoreTest : public StoreDirTest {
+ protected:
+  static constexpr std::size_t kPufs = 3;
 
-  StoreOptions opts;
-  opts.n_shards = 4;
-  EnrollmentStore store = EnrollmentStore::open(dir_, opts);
-  EXPECT_EQ(store.device_count(), 3u);
-  EXPECT_EQ(store.issued_total(), 3u);
-  for (const auto& [id, m] : models) {
-    expect_models_bit_exact(m, *store.model(id));
-    EXPECT_EQ(store.ledger(id), ledgers.at(id));
+  ModelStoreTest() : pop_(make_config()), rng_(606) {
+    EnrollmentConfig cfg;
+    cfg.training_challenges = 1'000;
+    cfg.trials = 2'000;
+    model_ = Enroller(cfg).enroll(pop_.chip(0), rng_);
+    model_.set_betas(BetaFactors{0.83, 1.17});
   }
 
-  // A second snapshot with a device gone removes its shard content: no
-  // resurrection from a stale shard file.
-  models.erase(17);
-  ledgers.erase(17);
-  write_snapshot(dir_, 4, models, ledgers);
-  EnrollmentStore reloaded = EnrollmentStore::open(dir_, opts);
-  EXPECT_EQ(reloaded.device_count(), 2u);
-  EXPECT_FALSE(reloaded.knows(17));
+  static sim::PopulationConfig make_config() {
+    sim::PopulationConfig cfg;
+    cfg.n_chips = 1;
+    cfg.n_pufs_per_chip = kPufs;
+    cfg.seed = 10101;
+    return cfg;
+  }
+
+  static StoreOptions model_options() {
+    StoreOptions opts;
+    opts.n_shards = 1;
+    return opts;
+  }
+
+  void save(const ServerModel& model) const {
+    DatabaseConfig cfg;
+    cfg.n_pufs = kPufs;
+    ServerDatabase db = ServerDatabase::open(dir_, cfg, model_options());
+    db.register_device(ServerModel(model));
+  }
+
+  ServerModel load(std::uint64_t id) const {
+    const EnrollmentStore store = EnrollmentStore::open(dir_, model_options());
+    return ServerModel(*store.model(id));
+  }
+
+  std::string shard_path() const { return dir_ + "/shard_0.log"; }
+
+  sim::ChipPopulation pop_;
+  Rng rng_;
+  ServerModel model_;
+};
+
+TEST_F(ModelStoreTest, RoundTripIsBitExact) {
+  save(model_);
+  expect_models_bit_exact(model_, load(model_.chip_id()));
+}
+
+TEST_F(ModelStoreTest, LoadedModelAuthenticatesLikeTheOriginal) {
+  save(model_);
+  const ServerModel loaded = load(model_.chip_id());
+  // Same RNG seed -> same issued batch -> same verdicts.
+  AuthenticationServer s1(model_, kPufs, {.challenge_count = 16});
+  AuthenticationServer s2(loaded, kPufs, {.challenge_count = 16});
+  Rng r1(42), r2(42);
+  const auto o1 = s1.authenticate(pop_.chip(0), sim::Environment::nominal(), r1);
+  const auto o2 = s2.authenticate(pop_.chip(0), sim::Environment::nominal(), r2);
+  EXPECT_EQ(o1.approved, o2.approved);
+  EXPECT_EQ(o1.mismatches, o2.mismatches);
+}
+
+TEST_F(ModelStoreTest, PredictionsSurviveTheRoundTrip) {
+  save(model_);
+  const ServerModel loaded = load(model_.chip_id());
+  Rng crng(7);
+  for (int i = 0; i < 100; ++i) {
+    const auto c = random_challenge(32, crng);
+    for (std::size_t p = 0; p < kPufs; ++p) {
+      EXPECT_DOUBLE_EQ(loaded.predict_soft(p, c), model_.predict_soft(p, c));
+      EXPECT_EQ(loaded.classify(p, c), model_.classify(p, c));
+    }
+  }
+}
+
+TEST_F(ModelStoreTest, RejectsWrongFormat) {
+  save(model_);
+  {
+    std::ofstream out(shard_path(), std::ios::binary | std::ios::trunc);
+    out << "just,some,random,csv\n1,2,3,4\n";
+  }
+  EXPECT_THROW(EnrollmentStore::open(dir_, model_options()), ParseError);
+}
+
+// A cut-short log never yields a partial model: the torn REGISTER record is
+// trimmed on open, so the device is simply absent.
+TEST_F(ModelStoreTest, RejectsTruncatedFile) {
+  save(model_);
+  fs::resize_file(shard_path(), fs::file_size(shard_path()) - 8);
+  const EnrollmentStore store = EnrollmentStore::open(dir_, model_options());
+  EXPECT_FALSE(store.knows(model_.chip_id()));
+  EXPECT_THROW(store.model(model_.chip_id()), std::invalid_argument);
+}
+
+TEST_F(ModelStoreTest, RejectsCorruptedNumbers) {
+  save(model_);
+  // Flip one bit in the middle of the record: inside the weight block.
+  const auto size = static_cast<std::streamoff>(fs::file_size(shard_path()));
+  std::fstream io(shard_path(), std::ios::in | std::ios::out | std::ios::binary);
+  io.seekg(size / 2);
+  const char byte = static_cast<char>(io.get());
+  io.seekp(size / 2);
+  io.put(static_cast<char>(byte ^ 0x10));
+  io.close();
+  EXPECT_THROW(EnrollmentStore::open(dir_, model_options()), ParseError);
+}
+
+TEST_F(ModelStoreTest, MissingFileThrows) {
+  save(model_);
+  fs::remove(shard_path());
+  const EnrollmentStore store = EnrollmentStore::open(dir_, model_options());
+  EXPECT_THROW(store.model(model_.chip_id()), std::invalid_argument);
+}
+
+// Regression: the retired CSV model format parsed integer header fields
+// through parse_double, which silently rounds ids above 2^53 — two distinct
+// devices could collapse onto one server record. The store carries the id as
+// a fixed-width u64, and a register -> reopen round trip must keep it exact.
+TEST_F(ModelStoreTest, HugeChipIdRoundTripsExactly) {
+  // 2^53 + 1 is the first integer a double cannot represent; max() is the
+  // worst case. Both must survive register -> reopen without collapsing.
+  for (const std::size_t id :
+       {(std::size_t{1} << 53) + 1, std::numeric_limits<std::size_t>::max()}) {
+    fs::remove_all(dir_);
+    std::vector<PufEnrollment> pufs;
+    for (std::size_t p = 0; p < model_.puf_count(); ++p) pufs.push_back(model_.puf(p));
+    ServerModel renamed(id, std::move(pufs));
+    renamed.set_betas(model_.betas());
+    save(renamed);
+    const EnrollmentStore store = EnrollmentStore::open(dir_, model_options());
+    EXPECT_EQ(store.device_ids(), std::vector<std::uint64_t>{id})
+        << "chip id " << id << " did not survive the round trip";
+    EXPECT_EQ(store.model(id)->chip_id(), id);
+  }
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #
 #   release   Release, -DXPUF_WERROR=ON, full ctest (incl. `-L lint`:
 #             the semantic engine over the tree, the fixture suite
-#             tests/test_lint_semantic, and .clang-tidy validation)
+#             tests/test_lint_semantic, and .clang-tidy validation), then
+#             an xpuf_cli smoke run of the README lifecycle (fabricate ->
+#             enroll --out <dir> -> authenticate --model <dir>)
 #   lint      xpuf_lint --format json artifact (bench_out/ci/
 #             lint_report.json) gated by tools/check_lint_baseline.py:
 #             zero violations, per-rule suppression counts within the
@@ -50,7 +52,9 @@
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
 #             configurations, so TSan sees every synchronization path of
 #             common/parallel.cpp and the staged-buffer commits in the
-#             scan/attack/GEMM code)
+#             scan/attack/GEMM code) and tests/test_observability.cpp
+#             (concurrent ServerDatabase issue/authenticate for distinct
+#             devices, pooling off and on, across the store's locks)
 #
 # plus a clang-tidy pass (tools/tidy.sh — skips cleanly when LLVM is absent).
 # Every job tees its output to bench_out/ci/<job>.log so a red matrix can be
@@ -84,7 +88,21 @@ run_job() {
 release_job() {
   cmake -B "${prefix}" -S . -DCMAKE_BUILD_TYPE=Release -DXPUF_WERROR=ON &&
     cmake --build "${prefix}" -j "${jobs}" &&
-    ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
+    ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}" &&
+    cli_smoke
+}
+
+# The README lifecycle through xpuf_cli: fabricate a lot, enroll one chip
+# into a model store directory, authenticate the chip against it.
+cli_smoke() {
+  local work="${logdir}/cli_smoke"
+  local cli="${prefix}/tools/xpuf_cli"
+  rm -rf "${work}" && mkdir -p "${work}" &&
+    "${cli}" fabricate --out "${work}/lot.csv" --chips 2 --pufs 4 &&
+    "${cli}" enroll --lot "${work}/lot.csv" --chip 0 --train 1000 --trials 2000 \
+      --eval 500 --out "${work}/model" &&
+    "${cli}" authenticate --lot "${work}/lot.csv" --chip 0 --model "${work}/model" \
+      --count 16
 }
 
 asan_job() {
@@ -124,8 +142,9 @@ tsan_configure() {
 
 tsan_job() {
   tsan_configure &&
-    cmake --build "${prefix}-tsan" -j "${jobs}" --target test_parallel &&
-    "${prefix}-tsan/tests/test_parallel"
+    cmake --build "${prefix}-tsan" -j "${jobs}" --target test_parallel test_observability &&
+    "${prefix}-tsan/tests/test_parallel" &&
+    "${prefix}-tsan/tests/test_observability"
 }
 
 # Service layer end-to-end: the Release load bench over a faulty wire (its

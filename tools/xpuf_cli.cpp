@@ -2,17 +2,21 @@
 //
 // A "lot file" captures the fabrication parameters (chips are regenerated
 // deterministically from it — the simulator plays the role of the fab), and
-// server models travel as model files, so the phases can run as separate
-// invocations just like a real enrollment line / authentication server:
+// a server model travels as a one-device enrollment store directory (the
+// record format the server database serves from), so the phases can run as
+// separate invocations just like a real enrollment line / authentication
+// server:
 //
 //   xpuf_cli fabricate    --out lot.csv --chips 2 --pufs 10 --seed 2017
 //   xpuf_cli enroll       --lot lot.csv --chip 0 --train 5000 --trials 10000
-//                         --vt --out model.csv          (one command line)
-//   xpuf_cli authenticate --lot lot.csv --chip 0 --model model.csv
+//                         --vt --out model            (one command line)
+//   xpuf_cli authenticate --lot lot.csv --chip 0 --model model
 //                         --voltage 0.8 --temperature 60 --count 64
 //   xpuf_cli attack       --lot lot.csv --chip 0 --n 4 --crps 20000
 //   xpuf_cli metrics      --lot lot.csv --n 10
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 
 #include "analysis/puf_metrics.hpp"
@@ -21,13 +25,16 @@
 #include "common/error.hpp"
 #include "puf/attack.hpp"
 #include "puf/authentication.hpp"
-#include "puf/model_store.hpp"
+#include "puf/database.hpp"
 #include "puf/threshold_adjust.hpp"
 #include "sim/population.hpp"
 
 namespace {
 
 using namespace xpuf;
+
+/// A model directory is a one-shard enrollment store.
+const puf::store::StoreOptions kModelStore{.n_shards = 1, .cache_capacity = 1};
 
 void write_lot(const sim::PopulationConfig& cfg, const std::string& path) {
   CsvWriter csv(path, {"chips", "pufs_per_chip", "stages", "seed"});
@@ -92,9 +99,16 @@ int cmd_enroll(const Cli& cli) {
   std::printf("betas: %.2f / %.2f (converged: %s)\n", betas.betas.beta0,
               betas.betas.beta1, betas.converged ? "yes" : "no");
 
-  const std::string out = cli.get("out", "model.csv");
-  puf::save_server_model(model, out);
-  std::printf("server model written to %s\n", out.c_str());
+  // The directory holds exactly this model: earlier enrollments are revoked
+  // and compacted away.
+  const std::string out = cli.get("out", "model");
+  puf::DatabaseConfig db_cfg;
+  db_cfg.n_pufs = model.puf_count();
+  puf::ServerDatabase db = puf::ServerDatabase::open(out, db_cfg, kModelStore);
+  for (const std::uint64_t id : db.store().device_ids()) db.revoke_device(id);
+  db.register_device(std::move(model));
+  db.save(out);
+  std::printf("server model written to %s/\n", out.c_str());
   return 0;
 }
 
@@ -102,7 +116,15 @@ int cmd_authenticate(const Cli& cli) {
   const sim::PopulationConfig cfg = read_lot(cli.get("lot", "lot.csv"));
   sim::ChipPopulation pop(cfg);
   const auto chip_idx = static_cast<std::size_t>(cli.get_int("chip", 0));
-  puf::ServerModel model = puf::load_server_model(cli.get("model", "model.csv"));
+  const std::string dir = cli.get("model", "model");
+  if (!std::filesystem::is_regular_file(std::filesystem::path(dir) / "store_manifest"))
+    throw ParseError(dir + ": not a model directory (written by enroll --out)");
+  const puf::store::EnrollmentStore store = puf::store::EnrollmentStore::open(dir, kModelStore);
+  const std::vector<std::uint64_t> ids = store.device_ids();
+  if (ids.size() != 1)
+    throw ParseError(dir + ": a model directory holds one device, found " +
+                     std::to_string(ids.size()));
+  const std::shared_ptr<const puf::ServerModel> model = store.model(ids.front());
   Rng rng(static_cast<std::uint64_t>(cli.get_int("rng", 2)));
 
   const sim::Environment env{cli.get_double("voltage", 0.9),
@@ -111,7 +133,7 @@ int cmd_authenticate(const Cli& cli) {
   policy.challenge_count = static_cast<std::size_t>(cli.get_int("count", 64));
   policy.max_hamming_distance =
       static_cast<std::size_t>(cli.get_int("max-hd", 0));
-  puf::AuthenticationServer server(model, model.puf_count(), policy);
+  puf::AuthenticationServer server(*model, model->puf_count(), policy);
   const puf::AuthenticationOutcome out =
       server.authenticate(pop.chip(chip_idx), env, rng,
                           !cli.has("random-challenges"));
@@ -179,8 +201,8 @@ void usage() {
       "xpuf_cli <command> [options]\n"
       "commands:\n"
       "  fabricate    --out lot.csv --chips N --pufs M --stages K --seed S\n"
-      "  enroll       --lot lot.csv --chip I --train N --trials K [--vt] --out model.csv\n"
-      "  authenticate --lot lot.csv --chip I --model model.csv [--voltage V]\n"
+      "  enroll       --lot lot.csv --chip I --train N --trials K [--vt] --out DIR\n"
+      "  authenticate --lot lot.csv --chip I --model DIR [--voltage V]\n"
       "               [--temperature T] [--count N] [--max-hd H] [--random-challenges]\n"
       "  attack       --lot lot.csv --chip I --n W --crps N [--iters I]\n"
       "  metrics      --lot lot.csv [--n W] [--challenges N]\n");
