@@ -57,6 +57,12 @@ double Rng::normal(double mean, double stddev) {
 }
 
 std::uint64_t Rng::binomial_inversion(std::uint64_t n, double p) {
+  const double u = uniform();
+  // Zero-count exit, exact: (1-p)^n >= 1 - n p (Bernoulli's inequality), and
+  // the computed pmf(0) below sits within a few ulp of (1-p)^n, far inside
+  // the 2^-40 margin — so whenever u clears this bound the walk below would
+  // stop at k = 0 too. It skips log1p/exp for the common all-stable cell.
+  if (u <= 1.0 - static_cast<double>(n) * p - 0x1p-40) return 0;
   // CDF inversion with the pmf recurrence
   //   pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/(1-p).
   // Exact starting point pmf(0) = (1-p)^n via expm1-safe log1p, so the
@@ -65,7 +71,6 @@ std::uint64_t Rng::binomial_inversion(std::uint64_t n, double p) {
   double pmf = std::exp(static_cast<double>(n) * log_q);
   double cdf = pmf;
   const double odds = p / (1.0 - p);
-  const double u = uniform();
   std::uint64_t k = 0;
   while (u > cdf && k < n) {
     pmf *= static_cast<double>(n - k) / static_cast<double>(k + 1) * odds;

@@ -5,25 +5,36 @@
 // computes W = (X^T X + ridge I)^{-1} X^T y after holding all n rows of X in
 // RAM. This accumulator consumes X in row chunks and keeps only
 //
-//   G   = X^T X      (d x d, upper triangle accumulated, mirrored on solve)
+//   G   = X^T X      (d x d, as integer disagreement counts, see below)
 //   Xty = X^T y_t    (d per target)
 //   sum(y_t), n      (for target means / R^2 bookkeeping)
 //
-// so memory is O(d^2 + d * targets) regardless of n. Accumulation is
-// bit-identical to the one-shot kernels for ANY chunk partition: gram() and
-// matvec_transposed() both walk rows in ascending order and add one term per
-// row into each output element, so splitting the row range into chunks
-// changes nothing about the per-element addition order. Feeding chunks in
-// ascending row order therefore reproduces the materialized G and Xty to the
-// last bit, and the shared Cholesky solve reproduces the materialized
-// coefficients to the last bit.
+// so memory is O(d^2 + d * targets) regardless of n.
 //
-// Multiple targets share one G and one Cholesky factorization — this is the
-// main arithmetic saving over per-PUF materialized fits, which redo the
-// O(n d^2) gram per target.
+// X is the parity-feature design matrix of arbiter-PUF challenges, and it
+// arrives packed: each row is the suffix-parity words of one challenge
+// (sim::suffix_parity_words), bit i set where phi_i = -1, phi_{d-1} = +1
+// implied. Nothing ever builds X as doubles:
+//
+//  - Gram. phi_i * phi_j is +1 where bits i and j agree and -1 where they
+//    differ, so over a chunk G(i, j) gains rows - 2 * popcount(column_i XOR
+//    column_j), the columns being the chunk's bits transposed 64 rows at a
+//    time. The one-shot gram() adds the same +/-1 terms in row order from
+//    +0.0; every partial sum is an integer of magnitude <= n < 2^53, so every
+//    addition is exact and the two agree to the last bit for any chunking.
+//  - Xty. phi_c * y_r is y_r with its sign bit flipped where bit c is set
+//    (exact for non-NaN y). Each element adds its terms in ascending global
+//    row order, exactly like matvec_transposed(), so feeding chunks in
+//    ascending row order reproduces it bit for bit.
+//
+// The shared Cholesky solve therefore reproduces the materialized
+// coefficients to the last bit. Multiple targets share one G and one
+// Cholesky factorization — the main arithmetic saving over per-PUF
+// materialized fits, which redo the O(n d^2) gram per target.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -31,8 +42,9 @@
 
 namespace xpuf::ml {
 
-/// Per-chunk accumulator for ridge least squares over a shared design matrix
-/// with `targets` independent right-hand sides.
+/// Per-chunk accumulator for ridge least squares over a shared
+/// parity-feature design matrix with `targets` independent right-hand
+/// sides. `features` is stages + 1 (at least 2).
 class StreamingNormalEquations {
  public:
   StreamingNormalEquations(std::size_t features, std::size_t targets);
@@ -41,12 +53,18 @@ class StreamingNormalEquations {
   std::size_t targets() const { return targets_; }
   std::size_t rows() const { return rows_; }
 
-  /// Folds one chunk into the accumulator. `phi` holds the chunk's rows of
-  /// the design matrix; `chunk_targets[t]` holds the matching rows of target
-  /// t. Chunks must arrive in ascending global row order (the bit-identity
-  /// contract above); each call is O(chunk_rows * d^2).
-  void accumulate(const linalg::Matrix& phi,
+  /// Folds one chunk into the accumulator. `parity` holds the chunk's rows
+  /// as suffix-parity words, (features() - 1 + 63) / 64 words per row; bits
+  /// at and above features() - 1 in a row's last word are ignored.
+  /// `chunk_targets[t]` holds the matching rows of target t. Chunks must
+  /// arrive in ascending global row order (the Xty contract above).
+  void accumulate(std::span<const std::uint64_t> parity,
                   std::span<const std::vector<double>> chunk_targets);
+
+  /// The accumulated Gram matrix X^T X (full, symmetric) and target t's
+  /// X^T y — what solve() factors, exposed for the bit-identity tests.
+  linalg::Matrix gram() const;
+  std::span<const double> xty(std::size_t t) const;
 
   /// Solves (G + ridge I) w_t = Xty_t for every target via ONE Cholesky
   /// factorization, returning a targets x features coefficient matrix.
@@ -64,9 +82,11 @@ class StreamingNormalEquations {
   std::size_t features_;
   std::size_t targets_;
   std::size_t rows_ = 0;
-  linalg::Matrix g_;                       // upper triangle of X^T X
+  std::vector<std::uint64_t> disagree_;    // upper triangle: rows with phi_i != phi_j
   std::vector<std::vector<double>> xty_;   // per-target X^T y
   std::vector<double> sum_y_;              // per-target running sum
+  std::vector<std::uint64_t> columns_;     // chunk bits transposed, reused across chunks
+  std::vector<std::uint64_t> signs_;       // one row's sign-bit masks, reused
 };
 
 }  // namespace xpuf::ml

@@ -3,12 +3,19 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
 #include "ml/dataset.hpp"
 #include "ml/streaming.hpp"
 
 namespace xpuf::puf {
+
+namespace {
+// Rows per parallel pass-2 prediction tile. Every prediction is a pure
+// function of its row, so the grain changes cost, never values.
+constexpr std::size_t kPredictGrain = 256;
+}  // namespace
 
 ThresholdPair tighten(const ThresholdPair& thresholds, const BetaFactors& betas) {
   XPUF_REQUIRE(betas.beta0 > 0.0 && betas.beta0 <= 1.0, "beta0 must be in (0, 1]");
@@ -131,7 +138,7 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
   double fit_ms = 0.0;
   while (stream.next(chunk)) {
     fit_timer.reset();
-    normal.accumulate(chunk.block.phi(), chunk.soft);
+    normal.accumulate(chunk.parity, chunk.soft);
     fit_ms += fit_timer.millis();
   }
   fit_timer.reset();
@@ -143,10 +150,18 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
 
   // Pass 2: replay the identical chunks (reset() rewinds the challenge
   // generator; measurements are pure functions of the cell index) to derive
-  // thresholds and R^2 against the fitted weights. Predictions go through
-  // matmul_nt, whose per-element accumulation order equals the materialized
-  // path's matvec; rss/tss accumulate in ascending row order, so both
-  // diagnostics reproduce the materialized values bit for bit.
+  // thresholds and R^2 against the fitted weights. Predictions come from
+  // the chip view's parity tile over the fitted weights, whose per-element
+  // chain equals the materialized path's matvec (ascending index, bias
+  // last); rss/tss accumulate in ascending row order, so both diagnostics
+  // reproduce the materialized values bit for bit. The view's noise sigma
+  // is unused: only delays are read.
+  std::vector<sim::DeviceLinearView> fitted(n_pufs);
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    const double* w = weights.row(p);
+    fitted[p].weights = linalg::Vector(std::vector<double>(w, w + features));
+  }
+  const sim::ChipLinearView fitted_view(std::move(fitted));
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> thr0(n_pufs, inf);
   std::vector<double> thr1(n_pufs, -inf);
@@ -154,13 +169,18 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
   std::vector<double> tss(n_pufs, 0.0);
   std::vector<double> mean(n_pufs, 0.0);
   for (std::size_t p = 0; p < n_pufs; ++p) mean[p] = normal.target_mean(p);
+  std::vector<double> pred;
   stream.reset();
   while (stream.next(chunk)) {
-    const linalg::Matrix pred = linalg::matmul_nt(chunk.block.phi(), weights);
+    const std::size_t m = chunk.size();
+    pred.resize(m * n_pufs);
+    parallel_for(m, kPredictGrain, [&](std::size_t begin, std::size_t end, std::size_t) {
+      fitted_view.delay_differences_into(chunk.parity, begin, end, pred.data() + begin * n_pufs);
+    });
     for (std::size_t p = 0; p < n_pufs; ++p) {
       const std::vector<double>& soft = chunk.soft[p];
-      for (std::size_t r = 0; r < pred.rows(); ++r) {
-        const double pr = pred(r, p);
+      for (std::size_t r = 0; r < m; ++r) {
+        const double pr = pred[r * n_pufs + p];
         const double y = soft[r];
         if (y > 0.0 && pr < thr0[p]) thr0[p] = pr;
         if (y < 1.0 && pr > thr1[p]) thr1[p] = pr;

@@ -10,17 +10,11 @@
 
 namespace xpuf::sim {
 
-// The stages guard lives in random_challenge_into.  xpuf-lint: guarded-by(random_challenge_into)
 Challenge random_challenge(std::size_t stages, Rng& rng) {
-  Challenge c;
-  random_challenge_into(c, stages, rng);
-  return c;
-}
-
-void random_challenge_into(Challenge& out, std::size_t stages, Rng& rng) {
   XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
-  out.resize(stages);
-  for (auto& bit : out) bit = rng.bernoulli() ? 1 : 0;
+  Challenge c(stages);
+  for (auto& bit : c) bit = rng.bernoulli() ? 1 : 0;
+  return c;
 }
 
 ArbiterPufDevice::ArbiterPufDevice(const DeviceParameters& params,

@@ -29,13 +29,9 @@ struct DeviceLinearView;
 /// Challenge bits, one per stage, c_i in {0, 1}. 0 = straight, 1 = crossed.
 using Challenge = std::vector<std::uint8_t>;
 
-/// Draws a uniformly random challenge of the given length.
+/// Draws a uniformly random challenge of the given length: stage i is the
+/// i-th bernoulli() draw.
 Challenge random_challenge(std::size_t stages, Rng& rng);
-
-/// Same draw sequence as random_challenge, written into an existing buffer
-/// (resized to `stages`) so chunked producers can regenerate challenges
-/// without per-challenge allocation.
-void random_challenge_into(Challenge& out, std::size_t stages, Rng& rng);
 
 /// Per-stage process parameters: top-minus-bottom delay differences added by
 /// the stage for each select value, and the matching V/T sensitivities.

@@ -4,6 +4,8 @@
 #include <immintrin.h>
 #endif
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/math.hpp"
 
@@ -61,21 +63,26 @@ FeatureBlock::FeatureBlock(std::vector<Challenge> challenges)
   }
 }
 
-// Same empty-block contract as the constructor.
-void FeatureBlock::assign(const std::vector<Challenge>& challenges) {
-  challenges_ = challenges;
-  if (challenges_.empty()) {
-    stages_ = 0;
-    phi_.resize(0, 0);
-    return;
+void random_packed_challenge_into(std::span<std::uint64_t> row, std::size_t stages,
+                                  Rng& rng) {
+  XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
+  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
+  for (std::size_t w = 0; w < row.size(); ++w) {
+    const std::size_t bits = std::min<std::size_t>(64, stages - w * 64);
+    std::uint64_t word = 0;
+    for (std::size_t j = 0; j < bits; ++j)
+      word |= static_cast<std::uint64_t>(rng.bernoulli()) << j;
+    row[w] = word;
   }
-  stages_ = challenges_.front().size();
-  XPUF_REQUIRE(stages_ > 0, "feature block of zero-stage challenges");
-  phi_.resize(challenges_.size(), stages_ + 1);
-  for (std::size_t r = 0; r < challenges_.size(); ++r) {
-    XPUF_REQUIRE(challenges_[r].size() == stages_, "mixed challenge lengths in batch");
-    feature_fill(challenges_[r], phi_.row(r));
-  }
+}
+
+void unpack_challenge_into(std::span<const std::uint64_t> row, std::size_t stages,
+                           Challenge& out) {
+  XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
+  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
+  out.resize(stages);
+  for (std::size_t i = 0; i < stages; ++i)
+    out[i] = static_cast<std::uint8_t>((row[i / 64] >> (i % 64)) & 1U);
 }
 
 void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,
@@ -426,6 +433,129 @@ bool avx2_dispatch(const linalg::Matrix& weights_t, std::size_t n,
 
 #endif  // __AVX2__
 
+/// The parity-word tile, portable: one row at a time, every output element
+/// adding w(p, i) with the sign bit of parity bit i in ascending i, then the
+/// bias weight — the FeatureBlock tile's chain with each multiply by +/-1.0
+/// replaced by its exact sign flip. `div`, when non-null, holds n divisors
+/// applied before the store.
+void parity_tile_scalar(const linalg::Matrix& weights_t, std::size_t n, std::size_t stages,
+                        const std::uint64_t* parity, std::size_t begin, std::size_t end,
+                        double* out, const double* div) {
+  const std::size_t n_words = packed_words(stages);
+  std::vector<double> acc(n);
+  for (std::size_t r = begin; r < end; ++r) {
+    for (std::size_t p = 0; p < n; ++p) acc[p] = 0.0;
+    const std::uint64_t* row = parity + r * n_words;
+    for (std::size_t i = 0; i < stages; ++i) {
+      const std::uint64_t sign = ((row[i / 64] >> (i % 64)) & 1U) << 63;
+      const double* wt = weights_t.row(i);
+      for (std::size_t p = 0; p < n; ++p)
+        acc[p] += std::bit_cast<double>(std::bit_cast<std::uint64_t>(wt[p]) ^ sign);
+    }
+    const double* bias = weights_t.row(stages);
+    double* orow = out + (r - begin) * n;
+    for (std::size_t p = 0; p < n; ++p) {
+      const double d = acc[p] + bias[p];
+      orow[p] = div != nullptr ? d / div[p] : d;
+    }
+  }
+}
+
+#if defined(__AVX2__)
+
+/// Inner body of the AVX2 parity tile: avx2_rows with each broadcast phi_i
+/// replaced by row q's parity bit i moved into the sign position (the
+/// parity word broadcast to all lanes, shifted one bit per stage), XOR-ed
+/// onto the weight vector. vxorpd flips exactly the sign bit, so each lane
+/// adds the same value the multiply by +/-1.0 produces, in the same order.
+template <std::size_t V, std::size_t R>
+inline void avx2_parity_rows(const double* w0, std::size_t stages, std::size_t stride,
+                             const std::uint64_t* const* parity, const double* div,
+                             double* tmp) {
+  const std::size_t n_words = packed_words(stages);
+  __m256d acc[R][V];
+  for (std::size_t q = 0; q < R; ++q)
+    for (std::size_t v = 0; v < V; ++v) acc[q][v] = _mm256_setzero_pd();
+  const double* wt = w0;
+  for (std::size_t wi = 0; wi < n_words; ++wi) {
+    __m256i bits[R];
+    for (std::size_t q = 0; q < R; ++q)
+      bits[q] = _mm256_set1_epi64x(static_cast<long long>(parity[q][wi]));
+    const std::size_t count = word_bits(wi, n_words, stages);
+    for (std::size_t j = 0; j < count; ++j, wt += stride) {
+      for (std::size_t q = 0; q < R; ++q) {
+        const __m256d sign = _mm256_castsi256_pd(_mm256_slli_epi64(bits[q], 63));
+        bits[q] = _mm256_srli_epi64(bits[q], 1);
+        for (std::size_t v = 0; v < V; ++v)
+          acc[q][v] =
+              _mm256_add_pd(acc[q][v], _mm256_xor_pd(_mm256_loadu_pd(wt + 4 * v), sign));
+      }
+    }
+  }
+  // phi_stages = +1: the bias row adds unsigned; `wt` now points at it.
+  for (std::size_t q = 0; q < R; ++q)
+    for (std::size_t v = 0; v < V; ++v) {
+      __m256d a = _mm256_add_pd(acc[q][v], _mm256_loadu_pd(wt + 4 * v));
+      if (div != nullptr) a = _mm256_div_pd(a, _mm256_loadu_pd(div + 4 * v));
+      _mm256_storeu_pd(tmp + (q * V + v) * 4, a);
+    }
+}
+
+/// AVX2 parity tile for PUF counts up to 4 * V; the row blocking of
+/// delay_tile_avx2.
+template <std::size_t V>
+[[gnu::noinline]] void parity_tile_avx2(const linalg::Matrix& weights_t, std::size_t n,
+                                        std::size_t stages, const std::uint64_t* parity,
+                                        std::size_t begin, std::size_t end, double* out,
+                                        const double* div) {
+  const std::size_t n_words = packed_words(stages);
+  const std::size_t stride = weights_t.cols();
+  const double* w0 = weights_t.row(0);
+  constexpr std::size_t kRows = V >= 3 ? 2 : 4;
+  double tmp[kRows * V * 4];
+  const std::uint64_t* rows[kRows];
+  std::size_t r = begin;
+  for (; r + kRows <= end; r += kRows) {
+    for (std::size_t q = 0; q < kRows; ++q) rows[q] = parity + (r + q) * n_words;
+    avx2_parity_rows<V, kRows>(w0, stages, stride, rows, div, tmp);
+    double* orow = out + (r - begin) * n;
+    for (std::size_t q = 0; q < kRows; ++q)
+      for (std::size_t p = 0; p < n; ++p) orow[q * n + p] = tmp[q * V * 4 + p];
+  }
+  for (; r < end; ++r) {
+    rows[0] = parity + r * n_words;
+    avx2_parity_rows<V, 1>(w0, stages, stride, rows, div, tmp);
+    double* orow = out + (r - begin) * n;
+    for (std::size_t p = 0; p < n; ++p) orow[p] = tmp[p];
+  }
+}
+
+#endif  // __AVX2__
+
+/// Dispatches a parity tile: AVX2 for up to 12 PUFs, the portable kernel
+/// otherwise. `sigmas`, when non-null, holds the n per-PUF divisors.
+void parity_tile(const linalg::Matrix& weights_t, std::size_t n, std::size_t stages,
+                 const std::uint64_t* parity, std::size_t begin, std::size_t end,
+                 double* out, const double* sigmas) {
+#if defined(__AVX2__)
+  if (n <= 12) {
+    // Padding lanes divide by 1.0 and are never stored.
+    double lanes[12];
+    const double* div = nullptr;
+    if (sigmas != nullptr) {
+      for (std::size_t i = 0; i < weights_t.cols(); ++i) lanes[i] = i < n ? sigmas[i] : 1.0;
+      div = lanes;
+    }
+    switch ((n + 3) / 4) {
+      case 1: parity_tile_avx2<1>(weights_t, n, stages, parity, begin, end, out, div); return;
+      case 2: parity_tile_avx2<2>(weights_t, n, stages, parity, begin, end, out, div); return;
+      default: parity_tile_avx2<3>(weights_t, n, stages, parity, begin, end, out, div); return;
+    }
+  }
+#endif
+  parity_tile_scalar(weights_t, n, stages, parity, begin, end, out, sigmas);
+}
+
 }  // namespace
 
 // Tile contract as in DeviceLinearView.
@@ -476,6 +606,35 @@ void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size
   delay_differences_into(block, begin, end, out);
   for (std::size_t r = 0; r < end - begin; ++r)
     for (std::size_t p = 0; p < n; ++p) out[r * n + p] /= noise_sigmas_[p];
+  normal_cdf_batch({out, total}, {out, total});
+}
+
+// Parity-word tiles: the FeatureBlock tiles' contract, rows read from words.
+void ChipLinearView::delay_differences_into(std::span<const std::uint64_t> parity,
+                                            std::size_t begin, std::size_t end,
+                                            double* out) const {
+  XPUF_REQUIRE(features() >= 2, "parity tiles need a chip view with at least one stage");
+  const std::size_t stages = features() - 1;
+  XPUF_REQUIRE(parity.size() % packed_words(stages) == 0,
+               "parity rows need packed_words(stages) words each");
+  XPUF_REQUIRE(begin <= end && end <= parity.size() / packed_words(stages),
+               "tile range out of bounds");
+  parity_tile(weights_t_, puf_count(), stages, parity.data(), begin, end, out, nullptr);
+}
+
+// Same tile contract; the sigma division rides the tile's store.
+void ChipLinearView::one_probabilities_into(std::span<const std::uint64_t> parity,
+                                            std::size_t begin, std::size_t end,
+                                            double* out) const {
+  XPUF_REQUIRE(features() >= 2, "parity tiles need a chip view with at least one stage");
+  const std::size_t stages = features() - 1;
+  XPUF_REQUIRE(parity.size() % packed_words(stages) == 0,
+               "parity rows need packed_words(stages) words each");
+  XPUF_REQUIRE(begin <= end && end <= parity.size() / packed_words(stages),
+               "tile range out of bounds");
+  parity_tile(weights_t_, puf_count(), stages, parity.data(), begin, end, out,
+              noise_sigmas_.data());
+  const std::size_t total = (end - begin) * puf_count();
   normal_cdf_batch({out, total}, {out, total});
 }
 

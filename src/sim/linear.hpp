@@ -13,12 +13,14 @@
 //  - ChipLinearView: the stacked n_pufs x (k+1) weight matrix of a chip, so
 //    a whole scan tile is ONE matmul_nt followed by normal_cdf_batch.
 //
-// Packed candidates (stable-challenge screening) skip Phi altogether:
-// suffix_parity_words turns their bit-words into Phi's signs, and
-// parity_dots evaluates one PUF on any subset of them.
+// Packed challenges skip Phi altogether: suffix_parity_words turns their
+// bit-words into Phi's signs, parity_dots evaluates one PUF on any subset of
+// them (stable-challenge screening), and ChipLinearView's parity tiles
+// evaluate every PUF on a row range (the streaming enrollment scan).
 //
 // Determinism contract: the full-batch products (matmul_nt), the
-// row-range `_into` tile kernels and parity_dots all accumulate each output
+// row-range `_into` tile kernels (FeatureBlock or parity words) and
+// parity_dots all accumulate each output
 // element with the same ascending-index dot, so batch results are
 // bit-identical to the scalar linear-view evaluation at any thread count or
 // tile size. The tile kernels are serial by design — they are meant to run
@@ -57,6 +59,19 @@ void feature_fill(const Challenge& challenge, double* out);
 
 /// Number of 64-bit words a packed `stages`-bit challenge occupies.
 constexpr std::size_t packed_words(std::size_t stages) { return (stages + 63) / 64; }
+
+/// Draws one packed challenge into `row` (packed_words(stages) words) from
+/// the same bernoulli() draws random_challenge makes: stage bit i is
+/// draw i, stored in bit i % 64 of word i / 64. A packed stream and a
+/// Challenge stream over one generator state therefore agree bit for bit
+/// and leave the generator in the same state. Bits above `stages` are zero.
+void random_packed_challenge_into(std::span<std::uint64_t> row, std::size_t stages,
+                                  Rng& rng);
+
+/// The inverse of the packing above: writes the `stages` bits of one packed
+/// row into `out` (resized to `stages`), one 0/1 byte per stage.
+void unpack_challenge_into(std::span<const std::uint64_t> row, std::size_t stages,
+                           Challenge& out);
 
 /// Suffix-parity form of packed challenges. `words` holds whole rows of
 /// packed_words(stages) words: stage bit i of a row in bit i % 64 of word
@@ -98,12 +113,6 @@ class FeatureBlock {
  public:
   FeatureBlock() = default;
   explicit FeatureBlock(std::vector<Challenge> challenges);
-
-  /// Rebuilds the block in place from a new challenge batch, reusing the
-  /// existing challenge and Phi storage when capacity suffices. This is the
-  /// zero-allocation refill the streaming scan producer performs once per
-  /// chunk (after the first chunk warms the buffers).
-  void assign(const std::vector<Challenge>& challenges);
 
   std::size_t size() const { return phi_.rows(); }
   bool empty() const { return phi_.rows() == 0; }
@@ -175,6 +184,17 @@ class ChipLinearView {
   void delay_differences_into(const FeatureBlock& block, std::size_t begin,
                               std::size_t end, double* out) const;
   void one_probabilities_into(const FeatureBlock& block, std::size_t begin,
+                              std::size_t end, double* out) const;
+
+  /// The same tiles over rows [begin, end) of suffix_parity_words output
+  /// (packed_words(features() - 1) words per row) instead of a FeatureBlock.
+  /// Each phi sign comes from a parity bit by flipping the weight's sign
+  /// bit, as parity_dots does, and the terms keep the ascending-index order
+  /// with the bias weight last — so the outputs equal the FeatureBlock
+  /// tiles' bit for bit (for non-NaN weights). Serial by design.
+  void delay_differences_into(std::span<const std::uint64_t> parity, std::size_t begin,
+                              std::size_t end, double* out) const;
+  void one_probabilities_into(std::span<const std::uint64_t> parity, std::size_t begin,
                               std::size_t end, double* out) const;
 
  private:

@@ -192,13 +192,18 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   const std::size_t stages = chip_->stages();
   const std::size_t n_pufs = chip_->puf_count();
 
-  // Regenerate this chunk's challenges from the saved generator copy; the
-  // draw sequence is the materialized path's, just consumed lazily.
-  challenge_buf_.resize(m);
-  for (std::size_t i = 0; i < m; ++i)
-    random_challenge_into(challenge_buf_[i], stages, challenge_rng_);
+  // Regenerate this chunk's challenges from the saved generator copy,
+  // packed: the draw sequence is the materialized path's, just consumed
+  // lazily and written straight into the words.
+  const std::size_t n_words = packed_words(stages);
   chunk.offset = begin_global;
-  chunk.block.assign(challenge_buf_);
+  chunk.stages = stages;
+  chunk.words.resize(m * n_words);
+  for (std::size_t i = 0; i < m; ++i)
+    random_packed_challenge_into({chunk.words.data() + i * n_words, n_words}, stages,
+                                 challenge_rng_);
+  chunk.parity.resize(chunk.words.size());
+  suffix_parity_words(chunk.words, stages, chunk.parity);
 
   chunk.soft.resize(n_pufs);
   for (auto& row : chunk.soft) row.resize(m);
@@ -217,7 +222,7 @@ bool ChipScanStream::next(ScanChunk& chunk) {
     if (batched) {
       thread_local std::vector<double> probs;
       probs.resize((end - begin) * n_pufs);
-      view_.one_probabilities_into(chunk.block, begin, end, probs.data());
+      view_.one_probabilities_into(chunk.parity, begin, end, probs.data());
       for (std::size_t p = 0; p < n_pufs; ++p) {
         double* soft_row = chunk.soft[p].data();
         // ScanChunk::stable rows are std::uint8_t (not the packed-bit
@@ -234,13 +239,17 @@ bool ChipScanStream::next(ScanChunk& chunk) {
         }
       }
     } else {
+      // The reference mode walks the stage model, which needs the challenge
+      // as bits: unpack it once per row of cells.
+      thread_local Challenge challenge;
       for (std::size_t c = begin; c < end; ++c) {
+        unpack_challenge_into(chunk.challenge_words(c), stages, challenge);
         for (std::size_t p = 0; p < n_pufs; ++p) {
           Rng cell_rng = streams.stream(p * total_ + begin_global + c);
           // kScalar is the per-cell reference path, as in scan_individual.
           // xpuf-lint: allow(scalar-eval)
           const SoftMeasurement meas = chip_->measure_soft_response(
-              p, chunk.block.challenge(c), env_, trials_, cell_rng);
+              p, challenge, env_, trials_, cell_rng);
           chunk.soft[p][c] = meas.soft_response();
           // Same: byte flags, not vector<bool>.  xpuf-lint: allow(vector-bool-parallel)
           chunk.stable[p][c] = meas.fully_stable() ? 1 : 0;

@@ -11,13 +11,16 @@
 //
 // Two scan modes share that RNG contract. kBatched (the default) routes
 // noise-free probabilities through the linear-view batch core — one feature
-// block per scan, one GEMM tile per chunk — and draws the binomial counters
-// per cell from the same streams. kScalar is the legacy reference: every
-// cell walks the recursive stage model. Mode changes cost, not draws; see
-// DESIGN.md "Batched evaluation core" for the equivalence contract.
+// block per scan (packed parity words per chunk on the streaming scan), one
+// tile per parallel chunk — and draws the binomial counters per cell from
+// the same streams. kScalar is the legacy reference: every cell walks the
+// recursive stage model. Mode changes cost, not draws; see DESIGN.md
+// "Batched evaluation core" and "Streaming enrollment" for the equivalence
+// contract.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -45,18 +48,36 @@ enum class ScanMode {
   kBatched,  ///< linear-view batch core: one GEMM tile per parallel chunk
 };
 
-/// One chunk of a streaming individual-PUF scan: `block` holds the chunk's
-/// challenges + Phi rows, `soft[p][i]` / `stable[p][i]` the measurements for
-/// global challenge `offset + i`. All vectors keep their heap blocks across
-/// next() calls, so a steady-state chunk costs zero allocations.
+/// One chunk of a streaming individual-PUF scan, for global challenges
+/// `offset` .. `offset + size() - 1`. The challenges stay packed: `words`
+/// holds packed_words(stages) words per challenge (stage bit i in bit i % 64
+/// of word i / 64, drawn by random_packed_challenge_into), and `parity` their
+/// suffix_parity_words — the signs of each challenge's Phi row, which is all
+/// the batched scan and the normal equations read. No Phi matrix and no
+/// Challenge copies are built. `soft[p][i]` / `stable[p][i]` are the
+/// measurements for the chunk's i-th challenge. All vectors keep their heap
+/// blocks across next() calls, so a steady-state chunk costs zero
+/// allocations.
 struct ScanChunk {
   std::size_t offset = 0;
-  FeatureBlock block;
+  std::size_t stages = 0;
+  /// Packed challenge bits, packed_words(stages) words per challenge.
+  std::vector<std::uint64_t> words;
+  /// suffix_parity_words(words, stages): bit i of a row set where phi_i = -1.
+  std::vector<std::uint64_t> parity;
   /// soft[p][i] = soft response of PUF p on the chunk's i-th challenge.
   std::vector<std::vector<double>> soft;
   /// stable[p][i] = the counter saw zero flips (byte flags, not packed bits,
   /// so parallel chunk workers never share a word).
   std::vector<std::vector<std::uint8_t>> stable;
+
+  /// Challenges in the chunk.
+  std::size_t size() const { return stages == 0 ? 0 : words.size() / packed_words(stages); }
+  /// Packed words of the chunk's i-th challenge.
+  std::span<const std::uint64_t> challenge_words(std::size_t i) const {
+    const std::size_t n = packed_words(stages);
+    return {words.data() + i * n, n};
+  }
 };
 
 /// Chunked producer over a ChipTester scan: generates challenges, measures
@@ -66,7 +87,8 @@ struct ScanChunk {
 /// Determinism contract: a stream over `total` challenges is bit-identical
 /// to the materialized sequence `random_challenges(total)` followed by
 /// `scan_individual` — for ANY chunk size. Challenges replay the exact draw
-/// sequence of the materialized path from a saved generator copy (the
+/// sequence of the materialized path, packed into words as they are drawn,
+/// from a saved generator copy (the
 /// tester's generator is pre-advanced past those draws at construction), and
 /// every cell's measurement stream is keyed by `p * total + c` off one base
 /// draw taken after the pre-roll, exactly where scan_individual takes it.
@@ -106,7 +128,6 @@ class ChipScanStream {
   std::uint64_t base_ = 0;   ///< keys every cell's measurement stream
   ChipLinearView view_;      ///< batched-mode snapshot (kScalar leaves it empty)
   std::vector<double> soft_lut_;
-  std::vector<Challenge> challenge_buf_;
 };
 
 class ChipTester {

@@ -83,10 +83,6 @@ TEST(FeatureBlock, EmptyBlockIsLegal) {
   EXPECT_EQ(block.features(), 0u);
   const sim::FeatureBlock block2{std::vector<sim::Challenge>{}};
   EXPECT_TRUE(block2.empty());
-  sim::FeatureBlock block3(fixed_challenges(8, 3));
-  block3.assign({});
-  EXPECT_TRUE(block3.empty());
-  EXPECT_EQ(block3.features(), 0u);
 }
 
 TEST(FeatureFill, ParitySignsEqualTheSuffixProductChainByteForByte) {
@@ -368,6 +364,63 @@ TEST(ChipLinearView, GemmTilesAndScalarAgreeAcrossCornersAgingThreads) {
       }
     }
   }
+}
+
+TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
+  Rng rng(0x7a11);
+  for (const std::size_t stages : {1u, 31u, 32u, 63u, 64u, 65u, 128u, 129u}) {
+    const std::size_t n_words = sim::packed_words(stages);
+    const std::size_t rows = 23;
+    const std::vector<std::uint64_t> words = packed_rows(stages, rows, rng);
+    std::vector<std::uint64_t> parity(words.size());
+    sim::suffix_parity_words(words, stages, parity);
+    std::vector<sim::Challenge> challenges;
+    for (std::size_t r = 0; r < rows; ++r)
+      challenges.push_back(unpack(words.data() + r * n_words, stages));
+    const sim::FeatureBlock block(challenges);
+    // Every AVX2 lane-group width (1..12 PUFs, with padding lanes) and the
+    // portable fallback past it (13).
+    for (const std::size_t n_pufs : {1u, 2u, 3u, 4u, 5u, 8u, 10u, 12u, 13u}) {
+      std::vector<sim::DeviceLinearView> devices(n_pufs);
+      for (auto& d : devices) {
+        d.weights = linalg::Vector(stages + 1);
+        for (std::size_t i = 0; i <= stages; ++i) d.weights[i] = rng.normal(0.0, 1.0);
+        d.noise_sigma = rng.uniform(0.1, 2.0);
+      }
+      devices[0].weights[0] = 0.0;  // a signed-zero term: +0 * -1 == -0
+      const sim::ChipLinearView view(devices);
+      // Full range, the 4-row and 2-row blocks plus a remainder, and empty.
+      for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, rows},
+                                       {3, 20}, {5, 6}, {7, 7}}) {
+        const std::size_t m = (end - begin) * n_pufs;
+        std::vector<double> want(m + 1, -1.0), got(m + 1, -2.0);
+        view.delay_differences_into(block, begin, end, want.data());
+        view.delay_differences_into(parity, begin, end, got.data());
+        ASSERT_TRUE(same_bits(got.data(), want.data(), m))
+            << "delays: stages " << stages << " pufs " << n_pufs << " rows " << begin << ".."
+            << end;
+        EXPECT_EQ(got[m], -2.0) << "wrote past the tile";
+        view.one_probabilities_into(block, begin, end, want.data());
+        view.one_probabilities_into(parity, begin, end, got.data());
+        ASSERT_TRUE(same_bits(got.data(), want.data(), m))
+            << "probabilities: stages " << stages << " pufs " << n_pufs << " rows " << begin
+            << ".." << end;
+      }
+      double out[64];
+      const std::span<const std::uint64_t> all(parity);
+      EXPECT_THROW(view.delay_differences_into(all, 0, rows + 1, out), std::invalid_argument);
+      EXPECT_THROW(view.delay_differences_into(all, 2, 1, out), std::invalid_argument);
+      if (n_words > 1) {
+        EXPECT_THROW(view.one_probabilities_into(all.first(n_words + 1), 0, 1, out),
+                     std::invalid_argument);
+      }
+    }
+  }
+  const sim::ChipLinearView empty;
+  const std::uint64_t word = 0;
+  double out = 0.0;
+  EXPECT_THROW(empty.delay_differences_into(std::span<const std::uint64_t>(&word, 1), 0, 1, &out),
+               std::invalid_argument);
 }
 
 /// All four tester entry points under one mode, as comparable value types.

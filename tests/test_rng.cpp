@@ -3,6 +3,7 @@
 // depend on), and bounded sampling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -245,6 +246,46 @@ TEST(Rng, BinomialAllOnesTailIsExact) {
   for (int i = 0; i < samples; ++i)
     if (rng.binomial(n, p) == n) ++full;
   EXPECT_NEAR(static_cast<double>(full) / samples, expected, 0.005);
+}
+
+/// The small-mean inversion as it stood before its zero-count exit: pmf(0)
+/// from log1p/exp, then the CDF walk. The oracle the exit must reproduce.
+std::uint64_t binomial_inversion_oracle(Rng& rng, std::uint64_t n, double p) {
+  const double log_q = std::log1p(-p);
+  double pmf = std::exp(static_cast<double>(n) * log_q);
+  double cdf = pmf;
+  const double odds = p / (1.0 - p);
+  const double u = rng.uniform();
+  std::uint64_t k = 0;
+  while (u > cdf && k < n) {
+    pmf *= static_cast<double>(n - k) / static_cast<double>(k + 1) * odds;
+    cdf += pmf;
+    ++k;
+    if (pmf < 1e-300 && cdf < u) return k;
+  }
+  return k;
+}
+
+TEST(Rng, BinomialZeroCountExitMatchesFullInversion) {
+  // Log-spaced p from 1e-300 up to the inversion regime's edge (n p < 30,
+  // p <= 0.5): every sample must give the oracle's count and leave the
+  // generator where the oracle leaves it.
+  constexpr int kPoints = 300;
+  constexpr int kDraws = 1000;
+  std::uint64_t seed = 0;
+  for (const std::uint64_t n : {1u, 100u, 10'000u}) {
+    const double p_max = std::min(0.5, 29.999 / static_cast<double>(n));
+    const double lo = std::log(1e-300), hi = std::log(p_max);
+    for (int i = 0; i < kPoints; ++i) {
+      const double p = std::min(p_max, std::exp(lo + (hi - lo) * i / (kPoints - 1)));
+      for (int d = 0; d < kDraws; ++d, ++seed) {
+        Rng fast(seed), oracle(seed);
+        ASSERT_EQ(fast.binomial(n, p), binomial_inversion_oracle(oracle, n, p))
+            << "n " << n << " p " << p << " seed " << seed;
+        ASSERT_EQ(fast.next_u64(), oracle.next_u64()) << "n " << n << " p " << p;
+      }
+    }
+  }
 }
 
 TEST(Rng, ForkedStreamsAreDecorrelated) {

@@ -3,14 +3,19 @@
 // The streaming enrollment pipeline promises bit-identical results to the
 // materialized path for any chunk size and any thread count. These tests pin
 // that promise at every layer: the chunked scan producer against
-// scan_individual, the normal-equations accumulator against the one-shot
-// gram/Cholesky kernels, the end-to-end Enroller::enroll against
-// enroll_materialized, and the GEMM-backed logistic-regression objective
-// against a scalar replica of the historical row-loop math.
+// scan_individual, the parity-word normal-equations accumulator against the
+// one-shot gram/matvec_transposed/Cholesky kernels over a feature_fill Phi,
+// the end-to-end Enroller::enroll against enroll_materialized, and the
+// GEMM-backed logistic-regression objective against a scalar replica of the
+// historical row-loop math.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "common/math.hpp"
@@ -20,6 +25,7 @@
 #include "ml/logistic_regression.hpp"
 #include "ml/streaming.hpp"
 #include "puf/enrollment.hpp"
+#include "sim/linear.hpp"
 #include "sim/population.hpp"
 #include "sim/tester.hpp"
 
@@ -47,9 +53,12 @@ sim::PopulationConfig small_lot() {
   return cfg;
 }
 
-/// Drains a stream into materialized-scan shape (soft[p][c], stable[p][c]).
+/// Drains a stream into materialized-scan shape (soft[p][c], stable[p][c]),
+/// with every chunk's packed words and parity words concatenated.
 struct CollectedScan {
-  std::vector<std::vector<Challenge>> chunks;
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint64_t> parity;
+  std::vector<std::size_t> offsets;
   std::vector<std::vector<double>> soft;
   std::vector<std::vector<std::uint8_t>> stable;
 };
@@ -60,7 +69,9 @@ CollectedScan collect(sim::ChipScanStream& stream, std::size_t n_pufs) {
   out.stable.resize(n_pufs);
   sim::ScanChunk chunk;
   while (stream.next(chunk)) {
-    out.chunks.push_back(chunk.block.challenges());
+    out.offsets.push_back(chunk.offset);
+    out.words.insert(out.words.end(), chunk.words.begin(), chunk.words.end());
+    out.parity.insert(out.parity.end(), chunk.parity.begin(), chunk.parity.end());
     for (std::size_t p = 0; p < n_pufs; ++p) {
       out.soft[p].insert(out.soft[p].end(), chunk.soft[p].begin(), chunk.soft[p].end());
       out.stable[p].insert(out.stable[p].end(), chunk.stable[p].begin(),
@@ -88,10 +99,23 @@ TEST_P(ScanStreamTest, MatchesMaterializedScanCellForCell) {
   const auto challenges = materializer.random_challenges(pop_.chip(0), total);
   const sim::ChipSoftScan scan = materializer.scan_individual(pop_.chip(0), challenges);
 
-  std::vector<Challenge> streamed_challenges;
-  for (const auto& c : streamed.chunks)
-    streamed_challenges.insert(streamed_challenges.end(), c.begin(), c.end());
-  EXPECT_EQ(streamed_challenges, challenges);
+  // The packed words unpack to the materialized challenges, and the parity
+  // words carry exactly their Phi signs.
+  const std::size_t stages = pop_.chip(0).stages();
+  const std::size_t n_words = sim::packed_words(stages);
+  ASSERT_EQ(streamed.words.size(), total * n_words);
+  std::vector<double> phi(stages + 1);
+  Challenge unpacked;
+  for (std::size_t c = 0; c < total; ++c) {
+    sim::unpack_challenge_into({streamed.words.data() + c * n_words, n_words}, stages,
+                               unpacked);
+    ASSERT_EQ(unpacked, challenges[c]) << "challenge " << c;
+    sim::feature_fill(challenges[c], phi.data());
+    for (std::size_t i = 0; i < stages; ++i) {
+      const std::uint64_t bit = streamed.parity[c * n_words + i / 64] >> (i % 64);
+      ASSERT_EQ(sim::parity_sign(bit), phi[i]) << "challenge " << c << " stage " << i;
+    }
+  }
   for (std::size_t p = 0; p < 3; ++p) {
     ASSERT_EQ(streamed.soft[p].size(), total);
     for (std::size_t c = 0; c < total; ++c) {
@@ -121,8 +145,13 @@ TEST_P(ScanStreamTest, ChunkSizeNeverChangesTheBits) {
       have_reference = true;
       continue;
     }
+    EXPECT_EQ(got.words, reference.words) << "chunk " << chunk;
+    EXPECT_EQ(got.parity, reference.parity) << "chunk " << chunk;
     EXPECT_EQ(got.soft, reference.soft) << "chunk " << chunk;
     EXPECT_EQ(got.stable, reference.stable) << "chunk " << chunk;
+    ASSERT_EQ(got.offsets.size(), (total + chunk - 1) / chunk) << "chunk " << chunk;
+    for (std::size_t i = 0; i < got.offsets.size(); ++i)
+      EXPECT_EQ(got.offsets[i], i * chunk) << "chunk " << chunk;
   }
 }
 
@@ -139,7 +168,8 @@ TEST(ScanStream, ResetReplaysBitIdentically) {
   stream.reset();
   EXPECT_EQ(stream.position(), 0u);
   const CollectedScan replay = collect(stream, 3);
-  EXPECT_EQ(first.chunks, replay.chunks);
+  EXPECT_EQ(first.words, replay.words);
+  EXPECT_EQ(first.parity, replay.parity);
   EXPECT_EQ(first.soft, replay.soft);
   EXPECT_EQ(first.stable, replay.stable);
 }
@@ -174,53 +204,115 @@ TEST(ScanStream, RejectsZeroChunk) {
 
 // --- StreamingNormalEquations vs the one-shot kernels --------------------
 
-linalg::Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
-  linalg::Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.uniform(-1.0, 1.0);
-  return m;
+/// The oracle: linalg::gram / matvec_transposed over the feature_fill Phi of
+/// the same challenges — the kernels the materialized fit runs.
+struct OneShot {
+  linalg::Matrix gram;
+  std::vector<linalg::Vector> xty;
+};
+
+OneShot one_shot(const std::vector<Challenge>& challenges,
+                 const std::vector<std::vector<double>>& ys) {
+  const std::size_t d = challenges.front().size() + 1;
+  linalg::Matrix phi(challenges.size(), d);
+  for (std::size_t r = 0; r < challenges.size(); ++r)
+    sim::feature_fill(challenges[r], phi.row(r));
+  OneShot out{linalg::gram(phi), {}};
+  for (const auto& y : ys) out.xty.push_back(linalg::matvec_transposed(phi, linalg::Vector(y)));
+  return out;
 }
 
-TEST(StreamingNormalEquations, MatchesOneShotGramAndCholeskyBitwise) {
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(StreamingNormalEquations, ParityAccumulateMatchesOneShotGramAndXtyBitwise) {
   Rng rng(2718);
-  const std::size_t n = 97, d = 9, targets = 2;
-  const linalg::Matrix x = random_matrix(n, d, rng);
+  const std::size_t n = 200;  // four 64-row column words, the last one partial
+  for (std::size_t stages = 1; stages <= 129; ++stages) {
+    const std::size_t d = stages + 1;
+    const std::size_t n_words = sim::packed_words(stages);
+    std::vector<std::uint64_t> words(n * n_words);
+    for (std::size_t r = 0; r < n; ++r)
+      sim::random_packed_challenge_into({words.data() + r * n_words, n_words}, stages, rng);
+    std::vector<std::uint64_t> parity(words.size());
+    sim::suffix_parity_words(words, stages, parity);
+    // Garbage above `stages` in each row's last word must be ignored.
+    if (stages % 64 != 0)
+      for (std::size_t r = 0; r < n; ++r)
+        parity[r * n_words + n_words - 1] |= rng.next_u64() << (stages % 64);
+    std::vector<Challenge> challenges(n);
+    for (std::size_t r = 0; r < n; ++r)
+      sim::unpack_challenge_into({words.data() + r * n_words, n_words}, stages, challenges[r]);
+    // Targets with signed zeros: +/-0 * -1 must flip like the multiply does.
+    std::vector<std::vector<double>> ys(10, std::vector<double>(n));
+    for (auto& y : ys)
+      for (std::size_t r = 0; r < n; ++r)
+        y[r] = r % 17 == 0 ? 0.0 : r % 19 == 0 ? -0.0 : rng.uniform(-1.0, 1.0);
+    const OneShot oracle = one_shot(challenges, ys);
+
+    for (const std::size_t targets : {1u, 10u}) {
+      for (const std::size_t chunk : {1u, 7u, 4096u}) {
+        SCOPED_TRACE(::testing::Message() << "stages " << stages << ", targets " << targets
+                                          << ", chunk " << chunk);
+        ml::StreamingNormalEquations acc(d, targets);
+        for (std::size_t pos = 0; pos < n; pos += chunk) {
+          const std::size_t m = std::min(chunk, n - pos);
+          std::vector<std::vector<double>> chunk_y(targets);
+          for (std::size_t t = 0; t < targets; ++t)
+            chunk_y[t].assign(ys[t].begin() + static_cast<std::ptrdiff_t>(pos),
+                              ys[t].begin() + static_cast<std::ptrdiff_t>(pos + m));
+          acc.accumulate({parity.data() + pos * n_words, m * n_words}, chunk_y);
+        }
+        ASSERT_EQ(acc.rows(), n);
+        const linalg::Matrix g = acc.gram();
+        ASSERT_EQ(g.rows(), d);
+        ASSERT_TRUE(same_bits(g.row(0), oracle.gram.row(0), d * d)) << "Gram";
+        for (std::size_t t = 0; t < targets; ++t)
+          ASSERT_TRUE(same_bits(acc.xty(t).data(), oracle.xty[t].data(), d)) << "Xty " << t;
+      }
+    }
+  }
+}
+
+TEST(StreamingNormalEquations, SolveMatchesOneShotCholeskyBitwise) {
+  Rng rng(31);
+  const std::size_t stages = 32, d = stages + 1, n = 97, targets = 2;
+  std::vector<Challenge> challenges = sim::random_challenges(stages, n, rng);
+  std::vector<std::uint64_t> parity(n), words(n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t i = 0; i < stages; ++i)
+      words[r] |= static_cast<std::uint64_t>(challenges[r][i]) << i;
+  sim::suffix_parity_words(words, stages, parity);
   std::vector<std::vector<double>> ys(targets);
   for (auto& y : ys)
-    for (std::size_t r = 0; r < n; ++r) y.push_back(rng.uniform(-1.0, 1.0));
+    for (std::size_t r = 0; r < n; ++r) y.push_back(rng.uniform(0.0, 1.0));
 
-  // Feed ragged chunks (sizes 1, 2, 3, ... wrapping) to stress the
-  // any-partition contract.
+  // Ragged chunks (sizes 1, 2, 3, ... wrapping) stress the any-partition
+  // contract end to end.
   ml::StreamingNormalEquations acc(d, targets);
   std::size_t pos = 0, step = 1;
   while (pos < n) {
     const std::size_t m = std::min(step, n - pos);
-    linalg::Matrix phi(m, d);
     std::vector<std::vector<double>> chunk_y(targets);
-    for (std::size_t r = 0; r < m; ++r) {
-      for (std::size_t c = 0; c < d; ++c) phi(r, c) = x(pos + r, c);
-      for (std::size_t t = 0; t < targets; ++t) chunk_y[t].push_back(ys[t][pos + r]);
-    }
-    acc.accumulate(phi, chunk_y);
+    for (std::size_t t = 0; t < targets; ++t)
+      for (std::size_t r = 0; r < m; ++r) chunk_y[t].push_back(ys[t][pos + r]);
+    acc.accumulate({parity.data() + pos, m}, chunk_y);
     pos += m;
     step = step % 5 + 1;
   }
-  ASSERT_EQ(acc.rows(), n);
 
   const double ridge = 1e-8;
   const linalg::Matrix w = acc.solve(ridge);
   ASSERT_EQ(w.rows(), targets);
   ASSERT_EQ(w.cols(), d);
-
-  // One-shot reference: the exact kernel sequence solve_least_squares'
-  // normal-equations route runs on a materialized X.
-  linalg::Matrix g = linalg::gram(x);
-  for (std::size_t i = 0; i < d; ++i) g(i, i) += ridge;
-  linalg::Cholesky chol(g);
+  // One-shot reference: the kernel sequence solve_least_squares' normal-
+  // equations route runs on a materialized Phi.
+  OneShot oracle = one_shot(challenges, ys);
+  for (std::size_t i = 0; i < d; ++i) oracle.gram(i, i) += ridge;
+  const linalg::Cholesky chol(oracle.gram);
   for (std::size_t t = 0; t < targets; ++t) {
-    const linalg::Vector rhs =
-        linalg::matvec_transposed(x, linalg::Vector(ys[t]));
-    const linalg::Vector ref = chol.solve(rhs);
+    const linalg::Vector ref = chol.solve(oracle.xty[t]);
     for (std::size_t c = 0; c < d; ++c)
       EXPECT_EQ(w(t, c), ref[c]) << "target " << t << " coefficient " << c;
     double sum = 0.0;
@@ -230,15 +322,21 @@ TEST(StreamingNormalEquations, MatchesOneShotGramAndCholeskyBitwise) {
 }
 
 TEST(StreamingNormalEquations, RejectsUnderdeterminedAndShapeMismatch) {
+  EXPECT_THROW(ml::StreamingNormalEquations(1, 1), std::invalid_argument);  // no stage
   ml::StreamingNormalEquations acc(4, 1);
-  linalg::Matrix phi(2, 4);
+  const std::vector<std::uint64_t> parity{0b101, 0b011};
   std::vector<std::vector<double>> y{{1.0, 0.0}};
-  acc.accumulate(phi, y);
+  acc.accumulate(parity, y);
   EXPECT_THROW(acc.solve(0.0), std::invalid_argument);  // 2 rows < 4 features
-  linalg::Matrix bad(2, 3);
-  EXPECT_THROW(acc.accumulate(bad, y), std::invalid_argument);
   std::vector<std::vector<double>> short_y{{1.0}};
-  EXPECT_THROW(acc.accumulate(phi, short_y), std::invalid_argument);
+  EXPECT_THROW(acc.accumulate(parity, short_y), std::invalid_argument);
+  std::vector<std::vector<double>> two_targets{{1.0, 0.0}, {0.0, 1.0}};
+  EXPECT_THROW(acc.accumulate(parity, two_targets), std::invalid_argument);
+  // 66 stages take two words per row: three words are a partial row.
+  ml::StreamingNormalEquations wide(67, 1);
+  const std::vector<std::uint64_t> partial{1, 2, 3};
+  std::vector<std::vector<double>> one_row{{0.5}};
+  EXPECT_THROW(wide.accumulate(partial, one_row), std::invalid_argument);
 }
 
 // --- End-to-end: streaming enroll vs materialized enroll ------------------
@@ -256,31 +354,41 @@ void expect_models_identical(const puf::ServerModel& a, const puf::ServerModel& 
 
 TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
   ThreadGuard guard;
-  sim::ChipPopulation pop(small_lot());
-
   puf::EnrollmentConfig cfg;
   cfg.training_challenges = 400;
   cfg.trials = 200;
 
-  // The materialized reference, computed once on one thread.
-  ThreadPool::set_global_threads(1);
-  Rng ref_rng(31415);
-  const puf::ServerModel reference =
-      puf::Enroller(cfg).enroll_materialized(pop.chip(0), ref_rng);
+  // One, two and three parity words per challenge, with the word-boundary
+  // stage counts; one PUF, a few, and the paper's ten.
+  for (const std::size_t stages : {1u, 32u, 64u, 65u, 129u}) {
+    for (const std::size_t n_pufs : {1u, 3u, 10u}) {
+      sim::PopulationConfig pcfg = small_lot();
+      pcfg.n_pufs_per_chip = n_pufs;
+      pcfg.device.stages = stages;
+      sim::ChipPopulation pop(pcfg);
 
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-    for (std::uint64_t threads : {1u, 2u, 8u}) {
-      ThreadPool::set_global_threads(threads);
-      puf::EnrollmentConfig scfg = cfg;
-      scfg.chunk_challenges = chunk;
-      Rng rng(31415);
-      const puf::ServerModel streamed = puf::Enroller(scfg).enroll(pop.chip(0), rng);
-      SCOPED_TRACE(::testing::Message() << "chunk " << chunk << ", threads " << threads);
-      expect_models_identical(streamed, reference);
-      // Both paths must consume the caller's generator identically.
-      Rng expected(31415);
-      expected.fork();
-      EXPECT_EQ(rng.next_u64(), expected.next_u64());
+      // The materialized reference, computed once on one thread.
+      ThreadPool::set_global_threads(1);
+      Rng ref_rng(31415);
+      const puf::ServerModel reference =
+          puf::Enroller(cfg).enroll_materialized(pop.chip(0), ref_rng);
+
+      for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
+        for (std::uint64_t threads : {1u, 2u, 8u}) {
+          ThreadPool::set_global_threads(threads);
+          puf::EnrollmentConfig scfg = cfg;
+          scfg.chunk_challenges = chunk;
+          Rng rng(31415);
+          const puf::ServerModel streamed = puf::Enroller(scfg).enroll(pop.chip(0), rng);
+          SCOPED_TRACE(::testing::Message() << "stages " << stages << ", pufs " << n_pufs
+                                            << ", chunk " << chunk << ", threads " << threads);
+          expect_models_identical(streamed, reference);
+          // Both paths must consume the caller's generator identically.
+          Rng expected(31415);
+          expected.fork();
+          EXPECT_EQ(rng.next_u64(), expected.next_u64());
+        }
+      }
     }
   }
 }

@@ -45,8 +45,10 @@
 #             check (--expect-net-socket), lockstep-vs-socket timing gate,
 #             and tests/test_async_service under TSan
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
-#             tests/test_linear + tests/test_screening on the portable
-#             scalar kernels, the only path on hosts without AVX2
+#             tests/test_linear, test_screening, test_streaming and
+#             test_rng on the portable scalar kernels (FeatureBlock and
+#             parity-word tiles, parity_dots), the only path on hosts
+#             without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -126,9 +128,12 @@ simd_off_job() {
     -DXPUF_WERROR=ON \
     -DXPUF_BUILD_BENCHMARKS=OFF \
     -DXPUF_BUILD_EXAMPLES=OFF &&
-    cmake --build "${prefix}-simd-off" -j "${jobs}" --target test_linear test_screening &&
+    cmake --build "${prefix}-simd-off" -j "${jobs}" \
+      --target test_linear test_screening test_streaming test_rng &&
     "${prefix}-simd-off/tests/test_linear" &&
-    "${prefix}-simd-off/tests/test_screening"
+    "${prefix}-simd-off/tests/test_screening" &&
+    "${prefix}-simd-off/tests/test_streaming" &&
+    "${prefix}-simd-off/tests/test_rng"
 }
 
 tsan_configure() {
