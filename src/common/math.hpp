@@ -19,6 +19,16 @@ double normal_pdf(double x);
 /// Standard normal CDF Phi(x), accurate in both tails (built on erfc).
 double normal_cdf(double x);
 
+/// normal_cdf(x) is exactly 1.0 for every x >= this (0.5 * erfc(-x / sqrt 2)
+/// rounds to 1.0 there) and below 1.0 at the next double down. A property
+/// of the libm's erfc rounding; tests/test_math.cpp pins both sides.
+inline constexpr double kNormalCdfOneFrom = 8.2923610758135968;
+
+/// normal_cdf(x) is exactly 0.0 for every x <= this (erfc underflows past
+/// its smallest subnormal) and positive at the next double up. Pinned the
+/// same way.
+inline constexpr double kNormalCdfZeroTo = -0x1.33cd8c8c4dd05p+5;  // -38.475365730404555
+
 /// Batched Phi over a span: out[i] = normal_cdf(xs[i]), bit-for-bit. One
 /// straight-line loop over the same erfc expression, so the batched
 /// evaluation core (sim/linear.hpp) and the scalar hot paths can never

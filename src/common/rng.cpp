@@ -92,8 +92,9 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   if (np < 30.0) return binomial_inversion(n, p);
 
   // Bulk regime: normal approximation with continuity correction. The exact
-  // tail mass at 0 or n is below exp(-60) here, so the approximation cannot
-  // corrupt stability statistics.
+  // mass at 0 is (1 - p)^n < exp(-np) <= exp(-30) here (and at n smaller
+  // still); the approximation puts below 4e-8 there, so it barely touches
+  // stability statistics, but it is not exact (see rng.hpp).
   const double mean = np;
   const double sd = std::sqrt(np * (1.0 - p));
   double x = std::floor(mean + sd * normal() + 0.5);

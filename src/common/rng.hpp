@@ -88,11 +88,18 @@ class Rng {
   /// Bernoulli with probability p of true.
   bool bernoulli(double p) { return uniform() < p; }
 
-  /// Exact Binomial(n, p) sample. Uses inversion for small n*p (and the
-  /// mirrored tail for p close to 1) and the BTPE-style normal-rejection
-  /// approximation otherwise. Tail probabilities are exact where it matters
-  /// for stability analysis: Pr(X == 0) and Pr(X == n) are honored to within
-  /// double precision for any n up to 2^31.
+  /// Binomial(n, p) sample, in one of three regimes:
+  ///  - p == 0 and p == 1 return 0 and n without a draw; p > 0.5 returns
+  ///    n - binomial(n, 1 - p), so the regimes below see p <= 0.5.
+  ///  - n p < 30: exact CDF inversion from one uniform, starting at
+  ///    pmf(0) = (1 - p)^n via log1p, so Pr(X == 0) — and through the
+  ///    mirror Pr(X == n) — is honored to within double rounding. This is
+  ///    the regime of every nearly stable scan cell.
+  ///  - n p >= 30: NOT exact. A normal approximation with continuity
+  ///    correction, floor(n p + sd * normal() + 0.5) clamped to [0, n] with
+  ///    sd = sqrt(n p (1 - p)). Its Pr(X == 0) is about
+  ///    Phi((0.5 - n p) / sd) < 4e-8, where the exact (1 - p)^n is below
+  ///    e^-30; Pr(X == n) is smaller still.
   std::uint64_t binomial(std::uint64_t n, double p);
 
   /// Derive an independent child generator. Children obtained from distinct

@@ -148,14 +148,15 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
   // path's fit_time_ms is per-PUF too.
   const double fit_ms_per_puf = fit_ms / static_cast<double>(n_pufs);
 
-  // Pass 2: replay the identical chunks (reset() rewinds the challenge
-  // generator; measurements are pure functions of the cell index) to derive
-  // thresholds and R^2 against the fitted weights. Predictions come from
-  // the chip view's parity tile over the fitted weights, whose per-element
-  // chain equals the materialized path's matvec (ascending index, bias
-  // last); rss/tss accumulate in ascending row order, so both diagnostics
-  // reproduce the materialized values bit for bit. The view's noise sigma
-  // is unused: only delays are read.
+  // Pass 2: replay the identical chunks (reset() serves the chunks the
+  // stream kept from pass 1 and measures any past its budget again, as pure
+  // functions of the cell index) to derive thresholds and R^2 against the
+  // fitted weights. Predictions come from the chip view's parity tile over
+  // the fitted weights, whose per-element chain equals the materialized
+  // path's matvec (ascending index, bias last); rss/tss accumulate in
+  // ascending row order, so both diagnostics reproduce the materialized
+  // values bit for bit. The view's noise sigma is unused: only delays are
+  // read.
   std::vector<sim::DeviceLinearView> fitted(n_pufs);
   for (std::size_t p = 0; p < n_pufs; ++p) {
     const double* w = weights.row(p);

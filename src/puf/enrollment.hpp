@@ -118,8 +118,10 @@ class Enroller {
 
   /// Enrolls a chip, deriving the training challenges from `rng`. Streams
   /// the scan in config().chunk_challenges-sized chunks and accumulates
-  /// normal equations per chunk, so memory stays O(chunk + features^2)
-  /// regardless of training_challenges — while the returned model is
+  /// normal equations per chunk, so memory stays O(chunk + features^2 +
+  /// sim::ChipScanStream::kRetainBytes) regardless of training_challenges:
+  /// the stream keeps each cell's count for the diagnostics pass up to that
+  /// fixed budget and measures the rest again. The returned model is
   /// bit-identical to enroll_materialized (see DESIGN.md "Streaming
   /// enrollment" for the argument).
   ServerModel enroll(const sim::XorPufChip& chip, Rng& rng) const;

@@ -584,12 +584,11 @@ void ChipLinearView::delay_differences_into(const FeatureBlock& block, std::size
 }
 
 // Same tile contract.
-void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size_t begin,
-                                            std::size_t end, double* out) const {
+void ChipLinearView::standardized_delays_into(const FeatureBlock& block, std::size_t begin,
+                                              std::size_t end, double* out) const {
   XPUF_REQUIRE(end <= block.size() && begin <= end, "tile range out of bounds");
   XPUF_REQUIRE(begin == end || block.features() == features(), "feature length mismatch");
   const std::size_t n = puf_count();
-  const std::size_t total = (end - begin) * n;
 #if defined(__AVX2__)
   // Fused path: the sigma division rides the tile's store (one pass over the
   // data instead of two), with padding lanes dividing by 1.0.
@@ -597,15 +596,20 @@ void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size
     double sig[12 + 3] = {};
     const std::size_t stride = weights_t_.cols();
     for (std::size_t i = 0; i < stride; ++i) sig[i] = i < n ? noise_sigmas_[i] : 1.0;
-    if (avx2_dispatch(weights_t_, n, block, begin, end, out, sig)) {
-      normal_cdf_batch({out, total}, {out, total});
-      return;
-    }
+    if (avx2_dispatch(weights_t_, n, block, begin, end, out, sig)) return;
   }
 #endif
   delay_differences_into(block, begin, end, out);
   for (std::size_t r = 0; r < end - begin; ++r)
     for (std::size_t p = 0; p < n; ++p) out[r * n + p] /= noise_sigmas_[p];
+}
+
+// Same tile contract (checked by standardized_delays_into).
+// xpuf-lint: guarded-by(standardized_delays_into)
+void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size_t begin,
+                                            std::size_t end, double* out) const {
+  standardized_delays_into(block, begin, end, out);
+  const std::size_t total = (end - begin) * puf_count();
   normal_cdf_batch({out, total}, {out, total});
 }
 
@@ -623,9 +627,9 @@ void ChipLinearView::delay_differences_into(std::span<const std::uint64_t> parit
 }
 
 // Same tile contract; the sigma division rides the tile's store.
-void ChipLinearView::one_probabilities_into(std::span<const std::uint64_t> parity,
-                                            std::size_t begin, std::size_t end,
-                                            double* out) const {
+void ChipLinearView::standardized_delays_into(std::span<const std::uint64_t> parity,
+                                              std::size_t begin, std::size_t end,
+                                              double* out) const {
   XPUF_REQUIRE(features() >= 2, "parity tiles need a chip view with at least one stage");
   const std::size_t stages = features() - 1;
   XPUF_REQUIRE(parity.size() % packed_words(stages) == 0,
@@ -634,8 +638,17 @@ void ChipLinearView::one_probabilities_into(std::span<const std::uint64_t> parit
                "tile range out of bounds");
   parity_tile(weights_t_, puf_count(), stages, parity.data(), begin, end, out,
               noise_sigmas_.data());
-  const std::size_t total = (end - begin) * puf_count();
-  normal_cdf_batch({out, total}, {out, total});
+}
+
+LazyCdfCounter::LazyCdfCounter(std::uint64_t trials) : trials_(trials) {
+  XPUF_REQUIRE(trials >= 1, "a lazy CDF counter needs at least one trial");
+  // Start at the quantile of the target tail mass and step down until the
+  // product binomial computes, n * normal_cdf(z), clears 2^-54; normal_cdf
+  // is monotone, so every z below the cut clears it too.
+  const double n = static_cast<double>(trials);
+  double z = normal_quantile(0x1p-54 / n);
+  while (!(n * normal_cdf(z) < 0x1p-54)) z -= 0x1p-20;
+  lower_cut_ = z;
 }
 
 }  // namespace xpuf::sim

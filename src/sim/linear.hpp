@@ -37,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -185,6 +186,11 @@ class ChipLinearView {
                               std::size_t end, double* out) const;
   void one_probabilities_into(const FeatureBlock& block, std::size_t begin,
                               std::size_t end, double* out) const;
+  /// The standardized delays z = delay / noise_sigma of the same tile: the
+  /// exact doubles one_probabilities_into hands to normal_cdf_batch, for
+  /// callers that map z to a count without the CDF (LazyCdfCounter).
+  void standardized_delays_into(const FeatureBlock& block, std::size_t begin,
+                                std::size_t end, double* out) const;
 
   /// The same tiles over rows [begin, end) of suffix_parity_words output
   /// (packed_words(features() - 1) words per row) instead of a FeatureBlock.
@@ -194,14 +200,66 @@ class ChipLinearView {
   /// tiles' bit for bit (for non-NaN weights). Serial by design.
   void delay_differences_into(std::span<const std::uint64_t> parity, std::size_t begin,
                               std::size_t end, double* out) const;
-  void one_probabilities_into(std::span<const std::uint64_t> parity, std::size_t begin,
-                              std::size_t end, double* out) const;
+  void standardized_delays_into(std::span<const std::uint64_t> parity, std::size_t begin,
+                                std::size_t end, double* out) const;
 
  private:
   linalg::Matrix weights_;           // puf_count x (k+1)
   linalg::Matrix weights_t_;         // (k+1) x puf_count zero-padded to a
                                      // four-lane stride, for the tile kernels
   std::vector<double> noise_sigmas_; // per-PUF sigma at the snapshot corner
+};
+
+/// Counter readings Binomial(trials, normal_cdf(z)) of scan cells, from
+/// each cell's standardized delay z, with normal_cdf evaluated only where
+/// the count can depend on it:
+///
+///  - z >= kNormalCdfOneFrom: normal_cdf(z) is exactly 1.0, so the count is
+///    `trials`; no stream is built and nothing is drawn.
+///  - z <= kNormalCdfZeroTo: normal_cdf(z) is exactly 0.0, so the count is
+///    0, again with no stream.
+///  - z <= lower_cut(): trials * normal_cdf(z) < 2^-54, so Rng::binomial's
+///    zero-count exit bound 1 - n p - 2^-40 rounds to exactly kZeroExit. A
+///    probe copy of the stream draws that exit's uniform; at or below
+///    kZeroExit the count is 0 and the stream takes the probe's state, as
+///    binomial would leave it. Only above it (odds 2^-40) is normal_cdf
+///    computed, and binomial runs on the untouched stream.
+///  - otherwise: binomial(trials, normal_cdf(z)), exactly as drawn before.
+///
+/// Hence both the count and the stream's final state equal
+/// `stream.binomial(trials, normal_cdf(z))` for every z; a NaN z reaches
+/// binomial, which rejects it.
+class LazyCdfCounter {
+ public:
+  /// Rng::binomial's zero-count exit bound wherever n p < 2^-54.
+  static constexpr double kZeroExit = 1.0 - 0x1p-40;
+
+  explicit LazyCdfCounter(std::uint64_t trials);
+
+  /// Every z <= lower_cut() has trials * normal_cdf(z) < 2^-54.
+  double lower_cut() const { return lower_cut_; }
+
+  /// The count for standardized delay z. `stream` is a callable returning
+  /// an Rng& to the cell's fresh stream; it is called at most once, and not
+  /// at all where the count needs no draw.
+  template <class StreamFn>
+  std::uint64_t count(double z, StreamFn&& stream) const {
+    if (z >= kNormalCdfOneFrom) return trials_;
+    if (z <= kNormalCdfZeroTo) return 0;
+    Rng& rng = stream();
+    if (z <= lower_cut_) {
+      Rng probe = rng;
+      if (probe.uniform() <= kZeroExit) {
+        rng = probe;
+        return 0;
+      }
+    }
+    return rng.binomial(trials_, normal_cdf(z));
+  }
+
+ private:
+  std::uint64_t trials_;
+  double lower_cut_;
 };
 
 }  // namespace xpuf::sim

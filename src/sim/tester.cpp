@@ -1,6 +1,8 @@
 #include "sim/tester.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -34,6 +36,44 @@ std::vector<double> build_soft_lut(std::uint64_t trials) {
       lut[k] = static_cast<double>(k) / static_cast<double>(trials);
   }
   return lut;
+}
+
+double soft_of(const std::vector<double>& lut, std::uint64_t ones, std::uint64_t trials) {
+  return lut.empty() ? static_cast<double>(ones) / static_cast<double>(trials) : lut[ones];
+}
+
+/// The batched count kernel both individual scans share: the counts of
+/// tile rows [begin, end) from the tile's standardized delays `z`
+/// ((end - begin) x n_pufs, row-major), cell (p, c) drawing from stream
+/// p * key_stride + key_offset + c. `emit(p, c, ones)` stores each count.
+/// PUF-outer order keeps its writes contiguous; it cannot change a value,
+/// because every cell owns its stream.
+template <class Emit>
+void count_tile(const LazyCdfCounter& counter, const StreamFamily& streams, const double* z,
+                std::size_t n_pufs, std::size_t begin, std::size_t end,
+                std::uint64_t key_stride, std::uint64_t key_offset, Emit&& emit) {
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    for (std::size_t c = begin; c < end; ++c) {
+      std::optional<Rng> cell;
+      const std::uint64_t ones = counter.count(z[(c - begin) * n_pufs + p], [&]() -> Rng& {
+        return cell.emplace(streams.stream(p * key_stride + key_offset + c));
+      });
+      emit(p, c, ones);
+    }
+  }
+}
+
+/// Inverts suffix_parity_words: stage bit i is parity bit i XOR parity bit
+/// i + 1, the next word's bit 0 standing in above bit 63 and a zero above
+/// the last stage (suffix_parity_words clears the bits past `stages`).
+void words_from_suffix_parity(std::span<const std::uint64_t> parity, std::size_t n_words,
+                              std::span<std::uint64_t> words) {
+  for (std::size_t r = 0; r < parity.size(); r += n_words) {
+    for (std::size_t w = 0; w < n_words; ++w) {
+      const std::uint64_t above = w + 1 < n_words ? parity[r + w + 1] << 63 : 0;
+      words[r + w] = parity[r + w] ^ (parity[r + w] >> 1) ^ above;
+    }
+  }
 }
 }  // namespace
 
@@ -87,6 +127,7 @@ void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock
   if (batched) view = chip.linear_view(env_);
   std::vector<double> soft_lut;
   if (batched) soft_lut = build_soft_lut(trials_);
+  const LazyCdfCounter counter(trials_);
 
   // One base draw keys every (puf, challenge) cell's private stream; each
   // cell's measurement noise is a pure function of (base, cell index).
@@ -104,31 +145,19 @@ void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock
   parallel_for(n_ch, kScanChunk,
                [&](std::size_t begin, std::size_t end, std::size_t) {
                  if (batched) {
-                   // One GEMM tile for the whole chunk, then per-cell
-                   // binomial draws from the same streams the scalar mode
-                   // uses — the mode changes evaluation cost, not draws.
-                   // thread_local staging: one buffer per worker for the
-                   // whole scan instead of one allocation per chunk.
-                   thread_local std::vector<double> probs;
-                   probs.resize((end - begin) * n_pufs);
-                   view.one_probabilities_into(block, begin, end, probs.data());
-                   // PUF-outer order keeps the soft/stable writes contiguous;
-                   // it cannot change any value because every cell draws from
-                   // its own private stream, keyed by index alone.
-                   for (std::size_t p = 0; p < n_pufs; ++p) {
-                     double* soft_row = scan.soft[p].data();
-                     std::uint8_t* stable_row = stable_bytes[p].data();
-                     for (std::size_t c = begin; c < end; ++c) {
-                       Rng cell_rng = streams.stream(p * n_ch + c);
-                       const std::uint64_t ones = cell_rng.binomial(
-                           trials_, probs[(c - begin) * n_pufs + p]);
-                       soft_row[c] = soft_lut.empty()
-                                         ? static_cast<double>(ones) /
-                                               static_cast<double>(trials_)
-                                         : soft_lut[ones];
-                       stable_row[c] = (ones == 0 || ones == trials_) ? 1 : 0;
-                     }
-                   }
+                   // One GEMM tile of standardized delays for the whole
+                   // chunk, then per-cell counts from the same streams the
+                   // scalar mode uses — the mode changes evaluation cost,
+                   // not draws. thread_local staging: one buffer per worker
+                   // for the whole scan instead of one allocation per chunk.
+                   thread_local std::vector<double> z;
+                   z.resize((end - begin) * n_pufs);
+                   view.standardized_delays_into(block, begin, end, z.data());
+                   count_tile(counter, streams, z.data(), n_pufs, begin, end, n_ch, 0,
+                              [&](std::size_t p, std::size_t c, std::uint64_t ones) {
+                                scan.soft[p][c] = soft_of(soft_lut, ones, trials_);
+                                stable_bytes[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
+                              });
                  } else {
                    for (std::size_t c = begin; c < end; ++c) {
                      for (std::size_t p = 0; p < n_pufs; ++p) {
@@ -158,9 +187,11 @@ ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
       mode_(mode),
       total_(total),
       chunk_(chunk),
-      challenge_rng_(tester_rng) {
+      challenge_rng_(tester_rng),
+      counter_(trials),
+      soft_lut_(build_soft_lut(trials)) {
   XPUF_REQUIRE(chunk >= 1, "scan stream needs a chunk size of at least one");
-  challenge_rng_start_ = challenge_rng_;
+  challenge_rng_resume_ = challenge_rng_;
   // Pre-roll: advance the tester's generator past exactly the draws the
   // materialized path's challenge generation would consume (one u64 per
   // challenge bit), so the base draw below lands on the same state
@@ -170,16 +201,13 @@ ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
   const std::size_t stages = chip.stages();
   for (std::size_t i = 0; i < total * stages; ++i) tester_rng.next_u64();
   base_ = tester_rng.fork_base();
-  if (mode_ == ScanMode::kBatched) {
-    // Materializing the linear view also performs the per-tap access check a
-    // deployed chip must fail — at stream construction, not first use.
-    view_ = chip.linear_view(env_);
-    soft_lut_ = build_soft_lut(trials_);
-  }
+  // Materializing the linear view also performs the per-tap access check a
+  // deployed chip must fail — at stream construction, not first use.
+  if (mode_ == ScanMode::kBatched) view_ = chip.linear_view(env_);
 }
 
 void ChipScanStream::reset() {
-  challenge_rng_ = challenge_rng_start_;
+  challenge_rng_ = challenge_rng_resume_;
   position_ = 0;
 }
 
@@ -191,24 +219,65 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   const std::size_t m = std::min(chunk_, total_ - position_);
   const std::size_t stages = chip_->stages();
   const std::size_t n_pufs = chip_->puf_count();
-
-  // Regenerate this chunk's challenges from the saved generator copy,
-  // packed: the draw sequence is the materialized path's, just consumed
-  // lazily and written straight into the words.
   const std::size_t n_words = packed_words(stages);
   chunk.offset = begin_global;
   chunk.stages = stages;
   chunk.words.resize(m * n_words);
-  for (std::size_t i = 0; i < m; ++i)
-    random_packed_challenge_into({chunk.words.data() + i * n_words, n_words}, stages,
-                                 challenge_rng_);
-  chunk.parity.resize(chunk.words.size());
-  suffix_parity_words(chunk.words, stages, chunk.parity);
-
+  chunk.parity.resize(m * n_words);
   chunk.soft.resize(n_pufs);
   for (auto& row : chunk.soft) row.resize(m);
   chunk.stable.resize(n_pufs);
   for (auto& row : chunk.stable) row.resize(m);
+
+  // Kept chunks lie on the same chunk grid, so this chunk is kept whole or
+  // not at all. Serve it from its first measurement.
+  if (begin_global < retained_) {
+    std::copy_n(retained_parity_.data() + begin_global * n_words, m * n_words,
+                chunk.parity.data());
+    words_from_suffix_parity(chunk.parity, n_words, chunk.words);
+    const std::uint16_t* counts = retained_counts_.data() + begin_global * n_pufs;
+    for (std::size_t p = 0; p < n_pufs; ++p) {
+      for (std::size_t c = 0; c < m; ++c) {
+        const std::uint64_t ones = counts[p * m + c];
+        chunk.soft[p][c] = soft_lut_[ones];
+        chunk.stable[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
+      }
+    }
+    position_ += m;
+    return true;
+  }
+
+  // Regenerate this chunk's challenges from the saved generator copy,
+  // packed: the draw sequence is the materialized path's, just consumed
+  // lazily and written straight into the words.
+  for (std::size_t i = 0; i < m; ++i)
+    random_packed_challenge_into({chunk.words.data() + i * n_words, n_words}, stages,
+                                 challenge_rng_);
+  suffix_parity_words(chunk.words, stages, chunk.parity);
+
+  // Keep the chunk if it extends the kept prefix within the byte budget.
+  const std::size_t bytes_per_challenge = n_words * sizeof(std::uint64_t) +
+                                          n_pufs * sizeof(std::uint16_t);
+  const bool retain = trials_ <= std::numeric_limits<std::uint16_t>::max() &&
+                      begin_global == retained_ &&
+                      (begin_global + m) * bytes_per_challenge <= kRetainBytes;
+  std::uint16_t* counts = nullptr;
+  if (retain) {
+    if (retained_counts_.empty()) {
+      const std::size_t capacity = std::min(total_, kRetainBytes / bytes_per_challenge);
+      retained_parity_.reserve(capacity * n_words);
+      retained_counts_.reserve(capacity * n_pufs);
+    }
+    retained_counts_.resize((begin_global + m) * n_pufs);
+    counts = retained_counts_.data() + begin_global * n_pufs;
+  }
+  // Stores one cell's count from the parallel workers below. ScanChunk::stable
+  // rows are std::uint8_t, not packed bits, so workers never share a word.
+  auto emit = [&](std::size_t p, std::size_t c, std::uint64_t ones) {
+    chunk.soft[p][c] = soft_of(soft_lut_, ones, trials_);
+    chunk.stable[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
+    if (counts != nullptr) counts[p * m + c] = static_cast<std::uint16_t>(ones);
+  };
 
   // Same cell streams as scan_individual over the full scan: cell (p, c) is
   // keyed by p * total + c regardless of how rows are chunked, so every
@@ -220,24 +289,10 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   const bool batched = mode_ == ScanMode::kBatched;
   parallel_for(m, kScanChunk, [&](std::size_t begin, std::size_t end, std::size_t) {
     if (batched) {
-      thread_local std::vector<double> probs;
-      probs.resize((end - begin) * n_pufs);
-      view_.one_probabilities_into(chunk.parity, begin, end, probs.data());
-      for (std::size_t p = 0; p < n_pufs; ++p) {
-        double* soft_row = chunk.soft[p].data();
-        // ScanChunk::stable rows are std::uint8_t (not the packed-bit
-        // vector<bool> the rule names).  xpuf-lint: allow(vector-bool-parallel)
-        std::uint8_t* stable_row = chunk.stable[p].data();
-        for (std::size_t c = begin; c < end; ++c) {
-          Rng cell_rng = streams.stream(p * total_ + begin_global + c);
-          const std::uint64_t ones =
-              cell_rng.binomial(trials_, probs[(c - begin) * n_pufs + p]);
-          soft_row[c] = soft_lut_.empty() ? static_cast<double>(ones) /
-                                                static_cast<double>(trials_)
-                                          : soft_lut_[ones];
-          stable_row[c] = (ones == 0 || ones == trials_) ? 1 : 0;
-        }
-      }
+      thread_local std::vector<double> z;
+      z.resize((end - begin) * n_pufs);
+      view_.standardized_delays_into(chunk.parity, begin, end, z.data());
+      count_tile(counter_, streams, z.data(), n_pufs, begin, end, total_, begin_global, emit);
     } else {
       // The reference mode walks the stage model, which needs the challenge
       // as bits: unpack it once per row of cells.
@@ -248,16 +303,17 @@ bool ChipScanStream::next(ScanChunk& chunk) {
           Rng cell_rng = streams.stream(p * total_ + begin_global + c);
           // kScalar is the per-cell reference path, as in scan_individual.
           // xpuf-lint: allow(scalar-eval)
-          const SoftMeasurement meas = chip_->measure_soft_response(
-              p, challenge, env_, trials_, cell_rng);
-          chunk.soft[p][c] = meas.soft_response();
-          // Same: byte flags, not vector<bool>.  xpuf-lint: allow(vector-bool-parallel)
-          chunk.stable[p][c] = meas.fully_stable() ? 1 : 0;
+          emit(p, c, chip_->measure_soft_response(p, challenge, env_, trials_, cell_rng).ones);
         }
       }
     }
     measurements.add((end - begin) * n_pufs);
   });
+  if (retain) {
+    retained_parity_.insert(retained_parity_.end(), chunk.parity.begin(), chunk.parity.end());
+    retained_ += m;
+    challenge_rng_resume_ = challenge_rng_;
+  }
   position_ += m;
   return true;
 }

@@ -10,13 +10,13 @@
 // scan output is bit-identical for any thread count.
 //
 // Two scan modes share that RNG contract. kBatched (the default) routes
-// noise-free probabilities through the linear-view batch core — one feature
+// standardized delays through the linear-view batch core — one feature
 // block per scan (packed parity words per chunk on the streaming scan), one
-// tile per parallel chunk — and draws the binomial counters per cell from
-// the same streams. kScalar is the legacy reference: every cell walks the
-// recursive stage model. Mode changes cost, not draws; see DESIGN.md
-// "Batched evaluation core" and "Streaming enrollment" for the equivalence
-// contract.
+// tile per parallel chunk — and turns each into a binomial counter reading
+// with LazyCdfCounter, from the same per-cell streams. kScalar is the legacy
+// reference: every cell walks the recursive stage model. Mode changes cost,
+// not draws; see DESIGN.md "Batched evaluation core" and "Streaming
+// enrollment" for the equivalence contract.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +82,8 @@ struct ScanChunk {
 
 /// Chunked producer over a ChipTester scan: generates challenges, measures
 /// every (PUF, challenge) cell, and hands back fixed-size ScanChunks instead
-/// of whole-scan vectors, so a scan of any length runs in O(chunk) memory.
+/// of whole-scan vectors, so a scan of any length runs in O(chunk +
+/// kRetainBytes) memory.
 ///
 /// Determinism contract: a stream over `total` challenges is bit-identical
 /// to the materialized sequence `random_challenges(total)` followed by
@@ -92,15 +93,28 @@ struct ScanChunk {
 /// tester's generator is pre-advanced past those draws at construction), and
 /// every cell's measurement stream is keyed by `p * total + c` off one base
 /// draw taken after the pre-roll, exactly where scan_individual takes it.
-/// reset() rewinds to the first chunk and replays the identical scan — the
-/// two-pass trick streaming enrollment uses instead of storing the data.
+///
+/// Each cell is simulated once. While next() measures a chunk it keeps the
+/// chunk's parity words and per-cell counts, as long as the kept prefix of
+/// the scan stays within kRetainBytes and every count fits 16 bits (trials
+/// <= 65535). reset() rewinds to the first chunk: kept chunks come back from
+/// memory (words rebuilt from the parity words, soft from the counts), and
+/// only the chunks past the budget are drawn and measured again — from the
+/// same generator state and cell streams, so either way the replayed scan
+/// is bit-identical.
 ///
 /// The stream borrows the chip; it must outlive the stream.
 class ChipScanStream {
  public:
+  /// Byte budget for the kept prefix: 8 bytes per parity word plus 2 per
+  /// cell count, per challenge.
+  static constexpr std::size_t kRetainBytes = std::size_t{4} << 20;
+
   std::size_t total() const { return total_; }
   std::size_t chunk_challenges() const { return chunk_; }
   std::size_t position() const { return position_; }
+  /// Challenges [0, retained()) are kept in memory for replay.
+  std::size_t retained() const { return retained_; }
 
   /// Fills `chunk` with the next up-to-chunk_challenges() challenges and
   /// their measurements; returns false (leaving `chunk` untouched) when the
@@ -123,11 +137,18 @@ class ChipScanStream {
   std::size_t total_ = 0;
   std::size_t chunk_ = 0;
   std::size_t position_ = 0;
-  Rng challenge_rng_;        ///< replays the challenge draws, chunk by chunk
-  Rng challenge_rng_start_;  ///< saved copy for reset()
-  std::uint64_t base_ = 0;   ///< keys every cell's measurement stream
-  ChipLinearView view_;      ///< batched-mode snapshot (kScalar leaves it empty)
+  Rng challenge_rng_;         ///< draws challenge position_ on, past the kept prefix
+  Rng challenge_rng_resume_;  ///< generator state at challenge retained_, for reset()
+  std::uint64_t base_ = 0;    ///< keys every cell's measurement stream
+  ChipLinearView view_;       ///< batched-mode snapshot (kScalar leaves it empty)
+  LazyCdfCounter counter_;
   std::vector<double> soft_lut_;
+  std::size_t retained_ = 0;
+  /// Parity words of challenges [0, retained_), packed_words(stages) each.
+  std::vector<std::uint64_t> retained_parity_;
+  /// Counts of challenges [0, retained_), chunk by chunk: the chunk at
+  /// offset o with m challenges holds PUF p's counts at o * pufs + p * m.
+  std::vector<std::uint16_t> retained_counts_;
 };
 
 class ChipTester {

@@ -400,18 +400,18 @@ TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
             << "delays: stages " << stages << " pufs " << n_pufs << " rows " << begin << ".."
             << end;
         EXPECT_EQ(got[m], -2.0) << "wrote past the tile";
-        view.one_probabilities_into(block, begin, end, want.data());
-        view.one_probabilities_into(parity, begin, end, got.data());
+        view.standardized_delays_into(block, begin, end, want.data());
+        view.standardized_delays_into(parity, begin, end, got.data());
         ASSERT_TRUE(same_bits(got.data(), want.data(), m))
-            << "probabilities: stages " << stages << " pufs " << n_pufs << " rows " << begin
-            << ".." << end;
+            << "standardized delays: stages " << stages << " pufs " << n_pufs << " rows "
+            << begin << ".." << end;
       }
       double out[64];
       const std::span<const std::uint64_t> all(parity);
       EXPECT_THROW(view.delay_differences_into(all, 0, rows + 1, out), std::invalid_argument);
       EXPECT_THROW(view.delay_differences_into(all, 2, 1, out), std::invalid_argument);
       if (n_words > 1) {
-        EXPECT_THROW(view.one_probabilities_into(all.first(n_words + 1), 0, 1, out),
+        EXPECT_THROW(view.standardized_delays_into(all.first(n_words + 1), 0, 1, out),
                      std::invalid_argument);
       }
     }

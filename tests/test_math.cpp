@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "common/math.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf {
 namespace {
@@ -34,6 +36,61 @@ TEST(NormalCdf, FarTailsDoNotSaturateEarly) {
   EXPECT_GT(normal_cdf(-6.0), 0.0);
   EXPECT_NEAR(normal_cdf(-6.0), 9.865876450377018e-10, 1e-15);
   EXPECT_LT(normal_cdf(8.0), 1.0 + 1e-16);
+}
+
+// The lazy scan counts (sim::LazyCdfCounter) return `trials` without a draw
+// above kNormalCdfOneFrom and 0 below kNormalCdfZeroTo. Both cut-offs are
+// properties of the libm's erfc rounding: these tests fail if it rounds
+// differently, at the boundary or anywhere past it.
+TEST(NormalCdfCutOffs, ExactlyOneFromTheUpperCutOff) {
+  const double cut = kNormalCdfOneFrom;
+  ASSERT_LT(normal_cdf(std::nextafter(cut, 0.0)), 1.0)
+      << "erfc rounds differently: normal_cdf is already 1.0 below kNormalCdfOneFrom";
+  double z = cut;
+  for (int i = 0; i < 10000; ++i, z = std::nextafter(z, 40.0))
+    ASSERT_EQ(normal_cdf(z), 1.0) << "erfc rounds differently at z = " << z;
+  for (z = cut; z <= 40.0; z += 0x1p-14) ASSERT_EQ(normal_cdf(z), 1.0) << "z = " << z;
+  EXPECT_EQ(normal_cdf(40.0), 1.0);
+  EXPECT_EQ(normal_cdf(std::numeric_limits<double>::infinity()), 1.0);
+}
+
+TEST(NormalCdfCutOffs, ExactlyZeroUpToTheZeroCutOff) {
+  const double cut = kNormalCdfZeroTo;
+  ASSERT_GT(normal_cdf(std::nextafter(cut, 0.0)), 0.0)
+      << "erfc rounds differently: normal_cdf is still 0.0 above kNormalCdfZeroTo";
+  double z = cut;
+  for (int i = 0; i < 10000; ++i, z = std::nextafter(z, -40.0))
+    ASSERT_EQ(normal_cdf(z), 0.0) << "erfc rounds differently at z = " << z;
+  for (z = cut; z >= -40.0; z -= 0x1p-14) ASSERT_EQ(normal_cdf(z), 0.0) << "z = " << z;
+  EXPECT_EQ(normal_cdf(-40.0), 0.0);
+  EXPECT_EQ(normal_cdf(-std::numeric_limits<double>::infinity()), 0.0);
+}
+
+// Below the lower cut-off, Rng::binomial's product n * p stays under 2^-54,
+// which is what makes its zero-count exit bound exactly 1 - 2^-40. The
+// counter accepts any trials >= 1: check every 16-bit count (the scan's
+// retained range) exhaustively at the cut and just below it, powers of two
+// beyond, and a dense sweep down to the zero cut-off for a spread of them.
+TEST(NormalCdfCutOffs, LowerCutOffKeepsTheBinomialProductBelowTwoToMinus54) {
+  auto check = [](std::uint64_t trials) {
+    const double n = static_cast<double>(trials);
+    const double cut = sim::LazyCdfCounter(trials).lower_cut();
+    ASSERT_GT(cut, kNormalCdfZeroTo) << "trials " << trials;
+    ASSERT_LT(n * normal_cdf(cut), 0x1p-54) << "trials " << trials;
+    ASSERT_LT(n * normal_cdf(std::nextafter(cut, -40.0)), 0x1p-54) << "trials " << trials;
+    // The cut is tight: a hundredth above it the product has cleared 2^-54.
+    ASSERT_GE(n * normal_cdf(cut + 0.01), 0x1p-54) << "trials " << trials;
+  };
+  for (std::uint64_t trials = 1; trials <= 65535; ++trials) check(trials);
+  for (int b = 16; b < 64; ++b) check(std::uint64_t{1} << b);
+  check(std::numeric_limits<std::uint64_t>::max());
+
+  for (const std::uint64_t trials : {1ULL, 200ULL, 10000ULL, 65535ULL, 1ULL << 40}) {
+    const double n = static_cast<double>(trials);
+    const double cut = sim::LazyCdfCounter(trials).lower_cut();
+    for (double z = cut; z > kNormalCdfZeroTo; z -= 0x1p-12)
+      ASSERT_LT(n * normal_cdf(z), 0x1p-54) << "trials " << trials << ", z = " << z;
+  }
 }
 
 TEST(NormalCdfBatch, BitwiseMatchesScalarAcrossRegimes) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/math.hpp"
+#include "common/metrics.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
@@ -159,19 +160,123 @@ INSTANTIATE_TEST_SUITE_P(BothModes, ScanStreamTest,
                          ::testing::Values(sim::ScanMode::kBatched,
                                            sim::ScanMode::kScalar));
 
+/// A scan shape against ChipScanStream::kRetainBytes. With one PUF and one
+/// stage a challenge costs 10 bytes of the budget (one parity word, one
+/// count), so about 419k challenges fit.
+struct RetentionCase {
+  const char* name;
+  std::size_t total;
+  std::size_t chunk;
+  std::size_t retained;  ///< challenges the first pass keeps
+};
+
+constexpr std::size_t kBytesPerOneStageCell = sizeof(std::uint64_t) + sizeof(std::uint16_t);
+constexpr std::size_t kStraddleChunk = 65536;
+constexpr std::size_t kKeptChunks = sim::ChipScanStream::kRetainBytes /
+                                    (kStraddleChunk * kBytesPerOneStageCell);
+
+const std::vector<RetentionCase>& retention_cases() {
+  static const std::vector<RetentionCase> cases{
+      {"fits", 90, 32, 90},
+      // Whole chunks fit up to the budget; the ragged last one is measured
+      // again on every replay.
+      {"straddles", (kKeptChunks + 1) * kStraddleChunk - 1000, kStraddleChunk,
+       kKeptChunks * kStraddleChunk},
+      // The first chunk alone is over the budget: nothing is kept.
+      {"exceeds", sim::ChipScanStream::kRetainBytes / kBytesPerOneStageCell + 1000,
+       sim::ChipScanStream::kRetainBytes / kBytesPerOneStageCell + 1000, 0},
+  };
+  return cases;
+}
+
+sim::PopulationConfig one_stage_puf() {
+  sim::PopulationConfig cfg = small_lot();
+  cfg.n_pufs_per_chip = 1;
+  cfg.device.stages = 1;
+  return cfg;
+}
+
+constexpr sim::ScanMode kBothModes[] = {sim::ScanMode::kBatched, sim::ScanMode::kScalar};
+
 TEST(ScanStream, ResetReplaysBitIdentically) {
-  sim::ChipPopulation pop(small_lot());
-  Rng rng(5);
-  sim::ChipTester tester(sim::Environment::nominal(), 400, rng.fork());
-  sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), 90, 32);
-  const CollectedScan first = collect(stream, 3);
-  stream.reset();
-  EXPECT_EQ(stream.position(), 0u);
-  const CollectedScan replay = collect(stream, 3);
-  EXPECT_EQ(first.words, replay.words);
-  EXPECT_EQ(first.parity, replay.parity);
-  EXPECT_EQ(first.soft, replay.soft);
-  EXPECT_EQ(first.stable, replay.stable);
+  ThreadGuard guard;
+  sim::ChipPopulation pop(one_stage_puf());
+  for (const sim::ScanMode mode : kBothModes) {
+    for (const RetentionCase& rc : retention_cases()) {
+      CollectedScan reference;
+      for (std::uint64_t threads : {1u, 2u, 8u}) {
+        ThreadPool::set_global_threads(threads);
+        SCOPED_TRACE(::testing::Message() << rc.name << ", mode " << static_cast<int>(mode)
+                                          << ", " << threads << " threads");
+        Rng rng(5);
+        sim::ChipTester tester(sim::Environment::nominal(), 400, rng.fork(), mode);
+        sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), rc.total, rc.chunk);
+        const CollectedScan first = collect(stream, 1);
+        EXPECT_EQ(stream.retained(), rc.retained);
+        stream.reset();
+        EXPECT_EQ(stream.position(), 0u);
+        const CollectedScan replay = collect(stream, 1);
+        EXPECT_EQ(first.words, replay.words);
+        EXPECT_EQ(first.parity, replay.parity);
+        EXPECT_EQ(first.soft, replay.soft);
+        EXPECT_EQ(first.stable, replay.stable);
+        EXPECT_EQ(first.offsets, replay.offsets);
+        if (threads == 1) {
+          reference = first;
+          continue;
+        }
+        EXPECT_EQ(first.soft, reference.soft);
+        EXPECT_EQ(first.words, reference.words);
+      }
+    }
+  }
+}
+
+TEST(ScanStream, ReplaysOnlyWhatTheBudgetDidNotKeep) {
+  static Counter& measurements = MetricsRegistry::global().counter("tester.measurements");
+  // One, two and three words per challenge: kept chunks rebuild their
+  // packed words from the parity words across word boundaries.
+  for (const std::size_t stages : {1u, 64u, 65u, 129u}) {
+    sim::PopulationConfig pcfg = small_lot();  // 3 PUFs
+    pcfg.device.stages = stages;
+    sim::ChipPopulation pop(pcfg);
+    for (const sim::ScanMode mode : kBothModes) {
+      SCOPED_TRACE(::testing::Message() << "stages " << stages << ", mode "
+                                        << static_cast<int>(mode));
+      // A reset mid-scan, a partial replay, then a full pass: kept chunks are
+      // never measured again, the rest are, and the bits never change.
+      Rng rng(6);
+      sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork(), mode);
+      sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), 100, 16);
+      sim::ScanChunk chunk;
+      const std::uint64_t before = measurements.total();
+      ASSERT_TRUE(stream.next(chunk));
+      ASSERT_TRUE(stream.next(chunk));
+      stream.reset();
+      const CollectedScan first = collect(stream, 3);
+      EXPECT_EQ(stream.retained(), 100u);
+      EXPECT_EQ(measurements.total() - before, 100u * 3);
+      stream.reset();
+      const CollectedScan replay = collect(stream, 3);
+      EXPECT_EQ(measurements.total() - before, 100u * 3);
+      EXPECT_EQ(first.words, replay.words);
+      EXPECT_EQ(first.soft, replay.soft);
+      EXPECT_EQ(first.stable, replay.stable);
+
+      // Counts past 16 bits are never kept: every replay measures again.
+      Rng rng2(6);
+      sim::ChipTester wide(sim::Environment::nominal(), 70000, rng2.fork(), mode);
+      sim::ChipScanStream unkept = wide.stream_individual(pop.chip(0), 40, 16);
+      const std::uint64_t wide_before = measurements.total();
+      const CollectedScan wide_first = collect(unkept, 3);
+      unkept.reset();
+      const CollectedScan wide_replay = collect(unkept, 3);
+      EXPECT_EQ(unkept.retained(), 0u);
+      EXPECT_EQ(measurements.total() - wide_before, 2u * 40 * 3);
+      EXPECT_EQ(wide_first.soft, wide_replay.soft);
+      EXPECT_EQ(wide_first.stable, wide_replay.stable);
+    }
+  }
 }
 
 TEST(ScanStream, ThreadCountNeverChangesTheBits) {
@@ -390,6 +495,46 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
         }
       }
     }
+  }
+
+  // Scans that fit the stream's retention budget, straddle it, and exceed
+  // it: the replayed part changes cost, never bits.
+  static Counter& measurements = MetricsRegistry::global().counter("tester.measurements");
+  sim::ChipPopulation pop(one_stage_puf());
+  for (const RetentionCase& rc : retention_cases()) {
+    puf::EnrollmentConfig rcfg = cfg;
+    rcfg.training_challenges = rc.total;
+    rcfg.chunk_challenges = rc.chunk;
+    ThreadPool::set_global_threads(1);
+    Rng ref_rng(2024);
+    const puf::ServerModel reference =
+        puf::Enroller(rcfg).enroll_materialized(pop.chip(0), ref_rng);
+    for (std::uint64_t threads : {1u, 2u, 8u}) {
+      ThreadPool::set_global_threads(threads);
+      SCOPED_TRACE(::testing::Message() << rc.name << ", " << threads << " threads");
+      Rng rng(2024);
+      const std::uint64_t before = measurements.total();
+      const puf::ServerModel streamed = puf::Enroller(rcfg).enroll(pop.chip(0), rng);
+      // One measurement per cell, plus a second one for every cell past
+      // the retention budget.
+      EXPECT_EQ(measurements.total() - before, 2 * rc.total - rc.retained);
+      expect_models_identical(streamed, reference);
+    }
+  }
+}
+
+TEST(StreamingEnrollment, MeasuresEveryCellOnce) {
+  static Counter& measurements = MetricsRegistry::global().counter("tester.measurements");
+  sim::ChipPopulation pop(small_lot());
+  puf::EnrollmentConfig cfg;
+  cfg.training_challenges = 5000;  // the paper's training set
+  cfg.trials = 10'000;
+  for (std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
+    cfg.chunk_challenges = chunk;
+    Rng rng(9);
+    const std::uint64_t before = measurements.total();
+    (void)puf::Enroller(cfg).enroll(pop.chip(0), rng);
+    EXPECT_EQ(measurements.total() - before, cfg.training_challenges * 3) << "chunk " << chunk;
   }
 }
 

@@ -45,9 +45,10 @@
 #             check (--expect-net-socket), lockstep-vs-socket timing gate,
 #             and tests/test_async_service under TSan
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
-#             tests/test_linear, test_screening, test_streaming and
-#             test_rng on the portable scalar kernels (FeatureBlock and
-#             parity-word tiles, parity_dots), the only path on hosts
+#             tests/test_linear, test_screening, test_streaming, test_rng,
+#             test_math and test_tester on the portable scalar kernels
+#             (FeatureBlock and parity-word tiles, parity_dots, the lazy
+#             CDF counts and their erfc cut-offs), the only path on hosts
 #             without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
@@ -129,11 +130,13 @@ simd_off_job() {
     -DXPUF_BUILD_BENCHMARKS=OFF \
     -DXPUF_BUILD_EXAMPLES=OFF &&
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
-      --target test_linear test_screening test_streaming test_rng &&
+      --target test_linear test_screening test_streaming test_rng test_math test_tester &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
-    "${prefix}-simd-off/tests/test_rng"
+    "${prefix}-simd-off/tests/test_rng" &&
+    "${prefix}-simd-off/tests/test_math" &&
+    "${prefix}-simd-off/tests/test_tester"
 }
 
 tsan_configure() {
