@@ -44,8 +44,14 @@
 //                   replay-ledger growth (every issued challenge is
 //                   remembered, O(issued) by design) fails the run.
 //
-// Timing JSON fields (bench_out/auth_throughput_timing.json), all min-of-
-// --reps with the A/B sides interleaved inside each rep so drift hits both:
+// Timing JSON fields (bench_out/auth_throughput_timing.json). The A/B
+// seconds are min-of---reps with the sides interleaved inside each rep so
+// drift hits both; enrollment and compaction run once:
+//   items                                    authentications issued: both
+//                                            A/B sides over every rep plus
+//                                            the 4 twin-audit pairs
+//   devices, auths, reps, min_of_reps = 1    fleet size, auths per side per
+//                                            rep, and the timing reps
 //   enroll_seconds, devices_per_sec          pool-enabled registration
 //   compact_seconds                          log compaction (enables mmap)
 //   screen_serial_seconds, screen_batched_seconds, screen_speedup
@@ -68,6 +74,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,6 +87,9 @@
 #include "puf/store/store.hpp"
 
 namespace {
+
+/// Devices whose pooled first batch the purity audit re-derives from a twin.
+constexpr std::uint64_t kTwinAudits = 4;
 
 /// Peak resident set of the process in MiB (ru_maxrss is KiB on Linux).
 double max_rss_mb() {
@@ -130,7 +140,7 @@ std::uint64_t scatter(std::uint64_t i, std::uint64_t n) {
 
 /// One recorded screening walk: everything the determinism contract pins.
 struct ScreenWalk {
-  std::vector<xpuf::puf::Challenge> challenges;
+  std::vector<std::uint64_t> words;  ///< accepted packed rows, back to back
   std::vector<bool> bits;
   xpuf::puf::ChallengeScreener::Outcome out;
 };
@@ -142,13 +152,12 @@ ScreenWalk run_screen(const xpuf::puf::ModelView& view, std::size_t n_pufs,
                       const xpuf::puf::ScreeningOptions& opts,
                       std::uint64_t family_base, std::size_t count,
                       std::size_t max_attempts) {
-  using xpuf::puf::Challenge;
   ScreenWalk walk;
   xpuf::puf::ChallengeScreener screener(view, n_pufs, opts);
   const xpuf::StreamFamily family(family_base);
   walk.out = screener.screen(
-      family, 0, count, max_attempts, [&](Challenge&& c, bool bit) {
-        walk.challenges.push_back(std::move(c));
+      family, 0, count, max_attempts, [&](std::span<const std::uint64_t> row, bool bit) {
+        walk.words.insert(walk.words.end(), row.begin(), row.end());
         walk.bits.push_back(bit);
         return true;
       });
@@ -191,7 +200,7 @@ int main(int argc, char** argv) {
   XPUF_REQUIRE(pool_target >= 1, "the pooled side needs pooling enabled");
   const auto cache_capacity = static_cast<std::size_t>(std::max<double>(
       1.0, static_cast<double>(devices) * cache_pct / 100.0));
-  bench.set_items(2 * reps * auths);
+  bench.set_items(2 * reps * auths + 2 * kTwinAudits);
 
   const std::string dir =
       bench.cli().get("dir", benchutil::out_dir() + "/auth_throughput_store");
@@ -281,7 +290,7 @@ int main(int argc, char** argv) {
                                           screen_attempts);
     audit(serial.out.filled && batched.out.filled,
           "screening walk exhausted its attempt budget");
-    audit(serial.challenges == batched.challenges &&
+    audit(serial.words == batched.words &&
               serial.bits == batched.bits,
           "serial and batched screening issued different sequences");
     audit(serial.out.tried == batched.out.tried &&
@@ -376,13 +385,14 @@ int main(int argc, char** argv) {
   const double rss_delta = rss_full - rss_first_rep;
   // The flat-RSS audit targets O(fleet) buffering, not the replay defense:
   // every issued challenge is durably remembered in the in-memory ledger
-  // (a packed key in a per-device std::set), so RSS legitimately grows
-  // O(issued) across the post-probe reps. Budget that growth at 128 bytes
-  // per key (8 packed + node overhead; ~76 observed) and apply the slack
-  // on top — anything beyond it is real buffering.
+  // (a packed row in a per-device flat ChallengeSet), so RSS legitimately
+  // grows O(issued) across the post-probe reps. Budget that growth at 48
+  // bytes per key — the set's worst case is ~31 (9 bytes per slot at 7/8
+  // load while the old and the doubled array coexist during a rehash) —
+  // and apply the slack on top: anything beyond it is real buffering.
   const double ledger_growth_mb =
       static_cast<double>(2 * auths * (reps - 1) * cfg.policy.challenge_count) *
-      128.0 / (1024.0 * 1024.0);
+      48.0 / (1024.0 * 1024.0);
   const bool memory_flat = rss_delta <= rss_slack_mb + ledger_growth_mb;
   const double auths_per_sec_live =
       static_cast<double>(auths) / issue_live_seconds;
@@ -437,7 +447,7 @@ int main(int argc, char** argv) {
   // device as the durable fleet does: the pooled sequence depends on nothing
   // but (pool seed, device id) and the drain history. The sampled ids sit
   // past both timed slices so their store-backed pools are undrained.
-  for (std::uint64_t j = 0; j < 4; ++j) {
+  for (std::uint64_t j = 0; j < kTwinAudits; ++j) {
     const auto id = static_cast<std::size_t>(scatter(2 * auths + j, devices));
     puf::ServerDatabase twin(cfg);
     twin.register_device(make_device(id, n_pufs, stages));
@@ -445,12 +455,16 @@ int main(int argc, char** argv) {
     Rng twin_rng(0x1234ffffu + 977 * j);  // deliberately different caller RNG
     const puf::ChallengeBatch backed = db.issue(id, backed_rng);
     const puf::ChallengeBatch fresh = twin.issue(id, twin_rng);
-    audit(backed.challenges == fresh.challenges &&
+    audit(backed.words == fresh.words &&
               backed.expected == fresh.expected,
           "pooled drain diverged between the backed fleet and a fresh twin "
           "(device " + std::to_string(id) + ")");
   }
 
+  bench.set_field("devices", static_cast<double>(devices));
+  bench.set_field("auths", static_cast<double>(auths));
+  bench.set_field("reps", static_cast<double>(reps));
+  bench.set_field("min_of_reps", 1.0);
   bench.set_field("enroll_seconds", enroll_seconds);
   bench.set_field("devices_per_sec", devices_per_sec);
   bench.set_field("compact_seconds", compact_seconds);

@@ -19,7 +19,7 @@ std::optional<std::vector<std::uint8_t>> FrameStreamDecoder::next() {
       return std::nullopt;
     }
     const std::uint8_t* head = buffer_.data() + pos_;
-    WireReader reader(head, avail);
+    ByteReader reader(head, avail);
     std::uint16_t magic = 0;
     std::uint8_t version = 0, type = 0;
     std::uint64_t device_id = 0;
@@ -46,7 +46,7 @@ std::optional<std::vector<std::uint8_t>> FrameStreamDecoder::next() {
       return std::nullopt;  // boundary plausible; wait for the rest
     }
     const std::uint32_t want = crc32(head, kHeaderBytes + payload_len);
-    WireReader trailer(head + kHeaderBytes + payload_len, kTrailerBytes);
+    ByteReader trailer(head + kHeaderBytes + payload_len, kTrailerBytes);
     std::uint32_t got = 0;
     trailer.read_u32(got);
     if (want != got) {

@@ -197,10 +197,8 @@ void ServerSessionHandler::open_session(const Frame& frame, std::uint64_t now,
   session_.session_id = sid;
   session_.opened_at = now;
   session_.cached_type = FrameType::kChallengeBatch;
-  session_.cached_payload = encode_challenge_batch(
-      batch.challenges,
-      static_cast<std::uint32_t>(
-          batch.challenges.empty() ? 0 : batch.challenges[0].size()));
+  session_.cached_payload =
+      encode_challenge_batch(static_cast<std::uint32_t>(batch.stages), batch.words);
   session_.batch = std::move(batch);
   reply(sink, FrameType::kChallengeBatch, sid, session_.cached_payload);
 }
@@ -227,7 +225,7 @@ void ServerSessionHandler::handle_response(const Frame& frame,
   }
   std::vector<std::uint8_t> bits;
   if (decode_response_bits(frame.payload, bits) != DecodeStatus::kOk ||
-      bits.size() != session_.batch.challenges.size()) {
+      bits.size() != session_.batch.size()) {
     // The frame checksum passed, so this is a protocol violation rather
     // than line noise — close the session instead of hanging it.
     terminal_nack(sink, sid, NackReason::kBadState);

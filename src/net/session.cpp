@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::net {
 
@@ -138,22 +139,24 @@ void DeviceClient::handle(const Frame& frame, std::uint32_t round) {
         ignored.add(1);  // duplicate batch after we already responded
         return;
       }
-      std::vector<Challenge> challenges;
-      if (decode_challenge_batch(frame.payload, challenges) !=
+      std::uint32_t stages = 0;
+      if (decode_challenge_batch(frame.payload, stages, rows_) !=
               DecodeStatus::kOk ||
-          challenges.empty()) {
+          rows_.empty()) {
         ++stats_.corrupt;  // framing was fine but the payload is malformed
         return;            // the deadline path retransmits the begin frame
       }
       // Measure each challenge exactly once; the encoded payload is cached so
       // retransmissions carry bit-identical responses and the measurement
       // stream position stays a pure function of delivered batches.
+      const std::size_t stride = sim::packed_words(stages);
       std::vector<std::uint8_t> bits;
-      bits.reserve(challenges.size());
-      for (const Challenge& challenge : challenges)
-        bits.push_back(chip_->xor_response(challenge, env_, rng_) ? 1u : 0u);
-      current_.challenges_used =
-          static_cast<std::uint32_t>(challenges.size());
+      bits.reserve(rows_.size() / stride);
+      for (std::size_t at = 0; at < rows_.size(); at += stride) {
+        sim::unpack_challenge_into({rows_.data() + at, stride}, stages, challenge_);
+        bits.push_back(chip_->xor_response(challenge_, env_, rng_) ? 1u : 0u);
+      }
+      current_.challenges_used = static_cast<std::uint32_t>(bits.size());
       pending_type_ = FrameType::kResponseSubmit;
       pending_payload_ = encode_response_bits(bits);
       phase_ = SessionPhase::kAwaitResult;

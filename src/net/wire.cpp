@@ -1,9 +1,10 @@
 #include "net/wire.hpp"
 
-#include <array>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::net {
 
@@ -51,93 +52,6 @@ const char* to_string(DecodeStatus status) {
   return "unknown decode status";
 }
 
-// --- byte-order codecs ------------------------------------------------------
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xffu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xffu));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (std::uint32_t shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (std::uint32_t shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-bool WireReader::read_u8(std::uint8_t& v) {
-  if (remaining() < 1) return false;
-  v = data_[pos_++];
-  return true;
-}
-
-bool WireReader::read_u16(std::uint16_t& v) {
-  if (remaining() < 2) return false;
-  v = static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_]) |
-                                 (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return true;
-}
-
-bool WireReader::read_u32(std::uint32_t& v) {
-  if (remaining() < 4) return false;
-  v = 0;
-  for (std::uint32_t b = 0; b < 4; ++b)
-    v |= static_cast<std::uint32_t>(data_[pos_ + b]) << (8 * b);
-  pos_ += 4;
-  return true;
-}
-
-bool WireReader::read_u64(std::uint64_t& v) {
-  if (remaining() < 8) return false;
-  v = 0;
-  for (std::uint32_t b = 0; b < 8; ++b)
-    v |= static_cast<std::uint64_t>(data_[pos_ + b]) << (8 * b);
-  pos_ += 8;
-  return true;
-}
-
-bool WireReader::read_bytes(std::uint64_t n, std::vector<std::uint8_t>& out) {
-  if (remaining() < n) return false;
-  out.assign(data_ + pos_, data_ + pos_ + n);
-  pos_ += n;
-  return true;
-}
-
-// --- crc32 ------------------------------------------------------------------
-
-namespace {
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (std::uint32_t k = 0; k < 8; ++k)
-      c = (c & 1u) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
-  }
-  return table;
-}
-
-}  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t c = 0xffffffffu;
-  for (std::uint64_t i = 0; i < size; ++i)
-    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
-  return c ^ 0xffffffffu;
-}
-
-std::uint32_t crc32(const std::vector<std::uint8_t>& bytes) {
-  return crc32(bytes.data(), static_cast<std::uint64_t>(bytes.size()));
-}
-
 // --- frame codec ------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
@@ -153,12 +67,12 @@ std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   put_u32(out, frame.header.seq);
   put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
-  put_u32(out, crc32(out));
+  put_u32(out, crc32(out.data(), out.size()));
   return out;
 }
 
 DecodeStatus decode_frame(const std::vector<std::uint8_t>& bytes, Frame& out) {
-  WireReader reader(bytes);
+  ByteReader reader(bytes);
   std::uint16_t magic = 0;
   std::uint8_t version = 0;
   std::uint8_t type = 0;
@@ -197,10 +111,6 @@ Frame decode_frame_or_throw(const std::vector<std::uint8_t>& bytes) {
 
 namespace {
 
-std::uint32_t packed_row_bytes(std::uint32_t bit_count) {
-  return (bit_count + 7u) / 8u;
-}
-
 void pack_bits(std::vector<std::uint8_t>& out, const std::uint8_t* bits,
                std::uint32_t count) {
   for (std::uint32_t base = 0; base < count; base += 8) {
@@ -211,10 +121,10 @@ void pack_bits(std::vector<std::uint8_t>& out, const std::uint8_t* bits,
   }
 }
 
-bool unpack_bits(WireReader& reader, std::uint32_t count,
+bool unpack_bits(ByteReader& reader, std::uint32_t count,
                  std::vector<std::uint8_t>& out) {
   std::vector<std::uint8_t> packed;
-  if (!reader.read_bytes(packed_row_bytes(count), packed)) return false;
+  if (!reader.read_bytes(sim::packed_bytes(count), packed)) return false;
   out.resize(count);
   for (std::uint32_t i = 0; i < count; ++i)
     out[i] = static_cast<std::uint8_t>((packed[i / 8] >> (i % 8)) & 1u);
@@ -223,35 +133,38 @@ bool unpack_bits(WireReader& reader, std::uint32_t count,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_challenge_batch(
-    const std::vector<Challenge>& challenges, std::uint32_t stages) {
+std::vector<std::uint8_t> encode_challenge_batch(std::uint32_t stages,
+                                                 const std::vector<std::uint64_t>& words) {
+  XPUF_REQUIRE(stages > 0, "a challenge batch needs at least one stage");
+  const std::uint64_t stride = sim::packed_words(stages);
+  XPUF_REQUIRE(words.size() % stride == 0, "challenge rows need packed_words(stages) words");
+  const std::uint64_t count = words.size() / stride;
   std::vector<std::uint8_t> out;
-  out.reserve(8 + challenges.size() * packed_row_bytes(stages));
-  put_u32(out, static_cast<std::uint32_t>(challenges.size()));
+  out.reserve(8 + count * sim::packed_bytes(stages));
+  put_u32(out, static_cast<std::uint32_t>(count));
   put_u32(out, stages);
-  for (const Challenge& c : challenges) {
-    XPUF_REQUIRE(c.size() == stages, "challenge length differs from batch stages");
-    pack_bits(out, c.data(), stages);
-  }
+  for (std::uint64_t at = 0; at < words.size(); at += stride)
+    sim::append_packed_bytes({words.data() + at, stride}, stages, out);
   return out;
 }
 
 DecodeStatus decode_challenge_batch(const std::vector<std::uint8_t>& payload,
-                                    std::vector<Challenge>& out) {
-  WireReader reader(payload);
+                                    std::uint32_t& stages, std::vector<std::uint64_t>& words) {
+  ByteReader reader(payload);
   std::uint32_t count = 0;
-  std::uint32_t stages = 0;
   if (!reader.read_u32(count)) return DecodeStatus::kBadPayload;
   if (!reader.read_u32(stages)) return DecodeStatus::kBadPayload;
   if (stages == 0 || stages > 4096) return DecodeStatus::kBadPayload;
-  if (static_cast<std::uint64_t>(count) * packed_row_bytes(stages) != reader.remaining())
+  const std::uint64_t row_bytes = sim::packed_bytes(stages);
+  if (static_cast<std::uint64_t>(count) * row_bytes != reader.remaining())
     return DecodeStatus::kBadPayload;
-  out.clear();
-  out.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Challenge c;
-    if (!unpack_bits(reader, stages, c)) return DecodeStatus::kBadPayload;
-    out.push_back(std::move(c));
+  const std::uint64_t stride = sim::packed_words(stages);
+  words.resize(count * stride);
+  const std::uint8_t* rows = payload.data() + reader.position();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::span<std::uint64_t> row(words.data() + i * stride, stride);
+    if (!sim::read_packed_bytes(rows + i * row_bytes, stages, row))
+      return DecodeStatus::kBadPayload;
   }
   return DecodeStatus::kOk;
 }
@@ -260,7 +173,7 @@ std::vector<std::uint8_t> encode_response_bits(
     const std::vector<std::uint8_t>& bits) {
   std::vector<std::uint8_t> out;
   const std::uint32_t count = static_cast<std::uint32_t>(bits.size());
-  out.reserve(4 + packed_row_bytes(count));
+  out.reserve(4 + sim::packed_bytes(count));
   put_u32(out, count);
   pack_bits(out, bits.data(), count);
   return out;
@@ -268,11 +181,11 @@ std::vector<std::uint8_t> encode_response_bits(
 
 DecodeStatus decode_response_bits(const std::vector<std::uint8_t>& payload,
                                   std::vector<std::uint8_t>& out) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   std::uint32_t count = 0;
   if (!reader.read_u32(count)) return DecodeStatus::kBadPayload;
   if (count > kMaxPayloadBytes) return DecodeStatus::kBadPayload;
-  if (packed_row_bytes(count) != reader.remaining()) return DecodeStatus::kBadPayload;
+  if (sim::packed_bytes(count) != reader.remaining()) return DecodeStatus::kBadPayload;
   if (!unpack_bits(reader, count, out)) return DecodeStatus::kBadPayload;
   return DecodeStatus::kOk;
 }
@@ -288,7 +201,7 @@ std::vector<std::uint8_t> encode_auth_result(const AuthResultPayload& result) {
 
 DecodeStatus decode_auth_result(const std::vector<std::uint8_t>& payload,
                                 AuthResultPayload& out) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   std::uint8_t status = 0;
   if (!reader.read_u8(status)) return DecodeStatus::kBadPayload;
   if (status < static_cast<std::uint8_t>(AuthStatus::kApproved) ||
@@ -311,7 +224,7 @@ std::vector<std::uint8_t> encode_nack(const NackPayload& nack) {
 
 DecodeStatus decode_nack(const std::vector<std::uint8_t>& payload,
                          NackPayload& out) {
-  WireReader reader(payload);
+  ByteReader reader(payload);
   std::uint8_t reason = 0;
   if (!reader.read_u8(reason)) return DecodeStatus::kBadPayload;
   if (reason < static_cast<std::uint8_t>(NackReason::kUnknownDevice) ||

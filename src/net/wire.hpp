@@ -27,11 +27,10 @@
 #include <optional>
 #include <vector>
 
-#include "sim/device.hpp"
+#include "common/byte_codec.hpp"
+#include "common/crc32.hpp"
 
 namespace xpuf::net {
-
-using sim::Challenge;
 
 inline constexpr std::uint16_t kWireMagic = 0x5846;  // "XF"
 inline constexpr std::uint8_t kWireVersion = 1;
@@ -98,42 +97,6 @@ enum class DecodeStatus : std::uint8_t {
 
 const char* to_string(DecodeStatus status);
 
-// --- byte-order codecs ------------------------------------------------------
-// The only sanctioned way bytes enter or leave a frame.
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v);
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v);
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v);
-
-/// Bounds-checked little-endian cursor. Every read_* returns false instead of
-/// walking past the end, so truncated frames surface as kTruncated, never UB.
-class WireReader {
- public:
-  WireReader(const std::uint8_t* data, std::uint64_t size)
-      : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<std::uint8_t>& bytes)
-      : WireReader(bytes.data(), static_cast<std::uint64_t>(bytes.size())) {}
-
-  bool read_u8(std::uint8_t& v);
-  bool read_u16(std::uint16_t& v);
-  bool read_u32(std::uint32_t& v);
-  bool read_u64(std::uint64_t& v);
-  bool read_bytes(std::uint64_t n, std::vector<std::uint8_t>& out);
-
-  std::uint64_t position() const { return pos_; }
-  std::uint64_t remaining() const { return size_ - pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::uint64_t size_;
-  std::uint64_t pos_ = 0;
-};
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the frame checksum.
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size);
-std::uint32_t crc32(const std::vector<std::uint8_t>& bytes);
-
 // --- frame codec ------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
@@ -148,11 +111,14 @@ Frame decode_frame_or_throw(const std::vector<std::uint8_t>& bytes);
 // --- payload codecs ---------------------------------------------------------
 
 /// CHALLENGE_BATCH payload: u32 count, u32 stages, then count rows of
-/// ceil(stages / 8) bytes, challenge bits packed LSB-first.
-std::vector<std::uint8_t> encode_challenge_batch(
-    const std::vector<Challenge>& challenges, std::uint32_t stages);
+/// ceil(stages / 8) bytes, challenge bits packed LSB-first. In memory the
+/// rows are the issuer's canonical packed words (sim::packed_words(stages)
+/// per row, back to back in `words`); the codec converts, and decoding
+/// rejects a row with a bit set above `stages` as kBadPayload.
+std::vector<std::uint8_t> encode_challenge_batch(std::uint32_t stages,
+                                                 const std::vector<std::uint64_t>& words);
 DecodeStatus decode_challenge_batch(const std::vector<std::uint8_t>& payload,
-                                    std::vector<Challenge>& out);
+                                    std::uint32_t& stages, std::vector<std::uint64_t>& words);
 
 /// RESPONSE_SUBMIT payload: u32 count, then packed response bits (LSB-first).
 /// Responses travel as one 0/1 byte per bit at the API boundary so the packed

@@ -3,8 +3,38 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
+
+std::span<const std::uint64_t> ChallengeBatch::row(std::size_t i) const {
+  XPUF_REQUIRE(i < size(), "challenge batch row out of range");
+  const std::size_t stride = sim::packed_words(stages);
+  return {words.data() + i * stride, stride};
+}
+
+// xpuf-lint: guarded-by(row)
+Challenge ChallengeBatch::challenge(std::size_t i) const {
+  Challenge out;
+  sim::unpack_challenge_into(row(i), stages, out);
+  return out;
+}
+
+void ChallengeBatch::push_back(std::span<const std::uint64_t> row, bool bit) {
+  XPUF_REQUIRE(stages > 0 && row.size() == sim::packed_words(stages),
+               "challenge batch row needs packed_words(stages) words");
+  words.insert(words.end(), row.begin(), row.end());
+  expected.push_back(bit);
+}
+
+void ChallengeBatch::push_back(const Challenge& challenge, bool bit) {
+  XPUF_REQUIRE(stages > 0 && challenge.size() == stages,
+               "challenge length differs from the batch's stages");
+  const std::size_t at = words.size();
+  words.resize(at + sim::packed_words(stages));
+  sim::pack_challenge_into(challenge, {words.data() + at, sim::packed_words(stages)});
+  expected.push_back(bit);
+}
 
 AuthenticationServer::AuthenticationServer(ServerModel model, std::size_t n_pufs,
                                            AuthenticationPolicy policy)
@@ -17,7 +47,7 @@ AuthenticationServer::AuthenticationServer(ServerModel model, std::size_t n_pufs
 ChallengeBatch AuthenticationServer::issue(Rng& rng) const {
   XPUF_TRACE_SPAN("auth.issue");
   ModelBasedSelector selector(model_, n_pufs_);
-  SelectionResult sel =
+  const SelectionResult sel =
       selector.select(policy_.challenge_count, rng, policy_.max_selection_attempts);
   if (!sel.filled)
     throw NumericalError(
@@ -25,8 +55,9 @@ ChallengeBatch AuthenticationServer::issue(Rng& rng) const {
         std::to_string(sel.challenges.size()) + " of " +
         std::to_string(policy_.challenge_count) + " stable challenges found");
   ChallengeBatch batch;
-  batch.challenges = std::move(sel.challenges);
-  batch.expected = std::move(sel.expected_responses);
+  batch.stages = model_.stages();
+  for (std::size_t i = 0; i < sel.challenges.size(); ++i)
+    batch.push_back(sel.challenges[i], sel.expected_responses[i]);
   batch.candidates_tried = sel.candidates_tried;
   static Counter& issued = MetricsRegistry::global().counter("auth.batches_issued");
   issued.add(1);
@@ -36,28 +67,38 @@ ChallengeBatch AuthenticationServer::issue(Rng& rng) const {
 ChallengeBatch AuthenticationServer::issue_random(Rng& rng) const {
   XPUF_TRACE_SPAN("auth.issue_random");
   ChallengeBatch batch;
-  batch.challenges.reserve(policy_.challenge_count);
-  batch.expected.reserve(policy_.challenge_count);
+  batch.stages = model_.stages();
   for (std::size_t i = 0; i < policy_.challenge_count; ++i) {
-    Challenge c = random_challenge(model_.stages(), rng);
+    const Challenge c = random_challenge(model_.stages(), rng);
     // The unfiltered baseline is deliberately the historical per-challenge
     // walk: each prediction interleaves with a shared-RNG challenge draw, so
     // there is no block to batch.  xpuf-lint: allow(scalar-eval)
-    batch.expected.push_back(model_.predict_xor(c, n_pufs_));
-    batch.challenges.push_back(std::move(c));
+    batch.push_back(c, model_.predict_xor(c, n_pufs_));
   }
   // Unfiltered issuance tries exactly one candidate per issued challenge.
   batch.candidates_tried = policy_.challenge_count;
   return batch;
 }
 
+std::vector<bool> device_responses(const sim::XorPufChip& chip, const sim::Environment& env,
+                                   const ChallengeBatch& batch, Rng& rng) {
+  std::vector<bool> responses;
+  responses.reserve(batch.size());
+  Challenge challenge;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    sim::unpack_challenge_into(batch.row(i), batch.stages, challenge);
+    responses.push_back(chip.xor_response(challenge, env, rng));
+  }
+  return responses;
+}
+
 AuthenticationOutcome apply_auth_policy(const ChallengeBatch& batch,
                                         const std::vector<bool>& responses,
                                         const AuthenticationPolicy& policy) {
-  XPUF_REQUIRE(responses.size() == batch.challenges.size(),
+  XPUF_REQUIRE(responses.size() == batch.size(),
                "response count does not match issued challenge count");
   AuthenticationOutcome out;
-  out.challenges_used = batch.challenges.size();
+  out.challenges_used = batch.size();
   out.candidates_tried = batch.candidates_tried;
   for (std::size_t i = 0; i < responses.size(); ++i)
     if (responses[i] != batch.expected[i]) ++out.mismatches;
@@ -89,11 +130,7 @@ AuthenticationOutcome AuthenticationServer::authenticate(const sim::XorPufChip& 
   // is checked here.
   XPUF_REQUIRE(chip.puf_count() == n_pufs_,
                "chip XOR width differs from the server's enrolled width");
-  std::vector<bool> responses;
-  responses.reserve(batch.challenges.size());
-  for (const auto& c : batch.challenges) responses.push_back(chip.xor_response(c, env, rng));
-  AuthenticationOutcome out = verify(batch, responses);
-  return out;
+  return verify(batch, device_responses(chip, env, batch, rng));
 }
 
 }  // namespace xpuf::puf

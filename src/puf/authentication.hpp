@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "puf/selection.hpp"
@@ -37,10 +38,14 @@ struct AuthenticationOutcome {
 };
 
 /// One issued challenge batch with the server's expected responses. The
-/// server keeps `expected` and the accounting fields; only `challenges`
-/// travel to the device.
+/// challenges stay in the screener's canonical packed form — row i is the
+/// sim::packed_words(stages) words at words[i * packed_words(stages)] — from
+/// issuance through the ledger and the wire; challenge(i) unpacks one for a
+/// device simulator. The server keeps `expected` and the accounting fields;
+/// only the rows travel to the device.
 struct ChallengeBatch {
-  std::vector<Challenge> challenges;
+  std::size_t stages = 0;
+  std::vector<std::uint64_t> words;
   std::vector<bool> expected;
   /// Selector draws consumed to fill this batch (the paper's selection
   /// cost); carried here so verify()/authenticate() can report it.
@@ -48,7 +53,22 @@ struct ChallengeBatch {
   /// Stable candidates dropped because a replay ledger had already issued
   /// them (only the ServerDatabase path populates this).
   std::size_t replay_rejected = 0;
+
+  std::size_t size() const { return expected.size(); }
+  std::span<const std::uint64_t> row(std::size_t i) const;
+  /// Row i unpacked to one 0/1 byte per stage.
+  Challenge challenge(std::size_t i) const;
+  /// Appends a canonical packed row of `stages` bits with its expected
+  /// response.
+  void push_back(std::span<const std::uint64_t> row, bool bit);
+  /// Packs and appends a `stages`-long challenge (reference paths only).
+  void push_back(const Challenge& challenge, bool bit);
 };
+
+/// The chip's one-shot XOR response to every row of `batch` — the device
+/// boundary, the one place a row is unpacked (into one reused Challenge).
+std::vector<bool> device_responses(const sim::XorPufChip& chip, const sim::Environment& env,
+                                   const ChallengeBatch& batch, Rng& rng);
 
 /// Applies the approval policy to a batch/response pair — the single
 /// verification kernel behind AuthenticationServer::verify and

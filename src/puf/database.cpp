@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -94,7 +95,7 @@ std::size_t ServerDatabase::pool_remaining(std::size_t chip_id) const {
 }
 
 std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& view,
-                                        const std::set<std::string>& ledger) {
+                                        const store::ChallengeSet& ledger) {
   XPUF_TRACE_SPAN("db.pool_refill");
   XPUF_REQUIRE(config_.pool.target >= 1, "refill_pool requires pooling enabled");
   static Counter& refills = MetricsRegistry::global().counter("auth.pool_refills");
@@ -106,25 +107,27 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   const std::uint64_t start = existed ? slot.cursor : 0;
   // Undrained leftovers carry over — screened work is never thrown away.
   if (existed && slot.head < slot.count)
-    store_.read_pool_slice(chip_id, slot.head, slot.count - slot.head, next.keys,
+    store_.read_pool_slice(chip_id, slot.head, slot.count - slot.head, next.words,
                            next.expected);
   const std::size_t want =
-      config_.pool.target > next.keys.size() ? config_.pool.target - next.keys.size() : 0;
+      config_.pool.target > next.size() ? config_.pool.target - next.size() : 0;
   std::size_t tried = 0;
   if (want > 0) {
     ChallengeScreener screener(view, config_.n_pufs, config_.screening);
     const StreamFamily family = device_family(chip_id);
-    // Keys already waiting in the pool: the undrained carry-over, then each
+    // Rows already waiting in the pool: the undrained carry-over, then each
     // one this walk accepts.
-    std::set<std::string> pooled(next.keys.begin(), next.keys.end());
-    const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
-      std::string key = store::pack_challenge(challenge);
+    const std::size_t stride = sim::packed_words(next.stages);
+    store::ChallengeSet pooled(next.stages);
+    for (std::size_t at = 0; at < next.words.size(); at += stride)
+      pooled.insert({next.words.data() + at, stride});
+    const ChallengeScreener::Sink sink = [&](std::span<const std::uint64_t> row, bool bit) {
       // Already-issued and already-pooled challenges never enter the pool;
       // skipping them here (instead of at drain time) keeps the drain's
       // replay count a pure reuse / crash-recovery signal. With short
-      // challenges a refill can meet a key that is still undrained.
-      if (ledger.count(key) != 0 || !pooled.insert(key).second) return false;
-      next.keys.push_back(std::move(key));
+      // challenges a refill can meet a row that is still undrained.
+      if (ledger.contains(row) || !pooled.insert(row)) return false;
+      next.words.insert(next.words.end(), row.begin(), row.end());
       next.expected.push_back(bit ? 1 : 0);
       return true;
     };
@@ -143,26 +146,22 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
   return tried;
 }
 
-void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& ledger,
-                               ChallengeBatch& batch, std::vector<std::string>& fresh,
-                               Rng& rng) {
-  XPUF_REQUIRE(batch.challenges.size() < config_.policy.challenge_count,
+void ServerDatabase::fill_live(const ModelView& view, store::ChallengeSet& ledger,
+                               ChallengeBatch& batch, Rng& rng) {
+  XPUF_REQUIRE(batch.size() < config_.policy.challenge_count,
                "fill_live called with an already-full batch");
-  const std::size_t need = config_.policy.challenge_count - batch.challenges.size();
+  const std::size_t need = config_.policy.challenge_count - batch.size();
   ChallengeScreener screener(view, config_.n_pufs, config_.screening);
   const StreamFamily family(rng.fork_base());
-  const ChallengeScreener::Sink sink = [&](Challenge&& challenge, bool bit) {
-    std::string key = store::pack_challenge(challenge);
-    if (!ledger.insert(key).second) {
+  const ChallengeScreener::Sink sink = [&](std::span<const std::uint64_t> row, bool bit) {
+    if (!ledger.insert(row)) {
       // Replay-guarded: this stable challenge was issued to the device
       // before (e.g. a reused issuance seed); count the rejection — it is
       // the chosen-challenge-attack signal the server must observe.
       ++batch.replay_rejected;
       return false;
     }
-    fresh.push_back(std::move(key));
-    batch.challenges.push_back(std::move(challenge));
-    batch.expected.push_back(bit);
+    batch.push_back(row, bit);
     return true;
   };
   const ChallengeScreener::Outcome outcome = screener.screen(
@@ -173,31 +172,27 @@ void ServerDatabase::fill_live(const ModelView& view, std::set<std::string>& led
     throw NumericalError("challenge issuance exhausted its attempt budget");
 }
 
-void ServerDatabase::finish_issue(std::size_t chip_id, std::uint32_t stages,
-                                  ChallengeBatch& batch,
-                                  const std::vector<std::string>& fresh) {
-  XPUF_REQUIRE(batch.challenges.size() == batch.expected.size(),
+void ServerDatabase::finish_issue(std::size_t chip_id, const ChallengeBatch& batch) {
+  XPUF_REQUIRE(batch.words.size() == batch.size() * sim::packed_words(batch.stages),
                "issued rows and expected bits must align");
   auto& registry = MetricsRegistry::global();
   static Counter& replay = registry.counter("auth.replay_rejected");
   static Counter& issued = registry.counter("db.challenges_issued");
   replay.add(batch.replay_rejected);
-  issued.add(batch.challenges.size());
+  issued.add(batch.size());
   // Durable acknowledgement: the challenges exist on disk before the caller
   // can send them anywhere (the store refreshes the ledger gauges).
-  store_.record_issued(chip_id, stages, fresh);
+  store_.record_issued(chip_id, static_cast<std::uint32_t>(batch.stages), batch.words);
 }
 
 ChallengeBatch ServerDatabase::issue_live(std::size_t chip_id, Rng& rng) {
   XPUF_TRACE_SPAN("db.issue_live");
   XPUF_REQUIRE(config_.policy.challenge_count > 0, "an authentication batch cannot be empty");
   const ModelView view = store_.model_view(chip_id);
-  std::set<std::string>& ledger = store_.ledger(chip_id);
   ChallengeBatch batch;
-  std::vector<std::string> fresh;
-  fresh.reserve(config_.policy.challenge_count);
-  fill_live(view, ledger, batch, fresh, rng);
-  finish_issue(chip_id, static_cast<std::uint32_t>(view.stages()), batch, fresh);
+  batch.stages = view.stages();
+  fill_live(view, store_.ledger(chip_id), batch, rng);
+  finish_issue(chip_id, batch);
   return batch;
 }
 
@@ -214,14 +209,15 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
     pool_misses.add(1);
     return issue_live(chip_id, rng);
   }
-  const std::uint32_t stages = store_.device_record(chip_id).stages;
-  std::set<std::string>& ledger = store_.ledger(chip_id);
+  store::ChallengeSet& ledger = store_.ledger(chip_id);
   ChallengeBatch batch;
-  std::vector<std::string> fresh;
-  fresh.reserve(config_.policy.challenge_count);
+  batch.stages = ledger.stages();
+  batch.words.reserve(config_.policy.challenge_count * ledger.stride());
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> expected;
   bool pool_ok = true;
   std::size_t dry_refills = 0;
-  while (batch.challenges.size() < config_.policy.challenge_count) {
+  while (batch.size() < config_.policy.challenge_count) {
     store::PoolSlot slot;
     if (!store_.pool_slot(chip_id, slot) || slot.head >= slot.count) {
       // Empty (or absent: a fleet enrolled before pooling was turned on):
@@ -235,23 +231,23 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
       continue;
     }
     dry_refills = 0;
-    const auto need = static_cast<std::uint32_t>(config_.policy.challenge_count -
-                                                 batch.challenges.size());
+    const auto need =
+        static_cast<std::uint32_t>(config_.policy.challenge_count - batch.size());
     const std::uint32_t take = std::min(slot.count - slot.head, need);
-    std::vector<std::string> keys;
-    std::vector<std::uint8_t> expected;
-    store_.read_pool_slice(chip_id, slot.head, take, keys, expected);
+    words.clear();
+    expected.clear();
+    store_.read_pool_slice(chip_id, slot.head, take, words, expected);
     for (std::uint32_t i = 0; i < take; ++i) {
-      if (!ledger.insert(keys[i]).second) {
+      const std::span<const std::uint64_t> row(words.data() + i * ledger.stride(),
+                                               ledger.stride());
+      if (!ledger.insert(row)) {
         // Only a crash-recovery re-drain reaches here: replay reset the
         // drain head, and the durable ledger screens out what was already
         // sent. Counted — it is still an issued-challenge-reuse signal.
         ++batch.replay_rejected;
         continue;
       }
-      batch.challenges.push_back(store::unpack_challenge(keys[i], stages));
-      batch.expected.push_back(expected[i] != 0);
-      fresh.push_back(std::move(keys[i]));
+      batch.push_back(row, expected[i] != 0);
     }
     store_.set_pool_head(chip_id, slot.head + take);
   }
@@ -259,13 +255,13 @@ ChallengeBatch ServerDatabase::issue(std::size_t chip_id, Rng& rng) {
     pool_hits.add(1);
   } else {
     pool_misses.add(1);
-    fill_live(store_.model_view(chip_id), ledger, batch, fresh, rng);
+    fill_live(store_.model_view(chip_id), ledger, batch, rng);
   }
   // Low-water top-up after serving, so the next issue is a pure drain.
   if (pool_ok && pool_remaining(chip_id) < config_.pool.low_water)
     batch.candidates_tried += refill_pool(chip_id, store_.model_view(chip_id), ledger);
   pool_size.set(static_cast<double>(store_.pool_entries_total()));
-  finish_issue(chip_id, stages, batch, fresh);
+  finish_issue(chip_id, batch);
   return batch;
 }
 
@@ -292,10 +288,7 @@ DatabaseAuthOutcome ServerDatabase::authenticate(const sim::XorPufChip& chip,
   out.known_device = true;
   const ChallengeBatch batch = issue(chip.id(), rng);
   out.replay_rejected = batch.replay_rejected;
-  std::vector<bool> responses;
-  responses.reserve(batch.challenges.size());
-  for (const auto& c : batch.challenges) responses.push_back(chip.xor_response(c, env, rng));
-  out.outcome = verify(chip.id(), batch, responses);
+  out.outcome = verify(chip.id(), batch, device_responses(chip, env, batch, rng));
   return out;
 }
 

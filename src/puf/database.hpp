@@ -18,6 +18,12 @@
 // directory under the system temp path that the database deletes when it
 // dies — the same log code, but NOT durable past the object's lifetime.
 //
+// One challenge format end to end: the screener's canonical packed rows
+// (sim::packed_words(stages) words) are what the pool records hold, what
+// the replay ledger (store::ChallengeSet) keys on, and what an issued
+// ChallengeBatch carries to the wire codec. authenticate() unpacks each row
+// into one reused Challenge only to drive the simulated chip.
+//
 // Concurrency contract: issue(), verify(), authenticate() and the const
 // accessors are safe to call concurrently for DISTINCT pre-registered
 // devices — they never mutate the store's index or ledger maps, only the
@@ -32,7 +38,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,14 +177,14 @@ class ServerDatabase {
   /// head = 0 and a bumped epoch. Returns candidates tried (the caller adds
   /// it to the batch's accounting).
   std::size_t refill_pool(std::size_t chip_id, const ModelView& view,
-                          const std::set<std::string>& ledger);
+                          const store::ChallengeSet& ledger);
   /// Completes `batch` to challenge_count via live screening (the shared
   /// kernel of issue_live and the pool-bypass fallback).
-  void fill_live(const ModelView& view, std::set<std::string>& ledger,
-                 ChallengeBatch& batch, std::vector<std::string>& fresh, Rng& rng);
-  /// Common issue() epilogue: replay/issued metrics + durable ledger append.
-  void finish_issue(std::size_t chip_id, std::uint32_t stages, ChallengeBatch& batch,
-                    const std::vector<std::string>& fresh);
+  void fill_live(const ModelView& view, store::ChallengeSet& ledger, ChallengeBatch& batch,
+                 Rng& rng);
+  /// Common issue() epilogue: replay/issued metrics + durable ledger append
+  /// of the batch's rows (each one already inserted into the ledger).
+  void finish_issue(std::size_t chip_id, const ChallengeBatch& batch);
 
   DatabaseConfig config_;
   OwnedDir owned_dir_;  ///< declared before store_, so removed after it closes

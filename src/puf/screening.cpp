@@ -1,26 +1,11 @@
 #include "puf/screening.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 
 namespace xpuf::puf {
-
-namespace {
-
-/// Candidate layout shared by both walks: word w (the stream's w-th
-/// next_u64() draw) holds stages 64w .. 64w + 63, least-significant bit
-/// first. Writes the stages of word w into an already-sized `out`.
-void unpack_word(Challenge& out, std::size_t w, std::uint64_t word) {
-  const std::size_t base = w * 64;
-  const std::size_t bits = std::min<std::size_t>(64, out.size() - base);
-  for (std::size_t j = 0; j < bits; ++j)
-    out[base + j] = static_cast<std::uint8_t>((word >> j) & 1U);
-}
-
-}  // namespace
 
 // Pure accounting: every (tried, accepted) pair is legal, including zeros.
 // xpuf-lint: allow(require-guard)
@@ -45,11 +30,14 @@ ChallengeScreener::ChallengeScreener(const ModelView& view, std::size_t n_pufs,
   for (std::size_t p = 0; p < n_pufs; ++p) thresholds_.push_back(view.adjusted_thresholds(p));
 }
 
-void ChallengeScreener::candidate_into(Challenge& out, std::size_t stages, Rng& rng) {
+void ChallengeScreener::candidate_into(std::span<std::uint64_t> row, std::size_t stages,
+                                       Rng& rng) {
   XPUF_REQUIRE(stages >= 1, "a challenge needs at least one stage");
-  out.resize(stages);
-  for (std::size_t w = 0; w < sim::packed_words(stages); ++w)
-    unpack_word(out, w, rng.next_u64());
+  XPUF_REQUIRE(row.size() == sim::packed_words(stages),
+               "candidate row needs packed_words(stages) words");
+  for (std::uint64_t& w : row) w = rng.next_u64();
+  // Canonical: the draw's bits above `stages` never reach a ledger key.
+  row.back() &= ~0ULL >> (64 * row.size() - stages);
 }
 
 ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
@@ -78,10 +66,12 @@ ChallengeScreener::Outcome ChallengeScreener::screen_serial(
   const std::size_t features = stages + 1;
   std::vector<double> phi(features);
   std::vector<double> raw(n_pufs_);
+  std::vector<std::uint64_t> row(sim::packed_words(stages));
   Challenge candidate;
   while (out.accepted < count && out.tried < max_attempts) {
     Rng rng = family.stream(first_index + out.tried);
-    candidate_into(candidate, stages, rng);
+    candidate_into(row, stages, rng);
+    sim::unpack_challenge_into(row, stages, candidate);
     ++out.tried;
     sim::feature_fill(candidate, phi.data());
     bool stable = true;
@@ -98,7 +88,7 @@ ChallengeScreener::Outcome ChallengeScreener::screen_serial(
     ++out.stable;
     bool bit = false;
     for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= raw[p] > 0.5;
-    if (sink(std::move(candidate), bit)) ++out.accepted;
+    if (sink(row, bit)) ++out.accepted;
   }
   out.filled = out.accepted >= count;
   return out;
@@ -116,16 +106,15 @@ ChallengeScreener::Outcome ChallengeScreener::screen_batched(
   // j's bits depend only on its stream index, so the block partition is
   // invisible in the issued sequence.
   std::size_t ramp = std::min(options_.block, std::max<std::size_t>(8, 2 * count));
-  Challenge candidate;
   while (out.accepted < count && out.tried < max_attempts) {
     const std::size_t want = std::min(ramp, max_attempts - out.tried);
     ramp = std::min(options_.block, ramp * 2);
-    // Candidates stay packed: the same words candidate_into unpacks, plus
-    // their suffix-parity form, from which every Phi sign is read.
+    // Candidates stay packed: the serial walk's rows, plus their
+    // suffix-parity form, from which every Phi sign is read.
     words_.resize(want * n_words);
     for (std::size_t i = 0; i < want; ++i) {
       Rng rng = family.stream(first_index + out.tried + i);
-      for (std::size_t w = 0; w < n_words; ++w) words_[i * n_words + w] = rng.next_u64();
+      candidate_into({words_.data() + i * n_words, n_words}, stages, rng);
     }
     parity_.resize(words_.size());
     sim::suffix_parity_words(words_, stages, parity_);
@@ -156,10 +145,7 @@ ChallengeScreener::Outcome ChallengeScreener::screen_batched(
       if (out.accepted >= count) break;
       walked = row + 1;
       ++out.stable;
-      candidate.resize(stages);
-      for (std::size_t w = 0; w < n_words; ++w)
-        unpack_word(candidate, w, words_[row * n_words + w]);
-      if (sink(std::move(candidate), bits_[row] != 0)) ++out.accepted;
+      if (sink({words_.data() + row * n_words, n_words}, bits_[row] != 0)) ++out.accepted;
     }
     out.tried += out.accepted >= count ? walked : want;
   }

@@ -9,15 +9,17 @@
 //   candidate j of a screening walk is a pure function of (family, j): its
 //   challenge bits come from StreamFamily::stream(first_index + j) alone.
 //
-// The batched walk keeps candidates packed: candidate j is the
-// packed_words(stages) next_u64() draws of its stream, stage bit i in bit
-// i % 64 of word i / 64 (exactly what candidate_into unpacks), plus those
-// words' suffix-parity form (sim::suffix_parity_words), which carries every
-// Phi sign. PUF p is then evaluated (sim::parity_dots, the serial walk's
-// ascending dot bit for bit) only on the rows still stable on PUFs
-// 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n)) evaluations at
-// acceptance A instead of n. The survivors stay in index order, and a
-// Challenge is materialised only for a stable candidate the sink sees.
+// Candidate j is the packed_words(stages) next_u64() draws of its stream,
+// stage bit i in bit i % 64 of word i / 64, with the bits above `stages`
+// cleared — the canonical packed row, and the one challenge format from
+// here to the replay ledger, the pool records and the wire (a Challenge is
+// unpacked only at the device boundary). The batched walk keeps those
+// words plus their suffix-parity form (sim::suffix_parity_words), which
+// carries every Phi sign. PUF p is then evaluated (sim::parity_dots, the
+// serial walk's ascending dot bit for bit) only on the rows still stable
+// on PUFs 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n)) evaluations
+// at acceptance A instead of n. The survivors stay in index order, and the
+// sink is handed each stable row in place.
 //
 // So the issued-challenge sequence, the expected-response bits, and the
 // exact candidates_tried count are identical across serial/batched modes,
@@ -29,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "puf/model_view.hpp"
@@ -56,10 +59,11 @@ class ChallengeScreener {
     std::uint64_t next_index = 0;  ///< resume cursor: first_index + tried
   };
 
-  /// Receives each stable candidate in index order with its expected XOR
-  /// bit; returns true to count it toward the quota (false = caller-side
-  /// rejection, e.g. the replay ledger — the walk continues).
-  using Sink = std::function<bool(Challenge&&, bool)>;
+  /// Receives each stable candidate in index order — its canonical packed
+  /// row, valid only during the call — with its expected XOR bit; returns
+  /// true to count it toward the quota (false = caller-side rejection, e.g.
+  /// the replay ledger — the walk continues).
+  using Sink = std::function<bool(std::span<const std::uint64_t>, bool)>;
 
   /// Screens the first `n_pufs` PUFs of `view`; the view must outlive the
   /// screener.
@@ -71,12 +75,12 @@ class ChallengeScreener {
   Outcome screen(const StreamFamily& family, std::uint64_t first_index,
                  std::size_t count, std::size_t max_attempts, const Sink& sink);
 
-  /// The serial walk's candidate generator: stage bits drawn 64 per
-  /// next_u64() word (LSB-first); the batched walk draws the same words and
-  /// keeps them packed. Faster than per-bit bernoulli and equally uniform;
-  /// the per-candidate stream makes the draw count per candidate irrelevant
-  /// to every other candidate.
-  static void candidate_into(Challenge& out, std::size_t stages, Rng& rng);
+  /// The candidate generator of both walks: stage bits drawn 64 per
+  /// next_u64() word (LSB-first) into `row` (packed_words(stages) words),
+  /// bits above `stages` cleared. Faster than per-bit bernoulli and equally
+  /// uniform; the per-candidate stream makes the draw count per candidate
+  /// irrelevant to every other candidate.
+  static void candidate_into(std::span<std::uint64_t> row, std::size_t stages, Rng& rng);
 
   const ScreeningOptions& options() const { return options_; }
 

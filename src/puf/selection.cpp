@@ -4,6 +4,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "puf/screening.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf {
 
@@ -66,11 +67,13 @@ SelectionResult ModelBasedSelector::select(std::size_t count, Rng& rng,
   const ModelView view = ModelView::of(*model_);
   ChallengeScreener screener(view, n_pufs_, options_);
   const ChallengeScreener::Outcome outcome =
-      screener.screen(family, 0, count, max_attempts, [&](Challenge&& c, bool bit) {
-        result.challenges.push_back(std::move(c));
-        result.expected_responses.push_back(bit);
-        return true;
-      });
+      screener.screen(family, 0, count, max_attempts,
+                      [&](std::span<const std::uint64_t> row, bool bit) {
+                        sim::unpack_challenge_into(row, model_->stages(),
+                                                   result.challenges.emplace_back());
+                        result.expected_responses.push_back(bit);
+                        return true;
+                      });
   result.candidates_tried = outcome.tried;
   result.filled = outcome.filled;
   record_selection(result);

@@ -1,10 +1,11 @@
 #include "puf/store/record.hpp"
 
-#include <array>
 #include <utility>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "linalg/vector.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf::store {
 
@@ -38,27 +39,7 @@ const char* to_string(RecordStatus status) {
   return "unknown record status";
 }
 
-// --- crc32 ------------------------------------------------------------------
-
 namespace {
-
-/// Slicing-by-8 tables: table[0] is the classic byte table, table[s][i] the
-/// crc of byte i followed by s zero bytes, so eight bytes fold per step.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables make_crc_tables() {
-  CrcTables table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (std::uint32_t k = 0; k < 8; ++k)
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    table[0][i] = c;
-  }
-  for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t i = 0; i < 256; ++i)
-      table[s][i] = (table[s - 1][i] >> 8) ^ table[0][table[s - 1][i] & 0xffu];
-  return table;
-}
 
 /// Fixed byte footprint of a REGISTER payload's geometry + beta prefix:
 /// u32 puf_count + u32 stages (the f64 betas follow but are not part of the
@@ -67,28 +48,7 @@ constexpr std::uint32_t kModelFixedBytes = 8;
 /// Fixed byte footprint of an ISSUE payload prefix: u32 count + u32 stages.
 constexpr std::uint32_t kLedgerFixedBytes = 8;
 
-std::uint64_t row_bytes_for(std::uint64_t stages) { return (stages + 7) / 8; }
-
 }  // namespace
-
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size) {
-  // Every pool drain crc-checks a whole POOL record, so this runs on the
-  // serve path: eight independent lookups per step instead of a byte chain.
-  static const CrcTables table = make_crc_tables();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  std::uint64_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(data[i]) |
-                                    static_cast<std::uint32_t>(data[i + 1]) << 8 |
-                                    static_cast<std::uint32_t>(data[i + 2]) << 16 |
-                                    static_cast<std::uint32_t>(data[i + 3]) << 24);
-    crc = table[7][lo & 0xffu] ^ table[6][(lo >> 8) & 0xffu] ^
-          table[5][(lo >> 16) & 0xffu] ^ table[4][lo >> 24] ^ table[3][data[i + 4]] ^
-          table[2][data[i + 5]] ^ table[1][data[i + 6]] ^ table[0][data[i + 7]];
-  }
-  for (; i < size; ++i) crc = table[0][(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
 
 // --- record framing ---------------------------------------------------------
 
@@ -110,7 +70,7 @@ void encode_record(std::vector<std::uint8_t>& out, OpType op, std::uint64_t devi
 RecordStatus decode_record(const std::uint8_t* data, std::uint64_t size,
                            std::uint64_t offset, RecordView& out) {
   if (offset > size) return RecordStatus::kTruncated;
-  RecordReader reader(data + offset, size - offset);
+  ByteReader reader(data + offset, size - offset);
   std::uint16_t magic = 0;
   std::uint8_t version = 0;
   std::uint8_t op = 0;
@@ -165,7 +125,7 @@ std::vector<std::uint8_t> encode_model(const ServerModel& model) {
 
 RecordStatus decode_model(const std::uint8_t* payload, std::uint32_t len,
                           std::uint64_t device_id, ServerModel& out) {
-  RecordReader reader(payload, len);
+  ByteReader reader(payload, len);
   std::uint32_t puf_count = 0;
   std::uint32_t stages = 0;
   if (!reader.read_u32(puf_count)) return RecordStatus::kBadPayload;
@@ -174,19 +134,19 @@ RecordStatus decode_model(const std::uint8_t* payload, std::uint32_t len,
   if (stages == 0 || stages > kMaxStagesPerModel) return RecordStatus::kBadPayload;
   if (len != model_payload_bytes(puf_count, stages)) return RecordStatus::kBadPayload;
   BetaFactors betas;
-  if (!reader.read_f64(betas.beta0)) return RecordStatus::kBadPayload;
-  if (!reader.read_f64(betas.beta1)) return RecordStatus::kBadPayload;
+  if (!read_f64(reader, betas.beta0)) return RecordStatus::kBadPayload;
+  if (!read_f64(reader, betas.beta1)) return RecordStatus::kBadPayload;
   std::vector<PufEnrollment> pufs;
   pufs.reserve(puf_count);
   for (std::uint32_t p = 0; p < puf_count; ++p) {
     PufEnrollment e;
-    if (!reader.read_f64(e.thresholds.thr0)) return RecordStatus::kBadPayload;
-    if (!reader.read_f64(e.thresholds.thr1)) return RecordStatus::kBadPayload;
-    if (!reader.read_f64(e.train_r_squared)) return RecordStatus::kBadPayload;
-    if (!reader.read_f64(e.fit_time_ms)) return RecordStatus::kBadPayload;
+    if (!read_f64(reader, e.thresholds.thr0)) return RecordStatus::kBadPayload;
+    if (!read_f64(reader, e.thresholds.thr1)) return RecordStatus::kBadPayload;
+    if (!read_f64(reader, e.train_r_squared)) return RecordStatus::kBadPayload;
+    if (!read_f64(reader, e.fit_time_ms)) return RecordStatus::kBadPayload;
     std::vector<double> weights(stages + 1);
     for (double& w : weights)
-      if (!reader.read_f64(w)) return RecordStatus::kBadPayload;
+      if (!read_f64(reader, w)) return RecordStatus::kBadPayload;
     e.model = ArbiterPufModel(linalg::Vector(std::move(weights)));
     pufs.push_back(std::move(e));
   }
@@ -202,7 +162,7 @@ std::uint64_t model_payload_bytes(std::uint32_t puf_count, std::uint32_t stages)
 
 RecordStatus peek_model_shape(const std::uint8_t* payload, std::uint32_t len,
                               std::uint32_t& puf_count, std::uint32_t& stages) {
-  RecordReader reader(payload, len);
+  ByteReader reader(payload, len);
   if (!reader.read_u32(puf_count)) return RecordStatus::kBadPayload;
   if (!reader.read_u32(stages)) return RecordStatus::kBadPayload;
   if (puf_count == 0 || puf_count > kMaxPufsPerModel) return RecordStatus::kBadPayload;
@@ -212,39 +172,55 @@ RecordStatus peek_model_shape(const std::uint8_t* payload, std::uint32_t len,
 
 // --- ledger payload ----------------------------------------------------------
 
+namespace {
+
+/// True when none of `count` on-disk rows has a bit set above `stages` —
+/// the one byte form per challenge that keeps ledger keys unique.
+bool rows_canonical(const std::uint8_t* rows, std::uint64_t count, std::uint32_t stages) {
+  const std::uint64_t row = sim::packed_bytes(stages);
+  for (std::uint64_t i = 0; i < count && stages % 8 != 0; ++i)
+    if ((rows[i * row + row - 1] >> (stages % 8)) != 0) return false;
+  return true;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_ledger(std::uint32_t stages,
-                                        const std::vector<std::string>& keys) {
+                                        std::span<const std::uint64_t> rows) {
   XPUF_REQUIRE(stages > 0, "encode_ledger: zero stages");
-  const std::uint64_t row = row_bytes_for(stages);
+  const std::size_t stride = sim::packed_words(stages);
+  XPUF_REQUIRE(rows.size() % stride == 0, "encode_ledger: rows need packed_words(stages) words");
+  const std::size_t count = rows.size() / stride;
   std::vector<std::uint8_t> out;
-  out.reserve(kLedgerFixedBytes + keys.size() * row);
-  put_u32(out, static_cast<std::uint32_t>(keys.size()));
+  out.reserve(kLedgerFixedBytes + count * sim::packed_bytes(stages));
+  put_u32(out, static_cast<std::uint32_t>(count));
   put_u32(out, stages);
-  for (const std::string& key : keys) {
-    XPUF_REQUIRE(key.size() == row, "encode_ledger: key width != ceil(stages/8)");
-    out.insert(out.end(), key.begin(), key.end());
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    sim::append_packed_bytes(rows.subspan(i * stride, stride), stages, out);
   return out;
 }
 
 RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
-                           std::uint32_t& stages, std::vector<std::string>& keys) {
+                           ChallengeSet& into, std::uint64_t& inserted) {
   XPUF_REQUIRE(payload != nullptr || len == 0,
                "decode_ledger: null payload with nonzero length");
-  RecordReader reader(payload, len);
+  ByteReader reader(payload, len);
   std::uint32_t count = 0;
+  std::uint32_t stages = 0;
   if (!reader.read_u32(count)) return RecordStatus::kBadPayload;
   if (!reader.read_u32(stages)) return RecordStatus::kBadPayload;
-  if (stages == 0 || stages > kMaxStagesPerModel) return RecordStatus::kBadPayload;
-  const std::uint64_t row = row_bytes_for(stages);
-  if (static_cast<std::uint64_t>(len) != kLedgerFixedBytes + count * row)
+  if (stages == 0 || stages > kMaxStagesPerModel || stages != into.stages())
     return RecordStatus::kBadPayload;
-  keys.clear();
-  keys.reserve(count);
+  const std::uint64_t row = sim::packed_bytes(stages);
+  const std::uint8_t* rows = payload + reader.position();
+  if (static_cast<std::uint64_t>(len) != kLedgerFixedBytes + count * row ||
+      !rows_canonical(rows, count, stages))
+    return RecordStatus::kBadPayload;
+  std::vector<std::uint64_t> key(into.stride());
+  inserted = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key;
-    if (!reader.read_bytes(row, key)) return RecordStatus::kBadPayload;
-    keys.push_back(std::move(key));
+    sim::read_packed_bytes(rows + i * row, stages, key);
+    if (into.insert(key)) ++inserted;
   }
   return RecordStatus::kOk;
 }
@@ -262,60 +238,61 @@ constexpr std::uint32_t kPoolFixedBytes = 24;
 std::vector<std::uint8_t> encode_pool(const PoolPayload& pool) {
   XPUF_REQUIRE(pool.stages > 0 && pool.stages <= kMaxStagesPerModel,
                "encode_pool: stages out of range");
-  XPUF_REQUIRE(pool.expected.size() == pool.keys.size(),
-               "encode_pool: one expected bit per pool entry");
-  const std::uint64_t row = row_bytes_for(pool.stages);
-  const std::uint64_t bitmap = (pool.keys.size() + 7) / 8;
+  const std::size_t stride = sim::packed_words(pool.stages);
+  const std::size_t count = pool.size();
+  XPUF_REQUIRE(pool.words.size() == count * stride,
+               "encode_pool: one packed row per expected bit");
+  const std::uint64_t bitmap = (count + 7) / 8;
   std::vector<std::uint8_t> out;
-  out.reserve(kPoolFixedBytes + bitmap + pool.keys.size() * row);
-  put_u32(out, static_cast<std::uint32_t>(pool.keys.size()));
+  out.reserve(kPoolFixedBytes + bitmap + count * sim::packed_bytes(pool.stages));
+  put_u32(out, static_cast<std::uint32_t>(count));
   put_u32(out, pool.stages);
   put_u32(out, pool.epoch);
   put_u32(out, 0);  // reserved
   put_u64(out, pool.cursor);
-  std::vector<std::uint8_t> bits(static_cast<std::size_t>(bitmap), 0);
-  for (std::size_t i = 0; i < pool.expected.size(); ++i)
+  out.resize(out.size() + bitmap, 0);
+  std::uint8_t* bits = out.data() + kPoolFixedBytes;
+  for (std::size_t i = 0; i < count; ++i)
     if (pool.expected[i] != 0) bits[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  out.insert(out.end(), bits.begin(), bits.end());
-  for (const std::string& key : pool.keys) {
-    XPUF_REQUIRE(key.size() == row, "encode_pool: key width != ceil(stages/8)");
-    out.insert(out.end(), key.begin(), key.end());
-  }
+  const std::span<const std::uint64_t> words(pool.words);
+  for (std::size_t i = 0; i < count; ++i)
+    sim::append_packed_bytes(words.subspan(i * stride, stride), pool.stages, out);
   return out;
 }
 
-RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len,
-                         PoolPayload& out) {
+RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len, PoolView& out) {
   XPUF_REQUIRE(payload != nullptr || len == 0,
                "decode_pool: null payload with nonzero length");
-  RecordReader reader(payload, len);
-  std::uint32_t count = 0;
+  ByteReader reader(payload, len);
   std::uint32_t reserved = 0;
-  if (!reader.read_u32(count)) return RecordStatus::kBadPayload;
+  if (!reader.read_u32(out.count)) return RecordStatus::kBadPayload;
   if (!reader.read_u32(out.stages)) return RecordStatus::kBadPayload;
   if (!reader.read_u32(out.epoch)) return RecordStatus::kBadPayload;
   if (!reader.read_u32(reserved)) return RecordStatus::kBadPayload;
   if (reserved != 0) return RecordStatus::kBadPayload;
   if (!reader.read_u64(out.cursor)) return RecordStatus::kBadPayload;
   if (out.stages == 0 || out.stages > kMaxStagesPerModel) return RecordStatus::kBadPayload;
-  const std::uint64_t row = row_bytes_for(out.stages);
-  const std::uint64_t bitmap = (static_cast<std::uint64_t>(count) + 7) / 8;
-  if (static_cast<std::uint64_t>(len) != kPoolFixedBytes + bitmap + count * row)
+  const std::uint64_t bitmap = (static_cast<std::uint64_t>(out.count) + 7) / 8;
+  if (static_cast<std::uint64_t>(len) !=
+      kPoolFixedBytes + bitmap + out.count * sim::packed_bytes(out.stages))
     return RecordStatus::kBadPayload;
-  std::string bits;
-  if (!reader.read_bytes(bitmap, bits)) return RecordStatus::kBadPayload;
-  out.expected.assign(count, 0);
-  for (std::uint32_t i = 0; i < count; ++i)
-    out.expected[i] =
-        static_cast<std::uint8_t>((static_cast<std::uint8_t>(bits[i / 8]) >> (i % 8)) & 1u);
-  out.keys.clear();
-  out.keys.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string key;
-    if (!reader.read_bytes(row, key)) return RecordStatus::kBadPayload;
-    out.keys.push_back(std::move(key));
+  out.bits = payload + reader.position();
+  out.rows = out.bits + bitmap;
+  return rows_canonical(out.rows, out.count, out.stages) ? RecordStatus::kOk
+                                                         : RecordStatus::kBadPayload;
+}
+
+void PoolView::read(std::uint32_t first, std::uint32_t n, std::vector<std::uint64_t>& words,
+                    std::vector<std::uint8_t>& expected) const {
+  XPUF_REQUIRE(first <= count && n <= count - first, "pool slice out of range");
+  const std::uint64_t row = sim::packed_bytes(stages);
+  const std::size_t stride = sim::packed_words(stages);
+  std::size_t at = words.size();
+  words.resize(at + n * stride);
+  for (std::uint32_t i = first; i < first + n; ++i, at += stride) {
+    sim::read_packed_bytes(rows + i * row, stages, {words.data() + at, stride});
+    expected.push_back(static_cast<std::uint8_t>((bits[i / 8] >> (i % 8)) & 1u));
   }
-  return RecordStatus::kOk;
 }
 
 // --- zero-copy model view ----------------------------------------------------
@@ -394,7 +371,7 @@ RecordStatus decode_manifest(const std::uint8_t* data, std::uint64_t size,
                              std::uint32_t& n_shards) {
   if (size < kManifestBytes) return RecordStatus::kTruncated;
   if (size > kManifestBytes) return RecordStatus::kBadLength;
-  RecordReader reader(data, size);
+  ByteReader reader(data, size);
   std::uint16_t magic = 0;
   std::uint8_t version = 0;
   std::uint8_t reserved = 0;
@@ -410,28 +387,6 @@ RecordStatus decode_manifest(const std::uint8_t* data, std::uint64_t size,
     return RecordStatus::kBadChecksum;
   if (n_shards == 0) return RecordStatus::kBadPayload;
   return RecordStatus::kOk;
-}
-
-// --- packed challenge keys ---------------------------------------------------
-
-std::string pack_challenge(const Challenge& challenge) {
-  XPUF_REQUIRE(!challenge.empty(), "pack_challenge: empty challenge");
-  std::string key(static_cast<std::size_t>(row_bytes_for(challenge.size())), '\0');
-  for (std::size_t i = 0; i < challenge.size(); ++i)
-    if (challenge[i] != 0)
-      key[i / 8] = static_cast<char>(static_cast<std::uint8_t>(key[i / 8]) |
-                                     static_cast<std::uint8_t>(1u << (i % 8)));
-  return key;
-}
-
-Challenge unpack_challenge(const std::string& key, std::size_t bits) {
-  XPUF_REQUIRE(key.size() == row_bytes_for(bits),
-               "unpack_challenge: key width != ceil(bits/8)");
-  Challenge challenge(bits, 0);
-  for (std::size_t i = 0; i < bits; ++i)
-    challenge[i] =
-        static_cast<std::uint8_t>((static_cast<std::uint8_t>(key[i / 8]) >> (i % 8)) & 1u);
-  return challenge;
 }
 
 }  // namespace xpuf::puf::store

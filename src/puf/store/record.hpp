@@ -3,9 +3,8 @@
 // The server must durably remember every enrolled model and every challenge
 // it ever issued — the issued-challenge ledger IS the replay defense — so
 // store records follow the same byte-exact discipline as the net/ wire
-// frames (which this module cannot include: puf sits below net in the
-// layering DAG, so the primitives are redefined here and the xpuf_lint
-// `wire-pairing` pass checks both copies).
+// frames, through the same common/ primitives (byte_codec.hpp, crc32.hpp),
+// and the xpuf_lint `wire-pairing` pass checks both codecs.
 //
 // Record layout (all integers little-endian, fixed width):
 //
@@ -29,11 +28,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
+#include "common/byte_codec.hpp"
+#include "common/crc32.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/model_view.hpp"
+#include "puf/store/challenge_set.hpp"
 
 namespace xpuf::puf::store {
 
@@ -83,114 +85,23 @@ enum class RecordStatus : std::uint8_t {
 const char* to_string(RecordStatus status);
 
 // --- byte-order codecs ------------------------------------------------------
-// The only sanctioned way bytes enter or leave a store record. Inline in the
-// header so the whole codec TU pair (record.hpp + record.cpp) carries the
-// put_/read_ vocabulary the wire-pairing lint pass verifies.
+// Integers go through the shared common/byte_codec.hpp (put_uN, ByteReader),
+// the same primitives the net/ wire frames use; doubles travel as their
+// IEEE-754 bit pattern in a little-endian u64, so a model round-trips
+// bit-exactly on any host.
 
-inline void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-
-inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xffu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xffu));
-}
-
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (std::uint32_t shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (std::uint32_t shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xffu));
-}
-
-/// Doubles travel as their IEEE-754 bit pattern in a little-endian u64, so a
-/// model round-trips bit-exactly on any host.
 inline void put_f64(std::vector<std::uint8_t>& out, double v) {
   static_assert(std::numeric_limits<double>::is_iec559,
                 "store codec requires IEEE-754 doubles");
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Bounds-checked little-endian cursor. Every read_* returns false instead
-/// of walking past the end, so truncated records surface as kTruncated,
-/// never UB.
-class RecordReader {
- public:
-  RecordReader(const std::uint8_t* data, std::uint64_t size)
-      : data_(data), size_(size) {}
-
-  bool read_u8(std::uint8_t& v);
-  bool read_u16(std::uint16_t& v);
-  bool read_u32(std::uint32_t& v);
-  bool read_u64(std::uint64_t& v);
-  bool read_f64(double& v);
-  bool read_bytes(std::uint64_t n, std::string& out);
-  bool skip(std::uint64_t n);
-
-  std::uint64_t position() const { return pos_; }
-  std::uint64_t remaining() const { return size_ - pos_; }
-
- private:
-  const std::uint8_t* data_;
-  std::uint64_t size_;
-  std::uint64_t pos_ = 0;
-};
-
-inline bool RecordReader::read_u8(std::uint8_t& v) {
-  if (remaining() < 1) return false;
-  v = data_[pos_++];
-  return true;
-}
-
-inline bool RecordReader::read_u16(std::uint16_t& v) {
-  if (remaining() < 2) return false;
-  v = static_cast<std::uint16_t>(static_cast<std::uint16_t>(data_[pos_]) |
-                                 (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return true;
-}
-
-inline bool RecordReader::read_u32(std::uint32_t& v) {
-  if (remaining() < 4) return false;
-  v = 0;
-  for (std::uint32_t b = 0; b < 4; ++b)
-    v |= static_cast<std::uint32_t>(data_[pos_ + b]) << (8 * b);
-  pos_ += 4;
-  return true;
-}
-
-inline bool RecordReader::read_u64(std::uint64_t& v) {
-  if (remaining() < 8) return false;
-  v = 0;
-  for (std::uint32_t b = 0; b < 8; ++b)
-    v |= static_cast<std::uint64_t>(data_[pos_ + b]) << (8 * b);
-  pos_ += 8;
-  return true;
-}
-
-inline bool RecordReader::read_f64(double& v) {
+inline bool read_f64(ByteReader& reader, double& v) {
   std::uint64_t bits = 0;
-  if (!read_u64(bits)) return false;
+  if (!reader.read_u64(bits)) return false;
   v = std::bit_cast<double>(bits);
   return true;
 }
-
-inline bool RecordReader::read_bytes(std::uint64_t n, std::string& out) {
-  if (remaining() < n) return false;
-  out.assign(reinterpret_cast<const char*>(data_) + pos_, static_cast<std::size_t>(n));
-  pos_ += n;
-  return true;
-}
-
-inline bool RecordReader::skip(std::uint64_t n) {
-  if (remaining() < n) return false;
-  pos_ += n;
-  return true;
-}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the record checksum.
-std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size);
 
 // --- record framing ---------------------------------------------------------
 
@@ -236,23 +147,31 @@ RecordStatus peek_model_shape(const std::uint8_t* payload, std::uint32_t len,
 std::uint64_t model_payload_bytes(std::uint32_t puf_count, std::uint32_t stages);
 
 /// ISSUE payload: u32 count, u32 stages, then count rows of
-/// ceil(stages / 8) bytes — the packed ledger keys, verbatim.
+/// ceil(stages / 8) bytes — the ledger keys in sim::packed_bytes form. In
+/// memory the same keys are packed rows of sim::packed_words(stages) words
+/// (ChallengeSet keys); `rows` holds them back to back.
 std::vector<std::uint8_t> encode_ledger(std::uint32_t stages,
-                                        const std::vector<std::string>& keys);
+                                        std::span<const std::uint64_t> rows);
+/// Decodes straight into `into`, which must be a set of the payload's
+/// stages. kBadPayload for a malformed payload, a stage-count mismatch, or a
+/// row with a bit set above `stages` (checked before anything is inserted);
+/// `inserted` counts the rows that were new to the set.
 RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
-                           std::uint32_t& stages, std::vector<std::string>& keys);
+                           ChallengeSet& into, std::uint64_t& inserted);
 
 /// Decoded POOL payload: the device's pre-screened stable-challenge pool.
-/// `keys` are packed challenges (pack_challenge format), `expected[i]` the
-/// predicted XOR bit of keys[i], `cursor` the candidate-stream index the
-/// next refill resumes screening from, `epoch` the pool generation — replay
-/// keeps only the record with the highest epoch per device.
+/// Entry i is the packed row at words[i * packed_words(stages)], with
+/// `expected[i]` its predicted XOR bit; `cursor` is the candidate-stream
+/// index the next refill resumes screening from, `epoch` the pool
+/// generation — replay keeps only the record appended last per device.
 struct PoolPayload {
   std::uint32_t stages = 0;
   std::uint32_t epoch = 0;
   std::uint64_t cursor = 0;
-  std::vector<std::string> keys;
-  std::vector<std::uint8_t> expected;  ///< one 0/1 byte per key
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> expected;  ///< one 0/1 byte per entry
+
+  std::size_t size() const { return expected.size(); }
 };
 
 /// POOL payload: u32 count, u32 stages, u32 epoch, u32 reserved(0),
@@ -260,8 +179,25 @@ struct PoolPayload {
 /// expected response of entry i, LSB-first like the challenge packing),
 /// then count rows of ceil(stages / 8) packed challenge bytes.
 std::vector<std::uint8_t> encode_pool(const PoolPayload& pool);
-RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len,
-                         PoolPayload& out);
+
+/// A validated POOL payload, viewed in place: the decode reads the fixed
+/// fields and checks the length and every row (a bit set above `stages`
+/// is kBadPayload), so replay indexes a pool without copying it and a
+/// drain materializes only the entries it takes.
+struct PoolView {
+  std::uint32_t count = 0;
+  std::uint32_t stages = 0;
+  std::uint32_t epoch = 0;
+  std::uint64_t cursor = 0;
+  const std::uint8_t* bits = nullptr;  ///< the expected-bit bitmap
+  const std::uint8_t* rows = nullptr;  ///< count rows of ceil(stages / 8) bytes
+
+  /// Appends entries [first, first + n) (first + n <= count) as packed
+  /// rows and 0/1 expected bytes.
+  void read(std::uint32_t first, std::uint32_t n, std::vector<std::uint64_t>& words,
+            std::vector<std::uint8_t>& expected) const;
+};
+RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len, PoolView& out);
 
 /// Builds a zero-copy ModelView straight over a REGISTER payload — the mmap
 /// serving path: the view's weight spans point into `payload` itself, no
@@ -300,12 +236,5 @@ inline constexpr std::uint32_t kManifestBytes = 12;
 std::vector<std::uint8_t> encode_manifest(std::uint32_t n_shards);
 RecordStatus decode_manifest(const std::uint8_t* data, std::uint64_t size,
                              std::uint32_t& n_shards);
-
-// --- packed challenge keys --------------------------------------------------
-// The in-memory replay ledger stores challenges in the same packed form the
-// log uses: ceil(stages / 8) bytes, bit i of byte i/8 = challenge bit i.
-
-std::string pack_challenge(const Challenge& challenge);
-Challenge unpack_challenge(const std::string& key, std::size_t bits);
 
 }  // namespace xpuf::puf::store

@@ -1,5 +1,6 @@
 #include "puf/store/store.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -7,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::puf::store {
 
@@ -21,19 +23,15 @@ std::string shard_gauge_name(std::uint32_t k) {
   return "db.shard_ledger_size." + std::to_string(k);
 }
 
-/// Appends ISSUE records covering [first, last), chunked so each record's
-/// payload stays bounded.
-template <typename Iter>
+/// Appends ISSUE records covering the packed `rows`, chunked so each
+/// record's payload stays bounded.
 void append_issue_records(std::vector<std::uint8_t>& out, std::uint64_t device_id,
-                          std::uint32_t stages, Iter first, Iter last) {
+                          std::uint32_t stages, std::span<const std::uint64_t> rows) {
   XPUF_REQUIRE(stages > 0, "issue records need the model geometry");
-  std::vector<std::string> chunk;
-  while (first != last) {
-    chunk.clear();
-    for (std::size_t n = 0; n < kLedgerKeysPerRecord && first != last; ++n, ++first)
-      chunk.push_back(*first);
-    encode_record(out, OpType::kIssue, device_id, encode_ledger(stages, chunk));
-  }
+  const std::size_t chunk = kLedgerKeysPerRecord * sim::packed_words(stages);
+  for (std::size_t at = 0; at < rows.size(); at += chunk)
+    encode_record(out, OpType::kIssue, device_id,
+                  encode_ledger(stages, rows.subspan(at, std::min(chunk, rows.size() - at))));
 }
 
 }  // namespace
@@ -107,7 +105,7 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
           throw corrupt(offset, "malformed model payload");
         index_[view.device_id] =
             DeviceRecord{k, view.begin, view.end - view.begin, puf_count, stages};
-        ledgers_[view.device_id];
+        ledgers_.insert_or_assign(view.device_id, ChallengeSet(stages));
         break;
       }
       case OpType::kRevoke: {
@@ -130,15 +128,12 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
           throw corrupt(offset, "orphaned ISSUE record for unknown device " +
                                     std::to_string(view.device_id) +
                                     " — issued challenges must never be forgotten");
-        std::uint32_t stages = 0;
-        std::vector<std::string> keys;
-        if (decode_ledger(view.payload, view.payload_len, stages, keys) != RecordStatus::kOk)
-          throw corrupt(offset, "malformed ledger payload");
-        if (stages != index_.at(view.device_id).stages)
-          throw corrupt(offset, "ledger geometry does not match the registered model");
+        // Rows decode straight into the ledger; a payload of another
+        // geometry than the registered model is rejected as malformed.
         std::uint64_t inserted = 0;
-        for (std::string& key : keys)
-          if (it->second.insert(std::move(key)).second) ++inserted;
+        if (decode_ledger(view.payload, view.payload_len, it->second, inserted) !=
+            RecordStatus::kOk)
+          throw corrupt(offset, "malformed ledger payload");
         shard_ledger_total_[k].fetch_add(inserted, std::memory_order_relaxed);
         break;
       }
@@ -146,7 +141,7 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
         if (index_.count(view.device_id) == 0)
           throw corrupt(offset, "POOL record for unknown device " +
                                     std::to_string(view.device_id));
-        PoolPayload pool;
+        PoolView pool;
         if (decode_pool(view.payload, view.payload_len, pool) != RecordStatus::kOk)
           throw corrupt(offset, "malformed pool payload");
         if (pool.stages != index_.at(view.device_id).stages)
@@ -156,11 +151,9 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
         // the already-issued prefix on the first post-crash drain.
         if (const auto pit = pools_.find(view.device_id); pit != pools_.end())
           pool_undrained_ -= pit->second.count - pit->second.head;
-        pool_undrained_ += pool.keys.size();
-        pools_[view.device_id] =
-            PoolSlot{k, view.begin, view.end - view.begin,
-                     static_cast<std::uint32_t>(pool.keys.size()), 0, pool.epoch,
-                     pool.cursor};
+        pool_undrained_ += pool.count;
+        pools_[view.device_id] = PoolSlot{k, view.begin, view.end - view.begin, pool.count, 0,
+                                          pool.epoch, pool.cursor};
         break;
       }
       case OpType::kPad: {
@@ -226,7 +219,7 @@ void EnrollmentStore::register_device(ServerModel model) {
   index_[id] = DeviceRecord{k, end - record_len, record_len,
                             static_cast<std::uint32_t>(model.puf_count()),
                             static_cast<std::uint32_t>(model.stages())};
-  ledgers_[id];
+  ledgers_.insert_or_assign(id, ChallengeSet(model.stages()));
   auto shared = std::make_shared<const ServerModel>(std::move(model));
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
@@ -358,10 +351,10 @@ void EnrollmentStore::record_pool(std::uint64_t device_id, const PoolPayload& po
   std::lock_guard<std::mutex> lock(*pool_mu_);
   if (const auto pit = pools_.find(device_id); pit != pools_.end())
     pool_undrained_ -= pit->second.count - pit->second.head;
-  pool_undrained_ += pool.keys.size();
+  pool_undrained_ += pool.size();
   pools_[device_id] = PoolSlot{k, end - bytes.size(), bytes.size(),
-                               static_cast<std::uint32_t>(pool.keys.size()), 0,
-                               pool.epoch, pool.cursor};
+                               static_cast<std::uint32_t>(pool.size()), 0, pool.epoch,
+                               pool.cursor};
 }
 
 bool EnrollmentStore::pool_slot(std::uint64_t device_id, PoolSlot& out) const {
@@ -387,22 +380,8 @@ std::uint64_t EnrollmentStore::pool_entries_total() const {
   return pool_undrained_;
 }
 
-bool EnrollmentStore::read_pool(std::uint64_t device_id, PoolPayload& out) const {
-  PoolSlot slot;
-  if (!pool_slot(device_id, slot)) return false;
-  std::vector<std::string> keys;
-  std::vector<std::uint8_t> expected;
-  read_pool_slice(device_id, 0, slot.count, keys, expected);
-  out.stages = index_.at(device_id).stages;
-  out.epoch = slot.epoch;
-  out.cursor = slot.cursor;
-  out.keys = std::move(keys);
-  out.expected = std::move(expected);
-  return true;
-}
-
 void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t first,
-                                      std::uint32_t n, std::vector<std::string>& keys,
+                                      std::uint32_t n, std::vector<std::uint64_t>& words,
                                       std::vector<std::uint8_t>& expected) const {
   PoolSlot slot;
   XPUF_REQUIRE(pool_slot(device_id, slot), "device has no pool");
@@ -435,47 +414,36 @@ void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t fir
   if (decode_record(base, base_size, record_at, view) != RecordStatus::kOk ||
       view.op != OpType::kPool || view.device_id != device_id)
     throw corrupt();
-  // Slice extraction without decode_pool: materialize only [first, first+n).
-  RecordReader reader(view.payload, view.payload_len);
-  std::uint32_t count = 0;
-  std::uint32_t stages = 0;
-  if (!reader.read_u32(count) || !reader.read_u32(stages) || count != slot.count)
+  PoolView pool;
+  if (decode_pool(view.payload, view.payload_len, pool) != RecordStatus::kOk ||
+      pool.count != slot.count || pool.stages != index_.at(device_id).stages)
     throw corrupt();
-  const std::uint64_t row = (static_cast<std::uint64_t>(stages) + 7) / 8;
-  const std::uint64_t bitmap = (static_cast<std::uint64_t>(count) + 7) / 8;
-  if (!reader.skip(16) || reader.remaining() != bitmap + count * row) throw corrupt();
-  const std::uint8_t* bits = view.payload + reader.position();
-  const std::uint8_t* rows = bits + bitmap;
-  keys.reserve(keys.size() + n);
-  expected.reserve(expected.size() + n);
-  for (std::uint32_t i = first; i < first + n; ++i) {
-    keys.emplace_back(reinterpret_cast<const char*>(rows + i * row),
-                      static_cast<std::size_t>(row));
-    expected.push_back(static_cast<std::uint8_t>((bits[i / 8] >> (i % 8)) & 1u));
-  }
+  // Only the requested slice is materialized.
+  pool.read(first, n, words, expected);
 }
 
-std::set<std::string>& EnrollmentStore::ledger(std::uint64_t device_id) {
+ChallengeSet& EnrollmentStore::ledger(std::uint64_t device_id) {
   const auto it = ledgers_.find(device_id);
   XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
   return it->second;
 }
 
-const std::set<std::string>& EnrollmentStore::ledger(std::uint64_t device_id) const {
+const ChallengeSet& EnrollmentStore::ledger(std::uint64_t device_id) const {
   const auto it = ledgers_.find(device_id);
   XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
   return it->second;
 }
 
 void EnrollmentStore::record_issued(std::uint64_t device_id, std::uint32_t stages,
-                                    const std::vector<std::string>& fresh) {
+                                    std::span<const std::uint64_t> fresh) {
   XPUF_REQUIRE(knows(device_id), "unknown device id");
   if (fresh.empty()) return;
   const std::uint32_t k = log_.shard_of(device_id);
   std::vector<std::uint8_t> bytes;
-  append_issue_records(bytes, device_id, stages, fresh.begin(), fresh.end());
+  append_issue_records(bytes, device_id, stages, fresh);
   append_record(k, bytes);
-  shard_ledger_total_[k].fetch_add(fresh.size(), std::memory_order_relaxed);
+  shard_ledger_total_[k].fetch_add(fresh.size() / sim::packed_words(stages),
+                                   std::memory_order_relaxed);
   refresh_ledger_gauges(k);
 }
 
@@ -517,8 +485,9 @@ void EnrollmentStore::compact() {
       updated.offset = fresh.size();
       fresh.insert(fresh.end(), record_bytes.begin(), record_bytes.end());
       rewritten[id] = updated;
-      const std::set<std::string>& keys = ledgers_.at(id);
-      append_issue_records(fresh, id, rec.stages, keys.begin(), keys.end());
+      // Keys in ascending on-disk byte order, so a compacted shard is a
+      // pure function of the ledger's contents.
+      append_issue_records(fresh, id, rec.stages, ledgers_.at(id).sorted_rows());
       PoolSlot slot;
       if (pool_slot(id, slot)) {
         // The latest POOL record also travels verbatim; head/epoch/cursor

@@ -11,7 +11,9 @@
 // shard) only ever swaps a complete old shard for a complete new one.
 //
 // Memory model: the index (device -> shard/offset/geometry) and the
-// issued-challenge ledgers stay resident; model weights — the bulk of the
+// issued-challenge ledgers stay resident — each ledger a flat ChallengeSet
+// of packed rows, ~10–21 bytes per 8-byte key (~31 at the peak of a
+// rehash), nothing for a device never issued to; model weights — the bulk of the
 // bytes — are decoded on demand through a capacity-bounded LRU cache
 // (db.cache_hits / db.cache_misses / db.cache_evictions), so serving a
 // million-device fleet needs cache_capacity models in RAM, not a million.
@@ -35,7 +37,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,19 +123,15 @@ class EnrollmentStore {
   /// it with head = 0. Replay keeps the record appended last.
   void record_pool(std::uint64_t device_id, const PoolPayload& pool);
 
-  /// Reads and decodes the device's latest POOL record in full. Returns
-  /// false when the device has no pool. Corrupt stored bytes throw
-  /// ParseError.
-  bool read_pool(std::uint64_t device_id, PoolPayload& out) const;
-
-  /// Appends entries [first, first + n) of the device's pool — packed keys
-  /// and expected bits — to `keys`/`expected`. The stored record is
+  /// Appends entries [first, first + n) of the device's pool — packed rows
+  /// (sim::packed_words(stages) words each) and expected bits — to
+  /// `words`/`expected`. The stored record is
   /// crc-checked on every read (served from the shard mapping when the
   /// record lies inside it, pread otherwise), and only the requested slice
   /// is materialized, so a drain of c challenges costs O(record + c), not
   /// O(pool) allocations. Requires first + n <= the slot's count.
   void read_pool_slice(std::uint64_t device_id, std::uint32_t first, std::uint32_t n,
-                       std::vector<std::string>& keys,
+                       std::vector<std::uint64_t>& words,
                        std::vector<std::uint8_t>& expected) const;
 
   /// Copies the device's pool slot into `out`; false when it has none.
@@ -145,16 +143,16 @@ class EnrollmentStore {
   /// Undrained pool entries across the fleet (sum of count - head).
   std::uint64_t pool_entries_total() const;
 
-  /// The device's memory-resident replay ledger (packed challenge keys).
-  std::set<std::string>& ledger(std::uint64_t device_id);
-  const std::set<std::string>& ledger(std::uint64_t device_id) const;
+  /// The device's memory-resident replay ledger (packed challenge rows).
+  ChallengeSet& ledger(std::uint64_t device_id);
+  const ChallengeSet& ledger(std::uint64_t device_id) const;
 
   /// Durably acknowledges freshly issued challenges: appends one ISSUE
-  /// record with `fresh` (already inserted into ledger() by the caller) and
-  /// updates the fleet-wide + per-shard ledger gauges. The append's flush
-  /// is the acknowledgement point the torture test pins.
+  /// record with the packed rows `fresh` (already inserted into ledger() by
+  /// the caller) and updates the fleet-wide + per-shard ledger gauges. The
+  /// append's flush is the acknowledgement point the torture test pins.
   void record_issued(std::uint64_t device_id, std::uint32_t stages,
-                     const std::vector<std::string>& fresh);
+                     std::span<const std::uint64_t> fresh);
 
   /// Fleet-wide issued-challenge total (sum of per-shard totals).
   std::uint64_t issued_total() const;
@@ -196,7 +194,7 @@ class EnrollmentStore {
   /// Handed-out views co-own their mapping, so swapping a shard's entry
   /// never invalidates a live view.
   std::vector<std::shared_ptr<const MappedFile>> maps_;
-  std::map<std::uint64_t, std::set<std::string>> ledgers_;
+  std::map<std::uint64_t, ChallengeSet> ledgers_;
   mutable ModelCache cache_;
   std::unique_ptr<std::mutex[]> shard_mu_;
   mutable std::unique_ptr<std::mutex> cache_mu_;

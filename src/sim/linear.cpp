@@ -85,6 +85,34 @@ void unpack_challenge_into(std::span<const std::uint64_t> row, std::size_t stage
     out[i] = static_cast<std::uint8_t>((row[i / 64] >> (i % 64)) & 1U);
 }
 
+void pack_challenge_into(const Challenge& challenge, std::span<std::uint64_t> row) {
+  XPUF_REQUIRE(!challenge.empty(), "a challenge needs at least one stage");
+  XPUF_REQUIRE(row.size() == packed_words(challenge.size()),
+               "packed row needs packed_words(stages) words");
+  std::fill(row.begin(), row.end(), 0);
+  for (std::size_t i = 0; i < challenge.size(); ++i)
+    row[i / 64] |= static_cast<std::uint64_t>(challenge[i] != 0) << (i % 64);
+}
+
+void append_packed_bytes(std::span<const std::uint64_t> row, std::size_t stages,
+                         std::vector<std::uint8_t>& out) {
+  XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
+  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
+  for (std::size_t b = 0; b < packed_bytes(stages); ++b)
+    out.push_back(static_cast<std::uint8_t>(row[b / 8] >> (8 * (b % 8))));
+}
+
+bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
+                       std::span<std::uint64_t> row) {
+  XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
+  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
+  std::fill(row.begin(), row.end(), 0);
+  const std::size_t n = packed_bytes(stages);
+  for (std::size_t b = 0; b < n; ++b)
+    row[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << (8 * (b % 8));
+  return stages % 8 == 0 || (bytes[n - 1] >> (stages % 8)) == 0;
+}
+
 void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,
                          std::span<std::uint64_t> out) {
   XPUF_REQUIRE(stages >= 1, "packed challenges need at least one stage");

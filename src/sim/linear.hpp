@@ -74,6 +74,27 @@ void random_packed_challenge_into(std::span<std::uint64_t> row, std::size_t stag
 void unpack_challenge_into(std::span<const std::uint64_t> row, std::size_t stages,
                            Challenge& out);
 
+/// Packs `challenge` (one 0/1 byte per stage) into `row`
+/// (packed_words(challenge.size()) words) in the layout above, bits above
+/// the stage count zero — the inverse of unpack_challenge_into.
+void pack_challenge_into(const Challenge& challenge, std::span<std::uint64_t> row);
+
+/// Bytes of a packed `stages`-bit challenge in the store log and on the
+/// wire: the row's little-endian bytes, truncated — byte b holds stage bits
+/// 8b .. 8b + 7, least-significant first.
+constexpr std::size_t packed_bytes(std::size_t stages) { return (stages + 7) / 8; }
+
+/// Appends the packed_bytes(stages) bytes of one packed row to `out`.
+void append_packed_bytes(std::span<const std::uint64_t> row, std::size_t stages,
+                         std::vector<std::uint8_t>& out);
+
+/// Reads packed_bytes(stages) bytes into `row` (packed_words(stages)
+/// words). Returns false when a bit above `stages` is set: rejecting those
+/// keeps exactly one byte form per challenge, so two byte strings can never
+/// alias one replay-ledger key.
+bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
+                       std::span<std::uint64_t> row);
+
 /// Suffix-parity form of packed challenges. `words` holds whole rows of
 /// packed_words(stages) words: stage bit i of a row in bit i % 64 of word
 /// i / 64, least-significant bit first; bits above `stages` in the last word

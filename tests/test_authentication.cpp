@@ -43,9 +43,10 @@ class AuthenticationTest : public ::testing::Test {
 TEST_F(AuthenticationTest, IssueProducesRequestedBatch) {
   AuthenticationServer server(model_, 4, {.challenge_count = 32});
   const ChallengeBatch batch = server.issue(rng_);
-  EXPECT_EQ(batch.challenges.size(), 32u);
+  EXPECT_EQ(batch.size(), 32u);
   EXPECT_EQ(batch.expected.size(), 32u);
-  for (const auto& c : batch.challenges) EXPECT_TRUE(model_.all_stable(c, 4));
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    EXPECT_TRUE(model_.all_stable(batch.challenge(i), 4));
 }
 
 TEST_F(AuthenticationTest, GenuineChipPassesAtNominal) {

@@ -96,7 +96,7 @@ TEST_F(DatabaseTest, PrivateStoreDirectoryLivesExactlyAsLongAsTheDatabase) {
     source.reset();
     EXPECT_TRUE(fs::is_directory(dir)) << "a move removed the directory early";
     register_fleet(moved);
-    EXPECT_EQ(moved.issue(0, rng_).challenges.size(), 16u);
+    EXPECT_EQ(moved.issue(0, rng_).size(), 16u);
 
     ServerDatabase target(db_config());
     const std::string replaced = target.store().dir();
@@ -124,7 +124,7 @@ TEST_F(DatabaseTest, PrivateAndDurableStoresIssueIdenticalBatches) {
         for (std::size_t id = 0; id < pop_.size(); ++id) {
           const ChallengeBatch a = private_db.issue(id, private_rng);
           const ChallengeBatch b = durable_db.issue(id, durable_rng);
-          EXPECT_EQ(a.challenges, b.challenges) << "pool " << pool_target;
+          EXPECT_EQ(a.words, b.words) << "pool " << pool_target;
           EXPECT_EQ(a.expected, b.expected) << "pool " << pool_target;
           EXPECT_EQ(a.candidates_tried, b.candidates_tried) << "pool " << pool_target;
         }
@@ -161,9 +161,9 @@ TEST_F(DatabaseTest, IssueNeverRepeatsAChallenge) {
   std::set<std::vector<std::uint8_t>> seen;
   for (int round = 0; round < 6; ++round) {
     const ChallengeBatch batch = db_.issue(0, rng_);
-    EXPECT_EQ(batch.challenges.size(), 16u);
-    for (const auto& c : batch.challenges)
-      EXPECT_TRUE(seen.insert(c).second) << "challenge reused across batches";
+    EXPECT_EQ(batch.size(), 16u);
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      EXPECT_TRUE(seen.insert(batch.challenge(i)).second) << "challenge reused across batches";
   }
   EXPECT_EQ(db_.issued_count(0), 96u);
   // Device 1's ledger is independent.
@@ -185,8 +185,9 @@ TEST_F(DatabaseTest, AuthenticateRoutesByChipId) {
   // simulate by verifying chip 1's responses against chip 0's batch.
   const ChallengeBatch batch = db_.issue(0, rng_);
   std::vector<bool> responses;
-  for (const auto& c : batch.challenges)
-    responses.push_back(pop_.chip(1).xor_response(c, sim::Environment::nominal(), rng_));
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    responses.push_back(
+        pop_.chip(1).xor_response(batch.challenge(i), sim::Environment::nominal(), rng_));
   const AuthenticationOutcome fake = db_.verify(0, batch, responses);
   EXPECT_FALSE(fake.approved);
 }

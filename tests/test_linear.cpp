@@ -535,8 +535,10 @@ TEST(ModelSelection, BlockSelectMatchesSerialReference) {
       thresholds.push_back(model.adjusted_thresholds(p));
     while (serial.challenges.size() < 64 && serial.candidates_tried < max_attempts) {
       Rng candidate_rng = family.stream(serial.candidates_tried);
+      std::vector<std::uint64_t> row(sim::packed_words(model.stages()));
+      puf::ChallengeScreener::candidate_into(row, model.stages(), candidate_rng);
       sim::Challenge c;
-      puf::ChallengeScreener::candidate_into(c, model.stages(), candidate_rng);
+      sim::unpack_challenge_into(row, model.stages(), c);
       ++serial.candidates_tried;
       bool stable = true;
       bool bit = false;

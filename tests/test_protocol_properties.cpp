@@ -37,9 +37,9 @@ TEST_F(ProtocolPropertyTest, EveryIssuedChallengeSatisfiesTheStablePredicate) {
   AuthenticationServer server(model_, kNPufs, {.challenge_count = 40});
   for (int round = 0; round < 5; ++round) {
     const ChallengeBatch batch = server.issue(rng_);
-    for (std::size_t i = 0; i < batch.challenges.size(); ++i) {
-      EXPECT_TRUE(model_.all_stable(batch.challenges[i], kNPufs));
-      EXPECT_EQ(batch.expected[i], model_.predict_xor(batch.challenges[i], kNPufs));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_TRUE(model_.all_stable(batch.challenge(i), kNPufs));
+      EXPECT_EQ(batch.expected[i], model_.predict_xor(batch.challenge(i), kNPufs));
     }
   }
 }
@@ -88,9 +88,9 @@ TEST_F(ProtocolPropertyTest, IssueIsSeedDeterministic) {
   Rng r1(4242), r2(4242);
   const ChallengeBatch a = server.issue(r1);
   const ChallengeBatch b = server.issue(r2);
-  ASSERT_EQ(a.challenges.size(), b.challenges.size());
-  for (std::size_t i = 0; i < a.challenges.size(); ++i) {
-    EXPECT_EQ(a.challenges[i], b.challenges[i]);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.challenge(i), b.challenge(i));
     EXPECT_EQ(a.expected[i], b.expected[i]);
   }
 }

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <limits>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,7 @@
 #include "puf/screening.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
+#include "sim/linear.hpp"
 #include "sim/population.hpp"
 
 namespace xpuf::puf {
@@ -87,7 +89,33 @@ std::string unique_dir(const std::string& tag) {
       .string();
 }
 
+Challenge unpacked(std::span<const std::uint64_t> row, std::size_t stages) {
+  Challenge c;
+  sim::unpack_challenge_into(row, stages, c);
+  return c;
+}
+
+std::vector<Challenge> challenges_of(const ChallengeBatch& batch) {
+  std::vector<Challenge> out;
+  for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.challenge(i));
+  return out;
+}
+
+/// The device's pool as the store holds it: the slot's fixed fields plus
+/// every entry. False when the device has no pool.
+bool read_pool(const store::EnrollmentStore& s, std::uint64_t id, store::PoolPayload& out) {
+  store::PoolSlot slot;
+  if (!s.pool_slot(id, slot)) return false;
+  out = store::PoolPayload{};
+  out.stages = s.device_record(id).stages;
+  out.epoch = slot.epoch;
+  out.cursor = slot.cursor;
+  s.read_pool_slice(id, 0, slot.count, out.words, out.expected);
+  return true;
+}
+
 struct Walk {
+  std::vector<std::uint64_t> words;  ///< the sink's rows, back to back
   std::vector<Challenge> challenges;
   std::vector<bool> bits;
   ChallengeScreener::Outcome out;
@@ -99,8 +127,9 @@ Walk run_walk(const ModelView& view, ScreeningOptions opts, std::uint64_t family
   ChallengeScreener screener(view, n_pufs, opts);
   Walk w;
   w.out = screener.screen(StreamFamily(family_base), first, count, max_attempts,
-                          [&](Challenge&& c, bool bit) {
-                            w.challenges.push_back(std::move(c));
+                          [&](std::span<const std::uint64_t> row, bool bit) {
+                            w.words.insert(w.words.end(), row.begin(), row.end());
+                            w.challenges.push_back(unpacked(row, view.stages()));
                             w.bits.push_back(bit);
                             return true;
                           });
@@ -108,6 +137,7 @@ Walk run_walk(const ModelView& view, ScreeningOptions opts, std::uint64_t family
 }
 
 void expect_walks_identical(const Walk& a, const Walk& b) {
+  EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.challenges, b.challenges);
   EXPECT_EQ(a.bits, b.bits);
   EXPECT_EQ(a.out.tried, b.out.tried);
@@ -118,7 +148,8 @@ void expect_walks_identical(const Walk& a, const Walk& b) {
 }
 
 void expect_batches_identical(const ChallengeBatch& a, const ChallengeBatch& b) {
-  EXPECT_EQ(a.challenges, b.challenges);
+  EXPECT_EQ(a.stages, b.stages);
+  EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.expected, b.expected);
 }
 
@@ -152,9 +183,9 @@ TEST(ScreeningEquivalence, BatchedMatchesSerialAtEveryBlockSizeAndThreadCount) {
 }
 
 /// A 3-PUF model with Gaussian weights and an unstable band around the
-/// 0.5 centre about 0.8 weight-sigmas wide per PUF, so roughly a third of
-/// candidates pass all three — at any stage count.
-ServerModel make_random_model(std::size_t stages, std::uint64_t seed) {
+/// 0.5 centre about 2 * band weight-sigmas wide per PUF — by default 0.8,
+/// so roughly a third of candidates pass all three — at any stage count.
+ServerModel make_random_model(std::size_t stages, std::uint64_t seed, double band = 0.4) {
   Rng rng(seed);
   const double sd = std::sqrt(static_cast<double>(stages + 1));
   std::vector<PufEnrollment> pufs;
@@ -163,8 +194,8 @@ ServerModel make_random_model(std::size_t stages, std::uint64_t seed) {
     linalg::Vector w(stages + 1);
     for (std::size_t i = 0; i <= stages; ++i) w[i] = rng.normal(0.0, 1.0);
     e.model = ArbiterPufModel(std::move(w));
-    e.thresholds.thr0 = 0.5 - 0.4 * sd;
-    e.thresholds.thr1 = 0.5 + 0.4 * sd;
+    e.thresholds.thr0 = 0.5 - band * sd;
+    e.thresholds.thr1 = 0.5 + band * sd;
     e.train_r_squared = 0.99;
     e.fit_time_ms = 1.0;
     pufs.push_back(std::move(e));
@@ -196,6 +227,28 @@ TEST(ScreeningEquivalence, PackedWalkMatchesSerialAcrossWordBoundaries) {
     }
   }
   ThreadPool::set_global_threads(0);
+}
+
+TEST(ScreeningEquivalence, SinkRowsAreCanonicalAtEveryWidth) {
+  // Each candidate is drawn a whole word at a time; the bits past `stages`
+  // must be cleared before the row reaches the sink, or they would become
+  // part of a ledger key (two keys for one challenge).
+  for (const std::size_t stages : {1u, 31u, 32u, 33u, 64u, 65u, 100u}) {
+    // A zero-width band: every candidate is stable, so each walk fills.
+    const ServerModel model = make_random_model(stages, 900 + stages, 0.0);
+    const ModelView view = ModelView::of(model);
+    const std::size_t stride = sim::packed_words(stages);
+    const std::uint64_t spare = stages % 64 == 0 ? 0 : ~0ULL << (stages % 64);
+    for (const bool batched : {false, true}) {
+      const Walk w = run_walk(view, {.block = 64, .batched = batched}, 0xca40ULL + stages, 0,
+                              20, 100'000);
+      ASSERT_TRUE(w.out.filled) << "stages " << stages;
+      ASSERT_EQ(w.words.size(), w.out.accepted * stride);
+      for (std::size_t at = 0; at < w.words.size(); at += stride)
+        EXPECT_EQ(w.words[at + stride - 1] & spare, 0u)
+            << "stages " << stages << (batched ? " batched" : " serial");
+    }
+  }
 }
 
 /// What the first PUF's thresholds do to every candidate of a cascade.
@@ -298,9 +351,11 @@ TEST(ScreeningEquivalence, WalkResumesFromNextIndexWithoutSeams) {
   const Walk whole = run_walk(view, {}, base, 0, 24, 1'000'000);
   Walk head = run_walk(view, {}, base, 0, 10, 1'000'000);
   const Walk tail = run_walk(view, {}, base, head.out.next_index, 14, 1'000'000);
+  head.words.insert(head.words.end(), tail.words.begin(), tail.words.end());
   head.challenges.insert(head.challenges.end(), tail.challenges.begin(),
                          tail.challenges.end());
   head.bits.insert(head.bits.end(), tail.bits.begin(), tail.bits.end());
+  EXPECT_EQ(head.words, whole.words);
   EXPECT_EQ(head.challenges, whole.challenges);
   EXPECT_EQ(head.bits, whole.bits);
   EXPECT_EQ(tail.out.next_index, whole.out.next_index);
@@ -317,10 +372,11 @@ TEST(ScreeningEquivalence, SinkRejectionKeepsModesAligned) {
     Walk w;
     bool toggle = false;
     w.out = s.screen(StreamFamily(31337), 0, 12, 1'000'000,
-                     [&](Challenge&& c, bool bit) {
+                     [&](std::span<const std::uint64_t> row, bool bit) {
                        toggle = !toggle;
                        if (!toggle) return false;
-                       w.challenges.push_back(std::move(c));
+                       w.words.insert(w.words.end(), row.begin(), row.end());
+                       w.challenges.push_back(unpacked(row, view.stages()));
                        w.bits.push_back(bit);
                        return true;
                      });
@@ -405,8 +461,8 @@ TEST(IssuancePool, DrainRefillAccountingAndReplayFreedom) {
   for (int round = 1; round <= 12; ++round) {
     Rng rng(static_cast<std::uint64_t>(round));
     const ChallengeBatch batch = db.issue(0, rng);
-    ASSERT_EQ(batch.challenges.size(), 16u);
-    for (const auto& c : batch.challenges)
+    ASSERT_EQ(batch.size(), 16u);
+    for (const Challenge& c : challenges_of(batch))
       EXPECT_TRUE(seen.insert(c).second) << "challenge reused in round " << round;
     if (round % 4 != 0) {
       // Pure drain: no screening ran at all.
@@ -449,10 +505,11 @@ TEST(IssuancePool, RefillNeverPoolsAKeyThatIsAlreadyPooled) {
     db.register_device(make_plain_model(0, 8));
     const auto expect_distinct_pool = [&](const std::string& when) {
       store::PoolPayload pool;
-      ASSERT_TRUE(db.store().read_pool(0, pool)) << when;
-      EXPECT_EQ(pool.keys.size(), 52u) << when;
-      const std::set<std::string> unique(pool.keys.begin(), pool.keys.end());
-      EXPECT_EQ(unique.size(), pool.keys.size()) << when;
+      ASSERT_TRUE(read_pool(db.store(), 0, pool)) << when;
+      ASSERT_EQ(pool.size(), 52u) << when;
+      std::set<std::uint64_t> unique;  // 8 stages: one word per row
+      for (const std::uint64_t row : pool.words) unique.insert(row);
+      EXPECT_EQ(unique.size(), pool.size()) << when;
     };
     expect_distinct_pool("after registration");
     const MetricsSnapshot before = MetricsRegistry::global().snapshot();
@@ -460,9 +517,9 @@ TEST(IssuancePool, RefillNeverPoolsAKeyThatIsAlreadyPooled) {
     for (int round = 1; round <= 6; ++round) {
       Rng rng(static_cast<std::uint64_t>(round));
       const ChallengeBatch batch = db.issue(0, rng);
-      ASSERT_EQ(batch.challenges.size(), 16u);
+      ASSERT_EQ(batch.size(), 16u);
       EXPECT_EQ(batch.replay_rejected, 0u) << "round " << round;
-      for (const auto& c : batch.challenges)
+      for (const Challenge& c : challenges_of(batch))
         EXPECT_TRUE(seen.insert(c).second) << "challenge reused in round " << round;
       expect_distinct_pool("after round " + std::to_string(round));
     }
@@ -533,7 +590,7 @@ TEST(IssuancePool, CrashRecoveryRedrainIsScreenedByTheDurableLedger) {
     Rng rng(1);
     first = db.issue(0, rng);
     EXPECT_EQ(first.replay_rejected, 0u);
-    ASSERT_EQ(first.challenges.size(), 16u);
+    ASSERT_EQ(first.size(), 16u);
   }
   {
     // Reopen == crash recovery: the drain head is volatile and resets to 0,
@@ -543,9 +600,10 @@ TEST(IssuancePool, CrashRecoveryRedrainIsScreenedByTheDurableLedger) {
     Rng rng(2);
     const ChallengeBatch second = db.issue(0, rng);
     EXPECT_EQ(second.replay_rejected, 16u);
-    ASSERT_EQ(second.challenges.size(), 16u);
-    std::set<Challenge> overlap(first.challenges.begin(), first.challenges.end());
-    for (const auto& c : second.challenges)
+    ASSERT_EQ(second.size(), 16u);
+    const std::vector<Challenge> first_challenges = challenges_of(first);
+    const std::set<Challenge> overlap(first_challenges.begin(), first_challenges.end());
+    for (const Challenge& c : challenges_of(second))
       EXPECT_EQ(overlap.count(c), 0u) << "issued challenge repeated after recovery";
   }
   fs::remove_all(dir);
@@ -558,11 +616,13 @@ store::PoolPayload make_pool_payload(std::uint32_t stages, std::size_t entries) 
   pool.stages = stages;
   pool.epoch = 1;
   pool.cursor = 987'654'321;
+  const std::size_t stride = sim::packed_words(stages);
+  pool.words.resize(entries * stride);
   for (std::size_t i = 0; i < entries; ++i) {
     Challenge c(stages);
     for (std::size_t j = 0; j < stages; ++j)
       c[j] = static_cast<std::uint8_t>((i + j) % 2);
-    pool.keys.push_back(store::pack_challenge(c));
+    sim::pack_challenge_into(c, {pool.words.data() + i * stride, stride});
     pool.expected.push_back(static_cast<std::uint8_t>(i % 2));
   }
   return pool;
@@ -572,7 +632,7 @@ void expect_pools_equal(const store::PoolPayload& a, const store::PoolPayload& b
   EXPECT_EQ(a.stages, b.stages);
   EXPECT_EQ(a.epoch, b.epoch);
   EXPECT_EQ(a.cursor, b.cursor);
-  EXPECT_EQ(a.keys, b.keys);
+  EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.expected, b.expected);
 }
 
@@ -590,13 +650,13 @@ TEST(PoolRecord, RoundTripsThroughStoreCompactionAndReplay) {
     s.record_pool(7, stale);
     s.record_pool(7, pool);  // append order is authority: latest wins
     store::PoolPayload got;
-    ASSERT_TRUE(s.read_pool(7, got));
+    ASSERT_TRUE(read_pool(s, 7, got));
     expect_pools_equal(pool, got);
     s.set_pool_head(7, 3);
     EXPECT_EQ(s.pool_entries_total(), 6u);
     s.compact();
     store::PoolPayload after;
-    ASSERT_TRUE(s.read_pool(7, after));
+    ASSERT_TRUE(read_pool(s, 7, after));
     expect_pools_equal(pool, after);
     store::PoolSlot slot;
     ASSERT_TRUE(s.pool_slot(7, slot));
@@ -611,15 +671,16 @@ TEST(PoolRecord, RoundTripsThroughStoreCompactionAndReplay) {
     EXPECT_EQ(slot.epoch, 1u);
     EXPECT_EQ(slot.cursor, 987'654'321u);
     store::PoolPayload got;
-    ASSERT_TRUE(s.read_pool(7, got));
+    ASSERT_TRUE(read_pool(s, 7, got));
     expect_pools_equal(pool, got);
     // Slices materialize exactly the asked-for window.
-    std::vector<std::string> keys;
+    std::vector<std::uint64_t> words;
     std::vector<std::uint8_t> expected;
-    s.read_pool_slice(7, 3, 4, keys, expected);
-    ASSERT_EQ(keys.size(), 4u);
+    s.read_pool_slice(7, 3, 4, words, expected);
+    ASSERT_EQ(words.size(), 4u);  // 13 stages: one word per row
+    ASSERT_EQ(expected.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(keys[i], pool.keys[3 + i]);
+      EXPECT_EQ(words[i], pool.words[3 + i]);
       EXPECT_EQ(expected[i], pool.expected[3 + i]);
     }
   }
@@ -654,10 +715,10 @@ TEST(PoolRecord, TruncationAtEveryByteKeepsTheAcknowledgedPrefix) {
     EXPECT_EQ(s.knows(0), cut >= register_end) << "cut " << cut;
     store::PoolPayload got;
     if (cut >= pool_end) {
-      ASSERT_TRUE(s.read_pool(0, got)) << "cut " << cut;
+      ASSERT_TRUE(read_pool(s, 0, got)) << "cut " << cut;
       expect_pools_equal(pool, got);
     } else {
-      EXPECT_FALSE(s.read_pool(0, got)) << "cut " << cut;
+      EXPECT_FALSE(read_pool(s, 0, got)) << "cut " << cut;
       EXPECT_EQ(s.pool_entries_total(), 0u) << "cut " << cut;
     }
   }
@@ -678,10 +739,9 @@ TEST(MappedServing, RegisterRecordFloatRegionsStayEightByteAligned) {
   // to 2 bytes) so every alignment phase is visited.
   for (std::uint64_t id = 0; id < 5; ++id) {
     s.register_device(make_plain_model(id, 13));
-    Challenge c(13, static_cast<std::uint8_t>(id % 2));
-    const std::string key = store::pack_challenge(c);
+    const std::vector<std::uint64_t> key = {id % 2 == 0 ? 0 : (1ULL << 13) - 1};
     s.ledger(id).insert(key);
-    s.record_issued(id, 13, {key});
+    s.record_issued(id, 13, key);
     // REGISTER payload: 8 bytes of geometry, then the f64 region — at
     // record offset + header(16) + 8. The pad record in front guarantees
     // this lands on an 8-byte boundary for every device.

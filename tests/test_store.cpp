@@ -19,6 +19,7 @@
 #include "puf/database.hpp"
 #include "puf/store/record.hpp"
 #include "puf/store/store.hpp"
+#include "sim/linear.hpp"
 #include "sim/population.hpp"
 
 namespace xpuf::puf::store {
@@ -79,25 +80,6 @@ class StoreDirTest : public ::testing::Test {
 };
 
 // --- codec ------------------------------------------------------------------
-
-// The table-sliced crc must equal the plain bitwise CRC-32 (IEEE, reflected)
-// at every length, so stores written before it still verify.
-TEST(StoreCodec, Crc32MatchesTheBitwiseDefinition) {
-  const std::string check = "123456789";
-  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
-            0xCBF43926u);
-  std::vector<std::uint8_t> bytes;
-  for (std::uint32_t len = 0; len <= 67; ++len) {
-    std::uint32_t reference = 0xFFFFFFFFu;
-    for (const std::uint8_t b : bytes) {
-      reference ^= b;
-      for (int k = 0; k < 8; ++k)
-        reference = (reference & 1u) ? (0xEDB88320u ^ (reference >> 1)) : (reference >> 1);
-    }
-    EXPECT_EQ(crc32(bytes.data(), bytes.size()), reference ^ 0xFFFFFFFFu) << "length " << len;
-    bytes.push_back(static_cast<std::uint8_t>(len * 37u + 11u));
-  }
-}
 
 TEST(StoreCodec, RecordRoundTripsAllOps) {
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
@@ -184,26 +166,98 @@ TEST(StoreCodec, ModelPayloadRoundTripsBitExactly) {
 }
 
 TEST(StoreCodec, LedgerPayloadRoundTrips) {
-  const std::vector<std::string> keys = {std::string("\x01\x02", 2),
-                                         std::string("\xff\x00", 2),
-                                         std::string("\x10\x20", 2)};
-  const std::vector<std::uint8_t> payload = encode_ledger(12, keys);  // row = 2 bytes
-  std::uint32_t stages = 0;
-  std::vector<std::string> out;
-  ASSERT_EQ(decode_ledger(payload.data(), static_cast<std::uint32_t>(payload.size()),
-                          stages, out),
+  const std::vector<std::uint64_t> rows = {0x0201, 0x00ff, 0x0810};  // 12 stages
+  const std::vector<std::uint8_t> payload = encode_ledger(12, rows);  // row = 2 bytes
+  // u32 count, u32 stages, then each row's two little-endian bytes.
+  EXPECT_EQ(payload, (std::vector<std::uint8_t>{3, 0, 0, 0, 12, 0, 0, 0, 0x01, 0x02, 0xff,
+                                                0x00, 0x10, 0x08}));
+  ChallengeSet out(12);
+  std::uint64_t inserted = 0;
+  ASSERT_EQ(decode_ledger(payload.data(), static_cast<std::uint32_t>(payload.size()), out,
+                          inserted),
             RecordStatus::kOk);
-  EXPECT_EQ(stages, 12u);
-  EXPECT_EQ(out, keys);
+  EXPECT_EQ(inserted, 3u);
+  EXPECT_EQ(out.sorted_rows(), (std::vector<std::uint64_t>{0x0201, 0x0810, 0x00ff}));
+  // A set of another geometry is not a valid destination.
+  ChallengeSet wrong(13);
+  EXPECT_EQ(decode_ledger(payload.data(), static_cast<std::uint32_t>(payload.size()), wrong,
+                          inserted),
+            RecordStatus::kBadPayload);
+  EXPECT_EQ(wrong.size(), 0u);
 }
 
 TEST(StoreCodec, PackedChallengeRoundTripsEveryWidth) {
   for (std::size_t bits : {1u, 7u, 8u, 9u, 63u, 64u, 65u}) {
     Challenge c(bits);
     for (std::size_t i = 0; i < bits; ++i) c[i] = static_cast<std::uint8_t>((i * 7 + 3) % 2);
-    const std::string key = pack_challenge(c);
-    EXPECT_EQ(key.size(), (bits + 7) / 8);
-    EXPECT_EQ(unpack_challenge(key, bits), c) << bits << " bits";
+    std::vector<std::uint64_t> row(sim::packed_words(bits));
+    sim::pack_challenge_into(c, row);
+    // On disk: ceil(bits / 8) bytes, bit i of byte i / 8 = challenge bit i.
+    const std::vector<std::uint8_t> payload =
+        encode_ledger(static_cast<std::uint32_t>(bits), row);
+    ASSERT_EQ(payload.size(), 8 + (bits + 7) / 8);
+    for (std::size_t i = 0; i < bits; ++i)
+      EXPECT_EQ((payload[8 + i / 8] >> (i % 8)) & 1u, c[i]) << bits << " bits, bit " << i;
+    ChallengeSet set(bits);
+    std::uint64_t inserted = 0;
+    ASSERT_EQ(decode_ledger(payload.data(), static_cast<std::uint32_t>(payload.size()), set,
+                            inserted),
+              RecordStatus::kOk);
+    ASSERT_EQ(set.sorted_rows(), row);
+    Challenge back;
+    sim::unpack_challenge_into(row, bits, back);
+    EXPECT_EQ(back, c) << bits << " bits";
+  }
+}
+
+// A row with a bit set above `stages` would be a second byte form of a
+// challenge that already has one, i.e. a second ledger key for it: ISSUE
+// and POOL decoders reject it.
+TEST(StoreCodec, PayloadRowsWithPaddingBitsAreRejected) {
+  for (const std::uint32_t stages : {1u, 12u, 63u, 100u}) {
+    SCOPED_TRACE("stages " + std::to_string(stages));
+    const std::size_t row_bytes = (stages + 7) / 8;
+    const std::uint8_t pad_bit = static_cast<std::uint8_t>(1u << (stages % 8));
+    // ISSUE: u32 count = 2, u32 stages, the rows of challenges 0 and 1.
+    std::vector<std::uint8_t> issue = {2, 0, 0, 0};
+    for (int b = 0; b < 4; ++b) issue.push_back(static_cast<std::uint8_t>(stages >> (8 * b)));
+    for (std::uint8_t r = 0; r < 2; ++r)
+      for (std::size_t b = 0; b < row_bytes; ++b) issue.push_back(b == 0 ? r : 0);
+    // POOL: u32 count = 1, u32 stages, u32 epoch, u32 reserved, u64 cursor,
+    // one expected-bit byte, one row.
+    std::vector<std::uint8_t> pool = {1, 0, 0, 0};
+    for (int b = 0; b < 4; ++b) pool.push_back(static_cast<std::uint8_t>(stages >> (8 * b)));
+    for (int b = 0; b < 16; ++b) pool.push_back(b == 0 ? 3 : 0);  // epoch 3, cursor 0
+    pool.push_back(1);
+    for (std::size_t b = 0; b < row_bytes; ++b) pool.push_back(b == 0 ? 1 : 0);
+
+    ChallengeSet set(stages);
+    std::uint64_t inserted = 0;
+    PoolView decoded;
+    ASSERT_EQ(decode_ledger(issue.data(), static_cast<std::uint32_t>(issue.size()), set,
+                            inserted),
+              RecordStatus::kOk);
+    EXPECT_EQ(inserted, 2u);
+    ASSERT_EQ(decode_pool(pool.data(), static_cast<std::uint32_t>(pool.size()), decoded),
+              RecordStatus::kOk);
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint8_t> expected;
+    decoded.read(0, 1, words, expected);
+    std::vector<std::uint64_t> want(sim::packed_words(stages), 0);
+    want[0] = 1;
+    EXPECT_EQ(words, want);
+    EXPECT_EQ(expected, std::vector<std::uint8_t>{1});
+    EXPECT_EQ(decoded.epoch, 3u);
+    if (stages % 8 == 0) continue;  // a whole last byte has no padding bit
+    issue.back() |= pad_bit;  // the second row's last byte
+    pool.back() |= pad_bit;
+    ChallengeSet untouched(stages);
+    EXPECT_EQ(decode_ledger(issue.data(), static_cast<std::uint32_t>(issue.size()), untouched,
+                            inserted),
+              RecordStatus::kBadPayload);
+    EXPECT_EQ(untouched.size(), 0u) << "a rejected payload must insert nothing";
+    EXPECT_EQ(decode_pool(pool.data(), static_cast<std::uint32_t>(pool.size()), decoded),
+              RecordStatus::kBadPayload);
   }
 }
 
@@ -219,6 +273,81 @@ TEST(StoreCodec, ManifestRoundTripsAndDetectsCorruption) {
   EXPECT_EQ(decode_manifest(bytes.data(), bytes.size() - 1, n), RecordStatus::kTruncated);
 }
 
+// --- replay ledger set --------------------------------------------------------
+
+TEST(ChallengeSetTest, EmptySetAllocatesNothing) {
+  const ChallengeSet set(64);
+  EXPECT_EQ(set.heap_bytes(), 0u);
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(std::vector<std::uint64_t>{0}));
+}
+
+// Membership against a std::set oracle through many growths, and the
+// compaction order against the byte-string order a std::set<std::string>
+// of the on-disk rows iterates in.
+TEST(ChallengeSetTest, MatchesOracleAndOrdersRowsByTheirOnDiskBytes) {
+  for (const std::size_t stages : {1u, 8u, 13u, 64u, 65u, 100u}) {
+    SCOPED_TRACE("stages " + std::to_string(stages));
+    const std::size_t stride = sim::packed_words(stages);
+    ChallengeSet set(stages);
+    std::set<std::vector<std::uint64_t>> oracle;
+    std::set<std::string> bytes_order;
+    Rng rng(stages);
+    std::vector<std::uint64_t> row(stride);
+    for (int i = 0; i < 3000; ++i) {
+      // Few distinct values per word, so duplicates are frequent.
+      for (std::uint64_t& w : row) w = rng.uniform_below(64) * 0x0101010101010101ULL;
+      const std::size_t tail = stages - (stride - 1) * 64;
+      if (tail < 64) row.back() &= (1ULL << tail) - 1;
+      const bool fresh = oracle.insert(row).second;
+      ASSERT_EQ(set.contains(row), !fresh);
+      ASSERT_EQ(set.insert(row), fresh);
+      ASSERT_TRUE(set.contains(row));
+      if (fresh) {
+        std::vector<std::uint8_t> disk;
+        sim::append_packed_bytes(row, stages, disk);
+        bytes_order.emplace(disk.begin(), disk.end());
+      }
+    }
+    ASSERT_EQ(set.size(), oracle.size());
+    const std::vector<std::uint64_t> sorted = set.sorted_rows();
+    ASSERT_EQ(sorted.size(), oracle.size() * stride);
+    std::size_t at = 0;
+    for (const std::string& disk : bytes_order) {
+      std::vector<std::uint8_t> got;
+      sim::append_packed_bytes({sorted.data() + at, stride}, stages, got);
+      EXPECT_EQ(std::string(got.begin(), got.end()), disk);
+      at += stride;
+    }
+    ChallengeSet reordered(stages);
+    for (std::size_t r = sorted.size(); r > 0; r -= stride)
+      reordered.insert({sorted.data() + r - stride, stride});
+    EXPECT_EQ(reordered.sorted_rows(), sorted);
+  }
+}
+
+TEST(ChallengeSetTest, RejectsNonCanonicalAndMisSizedKeys) {
+  ChallengeSet set(13);
+  EXPECT_THROW(set.insert(std::vector<std::uint64_t>{1ULL << 13}), std::invalid_argument);
+  EXPECT_THROW(set.insert(std::vector<std::uint64_t>{1, 0}), std::invalid_argument);
+  EXPECT_THROW((void)set.contains(std::vector<std::uint64_t>{1ULL << 63}),
+               std::invalid_argument);
+  EXPECT_TRUE(set.insert(std::vector<std::uint64_t>{(1ULL << 13) - 1}));
+}
+
+// Between growths the set holds 9 bytes per slot at a load of 7/16 .. 7/8.
+TEST(ChallengeSetTest, HoldsAtMostTwentyOneBytesPerEightByteKey) {
+  ChallengeSet set(64);
+  std::vector<std::uint64_t> key(1);
+  for (std::uint64_t i = 1; i <= 100'000; ++i) {
+    key[0] = i * 0x9e3779b97f4a7c15ULL;
+    ASSERT_TRUE(set.insert(key));
+    if (i >= 64) {
+      ASSERT_LE(set.heap_bytes(), 21 * i) << i << " keys";
+    }
+  }
+}
+
 // --- store lifecycle --------------------------------------------------------
 
 TEST_F(StoreDirTest, RegisterServeRevokeSurviveReopen) {
@@ -228,8 +357,9 @@ TEST_F(StoreDirTest, RegisterServeRevokeSurviveReopen) {
     EnrollmentStore store = EnrollmentStore::open(dir_, opts);
     for (std::uint64_t id : {0u, 1u, 2u, 5u, 9u}) store.register_device(make_model(id, 2, 8));
     EXPECT_EQ(store.device_count(), 5u);
-    store.ledger(5).insert(pack_challenge(Challenge{1, 0, 1, 0, 1, 0, 1, 0}));
-    store.record_issued(5, 8, {pack_challenge(Challenge{1, 0, 1, 0, 1, 0, 1, 0})});
+    const std::vector<std::uint64_t> key = {0x55};  // challenge 1,0,1,0,1,0,1,0
+    store.ledger(5).insert(key);
+    store.record_issued(5, 8, key);
     store.revoke_device(2);
   }
   EnrollmentStore reopened = EnrollmentStore::open(dir_, opts);
@@ -350,10 +480,9 @@ TEST_F(StoreDirTest, CompactionDropsRevokedHistoryAndKeepsModelsBitExact) {
   EnrollmentStore store = EnrollmentStore::open(dir_, opts);
   for (std::uint64_t id = 0; id < 6; ++id) store.register_device(make_model(id, 2, 8));
   for (std::uint64_t id = 0; id < 6; ++id) {
-    std::vector<std::string> fresh;
-    for (std::uint8_t i = 0; i < 4; ++i)
-      fresh.push_back(std::string(1, static_cast<char>(i + id)));
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    std::vector<std::uint64_t> fresh;  // 8 stages: one word per key
+    for (std::uint64_t i = 0; i < 4; ++i) fresh.push_back(i + id);
+    for (const std::uint64_t key : fresh) store.ledger(id).insert({&key, 1});
     store.record_issued(id, 8, fresh);
   }
   store.revoke_device(4);
@@ -376,7 +505,7 @@ TEST_F(StoreDirTest, CompactionDropsRevokedHistoryAndKeepsModelsBitExact) {
   EXPECT_FALSE(reopened.knows(5));
   for (std::uint64_t id = 0; id < 4; ++id) {
     expect_models_bit_exact(make_model(id, 2, 8), *reopened.model(id));
-    EXPECT_EQ(reopened.ledger(id), store.ledger(id));
+    EXPECT_EQ(reopened.ledger(id).sorted_rows(), store.ledger(id).sorted_rows());
   }
 }
 
@@ -387,10 +516,9 @@ TEST_F(StoreDirTest, PerShardLedgerTotalsSumToTheFleetGauge) {
   EnrollmentStore store = EnrollmentStore::open(dir_, opts);
   for (std::uint64_t id = 0; id < 4; ++id) store.register_device(make_model(id, 1, 8));
   for (std::uint64_t id = 0; id < 4; ++id) {
-    std::vector<std::string> fresh;
-    for (std::uint8_t i = 0; i <= id; ++i)
-      fresh.push_back(std::string(1, static_cast<char>(i)));
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    std::vector<std::uint64_t> fresh;  // 8 stages: one word per key
+    for (std::uint64_t i = 0; i <= id; ++i) fresh.push_back(i);
+    for (const std::uint64_t key : fresh) store.ledger(id).insert({&key, 1});
     store.record_issued(id, 8, fresh);
   }
   // Devices 0,2 -> shard 0 (1 + 3 keys); devices 1,3 -> shard 1 (2 + 4 keys).
@@ -410,7 +538,7 @@ TEST_F(StoreDirTest, PerShardLedgerTotalsSumToTheFleetGauge) {
 /// Expected store state after a prefix of the op history.
 struct ExpectedState {
   std::uint64_t offset = 0;  ///< durable high-water mark after the op
-  std::map<std::uint64_t, std::set<std::string>> ledgers;  ///< known id -> keys
+  std::map<std::uint64_t, std::vector<std::uint64_t>> ledgers;  ///< known id -> sorted keys
 };
 
 // Cuts the single-shard log at EVERY byte offset and reopens the store. Each
@@ -427,19 +555,15 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
   const auto snapshot = [&history](const EnrollmentStore& store) {
     ExpectedState s;
     s.offset = store.shard_size(0);
-    for (const std::uint64_t id : store.device_ids()) s.ledgers[id] = store.ledger(id);
+    for (const std::uint64_t id : store.device_ids())
+      s.ledgers[id] = store.ledger(id).sorted_rows();
     history.push_back(std::move(s));
   };
   const auto issue = [](EnrollmentStore& store, std::uint64_t id,
                         std::initializer_list<std::uint8_t> seeds) {
-    std::vector<std::string> fresh;
-    for (std::uint8_t seed : seeds) {
-      Challenge c(8);
-      for (std::size_t i = 0; i < 8; ++i)
-        c[i] = static_cast<std::uint8_t>((seed >> i) & 1u);
-      fresh.push_back(pack_challenge(c));
-    }
-    for (const auto& key : fresh) store.ledger(id).insert(key);
+    std::vector<std::uint64_t> fresh;  // 8 stages: the seed byte is the key
+    for (std::uint8_t seed : seeds) fresh.push_back(seed);
+    for (const std::uint64_t key : fresh) store.ledger(id).insert({&key, 1});
     store.record_issued(id, 8, fresh);
   };
 
@@ -492,8 +616,9 @@ TEST_F(StoreDirTest, TruncationAtEveryByteRecoversTheExactAcknowledgedPrefix) {
     const std::uint64_t truncations_before = truncations.total();
     EnrollmentStore recovered = EnrollmentStore::open(torn_dir, opts);
 
-    std::map<std::uint64_t, std::set<std::string>> got;
-    for (const std::uint64_t id : recovered.device_ids()) got[id] = recovered.ledger(id);
+    std::map<std::uint64_t, std::vector<std::uint64_t>> got;
+    for (const std::uint64_t id : recovered.device_ids())
+      got[id] = recovered.ledger(id).sorted_rows();
     EXPECT_EQ(got, expected->ledgers) << "cut at byte " << cut;
     EXPECT_EQ(recovered.shard_size(0), expected->offset)
         << "torn tail not trimmed back to the record boundary at cut " << cut;

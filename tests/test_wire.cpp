@@ -9,6 +9,8 @@
 
 #include "common/error.hpp"
 #include "net/wire.hpp"
+#include "sim/device.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::net {
 namespace {
@@ -40,7 +42,7 @@ TEST(WireCodec, ReaderRoundTripsAndBoundsChecks) {
   put_u16(out, 0xbeef);
   put_u32(out, 0xcafebabeu);
   put_u64(out, 0x1122334455667788ULL);
-  WireReader reader(out);
+  ByteReader reader(out);
   std::uint8_t a = 0;
   std::uint16_t b = 0;
   std::uint32_t c = 0;
@@ -55,14 +57,6 @@ TEST(WireCodec, ReaderRoundTripsAndBoundsChecks) {
   EXPECT_EQ(d, 0x1122334455667788ULL);
   EXPECT_EQ(reader.remaining(), 0u);
   EXPECT_FALSE(reader.read_u8(a)) << "reads past the end must fail, not UB";
-}
-
-TEST(WireCodec, Crc32MatchesTheIeeeCheckValue) {
-  // The standard check vector: CRC-32("123456789") = 0xCBF43926.
-  const std::vector<std::uint8_t> check = {'1', '2', '3', '4', '5',
-                                           '6', '7', '8', '9'};
-  EXPECT_EQ(crc32(check), 0xCBF43926u);
-  EXPECT_EQ(crc32(std::vector<std::uint8_t>{}), 0u);
 }
 
 TEST(WireFrame, EncodeLayoutIsExactlyAsDocumented) {
@@ -166,35 +160,78 @@ TEST(WireFrame, ThrowingDecodeUsesTheErrorTaxonomy) {
 }
 
 TEST(WirePayload, ChallengeBatchRoundTripsAtAwkwardWidths) {
-  for (const std::uint32_t stages : {1u, 7u, 8u, 9u, 32u, 33u}) {
-    std::vector<Challenge> batch;
+  for (const std::uint32_t stages : {1u, 7u, 8u, 9u, 32u, 33u, 64u, 65u, 100u}) {
+    const std::size_t stride = sim::packed_words(stages);
+    std::vector<sim::Challenge> batch;
+    std::vector<std::uint64_t> words(5 * stride);
     for (std::uint32_t c = 0; c < 5; ++c) {
-      Challenge challenge(stages);
+      sim::Challenge challenge(stages);
       for (std::uint32_t s = 0; s < stages; ++s)
         challenge[s] = static_cast<std::uint8_t>((c + s) % 2);
+      sim::pack_challenge_into(challenge, {words.data() + c * stride, stride});
       batch.push_back(challenge);
     }
-    std::vector<Challenge> out;
-    ASSERT_EQ(decode_challenge_batch(encode_challenge_batch(batch, stages), out),
-              DecodeStatus::kOk)
+    const std::vector<std::uint8_t> payload = encode_challenge_batch(stages, words);
+    // u32 count, u32 stages, then ceil(stages / 8) bytes per challenge with
+    // bit i of byte i / 8 = challenge bit i.
+    const std::size_t row_bytes = (stages + 7) / 8;
+    ASSERT_EQ(payload.size(), 8 + 5 * row_bytes) << "stages=" << stages;
+    for (std::size_t c = 0; c < 5; ++c)
+      for (std::size_t i = 0; i < stages; ++i)
+        ASSERT_EQ((payload[8 + c * row_bytes + i / 8] >> (i % 8)) & 1u, batch[c][i])
+            << "stages=" << stages << " challenge " << c << " bit " << i;
+    std::uint32_t out_stages = 0;
+    std::vector<std::uint64_t> out;
+    ASSERT_EQ(decode_challenge_batch(payload, out_stages, out), DecodeStatus::kOk)
         << "stages=" << stages;
-    EXPECT_EQ(out, batch) << "stages=" << stages;
+    EXPECT_EQ(out_stages, stages);
+    EXPECT_EQ(out, words) << "stages=" << stages;
   }
 }
 
 TEST(WirePayload, ChallengeBatchRejectsMalformedLengths) {
-  std::vector<Challenge> out;
-  EXPECT_EQ(decode_challenge_batch({1, 2}, out), DecodeStatus::kBadPayload);
+  std::uint32_t stages = 0;
+  std::vector<std::uint64_t> out;
+  EXPECT_EQ(decode_challenge_batch({1, 2}, stages, out), DecodeStatus::kBadPayload);
   // Valid header claiming 1 challenge x 8 stages but no row bytes.
   std::vector<std::uint8_t> short_rows;
   put_u32(short_rows, 1);
   put_u32(short_rows, 8);
-  EXPECT_EQ(decode_challenge_batch(short_rows, out), DecodeStatus::kBadPayload);
+  EXPECT_EQ(decode_challenge_batch(short_rows, stages, out), DecodeStatus::kBadPayload);
   // Stage width outside the sanity bounds.
   std::vector<std::uint8_t> huge;
   put_u32(huge, 1);
   put_u32(huge, 1u << 20);
-  EXPECT_EQ(decode_challenge_batch(huge, out), DecodeStatus::kBadPayload);
+  EXPECT_EQ(decode_challenge_batch(huge, stages, out), DecodeStatus::kBadPayload);
+}
+
+// A set bit above `stages` in a row's last byte is a second byte form of a
+// challenge: the decoder rejects it instead of silently masking it off.
+TEST(WirePayload, ChallengeBatchRejectsPaddingBits) {
+  for (const std::uint32_t stages : {1u, 13u, 33u, 100u}) {
+    SCOPED_TRACE("stages " + std::to_string(stages));
+    const std::uint32_t row_bytes = (stages + 7) / 8;
+    Frame frame = sample_frame();
+    frame.header.type = FrameType::kChallengeBatch;
+    frame.payload.clear();
+    put_u32(frame.payload, 2);
+    put_u32(frame.payload, stages);
+    for (std::uint32_t b = 0; b < 2 * row_bytes; ++b) put_u8(frame.payload, 0);
+    frame.payload[8] = 1;  // first row = challenge with stage 0 set
+
+    Frame wire;
+    ASSERT_EQ(decode_frame(encode_frame(frame), wire), DecodeStatus::kOk);
+    std::uint32_t got_stages = 0;
+    std::vector<std::uint64_t> words;
+    ASSERT_EQ(decode_challenge_batch(wire.payload, got_stages, words), DecodeStatus::kOk);
+    ASSERT_EQ(words.size(), 2 * sim::packed_words(stages));
+    EXPECT_EQ(words[0], 1u);
+
+    frame.payload.back() |= static_cast<std::uint8_t>(1u << (stages % 8));
+    ASSERT_EQ(decode_frame(encode_frame(frame), wire), DecodeStatus::kOk);
+    EXPECT_EQ(decode_challenge_batch(wire.payload, got_stages, words),
+              DecodeStatus::kBadPayload);
+  }
 }
 
 TEST(WirePayload, ResponseBitsRoundTripAndReject) {

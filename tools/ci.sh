@@ -44,9 +44,16 @@
 #             overload phase (exit code is the audit); net.async.* schema
 #             check (--expect-net-socket), lockstep-vs-socket timing gate,
 #             and tests/test_async_service under TSan
+#   e2e-smoke bench/e2e/run.py --smoke: the four end-to-end workloads
+#             (onboard, serve_n10, serve_n2, auth_store) at about 1/50
+#             scale, untraced and traced, with their correctness gates,
+#             the socket-vs-lockstep oracle on the serve workloads and the
+#             metric-name check against BENCHMARK.json (builds build-e2e/
+#             with one compile job on first use)
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
 #             tests/test_linear, test_screening, test_streaming, test_rng,
-#             test_math and test_tester on the portable scalar kernels
+#             test_math, test_tester and test_issuance_golden on the
+#             portable scalar kernels
 #             (FeatureBlock and parity-word tiles, parity_dots, the lazy
 #             CDF counts and their erfc cut-offs), the only path on hosts
 #             without AVX2
@@ -130,13 +137,25 @@ simd_off_job() {
     -DXPUF_BUILD_BENCHMARKS=OFF \
     -DXPUF_BUILD_EXAMPLES=OFF &&
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
-      --target test_linear test_screening test_streaming test_rng test_math test_tester &&
+      --target test_linear test_screening test_streaming test_rng test_math test_tester \
+      test_issuance_golden &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
     "${prefix}-simd-off/tests/test_rng" &&
     "${prefix}-simd-off/tests/test_math" &&
-    "${prefix}-simd-off/tests/test_tester"
+    "${prefix}-simd-off/tests/test_tester" &&
+    "${prefix}-simd-off/tests/test_issuance_golden"
+}
+
+# End-to-end smoke of the benchmark workloads: run.py's exit code is every
+# workload's correctness gate plus the socket-vs-lockstep oracle.
+e2e_smoke_job() {
+  if command -v python3 >/dev/null 2>&1; then
+    python3 bench/e2e/run.py --smoke
+  else
+    echo "python3 absent; e2e smoke skipped"
+  fi
 }
 
 tsan_configure() {
@@ -312,6 +331,7 @@ run_job auth auth_job
 run_job metrics metrics_job
 run_job service service_job
 run_job service-socket service_socket_job
+run_job e2e-smoke e2e_smoke_job
 run_job simd-off simd_off_job
 run_job asan asan_job
 run_job tsan tsan_job

@@ -410,19 +410,21 @@ std::vector<Violation> lint_source(const std::string& rel_path, const std::strin
     }
   }
 
-  // wire-portability: the frame codec (src/net/wire.*) is the one place
-  // where bytes cross a machine boundary, so it must stay byte-exact on any
+  // wire-portability: the frame codec (src/net/wire.*) and the byte-order
+  // primitives it shares with the store log (src/common/byte_codec.*) are
+  // where bytes cross a machine boundary, so they must stay byte-exact on any
   // host: no struct aliasing (memcpy/reinterpret_cast/bit_cast reads memory
   // in host endianness and host padding), and no integer type whose width
   // the standard leaves to the platform. Fields serialize one at a time
   // through the explicit little-endian put_*/read_* helpers.
-  if (path_has_prefix(rel_path, "src/net/wire.")) {
+  if (path_has_prefix(rel_path, "src/net/wire.") ||
+      path_has_prefix(rel_path, "src/common/byte_codec.")) {
     static const std::vector<PatternRule> pats = {
         {"wire-portability", std::regex(R"(\bmem(cpy|move)\s*\()"),
          "memcpy/memmove aliases object bytes in host order; serialize each field "
          "through the put_/read_ helpers"},
         {"wire-portability", std::regex(R"(\breinterpret_cast\b|\bstd::bit_cast\b)"),
-         "type punning reads host-endian, host-padded memory; decode through WireReader"},
+         "type punning reads host-endian, host-padded memory; decode through ByteReader"},
         {"wire-portability",
          std::regex(R"((^|[^\w])(int|long|short|unsigned|signed|size_t|wchar_t)\b)"),
          "platform-width integer in the wire codec; use std::uintN_t so the layout is "

@@ -141,14 +141,15 @@ std::vector<Violation> pass_wire_pairing(const ProjectIndex& index) {
         dir.empty() ? stem + ".hpp" : dir + "/" + stem + ".hpp";
 
     // Functions defined in this TU (or inline in its paired header — the
-    // byte primitives of a header-only codec), by name. A TU definition
-    // shadows a same-named header one.
+    // byte primitives of a header-only codec — or in the byte-order header
+    // both project codecs share), by name. A TU definition shadows a
+    // same-named header one.
     std::map<std::string, const FunctionSym*> local;
     for (const auto& [name, syms] : index.functions)
       for (const FunctionSym& s : syms) {
         if (s.file == f.rel_path)
           local[name] = &s;
-        else if (s.file == header_rel)
+        else if (s.file == header_rel || s.file == "src/common/byte_codec.hpp")
           local.emplace(name, &s);
       }
     const bool is_codec =
