@@ -24,13 +24,20 @@
 // (cache_capacity 1), the optimized side holds the hot set resident.
 //
 // Timing JSON fields (bench_out/db_scale_timing.json):
-//   enroll_seconds, devices_per_sec          registration phase
+//   items                                    authentications served (issue +
+//                                            verify) over every auth rep
+//   devices, auths, reps, min_of_reps = 1    fleet size, auths per rep, and
+//                                            --auth-reps, the rep count both
+//                                            timed phases take their min
+//                                            over
+//   enroll_seconds, devices_per_sec          registration phase (runs once)
 //   auth_seconds, auths_per_sec              sustained issue+verify
-//                                            (min over --auth-reps passes)
+//                                            (min over the reps)
 //   auth_p50_ms, auth_p99_ms                 per-auth wall latency quantiles
 //                                            (auth.latency_ms histogram)
 //   rss_quarter_mb, rss_full_mb              flat-RSS probe
-//   uncached_seconds, cached_seconds         hot-set serving A/B
+//   uncached_seconds, cached_seconds         hot-set serving A/B (min over
+//                                            the reps, sides interleaved)
 //   recovery_seconds                         full log replay (reopen)
 //   compact_seconds                          log compaction
 //
@@ -111,9 +118,12 @@ int main(int argc, char** argv) {
   const auto hot_rounds = static_cast<std::uint64_t>(bench.cli().get_int("hot-rounds", 50));
   XPUF_REQUIRE(devices >= 100, "fleet bench needs at least 100 devices");
   XPUF_REQUIRE(auths >= 8, "fleet bench needs at least 8 authentications");
+  const auto auth_reps =
+      static_cast<std::uint64_t>(bench.cli().get_int("auth-reps", 3));
+  XPUF_REQUIRE(auth_reps >= 1, "the timed phases need at least one rep");
   const auto cache_capacity = static_cast<std::size_t>(std::max<double>(
       1.0, static_cast<double>(devices) * cache_pct / 100.0));
-  bench.set_items(devices);
+  bench.set_items(auths * auth_reps);
 
   const std::string dir =
       bench.cli().get("dir", benchutil::out_dir() + "/db_scale_store");
@@ -172,9 +182,6 @@ int main(int argc, char** argv) {
     if (out.approved) ++approved;
     ++auths_done;
   };
-  const auto auth_reps =
-      static_cast<std::uint64_t>(bench.cli().get_int("auth-reps", 3));
-  XPUF_REQUIRE(auth_reps >= 1, "the auth phase needs at least one rep");
   double auth_seconds = std::numeric_limits<double>::infinity();
   double rss_quarter = 0.0;
   double rss_full = 0.0;
@@ -246,7 +253,7 @@ int main(int argc, char** argv) {
   const double recovery_seconds = timer.seconds();
   XPUF_REQUIRE(cold.device_count() == devices, "replay lost devices");
   XPUF_REQUIRE(cold.issued_total() == store.issued_total(), "replay lost ledger entries");
-  for (int rep = 0; rep < 3; ++rep) {
+  for (std::uint64_t rep = 0; rep < auth_reps; ++rep) {
     timer.reset();
     for (std::uint64_t round = 0; round < hot_rounds; ++round)
       for (const std::size_t id : hot_ids) (void)store.model(id);
@@ -274,6 +281,10 @@ int main(int argc, char** argv) {
     XPUF_REQUIRE(spot_before->puf(p).model.weights() == spot_after->puf(p).model.weights(),
                  "compaction altered a stored model");
 
+  bench.set_field("devices", static_cast<double>(devices));
+  bench.set_field("auths", static_cast<double>(auths));
+  bench.set_field("reps", static_cast<double>(auth_reps));
+  bench.set_field("min_of_reps", 1.0);
   bench.set_field("enroll_seconds", enroll_seconds);
   bench.set_field("devices_per_sec", devices_per_sec);
   bench.set_field("auth_seconds", auth_seconds);

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
-#include "sim/linear.hpp"
 
 namespace xpuf::net {
 
@@ -146,16 +145,12 @@ void DeviceClient::handle(const Frame& frame, std::uint32_t round) {
         ++stats_.corrupt;  // framing was fine but the payload is malformed
         return;            // the deadline path retransmits the begin frame
       }
-      // Measure each challenge exactly once; the encoded payload is cached so
-      // retransmissions carry bit-identical responses and the measurement
-      // stream position stays a pure function of delivered batches.
-      const std::size_t stride = sim::packed_words(stages);
+      // Measure each challenge exactly once, straight from the packed rows;
+      // the encoded payload is cached so retransmissions carry bit-identical
+      // responses and the measurement stream position stays a pure function
+      // of delivered batches.
       std::vector<std::uint8_t> bits;
-      bits.reserve(rows_.size() / stride);
-      for (std::size_t at = 0; at < rows_.size(); at += stride) {
-        sim::unpack_challenge_into({rows_.data() + at, stride}, stages, challenge_);
-        bits.push_back(chip_->xor_response(challenge_, env_, rng_) ? 1u : 0u);
-      }
+      chip_->xor_responses(rows_, stages, env_, rng_, bits);
       current_.challenges_used = static_cast<std::uint32_t>(bits.size());
       pending_type_ = FrameType::kResponseSubmit;
       pending_payload_ = encode_response_bits(bits);

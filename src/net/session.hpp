@@ -135,10 +135,9 @@ class DeviceClient {
   /// empty; RESPONSE_SUBMIT carries the cached measured bits).
   FrameType pending_type_ = FrameType::kAuthBegin;
   std::vector<std::uint8_t> pending_payload_;
-  /// Reused decode buffers: a batch's packed rows, and the one Challenge
-  /// each row is unpacked into at the chip boundary.
+  /// Reused decode buffer: a batch's packed rows, which the chip races as
+  /// they are.
   std::vector<std::uint64_t> rows_;
-  sim::Challenge challenge_;
 
   ChannelStats stats_;
   SessionObserver* observer_ = nullptr;

@@ -82,14 +82,9 @@ ChallengeBatch AuthenticationServer::issue_random(Rng& rng) const {
 
 std::vector<bool> device_responses(const sim::XorPufChip& chip, const sim::Environment& env,
                                    const ChallengeBatch& batch, Rng& rng) {
-  std::vector<bool> responses;
-  responses.reserve(batch.size());
-  Challenge challenge;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    sim::unpack_challenge_into(batch.row(i), batch.stages, challenge);
-    responses.push_back(chip.xor_response(challenge, env, rng));
-  }
-  return responses;
+  std::vector<std::uint8_t> bits;
+  chip.xor_responses(batch.words, batch.stages, env, rng, bits);
+  return {bits.begin(), bits.end()};
 }
 
 AuthenticationOutcome apply_auth_policy(const ChallengeBatch& batch,

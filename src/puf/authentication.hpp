@@ -66,7 +66,8 @@ struct ChallengeBatch {
 };
 
 /// The chip's one-shot XOR response to every row of `batch` — the device
-/// boundary, the one place a row is unpacked (into one reused Challenge).
+/// boundary, where the chip races the packed rows as they are
+/// (XorPufChip::xor_responses).
 std::vector<bool> device_responses(const sim::XorPufChip& chip, const sim::Environment& env,
                                    const ChallengeBatch& batch, Rng& rng);
 

@@ -15,11 +15,56 @@
 // here to the replay ledger, the pool records and the wire (a Challenge is
 // unpacked only at the device boundary). The batched walk keeps those
 // words plus their suffix-parity form (sim::suffix_parity_words), which
-// carries every Phi sign. PUF p is then evaluated (sim::parity_dots, the
-// serial walk's ascending dot bit for bit) only on the rows still stable
-// on PUFs 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n)) evaluations
-// at acceptance A instead of n. The survivors stay in index order, and the
-// sink is handed each stable row in place.
+// carries every Phi sign. PUF p is then evaluated only on the rows still
+// stable on PUFs 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n))
+// evaluations at acceptance A instead of n. The survivors stay in index
+// order, and the sink is handed each stable row in place.
+//
+// Every verdict and every XOR bit is the ascending dot's — the serial
+// walk's sum of w_i with phi_i's sign, ascending i from +0.0, bias last
+// (sim::parity_dots) — while a delay off the margin below comes from byte
+// tables. Per PUF, table t (t < K = ceil(stages / 8)) holds for every byte
+// v the signed sum T_t[v] = sum_j (bit j of v ? -w : +w)_{8t+j}, built
+// lazily on the first block that reaches the PUF: T_t[0] is the ascending
+// sum of the eight weights (0.0 past `stages`), then, for v with highest
+// set bit j, T_t[v] = T_t[v - 2^j] - 2 w_{8t+j}. A row's approximate delay is
+// a = bias + T_0[byte 0] + ... + T_{K-1}[byte K-1] of its parity row — K
+// lookups instead of stages + 1 sign flips and adds.
+//
+// The certified margin. Let u = 2^-53, gamma_m = m u / (1 - m u), S_t the
+// sum of |w_i| over table t's weights and S = sum_i |w_i| (bias included),
+// and D the real-number delay. By the recursive-summation bound
+// |fl(x_1 + ... + x_m) - sum x| <= gamma_{m-1} sum |x|, valid in any order
+// and through gradual underflow, with 2 w exact:
+//   - the ascending dot sums stages + 1 terms of magnitude |w_i| from +0.0:
+//     |dot - D| <= gamma_stages S;
+//   - T_t[v] sums the eight weights, then at most eight -2 w terms, 16
+//     terms of total magnitude <= 3 S_t: |T_t[v] - exact| <= 3 gamma_15 S_t,
+//     so |T_t[v]| <= (1 + 3 gamma_15) S_t;
+//   - a sums K + 1 terms: its rounding is <= gamma_K (1 + 3 gamma_15) S, and
+//     the table errors add at most 3 gamma_15 S.
+// So |a - dot| <= (gamma_K (1 + 3 gamma_15) + 3 gamma_15 + gamma_stages) S
+// <= 1.02 (stages + K + 45) u S. The screener takes
+// eps_p = max(2 (stages + K + 45) u fl(S), 2^-1000): the factor 2 covers
+// the (1 + O(stages u)) factors, fl(S) >= S (1 - gamma_stages) and the
+// rounding of the product; the floor covers its underflow. Each threshold
+// t gets the guard interval [lo_t, hi_t] with
+// lo_t = nextafter(fl(t - eps_p), -inf) <= t - eps_p and
+// hi_t = nextafter(fl(t + eps_p), +inf) >= t + eps_p, so comparisons need no
+// further rounding argument: a > hi_t implies dot > t, and a < lo_t implies
+// dot < t. A PUF is tabled when eps_p is finite and thr0 <= 0.5 <= thr1.
+// Then a < lo_thr0 means dot < thr0 <= 0.5: stable, bit 0; a > hi_thr1
+// means dot > thr1 >= 0.5: stable, bit 1; hi_thr0 < a < lo_thr1 means
+// thr0 < dot < thr1: unstable (a bit no sink ever sees). So the 0.5
+// comparison is never made on a. Any other row — a within eps_p of thr0
+// or thr1 — is open: it gets its exact dot from sim::parity_dots and is
+// classified on that (Outcome::exact_fallbacks, counter
+// selection.exact_fallbacks). A PUF with a threshold outside that order or
+// NaN, or with eps_p = +inf, which fl(S) not below DBL_MAX / 8 forces (a
+// NaN or infinite weight, or weights near overflow), is exact-only: every
+// row it sees takes the exact path. Below that bound no table entry or
+// partial sum can overflow, so a is finite, and an infinite threshold needs
+// no special case.
 //
 // So the issued-challenge sequence, the expected-response bits, and the
 // exact candidates_tried count are identical across serial/batched modes,
@@ -57,6 +102,10 @@ class ChallengeScreener {
     std::size_t accepted = 0;  ///< stable candidates the sink counted toward the quota
     bool filled = false;       ///< quota reached within max_attempts
     std::uint64_t next_index = 0;  ///< resume cursor: first_index + tried
+    /// Batched walk only: rows whose byte-table delay fell inside a guard
+    /// interval, or that reached an exact-only PUF, so their verdict was
+    /// taken on the exact ascending dot.
+    std::size_t exact_fallbacks = 0;
   };
 
   /// Receives each stable candidate in index order — its canonical packed
@@ -90,20 +139,44 @@ class ChallengeScreener {
   Outcome screen_batched(const StreamFamily& family, std::uint64_t first_index,
                          std::size_t count, std::size_t max_attempts, const Sink& sink);
 
+  /// Byte-table evaluation of one PUF: the bias and the guard intervals
+  /// [lo0, hi0] around thr0 and [lo1, hi1] around thr1. Tabled only when
+  /// eps_p is finite and thr0 <= 0.5 <= thr1.
+  struct TablePuf {
+    double bias = 0.0;
+    double lo0 = 0.0;
+    double hi0 = 0.0;
+    double lo1 = 0.0;
+    double hi1 = 0.0;
+    bool tabled = false;
+  };
+
+  /// One cascade step on PUF p: classifies survivors_ by table delay (a
+  /// tabled PUF), XORs settled bits into bits_, compacts survivors_ in
+  /// place, then settles the rows inside a guard interval — every row of
+  /// an exact-only PUF — on their exact dots. Returns how many rows took
+  /// the exact path.
+  std::size_t screen_puf(std::size_t p, const double* tables);
+
   const ModelView* view_;
   std::size_t n_pufs_;
   ScreeningOptions options_;
   std::vector<ThresholdPair> thresholds_;  ///< beta-adjusted, derived once
+  std::vector<TablePuf> table_pufs_;       ///< per PUF, derived once
+  std::size_t n_tables_ = 0;               ///< K = ceil(stages / 8)
   // Reused block storage, allocated on the first block and refilled in place
   // after: packed candidate words and their suffix-parity words
   // (packed_words(stages) per row), the rows still stable on every PUF
-  // screened so far (ascending), their delays under the current PUF, and
-  // each row's running XOR of predicted bits.
+  // screened so far (ascending), each row's running XOR of predicted bits,
+  // and the exact-path rows of the current PUF — their positions in
+  // survivors_, row indices and dots.
   std::vector<std::uint64_t> words_;
   std::vector<std::uint64_t> parity_;
   std::vector<std::size_t> survivors_;
-  std::vector<double> delays_;
   std::vector<std::uint8_t> bits_;
+  std::vector<std::size_t> fallback_at_;
+  std::vector<std::size_t> fallback_rows_;
+  std::vector<double> delays_;
 };
 
 /// Selection-cost accounting shared by every screening call site (the

@@ -1,5 +1,7 @@
 #include "sim/chip.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 
@@ -27,6 +29,41 @@ bool XorPufChip::xor_response(const Challenge& challenge, const Environment& env
   bool out = false;
   for (const auto& d : devices_) out ^= d.evaluate(challenge, env, rng);
   return out;
+}
+
+void XorPufChip::xor_responses(std::span<const std::uint64_t> rows, std::size_t stages,
+                               const Environment& env, Rng& rng,
+                               std::vector<std::uint8_t>& out) const {
+  out.clear();
+  if (rows.empty()) return;
+  XPUF_REQUIRE(stages == this->stages(), "challenge length != chip stage count");
+  const std::size_t stride = packed_words(stages);
+  XPUF_REQUIRE(rows.size() % stride == 0, "packed rows need packed_words(stages) words each");
+  const std::size_t n = devices_.size();
+  // delays[(2 i + b) n + d]: device d's stage-i delay for select bit b, so
+  // one stage's n lockstep adds read contiguous doubles.
+  std::vector<double> delays(2 * stages * n);
+  std::vector<double> own(2 * stages);
+  std::vector<double> sigma(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    devices_[d].effective_stage_delays(env, own);
+    for (std::size_t j = 0; j < 2 * stages; ++j) delays[j * n + d] = own[j];
+    sigma[d] = devices_[d].noise_sigma(env);
+  }
+  std::vector<double> delta(n);
+  out.resize(rows.size() / stride);
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    const std::uint64_t* row = rows.data() + c * stride;
+    std::fill(delta.begin(), delta.end(), 0.0);
+    for (std::size_t i = 0; i < stages; ++i) {
+      const std::uint64_t crossed = (row[i / 64] >> (i % 64)) & 1U;
+      const double* stage = delays.data() + (2 * i + crossed) * n;
+      for (std::size_t d = 0; d < n; ++d) delta[d] = race_stage(delta[d], crossed, stage[d]);
+    }
+    bool bit = false;
+    for (std::size_t d = 0; d < n; ++d) bit ^= delta[d] + rng.normal(0.0, sigma[d]) > 0.0;
+    out[c] = bit ? 1 : 0;
+  }
 }
 
 void XorPufChip::check_tap(std::size_t puf_index) const {

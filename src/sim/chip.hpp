@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -43,6 +44,23 @@ class XorPufChip {
 
   /// One noisy evaluation of the XOR output (always accessible).
   bool xor_response(const Challenge& challenge, const Environment& env, Rng& rng) const;
+
+  /// One noisy XOR evaluation per packed challenge row — `rows` holds
+  /// back-to-back rows of packed_words(stages) words, stage bit i in bit
+  /// i % 64 of word i / 64 — written to `out` (resized to the row count,
+  /// 0/1 per row; no rows, no responses). Always accessible. Bit-identical
+  /// to calling xor_response on each unpacked row in turn, and it leaves
+  /// `rng` in the same state:
+  ///
+  /// the call snapshots every device's effective (straight, crossed) stage
+  /// delays once, at `env` and the current aging level, then races the n
+  /// devices in lockstep, stage by stage, each chain doing delay_difference's
+  /// IEEE operations in its order (race_stage) with the stage bit read
+  /// straight from the row; the n noise samples follow in device order, as
+  /// xor_response draws them. The snapshot lives for one call only, so it
+  /// can never go stale across age().
+  void xor_responses(std::span<const std::uint64_t> rows, std::size_t stages,
+                     const Environment& env, Rng& rng, std::vector<std::uint8_t>& out) const;
 
   /// One noisy evaluation of an individual PUF. Throws AccessError once the
   /// corresponding fuse is blown.

@@ -1,6 +1,5 @@
 #include "sim/device.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -44,42 +43,41 @@ void ArbiterPufDevice::age(double stress_hours) {
   stress_hours_ += stress_hours;
 }
 
-// Stage index is proven in-range by delay_difference's length guard; this is
-// the innermost hot loop.  xpuf-lint: allow(require-guard)
-double ArbiterPufDevice::effective_straight(std::size_t i, double scale, double shift,
-                                            double aging) const {
-  const StageDelays& s = stage_delays_[i];
-  return s.straight * scale + s.straight_sensitivity * shift + s.straight_aging * aging;
+ArbiterPufDevice::Corner ArbiterPufDevice::corner(const Environment& env) const {
+  return {env_model_.delay_scale(env), env_model_.sensitivity_shift(env), aging_level()};
 }
 
-// Same as effective_straight.  xpuf-lint: allow(require-guard)
-double ArbiterPufDevice::effective_crossed(std::size_t i, double scale, double shift,
-                                           double aging) const {
+// Stage index is proven in-range by every caller's loop bound; this is the
+// innermost hot loop.  xpuf-lint: allow(require-guard)
+void ArbiterPufDevice::effective_stage(std::size_t i, const Corner& c, double* pair) const {
   const StageDelays& s = stage_delays_[i];
-  return s.crossed * scale + s.crossed_sensitivity * shift + s.crossed_aging * aging;
+  pair[0] = s.straight * c.scale + s.straight_sensitivity * c.shift + s.straight_aging * c.aging;
+  pair[1] = s.crossed * c.scale + s.crossed_sensitivity * c.shift + s.crossed_aging * c.aging;
 }
 
 double ArbiterPufDevice::delay_difference(const Challenge& challenge,
                                           const Environment& env) const {
   XPUF_REQUIRE(challenge.size() == stages(), "challenge length != stage count");
-  const double scale = env_model_.delay_scale(env);
-  const double shift = env_model_.sensitivity_shift(env);
-  const double aging = aging_level();
-  // Recursive race: a crossed stage swaps the two signal paths, negating the
-  // accumulated top-minus-bottom difference before adding its own. Both the
-  // negation (a sign-bit flip) and the stage's straight/crossed delay are
-  // selected by the bit, not branched on, so each stage is one add — the
-  // same IEEE operations as `delta += straight` / `delta = -delta + crossed`.
+  const Corner c = corner(env);
+  // Recursive race (race_stage): the bit selects both the negation and the
+  // stage's straight/crossed delay, not a branch, so each stage is one add —
+  // the same IEEE operations as `delta += straight` /
+  // `delta = -delta + crossed`.
   double delta = 0.0;
   for (std::size_t i = 0; i < challenge.size(); ++i) {
     const std::uint64_t crossed = challenge[i] != 0;
-    const double stage[2] = {effective_straight(i, scale, shift, aging),
-                             effective_crossed(i, scale, shift, aging)};
-    const double flipped =
-        std::bit_cast<double>(std::bit_cast<std::uint64_t>(delta) ^ (crossed << 63));
-    delta = flipped + stage[crossed];
+    double pair[2];
+    effective_stage(i, c, pair);
+    delta = race_stage(delta, crossed, pair[crossed]);
   }
   return delta;
+}
+
+void ArbiterPufDevice::effective_stage_delays(const Environment& env,
+                                              std::span<double> out) const {
+  XPUF_REQUIRE(out.size() == 2 * stages(), "effective delays need 2 * stages doubles");
+  const Corner c = corner(env);
+  for (std::size_t i = 0; i < stages(); ++i) effective_stage(i, c, out.data() + 2 * i);
 }
 
 double ArbiterPufDevice::noise_sigma(const Environment& env) const {
@@ -104,16 +102,14 @@ linalg::Vector ArbiterPufDevice::reduced_weights(const Environment& env) const {
   // beta_i = (d0_i + d1_i)/2,
   //   w_1 = alpha_1, w_i = alpha_i + beta_{i-1} (i = 2..k), w_{k+1} = beta_k,
   // so that delta = w . phi with phi_i = prod_{j>=i} (1 - 2 c_j), phi_{k+1}=1.
-  const double scale = env_model_.delay_scale(env);
-  const double shift = env_model_.sensitivity_shift(env);
-  const double aging = aging_level();
+  const Corner c = corner(env);
   const std::size_t k = stages();
   std::vector<double> alpha(k), beta(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const double d0 = effective_straight(i, scale, shift, aging);
-    const double d1 = effective_crossed(i, scale, shift, aging);
-    alpha[i] = 0.5 * (d0 - d1);
-    beta[i] = 0.5 * (d0 + d1);
+    double d[2];
+    effective_stage(i, c, d);
+    alpha[i] = 0.5 * (d[0] - d[1]);
+    beta[i] = 0.5 * (d[0] + d[1]);
   }
   linalg::Vector w(k + 1);
   w[0] = alpha[0];

@@ -12,7 +12,9 @@
 // silicon-validated equivalence the paper's modeling rests on.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,6 +34,18 @@ using Challenge = std::vector<std::uint8_t>;
 /// Draws a uniformly random challenge of the given length: stage i is the
 /// i-th bernoulli() draw.
 Challenge random_challenge(std::size_t stages, Rng& rng);
+
+/// One stage of the race: a crossed stage (`crossed` = 1) swaps the two
+/// signal paths, negating the accumulated top-minus-bottom difference — a
+/// sign-bit flip — before its own delay is added; a straight stage adds its
+/// delay to the difference as it is. `stage_delay` is the stage's effective
+/// straight or crossed delay, as the bit selects. The one race step of
+/// ArbiterPufDevice::delay_difference and XorPufChip's lockstep race, so
+/// both perform the same IEEE operations.
+inline double race_stage(double delta, std::uint64_t crossed, double stage_delay) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(delta) ^ (crossed << 63)) +
+         stage_delay;
+}
 
 /// Per-stage process parameters: top-minus-bottom delay differences added by
 /// the stage for each select value, and the matching V/T sensitivities.
@@ -85,6 +99,12 @@ class ArbiterPufDevice {
   /// Thermal-noise sigma at a corner.
   double noise_sigma(const Environment& env) const;
 
+  /// The effective stage delays delay_difference races through at a corner
+  /// and the current aging level: out[2 i] is stage i's straight delay,
+  /// out[2 i + 1] its crossed one; `out` holds 2 * stages() doubles. A
+  /// snapshot — it does not track later age() calls.
+  void effective_stage_delays(const Environment& env, std::span<double> out) const;
+
   /// Accumulates BTI-style stress: the device's delay differences drift by
   /// eta_i * sigma_aging * (t_total / 1000 h)^aging_exponent where the
   /// per-stage directions eta were fixed at fabrication. Irreversible.
@@ -123,12 +143,22 @@ class ArbiterPufDevice {
   std::vector<StageDelays> stage_delays_;
   double stress_hours_ = 0.0;
 
+  /// What a corner does to every stage: the delay scale, the sensitivity
+  /// shift and the aging drift level.
+  struct Corner {
+    double scale;
+    double shift;
+    double aging;
+  };
+  Corner corner(const Environment& env) const;
+
   /// Current aging drift level (multiplies the per-stage eta directions).
   double aging_level() const;
 
-  /// Effective per-stage deltas at a corner.
-  double effective_straight(std::size_t i, double scale, double shift, double aging) const;
-  double effective_crossed(std::size_t i, double scale, double shift, double aging) const;
+  /// Stage i's effective (straight, crossed) delays at a corner — the single
+  /// formula behind delay_difference, effective_stage_delays and
+  /// reduced_weights.
+  void effective_stage(std::size_t i, const Corner& c, double* pair) const;
 };
 
 }  // namespace xpuf::sim

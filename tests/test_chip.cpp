@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sim/chip.hpp"
+#include "sim/linear.hpp"
 
 namespace xpuf::sim {
 namespace {
@@ -161,6 +164,69 @@ TEST(Chip, MoreXorInputsMeanFewerStableChallenges) {
   EXPECT_GT(stable1, stable8);
   // Single-PUF stability should be near the calibrated ~80%.
   EXPECT_NEAR(static_cast<double>(stable1) / n, 0.80, 0.06);
+}
+
+TEST(Chip, LockstepPackedRaceEqualsPerChallengeResponses) {
+  // xor_responses must be a loop over xor_response in disguise: the same
+  // bits, and the generator left where the loop leaves it — checked through
+  // a next normal (the polar method's cached deviate) and a next raw draw.
+  // 41 rows: a 1-PUF chip leaves an odd number of normals drawn.
+  for (const std::size_t stages : {32u, 64u, 100u}) {
+    for (const std::size_t n_pufs : {1u, 10u}) {
+      for (const double sigma_noise : {0.327, 4.0}) {
+        DeviceParameters params;
+        params.stages = stages;
+        params.sigma_noise = sigma_noise;
+        Rng fab(7000 + stages + n_pufs);
+        XorPufChip chip(0, n_pufs, params, EnvironmentModel{}, fab);
+        const std::size_t stride = packed_words(stages);
+        // Raw words: the bits above `stages` are garbage the race must ignore.
+        Rng draw(stages * 31 + n_pufs);
+        std::vector<std::uint64_t> rows(41 * stride);
+        for (std::uint64_t& w : rows) w = draw.next_u64();
+        for (const double hours : {0.0, 20000.0}) {
+          chip.age(hours);
+          for (const Environment& env : paper_corner_grid()) {
+            SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n_pufs) +
+                         " sigma=" + std::to_string(sigma_noise) + " aged=" +
+                         std::to_string(hours) + " " + env.label());
+            Rng lockstep(4242);
+            Rng looped(4242);
+            std::vector<std::uint8_t> got;
+            chip.xor_responses(rows, stages, env, lockstep, got);
+            std::vector<std::uint8_t> want;
+            Challenge c;
+            for (std::size_t at = 0; at < rows.size(); at += stride) {
+              unpack_challenge_into({rows.data() + at, stride}, stages, c);
+              want.push_back(chip.xor_response(c, env, looped) ? 1 : 0);
+            }
+            EXPECT_EQ(got, want);
+            EXPECT_EQ(lockstep.normal(), looped.normal());
+            EXPECT_EQ(lockstep.next_u64(), looped.next_u64());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Chip, LockstepPackedRaceValidatesItsRows) {
+  const auto chip = make_chip(3, 11);
+  Rng rng(3);
+  std::vector<std::uint8_t> out{1, 0, 1};
+  chip.xor_responses({}, chip.stages(), Environment::nominal(), rng, out);
+  EXPECT_TRUE(out.empty());
+  const std::vector<std::uint64_t> rows(2, 0x5555ULL);
+  EXPECT_THROW(chip.xor_responses(rows, chip.stages() + 1, Environment::nominal(), rng, out),
+               std::invalid_argument);
+  // 100 stages take two words a row; three words are not whole rows.
+  DeviceParameters params;
+  params.stages = 100;
+  Rng fab(12);
+  const XorPufChip wide_chip(0, 2, params, EnvironmentModel{}, fab);
+  const std::vector<std::uint64_t> ragged(3, 0);
+  EXPECT_THROW(wide_chip.xor_responses(ragged, 100, Environment::nominal(), rng, out),
+               std::invalid_argument);
 }
 
 }  // namespace

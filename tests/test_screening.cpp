@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -44,12 +45,13 @@ std::uint64_t counter_or_zero(const MetricsSnapshot& snap, const std::string& na
   return it == snap.counters.end() ? 0 : it->second;
 }
 
-/// A realistically-enrolled 3-PUF model: genuine stable/unstable candidate
-/// mix, deterministic across calls (fresh RNGs each time).
-ServerModel enroll_model() {
+/// A realistically-enrolled model (3 PUFs by default): genuine
+/// stable/unstable candidate mix, deterministic across calls (fresh RNGs
+/// each time).
+ServerModel enroll_model(std::size_t n_pufs = 3) {
   sim::PopulationConfig cfg;
   cfg.n_chips = 1;
-  cfg.n_pufs_per_chip = 3;
+  cfg.n_pufs_per_chip = n_pufs;
   cfg.seed = 5150;
   sim::ChipPopulation pop(cfg);
   Rng rng(808);
@@ -423,6 +425,130 @@ TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
     SCOPED_TRACE("round " + std::to_string(round));
     expect_batches_identical(a, b);
     EXPECT_EQ(a.candidates_tried, b.candidates_tried);
+  }
+}
+
+// --- certified byte-table margin -------------------------------------------
+
+std::uint64_t exact_fallbacks_total() {
+  return counter_or_zero(MetricsRegistry::global().snapshot(), "selection.exact_fallbacks");
+}
+
+/// The exact delays — sim::parity_dots, the serial walk's ascending dot — of
+/// candidates 0 .. count - 1 of `family` under weight row `w`.
+std::vector<double> exact_delays(std::span<const double> w, std::size_t stages,
+                                 const StreamFamily& family, std::size_t count) {
+  const std::size_t stride = sim::packed_words(stages);
+  std::vector<std::uint64_t> words(count * stride);
+  std::vector<std::uint64_t> parity(count * stride);
+  for (std::size_t i = 0; i < count; ++i) {
+    Rng rng = family.stream(i);
+    ChallengeScreener::candidate_into({words.data() + i * stride, stride}, stages, rng);
+  }
+  sim::suffix_parity_words(words, stages, parity);
+  std::vector<std::size_t> rows(count);
+  for (std::size_t i = 0; i < count; ++i) rows[i] = i;
+  std::vector<double> out(count);
+  sim::parity_dots(w, parity, rows, out);
+  return out;
+}
+
+/// How an adversarial model puts candidate delays on a decision boundary.
+/// Each one does so on PUF 0, which every candidate reaches.
+enum class Boundary {
+  kThresholdOnDelay,  ///< thr0 / thr1 are exact delays of drawn candidates
+  kGridOnDelay,       ///< the same on quarter-grid weights, where delays tie
+  kGridOnHalf,        ///< quarter-grid weights, thresholds and a delay on 0.5
+  kNanWeight,         ///< a NaN weight
+  kInfiniteWeight,    ///< an infinite weight
+};
+
+ServerModel make_boundary_model(std::size_t stages, std::size_t n, Boundary kind,
+                                const StreamFamily& family, std::uint64_t seed) {
+  Rng rng(seed);
+  const double sd = std::sqrt(static_cast<double>(stages + 1));
+  const bool grid = kind == Boundary::kGridOnDelay || kind == Boundary::kGridOnHalf;
+  std::vector<PufEnrollment> pufs;
+  for (std::size_t p = 0; p < n; ++p) {
+    PufEnrollment e;
+    linalg::Vector w(stages + 1);
+    for (std::size_t i = 0; i <= stages; ++i)
+      w[i] = grid ? 0.25 * static_cast<double>(1 + rng.uniform_below(2))
+                  : rng.normal(0.0, 1.0);
+    if (grid) w[stages] = 0.5;
+    e.thresholds.thr0 = 0.5 - 0.48 * sd;
+    e.thresholds.thr1 = 0.5 + 0.48 * sd;
+    if (kind == Boundary::kThresholdOnDelay || kind == Boundary::kGridOnDelay) {
+      // The quartile delays of the first 64 candidates, exactly: those
+      // candidates sit on a threshold wherever the cascade reaches them.
+      std::vector<double> d = exact_delays(w.span(), stages, family, 64);
+      std::sort(d.begin(), d.end());
+      e.thresholds.thr0 = d[16];
+      e.thresholds.thr1 = d[48];
+    } else if (kind == Boundary::kGridOnHalf) {
+      // Thresholds collapsed onto 0.5 (the no-unstable-CRP limit), and the
+      // bias moved so candidate 16 lands on it: grid sums are exact.
+      w[stages] = 1.0 - exact_delays(w.span(), stages, family, 64)[16];
+      e.thresholds.thr0 = 0.5;
+      e.thresholds.thr1 = 0.5;
+    } else if (p == 0) {
+      w[stages / 2] = kind == Boundary::kNanWeight ? std::numeric_limits<double>::quiet_NaN()
+                                                   : std::numeric_limits<double>::infinity();
+    }
+    e.model = ArbiterPufModel(std::move(w));
+    e.train_r_squared = 0.99;
+    e.fit_time_ms = 1.0;
+    pufs.push_back(std::move(e));
+  }
+  return ServerModel(0, std::move(pufs));
+}
+
+TEST(ScreeningMargin, BoundaryDelaysTakeTheExactPathAndMatchTheSerialWalk) {
+  const Boundary kinds[] = {Boundary::kThresholdOnDelay, Boundary::kGridOnDelay,
+                            Boundary::kGridOnHalf, Boundary::kNanWeight,
+                            Boundary::kInfiniteWeight};
+  for (const std::size_t stages : {1u, 7u, 8u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 128u}) {
+    for (const std::size_t n : {1u, 2u, 10u}) {
+      for (const Boundary kind : kinds) {
+        const std::uint64_t base = 0xb0da0000ULL + 131 * stages + n;
+        const StreamFamily family(base);
+        const ServerModel model =
+            make_boundary_model(stages, n, kind, family, 17 * stages + n);
+        const ModelView view = ModelView::of(model);
+        SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n) +
+                     " kind=" + std::to_string(static_cast<int>(kind)));
+        // Boundary models may never fill; the walks must still agree on
+        // every count up to max_attempts. The quota outlasts candidate 63.
+        const Walk ref = run_walk(view, {.block = 256, .batched = false}, base, 0, 200, 600, n);
+        EXPECT_EQ(ref.out.exact_fallbacks, 0u);
+        for (const std::size_t block : {7u, 256u}) {
+          const std::uint64_t before = exact_fallbacks_total();
+          const Walk got =
+              run_walk(view, {.block = block, .batched = true}, base, 0, 200, 600, n);
+          SCOPED_TRACE("block=" + std::to_string(block));
+          expect_walks_identical(ref, got);
+          EXPECT_GT(got.out.exact_fallbacks, 0u);
+          EXPECT_EQ(exact_fallbacks_total() - before, got.out.exact_fallbacks);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScreeningMargin, PaperCalibratedFleetNeverTakesTheExactPath) {
+  for (const std::size_t n : {3u, 10u}) {
+    const ServerModel model = enroll_model(n);
+    const ModelView view = ModelView::of(model);
+    const std::uint64_t before = exact_fallbacks_total();
+    const Walk ref = run_walk(view, {.block = 256, .batched = false}, 0xca11b, 0, 64,
+                              10'000'000, n);
+    const Walk got = run_walk(view, {}, 0xca11b, 0, 64, 10'000'000, n);
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ASSERT_TRUE(got.out.filled);
+    ASSERT_GT(got.out.tried, 10 * got.out.accepted / n);
+    expect_walks_identical(ref, got);
+    EXPECT_EQ(got.out.exact_fallbacks, 0u);
+    EXPECT_EQ(exact_fallbacks_total(), before);
   }
 }
 

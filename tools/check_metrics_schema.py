@@ -15,8 +15,9 @@ With --expect-auth (tools/ci.sh `auth` job, fed by bench_auth_throughput)
 the snapshot must carry the issuance-pool and zero-copy-serving counters
 and they must satisfy the pool ledger relations: every issue() is exactly
 one pool hit or one pool miss, refills actually ran and their screening
-cost is visible in the selection.candidates_tried ledger, and mmap bytes
-flow only when mmap hits occur.
+cost is visible in the selection.candidates_tried ledger, at most 1e-3 of
+those candidates took the screener's exact path (selection.exact_fallbacks),
+and mmap bytes flow only when mmap hits occur.
 
 With --expect-net-socket (tools/ci.sh `service-socket` job, fed by
 bench_service_load --transport socket) the net.* relations above must hold
@@ -152,6 +153,16 @@ def check_auth_counters(counters: dict, gauges: dict, histograms: dict) -> str:
     if accepted <= 0 or accepted > tried:
         fail(f"--expect-auth: selection.accepted ({accepted}) must be positive "
              f"and <= selection.candidates_tried ({tried})")
+    # The byte-table screener settles a row on its exact dot only inside the
+    # certified margin, which a calibrated fleet essentially never meets. A
+    # mis-sized margin that sends rows down the exact path stays correct,
+    # so only this ratio can show it.
+    if "selection.exact_fallbacks" not in c:
+        fail("--expect-auth: counter 'selection.exact_fallbacks' absent")
+    fallbacks = c["selection.exact_fallbacks"]
+    if fallbacks > 1e-3 * tried:
+        fail(f"--expect-auth: selection.exact_fallbacks ({fallbacks}) exceeds "
+             f"1e-3 x selection.candidates_tried ({tried})")
     batches = histograms.get("selection.batch_candidates")
     if batches is None or batches["total"] < c["auth.pool_refills"]:
         fail("--expect-auth: 'selection.batch_candidates' must record at least "
@@ -163,7 +174,8 @@ def check_auth_counters(counters: dict, gauges: dict, histograms: dict) -> str:
     if "auth.pool_size" not in gauges:
         fail("--expect-auth: gauge 'auth.pool_size' absent")
     return (f"auth: issues={c['db.issue_requests']} hits={c['auth.pool_hits']} "
-            f"refills={c['auth.pool_refills']} mmap_hits={c['db.mmap_hits']}")
+            f"refills={c['auth.pool_refills']} mmap_hits={c['db.mmap_hits']} "
+            f"exact_fallbacks={fallbacks}")
 
 
 def main() -> None:

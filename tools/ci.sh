@@ -29,7 +29,8 @@
 #             serial reference walk, pooled issuance vs live screening —
 #             both asserted bit-identical in-run, with the zero-drift and
 #             flat-RSS audits in the exit code); gates: auth.*/db.mmap_*
-#             counter schema (--expect-auth) and both A/B timing pairs
+#             counter schema and the screener's exact-path share
+#             (--expect-auth) and both A/B timing pairs
 #   metrics   one bench run with --metrics-out, then a JSON schema check of
 #             the snapshot (tools/check_metrics_schema.py): counters/gauges/
 #             histograms/spans shape, nonzero selection cost, nonzero replay
@@ -52,10 +53,11 @@
 #             with one compile job on first use)
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
 #             tests/test_linear, test_screening, test_streaming, test_rng,
-#             test_math, test_tester and test_issuance_golden on the
-#             portable scalar kernels
-#             (FeatureBlock and parity-word tiles, parity_dots, the lazy
-#             CDF counts and their erfc cut-offs), the only path on hosts
+#             test_math, test_tester, test_issuance_golden and test_chip on
+#             the portable scalar kernels
+#             (FeatureBlock and parity-word tiles, parity_dots and the
+#             screener's exact path, the lazy CDF counts and their erfc
+#             cut-offs, the lockstep device race), the only path on hosts
 #             without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
@@ -138,14 +140,15 @@ simd_off_job() {
     -DXPUF_BUILD_EXAMPLES=OFF &&
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
       --target test_linear test_screening test_streaming test_rng test_math test_tester \
-      test_issuance_golden &&
+      test_issuance_golden test_chip &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
     "${prefix}-simd-off/tests/test_rng" &&
     "${prefix}-simd-off/tests/test_math" &&
     "${prefix}-simd-off/tests/test_tester" &&
-    "${prefix}-simd-off/tests/test_issuance_golden"
+    "${prefix}-simd-off/tests/test_issuance_golden" &&
+    "${prefix}-simd-off/tests/test_chip"
 }
 
 # End-to-end smoke of the benchmark workloads: run.py's exit code is every
@@ -251,8 +254,8 @@ store_job() {
 
 # Authentication hot path at CI scale. The binary's exit code IS the audit
 # (bit-identical screening modes, pure pooled drains, zero metrics drift,
-# flat RSS); the gates then check the auth.*/db.mmap_* counter schema and
-# both A/B pairs (batched-screening, pooled-issue) for regressions. The
+# flat RSS); the gates then check the auth.*/db.mmap_* counter schema, that
+# at most 1e-3 of screened candidates took the exact path, and both A/B pairs (batched-screening, pooled-issue) for regressions. The
 # acceptance-scale >= 3x pooled floor runs on the million-device fleet
 # (BENCH_auth_throughput.json), not here — CI shares one noisy core.
 auth_job() {
