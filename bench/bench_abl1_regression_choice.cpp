@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "common/math.hpp"
+#include "ml/linear_regression.hpp"
 #include "ml/logistic_regression.hpp"
 #include "puf/threshold_adjust.hpp"
 

@@ -81,6 +81,7 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/database.hpp"
 #include "puf/model_view.hpp"
 #include "puf/screening.hpp"
@@ -145,22 +146,26 @@ struct ScreenWalk {
   xpuf::puf::ChallengeScreener::Outcome out;
 };
 
-/// Runs one accept-all screening walk over `view` and records the full
+/// Runs one accept-all screening walk over `view` — the serial oracle's
+/// (tests/oracle/) or the production screener's — and records the full
 /// issued sequence (used for the serial-vs-batched bit-identity audit and
 /// as the timed kernel of the screening A/B).
-ScreenWalk run_screen(const xpuf::puf::ModelView& view, std::size_t n_pufs,
-                      const xpuf::puf::ScreeningOptions& opts,
+ScreenWalk run_screen(const xpuf::puf::ModelView& view, std::size_t n_pufs, bool serial,
                       std::uint64_t family_base, std::size_t count,
                       std::size_t max_attempts) {
   ScreenWalk walk;
-  xpuf::puf::ChallengeScreener screener(view, n_pufs, opts);
   const xpuf::StreamFamily family(family_base);
-  walk.out = screener.screen(
-      family, 0, count, max_attempts, [&](std::span<const std::uint64_t> row, bool bit) {
-        walk.words.insert(walk.words.end(), row.begin(), row.end());
-        walk.bits.push_back(bit);
-        return true;
-      });
+  const auto sink = [&](std::span<const std::uint64_t> row, bool bit) {
+    walk.words.insert(walk.words.end(), row.begin(), row.end());
+    walk.bits.push_back(bit);
+    return true;
+  };
+  if (serial) {
+    walk.out = xpuf::oracle::serial_screen(view, n_pufs, family, 0, count, max_attempts, sink);
+  } else {
+    xpuf::puf::ChallengeScreener screener(view, n_pufs);
+    walk.out = screener.screen(family, 0, count, max_attempts, sink);
+  }
   return walk;
 }
 
@@ -268,10 +273,6 @@ int main(int argc, char** argv) {
   std::printf("screening A/B: %llu devices x %zu challenges/walk...\n",
               static_cast<unsigned long long>(screen_devices), screen_count);
   const std::size_t screen_attempts = screen_count * 1000;
-  puf::ScreeningOptions serial_opts;
-  serial_opts.batched = false;
-  puf::ScreeningOptions batched_opts;
-  batched_opts.batched = true;
   std::vector<std::shared_ptr<const puf::ServerModel>> screen_models;
   std::vector<std::uint64_t> screen_bases;
   for (std::uint64_t i = 0; i < screen_devices; ++i) {
@@ -282,10 +283,10 @@ int main(int argc, char** argv) {
   std::uint64_t screen_candidates = 0;
   for (std::uint64_t i = 0; i < screen_devices; ++i) {
     const puf::ModelView view = puf::ModelView::of(*screen_models[i]);
-    const ScreenWalk serial = run_screen(view, n_pufs, serial_opts,
+    const ScreenWalk serial = run_screen(view, n_pufs, true,
                                          screen_bases[i], screen_count,
                                          screen_attempts);
-    const ScreenWalk batched = run_screen(view, n_pufs, batched_opts,
+    const ScreenWalk batched = run_screen(view, n_pufs, false,
                                           screen_bases[i], screen_count,
                                           screen_attempts);
     audit(serial.out.filled && batched.out.filled,
@@ -306,13 +307,13 @@ int main(int argc, char** argv) {
     timer.reset();
     for (std::uint64_t i = 0; i < screen_devices; ++i)
       (void)run_screen(puf::ModelView::of(*screen_models[i]), n_pufs,
-                       serial_opts, screen_bases[i], screen_count,
+                       true, screen_bases[i], screen_count,
                        screen_attempts);
     screen_serial_seconds = std::min(screen_serial_seconds, timer.seconds());
     timer.reset();
     for (std::uint64_t i = 0; i < screen_devices; ++i)
       (void)run_screen(puf::ModelView::of(*screen_models[i]), n_pufs,
-                       batched_opts, screen_bases[i], screen_count,
+                       false, screen_bases[i], screen_count,
                        screen_attempts);
     screen_batched_seconds = std::min(screen_batched_seconds, timer.seconds());
   }

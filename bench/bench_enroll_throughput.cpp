@@ -1,8 +1,9 @@
 // Enrollment-throughput harness for the streaming pipeline.
 //
 // Times Enroller::enroll (streaming: chunked scan -> normal-equation
-// accumulation -> one shared Cholesky) against Enroller::enroll_materialized
-// (the historical whole-scan path) on the same seeded chip, and proves the
+// accumulation -> one shared Cholesky) against oracle::materialized_enroll
+// (tests/oracle/: the whole-scan path fitting ml::LinearRegression over the
+// full Phi matrix) on the same seeded chip, and proves the
 // two pipelines' ServerModels are bit-identical in-run. The acceptance
 // workload is the paper-shaped 1,000,000 challenges x 100 evaluations x 10
 // PUFs; the materialized side runs at --materialized-cap challenges (default
@@ -41,6 +42,7 @@
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/enrollment.hpp"
 
 namespace {
@@ -108,10 +110,9 @@ int main(int argc, char** argv) {
     cfg.training_challenges = n_challenges;
     cfg.trials = scale.trials;
     cfg.chunk_challenges = chunk;
-    puf::Enroller enroller(cfg);
     Rng rng(20170604);
-    return streaming ? enroller.enroll(chip, rng)
-                     : enroller.enroll_materialized(chip, rng);
+    return streaming ? puf::Enroller(cfg).enroll(chip, rng)
+                     : oracle::materialized_enroll(cfg, chip, rng);
   };
 
   // Fixed-memory probe FIRST, while no materialized run has inflated the

@@ -1,11 +1,12 @@
 // Scan-throughput harness for the batched linear-view evaluation core.
 //
-// Times ChipTester::scan_individual in both evaluation modes over the
+// Times ChipTester::scan_individual against its scalar oracle over the
 // acceptance workload (default 4096 challenges x 6 PUFs x 64 stages):
 //
-//   scalar    the legacy per-cell path — a recursive stage walk plus
-//             environment derivation for every (PUF, challenge) cell
-//   batched   one FeatureBlock + one GEMM tile per chunk (sim/linear.hpp)
+//   scalar    oracle::ScalarTester (tests/oracle/) — a recursive stage walk
+//             plus environment derivation for every (PUF, challenge) cell
+//   batched   the production scan: one parity-word tile per chunk
+//             (sim/linear.hpp)
 //
 // Default --mode both runs scalar then batched on the same seeded workload,
 // proves on the spot that the two scans are bit-identical, and records
@@ -22,25 +23,28 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/tester.hpp"
 
 namespace {
 
 /// One full scan with a fresh, identically seeded tester, so every timed run
-/// draws the same challenges and the same measurement streams. Writes into
-/// `out` through the storage-reusing entry point — repeated scans into one
-/// result object are the steady state of a measurement campaign.
-void run_scan(const xpuf::sim::ChipPopulation& pop, const xpuf::sim::FeatureBlock& block,
-              std::uint64_t trials, xpuf::sim::ScanMode mode,
-              xpuf::sim::ChipSoftScan& out) {
+/// draws the same challenges and the same measurement streams: the scalar
+/// oracle's or the production tester's.
+xpuf::sim::ChipSoftScan run_scan(const xpuf::sim::ChipPopulation& pop,
+                                 const std::vector<xpuf::sim::Challenge>& challenges,
+                                 std::uint64_t trials, bool scalar) {
   xpuf::Rng rng = pop.measurement_rng();
-  xpuf::sim::ChipTester tester(xpuf::sim::Environment::nominal(), trials, rng.fork(),
-                               mode);
-  tester.scan_individual_into(pop.chip(0), block, out);
+  const xpuf::sim::Environment env = xpuf::sim::Environment::nominal();
+  if (scalar)
+    return xpuf::oracle::ScalarTester(env, trials, rng.fork())
+        .scan_individual(pop.chip(0), challenges);
+  return xpuf::sim::ChipTester(env, trials, rng.fork()).scan_individual(pop.chip(0), challenges);
 }
 
 }  // namespace
@@ -73,13 +77,13 @@ int main(int argc, char** argv) {
   sim::PopulationConfig pop_cfg = benchutil::population_config(scale, n_pufs);
   pop_cfg.device.stages = stages;
   sim::ChipPopulation pop(pop_cfg);
-  // The challenge batch (and its Phi matrix) is built once and shared by
-  // every run; challenge drawing is excluded from all timed sections.
+  // The challenge batch is drawn once and shared by every run; challenge
+  // drawing is excluded from all timed sections.
   Rng challenge_rng = pop.measurement_rng();
   sim::ChipTester challenge_tester(sim::Environment::nominal(), scale.trials,
                                    challenge_rng.fork());
-  const sim::FeatureBlock block(challenge_tester.random_challenges(
-      pop.chip(0), static_cast<std::size_t>(scale.challenges)));
+  const std::vector<sim::Challenge> challenges = challenge_tester.random_challenges(
+      pop.chip(0), static_cast<std::size_t>(scale.challenges));
 
   // Per-rep minimum, with the modes interleaved: on a shared box scheduler
   // noise is strictly additive, so the minimum estimates the true scan cost,
@@ -92,12 +96,12 @@ int main(int argc, char** argv) {
   for (std::uint64_t i = 0; i < reps; ++i) {
     if (mode == "scalar" || mode == "both") {
       timer.reset();
-      run_scan(pop, block, scale.trials, sim::ScanMode::kScalar, scan);
+      scan = run_scan(pop, challenges, scale.trials, true);
       scalar_seconds = std::min(scalar_seconds, timer.seconds());
     }
     if (mode == "batched" || mode == "both") {
       timer.reset();
-      run_scan(pop, block, scale.trials, sim::ScanMode::kBatched, batched_scan);
+      batched_scan = run_scan(pop, challenges, scale.trials, false);
       batched_seconds = std::min(batched_seconds, timer.seconds());
     }
   }
@@ -111,16 +115,14 @@ int main(int argc, char** argv) {
     bench.set_field("scalar_seconds", scalar_seconds);
   if (mode == "batched" || mode == "both")
     bench.set_field("batched_seconds", batched_seconds);
-  const sim::ScanMode timed_mode =
-      mode == "scalar" ? sim::ScanMode::kScalar : sim::ScanMode::kBatched;
 
   // Determinism check: the timed mode repeated on one lane must reproduce
   // the multi-lane result bit for bit.
   const std::uint64_t lanes = ThreadPool::global_threads();
   ThreadPool::set_global_threads(1);
   timer.reset();
-  sim::ChipSoftScan serial_scan;
-  run_scan(pop, block, scale.trials, timed_mode, serial_scan);
+  const sim::ChipSoftScan serial_scan =
+      run_scan(pop, challenges, scale.trials, mode == "scalar");
   const double serial_seconds = timer.seconds();
   ThreadPool::set_global_threads(lanes);
   const bool lanes_identical =
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
   Table t("scan_individual throughput");
   t.set_header({"metric", "value"});
   t.add_row({"mode", mode});
-  t.add_row({"challenges", std::to_string(block.size())});
+  t.add_row({"challenges", std::to_string(challenges.size())});
   t.add_row({"pufs", std::to_string(n_pufs)});
   t.add_row({"stages", std::to_string(stages)});
   t.add_row({"trials/challenge", std::to_string(scale.trials)});

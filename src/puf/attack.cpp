@@ -34,14 +34,16 @@ AttackDataset build_stable_attack_dataset(const sim::XorPufChip& chip,
   // index order below.
   //
   // The noise-free probabilities go through the batched evaluation core:
-  // each chunk materializes its challenges first (keeping every item stream
-  // alive), runs one GEMM tile for all (challenge, PUF) cells, then draws
+  // each chunk draws its challenges first, packed (keeping every item
+  // stream alive; random_packed_challenge_into makes random_challenge's
+  // draws), runs one parity tile for all (challenge, PUF) cells, then draws
   // the binomial counters per item — in PUF order with the historical
   // early exit at the first unstable tap, so each item stream consumes
   // draws exactly as the per-cell measurement loop did.
   const sim::ChipLinearView view =
       chip.linear_view(config.environment, config.n_pufs);
   const StreamFamily streams(rng.fork_base());
+  const std::size_t n_words = sim::packed_words(k);
   std::vector<Challenge> drawn(config.challenges);
   std::vector<std::uint8_t> keep(config.challenges, 0);
   std::vector<std::uint8_t> bits(config.challenges, 0);
@@ -49,16 +51,17 @@ AttackDataset build_stable_attack_dataset(const sim::XorPufChip& chip,
                [&](std::size_t begin, std::size_t end, std::size_t) {
                  const std::size_t m = end - begin;
                  std::vector<Rng> item_rngs;
-                 std::vector<Challenge> batch;
                  item_rngs.reserve(m);
-                 batch.reserve(m);
+                 std::vector<std::uint64_t> words(m * n_words);
                  for (std::size_t i = begin; i < end; ++i) {
                    item_rngs.push_back(streams.stream(i));
-                   batch.push_back(random_challenge(k, item_rngs.back()));
+                   sim::random_packed_challenge_into(
+                       {words.data() + (i - begin) * n_words, n_words}, k, item_rngs.back());
                  }
-                 const sim::FeatureBlock block(std::move(batch));
+                 std::vector<std::uint64_t> parity(words.size());
+                 sim::suffix_parity_words(words, k, parity);
                  std::vector<double> probs(m * config.n_pufs);
-                 view.one_probabilities_into(block, 0, m, probs.data());
+                 view.one_probabilities_into(parity, 0, m, probs.data());
                  for (std::size_t r = 0; r < m; ++r) {
                    Rng& item_rng = item_rngs[r];
                    const double* row = probs.data() + r * config.n_pufs;
@@ -73,7 +76,8 @@ AttackDataset build_stable_attack_dataset(const sim::XorPufChip& chip,
                      xorr ^= (ones == config.trials);
                    }
                    if (all_stable) {
-                     drawn[begin + r] = block.challenge(r);
+                     sim::unpack_challenge_into({words.data() + r * n_words, n_words}, k,
+                                                drawn[begin + r]);
                      keep[begin + r] = 1;
                      bits[begin + r] = xorr ? 1 : 0;
                    }

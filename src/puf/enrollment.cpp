@@ -1,20 +1,109 @@
 #include "puf/enrollment.hpp"
 
 #include <limits>
+#include <span>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "common/trace.hpp"
-#include "ml/dataset.hpp"
 #include "ml/streaming.hpp"
 
 namespace xpuf::puf {
 
 namespace {
-// Rows per parallel pass-2 prediction tile. Every prediction is a pure
-// function of its row, so the grain changes cost, never values.
+// Rows per parallel prediction tile. Every prediction is a pure function of
+// its row, so the grain changes cost, never values.
 constexpr std::size_t kPredictGrain = 256;
+
+/// Linear view of fitted weight rows (features() doubles each), for the
+/// parity tiles. The view's noise sigmas are unused: only delays are read.
+sim::ChipLinearView weights_view(std::span<const std::span<const double>> rows) {
+  std::vector<sim::DeviceLinearView> devices(rows.size());
+  for (std::size_t p = 0; p < rows.size(); ++p)
+    devices[p].weights = linalg::Vector(std::vector<double>(rows[p].begin(), rows[p].end()));
+  return sim::ChipLinearView(std::move(devices));
+}
+
+/// The normal-equation fit behind both Enroller entry points.
+/// `for_each_chunk(fn)` calls fn(parity, soft) on every chunk of the
+/// training scan in ascending row order — suffix-parity rows and soft[p][r]
+/// for PUF p on the chunk's r-th row — and is run twice.
+///
+/// Pass 1 accumulates the shared Gram matrix and every PUF's X^T y in
+/// O(features^2) memory; one Cholesky then solves all n_pufs regressions.
+/// Pass 2 derives thresholds and R^2 against the fitted weights.
+/// Predictions come from the parity tile over the fitted weights, whose
+/// per-element chain equals a matvec over Phi (ascending index, bias last);
+/// rss/tss accumulate in ascending row order. So the weights, thresholds
+/// and R^2 all equal an ordinary least-squares fit over the materialized Phi
+/// (normal equations, derive_thresholds, least-squares R^2) bit for bit,
+/// for any chunking.
+template <class ForEachChunk>
+std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::size_t n_pufs,
+                                    std::size_t features, double ridge) {
+  ml::StreamingNormalEquations normal(features, n_pufs);
+  Timer fit_timer;
+  double fit_ms = 0.0;
+  for_each_chunk([&](std::span<const std::uint64_t> parity,
+                     const std::vector<std::vector<double>>& soft) {
+    fit_timer.reset();
+    normal.accumulate(parity, soft);
+    fit_ms += fit_timer.millis();
+  });
+  fit_timer.reset();
+  const linalg::Matrix weights = normal.solve(ridge);
+  fit_ms += fit_timer.millis();
+  // Per-PUF share of the shared accumulate + solve work.
+  const double fit_ms_per_puf = fit_ms / static_cast<double>(n_pufs);
+
+  std::vector<std::span<const double>> rows;
+  for (std::size_t p = 0; p < n_pufs; ++p) rows.emplace_back(weights.row(p), features);
+  const sim::ChipLinearView fitted_view = weights_view(rows);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> thr0(n_pufs, inf);
+  std::vector<double> thr1(n_pufs, -inf);
+  std::vector<double> rss(n_pufs, 0.0);
+  std::vector<double> tss(n_pufs, 0.0);
+  std::vector<double> mean(n_pufs, 0.0);
+  for (std::size_t p = 0; p < n_pufs; ++p) mean[p] = normal.target_mean(p);
+  std::vector<double> pred;
+  for_each_chunk([&](std::span<const std::uint64_t> parity,
+                     const std::vector<std::vector<double>>& soft) {
+    const std::size_t m = soft.front().size();
+    pred.resize(m * n_pufs);
+    parallel_for(m, kPredictGrain, [&](std::size_t begin, std::size_t end, std::size_t) {
+      fitted_view.delay_differences_into(parity, begin, end, pred.data() + begin * n_pufs);
+    });
+    for (std::size_t p = 0; p < n_pufs; ++p) {
+      for (std::size_t r = 0; r < m; ++r) {
+        const double pr = pred[r * n_pufs + p];
+        const double y = soft[p][r];
+        if (y > 0.0 && pr < thr0[p]) thr0[p] = pr;
+        if (y < 1.0 && pr > thr1[p]) thr1[p] = pr;
+        const double e = pr - y;
+        rss[p] += e * e;
+        const double d = y - mean[p];
+        tss[p] += d * d;
+      }
+    }
+  });
+
+  std::vector<PufEnrollment> pufs;
+  pufs.reserve(n_pufs);
+  for (std::size_t p = 0; p < n_pufs; ++p) {
+    linalg::Vector w(features);
+    for (std::size_t c = 0; c < features; ++c) w[c] = weights(p, c);
+    PufEnrollment e;
+    e.model = ArbiterPufModel(std::move(w));
+    e.thresholds = finalize_thresholds(thr0[p], thr1[p]);
+    e.train_r_squared = tss[p] > 0.0 ? 1.0 - rss[p] / tss[p] : 0.0;
+    e.fit_time_ms = fit_ms_per_puf;
+    pufs.push_back(std::move(e));
+  }
+  return pufs;
+}
+
 }  // namespace
 
 ThresholdPair tighten(const ThresholdPair& thresholds, const BetaFactors& betas) {
@@ -71,195 +160,50 @@ bool ServerModel::predict_xor(const Challenge& challenge, std::size_t n_pufs) co
   return out;
 }
 
-linalg::Matrix ServerModel::predict_raw_batch(const FeatureBlock& block,
+linalg::Matrix ServerModel::predict_raw_batch(const std::vector<Challenge>& challenges,
                                               std::size_t n_pufs) const {
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= pufs_.size(), "n_pufs out of range");
-  if (block.empty()) return linalg::Matrix(0, n_pufs);
-  const std::size_t f = stages() + 1;
-  XPUF_REQUIRE(block.features() == f, "challenge length mismatch");
-  // Stacking the weight rows is O(n_pufs * k) — noise next to the GEMM.
-  linalg::Matrix stacked(n_pufs, f);
-  for (std::size_t p = 0; p < n_pufs; ++p) {
-    const linalg::Vector& w = pufs_[p].model.weights();
-    XPUF_REQUIRE(w.size() == f, "mixed stage counts in ServerModel");
-    double* row = stacked.row(p);
-    for (std::size_t i = 0; i < f; ++i) row[i] = w[i];
-  }
-  return linalg::matmul_nt(block.phi(), stacked);
-}
-
-// Dimension checks live in predict_raw_batch, the first call made.
-// xpuf-lint: guarded-by(predict_raw_batch)
-std::vector<std::uint8_t> ServerModel::all_stable_batch(const FeatureBlock& block,
-                                                        std::size_t n_pufs) const {
-  const linalg::Matrix raw = predict_raw_batch(block, n_pufs);
-  std::vector<ThresholdPair> thresholds;
-  thresholds.reserve(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) thresholds.push_back(adjusted_thresholds(p));
-  std::vector<std::uint8_t> out(block.size(), 0);
-  for (std::size_t c = 0; c < block.size(); ++c) {
-    bool stable = true;
-    for (std::size_t p = 0; p < n_pufs && stable; ++p)
-      stable = thresholds[p].classify(raw(c, p)) != StableClass::kUnstable;
-    out[c] = stable ? 1 : 0;
-  }
-  return out;
-}
-
-// Same.  xpuf-lint: guarded-by(predict_raw_batch)
-std::vector<std::uint8_t> ServerModel::predict_xor_batch(const FeatureBlock& block,
-                                                         std::size_t n_pufs) const {
-  const linalg::Matrix raw = predict_raw_batch(block, n_pufs);
-  std::vector<std::uint8_t> out(block.size(), 0);
-  for (std::size_t c = 0; c < block.size(); ++c) {
-    bool bit = false;
-    for (std::size_t p = 0; p < n_pufs; ++p) bit ^= raw(c, p) > 0.5;
-    out[c] = bit ? 1 : 0;
-  }
-  return out;
+  const std::vector<std::uint64_t> parity = sim::challenge_parity(challenges, stages());
+  std::vector<std::span<const double>> weights;
+  for (std::size_t p = 0; p < n_pufs; ++p) weights.push_back(pufs_[p].model.weights().span());
+  const sim::ChipLinearView view = weights_view(weights);
+  linalg::Matrix raw(challenges.size(), n_pufs);
+  parallel_for(challenges.size(), kPredictGrain,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 view.delay_differences_into(parity, begin, end, raw.row(begin));
+               });
+  return raw;
 }
 
 ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
   XPUF_TRACE_SPAN("puf.enroll_stream");
   sim::ChipTester tester(config_.environment, config_.trials, rng.fork());
-  const std::size_t n_pufs = chip.puf_count();
-  const std::size_t features = chip.stages() + 1;
   sim::ChipScanStream stream = tester.stream_individual(
       chip, config_.training_challenges, config_.chunk_challenges);
   XPUF_REQUIRE(stream.total() > 0, "enrollment needs at least one challenge");
-
-  // Pass 1: one measurement sweep accumulates the shared Gram matrix and
-  // every PUF's X^T y in O(features^2) memory. One Cholesky then solves all
-  // n_pufs regressions — the materialized path redoes the O(n d^2) Gram per
-  // PUF, which is where the streaming speedup comes from.
-  ml::StreamingNormalEquations normal(features, n_pufs);
-  sim::ScanChunk chunk;
-  Timer fit_timer;
-  double fit_ms = 0.0;
-  while (stream.next(chunk)) {
-    fit_timer.reset();
-    normal.accumulate(chunk.parity, chunk.soft);
-    fit_ms += fit_timer.millis();
-  }
-  fit_timer.reset();
-  const linalg::Matrix weights = normal.solve(config_.ridge);
-  fit_ms += fit_timer.millis();
-  // Per-PUF share of the shared accumulate + solve work; the materialized
-  // path's fit_time_ms is per-PUF too.
-  const double fit_ms_per_puf = fit_ms / static_cast<double>(n_pufs);
-
-  // Pass 2: replay the identical chunks (reset() serves the chunks the
+  // Pass 2 replays the identical chunks: reset() serves the chunks the
   // stream kept from pass 1 and measures any past its budget again, as pure
-  // functions of the cell index) to derive thresholds and R^2 against the
-  // fitted weights. Predictions come from the chip view's parity tile over
-  // the fitted weights, whose per-element chain equals the materialized
-  // path's matvec (ascending index, bias last); rss/tss accumulate in
-  // ascending row order, so both diagnostics reproduce the materialized
-  // values bit for bit. The view's noise sigma is unused: only delays are
-  // read.
-  std::vector<sim::DeviceLinearView> fitted(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) {
-    const double* w = weights.row(p);
-    fitted[p].weights = linalg::Vector(std::vector<double>(w, w + features));
-  }
-  const sim::ChipLinearView fitted_view(std::move(fitted));
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> thr0(n_pufs, inf);
-  std::vector<double> thr1(n_pufs, -inf);
-  std::vector<double> rss(n_pufs, 0.0);
-  std::vector<double> tss(n_pufs, 0.0);
-  std::vector<double> mean(n_pufs, 0.0);
-  for (std::size_t p = 0; p < n_pufs; ++p) mean[p] = normal.target_mean(p);
-  std::vector<double> pred;
-  stream.reset();
-  while (stream.next(chunk)) {
-    const std::size_t m = chunk.size();
-    pred.resize(m * n_pufs);
-    parallel_for(m, kPredictGrain, [&](std::size_t begin, std::size_t end, std::size_t) {
-      fitted_view.delay_differences_into(chunk.parity, begin, end, pred.data() + begin * n_pufs);
-    });
-    for (std::size_t p = 0; p < n_pufs; ++p) {
-      const std::vector<double>& soft = chunk.soft[p];
-      for (std::size_t r = 0; r < m; ++r) {
-        const double pr = pred[r * n_pufs + p];
-        const double y = soft[r];
-        if (y > 0.0 && pr < thr0[p]) thr0[p] = pr;
-        if (y < 1.0 && pr > thr1[p]) thr1[p] = pr;
-        const double e = pr - y;
-        rss[p] += e * e;
-        const double d = y - mean[p];
-        tss[p] += d * d;
-      }
-    }
-  }
-
-  std::vector<PufEnrollment> pufs;
-  pufs.reserve(n_pufs);
-  for (std::size_t p = 0; p < n_pufs; ++p) {
-    linalg::Vector w(features);
-    for (std::size_t c = 0; c < features; ++c) w[c] = weights(p, c);
-    PufEnrollment e;
-    e.model = ArbiterPufModel(std::move(w));
-    e.thresholds = finalize_thresholds(thr0[p], thr1[p]);
-    e.train_r_squared = tss[p] > 0.0 ? 1.0 - rss[p] / tss[p] : 0.0;
-    e.fit_time_ms = fit_ms_per_puf;
-    pufs.push_back(std::move(e));
-  }
-  return ServerModel(chip.id(), std::move(pufs));
-}
-
-ServerModel Enroller::enroll_materialized(const sim::XorPufChip& chip, Rng& rng) const {
-  XPUF_TRACE_SPAN("puf.enroll_materialized");
-  sim::ChipTester tester(config_.environment, config_.trials, rng.fork());
-  // Build the feature block once: the scan's batched evaluation and the
-  // per-PUF regressions below share the same Phi matrix.
-  const FeatureBlock block(
-      tester.random_challenges(chip, config_.training_challenges));
-  const sim::ChipSoftScan scan = tester.scan_individual(chip, block);
-  return enroll_from_scan(chip.id(), scan, block);
+  // functions of the cell index. (The first pass's reset() is a no-op.)
+  sim::ScanChunk chunk;
+  const auto for_each_chunk = [&](const auto& fn) {
+    stream.reset();
+    while (stream.next(chunk)) fn(chunk.parity, chunk.soft);
+  };
+  return ServerModel(chip.id(), fit_scan(for_each_chunk, chip.puf_count(), chip.stages() + 1,
+                                         config_.ridge));
 }
 
 ServerModel Enroller::enroll_from_scan(std::size_t chip_id,
                                        const sim::ChipSoftScan& scan) const {
-  return enroll_from_scan(chip_id, scan, FeatureBlock(scan.challenges));
-}
-
-ServerModel Enroller::enroll_from_scan(std::size_t chip_id, const sim::ChipSoftScan& scan,
-                                       const FeatureBlock& block) const {
   XPUF_REQUIRE(!scan.challenges.empty(), "enrollment scan has no challenges");
   XPUF_REQUIRE(!scan.soft.empty(), "enrollment scan has no PUF measurements");
-  XPUF_REQUIRE(block.size() == scan.challenges.size(),
-               "feature block does not match the scan");
-
-  const linalg::Matrix& phi = block.phi();
-  std::vector<PufEnrollment> pufs;
-  pufs.reserve(scan.soft.size());
-
-  for (std::size_t p = 0; p < scan.soft.size(); ++p) {
-    XPUF_REQUIRE(scan.soft[p].size() == scan.challenges.size(),
-                 "scan soft-response row length mismatch");
-    ml::Dataset data;
-    data.x = phi;
-    data.y = linalg::Vector(std::vector<double>(scan.soft[p].begin(), scan.soft[p].end()));
-
-    ml::LinearRegressionOptions opts;
-    opts.fit_intercept = false;  // phi carries the constant feature
-    opts.ridge = config_.ridge;
-
-    Timer timer;
-    ml::LinearRegression reg(opts);
-    reg.fit(data);
-    const double fit_ms = timer.millis();
-
-    const linalg::Vector predicted = reg.predict(phi);
-    PufEnrollment e;
-    e.model = ArbiterPufModel(reg.coefficients());
-    e.thresholds = derive_thresholds(predicted.span(), std::span<const double>(scan.soft[p]));
-    e.train_r_squared = reg.train_r_squared();
-    e.fit_time_ms = fit_ms;
-    pufs.push_back(std::move(e));
-  }
-  return ServerModel(chip_id, std::move(pufs));
+  for (const std::vector<double>& row : scan.soft)
+    XPUF_REQUIRE(row.size() == scan.challenges.size(), "scan soft-response row length mismatch");
+  const std::size_t stages = scan.challenges.front().size();
+  const std::vector<std::uint64_t> parity = sim::challenge_parity(scan.challenges, stages);
+  const auto for_each_chunk = [&](const auto& fn) { fn(parity, scan.soft); };
+  return ServerModel(chip_id,
+                     fit_scan(for_each_chunk, scan.soft.size(), stages + 1, config_.ridge));
 }
 
 }  // namespace xpuf::puf

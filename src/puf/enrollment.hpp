@@ -7,12 +7,18 @@
 // responses are fractional), derives the Thr('0')/Thr('1') stability
 // thresholds, and stores everything in the server-side database. The fuses
 // are then blown; the server never needs device access again.
+//
+// Enroller::enroll (a streamed scan) and Enroller::enroll_from_scan (a
+// measured scan) share one fit body: normal equations accumulated over the
+// challenges' suffix-parity words (ml/streaming.hpp), one Cholesky for all
+// PUFs, then thresholds and R^2 from the parity tiles' predictions. The
+// result equals an ordinary least-squares fit over the materialized Phi bit
+// for bit; that fit is kept only as a test oracle (tests/oracle/).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ml/linear_regression.hpp"
 #include "puf/model.hpp"
 #include "puf/stability.hpp"
 #include "sim/tester.hpp"
@@ -71,23 +77,15 @@ class ServerModel {
   bool predict_xor(const Challenge& challenge, std::size_t n_pufs) const;
   bool predict_xor(const Challenge& challenge) const { return predict_xor(challenge, puf_count()); }
 
-  /// Batched raw predictions over a feature block: row c, column p holds
-  /// PUF p's prediction for challenge c — one GEMM of Phi against the
-  /// stacked model weights, bit-identical to predict_soft per cell (both
-  /// accumulate the dot in ascending index order).
-  linalg::Matrix predict_raw_batch(const FeatureBlock& block, std::size_t n_pufs) const;
-  linalg::Matrix predict_raw_batch(const FeatureBlock& block) const {
-    return predict_raw_batch(block, puf_count());
+  /// Batched raw predictions: row c, column p holds PUF p's prediction for
+  /// challenges[c], bit-identical to predict_soft per cell — the parity
+  /// tiles of the stacked model weights accumulate each dot in the same
+  /// ascending index order (sim/linear.hpp).
+  linalg::Matrix predict_raw_batch(const std::vector<Challenge>& challenges,
+                                   std::size_t n_pufs) const;
+  linalg::Matrix predict_raw_batch(const std::vector<Challenge>& challenges) const {
+    return predict_raw_batch(challenges, puf_count());
   }
-
-  /// Batched all_stable over a block: out[c] != 0 iff the first n_pufs
-  /// predictions for challenge c all clear the adjusted thresholds.
-  std::vector<std::uint8_t> all_stable_batch(const FeatureBlock& block,
-                                             std::size_t n_pufs) const;
-
-  /// Batched predict_xor over a block.
-  std::vector<std::uint8_t> predict_xor_batch(const FeatureBlock& block,
-                                              std::size_t n_pufs) const;
 
  private:
   std::size_t chip_id_ = 0;
@@ -121,26 +119,15 @@ class Enroller {
   /// normal equations per chunk, so memory stays O(chunk + features^2 +
   /// sim::ChipScanStream::kRetainBytes) regardless of training_challenges:
   /// the stream keeps each cell's count for the diagnostics pass up to that
-  /// fixed budget and measures the rest again. The returned model is
-  /// bit-identical to enroll_materialized (see DESIGN.md "Streaming
-  /// enrollment" for the argument).
+  /// fixed budget and measures the rest again. The model is bit-identical
+  /// for any chunk size and thread count, and to the ordinary least-squares
+  /// fit over a materialized Phi (see DESIGN.md "Streaming enrollment").
   ServerModel enroll(const sim::XorPufChip& chip, Rng& rng) const;
 
-  /// The historical whole-scan path: materialize every challenge and
-  /// measurement, then fit per PUF. Kept as the reference the streaming
-  /// path is benchmarked and equivalence-tested against; consumes `rng`
-  /// exactly as enroll() does and returns the identical model.
-  ServerModel enroll_materialized(const sim::XorPufChip& chip, Rng& rng) const;
-
   /// Enrolls from an existing soft-response scan (used when the same
-  /// measurement set feeds several analyses).
+  /// measurement set feeds several analyses): the same normal-equation fit
+  /// and diagnostics as enroll(), over the scan as one chunk.
   ServerModel enroll_from_scan(std::size_t chip_id, const sim::ChipSoftScan& scan) const;
-
-  /// Same, with the scan's feature block supplied by the caller so Phi is
-  /// computed once and shared across scans, corners, and the regression
-  /// (block.challenges() must equal scan.challenges).
-  ServerModel enroll_from_scan(std::size_t chip_id, const sim::ChipSoftScan& scan,
-                               const FeatureBlock& block) const;
 
  private:
   EnrollmentConfig config_;

@@ -12,7 +12,7 @@ double ArbiterPufModel::predict_raw(const Challenge& challenge) const {
   XPUF_REQUIRE(challenge.size() + 1 == weights_.size(), "challenge length mismatch");
   // Inline the feature transform without materializing phi, but accumulate
   // in ASCENDING index order: phi entries are exact +/-1, so summing
-  // w_0 phi_0, w_1 phi_1, ... reproduces the span/GEMM accumulation order
+  // w_0 phi_0, w_1 phi_1, ... reproduces the span/parity-tile accumulation order
   // bit for bit — the batched evaluation core's equivalence contract.
   // phi_i is (-1)^(parity of c_i..c_{k-1}): start from the full parity and
   // drop c_i after using phi_i (sim::feature_fill's sign-bit contract).

@@ -1,7 +1,7 @@
 // Lightweight read view of one device's enrolled model.
 //
 // The authentication hot path needs three things from a model: the weight
-// rows (for batched screening GEMMs), the beta-adjusted thresholds, and the
+// rows (for batched screening), the beta-adjusted thresholds, and the
 // geometry. A ModelView carries exactly that as borrowed pointers plus a
 // type-erased owner handle, so the same screening code serves
 //

@@ -189,64 +189,8 @@ void ChallengeScreener::candidate_into(std::span<std::uint64_t> row, std::size_t
   row.back() &= ~0ULL >> (64 * row.size() - stages);
 }
 
-ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
-                                                     std::uint64_t first_index,
-                                                     std::size_t count,
-                                                     std::size_t max_attempts,
-                                                     const Sink& sink) {
-  XPUF_REQUIRE(count >= 1, "screening quota must be positive");
-  XPUF_REQUIRE(sink != nullptr, "screening needs a sink");
-  static Counter& fallbacks = MetricsRegistry::global().counter("selection.exact_fallbacks");
-  Outcome out = options_.batched
-                    ? screen_batched(family, first_index, count, max_attempts, sink)
-                    : screen_serial(family, first_index, count, max_attempts, sink);
-  out.next_index = first_index + out.tried;
-  fallbacks.add(out.exact_fallbacks);
-  return out;
-}
-
-// The reference walk the batched mode is bit-identical to: one candidate at
-// a time, one feature row, n ascending dots. Kept deliberately scalar as the
-// oracle for the A/B bench and the equivalence suite. Params are validated
-// by screen().  xpuf-lint: guarded-by(candidate_into)
-ChallengeScreener::Outcome ChallengeScreener::screen_serial(
-    const StreamFamily& family, std::uint64_t first_index, std::size_t count,
-    std::size_t max_attempts, const Sink& sink) {
-  Outcome out;
-  const std::size_t stages = view_->stages();
-  const std::size_t features = stages + 1;
-  std::vector<double> phi(features);
-  std::vector<double> raw(n_pufs_);
-  std::vector<std::uint64_t> row(sim::packed_words(stages));
-  Challenge candidate;
-  while (out.accepted < count && out.tried < max_attempts) {
-    Rng rng = family.stream(first_index + out.tried);
-    candidate_into(row, stages, rng);
-    sim::unpack_challenge_into(row, stages, candidate);
-    ++out.tried;
-    sim::feature_fill(candidate, phi.data());
-    bool stable = true;
-    for (std::size_t p = 0; p < n_pufs_ && stable; ++p) {
-      const std::span<const double> w = view_->weights(p);
-      double acc = 0.0;
-      for (std::size_t k = 0; k < features; ++k) acc += phi[k] * w[k];
-      raw[p] = acc;
-      stable = thresholds_[p].classify(acc) != StableClass::kUnstable;
-    }
-    if (!stable) continue;
-    // The early-exit above never fires for a stable candidate, so every
-    // raw[p] is populated here.
-    ++out.stable;
-    bool bit = false;
-    for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= raw[p] > 0.5;
-    if (sink(row, bit)) ++out.accepted;
-  }
-  out.filled = out.accepted >= count;
-  return out;
-}
-
 // Rows, tables and survivors are the screener's own storage, sized by
-// screen_batched.
+// screen().
 std::size_t ChallengeScreener::screen_puf(std::size_t p, const double* tables) {
   XPUF_REQUIRE(p < n_pufs_, "screened PUF index out of range");
   const std::size_t m = survivors_.size();
@@ -290,10 +234,14 @@ std::size_t ChallengeScreener::screen_puf(std::size_t p, const double* tables) {
   return c.exact;
 }
 
-// Params are validated by screen().  xpuf-lint: guarded-by(suffix_parity_words)
-ChallengeScreener::Outcome ChallengeScreener::screen_batched(
-    const StreamFamily& family, std::uint64_t first_index, std::size_t count,
-    std::size_t max_attempts, const Sink& sink) {
+ChallengeScreener::Outcome ChallengeScreener::screen(const StreamFamily& family,
+                                                     std::uint64_t first_index,
+                                                     std::size_t count,
+                                                     std::size_t max_attempts,
+                                                     const Sink& sink) {
+  XPUF_REQUIRE(count >= 1, "screening quota must be positive");
+  XPUF_REQUIRE(sink != nullptr, "screening needs a sink");
+  static Counter& fallbacks = MetricsRegistry::global().counter("selection.exact_fallbacks");
   Outcome out;
   const std::size_t stages = view_->stages();
   const std::size_t n_words = sim::packed_words(stages);
@@ -346,6 +294,8 @@ ChallengeScreener::Outcome ChallengeScreener::screen_batched(
     out.tried += out.accepted >= count ? walked : want;
   }
   out.filled = out.accepted >= count;
+  out.next_index = first_index + out.tried;
+  fallbacks.add(out.exact_fallbacks);
   return out;
 }
 

@@ -2,9 +2,10 @@
 //
 // The paper's issuance is rejection sampling: draw random challenges, keep
 // those predicted stable on ALL n PUFs (acceptance ~0.800^n, ~10.7% at
-// n = 10). ChallengeScreener runs that walk either serially (the reference)
-// or in blocks as a survivor cascade, with a determinism contract that makes
-// the two modes — and any block size or thread count — bit-invisible:
+// n = 10). ChallengeScreener runs that walk in blocks as a survivor cascade,
+// with a determinism contract that makes the block size and thread count
+// bit-invisible — and the walk equal to the serial one-candidate-at-a-time
+// reference (kept in the test oracles):
 //
 //   candidate j of a screening walk is a pure function of (family, j): its
 //   challenge bits come from StreamFamily::stream(first_index + j) alone.
@@ -13,7 +14,7 @@
 // stage bit i in bit i % 64 of word i / 64, with the bits above `stages`
 // cleared — the canonical packed row, and the one challenge format from
 // here to the replay ledger, the pool records and the wire (a Challenge is
-// unpacked only at the device boundary). The batched walk keeps those
+// unpacked only at the device boundary). The walk keeps those
 // words plus their suffix-parity form (sim::suffix_parity_words), which
 // carries every Phi sign. PUF p is then evaluated only on the rows still
 // stable on PUFs 0..p-1, so a candidate costs (1 - A) / (1 - A^(1/n))
@@ -67,8 +68,8 @@
 // no special case.
 //
 // So the issued-challenge sequence, the expected-response bits, and the
-// exact candidates_tried count are identical across serial/batched modes,
-// block sizes, and thread counts; and a screening walk consumes NOTHING
+// exact candidates_tried count are identical to the serial walk's across
+// block sizes and thread counts; and a screening walk consumes NOTHING
 // from the caller's RNG beyond the one fork_base() draw that seeded the
 // family. The walk is resumable: Outcome::next_index is the index the next
 // refill continues from (the pool cursor persisted in POOL records).
@@ -85,12 +86,10 @@
 namespace xpuf::puf {
 
 struct ScreeningOptions {
-  /// Max candidates drawn per block in batched mode. Any value >= 1 yields
-  /// the identical issued sequence; it only trades per-block overhead
-  /// against wasted tail evaluations past the quota.
+  /// Max candidates drawn per block. Any value >= 1 yields the identical
+  /// issued sequence; it only trades per-block overhead against wasted tail
+  /// evaluations past the quota.
   std::size_t block = 256;
-  /// false = the serial per-candidate reference walk (bench A/B + tests).
-  bool batched = true;
 };
 
 class ChallengeScreener {
@@ -102,9 +101,9 @@ class ChallengeScreener {
     std::size_t accepted = 0;  ///< stable candidates the sink counted toward the quota
     bool filled = false;       ///< quota reached within max_attempts
     std::uint64_t next_index = 0;  ///< resume cursor: first_index + tried
-    /// Batched walk only: rows whose byte-table delay fell inside a guard
-    /// interval, or that reached an exact-only PUF, so their verdict was
-    /// taken on the exact ascending dot.
+    /// Rows whose byte-table delay fell inside a guard interval, or that
+    /// reached an exact-only PUF, so their verdict was taken on the exact
+    /// ascending dot.
     std::size_t exact_fallbacks = 0;
   };
 
@@ -124,7 +123,7 @@ class ChallengeScreener {
   Outcome screen(const StreamFamily& family, std::uint64_t first_index,
                  std::size_t count, std::size_t max_attempts, const Sink& sink);
 
-  /// The candidate generator of both walks: stage bits drawn 64 per
+  /// The candidate generator of the walk: stage bits drawn 64 per
   /// next_u64() word (LSB-first) into `row` (packed_words(stages) words),
   /// bits above `stages` cleared. Faster than per-bit bernoulli and equally
   /// uniform; the per-candidate stream makes the draw count per candidate
@@ -134,11 +133,6 @@ class ChallengeScreener {
   const ScreeningOptions& options() const { return options_; }
 
  private:
-  Outcome screen_serial(const StreamFamily& family, std::uint64_t first_index,
-                        std::size_t count, std::size_t max_attempts, const Sink& sink);
-  Outcome screen_batched(const StreamFamily& family, std::uint64_t first_index,
-                         std::size_t count, std::size_t max_attempts, const Sink& sink);
-
   /// Byte-table evaluation of one PUF: the bias and the guard intervals
   /// [lo0, hi0] around thr0 and [lo1, hi1] around thr1. Tabled only when
   /// eps_p is finite and thr0 <= 0.5 <= thr1.

@@ -86,20 +86,19 @@ SelectionResult ModelBasedSelector::filter(const std::vector<Challenge>& candida
   SelectionResult result;
   result.candidates_tried = candidates.size();
   if (!candidates.empty()) {
-    const FeatureBlock block(candidates);
-    const linalg::Matrix raw = model_->predict_raw_batch(block, n_pufs_);
+    const linalg::Matrix raw = model_->predict_raw_batch(candidates, n_pufs_);
     std::vector<ThresholdPair> thresholds;
     thresholds.reserve(n_pufs_);
     for (std::size_t p = 0; p < n_pufs_; ++p)
       thresholds.push_back(model_->adjusted_thresholds(p));
-    for (std::size_t i = 0; i < block.size(); ++i) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
       bool stable = true;
       for (std::size_t p = 0; p < n_pufs_ && stable; ++p)
         stable = thresholds[p].classify(raw(i, p)) != StableClass::kUnstable;
       if (!stable) continue;
       bool bit = false;
       for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= raw(i, p) > 0.5;
-      result.challenges.push_back(block.challenge(i));
+      result.challenges.push_back(candidates[i]);
       result.expected_responses.push_back(bit);
     }
   }

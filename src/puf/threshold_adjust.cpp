@@ -22,10 +22,9 @@ std::vector<PufEvalData> flatten(const ServerModel& model,
   for (const auto& block : blocks) {
     XPUF_REQUIRE(block.soft.size() == model.puf_count(),
                  "evaluation block PUF count mismatch");
-    // All models predict the whole block with one GEMM (bit-identical to
+    // All models predict the whole block in one batch (bit-identical to
     // per-challenge predict_soft).
-    const FeatureBlock features(block.challenges);
-    const linalg::Matrix raw = model.predict_raw_batch(features);
+    const linalg::Matrix raw = model.predict_raw_batch(block.challenges);
     for (std::size_t p = 0; p < model.puf_count(); ++p) {
       XPUF_REQUIRE(block.soft[p].size() == block.challenges.size(),
                    "evaluation block row length mismatch");
@@ -139,12 +138,11 @@ EvaluationBlock measure_evaluation_block(const sim::XorPufChip& chip,
   block.environment = env;
   block.soft.assign(chip.puf_count(), std::vector<double>(challenges.size(), 0.0));
   if (challenges.empty()) return block;
-  // Probabilities for every (PUF, challenge) cell come from one GEMM; the
+  // Probabilities for every (PUF, challenge) cell come from one batch; the
   // binomial counters then consume the caller's serial RNG in the exact
   // (p, c) order the per-cell measurement loop used, so the block is
   // reproducible draw for draw.
-  const FeatureBlock features(challenges);
-  const linalg::Matrix probs = chip.one_probabilities(features, env);
+  const linalg::Matrix probs = chip.one_probabilities(challenges, env);
   for (std::size_t p = 0; p < chip.puf_count(); ++p)
     for (std::size_t c = 0; c < challenges.size(); ++c)
       block.soft[p][c] = static_cast<double>(rng.binomial(trials, probs(c, p))) /

@@ -16,12 +16,6 @@ namespace xpuf::puf {
 using sim::Challenge;
 using sim::random_challenge;
 
-/// Challenge batch with its cached Phi matrix — the batched evaluation
-/// core's caching layer. Defined in sim/linear.hpp (the sim layer consumes
-/// it too and cannot depend on puf/); re-exported here because the feature
-/// transform is this header's subject.
-using sim::FeatureBlock;
-
 /// Canonical batch generator (shared with ChipTester::random_challenges).
 using sim::random_challenges;
 

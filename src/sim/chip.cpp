@@ -127,24 +127,34 @@ DeviceLinearView XorPufChip::device_linear_view(std::size_t puf_index,
   return devices_[puf_index].linear_view(env);
 }
 
-linalg::Matrix XorPufChip::one_probabilities(const FeatureBlock& block,
+// Taps are checked by linear_view, lengths by challenge_parity.
+// xpuf-lint: guarded-by(challenge_parity)
+linalg::Matrix XorPufChip::one_probabilities(const std::vector<Challenge>& challenges,
                                              const Environment& env) const {
-  return linear_view(env).one_probabilities(block);
+  const ChipLinearView view = linear_view(env);
+  const std::vector<std::uint64_t> parity = challenge_parity(challenges, stages());
+  linalg::Matrix probs(challenges.size(), view.puf_count());
+  parallel_for(challenges.size(), kXorChunk,
+               [&](std::size_t begin, std::size_t end, std::size_t) {
+                 view.one_probabilities_into(parity, begin, end, probs.row(begin));
+               });
+  return probs;
 }
 
-// An empty block yields an empty response batch.
-std::vector<std::uint8_t> XorPufChip::xor_responses(const FeatureBlock& block,
+// No challenges, no responses; lengths are checked by challenge_parity.
+// xpuf-lint: guarded-by(challenge_parity)
+std::vector<std::uint8_t> XorPufChip::xor_responses(const std::vector<Challenge>& challenges,
                                                     const Environment& env,
                                                     const StreamFamily& streams) const {
-  if (block.empty()) return {};
-  XPUF_REQUIRE(block.stages() == stages(), "challenge length != chip stage count");
+  if (challenges.empty()) return {};
+  const std::vector<std::uint64_t> parity = challenge_parity(challenges, stages());
   const ChipLinearView view = internal_view(env, devices_.size());
   const std::size_t n = view.puf_count();
-  std::vector<std::uint8_t> out(block.size(), 0);
-  parallel_for(block.size(), kXorChunk,
+  std::vector<std::uint8_t> out(challenges.size(), 0);
+  parallel_for(challenges.size(), kXorChunk,
                [&](std::size_t begin, std::size_t end, std::size_t) {
                  std::vector<double> deltas((end - begin) * n);
-                 view.delay_differences_into(block, begin, end, deltas.data());
+                 view.delay_differences_into(parity, begin, end, deltas.data());
                  for (std::size_t c = begin; c < end; ++c) {
                    Rng cell_rng = streams.stream(c);
                    const double* row = deltas.data() + (c - begin) * n;
@@ -159,20 +169,20 @@ std::vector<std::uint8_t> XorPufChip::xor_responses(const FeatureBlock& block,
   return out;
 }
 
-// Same empty-block contract as xor_responses.
+// Same empty-batch contract as xor_responses.
 std::vector<SoftMeasurement> XorPufChip::measure_xor_soft_responses(
-    const FeatureBlock& block, const Environment& env, std::uint64_t trials,
+    const std::vector<Challenge>& challenges, const Environment& env, std::uint64_t trials,
     const StreamFamily& streams) const {
   XPUF_REQUIRE(trials > 0, "soft-response measurement needs at least one trial");
-  if (block.empty()) return {};
-  XPUF_REQUIRE(block.stages() == stages(), "challenge length != chip stage count");
+  if (challenges.empty()) return {};
+  const std::vector<std::uint64_t> parity = challenge_parity(challenges, stages());
   const ChipLinearView view = internal_view(env, devices_.size());
   const std::size_t n = view.puf_count();
-  std::vector<SoftMeasurement> out(block.size());
-  parallel_for(block.size(), kXorChunk,
+  std::vector<SoftMeasurement> out(challenges.size());
+  parallel_for(challenges.size(), kXorChunk,
                [&](std::size_t begin, std::size_t end, std::size_t) {
                  std::vector<double> probs((end - begin) * n);
-                 view.one_probabilities_into(block, begin, end, probs.data());
+                 view.one_probabilities_into(parity, begin, end, probs.data());
                  for (std::size_t c = begin; c < end; ++c) {
                    Rng cell_rng = streams.stream(c);
                    const double* row = probs.data() + (c - begin) * n;

@@ -122,14 +122,4 @@ DeviceLinearView ArbiterPufDevice::linear_view(const Environment& env) const {
   return {reduced_weights(env), noise_sigma(env)};
 }
 
-linalg::Vector ArbiterPufDevice::delay_differences(const FeatureBlock& block,
-                                                   const Environment& env) const {
-  return linear_view(env).delay_differences(block);
-}
-
-linalg::Vector ArbiterPufDevice::one_probabilities(const FeatureBlock& block,
-                                                   const Environment& env) const {
-  return linear_view(env).one_probabilities(block);
-}
-
 }  // namespace xpuf::sim

@@ -23,9 +23,8 @@
 
 namespace xpuf::sim {
 
-// Batch-evaluation types (defined in sim/linear.hpp, which includes this
-// header; the device only needs to name them in signatures).
-class FeatureBlock;
+// Defined in sim/linear.hpp, which includes this header; the device only
+// names it in linear_view's signature.
 struct DeviceLinearView;
 
 /// Challenge bits, one per stage, c_i in {0, 1}. 0 = straight, 1 = crossed.
@@ -125,15 +124,6 @@ class ArbiterPufDevice {
   /// track later age() calls — rebuild after aging. Same access contract as
   /// reduced_weights (tests/analysis/batch core, not protocol code).
   DeviceLinearView linear_view(const Environment& env) const;
-
-  /// Batch evaluation over a feature block (see sim/linear.hpp): one value
-  /// per block row, computed from the linear view. Agrees with the
-  /// recursive delay_difference to linear-reduction rounding (~1e-12), and
-  /// bit-exactly with linear_view(env).delay(phi) per row.
-  linalg::Vector delay_differences(const FeatureBlock& block,
-                                   const Environment& env) const;
-  linalg::Vector one_probabilities(const FeatureBlock& block,
-                                   const Environment& env) const;
 
   const DeviceParameters& parameters() const { return params_; }
 

@@ -50,19 +50,6 @@ std::vector<Challenge> random_challenges(std::size_t stages, std::size_t count, 
   return out;
 }
 
-// Same: an empty block is legal and yields no rows.
-FeatureBlock::FeatureBlock(std::vector<Challenge> challenges)
-    : challenges_(std::move(challenges)) {
-  if (challenges_.empty()) return;
-  stages_ = challenges_.front().size();
-  XPUF_REQUIRE(stages_ > 0, "feature block of zero-stage challenges");
-  phi_ = linalg::Matrix(challenges_.size(), stages_ + 1);
-  for (std::size_t r = 0; r < challenges_.size(); ++r) {
-    XPUF_REQUIRE(challenges_[r].size() == stages_, "mixed challenge lengths in batch");
-    feature_fill(challenges_[r], phi_.row(r));
-  }
-}
-
 void random_packed_challenge_into(std::span<std::uint64_t> row, std::size_t stages,
                                   Rng& rng) {
   XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
@@ -135,6 +122,20 @@ void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stage
       out[wi] = s;
     }
   }
+}
+
+std::vector<std::uint64_t> challenge_parity(const std::vector<Challenge>& challenges,
+                                            std::size_t stages) {
+  XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
+  const std::size_t n_words = packed_words(stages);
+  std::vector<std::uint64_t> words(challenges.size() * n_words);
+  for (std::size_t r = 0; r < challenges.size(); ++r) {
+    XPUF_REQUIRE(challenges[r].size() == stages, "challenge length != stage count");
+    pack_challenge_into(challenges[r], {words.data() + r * n_words, n_words});
+  }
+  std::vector<std::uint64_t> parity(words.size());
+  suffix_parity_words(words, stages, parity);
+  return parity;
 }
 
 namespace {
@@ -248,8 +249,9 @@ void parity_dots(std::span<const double> weights, std::span<const std::uint64_t>
 
 double DeviceLinearView::delay(std::span<const double> phi) const {
   XPUF_REQUIRE(phi.size() == weights.size(), "feature length mismatch");
-  // linalg::dot is the ascending-order accumulation matmul_nt/matvec use per
-  // output element, which is what makes batch == scalar a bit-level claim.
+  // linalg::dot is the ascending-order accumulation the parity tiles and
+  // parity_dots reproduce per output element, which is what makes batch ==
+  // scalar a bit-level claim.
   return linalg::dot(weights.span(), phi);
 }
 
@@ -257,44 +259,11 @@ double DeviceLinearView::one_probability(std::span<const double> phi) const {
   return normal_cdf(delay(phi) / noise_sigma);
 }
 
-linalg::Vector DeviceLinearView::delay_differences(const FeatureBlock& block) const {
-  linalg::Vector out(block.size());
-  delay_differences_into(block, 0, block.size(), out.data());
-  return out;
-}
-
-linalg::Vector DeviceLinearView::one_probabilities(const FeatureBlock& block) const {
-  linalg::Vector out(block.size());
-  one_probabilities_into(block, 0, block.size(), out.data());
-  return out;
-}
-
-// Row range is the caller's tile; an empty range writes nothing.
-void DeviceLinearView::delay_differences_into(const FeatureBlock& block, std::size_t begin,
-                                              std::size_t end, double* out) const {
-  XPUF_REQUIRE(end <= block.size() && begin <= end, "tile range out of bounds");
-  XPUF_REQUIRE(begin == end || block.features() == weights.size(),
-               "feature length mismatch");
-  for (std::size_t r = begin; r < end; ++r)
-    out[r - begin] = delay({block.row(r), weights.size()});
-}
-
-// Same tile contract as delay_differences_into.
-// xpuf-lint: allow(require-guard)
-void DeviceLinearView::one_probabilities_into(const FeatureBlock& block, std::size_t begin,
-                                              std::size_t end, double* out) const {
-  delay_differences_into(block, begin, end, out);
-  const std::size_t n = end - begin;
-  for (std::size_t i = 0; i < n; ++i) out[i] /= noise_sigma;
-  normal_cdf_batch({out, n}, {out, n});
-}
-
 ChipLinearView::ChipLinearView(std::vector<DeviceLinearView> devices) {
   XPUF_REQUIRE(!devices.empty(), "chip view needs at least one device");
   const std::size_t f = devices.front().features();
-  weights_ = linalg::Matrix(devices.size(), f);
-  // The transposed copy makes the tile kernels' inner PUF loop contiguous:
-  // row i of weights_t_ holds every device's weight for feature i. Rows are
+  // Transposed, so the tile kernels' inner PUF loop is contiguous: row i of
+  // weights_t_ holds every device's weight for feature i. Rows are
   // zero-padded to a four-lane stride so the AVX2 kernels can issue whole
   // vector loads; the padding lanes accumulate zeros and are never stored.
   weights_t_ = linalg::Matrix(f, (devices.size() + 3) / 4 * 4);
@@ -302,11 +271,7 @@ ChipLinearView::ChipLinearView(std::vector<DeviceLinearView> devices) {
   for (std::size_t p = 0; p < devices.size(); ++p) {
     XPUF_REQUIRE(devices[p].features() == f, "mixed stage counts in chip view");
     const double* w = devices[p].weights.data();
-    double* row = weights_.row(p);
-    for (std::size_t i = 0; i < f; ++i) {
-      row[i] = w[i];
-      weights_t_(i, p) = w[i];
-    }
+    for (std::size_t i = 0; i < f; ++i) weights_t_(i, p) = w[i];
     noise_sigmas_.push_back(devices[p].noise_sigma);
   }
 }
@@ -316,156 +281,12 @@ double ChipLinearView::noise_sigma(std::size_t puf_index) const {
   return noise_sigmas_[puf_index];
 }
 
-// Empty blocks produce an empty matrix, mirroring the tile kernels.
-linalg::Matrix ChipLinearView::delay_differences(const FeatureBlock& block) const {
-  if (block.empty()) return linalg::Matrix(0, puf_count());
-  XPUF_REQUIRE(block.features() == features(), "feature length mismatch");
-  return linalg::matmul_nt(block.phi(), weights_);
-}
-
-// Same empty-block contract.
-linalg::Matrix ChipLinearView::one_probabilities(const FeatureBlock& block) const {
-  linalg::Matrix delays = delay_differences(block);
-  for (std::size_t r = 0; r < delays.rows(); ++r) {
-    double* row = delays.row(r);
-    for (std::size_t p = 0; p < noise_sigmas_.size(); ++p) row[p] /= noise_sigmas_[p];
-  }
-  const std::size_t n = delays.rows() * delays.cols();
-  std::span<double> flat(delays.row(0), n);
-  normal_cdf_batch(flat, flat);
-  return delays;
-}
-
 namespace {
-
-/// Feature-outer tile kernel for a compile-time PUF count: every output
-/// element still sums its w(p, i) * phi[i] terms in ascending i — identical
-/// to matmul_nt's per-element order, so the result is bit-identical — but
-/// the N accumulation chains are independent, live in registers, and the
-/// inner loop is contiguous over the transposed weights.
-template <std::size_t N>
-[[gnu::noinline]] void delay_tile_fixed(const linalg::Matrix& weights_t,
-                                        const FeatureBlock& block, std::size_t begin,
-                                        std::size_t end, double* out) {
-  const std::size_t f = weights_t.rows();
-  for (std::size_t r = begin; r < end; ++r) {
-    const double* phi = block.row(r);
-    double acc[N] = {};
-    for (std::size_t i = 0; i < f; ++i) {
-      const double phi_i = phi[i];
-      const double* wt = weights_t.row(i);
-      for (std::size_t p = 0; p < N; ++p) acc[p] += wt[p] * phi_i;
-    }
-    double* orow = out + (r - begin) * N;
-    for (std::size_t p = 0; p < N; ++p) orow[p] = acc[p];
-  }
-}
-
-/// Runtime-width fallback, same accumulation order. `n` is the true PUF
-/// count; weights_t rows may be zero-padded beyond it.
-void delay_tile_generic(const linalg::Matrix& weights_t, std::size_t n,
-                        const FeatureBlock& block, std::size_t begin, std::size_t end,
-                        double* out) {
-  const std::size_t f = weights_t.rows();
-  std::vector<double> acc(n);
-  for (std::size_t r = begin; r < end; ++r) {
-    const double* phi = block.row(r);
-    for (std::size_t p = 0; p < n; ++p) acc[p] = 0.0;
-    for (std::size_t i = 0; i < f; ++i) {
-      const double phi_i = phi[i];
-      const double* wt = weights_t.row(i);
-      for (std::size_t p = 0; p < n; ++p) acc[p] += wt[p] * phi_i;
-    }
-    double* orow = out + (r - begin) * n;
-    for (std::size_t p = 0; p < n; ++p) orow[p] = acc[p];
-  }
-}
-
-#if defined(__AVX2__)
-
-/// Inner body of the AVX2 tile: R challenge rows x V four-wide lanes over
-/// the zero-padded PUF dimension. Each output element owns one vector lane
-/// and accumulates its w(p, i) * phi[i] terms serially in ascending i — the
-/// exact scalar order — and vmulpd/vaddpd are per-lane IEEE operations with
-/// contraction pinned off, so the result is bit-identical to the scalar
-/// dot. Unrolling rows keeps R x V independent add chains in flight, which
-/// is what hides the four-cycle vaddpd latency the single-dot walk eats.
-template <std::size_t V, std::size_t R>
-inline void avx2_rows(const double* w0, std::size_t f, std::size_t stride,
-                      const double* const* phi, const double* div, double* tmp) {
-  __m256d acc[R][V];
-  for (std::size_t q = 0; q < R; ++q)
-    for (std::size_t v = 0; v < V; ++v) acc[q][v] = _mm256_setzero_pd();
-  const double* wt = w0;
-  for (std::size_t i = 0; i < f; ++i, wt += stride) {
-    for (std::size_t q = 0; q < R; ++q) {
-      const __m256d ph = _mm256_broadcast_sd(phi[q] + i);
-      for (std::size_t v = 0; v < V; ++v)
-        acc[q][v] =
-            _mm256_add_pd(acc[q][v], _mm256_mul_pd(_mm256_loadu_pd(wt + 4 * v), ph));
-    }
-  }
-  // Optionally divide each lane on the way out (the noise-sigma step of
-  // one_probabilities): vdivpd is the exact same single IEEE division per
-  // element the scalar path performs, four lanes at a time — never a
-  // reciprocal multiply.
-  for (std::size_t q = 0; q < R; ++q)
-    for (std::size_t v = 0; v < V; ++v) {
-      __m256d a = acc[q][v];
-      if (div != nullptr) a = _mm256_div_pd(a, _mm256_loadu_pd(div + 4 * v));
-      _mm256_storeu_pd(tmp + (q * V + v) * 4, a);
-    }
-}
-
-/// AVX2 tile kernel for PUF counts up to 4 * V. `div`, when non-null, points
-/// at `stride` per-lane divisors applied to every row before the store.
-template <std::size_t V>
-[[gnu::noinline]] void delay_tile_avx2(const linalg::Matrix& weights_t, std::size_t n,
-                                       const FeatureBlock& block, std::size_t begin,
-                                       std::size_t end, double* out, const double* div) {
-  const std::size_t f = weights_t.rows();
-  const std::size_t stride = weights_t.cols();
-  const double* w0 = weights_t.row(0);
-  // Four rows per pass; V == 3 drops to two to stay within sixteen ymm regs.
-  constexpr std::size_t kRows = V >= 3 ? 2 : 4;
-  double tmp[kRows * V * 4];
-  const double* phi[kRows];
-  std::size_t r = begin;
-  for (; r + kRows <= end; r += kRows) {
-    for (std::size_t q = 0; q < kRows; ++q) phi[q] = block.row(r + q);
-    avx2_rows<V, kRows>(w0, f, stride, phi, div, tmp);
-    double* orow = out + (r - begin) * n;
-    for (std::size_t q = 0; q < kRows; ++q)
-      for (std::size_t p = 0; p < n; ++p) orow[q * n + p] = tmp[q * V * 4 + p];
-  }
-  for (; r < end; ++r) {
-    phi[0] = block.row(r);
-    avx2_rows<V, 1>(w0, f, stride, phi, div, tmp);
-    double* orow = out + (r - begin) * n;
-    for (std::size_t p = 0; p < n; ++p) orow[p] = tmp[p];
-  }
-}
-
-/// Dispatches the AVX2 tile for the supported widths; returns false for
-/// widths the portable kernels must handle.
-bool avx2_dispatch(const linalg::Matrix& weights_t, std::size_t n,
-                   const FeatureBlock& block, std::size_t begin, std::size_t end,
-                   double* out, const double* div) {
-  if (n < 1 || n > 12) return false;
-  switch ((n + 3) / 4) {
-    case 1: delay_tile_avx2<1>(weights_t, n, block, begin, end, out, div); return true;
-    case 2: delay_tile_avx2<2>(weights_t, n, block, begin, end, out, div); return true;
-    default: delay_tile_avx2<3>(weights_t, n, block, begin, end, out, div); return true;
-  }
-}
-
-#endif  // __AVX2__
 
 /// The parity-word tile, portable: one row at a time, every output element
 /// adding w(p, i) with the sign bit of parity bit i in ascending i, then the
-/// bias weight — the FeatureBlock tile's chain with each multiply by +/-1.0
-/// replaced by its exact sign flip. `div`, when non-null, holds n divisors
-/// applied before the store.
+/// bias weight. `div`, when non-null, holds n divisors applied before the
+/// store.
 void parity_tile_scalar(const linalg::Matrix& weights_t, std::size_t n, std::size_t stages,
                         const std::uint64_t* parity, std::size_t begin, std::size_t end,
                         double* out, const double* div) {
@@ -491,11 +312,16 @@ void parity_tile_scalar(const linalg::Matrix& weights_t, std::size_t n, std::siz
 
 #if defined(__AVX2__)
 
-/// Inner body of the AVX2 parity tile: avx2_rows with each broadcast phi_i
-/// replaced by row q's parity bit i moved into the sign position (the
-/// parity word broadcast to all lanes, shifted one bit per stage), XOR-ed
-/// onto the weight vector. vxorpd flips exactly the sign bit, so each lane
-/// adds the same value the multiply by +/-1.0 produces, in the same order.
+/// Inner body of the AVX2 parity tile: R challenge rows x V four-wide lanes
+/// over the zero-padded PUF dimension. Each output element owns one vector
+/// lane and adds its weights in ascending i, each with row q's parity bit i
+/// moved into the sign position (the parity word broadcast to all lanes,
+/// shifted one bit per stage) and XOR-ed on — the exact scalar chain, since
+/// vxorpd flips only the sign bit and vaddpd is a per-lane IEEE add with
+/// contraction pinned off. Unrolling rows keeps R x V independent add chains
+/// in flight, which hides the four-cycle vaddpd latency; the optional
+/// divide on the way out (the noise-sigma step) is vdivpd, the same single
+/// IEEE division per element the scalar kernel performs.
 template <std::size_t V, std::size_t R>
 inline void avx2_parity_rows(const double* w0, std::size_t stages, std::size_t stride,
                              const std::uint64_t* const* parity, const double* div,
@@ -529,8 +355,8 @@ inline void avx2_parity_rows(const double* w0, std::size_t stages, std::size_t s
     }
 }
 
-/// AVX2 parity tile for PUF counts up to 4 * V; the row blocking of
-/// delay_tile_avx2.
+/// AVX2 parity tile for PUF counts up to 4 * V: four rows per pass, two for
+/// V == 3 to stay within sixteen ymm registers.
 template <std::size_t V>
 [[gnu::noinline]] void parity_tile_avx2(const linalg::Matrix& weights_t, std::size_t n,
                                         std::size_t stages, const std::uint64_t* parity,
@@ -586,62 +412,7 @@ void parity_tile(const linalg::Matrix& weights_t, std::size_t n, std::size_t sta
 
 }  // namespace
 
-// Tile contract as in DeviceLinearView.
-void ChipLinearView::delay_differences_into(const FeatureBlock& block, std::size_t begin,
-                                            std::size_t end, double* out) const {
-  XPUF_REQUIRE(end <= block.size() && begin <= end, "tile range out of bounds");
-  XPUF_REQUIRE(begin == end || block.features() == features(), "feature length mismatch");
-  // Dispatch to a register-blocked kernel for the paper's XOR widths; every
-  // branch computes the exact same IEEE operation sequence per element.
-  const std::size_t n = puf_count();
-#if defined(__AVX2__)
-  if (avx2_dispatch(weights_t_, n, block, begin, end, out, nullptr)) return;
-#endif
-  switch (n) {
-    case 1: delay_tile_fixed<1>(weights_t_, block, begin, end, out); break;
-    case 2: delay_tile_fixed<2>(weights_t_, block, begin, end, out); break;
-    case 3: delay_tile_fixed<3>(weights_t_, block, begin, end, out); break;
-    case 4: delay_tile_fixed<4>(weights_t_, block, begin, end, out); break;
-    case 5: delay_tile_fixed<5>(weights_t_, block, begin, end, out); break;
-    case 6: delay_tile_fixed<6>(weights_t_, block, begin, end, out); break;
-    case 7: delay_tile_fixed<7>(weights_t_, block, begin, end, out); break;
-    case 8: delay_tile_fixed<8>(weights_t_, block, begin, end, out); break;
-    case 10: delay_tile_fixed<10>(weights_t_, block, begin, end, out); break;
-    default: delay_tile_generic(weights_t_, n, block, begin, end, out); break;
-  }
-}
-
-// Same tile contract.
-void ChipLinearView::standardized_delays_into(const FeatureBlock& block, std::size_t begin,
-                                              std::size_t end, double* out) const {
-  XPUF_REQUIRE(end <= block.size() && begin <= end, "tile range out of bounds");
-  XPUF_REQUIRE(begin == end || block.features() == features(), "feature length mismatch");
-  const std::size_t n = puf_count();
-#if defined(__AVX2__)
-  // Fused path: the sigma division rides the tile's store (one pass over the
-  // data instead of two), with padding lanes dividing by 1.0.
-  if (n >= 1 && n <= 12) {
-    double sig[12 + 3] = {};
-    const std::size_t stride = weights_t_.cols();
-    for (std::size_t i = 0; i < stride; ++i) sig[i] = i < n ? noise_sigmas_[i] : 1.0;
-    if (avx2_dispatch(weights_t_, n, block, begin, end, out, sig)) return;
-  }
-#endif
-  delay_differences_into(block, begin, end, out);
-  for (std::size_t r = 0; r < end - begin; ++r)
-    for (std::size_t p = 0; p < n; ++p) out[r * n + p] /= noise_sigmas_[p];
-}
-
-// Same tile contract (checked by standardized_delays_into).
-// xpuf-lint: guarded-by(standardized_delays_into)
-void ChipLinearView::one_probabilities_into(const FeatureBlock& block, std::size_t begin,
-                                            std::size_t end, double* out) const {
-  standardized_delays_into(block, begin, end, out);
-  const std::size_t total = (end - begin) * puf_count();
-  normal_cdf_batch({out, total}, {out, total});
-}
-
-// Parity-word tiles: the FeatureBlock tiles' contract, rows read from words.
+// Row range is the caller's tile; an empty range writes nothing.
 void ChipLinearView::delay_differences_into(std::span<const std::uint64_t> parity,
                                             std::size_t begin, std::size_t end,
                                             double* out) const {
@@ -666,6 +437,16 @@ void ChipLinearView::standardized_delays_into(std::span<const std::uint64_t> par
                "tile range out of bounds");
   parity_tile(weights_t_, puf_count(), stages, parity.data(), begin, end, out,
               noise_sigmas_.data());
+}
+
+// Same tile contract (checked by standardized_delays_into).
+// xpuf-lint: guarded-by(standardized_delays_into)
+void ChipLinearView::one_probabilities_into(std::span<const std::uint64_t> parity,
+                                            std::size_t begin, std::size_t end,
+                                            double* out) const {
+  standardized_delays_into(parity, begin, end, out);
+  const std::size_t total = (end - begin) * puf_count();
+  normal_cdf_batch({out, total}, {out, total});
 }
 
 LazyCdfCounter::LazyCdfCounter(std::uint64_t trials) : trials_(trials) {

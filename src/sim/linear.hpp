@@ -3,29 +3,27 @@
 // The paper's workload is batch-shaped — millions of challenges scanned
 // across n PUFs, 9 V/T corners, and repeated trials — and the additive delay
 // model makes every noise-free delay a dense linear map: delta = w . phi(c).
-// This header factors that observation into three value types:
+// Every batch evaluation in the codebase reads phi from one representation,
+// packed suffix-parity words:
 //
-//  - FeatureBlock: the row-major Phi matrix of a challenge batch, built once
-//    and shared across PUFs, corners, and repeated scans (Phi depends only
-//    on the challenges, never on the device or environment).
+//  - packed challenges (packed_words(stages) u64s per row, stage bit i in
+//    bit i % 64 of word i / 64) go through suffix_parity_words once, whose
+//    set bits are exactly phi's -1 entries (challenge_parity does the same
+//    for a Challenge batch);
 //  - DeviceLinearView: one device's reduced weights + noise sigma, frozen at
-//    a given (Environment, aging) state.
-//  - ChipLinearView: the stacked n_pufs x (k+1) weight matrix of a chip, so
-//    a whole scan tile is ONE matmul_nt followed by normal_cdf_batch.
+//    a given (Environment, aging) state; its scalar delay over a feature_fill
+//    row is the reference every batch kernel reproduces;
+//  - ChipLinearView: the n devices' weights stacked for the parity tiles,
+//    which evaluate every PUF on a row range (the scans, the enrollment fit's
+//    diagnostics, model predictions), and parity_dots evaluates one weight
+//    row on any subset of rows (stable-challenge screening).
 //
-// Packed challenges skip Phi altogether: suffix_parity_words turns their
-// bit-words into Phi's signs, parity_dots evaluates one PUF on any subset of
-// them (stable-challenge screening), and ChipLinearView's parity tiles
-// evaluate every PUF on a row range (the streaming enrollment scan).
-//
-// Determinism contract: the full-batch products (matmul_nt), the
-// row-range `_into` tile kernels (FeatureBlock or parity words) and
-// parity_dots all accumulate each output
-// element with the same ascending-index dot, so batch results are
-// bit-identical to the scalar linear-view evaluation at any thread count or
-// tile size. The tile kernels are serial by design — they are meant to run
-// inside parallel_for chunk bodies, where nested parallelism already
-// degrades to serial.
+// Determinism contract: the parity tiles and parity_dots accumulate each
+// output element as the ascending-index dot does — w_i with phi_i's sign
+// from +0.0, the bias weight last — so batch results are bit-identical to
+// the scalar linear-view evaluation at any thread count or tile size. The
+// kernels are serial by design — they are meant to run inside parallel_for
+// chunk bodies, where nested parallelism already degrades to serial.
 //
 // A linear view is a snapshot: it does NOT track later ArbiterPufDevice::age
 // calls or environment changes. Rebuild it per (Environment, aging) state.
@@ -105,6 +103,12 @@ bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
 void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,
                          std::span<std::uint64_t> out);
 
+/// Suffix-parity rows of a Challenge batch: each challenge (exactly `stages`
+/// stages, or the call throws) packed and run through suffix_parity_words,
+/// packed_words(stages) words per row. An empty batch yields no rows.
+std::vector<std::uint64_t> challenge_parity(const std::vector<Challenge>& challenges,
+                                            std::size_t stages);
+
 /// Noise-free delays of selected packed candidates under one weight row:
 /// out[k] = weights . phi(candidate rows[k]) for k < rows.size(), where
 /// `parity` holds suffix_parity_words rows of a stages = weights.size() - 1
@@ -114,7 +118,7 @@ void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stage
 /// ascending i from +0.0, term i being w_i with phi_i's sign — the sign bit
 /// flipped where the parity bit is set, which is exact (w * -1.0 == -w) for
 /// every non-NaN weight — and w_stages last. So the result is bit-identical
-/// to DeviceLinearView::delay and the tile kernels; a NaN weight yields NaN
+/// to DeviceLinearView::delay and the parity tiles; a NaN weight yields NaN
 /// either way (its sign may differ). The AVX2 build puts one row per vector
 /// lane and four vectors in flight; the scalar build walks rows one by one
 /// through the same operations.
@@ -127,33 +131,6 @@ void parity_dots(std::span<const double> weights, std::span<const std::uint64_t>
 /// and ChipTester::random_challenges.
 std::vector<Challenge> random_challenges(std::size_t stages, std::size_t count,
                                          Rng& rng);
-
-/// A challenge batch plus its precomputed row-major Phi matrix
-/// (size() x (stages() + 1)). Build once per batch; reuse across PUFs,
-/// corners, and scans — Phi is environment-independent.
-class FeatureBlock {
- public:
-  FeatureBlock() = default;
-  explicit FeatureBlock(std::vector<Challenge> challenges);
-
-  std::size_t size() const { return phi_.rows(); }
-  bool empty() const { return phi_.rows() == 0; }
-  /// Stage count k (0 for an empty block).
-  std::size_t stages() const { return stages_; }
-  /// Feature count k + 1 (0 for an empty block).
-  std::size_t features() const { return empty() ? 0 : stages_ + 1; }
-
-  const std::vector<Challenge>& challenges() const { return challenges_; }
-  const Challenge& challenge(std::size_t i) const { return challenges_[i]; }
-  const linalg::Matrix& phi() const { return phi_; }
-  /// Row i of Phi (contiguous, features() doubles).
-  const double* row(std::size_t i) const { return phi_.row(i); }
-
- private:
-  std::vector<Challenge> challenges_;
-  linalg::Matrix phi_;
-  std::size_t stages_ = 0;
-};
 
 /// One device's additive-delay model frozen at an (Environment, aging)
 /// state: delta(c) = weights . phi(c), flip probability
@@ -168,64 +145,38 @@ struct DeviceLinearView {
   /// reference the batch kernels are bit-identical to).
   double delay(std::span<const double> phi) const;
   double one_probability(std::span<const double> phi) const;
-
-  /// Batch evaluation over a block: out[i] for challenge i.
-  linalg::Vector delay_differences(const FeatureBlock& block) const;
-  linalg::Vector one_probabilities(const FeatureBlock& block) const;
-
-  /// Tile kernels over block rows [begin, end), writing end - begin values
-  /// into `out`. Serial; intended for parallel_for chunk bodies.
-  void delay_differences_into(const FeatureBlock& block, std::size_t begin,
-                              std::size_t end, double* out) const;
-  void one_probabilities_into(const FeatureBlock& block, std::size_t begin,
-                              std::size_t end, double* out) const;
 };
 
-/// A chip's n devices stacked into one weight matrix, so batch evaluation of
-/// every (challenge, PUF) cell is a single Phi x W^T product.
+/// A chip's n devices stacked so one parity tile evaluates every (challenge,
+/// PUF) cell of a row range.
 class ChipLinearView {
  public:
   ChipLinearView() = default;
   explicit ChipLinearView(std::vector<DeviceLinearView> devices);
 
   std::size_t puf_count() const { return noise_sigmas_.size(); }
-  std::size_t features() const { return weights_.cols(); }
-  /// Stacked weights, puf_count() x features() row-major.
-  const linalg::Matrix& weights() const { return weights_; }
+  std::size_t features() const { return weights_t_.rows(); }
   double noise_sigma(std::size_t puf_index) const;
 
-  /// Full-batch products: row i holds challenge i, column p holds PUF p.
-  /// delay_differences is one matmul_nt; one_probabilities divides each
-  /// column by its noise sigma and applies normal_cdf_batch.
-  linalg::Matrix delay_differences(const FeatureBlock& block) const;
-  linalg::Matrix one_probabilities(const FeatureBlock& block) const;
-
-  /// Tile kernels over block rows [begin, end): writes (end - begin) x
-  /// puf_count() values row-major into `out`, bit-identical to the
-  /// corresponding rows of the full-batch products. Serial by design.
-  void delay_differences_into(const FeatureBlock& block, std::size_t begin,
-                              std::size_t end, double* out) const;
-  void one_probabilities_into(const FeatureBlock& block, std::size_t begin,
-                              std::size_t end, double* out) const;
-  /// The standardized delays z = delay / noise_sigma of the same tile: the
-  /// exact doubles one_probabilities_into hands to normal_cdf_batch, for
-  /// callers that map z to a count without the CDF (LazyCdfCounter).
-  void standardized_delays_into(const FeatureBlock& block, std::size_t begin,
-                                std::size_t end, double* out) const;
-
-  /// The same tiles over rows [begin, end) of suffix_parity_words output
-  /// (packed_words(features() - 1) words per row) instead of a FeatureBlock.
-  /// Each phi sign comes from a parity bit by flipping the weight's sign
-  /// bit, as parity_dots does, and the terms keep the ascending-index order
-  /// with the bias weight last — so the outputs equal the FeatureBlock
-  /// tiles' bit for bit (for non-NaN weights). Serial by design.
+  /// Tile kernels over rows [begin, end) of suffix_parity_words output
+  /// (packed_words(features() - 1) words per row): write (end - begin) x
+  /// puf_count() values row-major into `out`. Each element adds w_i with
+  /// the sign bit of parity bit i flipped in, ascending i from +0.0, then
+  /// the bias weight — DeviceLinearView::delay's chain with every multiply
+  /// by +/-1.0 replaced by its exact sign flip, so the delays equal it bit
+  /// for bit (for non-NaN weights). standardized_delays_into divides each
+  /// by its PUF's noise sigma (z = delay / sigma, for callers that map z to
+  /// a count without the CDF, LazyCdfCounter); one_probabilities_into then
+  /// applies normal_cdf_batch, which is normal_cdf per element. Serial by
+  /// design.
   void delay_differences_into(std::span<const std::uint64_t> parity, std::size_t begin,
                               std::size_t end, double* out) const;
   void standardized_delays_into(std::span<const std::uint64_t> parity, std::size_t begin,
                                 std::size_t end, double* out) const;
+  void one_probabilities_into(std::span<const std::uint64_t> parity, std::size_t begin,
+                              std::size_t end, double* out) const;
 
  private:
-  linalg::Matrix weights_;           // puf_count x (k+1)
   linalg::Matrix weights_t_;         // (k+1) x puf_count zero-padded to a
                                      // four-lane stride, for the tile kernels
   std::vector<double> noise_sigmas_; // per-PUF sigma at the snapshot corner

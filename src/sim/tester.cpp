@@ -17,9 +17,10 @@ namespace {
 // is identical for any pool size.
 constexpr std::size_t kScanChunk = 64;
 
-void require_block_matches(const FeatureBlock& block, const XorPufChip& chip) {
-  XPUF_REQUIRE(block.empty() || block.stages() == chip.stages(),
-               "challenge length != chip stage count");
+/// The XOR scans check lengths before their stream draw, like the others.
+bool stages_match(const std::vector<Challenge>& challenges, const XorPufChip& chip) {
+  return std::all_of(challenges.begin(), challenges.end(),
+                     [&](const Challenge& c) { return c.size() == chip.stages(); });
 }
 
 // soft_response() is ones / trials; with trials fixed the quotient takes only
@@ -42,7 +43,7 @@ double soft_of(const std::vector<double>& lut, std::uint64_t ones, std::uint64_t
   return lut.empty() ? static_cast<double>(ones) / static_cast<double>(trials) : lut[ones];
 }
 
-/// The batched count kernel both individual scans share: the counts of
+/// The count kernel both individual scans share: the counts of
 /// tile rows [begin, end) from the tile's standardized delays `z`
 /// ((end - begin) x n_pufs, row-major), cell (p, c) drawing from stream
 /// p * key_stride + key_offset + c. `emit(p, c, ones)` stores each count.
@@ -77,8 +78,8 @@ void words_from_suffix_parity(std::span<const std::uint64_t> parity, std::size_t
 }
 }  // namespace
 
-ChipTester::ChipTester(Environment env, std::uint64_t trials, Rng rng, ScanMode mode)
-    : env_(env), trials_(trials), rng_(rng), mode_(mode) {
+ChipTester::ChipTester(Environment env, std::uint64_t trials, Rng rng)
+    : env_(env), trials_(trials), rng_(rng) {
   XPUF_REQUIRE(trials > 0, "ChipTester needs at least one trial per challenge");
 }
 
@@ -89,44 +90,26 @@ std::vector<Challenge> ChipTester::random_challenges(const XorPufChip& chip,
   return sim::random_challenges(chip.stages(), count, rng_);
 }
 
+// Lengths are checked by challenge_parity, taps by linear_view.
+// xpuf-lint: guarded-by(challenge_parity)
 ChipSoftScan ChipTester::scan_individual(const XorPufChip& chip,
                                          const std::vector<Challenge>& challenges) {
-  return scan_individual(chip, FeatureBlock(challenges));
-}
-
-ChipSoftScan ChipTester::scan_individual(const XorPufChip& chip,
-                                         const FeatureBlock& block) {
-  ChipSoftScan scan;
-  scan_individual_into(chip, block, scan);
-  return scan;
-}
-
-void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock& block,
-                                      ChipSoftScan& scan) {
   XPUF_TRACE_SPAN("tester.scan_individual");
-  require_block_matches(block, chip);
   const std::size_t n_pufs = chip.puf_count();
-  const std::size_t n_ch = block.size();
-  // Element-wise vector assignment reuses the destination's heap blocks when
-  // the shape matches the previous scan — that is the whole point of the
-  // _into variant.
-  scan.challenges = block.challenges();
+  const std::size_t n_ch = challenges.size();
+  const std::vector<std::uint64_t> parity = challenge_parity(challenges, chip.stages());
+  ChipSoftScan scan;
+  scan.challenges = challenges;
   scan.trials = trials_;
   scan.environment = env_;
-  // resize, not assign: every cell below is written exactly once in either
-  // mode, so re-zeroing a reused row would be pure memory traffic.
-  scan.soft.resize(n_pufs);
-  for (auto& row : scan.soft) row.resize(n_ch);
+  scan.soft.assign(n_pufs, std::vector<double>(n_ch));
   scan.stable.resize(n_pufs);
 
-  // Batched mode materializes the linear view up front; this also performs
-  // the per-tap access check a deployed chip must fail (the scalar path
-  // hits the same check inside measure_soft_response).
-  const bool batched = mode_ == ScanMode::kBatched && n_ch > 0;
+  // Materializing the linear view also performs the per-tap access check a
+  // deployed chip must fail (an empty scan is a no-op and checks nothing).
   ChipLinearView view;
-  if (batched) view = chip.linear_view(env_);
-  std::vector<double> soft_lut;
-  if (batched) soft_lut = build_soft_lut(trials_);
+  if (n_ch > 0) view = chip.linear_view(env_);
+  const std::vector<double> soft_lut = build_soft_lut(trials_);
   const LazyCdfCounter counter(trials_);
 
   // One base draw keys every (puf, challenge) cell's private stream; each
@@ -144,47 +127,31 @@ void ChipTester::scan_individual_into(const XorPufChip& chip, const FeatureBlock
       MetricsRegistry::global().counter("tester.measurements");
   parallel_for(n_ch, kScanChunk,
                [&](std::size_t begin, std::size_t end, std::size_t) {
-                 if (batched) {
-                   // One GEMM tile of standardized delays for the whole
-                   // chunk, then per-cell counts from the same streams the
-                   // scalar mode uses — the mode changes evaluation cost,
-                   // not draws. thread_local staging: one buffer per worker
-                   // for the whole scan instead of one allocation per chunk.
-                   thread_local std::vector<double> z;
-                   z.resize((end - begin) * n_pufs);
-                   view.standardized_delays_into(block, begin, end, z.data());
-                   count_tile(counter, streams, z.data(), n_pufs, begin, end, n_ch, 0,
-                              [&](std::size_t p, std::size_t c, std::uint64_t ones) {
-                                scan.soft[p][c] = soft_of(soft_lut, ones, trials_);
-                                stable_bytes[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
-                              });
-                 } else {
-                   for (std::size_t c = begin; c < end; ++c) {
-                     for (std::size_t p = 0; p < n_pufs; ++p) {
-                       Rng cell_rng = streams.stream(p * n_ch + c);
-                       // kScalar IS the per-cell reference path the batched
-                       // mode is benchmarked and golden-tested against.
-                       // xpuf-lint: allow(scalar-eval)
-                       const SoftMeasurement m = chip.measure_soft_response(
-                           p, block.challenge(c), env_, trials_, cell_rng);
-                       scan.soft[p][c] = m.soft_response();
-                       stable_bytes[p][c] = m.fully_stable() ? 1 : 0;
-                     }
-                   }
-                 }
+                 // One parity tile of standardized delays for the whole
+                 // chunk, then per-cell counts from the cells' own streams.
+                 // thread_local staging: one buffer per worker for the whole
+                 // scan instead of one allocation per chunk.
+                 thread_local std::vector<double> z;
+                 z.resize((end - begin) * n_pufs);
+                 view.standardized_delays_into(parity, begin, end, z.data());
+                 count_tile(counter, streams, z.data(), n_pufs, begin, end, n_ch, 0,
+                            [&](std::size_t p, std::size_t c, std::uint64_t ones) {
+                              scan.soft[p][c] = soft_of(soft_lut, ones, trials_);
+                              stable_bytes[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
+                            });
                  measurements.add((end - begin) * n_pufs);
                });
   for (std::size_t p = 0; p < n_pufs; ++p)
     scan.stable[p].assign(stable_bytes[p].begin(), stable_bytes[p].end());
+  return scan;
 }
 
 ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
-                               std::uint64_t trials, ScanMode mode, std::size_t total,
-                               std::size_t chunk, Rng& tester_rng)
+                               std::uint64_t trials, std::size_t total, std::size_t chunk,
+                               Rng& tester_rng)
     : chip_(&chip),
       env_(env),
       trials_(trials),
-      mode_(mode),
       total_(total),
       chunk_(chunk),
       challenge_rng_(tester_rng),
@@ -203,7 +170,7 @@ ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
   base_ = tester_rng.fork_base();
   // Materializing the linear view also performs the per-tap access check a
   // deployed chip must fail — at stream construction, not first use.
-  if (mode_ == ScanMode::kBatched) view_ = chip.linear_view(env_);
+  view_ = chip.linear_view(env_);
 }
 
 void ChipScanStream::reset() {
@@ -286,27 +253,11 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   const StreamFamily streams(base_);
   static Counter& measurements =
       MetricsRegistry::global().counter("tester.measurements");
-  const bool batched = mode_ == ScanMode::kBatched;
   parallel_for(m, kScanChunk, [&](std::size_t begin, std::size_t end, std::size_t) {
-    if (batched) {
-      thread_local std::vector<double> z;
-      z.resize((end - begin) * n_pufs);
-      view_.standardized_delays_into(chunk.parity, begin, end, z.data());
-      count_tile(counter_, streams, z.data(), n_pufs, begin, end, total_, begin_global, emit);
-    } else {
-      // The reference mode walks the stage model, which needs the challenge
-      // as bits: unpack it once per row of cells.
-      thread_local Challenge challenge;
-      for (std::size_t c = begin; c < end; ++c) {
-        unpack_challenge_into(chunk.challenge_words(c), stages, challenge);
-        for (std::size_t p = 0; p < n_pufs; ++p) {
-          Rng cell_rng = streams.stream(p * total_ + begin_global + c);
-          // kScalar is the per-cell reference path, as in scan_individual.
-          // xpuf-lint: allow(scalar-eval)
-          emit(p, c, chip_->measure_soft_response(p, challenge, env_, trials_, cell_rng).ones);
-        }
-      }
-    }
+    thread_local std::vector<double> z;
+    z.resize((end - begin) * n_pufs);
+    view_.standardized_delays_into(chunk.parity, begin, end, z.data());
+    count_tile(counter_, streams, z.data(), n_pufs, begin, end, total_, begin_global, emit);
     measurements.add((end - begin) * n_pufs);
   });
   if (retain) {
@@ -320,43 +271,27 @@ bool ChipScanStream::next(ScanChunk& chunk) {
 
 ChipScanStream ChipTester::stream_individual(const XorPufChip& chip, std::size_t total,
                                              std::size_t chunk_challenges) {
-  return ChipScanStream(chip, env_, trials_, mode_, total, chunk_challenges, rng_);
+  return ChipScanStream(chip, env_, trials_, total, chunk_challenges, rng_);
 }
 
 std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
                                                      std::size_t puf_index,
                                                      const std::vector<Challenge>& challenges) {
-  return scan_single(chip, puf_index, FeatureBlock(challenges));
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
-                                                     std::size_t puf_index,
-                                                     const FeatureBlock& block) {
   XPUF_TRACE_SPAN("tester.scan_single");
   XPUF_REQUIRE(puf_index < chip.puf_count(), "PUF index out of range");
-  require_block_matches(block, chip);
-  const bool batched = mode_ == ScanMode::kBatched && !block.empty();
-  DeviceLinearView view;
-  if (batched) view = chip.device_linear_view(puf_index, env_);
-  std::vector<SoftMeasurement> out(block.size());
+  const std::vector<std::uint64_t> parity = challenge_parity(challenges, chip.stages());
+  // A one-device chip view: its parity tile is the device's ascending dot.
+  ChipLinearView view;
+  if (!challenges.empty()) view = ChipLinearView({chip.device_linear_view(puf_index, env_)});
+  std::vector<SoftMeasurement> out(challenges.size());
   const StreamFamily streams(rng_.fork_base());
-  parallel_for(block.size(), kScanChunk,
+  parallel_for(challenges.size(), kScanChunk,
                [&](std::size_t begin, std::size_t end, std::size_t) {
-                 if (batched) {
-                   std::vector<double> probs(end - begin);
-                   view.one_probabilities_into(block, begin, end, probs.data());
-                   for (std::size_t c = begin; c < end; ++c) {
-                     Rng cell_rng = streams.stream(c);
-                     out[c] = {cell_rng.binomial(trials_, probs[c - begin]), trials_};
-                   }
-                 } else {
-                   for (std::size_t c = begin; c < end; ++c) {
-                     Rng cell_rng = streams.stream(c);
-                     // Scalar reference mode, as in scan_individual.
-                     // xpuf-lint: allow(scalar-eval)
-                     out[c] = chip.measure_soft_response(puf_index, block.challenge(c),
-                                                         env_, trials_, cell_rng);
-                   }
+                 std::vector<double> probs(end - begin);
+                 view.one_probabilities_into(parity, begin, end, probs.data());
+                 for (std::size_t c = begin; c < end; ++c) {
+                   Rng cell_rng = streams.stream(c);
+                   out[c] = {cell_rng.binomial(trials_, probs[c - begin]), trials_};
                  }
                });
   return out;
@@ -364,53 +299,21 @@ std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
 
 std::vector<bool> ChipTester::sample_xor(const XorPufChip& chip,
                                          const std::vector<Challenge>& challenges) {
-  return sample_xor(chip, FeatureBlock(challenges));
-}
-
-std::vector<bool> ChipTester::sample_xor(const XorPufChip& chip,
-                                         const FeatureBlock& block) {
   XPUF_TRACE_SPAN("tester.sample_xor");
-  require_block_matches(block, chip);
+  XPUF_REQUIRE(stages_match(challenges, chip), "challenge length != chip stage count");
   static Counter& samples = MetricsRegistry::global().counter("tester.xor_samples");
-  samples.add(block.size());
+  samples.add(challenges.size());
   const StreamFamily streams(rng_.fork_base());
-  if (mode_ == ScanMode::kBatched) {
-    const std::vector<std::uint8_t> bits = chip.xor_responses(block, env_, streams);
-    return std::vector<bool>(bits.begin(), bits.end());
-  }
-  std::vector<std::uint8_t> bits(block.size(), 0);
-  parallel_for(block.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   bits[c] = chip.xor_response(block.challenge(c), env_, cell_rng) ? 1 : 0;
-                 }
-               });
+  const std::vector<std::uint8_t> bits = chip.xor_responses(challenges, env_, streams);
   return std::vector<bool>(bits.begin(), bits.end());
 }
 
 std::vector<SoftMeasurement> ChipTester::scan_xor(const XorPufChip& chip,
                                                   const std::vector<Challenge>& challenges) {
-  return scan_xor(chip, FeatureBlock(challenges));
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_xor(const XorPufChip& chip,
-                                                  const FeatureBlock& block) {
   XPUF_TRACE_SPAN("tester.scan_xor");
-  require_block_matches(block, chip);
+  XPUF_REQUIRE(stages_match(challenges, chip), "challenge length != chip stage count");
   const StreamFamily streams(rng_.fork_base());
-  if (mode_ == ScanMode::kBatched)
-    return chip.measure_xor_soft_responses(block, env_, trials_, streams);
-  std::vector<SoftMeasurement> out(block.size());
-  parallel_for(block.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   out[c] = chip.measure_xor_soft_response(block.challenge(c), env_,
-                                                           trials_, cell_rng);
-                 }
-               });
-  return out;
+  return chip.measure_xor_soft_responses(challenges, env_, trials_, streams);
 }
 
 }  // namespace xpuf::sim

@@ -9,14 +9,13 @@
 // per-measurement child stream keyed by the (puf, challenge) cell index, so
 // scan output is bit-identical for any thread count.
 //
-// Two scan modes share that RNG contract. kBatched (the default) routes
-// standardized delays through the linear-view batch core — one feature
-// block per scan (packed parity words per chunk on the streaming scan), one
-// tile per parallel chunk — and turns each into a binomial counter reading
-// with LazyCdfCounter, from the same per-cell streams. kScalar is the legacy
-// reference: every cell walks the recursive stage model. Mode changes cost,
-// not draws; see DESIGN.md "Batched evaluation core" and "Streaming
-// enrollment" for the equivalence contract.
+// Every scan evaluates through the linear-view core (sim/linear.hpp): the
+// challenges become suffix-parity words once per scan (per chunk on the
+// streaming scan), one parity tile per parallel chunk yields every cell's
+// standardized delay, and LazyCdfCounter turns each into a binomial counter
+// reading from the cell's own stream. The per-cell stage walk is the test
+// oracle they are held to (tests/oracle/); see DESIGN.md "Batched
+// evaluation core" and "Streaming enrollment" for the equivalence contract.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +39,12 @@ struct ChipSoftScan {
   Environment environment;
 };
 
-/// How a scan turns challenges into noise-free probabilities. Binomial /
-/// arbitration draws are per-cell in both modes, so results agree cell for
-/// cell; only the evaluation cost differs.
-enum class ScanMode {
-  kScalar,   ///< legacy reference: recursive stage walk per (PUF, challenge)
-  kBatched,  ///< linear-view batch core: one GEMM tile per parallel chunk
-};
-
 /// One chunk of a streaming individual-PUF scan, for global challenges
 /// `offset` .. `offset + size() - 1`. The challenges stay packed: `words`
 /// holds packed_words(stages) words per challenge (stage bit i in bit i % 64
 /// of word i / 64, drawn by random_packed_challenge_into), and `parity` their
 /// suffix_parity_words — the signs of each challenge's Phi row, which is all
-/// the batched scan and the normal equations read. No Phi matrix and no
+/// the scan's parity tiles and the normal equations read. No Phi matrix and no
 /// Challenge copies are built. `soft[p][i]` / `stable[p][i]` are the
 /// measurements for the chunk's i-th challenge. All vectors keep their heap
 /// blocks across next() calls, so a steady-state chunk costs zero
@@ -127,20 +118,19 @@ class ChipScanStream {
  private:
   friend class ChipTester;
   ChipScanStream(const XorPufChip& chip, const Environment& env,
-                 std::uint64_t trials, ScanMode mode, std::size_t total,
-                 std::size_t chunk, Rng& tester_rng);
+                 std::uint64_t trials, std::size_t total, std::size_t chunk,
+                 Rng& tester_rng);
 
   const XorPufChip* chip_ = nullptr;
   Environment env_;
   std::uint64_t trials_ = 0;
-  ScanMode mode_ = ScanMode::kBatched;
   std::size_t total_ = 0;
   std::size_t chunk_ = 0;
   std::size_t position_ = 0;
   Rng challenge_rng_;         ///< draws challenge position_ on, past the kept prefix
   Rng challenge_rng_resume_;  ///< generator state at challenge retained_, for reset()
   std::uint64_t base_ = 0;    ///< keys every cell's measurement stream
-  ChipLinearView view_;       ///< batched-mode snapshot (kScalar leaves it empty)
+  ChipLinearView view_;       ///< the chip's linear view at env_
   LazyCdfCounter counter_;
   std::vector<double> soft_lut_;
   std::size_t retained_ = 0;
@@ -154,14 +144,11 @@ class ChipScanStream {
 class ChipTester {
  public:
   /// `trials` is the per-challenge evaluation count K (paper: 100,000).
-  ChipTester(Environment env, std::uint64_t trials, Rng rng,
-             ScanMode mode = ScanMode::kBatched);
+  ChipTester(Environment env, std::uint64_t trials, Rng rng);
 
   const Environment& environment() const { return env_; }
   void set_environment(const Environment& env) { env_ = env; }
   std::uint64_t trials() const { return trials_; }
-  ScanMode mode() const { return mode_; }
-  void set_mode(ScanMode mode) { mode_ = mode; }
 
   /// Generates `count` uniformly random challenges for a chip's stage count.
   std::vector<Challenge> random_challenges(const XorPufChip& chip, std::size_t count);
@@ -170,17 +157,6 @@ class ChipTester {
   /// Requires all enrollment fuses intact.
   ChipSoftScan scan_individual(const XorPufChip& chip,
                                const std::vector<Challenge>& challenges);
-  /// Feature-block overload: callers scanning the same challenge set at
-  /// several corners (the 9-corner enrollment sweeps) build the Phi block
-  /// once and reuse it here — the batched mode never recomputes it.
-  ChipSoftScan scan_individual(const XorPufChip& chip, const FeatureBlock& block);
-  /// Storage-reusing variant for repeated scans (corner sweeps, reliability
-  /// campaigns): writes into `scan`, whose vectors keep their heap blocks
-  /// when the workload shape repeats — the per-scan allocation storm of a
-  /// fresh result (one block per challenge) becomes plain copies. The
-  /// written contents are identical to a fresh scan_individual result.
-  void scan_individual_into(const XorPufChip& chip, const FeatureBlock& block,
-                            ChipSoftScan& scan);
 
   /// Streaming scan over `total` freshly drawn challenges in chunks of
   /// `chunk_challenges`: bit-identical to random_challenges(total) +
@@ -192,25 +168,19 @@ class ChipTester {
   /// Measures soft responses of one individual PUF.
   std::vector<SoftMeasurement> scan_single(const XorPufChip& chip, std::size_t puf_index,
                                            const std::vector<Challenge>& challenges);
-  std::vector<SoftMeasurement> scan_single(const XorPufChip& chip, std::size_t puf_index,
-                                           const FeatureBlock& block);
 
   /// One-shot XOR responses (the deployed-chip view).
   std::vector<bool> sample_xor(const XorPufChip& chip,
                                const std::vector<Challenge>& challenges);
-  std::vector<bool> sample_xor(const XorPufChip& chip, const FeatureBlock& block);
 
   /// XOR soft responses over `trials` evaluations.
   std::vector<SoftMeasurement> scan_xor(const XorPufChip& chip,
                                         const std::vector<Challenge>& challenges);
-  std::vector<SoftMeasurement> scan_xor(const XorPufChip& chip,
-                                        const FeatureBlock& block);
 
  private:
   Environment env_;
   std::uint64_t trials_;
   Rng rng_;
-  ScanMode mode_;
 };
 
 }  // namespace xpuf::sim

@@ -1,9 +1,9 @@
 // Golden equivalence tests for the batched linear-view evaluation core
-// (sim/linear.hpp): FeatureBlock rows must equal the transform's feature
-// vectors, the full-batch GEMM products must be bit-identical to the tile
-// kernels and to scalar linear-view evaluation across every paper corner,
-// aged devices, and 1/2/8 threads — and the batched ChipTester/selector
-// paths must reproduce their scalar-mode outputs byte for byte.
+// (sim/linear.hpp): suffix-parity words must carry exactly phi's signs, the
+// parity tiles and parity_dots must be bit-identical to scalar linear-view
+// evaluation across every paper corner, aged devices, and 1/2/8 threads —
+// and the tester/selector batch paths must reproduce their per-cell
+// oracles (tests/oracle/) byte for byte.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +22,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/vector.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/selection.hpp"
 #include "puf/transform.hpp"
@@ -59,32 +60,6 @@ void expect_identical_across_thread_counts(const F& f) {
   ThreadPool::set_global_threads(8);
 }
 
-TEST(FeatureBlock, RowsMatchTransformFeatureVectors) {
-  const auto challenges = fixed_challenges(24, 40);
-  const sim::FeatureBlock block(challenges);
-  ASSERT_EQ(block.size(), 40u);
-  EXPECT_EQ(block.stages(), 24u);
-  EXPECT_EQ(block.features(), 25u);
-  EXPECT_EQ(block.phi().rows(), 40u);
-  EXPECT_EQ(block.phi().cols(), 25u);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    const linalg::Vector ref = puf::feature_vector(challenges[i]);
-    ASSERT_EQ(ref.size(), block.features());
-    for (std::size_t j = 0; j < ref.size(); ++j)
-      EXPECT_EQ(block.row(i)[j], ref[j]) << "row " << i << " col " << j;
-    EXPECT_EQ(block.challenge(i), challenges[i]);
-  }
-}
-
-TEST(FeatureBlock, EmptyBlockIsLegal) {
-  const sim::FeatureBlock block;
-  EXPECT_TRUE(block.empty());
-  EXPECT_EQ(block.size(), 0u);
-  EXPECT_EQ(block.features(), 0u);
-  const sim::FeatureBlock block2{std::vector<sim::Challenge>{}};
-  EXPECT_TRUE(block2.empty());
-}
-
 TEST(FeatureFill, ParitySignsEqualTheSuffixProductChainByteForByte) {
   for (const std::size_t stages : {1u, 7u, 32u, 64u, 65u}) {
     for (const auto& c : fixed_challenges(stages, 50, 17 + stages)) {
@@ -116,7 +91,7 @@ sim::Challenge unpack(const std::uint64_t* words, std::size_t stages) {
 /// Bit patterns of `n` doubles, so NaN payloads and signed zeros compare
 /// exactly.
 bool same_bits(const double* a, const double* b, std::size_t n = 1) {
-  return std::memcmp(a, b, n * sizeof(double)) == 0;
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
 /// Random packed rows for `stages`-bit challenges — set bits above `stages`
@@ -281,19 +256,16 @@ TEST(DeviceLinearView, DelayIsTheAscendingDotOfReducedWeights) {
     const linalg::Vector w = dev.reduced_weights(env);
     ASSERT_EQ(view.features(), w.size());
     EXPECT_EQ(view.noise_sigma, dev.noise_sigma(env));
-    const sim::FeatureBlock block(fixed_challenges(dev.stages(), 30));
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      const double* phi = block.row(i);
+    std::vector<double> phi(w.size());
+    for (const sim::Challenge& c : fixed_challenges(dev.stages(), 30)) {
+      sim::feature_fill(c, phi.data());
       // The reference accumulation order: ascending index.
       double ref = 0.0;
       for (std::size_t j = 0; j < w.size(); ++j) ref += w[j] * phi[j];
-      const std::span<const double> row{phi, view.features()};
-      EXPECT_EQ(view.delay(row), ref);
-      EXPECT_EQ(view.one_probability(row),
-                normal_cdf(view.delay(row) / view.noise_sigma));
+      EXPECT_EQ(view.delay(phi), ref);
+      EXPECT_EQ(view.one_probability(phi), normal_cdf(view.delay(phi) / view.noise_sigma));
       // And the recursive stage walk agrees to reduction rounding.
-      EXPECT_NEAR(view.delay(row), dev.delay_difference(block.challenge(i), env),
-                  1e-9);
+      EXPECT_NEAR(view.delay(phi), dev.delay_difference(c, env), 1e-9);
     }
   }
 }
@@ -301,26 +273,33 @@ TEST(DeviceLinearView, DelayIsTheAscendingDotOfReducedWeights) {
 TEST(DeviceLinearView, BatchEntryPointsMatchScalarBitwise) {
   sim::ChipPopulation pop = test_population(1);
   sim::XorPufChip& chip = pop.chip(0);
-  const sim::FeatureBlock block(fixed_challenges(chip.stages(), 129));
+  const auto challenges = fixed_challenges(chip.stages(), 129);
+  const std::size_t n = challenges.size();
+  const std::vector<std::uint64_t> parity = sim::challenge_parity(challenges, chip.stages());
+  std::vector<std::size_t> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = i;
+  std::vector<double> phi(chip.stages() + 1);
   for (const bool aged : {false, true}) {
     if (aged) chip.age(5'000.0);
     const sim::ArbiterPufDevice& dev = chip.device_for_analysis(0);
     for (const auto& env : sim::paper_corner_grid()) {
       const sim::DeviceLinearView view = dev.linear_view(env);
-      const linalg::Vector deltas = dev.delay_differences(block, env);
-      const linalg::Vector probs = dev.one_probabilities(block, env);
-      ASSERT_EQ(deltas.size(), block.size());
-      std::vector<double> tile(block.size());
-      view.delay_differences_into(block, 0, block.size(), tile.data());
-      for (std::size_t i = 0; i < block.size(); ++i) {
-        const std::span<const double> row{block.row(i), view.features()};
-        EXPECT_EQ(deltas[i], view.delay(row));
-        EXPECT_EQ(deltas[i], tile[i]);
-        EXPECT_EQ(probs[i], view.one_probability(row));
+      // A device's batch routes: a one-device chip view's tiles, and
+      // parity_dots over its weight row.
+      const sim::ChipLinearView one({view});
+      std::vector<double> deltas(n), probs(n), dots(n);
+      one.delay_differences_into(parity, 0, n, deltas.data());
+      one.one_probabilities_into(parity, 0, n, probs.data());
+      sim::parity_dots(view.weights.span(), parity, all, dots);
+      for (std::size_t i = 0; i < n; ++i) {
+        sim::feature_fill(challenges[i], phi.data());
+        EXPECT_EQ(deltas[i], view.delay(phi));
+        EXPECT_EQ(dots[i], deltas[i]);
+        EXPECT_EQ(probs[i], view.one_probability(phi));
       }
       // Uneven tile boundaries must not change a single bit.
       std::vector<double> part(57);
-      view.one_probabilities_into(block, 31, 88, part.data());
+      one.one_probabilities_into(parity, 31, 88, part.data());
       for (std::size_t i = 0; i < part.size(); ++i) EXPECT_EQ(part[i], probs[31 + i]);
     }
   }
@@ -329,44 +308,43 @@ TEST(DeviceLinearView, BatchEntryPointsMatchScalarBitwise) {
 TEST(ChipLinearView, GemmTilesAndScalarAgreeAcrossCornersAgingThreads) {
   sim::ChipPopulation pop = test_population(5);
   sim::XorPufChip& chip = pop.chip(0);
-  const sim::FeatureBlock block(fixed_challenges(chip.stages(), 200));
+  const auto challenges = fixed_challenges(chip.stages(), 200);
+  const std::vector<std::uint64_t> parity = sim::challenge_parity(challenges, chip.stages());
+  std::vector<double> phi(chip.stages() + 1);
   for (const bool aged : {false, true}) {
     if (aged) chip.age(2'000.0);
     for (const auto& env : sim::paper_corner_grid()) {
       const sim::ChipLinearView view = chip.linear_view(env);
-      ASSERT_EQ(view.puf_count(), 5u);
-      // The full-batch GEMM runs under parallel_for: sweep thread counts.
-      expect_identical_across_thread_counts([&] {
-        return std::make_pair(view.delay_differences(block).raw(),
-                              view.one_probabilities(block).raw());
-      });
-      const linalg::Matrix deltas = view.delay_differences(block);
-      const linalg::Matrix probs = view.one_probabilities(block);
-      // Tile kernels over an uneven row range, against the full product.
-      std::vector<double> tile(77 * view.puf_count());
-      view.delay_differences_into(block, 3, 80, tile.data());
-      std::vector<double> ptile(77 * view.puf_count());
-      view.one_probabilities_into(block, 3, 80, ptile.data());
-      for (std::size_t c = 3; c < 80; ++c)
-        for (std::size_t p = 0; p < view.puf_count(); ++p) {
-          EXPECT_EQ(tile[(c - 3) * view.puf_count() + p], deltas(c, p));
-          EXPECT_EQ(ptile[(c - 3) * view.puf_count() + p], probs(c, p));
+      const std::size_t n = view.puf_count();
+      ASSERT_EQ(n, 5u);
+      // The chip's batch probabilities run under parallel_for: sweep thread
+      // counts.
+      expect_identical_across_thread_counts(
+          [&] { return chip.one_probabilities(challenges, env).raw(); });
+      const linalg::Matrix probs = chip.one_probabilities(challenges, env);
+      // Tile kernels over an uneven row range, against the full batch and
+      // each cell's per-device scalar linear view.
+      std::vector<double> tile(77 * n);
+      view.delay_differences_into(parity, 3, 80, tile.data());
+      std::vector<double> ptile(77 * n);
+      view.one_probabilities_into(parity, 3, 80, ptile.data());
+      for (std::size_t p = 0; p < n; ++p) {
+        const sim::DeviceLinearView dview = chip.device_for_analysis(p).linear_view(env);
+        for (std::size_t c = 3; c < 80; ++c) {
+          sim::feature_fill(challenges[c], phi.data());
+          EXPECT_EQ(tile[(c - 3) * n + p], dview.delay(phi));
+          EXPECT_EQ(ptile[(c - 3) * n + p], probs(c, p));
         }
-      // And each cell against the per-device scalar linear view.
-      for (std::size_t p = 0; p < view.puf_count(); ++p) {
-        const sim::DeviceLinearView dview =
-            chip.device_for_analysis(p).linear_view(env);
-        for (std::size_t c = 0; c < block.size(); c += 17) {
-          const std::span<const double> row{block.row(c), dview.features()};
-          EXPECT_EQ(deltas(c, p), dview.delay(row));
-          EXPECT_EQ(probs(c, p), dview.one_probability(row));
+        for (std::size_t c = 0; c < challenges.size(); c += 17) {
+          sim::feature_fill(challenges[c], phi.data());
+          EXPECT_EQ(probs(c, p), dview.one_probability(phi));
         }
       }
     }
   }
 }
 
-TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
+TEST(ChipLinearView, ParityTilesMatchScalarDotsBitForBit) {
   Rng rng(0x7a11);
   for (const std::size_t stages : {1u, 31u, 32u, 63u, 64u, 65u, 128u, 129u}) {
     const std::size_t n_words = sim::packed_words(stages);
@@ -374,10 +352,9 @@ TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
     const std::vector<std::uint64_t> words = packed_rows(stages, rows, rng);
     std::vector<std::uint64_t> parity(words.size());
     sim::suffix_parity_words(words, stages, parity);
-    std::vector<sim::Challenge> challenges;
+    std::vector<std::vector<double>> phi(rows, std::vector<double>(stages + 1));
     for (std::size_t r = 0; r < rows; ++r)
-      challenges.push_back(unpack(words.data() + r * n_words, stages));
-    const sim::FeatureBlock block(challenges);
+      sim::feature_fill(unpack(words.data() + r * n_words, stages), phi[r].data());
     // Every AVX2 lane-group width (1..12 PUFs, with padding lanes) and the
     // portable fallback past it (13).
     for (const std::size_t n_pufs : {1u, 2u, 3u, 4u, 5u, 8u, 10u, 12u, 13u}) {
@@ -393,16 +370,21 @@ TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
       for (const auto& [begin, end] : {std::pair<std::size_t, std::size_t>{0, rows},
                                        {3, 20}, {5, 6}, {7, 7}}) {
         const std::size_t m = (end - begin) * n_pufs;
-        std::vector<double> want(m + 1, -1.0), got(m + 1, -2.0);
-        view.delay_differences_into(block, begin, end, want.data());
+        // The reference: each device's scalar ascending dot, then / sigma.
+        std::vector<double> want(m), want_z(m);
+        for (std::size_t r = begin; r < end; ++r)
+          for (std::size_t p = 0; p < n_pufs; ++p) {
+            want[(r - begin) * n_pufs + p] = devices[p].delay(phi[r]);
+            want_z[(r - begin) * n_pufs + p] = devices[p].delay(phi[r]) / devices[p].noise_sigma;
+          }
+        std::vector<double> got(m + 1, -2.0);
         view.delay_differences_into(parity, begin, end, got.data());
         ASSERT_TRUE(same_bits(got.data(), want.data(), m))
             << "delays: stages " << stages << " pufs " << n_pufs << " rows " << begin << ".."
             << end;
         EXPECT_EQ(got[m], -2.0) << "wrote past the tile";
-        view.standardized_delays_into(block, begin, end, want.data());
         view.standardized_delays_into(parity, begin, end, got.data());
-        ASSERT_TRUE(same_bits(got.data(), want.data(), m))
+        ASSERT_TRUE(same_bits(got.data(), want_z.data(), m))
             << "standardized delays: stages " << stages << " pufs " << n_pufs << " rows "
             << begin << ".." << end;
       }
@@ -423,7 +405,24 @@ TEST(ChipLinearView, ParityTilesMatchFeatureBlockTilesBitForBit) {
                std::invalid_argument);
 }
 
-/// All four tester entry points under one mode, as comparable value types.
+TEST(ChipLinearView, ChallengeParityPacksThenTakesSuffixParity) {
+  Rng rng(0xc4a1);
+  for (const std::size_t stages : {1u, 63u, 64u, 65u, 129u}) {
+    const auto challenges = sim::random_challenges(stages, 9, rng);
+    const std::size_t n_words = sim::packed_words(stages);
+    std::vector<std::uint64_t> words(challenges.size() * n_words);
+    for (std::size_t r = 0; r < challenges.size(); ++r)
+      sim::pack_challenge_into(challenges[r], {words.data() + r * n_words, n_words});
+    std::vector<std::uint64_t> want(words.size());
+    sim::suffix_parity_words(words, stages, want);
+    EXPECT_EQ(sim::challenge_parity(challenges, stages), want) << "stages " << stages;
+  }
+  EXPECT_TRUE(sim::challenge_parity({}, 32).empty());
+  EXPECT_THROW(sim::challenge_parity({sim::Challenge(31, 0)}, 32), std::invalid_argument);
+  EXPECT_THROW(sim::challenge_parity({}, 0), std::invalid_argument);
+}
+
+/// All four tester entry points, as comparable value types.
 struct ScanOutputs {
   std::vector<std::vector<double>> soft;
   std::vector<std::vector<bool>> stable;
@@ -434,10 +433,13 @@ struct ScanOutputs {
   bool operator==(const ScanOutputs&) const = default;
 };
 
-ScanOutputs run_scans(sim::ScanMode mode, const sim::Environment& env) {
+/// The four scans of the production tester or of its per-cell oracle, from
+/// identically seeded generators.
+template <class Tester>
+ScanOutputs run_scans(const sim::Environment& env) {
   sim::ChipPopulation pop = test_population(4);
   Rng rng(9001);
-  sim::ChipTester tester(env, 150, rng.fork(), mode);
+  Tester tester(env, 150, rng.fork());
   const auto challenges = tester.random_challenges(pop.chip(0), 260);
   ScanOutputs out;
   const sim::ChipSoftScan scan = tester.scan_individual(pop.chip(0), challenges);
@@ -453,11 +455,10 @@ ScanOutputs run_scans(sim::ScanMode mode, const sim::Environment& env) {
 
 TEST(ScanModes, BatchedMatchesScalarByteForByteAcrossCornersAndThreads) {
   for (const auto& env : sim::paper_corner_grid()) {
-    ThreadPool::set_global_threads(1);
-    const ScanOutputs scalar = run_scans(sim::ScanMode::kScalar, env);
+    const ScanOutputs scalar = run_scans<oracle::ScalarTester>(env);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool::set_global_threads(threads);
-      EXPECT_EQ(run_scans(sim::ScanMode::kBatched, env), scalar)
+      EXPECT_EQ(run_scans<sim::ChipTester>(env), scalar)
           << "corner v=" << env.voltage << " t=" << env.temperature
           << " threads=" << threads;
     }
@@ -465,42 +466,12 @@ TEST(ScanModes, BatchedMatchesScalarByteForByteAcrossCornersAndThreads) {
   ThreadPool::set_global_threads(8);
 }
 
-TEST(ScanModes, StorageReusingScanEqualsFreshScan) {
-  sim::ChipPopulation pop = test_population(4);
-  // One reused result object across corners AND a shape change (a narrower
-  // follow-up block): every write must leave it equal to a fresh scan.
-  sim::ChipSoftScan reused;
-  for (const auto& env : sim::paper_corner_grid()) {
-    for (const std::size_t n_ch : {97ul, 33ul}) {
-      Rng challenge_rng(77);
-      const sim::FeatureBlock block(
-          sim::random_challenges(pop.chip(0).stages(), n_ch, challenge_rng));
-      Rng rng(9001);
-      sim::ChipTester tester(env, 150, rng.fork());
-      Rng fresh_rng(9001);
-      sim::ChipTester fresh_tester(env, 150, fresh_rng.fork());
-      const sim::ChipSoftScan fresh = fresh_tester.scan_individual(pop.chip(0), block);
-      tester.scan_individual_into(pop.chip(0), block, reused);
-      EXPECT_EQ(reused.challenges, fresh.challenges);
-      EXPECT_EQ(reused.soft, fresh.soft);
-      EXPECT_EQ(reused.stable, fresh.stable);
-      EXPECT_EQ(reused.trials, fresh.trials);
-    }
-  }
-}
-
 TEST(ScanModes, MeasurementCounterTotalsAgree) {
   static Counter& measurements =
       MetricsRegistry::global().counter("tester.measurements");
-  const auto count_scan = [](sim::ScanMode mode) {
-    const std::uint64_t before = measurements.total();
-    run_scans(mode, sim::Environment::nominal());
-    return measurements.total() - before;
-  };
-  const std::uint64_t scalar = count_scan(sim::ScanMode::kScalar);
-  const std::uint64_t batched = count_scan(sim::ScanMode::kBatched);
-  EXPECT_EQ(scalar, batched);
-  EXPECT_EQ(scalar, 260u * 4u);  // one per (challenge, PUF) cell
+  const std::uint64_t before = measurements.total();
+  run_scans<sim::ChipTester>(sim::Environment::nominal());
+  EXPECT_EQ(measurements.total() - before, 260u * 4u);  // one per (challenge, PUF) cell
 }
 
 /// Enrolls a small server model for the selector tests.
@@ -583,46 +554,53 @@ TEST(ModelSelection, FilterMatchesPerChallengeClassification) {
 TEST(ServerModelBatch, StableAndXorBatchesMatchScalarPredicates) {
   sim::ChipPopulation pop = test_population(3);
   const puf::ServerModel model = small_server_model(pop.chip(0));
-  const sim::FeatureBlock block(fixed_challenges(model.stages(), 220));
-  const auto stable = model.all_stable_batch(block, 3);
-  const auto xorr = model.predict_xor_batch(block, 3);
-  const linalg::Matrix raw = model.predict_raw_batch(block, 3);
-  ASSERT_EQ(stable.size(), block.size());
-  ASSERT_EQ(raw.rows(), block.size());
+  const auto challenges = fixed_challenges(model.stages(), 220);
+  const linalg::Matrix raw = model.predict_raw_batch(challenges, 3);
+  ASSERT_EQ(raw.rows(), challenges.size());
   ASSERT_EQ(raw.cols(), 3u);
-  for (std::size_t i = 0; i < block.size(); ++i) {
-    EXPECT_EQ(stable[i] != 0, model.all_stable(block.challenge(i), 3));
-    EXPECT_EQ(xorr[i] != 0, model.predict_xor(block.challenge(i), 3));
-    for (std::size_t p = 0; p < 3; ++p)
-      EXPECT_EQ(raw(i, p), model.puf(p).model.predict_raw(block.challenge(i)));
+  std::vector<puf::ThresholdPair> thresholds;
+  for (std::size_t p = 0; p < 3; ++p) thresholds.push_back(model.adjusted_thresholds(p));
+  for (std::size_t i = 0; i < challenges.size(); ++i) {
+    bool stable = true;
+    bool bit = false;
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(raw(i, p), model.puf(p).model.predict_raw(challenges[i]));
+      stable = stable && thresholds[p].classify(raw(i, p)) != puf::StableClass::kUnstable;
+      bit ^= raw(i, p) > 0.5;
+    }
+    EXPECT_EQ(stable, model.all_stable(challenges[i], 3));
+    EXPECT_EQ(bit, model.predict_xor(challenges[i], 3));
   }
+  EXPECT_EQ(model.predict_raw_batch({}, 2).rows(), 0u);
+  EXPECT_THROW(model.predict_raw_batch(challenges, 4), std::invalid_argument);
 }
 
 TEST(TapGating, LinearViewsRespectFusesButXorBatchesSurvive) {
   sim::ChipPopulation pop = test_population(3);
   sim::XorPufChip& chip = pop.chip(0);
   const sim::Environment env = sim::Environment::nominal();
-  const sim::FeatureBlock block(fixed_challenges(chip.stages(), 50));
+  const auto challenges = fixed_challenges(chip.stages(), 50);
 
   // Pre-deployment: everything works.
   EXPECT_NO_THROW(chip.linear_view(env));
   EXPECT_NO_THROW(chip.device_linear_view(1, env));
-  EXPECT_NO_THROW(chip.one_probabilities(block, env));
+  EXPECT_NO_THROW(chip.one_probabilities(challenges, env));
 
   chip.blow_fuses();
   EXPECT_THROW(chip.linear_view(env), AccessError);
   EXPECT_THROW(chip.device_linear_view(1, env), AccessError);
-  EXPECT_THROW(chip.one_probabilities(block, env), AccessError);
+  EXPECT_THROW(chip.one_probabilities(challenges, env), AccessError);
 
-  // The per-tap scan throws in BOTH modes; the XOR pin remains usable.
+  // The per-tap scans throw, and so does the per-cell oracle; the XOR pin
+  // remains usable.
   Rng rng(5);
-  sim::ChipTester tester(env, 50, rng.fork(), sim::ScanMode::kBatched);
-  EXPECT_THROW(tester.scan_individual(chip, block), AccessError);
-  tester.set_mode(sim::ScanMode::kScalar);
-  EXPECT_THROW(tester.scan_individual(chip, block), AccessError);
-  tester.set_mode(sim::ScanMode::kBatched);
-  EXPECT_EQ(tester.sample_xor(chip, block).size(), block.size());
-  EXPECT_EQ(tester.scan_xor(chip, block).size(), block.size());
+  sim::ChipTester tester(env, 50, rng.fork());
+  EXPECT_THROW(tester.scan_individual(chip, challenges), AccessError);
+  EXPECT_THROW(tester.scan_single(chip, 1, challenges), AccessError);
+  oracle::ScalarTester scalar(env, 50, rng.fork());
+  EXPECT_THROW(scalar.scan_individual(chip, challenges), AccessError);
+  EXPECT_EQ(tester.sample_xor(chip, challenges).size(), challenges.size());
+  EXPECT_EQ(tester.scan_xor(chip, challenges).size(), challenges.size());
 }
 
 TEST(NormalCdfBatchIntegration, ChipProbabilitiesUseTheExactScalarCdf) {
@@ -632,13 +610,16 @@ TEST(NormalCdfBatchIntegration, ChipProbabilitiesUseTheExactScalarCdf) {
   sim::ChipPopulation pop = test_population(2);
   const sim::XorPufChip& chip = pop.chip(0);
   const sim::Environment env{0.8, 60.0};
-  const sim::FeatureBlock block(fixed_challenges(chip.stages(), 64));
+  const auto challenges = fixed_challenges(chip.stages(), 64);
+  const std::vector<std::uint64_t> parity = sim::challenge_parity(challenges, chip.stages());
   const sim::ChipLinearView view = chip.linear_view(env);
-  const linalg::Matrix deltas = view.delay_differences(block);
-  const linalg::Matrix probs = view.one_probabilities(block);
-  for (std::size_t c = 0; c < block.size(); ++c)
-    for (std::size_t p = 0; p < view.puf_count(); ++p)
-      EXPECT_EQ(probs(c, p), normal_cdf(deltas(c, p) / view.noise_sigma(p)));
+  const std::size_t n = view.puf_count();
+  std::vector<double> deltas(challenges.size() * n);
+  view.delay_differences_into(parity, 0, challenges.size(), deltas.data());
+  const linalg::Matrix probs = chip.one_probabilities(challenges, env);
+  for (std::size_t c = 0; c < challenges.size(); ++c)
+    for (std::size_t p = 0; p < n; ++p)
+      EXPECT_EQ(probs(c, p), normal_cdf(deltas[c * n + p] / view.noise_sigma(p)));
 }
 
 }  // namespace

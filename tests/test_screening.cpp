@@ -1,6 +1,6 @@
 // Tests for the authentication hot path: the batched stable-challenge
 // screener's bit-exactness contract (any block size x any thread count ==
-// the serial reference walk), per-device issuance pools (drain, low-water
+// the serial reference walk of tests/oracle/), per-device issuance pools (drain, low-water
 // refill, live fallback, crash re-drain), the POOL record's crash safety at
 // every truncation point, and zero-copy mapped model serving.
 
@@ -27,6 +27,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/database.hpp"
 #include "puf/enrollment.hpp"
 #include "puf/screening.hpp"
@@ -123,18 +124,29 @@ struct Walk {
   ChallengeScreener::Outcome out;
 };
 
-Walk run_walk(const ModelView& view, ScreeningOptions opts, std::uint64_t family_base,
+/// run_walk's block size that selects the serial oracle walk instead of the
+/// screener.
+constexpr std::size_t kSerial = 0;
+
+/// One accept-all walk: the screener's at block size `block`, or the serial
+/// oracle's (oracle::serial_screen) when block == kSerial.
+Walk run_walk(const ModelView& view, std::size_t block, std::uint64_t family_base,
               std::uint64_t first, std::size_t count, std::size_t max_attempts,
               std::size_t n_pufs = 3) {
-  ChallengeScreener screener(view, n_pufs, opts);
   Walk w;
-  w.out = screener.screen(StreamFamily(family_base), first, count, max_attempts,
-                          [&](std::span<const std::uint64_t> row, bool bit) {
-                            w.words.insert(w.words.end(), row.begin(), row.end());
-                            w.challenges.push_back(unpacked(row, view.stages()));
-                            w.bits.push_back(bit);
-                            return true;
-                          });
+  const auto sink = [&](std::span<const std::uint64_t> row, bool bit) {
+    w.words.insert(w.words.end(), row.begin(), row.end());
+    w.challenges.push_back(unpacked(row, view.stages()));
+    w.bits.push_back(bit);
+    return true;
+  };
+  const StreamFamily family(family_base);
+  if (block == kSerial) {
+    w.out = oracle::serial_screen(view, n_pufs, family, first, count, max_attempts, sink);
+  } else {
+    ChallengeScreener screener(view, n_pufs, {.block = block});
+    w.out = screener.screen(family, first, count, max_attempts, sink);
+  }
   return w;
 }
 
@@ -162,7 +174,7 @@ TEST(ScreeningEquivalence, BatchedMatchesSerialAtEveryBlockSizeAndThreadCount) {
   const ModelView view = ModelView::of(model);
   const std::uint64_t base = 0xdecafbadULL;
   const Walk ref =
-      run_walk(view, {.block = 256, .batched = false}, base, 0, 24, 1'000'000);
+      run_walk(view, kSerial, base, 0, 24, 1'000'000);
   ASSERT_TRUE(ref.out.filled);
   ASSERT_EQ(ref.out.accepted, 24u);
   // Rejection sampling really rejected something, or the model is degenerate
@@ -175,7 +187,7 @@ TEST(ScreeningEquivalence, BatchedMatchesSerialAtEveryBlockSizeAndThreadCount) {
     for (const std::size_t threads : kThreads) {
       ThreadPool::set_global_threads(threads);
       const Walk got =
-          run_walk(view, {.block = block, .batched = true}, base, 0, 24, 1'000'000);
+          run_walk(view, block, base, 0, 24, 1'000'000);
       SCOPED_TRACE("block=" + std::to_string(block) +
                    " threads=" + std::to_string(threads));
       expect_walks_identical(ref, got);
@@ -213,7 +225,7 @@ TEST(ScreeningEquivalence, PackedWalkMatchesSerialAcrossWordBoundaries) {
     const ModelView view = ModelView::of(model);
     const std::uint64_t base = 0x5eed0000ULL + stages;
     const Walk ref =
-        run_walk(view, {.block = 256, .batched = false}, base, 3, 40, 1'000'000);
+        run_walk(view, kSerial, base, 3, 40, 1'000'000);
     ASSERT_TRUE(ref.out.filled);
     ASSERT_GT(ref.out.tried, 2 * ref.out.accepted) << "stages " << stages;
     ASSERT_EQ(ref.challenges.front().size(), stages);
@@ -221,7 +233,7 @@ TEST(ScreeningEquivalence, PackedWalkMatchesSerialAcrossWordBoundaries) {
       for (const std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool::set_global_threads(threads);
         const Walk got =
-            run_walk(view, {.block = block, .batched = true}, base, 3, 40, 1'000'000);
+            run_walk(view, block, base, 3, 40, 1'000'000);
         SCOPED_TRACE("stages=" + std::to_string(stages) + " block=" +
                      std::to_string(block) + " threads=" + std::to_string(threads));
         expect_walks_identical(ref, got);
@@ -242,8 +254,8 @@ TEST(ScreeningEquivalence, SinkRowsAreCanonicalAtEveryWidth) {
     const std::size_t stride = sim::packed_words(stages);
     const std::uint64_t spare = stages % 64 == 0 ? 0 : ~0ULL << (stages % 64);
     for (const bool batched : {false, true}) {
-      const Walk w = run_walk(view, {.block = 64, .batched = batched}, 0xca40ULL + stages, 0,
-                              20, 100'000);
+      const Walk w = run_walk(view, batched ? 64 : kSerial, 0xca40ULL + stages, 0, 20,
+                              100'000);
       ASSERT_TRUE(w.out.filled) << "stages " << stages;
       ASSERT_EQ(w.words.size(), w.out.accepted * stride);
       for (std::size_t at = 0; at < w.words.size(); at += stride)
@@ -297,7 +309,7 @@ TEST(ScreeningEquivalence, CascadeMatchesSerialWhateverTheFirstPufDecides) {
       // A rejecting first PUF can never fill the quota: the walk must
       // exhaust max_attempts, not loop.
       const std::size_t max_attempts = first == FirstPuf::kRejectAll ? 3'000 : 1'000'000;
-      const Walk ref = run_walk(view, {.block = 256, .batched = false}, base, 5, 12,
+      const Walk ref = run_walk(view, kSerial, base, 5, 12,
                                 max_attempts, n);
       if (first == FirstPuf::kRejectAll) {
         ASSERT_FALSE(ref.out.filled);
@@ -314,7 +326,7 @@ TEST(ScreeningEquivalence, CascadeMatchesSerialWhateverTheFirstPufDecides) {
         ASSERT_GT(ref.out.tried, ref.out.accepted);
       }
       for (const std::size_t block : {1u, 7u, 256u}) {
-        const Walk got = run_walk(view, {.block = block, .batched = true}, base, 5, 12,
+        const Walk got = run_walk(view, block, base, 5, 12,
                                   max_attempts, n);
         SCOPED_TRACE("n=" + std::to_string(n) + " first=" +
                      std::to_string(static_cast<int>(first)) +
@@ -350,9 +362,9 @@ TEST(ScreeningEquivalence, WalkResumesFromNextIndexWithoutSeams) {
   const ServerModel model = enroll_model();
   const ModelView view = ModelView::of(model);
   const std::uint64_t base = 77;
-  const Walk whole = run_walk(view, {}, base, 0, 24, 1'000'000);
-  Walk head = run_walk(view, {}, base, 0, 10, 1'000'000);
-  const Walk tail = run_walk(view, {}, base, head.out.next_index, 14, 1'000'000);
+  const Walk whole = run_walk(view, 256, base, 0, 24, 1'000'000);
+  Walk head = run_walk(view, 256, base, 0, 10, 1'000'000);
+  const Walk tail = run_walk(view, 256, base, head.out.next_index, 14, 1'000'000);
   head.words.insert(head.words.end(), tail.words.begin(), tail.words.end());
   head.challenges.insert(head.challenges.end(), tail.challenges.begin(),
                          tail.challenges.end());
@@ -370,18 +382,23 @@ TEST(ScreeningEquivalence, SinkRejectionKeepsModesAligned) {
   // A sink that rejects every other stable candidate (the replay-ledger
   // shape) must leave both modes walking the identical candidate sequence.
   const auto run = [&](bool batched) {
-    ChallengeScreener s(view, 3, {.block = 64, .batched = batched});
     Walk w;
     bool toggle = false;
-    w.out = s.screen(StreamFamily(31337), 0, 12, 1'000'000,
-                     [&](std::span<const std::uint64_t> row, bool bit) {
-                       toggle = !toggle;
-                       if (!toggle) return false;
-                       w.words.insert(w.words.end(), row.begin(), row.end());
-                       w.challenges.push_back(unpacked(row, view.stages()));
-                       w.bits.push_back(bit);
-                       return true;
-                     });
+    const auto sink = [&](std::span<const std::uint64_t> row, bool bit) {
+      toggle = !toggle;
+      if (!toggle) return false;
+      w.words.insert(w.words.end(), row.begin(), row.end());
+      w.challenges.push_back(unpacked(row, view.stages()));
+      w.bits.push_back(bit);
+      return true;
+    };
+    const StreamFamily family(31337);
+    if (batched) {
+      ChallengeScreener s(view, 3, {.block = 64});
+      w.out = s.screen(family, 0, 12, 1'000'000, sink);
+    } else {
+      w.out = oracle::serial_screen(view, 3, family, 0, 12, 1'000'000, sink);
+    }
     return w;
   };
   const Walk serial = run(false);
@@ -399,32 +416,38 @@ TEST(ScreeningEquivalence, ScreeningConsumesNothingFromTheCallerRng) {
   Rng mirror(42);
   const StreamFamily family(used.fork_base());
   (void)mirror.fork_base();
-  (void)run_walk(view, {}, family.base(), 0, 24, 1'000'000);
+  (void)run_walk(view, 256, family.base(), 0, 24, 1'000'000);
   // The walk seeded per-candidate streams from the family alone; the caller
   // RNG advanced exactly one fork_base() draw.
   EXPECT_EQ(used.next_u64(), mirror.next_u64());
 }
 
 TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
-  const DatabaseConfig serial_cfg{
-      .n_pufs = 3,
-      .policy = {.challenge_count = 16},
-      .screening = {.block = 256, .batched = false},
-      .pool = {}};
-  DatabaseConfig batched_cfg = serial_cfg;
-  batched_cfg.screening.batched = true;
-  ServerDatabase serial_db(serial_cfg);
-  ServerDatabase batched_db(batched_cfg);
-  serial_db.register_device(enroll_model());
-  batched_db.register_device(enroll_model());
+  ServerDatabase db(DatabaseConfig{
+      .n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+  const ServerModel model = enroll_model();
+  db.register_device(model);
+  const ModelView view = ModelView::of(model);
+  // The serial oracle walk with the database's replay ledger: a row issued
+  // before is rejected and the walk goes on.
+  std::set<std::vector<std::uint64_t>> ledger;
   for (int round = 0; round < 4; ++round) {
-    Rng serial_rng(900 + round);
-    Rng batched_rng(900 + round);
-    const ChallengeBatch a = serial_db.issue_live(0, serial_rng);
-    const ChallengeBatch b = batched_db.issue_live(0, batched_rng);
+    Rng rng(900 + round);
+    const ChallengeBatch got = db.issue_live(0, rng);
+    Rng mirror(900 + round);
+    ChallengeBatch want;
+    want.stages = view.stages();
+    const ChallengeScreener::Outcome out = oracle::serial_screen(
+        view, 3, StreamFamily(mirror.fork_base()), 0, 16,
+        AuthenticationPolicy{}.max_selection_attempts,
+        [&](std::span<const std::uint64_t> row, bool bit) {
+          if (!ledger.emplace(row.begin(), row.end()).second) return false;
+          want.push_back(row, bit);
+          return true;
+        });
     SCOPED_TRACE("round " + std::to_string(round));
-    expect_batches_identical(a, b);
-    EXPECT_EQ(a.candidates_tried, b.candidates_tried);
+    expect_batches_identical(got, want);
+    EXPECT_EQ(got.candidates_tried, out.tried);
   }
 }
 
@@ -519,12 +542,12 @@ TEST(ScreeningMargin, BoundaryDelaysTakeTheExactPathAndMatchTheSerialWalk) {
                      " kind=" + std::to_string(static_cast<int>(kind)));
         // Boundary models may never fill; the walks must still agree on
         // every count up to max_attempts. The quota outlasts candidate 63.
-        const Walk ref = run_walk(view, {.block = 256, .batched = false}, base, 0, 200, 600, n);
+        const Walk ref = run_walk(view, kSerial, base, 0, 200, 600, n);
         EXPECT_EQ(ref.out.exact_fallbacks, 0u);
         for (const std::size_t block : {7u, 256u}) {
           const std::uint64_t before = exact_fallbacks_total();
           const Walk got =
-              run_walk(view, {.block = block, .batched = true}, base, 0, 200, 600, n);
+              run_walk(view, block, base, 0, 200, 600, n);
           SCOPED_TRACE("block=" + std::to_string(block));
           expect_walks_identical(ref, got);
           EXPECT_GT(got.out.exact_fallbacks, 0u);
@@ -540,9 +563,9 @@ TEST(ScreeningMargin, PaperCalibratedFleetNeverTakesTheExactPath) {
     const ServerModel model = enroll_model(n);
     const ModelView view = ModelView::of(model);
     const std::uint64_t before = exact_fallbacks_total();
-    const Walk ref = run_walk(view, {.block = 256, .batched = false}, 0xca11b, 0, 64,
+    const Walk ref = run_walk(view, kSerial, 0xca11b, 0, 64,
                               10'000'000, n);
-    const Walk got = run_walk(view, {}, 0xca11b, 0, 64, 10'000'000, n);
+    const Walk got = run_walk(view, 256, 0xca11b, 0, 64, 10'000'000, n);
     SCOPED_TRACE("n=" + std::to_string(n));
     ASSERT_TRUE(got.out.filled);
     ASSERT_GT(got.out.tried, 10 * got.out.accepted / n);

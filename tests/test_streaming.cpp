@@ -3,9 +3,10 @@
 // The streaming enrollment pipeline promises bit-identical results to the
 // materialized path for any chunk size and any thread count. These tests pin
 // that promise at every layer: the chunked scan producer against
-// scan_individual, the parity-word normal-equations accumulator against the
-// one-shot gram/matvec_transposed/Cholesky kernels over a feature_fill Phi,
-// the end-to-end Enroller::enroll against enroll_materialized, and the
+// scan_individual and its per-cell oracle, the parity-word normal-equations
+// accumulator against the one-shot gram/matvec_transposed/Cholesky kernels
+// over a feature_fill Phi, the end-to-end Enroller::enroll and
+// enroll_from_scan against the materialized-fit oracle, and the
 // GEMM-backed logistic-regression objective against a scalar replica of the
 // historical row-loop math.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "linalg/cholesky.hpp"
 #include "ml/logistic_regression.hpp"
 #include "ml/streaming.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/linear.hpp"
 #include "sim/population.hpp"
@@ -82,7 +84,38 @@ CollectedScan collect(sim::ChipScanStream& stream, std::size_t n_pufs) {
   return out;
 }
 
-class ScanStreamTest : public ::testing::TestWithParam<sim::ScanMode> {
+/// What a streamed scan is checked against: the production materialized
+/// scan, or the per-cell scalar oracle (tests/oracle/).
+enum class Reference { kProduction, kScalarOracle };
+
+/// The materialized scan of `total` challenges by a tester seeded like the
+/// stream's, and that tester's next draws.
+struct MaterializedScan {
+  std::vector<Challenge> challenges;
+  sim::ChipSoftScan scan;
+  std::vector<Challenge> next;
+};
+
+template <class Tester>
+MaterializedScan materialize(const sim::XorPufChip& chip, std::uint64_t trials,
+                             std::uint64_t seed, std::size_t total) {
+  Rng rng(seed);
+  Tester tester(sim::Environment::nominal(), trials, rng.fork());
+  MaterializedScan out;
+  out.challenges = tester.random_challenges(chip, total);
+  out.scan = tester.scan_individual(chip, out.challenges);
+  out.next = tester.random_challenges(chip, 8);
+  return out;
+}
+
+MaterializedScan materialize(Reference ref, const sim::XorPufChip& chip, std::uint64_t trials,
+                             std::uint64_t seed, std::size_t total) {
+  return ref == Reference::kProduction
+             ? materialize<sim::ChipTester>(chip, trials, seed, total)
+             : materialize<oracle::ScalarTester>(chip, trials, seed, total);
+}
+
+class ScanStreamTest : public ::testing::TestWithParam<Reference> {
  protected:
   ScanStreamTest() : pop_(small_lot()) {}
   sim::ChipPopulation pop_;
@@ -90,15 +123,15 @@ class ScanStreamTest : public ::testing::TestWithParam<sim::ScanMode> {
 
 TEST_P(ScanStreamTest, MatchesMaterializedScanCellForCell) {
   const std::size_t total = 150;
-  Rng r1(77), r2(77);
-  sim::ChipTester streamer(sim::Environment::nominal(), 500, r1.fork(), GetParam());
-  sim::ChipTester materializer(sim::Environment::nominal(), 500, r2.fork(), GetParam());
+  Rng r1(77);
+  sim::ChipTester streamer(sim::Environment::nominal(), 500, r1.fork());
 
   sim::ChipScanStream stream = streamer.stream_individual(pop_.chip(0), total, 64);
   const CollectedScan streamed = collect(stream, 3);
 
-  const auto challenges = materializer.random_challenges(pop_.chip(0), total);
-  const sim::ChipSoftScan scan = materializer.scan_individual(pop_.chip(0), challenges);
+  const MaterializedScan ref = materialize(GetParam(), pop_.chip(0), 500, 77, total);
+  const std::vector<Challenge>& challenges = ref.challenges;
+  const sim::ChipSoftScan& scan = ref.scan;
 
   // The packed words unpack to the materialized challenges, and the parity
   // words carry exactly their Phi signs.
@@ -128,8 +161,7 @@ TEST_P(ScanStreamTest, MatchesMaterializedScanCellForCell) {
   // The stream pre-advances the tester's generator past the challenge draws
   // at construction, so both testers end in the same state: their next
   // challenge batches must agree draw for draw.
-  EXPECT_EQ(streamer.random_challenges(pop_.chip(0), 8),
-            materializer.random_challenges(pop_.chip(0), 8));
+  EXPECT_EQ(streamer.random_challenges(pop_.chip(0), 8), ref.next);
 }
 
 TEST_P(ScanStreamTest, ChunkSizeNeverChangesTheBits) {
@@ -138,10 +170,17 @@ TEST_P(ScanStreamTest, ChunkSizeNeverChangesTheBits) {
   bool have_reference = false;
   for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, total}) {
     Rng rng(99);
-    sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork(), GetParam());
+    sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork());
     sim::ChipScanStream stream = tester.stream_individual(pop_.chip(0), total, chunk);
     const CollectedScan got = collect(stream, 3);
     if (!have_reference) {
+      // The one-challenge chunks against the reference's materialized scan.
+      const MaterializedScan ref = materialize(GetParam(), pop_.chip(0), 300, 99, total);
+      for (std::size_t p = 0; p < 3; ++p) {
+        EXPECT_EQ(got.soft[p], ref.scan.soft[p]) << "PUF " << p;
+        for (std::size_t c = 0; c < total; ++c)
+          EXPECT_EQ(got.stable[p][c] != 0, ref.scan.stable[p][c] == true);
+      }
       reference = got;
       have_reference = true;
       continue;
@@ -157,8 +196,8 @@ TEST_P(ScanStreamTest, ChunkSizeNeverChangesTheBits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, ScanStreamTest,
-                         ::testing::Values(sim::ScanMode::kBatched,
-                                           sim::ScanMode::kScalar));
+                         ::testing::Values(Reference::kProduction,
+                                           Reference::kScalarOracle));
 
 /// A scan shape against ChipScanStream::kRetainBytes. With one PUF and one
 /// stage a challenge costs 10 bytes of the budget (one parity word, one
@@ -196,38 +235,33 @@ sim::PopulationConfig one_stage_puf() {
   return cfg;
 }
 
-constexpr sim::ScanMode kBothModes[] = {sim::ScanMode::kBatched, sim::ScanMode::kScalar};
-
 TEST(ScanStream, ResetReplaysBitIdentically) {
   ThreadGuard guard;
   sim::ChipPopulation pop(one_stage_puf());
-  for (const sim::ScanMode mode : kBothModes) {
-    for (const RetentionCase& rc : retention_cases()) {
-      CollectedScan reference;
-      for (std::uint64_t threads : {1u, 2u, 8u}) {
-        ThreadPool::set_global_threads(threads);
-        SCOPED_TRACE(::testing::Message() << rc.name << ", mode " << static_cast<int>(mode)
-                                          << ", " << threads << " threads");
-        Rng rng(5);
-        sim::ChipTester tester(sim::Environment::nominal(), 400, rng.fork(), mode);
-        sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), rc.total, rc.chunk);
-        const CollectedScan first = collect(stream, 1);
-        EXPECT_EQ(stream.retained(), rc.retained);
-        stream.reset();
-        EXPECT_EQ(stream.position(), 0u);
-        const CollectedScan replay = collect(stream, 1);
-        EXPECT_EQ(first.words, replay.words);
-        EXPECT_EQ(first.parity, replay.parity);
-        EXPECT_EQ(first.soft, replay.soft);
-        EXPECT_EQ(first.stable, replay.stable);
-        EXPECT_EQ(first.offsets, replay.offsets);
-        if (threads == 1) {
-          reference = first;
-          continue;
-        }
-        EXPECT_EQ(first.soft, reference.soft);
-        EXPECT_EQ(first.words, reference.words);
+  for (const RetentionCase& rc : retention_cases()) {
+    CollectedScan reference;
+    for (std::uint64_t threads : {1u, 2u, 8u}) {
+      ThreadPool::set_global_threads(threads);
+      SCOPED_TRACE(::testing::Message() << rc.name << ", " << threads << " threads");
+      Rng rng(5);
+      sim::ChipTester tester(sim::Environment::nominal(), 400, rng.fork());
+      sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), rc.total, rc.chunk);
+      const CollectedScan first = collect(stream, 1);
+      EXPECT_EQ(stream.retained(), rc.retained);
+      stream.reset();
+      EXPECT_EQ(stream.position(), 0u);
+      const CollectedScan replay = collect(stream, 1);
+      EXPECT_EQ(first.words, replay.words);
+      EXPECT_EQ(first.parity, replay.parity);
+      EXPECT_EQ(first.soft, replay.soft);
+      EXPECT_EQ(first.stable, replay.stable);
+      EXPECT_EQ(first.offsets, replay.offsets);
+      if (threads == 1) {
+        reference = first;
+        continue;
       }
+      EXPECT_EQ(first.soft, reference.soft);
+      EXPECT_EQ(first.words, reference.words);
     }
   }
 }
@@ -240,42 +274,39 @@ TEST(ScanStream, ReplaysOnlyWhatTheBudgetDidNotKeep) {
     sim::PopulationConfig pcfg = small_lot();  // 3 PUFs
     pcfg.device.stages = stages;
     sim::ChipPopulation pop(pcfg);
-    for (const sim::ScanMode mode : kBothModes) {
-      SCOPED_TRACE(::testing::Message() << "stages " << stages << ", mode "
-                                        << static_cast<int>(mode));
-      // A reset mid-scan, a partial replay, then a full pass: kept chunks are
-      // never measured again, the rest are, and the bits never change.
-      Rng rng(6);
-      sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork(), mode);
-      sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), 100, 16);
-      sim::ScanChunk chunk;
-      const std::uint64_t before = measurements.total();
-      ASSERT_TRUE(stream.next(chunk));
-      ASSERT_TRUE(stream.next(chunk));
-      stream.reset();
-      const CollectedScan first = collect(stream, 3);
-      EXPECT_EQ(stream.retained(), 100u);
-      EXPECT_EQ(measurements.total() - before, 100u * 3);
-      stream.reset();
-      const CollectedScan replay = collect(stream, 3);
-      EXPECT_EQ(measurements.total() - before, 100u * 3);
-      EXPECT_EQ(first.words, replay.words);
-      EXPECT_EQ(first.soft, replay.soft);
-      EXPECT_EQ(first.stable, replay.stable);
+    SCOPED_TRACE(::testing::Message() << "stages " << stages);
+    // A reset mid-scan, a partial replay, then a full pass: kept chunks are
+    // never measured again, the rest are, and the bits never change.
+    Rng rng(6);
+    sim::ChipTester tester(sim::Environment::nominal(), 300, rng.fork());
+    sim::ChipScanStream stream = tester.stream_individual(pop.chip(0), 100, 16);
+    sim::ScanChunk chunk;
+    const std::uint64_t before = measurements.total();
+    ASSERT_TRUE(stream.next(chunk));
+    ASSERT_TRUE(stream.next(chunk));
+    stream.reset();
+    const CollectedScan first = collect(stream, 3);
+    EXPECT_EQ(stream.retained(), 100u);
+    EXPECT_EQ(measurements.total() - before, 100u * 3);
+    stream.reset();
+    const CollectedScan replay = collect(stream, 3);
+    EXPECT_EQ(measurements.total() - before, 100u * 3);
+    EXPECT_EQ(first.words, replay.words);
+    EXPECT_EQ(first.soft, replay.soft);
+    EXPECT_EQ(first.stable, replay.stable);
 
-      // Counts past 16 bits are never kept: every replay measures again.
-      Rng rng2(6);
-      sim::ChipTester wide(sim::Environment::nominal(), 70000, rng2.fork(), mode);
-      sim::ChipScanStream unkept = wide.stream_individual(pop.chip(0), 40, 16);
-      const std::uint64_t wide_before = measurements.total();
-      const CollectedScan wide_first = collect(unkept, 3);
-      unkept.reset();
-      const CollectedScan wide_replay = collect(unkept, 3);
-      EXPECT_EQ(unkept.retained(), 0u);
-      EXPECT_EQ(measurements.total() - wide_before, 2u * 40 * 3);
-      EXPECT_EQ(wide_first.soft, wide_replay.soft);
-      EXPECT_EQ(wide_first.stable, wide_replay.stable);
-    }
+    // Counts past 16 bits are never kept: every replay measures again.
+    Rng rng2(6);
+    sim::ChipTester wide(sim::Environment::nominal(), 70000, rng2.fork());
+    sim::ChipScanStream unkept = wide.stream_individual(pop.chip(0), 40, 16);
+    const std::uint64_t wide_before = measurements.total();
+    const CollectedScan wide_first = collect(unkept, 3);
+    unkept.reset();
+    const CollectedScan wide_replay = collect(unkept, 3);
+    EXPECT_EQ(unkept.retained(), 0u);
+    EXPECT_EQ(measurements.total() - wide_before, 2u * 40 * 3);
+    EXPECT_EQ(wide_first.soft, wide_replay.soft);
+    EXPECT_EQ(wide_first.stable, wide_replay.stable);
   }
 }
 
@@ -475,8 +506,7 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
       // The materialized reference, computed once on one thread.
       ThreadPool::set_global_threads(1);
       Rng ref_rng(31415);
-      const puf::ServerModel reference =
-          puf::Enroller(cfg).enroll_materialized(pop.chip(0), ref_rng);
+      const puf::ServerModel reference = oracle::materialized_enroll(cfg, pop.chip(0), ref_rng);
 
       for (std::size_t chunk : {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
         for (std::uint64_t threads : {1u, 2u, 8u}) {
@@ -494,6 +524,18 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
           EXPECT_EQ(rng.next_u64(), expected.next_u64());
         }
       }
+      // enroll_from_scan runs the same fit over a materialized scan of the
+      // same draws.
+      for (std::uint64_t threads : {1u, 8u}) {
+        ThreadPool::set_global_threads(threads);
+        Rng rng(31415);
+        sim::ChipTester tester(cfg.environment, cfg.trials, rng.fork());
+        const sim::ChipSoftScan scan = tester.scan_individual(
+            pop.chip(0), tester.random_challenges(pop.chip(0), cfg.training_challenges));
+        SCOPED_TRACE(::testing::Message() << "from scan: stages " << stages << ", pufs "
+                                          << n_pufs << ", threads " << threads);
+        expect_models_identical(puf::Enroller(cfg).enroll_from_scan(0, scan), reference);
+      }
     }
   }
 
@@ -507,8 +549,7 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
     rcfg.chunk_challenges = rc.chunk;
     ThreadPool::set_global_threads(1);
     Rng ref_rng(2024);
-    const puf::ServerModel reference =
-        puf::Enroller(rcfg).enroll_materialized(pop.chip(0), ref_rng);
+    const puf::ServerModel reference = oracle::materialized_enroll(rcfg, pop.chip(0), ref_rng);
     for (std::uint64_t threads : {1u, 2u, 8u}) {
       ThreadPool::set_global_threads(threads);
       SCOPED_TRACE(::testing::Message() << rc.name << ", " << threads << " threads");

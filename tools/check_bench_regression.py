@@ -72,9 +72,9 @@ def main() -> None:
         # slack keeps the oracle from quietly regressing to the point where
         # reconciliation dominates the socket job.
         ("socket_seconds", "lockstep_seconds", "lockstep-oracle"),
-        # bench_auth_throughput: serial per-candidate screening walk (ref)
-        # vs the FeatureBlock-batched screener, asserted bit-identical
-        # in-run before timing.
+        # bench_auth_throughput: the serial per-candidate screening oracle
+        # (tests/oracle/) (ref) vs the production survivor-cascade screener,
+        # asserted bit-identical in-run before timing.
         ("screen_serial_seconds", "screen_batched_seconds", "batched-screening"),
         # bench_auth_throughput: request-time live screening (ref) vs
         # pre-screened pool drains; the acceptance-scale floor (>= 3x on the

@@ -14,7 +14,7 @@
 #             subsystems driven by external state machines); any
 #             -Wanalyzer- diagnostic besides the known-FP
 #             uninitialized-value checker fails the job
-#   bench     bench_scan_throughput A/B (scalar vs batched core) and
+#   bench     bench_scan_throughput A/B (scalar oracle vs batched core) and
 #             bench_enroll_throughput A/B (materialized vs streaming
 #             enrollment, incl. the fixed-memory RSS assertion); both
 #             binaries assert bit-identity, the gate checks each timing
@@ -53,12 +53,13 @@
 #             with one compile job on first use)
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
 #             tests/test_linear, test_screening, test_streaming, test_rng,
-#             test_math, test_tester, test_issuance_golden and test_chip on
-#             the portable scalar kernels
-#             (FeatureBlock and parity-word tiles, parity_dots and the
-#             screener's exact path, the lazy CDF counts and their erfc
-#             cut-offs, the lockstep device race), the only path on hosts
-#             without AVX2
+#             test_math, test_tester, test_issuance_golden, test_chip,
+#             test_eval_golden, test_attack, test_selection and
+#             test_threshold_adjust on the portable scalar kernels (the
+#             parity-word tiles behind every scan, model prediction and
+#             attack corpus, parity_dots and the screener's exact path, the
+#             lazy CDF counts and their erfc cut-offs, the lockstep device
+#             race), the only path on hosts without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -140,7 +141,8 @@ simd_off_job() {
     -DXPUF_BUILD_EXAMPLES=OFF &&
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
       --target test_linear test_screening test_streaming test_rng test_math test_tester \
-      test_issuance_golden test_chip &&
+      test_issuance_golden test_chip test_eval_golden test_attack test_selection \
+      test_threshold_adjust &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
@@ -148,7 +150,11 @@ simd_off_job() {
     "${prefix}-simd-off/tests/test_math" &&
     "${prefix}-simd-off/tests/test_tester" &&
     "${prefix}-simd-off/tests/test_issuance_golden" &&
-    "${prefix}-simd-off/tests/test_chip"
+    "${prefix}-simd-off/tests/test_chip" &&
+    "${prefix}-simd-off/tests/test_eval_golden" &&
+    "${prefix}-simd-off/tests/test_attack" &&
+    "${prefix}-simd-off/tests/test_selection" &&
+    "${prefix}-simd-off/tests/test_threshold_adjust"
 }
 
 # End-to-end smoke of the benchmark workloads: run.py's exit code is every

@@ -44,8 +44,9 @@ const std::vector<RuleInfo> kRules = {
      "field-by-field with explicit little-endian put_/read_ helpers"},
     {"scalar-eval",
      "per-challenge delay_difference/one_probability/measure_soft_response call in a "
-     "protocol hot path — evaluate batches through the FeatureBlock core "
-     "(sim/linear.hpp) — or per-challenge model evaluation (predict_xor and friends) "
+     "protocol hot path — evaluate batches through the parity-word core "
+     "(sim/linear.hpp: suffix-parity words, parity tiles, parity_dots) — or "
+     "per-challenge model evaluation (predict_xor and friends) "
      "in the issuance files; screen candidates in blocks through ChallengeScreener "
      "(puf/screening.hpp)"},
     {"ml-dot",
@@ -55,7 +56,7 @@ const std::vector<RuleInfo> kRules = {
     {"parity-chain",
      "hand-rolled +/-1 sign chain (`acc *= c ? -1.0 : 1.0`) outside src/sim/linear.cpp; "
      "keep a running XOR parity and take the sign from sim::parity_sign, or build phi "
-     "through sim::feature_fill / FeatureBlock"},
+     "through sim::feature_fill"},
     {"bad-suppression", "xpuf-lint allow comment names a rule that does not exist"},
     // Semantic rules — emitted by the cross-TU passes (passes/) and the
     // engine's guarded-by policy, registered here so the suppression
@@ -455,9 +456,9 @@ std::vector<Violation> lint_source(const std::string& rel_path, const std::strin
   // scalar-eval: the scan/selection/attack hot paths (src/puf/ plus the
   // tester) route noise-free evaluation through the batched linear-view
   // core; a new per-challenge member call re-opens the cell-at-a-time cost
-  // the batch rework removed. Sanctioned per-cell sites — the scalar
-  // reference scan mode, the measurement-based baseline, ground-truth
-  // analysis — carry allow comments stating why.
+  // the batch rework removed. Sanctioned per-cell sites — the
+  // measurement-based baseline, ground-truth analysis — carry allow
+  // comments stating why; the per-cell reference scans live in tests/.
   const bool scalar_scope =
       rel_path == "src/sim/tester.cpp" ||
       (path_has_prefix(rel_path, "src/puf/") && rel_path.size() > 4 &&
@@ -469,7 +470,7 @@ std::vector<Violation> lint_source(const std::string& rel_path, const std::strin
       if (std::regex_search(code_lines[i], scalar_call))
         report("scalar-eval", i,
                "per-challenge scalar evaluation call site; route the batch through the "
-               "FeatureBlock core (sim/linear.hpp)");
+               "parity-word core (sim/linear.hpp)");
   }
 
   // The issuance hot path raises the bar further: on the authentication/
