@@ -4,10 +4,10 @@
 // lockstep engine, but its "round" is a clock tick rather than a full-RTT
 // lockstep round (see ClientPolicy in net/session.hpp for why the two
 // domains need different timeout sizes). Everything time-dependent —
-// retransmit deadlines, session TTLs, idle-connection expiry — reads ticks
-// through this interface, so tests substitute ManualClock and replay the
-// exact deadline arithmetic deterministically, while production uses
-// WallClock over the monotonic Timer.
+// retransmit deadlines and session TTLs — reads ticks through this
+// interface, so tests substitute ManualClock and replay the exact deadline
+// arithmetic deterministically, while production uses WallClock over the
+// monotonic Timer.
 #pragma once
 
 #include <cmath>

@@ -12,12 +12,18 @@ namespace xpuf::net::async {
 namespace {
 
 // Timer-key tags in the top two bits; the payload identifies the client
-// slot, device, or server connection.
+// slot or the device.
 constexpr std::uint64_t kTagMask = 3ull << 62;
 constexpr std::uint64_t kClientTag = 1ull << 62;
 constexpr std::uint64_t kTtlTag = 2ull << 62;
-constexpr std::uint64_t kIdleTag = 3ull << 62;
 constexpr std::uint32_t kNoDeadline = 0xffffffffu;
+
+/// Wall time of one clock tick.
+constexpr double kTickSeconds = 1e-3;
+/// Run budget; hitting it with live sessions is reported as a violation.
+constexpr std::uint64_t kMaxTicks = 120000;
+/// New client sockets initiated per loop iteration (connect-flood shaping).
+constexpr std::size_t kConnectBatch = 128;
 
 void conns_closed_add() {
   static Counter& conns_closed =
@@ -33,24 +39,7 @@ Histogram& latency_histogram() {
   return h;
 }
 
-/// Same mixing as the lockstep finalize() — the two outcome fingerprints
-/// must be comparable bit-for-bit.
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-
 }  // namespace
-
-struct AsyncServiceEngine::Shard {
-  explicit Shard(puf::DatabaseConfig db_config) : db(db_config) {}
-
-  puf::ServerDatabase db;
-  std::map<std::uint64_t, puf::ServerModel> provisioned;
-  std::map<std::uint64_t, ServerSessionHandler> handlers;
-  /// Last TTL deadline armed per device (lazy-cancel: a fired timer re-arms
-  /// off ttl_deadline() if the session moved).
-  std::map<std::uint64_t, std::uint64_t> armed_ttl;
-};
 
 /// One device's client endpoint: socket, transport, protocol driver, and the
 /// latency observer wiring.
@@ -118,35 +107,11 @@ struct AsyncServiceEngine::ServerConn final : public EventHandler {
     engine->on_server_ready(id, readable, writable, hangup);
   }
 
-  /// Routes ServerSessionHandler replies onto this connection, stamping the
-  /// per-connection seq and endpoint stats.
-  class Sink final : public ReplySink {
-   public:
-    Sink(ServerConn& conn, std::uint64_t device_id)
-        : conn_(&conn), device_id_(device_id) {}
-
-    void send(FrameType type, std::uint32_t session_id,
-              std::vector<std::uint8_t> payload) override {
-      Frame frame;
-      frame.header.type = type;
-      frame.header.device_id = device_id_;
-      frame.header.session_id = session_id;
-      frame.header.seq = conn_->seq++;
-      frame.payload = std::move(payload);
-      send_frame(conn_->transport, frame, conn_->stats);
-    }
-
-   private:
-    ServerConn* conn_;
-    std::uint64_t device_id_;
-  };
-
   AsyncServiceEngine* engine;
   std::uint64_t id;
   SocketTransport transport;
   ChannelStats stats;
   std::uint32_t seq = 0;
-  std::uint64_t last_activity = 0;
   bool closed = false;
 };
 
@@ -158,32 +123,14 @@ struct AsyncServiceEngine::AcceptorHandler final : public EventHandler {
 
 AsyncServiceEngine::AsyncServiceEngine(AsyncServiceConfig config)
     : config_(config),
-      // Same family derivation as the lockstep ServiceEngine — this is what
-      // makes issuance and measurement draws oracle-identical per device.
-      issue_family_(Rng(config.seed ^ 0xfa'17'00'02).fork_base()),
-      measure_family_(Rng(config.seed ^ 0xfa'17'00'03).fork_base()),
-      clock_(config.tick_seconds) {
-  XPUF_REQUIRE(config.shards >= 1, "the shard grid needs at least one shard");
-  XPUF_REQUIRE(config.session_ttl_ticks >= 1, "session TTL must be >= 1 tick");
+      core_(config.shards, config.seed, config.database,
+            ServerPolicy{config.session_ttl_ticks, config.busy_retry_ticks}),
+      clock_(kTickSeconds) {
   XPUF_REQUIRE(config.request_queue_cap >= 1, "request queue needs capacity");
   XPUF_REQUIRE(config.serve_budget_per_poll >= 1, "serve budget must be >= 1");
-  shards_.reserve(config.shards);
-  for (std::uint32_t s = 0; s < config.shards; ++s)
-    shards_.push_back(std::make_unique<Shard>(config.database));
 }
 
 AsyncServiceEngine::~AsyncServiceEngine() = default;
-
-AsyncServiceEngine::Shard& AsyncServiceEngine::shard_of(
-    std::uint64_t device_id) {
-  return *shards_[static_cast<std::size_t>(device_id % config_.shards)];
-}
-
-ServerSessionHandler* AsyncServiceEngine::handler_of(std::uint64_t device_id) {
-  auto& handlers = shard_of(device_id).handlers;
-  auto it = handlers.find(device_id);
-  return it == handlers.end() ? nullptr : &it->second;
-}
 
 void AsyncServiceEngine::provision(const sim::XorPufChip& chip,
                                    puf::ServerModel model,
@@ -191,42 +138,15 @@ void AsyncServiceEngine::provision(const sim::XorPufChip& chip,
                                    std::uint32_t auth_sessions,
                                    bool enroll_first, bool revoke_at_end) {
   const auto device_id = static_cast<std::uint64_t>(chip.id());
-  XPUF_REQUIRE(device_index_.find(device_id) == device_index_.end(),
-               "device provisioned twice");
-  XPUF_REQUIRE(model.chip_id() == chip.id(),
-               "enrolled model does not belong to this chip");
-  Shard& shard = shard_of(device_id);
-  if (enroll_first) {
-    shard.provisioned.emplace(device_id, std::move(model));
-  } else {
-    shard.db.register_device(std::move(model));
-  }
-  shard.handlers.emplace(
-      std::piecewise_construct, std::forward_as_tuple(device_id),
-      std::forward_as_tuple(
-          device_id, shard.db, shard.provisioned, issue_family_,
-          ServerPolicy{config_.session_ttl_ticks, config_.busy_retry_ticks}));
+  core_.provision(chip, std::move(model), enroll_first);
   clients_.push_back(std::make_unique<ClientConn>(
-      *this, clients_.size(), chip, env, measure_family_.stream(device_id),
+      *this, clients_.size(), chip, env, core_.measure_stream(device_id),
       auth_sessions, enroll_first, revoke_at_end));
-  device_index_.emplace(device_id,
-                        static_cast<std::uint32_t>(clients_.size() - 1));
 }
 
 const std::vector<SessionRecord>& AsyncServiceEngine::device_records(
     std::uint64_t device_id) const {
-  const auto it = device_index_.find(device_id);
-  XPUF_REQUIRE(it != device_index_.end(), "unknown device id");
-  const ClientConn& conn = *clients_[it->second];
-  XPUF_REQUIRE(conn.client != nullptr, "device_records before run()");
-  return conn.client->records();
-}
-
-std::vector<std::uint64_t> AsyncServiceEngine::device_ids() const {
-  std::vector<std::uint64_t> ids;
-  ids.reserve(device_index_.size());
-  for (const auto& entry : device_index_) ids.push_back(entry.first);
-  return ids;
+  return core_.records(device_id);
 }
 
 bool AsyncServiceEngine::setup_listener() {
@@ -246,28 +166,23 @@ bool AsyncServiceEngine::setup_listener() {
 
 void AsyncServiceEngine::start_connects() {
   std::size_t started = 0;
-  while (next_connect_ < clients_.size() && started < config_.connect_batch) {
+  while (next_connect_ < clients_.size() && started < kConnectBatch) {
     ClientConn& conn = *clients_[next_connect_++];
     ++started;
     std::pair<Fd, IoStatus> c =
         config_.unix_socket ? sys_connect_unix(config_.unix_path)
                             : sys_connect_tcp_localhost(port_);
     if (c.second == IoStatus::kError) {
-      connect_failures_.push_back("device " + std::to_string(conn.chip->id()) +
-                                  ": connect failed");
-      conn.counted_finished = true;  // never participates; don't stall
-      ++finished_clients_;
+      retire(conn, "connect failed");
       continue;
     }
     conn.attach(std::move(c.first),
                 ClientPolicy{config_.client_timeout_ticks,
                              config_.client_max_retries},
                 c.second == IoStatus::kOk);
+    core_.attach_client(conn.chip->id(), *conn.client);
     if (!loop_->add(conn.transport->fd(), &conn)) {
-      connect_failures_.push_back("device " + std::to_string(conn.chip->id()) +
-                                  ": epoll registration failed");
-      conn.counted_finished = true;
-      ++finished_clients_;
+      retire(conn, "epoll registration failed");
       continue;
     }
     // Unix connects complete synchronously; kick the first session now
@@ -284,16 +199,12 @@ bool AsyncServiceEngine::admit(Fd& fd) {
   if (live_server_conns_ >= config_.max_connections) return false;
   const std::uint64_t id = next_conn_id_++;
   auto conn = std::make_unique<ServerConn>(*this, id, std::move(fd));
-  conn->last_activity = clock_.ticks();
   if (!loop_->add(conn->transport.fd(), conn.get())) {
     // epoll rejected the fd: the connection is unusable, so it is counted
     // as accepted-then-closed (the ServerConn destructor closes the fd).
     conns_closed_add();
     return true;
   }
-  if (config_.idle_conn_ttl_ticks < (1u << 30))
-    loop_->arm_timer(conn->last_activity + config_.idle_conn_ttl_ticks,
-                     kIdleTag | id);
   server_conns_.emplace(id, std::move(conn));
   ++live_server_conns_;
   return true;
@@ -306,12 +217,7 @@ void AsyncServiceEngine::on_client_ready(std::size_t index, bool readable,
   if (!conn.connected && (writable || hangup)) {
     const int err = sys_socket_error(conn.transport->fd_handle());
     if (err != 0) {
-      connect_failures_.push_back("device " + std::to_string(conn.chip->id()) +
-                                  ": deferred connect failed");
-      if (!conn.counted_finished) {
-        conn.counted_finished = true;
-        ++finished_clients_;
-      }
+      retire(conn, "deferred connect failed");
       loop_->remove(conn.transport->fd());
       return;
     }
@@ -326,23 +232,27 @@ void AsyncServiceEngine::step_client(std::size_t index) {
   ClientConn& conn = *clients_[index];
   if (!conn.client) return;
   if (conn.transport->failed()) {
-    // Surfaced as a violation in finalize(); counted finished so a broken
-    // transport cannot stall quiescence for the whole fleet.
-    if (!conn.counted_finished) {
-      conn.counted_finished = true;
-      ++finished_clients_;
-    }
+    // Surfaced as a violation in finalize(); retired so a broken transport
+    // cannot stall quiescence for the whole fleet.
+    retire(conn, nullptr);
     return;
   }
   conn.client->step(static_cast<std::uint32_t>(clock_.ticks()));
   if (conn.client->finished()) {
-    if (!conn.counted_finished) {
-      conn.counted_finished = true;
-      ++finished_clients_;
-    }
+    retire(conn, nullptr);
     return;
   }
   arm_client_timer(index);
+}
+
+void AsyncServiceEngine::retire(ClientConn& conn, const char* failure) {
+  if (failure != nullptr)
+    connect_failures_.push_back("device " + std::to_string(conn.chip->id()) +
+                                ": " + failure);
+  if (!conn.counted_finished) {
+    conn.counted_finished = true;
+    ++finished_clients_;
+  }
 }
 
 void AsyncServiceEngine::arm_client_timer(std::size_t index) {
@@ -360,13 +270,12 @@ void AsyncServiceEngine::on_server_ready(std::uint64_t conn_id, bool readable,
   auto it = server_conns_.find(conn_id);
   if (it == server_conns_.end() || it->second->closed) return;
   ServerConn& conn = *it->second;
-  conn.last_activity = clock_.ticks();
   if (readable || hangup) {
     const PumpStatus pump = conn.transport.pump_reads();
     while (auto frame = recv_frame(conn.transport, conn.stats))
       enqueue_request(conn, std::move(*frame));
     if (pump == PumpStatus::kPeerClosed && conn.transport.decoder().empty()) {
-      close_server_conn(conn_id, /*idle_expiry=*/false);
+      close_server_conn(conn_id);
       return;
     }
   }
@@ -381,7 +290,8 @@ void AsyncServiceEngine::enqueue_request(ServerConn& conn, Frame frame) {
     static Counter& request_overflow =
         MetricsRegistry::global().counter("net.async.request_overflow");
     request_overflow.add();
-    ServerConn::Sink sink(conn, frame.header.device_id);
+    TransportSink sink(conn.transport, conn.stats, conn.seq,
+                       frame.header.device_id);
     NackPayload nack;
     nack.reason = NackReason::kBusy;
     nack.retry_after_rounds = config_.busy_retry_ticks;
@@ -402,14 +312,12 @@ void AsyncServiceEngine::serve_queue() {
     request_queue_.pop_front();
     ++served;
     auto it = server_conns_.find(req.conn_id);
-    if (it == server_conns_.end() || it->second->closed) {
-      ++stale_conn_frames_;  // connection died while the request queued
-      continue;
-    }
+    if (it == server_conns_.end() || it->second->closed)
+      continue;  // the connection died while the request queued
     ServerConn& conn = *it->second;
     const std::uint64_t device_id = req.frame.header.device_id;
-    ServerSessionHandler* handler = handler_of(device_id);
-    ServerConn::Sink sink(conn, device_id);
+    ServerSessionHandler* handler = core_.handler(device_id);
+    TransportSink sink(conn.transport, conn.stats, conn.seq, device_id);
     if (handler == nullptr) {
       ++unknown_device_nacks_;
       NackPayload nack;
@@ -426,14 +334,13 @@ void AsyncServiceEngine::serve_queue() {
 }
 
 void AsyncServiceEngine::arm_ttl_timer(std::uint64_t device_id) {
-  ServerSessionHandler* handler = handler_of(device_id);
+  ServerSessionHandler* handler = core_.handler(device_id);
   if (handler == nullptr) return;
   const auto deadline = handler->ttl_deadline();
   if (!deadline) return;
-  auto& armed = shard_of(device_id).armed_ttl;
-  auto it = armed.find(device_id);
-  if (it != armed.end() && it->second == *deadline) return;
-  armed[device_id] = *deadline;
+  auto it = armed_ttl_.find(device_id);
+  if (it != armed_ttl_.end() && it->second == *deadline) return;
+  armed_ttl_[device_id] = *deadline;
   loop_->arm_timer(*deadline, kTtlTag | device_id);
 }
 
@@ -447,35 +354,21 @@ void AsyncServiceEngine::on_timer(std::uint64_t key, std::uint64_t now) {
     return;
   }
   if (tag == kTtlTag) {
-    ServerSessionHandler* handler = handler_of(payload);
+    ServerSessionHandler* handler = core_.handler(payload);
     if (handler == nullptr) return;
-    shard_of(payload).armed_ttl.erase(payload);
+    armed_ttl_.erase(payload);
     handler->expire_if_due(now);
     arm_ttl_timer(payload);  // session may have moved on — lazy re-arm
-    return;
-  }
-  if (tag == kIdleTag) {
-    auto it = server_conns_.find(payload);
-    if (it == server_conns_.end() || it->second->closed) return;
-    ServerConn& conn = *it->second;
-    const std::uint64_t expiry =
-        conn.last_activity + config_.idle_conn_ttl_ticks;
-    if (now >= expiry && conn.transport.idle())
-      close_server_conn(payload, /*idle_expiry=*/true);
-    else
-      loop_->arm_timer(expiry, kIdleTag | payload);
   }
 }
 
-void AsyncServiceEngine::close_server_conn(std::uint64_t conn_id,
-                                           bool idle_expiry) {
+void AsyncServiceEngine::close_server_conn(std::uint64_t conn_id) {
   auto it = server_conns_.find(conn_id);
   if (it == server_conns_.end() || it->second->closed) return;
   ServerConn& conn = *it->second;
   conn.closed = true;
   if (live_server_conns_ > 0) --live_server_conns_;
   loop_->remove(conn.transport.fd());
-  if (idle_expiry) ++idle_conns_closed_;
   conns_closed_add();
   // The Fd stays owned by the transport; it closes when the map entry is
   // destroyed at engine teardown, after finalize() has read the stats.
@@ -498,12 +391,12 @@ bool AsyncServiceEngine::quiescent() const {
 
 void AsyncServiceEngine::observe_latency(std::uint64_t ticks_elapsed) {
   latency_histogram().observe(static_cast<double>(ticks_elapsed) *
-                              config_.tick_seconds * 1e3);
+                              kTickSeconds * 1e3);
 }
 
 AsyncServiceReport AsyncServiceEngine::run() {
   XPUF_TRACE_SPAN("net.async_service_run");
-  XPUF_REQUIRE(!device_index_.empty(),
+  XPUF_REQUIRE(core_.device_count() > 0,
                "run() needs at least one provisioned device");
   loop_ = std::make_unique<EventLoop>(clock_);
   XPUF_REQUIRE(loop_->valid(), "epoll_create failed");
@@ -537,7 +430,7 @@ AsyncServiceReport AsyncServiceEngine::run() {
         break;
       }
     }
-    if (clock_.ticks() >= config_.max_ticks) break;
+    if (clock_.ticks() >= kMaxTicks) break;
   }
 
   // Teardown: every surviving descriptor leaves the loop and is counted.
@@ -548,7 +441,7 @@ AsyncServiceReport AsyncServiceEngine::run() {
     }
   for (const auto& entry : server_conns_)
     if (!entry.second->closed)
-      close_server_conn(entry.first, /*idle_expiry=*/false);
+      close_server_conn(entry.first);
   if (acceptor_) loop_->remove(acceptor_->fd());
 
   AsyncServiceReport report = finalize(clean);
@@ -567,90 +460,54 @@ AsyncServiceReport AsyncServiceEngine::run() {
 AsyncServiceReport AsyncServiceEngine::finalize(bool all_finished) {
   AsyncServiceReport report;
   report.all_finished = all_finished;
-  report.devices = device_index_.size();
   report.violations = connect_failures_;
   if (!all_finished)
     report.violations.push_back("tick budget exhausted with live sessions");
-
-  std::uint64_t outcome_h = 0xc0ffee;
-  std::uint64_t client_sent = 0, client_delivered = 0, client_corrupt = 0;
-  for (const auto& [device_id, slot] : device_index_) {
-    const ClientConn& conn = *clients_[slot];
-    if (!conn.client) continue;  // connect failed; already a violation
-    for (const SessionRecord& rec : conn.client->records()) {
-      report.sessions_total += 1;
-      report.retries += rec.retries;
-      switch (rec.terminal) {
-        case SessionPhase::kApproved: report.approved += 1; break;
-        case SessionPhase::kDenied: report.denied += 1; break;
-        case SessionPhase::kRejected: report.rejected += 1; break;
-        case SessionPhase::kFailed: report.failed += 1; break;
-        default:
-          report.violations.push_back(
-              "device " + std::to_string(device_id) + " session " +
-              std::to_string(rec.session_id) + " has no terminal state");
-      }
-      // Transport-invariant digest — identical formula to the lockstep
-      // oracle's outcome_fingerprint (service.cpp).
-      mix(outcome_h, device_id);
-      mix(outcome_h, rec.session_id);
-      mix(outcome_h, static_cast<std::uint64_t>(rec.opened_with));
-      mix(outcome_h, static_cast<std::uint64_t>(rec.terminal));
-      mix(outcome_h, rec.mismatches);
-      mix(outcome_h, rec.challenges_used);
-    }
-    if (!conn.client->finished())
-      report.violations.push_back("device " + std::to_string(device_id) +
-                                  " did not finish its session plan");
-    if (conn.transport && conn.transport->failed())
-      report.violations.push_back("device " + std::to_string(device_id) +
+  core_.reconcile(report);
+  for (const auto& conn : clients_)
+    if (conn->transport && conn->transport->failed())
+      report.violations.push_back("device " + std::to_string(conn->chip->id()) +
                                   ": client transport failed");
-    const ChannelStats& stats = conn.client->channel_stats();
-    client_sent += stats.sent;
-    client_delivered += stats.delivered;
-    client_corrupt += stats.corrupt;
-  }
-  report.outcome_fingerprint = outcome_h;
 
-  std::uint64_t server_sent = 0, server_delivered = 0, server_corrupt = 0;
+  // reconcile() summed the client side of the frame totals.
+  const ChannelStats client{report.frames_sent, report.frames_delivered,
+                            report.frames_corrupt};
+  ChannelStats server;
   for (const auto& entry : server_conns_) {
     const ServerConn& conn = *entry.second;
-    server_sent += conn.stats.sent;
-    server_delivered += conn.stats.delivered;
-    server_corrupt += conn.stats.corrupt;
+    server.sent += conn.stats.sent;
+    server.delivered += conn.stats.delivered;
+    server.corrupt += conn.stats.corrupt;
     if (conn.transport.failed())
       report.violations.push_back("server connection " +
                                   std::to_string(conn.id) +
                                   ": transport failed");
   }
-  report.frames_sent = client_sent + server_sent;
-  report.frames_delivered = client_delivered + server_delivered;
-  report.frames_corrupt = client_corrupt + server_corrupt;
+  report.frames_sent += server.sent;
+  report.frames_delivered += server.delivered;
+  report.frames_corrupt += server.corrupt;
   // Frame conservation on a reliable wire: every sent frame is delivered (or
   // surfaced corrupt) exactly once the run is quiescent.
   if (all_finished) {
-    if (client_sent != server_delivered + server_corrupt)
+    if (client.sent != server.delivered + server.corrupt)
       report.violations.push_back("uplink frame conservation broken");
-    if (server_sent != client_delivered + client_corrupt)
+    if (server.sent != client.delivered + client.corrupt)
       report.violations.push_back("downlink frame conservation broken");
   }
+  // Every server frame is a handler reply or one of this driver's NACKs.
+  const std::uint64_t replies =
+      report.replies_sent + request_overflow_ + unknown_device_nacks_;
+  if (server.sent != replies)
+    report.violations.push_back(
+        "server connections sent " + std::to_string(server.sent) +
+        " frames, handlers and request queue replied " +
+        std::to_string(replies));
 
-  for (const auto& shard : shards_)
-    for (const auto& entry : shard->handlers) {
-      const ServerLedger& ledger = entry.second.ledger();
-      report.nacks_sent += ledger.nacks_sent;
-      report.busy_nacks += ledger.busy_nacks;
-      report.sessions_expired += ledger.sessions_expired;
-      report.enroll_activated += ledger.enroll_activated;
-      report.revocations += ledger.revocations;
-      report.batches_issued += ledger.batches_issued;
-    }
   report.connections_accepted = acceptor_ ? acceptor_->accepted() : 0;
   report.accept_overflow = acceptor_ ? acceptor_->overflowed() : 0;
   report.request_overflow = request_overflow_;
   report.nacks_sent += unknown_device_nacks_ + request_overflow_;
   report.busy_nacks += request_overflow_ + report.accept_overflow;
-  report.idle_conns_closed = idle_conns_closed_;
 
   MetricsRegistry::global()
       .gauge("net.async.connections")

@@ -1,8 +1,7 @@
 // Hashed timer wheel for event-loop deadlines.
 //
-// The engine arms thousands of coarse deadlines (client retransmits, session
-// TTLs, idle-connection expiry) and cancels/re-arms them constantly as
-// traffic flows. A wheel makes arm O(1): slot = deadline % slots, each slot a
+// The engine arms thousands of coarse deadlines (client retransmits and
+// session TTLs) and cancels/re-arms them constantly as traffic flows. A wheel makes arm O(1): slot = deadline % slots, each slot a
 // bucket of entries. collect_due(now) walks only the slots that passed since
 // the previous collection (or every slot once the gap spans a full
 // rotation), extracts entries whose deadline is due, and returns them sorted

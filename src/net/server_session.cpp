@@ -12,6 +12,10 @@ std::uint64_t issue_stream_key(std::uint64_t device_id,
   return (device_id << 20) ^ static_cast<std::uint64_t>(session_id);
 }
 
+void ServerPolicy::require_valid() const {
+  XPUF_REQUIRE(session_ttl >= 1, "session TTL must be >= 1 tick");
+}
+
 ServerSessionHandler::ServerSessionHandler(
     std::uint64_t device_id, puf::ServerDatabase& db,
     std::map<std::uint64_t, puf::ServerModel>& provisioned,
@@ -21,7 +25,7 @@ ServerSessionHandler::ServerSessionHandler(
       provisioned_(&provisioned),
       issue_family_(&issue_family),
       policy_(policy) {
-  XPUF_REQUIRE(policy.session_ttl >= 1, "session TTL must be >= 1 tick");
+  policy.require_valid();
 }
 
 bool ServerSessionHandler::expire_if_due(std::uint64_t now) {

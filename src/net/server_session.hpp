@@ -3,12 +3,11 @@
 // The lockstep ServiceEngine (service.hpp) and the event-loop
 // AsyncServiceEngine (async/service_engine.hpp) must run the SAME protocol
 // decisions — that is what makes the lockstep engine usable as the oracle
-// the socket engine reconciles against. This file hoists the per-device
-// server endpoint out of service.cpp: one ServerSessionHandler per
-// provisioned device owns its ServerSession, decides begin/response/expiry
-// transitions, and emits replies through a narrow ReplySink so each engine
-// can route them over its own transport (lockstep pipe pair, nonblocking
-// socket).
+// the socket engine reconciles against. One ServerSessionHandler per
+// provisioned device (held by the shared EngineCore, engine_core.hpp) owns
+// its ServerSession, decides begin/response/expiry transitions, and emits
+// replies through a narrow ReplySink so each engine can route them over its
+// own transport (lockstep pipe pair, nonblocking socket).
 //
 // Clock domain: `now` is whatever monotonic tick the owning engine supplies
 // — lockstep rounds for ServiceEngine, async::Clock ticks (wall-ms by
@@ -40,6 +39,7 @@ namespace xpuf::net {
 std::uint64_t issue_stream_key(std::uint64_t device_id, std::uint32_t session_id);
 
 /// Server-side protocol knobs, decoupled from each engine's config struct.
+/// The defaults are sized for lockstep rounds, which use them as they are.
 struct ServerPolicy {
   /// Ticks before an open session expires (frees the in-flight slot when a
   /// client gave up mid-handshake). Lockstep rounds or clock ticks — the
@@ -48,6 +48,11 @@ struct ServerPolicy {
   /// retry_after advertised in a busy NACK, in the engine's tick domain
   /// (the wire field is named retry_after_rounds for lockstep history).
   std::uint16_t busy_retry = 2;
+
+  /// Throws std::invalid_argument unless session_ttl >= 1. Every handler
+  /// checks its policy; EngineCore checks it once more up front, so an
+  /// engine fails at construction rather than at its first provision().
+  void require_valid() const;
 };
 
 /// Server-side view of one device's current session.
@@ -68,8 +73,8 @@ struct ServerSession {
   std::vector<std::uint8_t> cached_payload;
 };
 
-/// Per-handler accounting mirror of the global net.* counters, summed by the
-/// owning engine's finalize() so multi-engine processes still reconcile.
+/// Per-handler accounting mirror of the global net.* counters, summed by
+/// EngineCore::reconcile() so every report counts only its own engine's run.
 struct ServerLedger {
   std::uint64_t nacks_sent = 0;
   std::uint64_t busy_nacks = 0;        ///< subset of nacks_sent (kBusy)
@@ -85,8 +90,9 @@ struct ServerLedger {
 };
 
 /// Where a handler's replies go. The engines own different transports, so
-/// the handler emits through this narrow sink; implementations stamp the
-/// device_id/seq header fields and count their own channel stats.
+/// the handler emits through this narrow sink; both engines use
+/// TransportSink (engine_core.hpp), which stamps the device_id/seq header
+/// fields and counts the endpoint's channel stats.
 class ReplySink {
  public:
   virtual ~ReplySink() = default;

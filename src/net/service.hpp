@@ -1,40 +1,30 @@
-// Sharded authentication service engine.
+// Lockstep driver of the authentication service engine (engine_core.hpp).
 //
-// The ServiceEngine owns every provisioned connection and drives the whole
-// fleet in deterministic lockstep rounds: each round, every shard advances
-// its clients, serves its inbound frames, and ticks its transports. Work is
-// sharded on a FIXED grid (ServiceConfig::shards, independent of the worker
-// thread count) with devices pinned by `device_id % shards`, the same
-// chunk-ownership discipline as common/parallel.hpp — so a run is
-// bit-identical at 1, 2, or 8 worker threads.
+// ServiceEngine drives the whole fleet in deterministic rounds over
+// in-process pipe pairs decorated by FaultyTransport: each round, every
+// shard of the core's FIXED grid (independent of the worker thread count,
+// the chunk-ownership discipline of common/parallel.hpp) advances its
+// clients, serves its inbound frames, and ticks its transports. A round is
+// the driver's tick. Everything a round touches is a pure function of the
+// config seed and the shard-local event order — fault schedules per
+// (connection, direction), issuance per (device, session), measurement
+// noise per device, sharded atomic counters — and racy gauges are
+// overwritten serially in finalize(), so a run is bit-identical at 1, 2, or
+// 8 worker threads.
 //
-// Determinism inventory (everything a round touches is a pure function of
-// the config seed and the shard-local event order):
-//   * fault schedules       — StreamFamily keyed per (connection, direction)
-//   * challenge issuance    — StreamFamily keyed per (device, session)
-//   * measurement noise     — StreamFamily keyed per device
-//   * global counters       — sharded atomics with deterministic totals
-//   * gauges                — racy by design, overwritten serially in
-//                             finalize() before any snapshot is compared
-//
-// Graceful degradation: a hostile transport produces typed NACKs, bounded
-// client retries with exponential backoff, and server-side session TTL
-// expiry — never a crash and never a silent accept. finalize() re-derives
-// every aggregate from per-connection ledgers and reports any drift as a
-// violation string, so "zero accounting drift" is checked, not assumed.
-//
-// The server-side protocol decisions themselves live in server_session.hpp
-// (ServerSessionHandler), shared verbatim with the event-loop engine in
-// async/service_engine.hpp — this engine is the deterministic ORACLE the
-// socket engine reconciles its per-device ledgers against.
+// A hostile transport produces typed NACKs, bounded client retries with
+// exponential backoff, and server-side session TTL expiry — never a crash
+// and never a silent accept. On a clean wire this engine is the
+// deterministic ORACLE the socket driver (async/service_engine.hpp)
+// reconciles its outcomes against.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "net/engine_core.hpp"
 #include "net/session.hpp"
 #include "net/transport.hpp"
 #include "puf/database.hpp"
@@ -42,63 +32,29 @@
 
 namespace xpuf::net {
 
+/// Session TTL, busy-NACK retry and client retry policy are the
+/// ServerPolicy{} and ClientPolicy{} defaults, sized for rounds.
 struct ServiceConfig {
   /// Fixed shard grid — deliberately NOT the thread count (determinism).
   std::uint32_t shards = 8;
-  /// Open server sessions allowed per device at once.
-  std::uint32_t max_inflight_per_device = 1;
-  /// Rounds before an open server session is expired (frees the in-flight
-  /// slot when a client gave up on the session mid-handshake).
-  std::uint32_t session_ttl_rounds = 64;
   /// Round budget; hitting it with live sessions is reported as a violation.
   std::uint32_t max_rounds = 4096;
-  /// retry_after_rounds advertised in a busy NACK.
-  std::uint16_t busy_retry_rounds = 2;
   std::uint64_t seed = 2017;
   puf::DatabaseConfig database;
   /// Applied to BOTH directions of every connection, stream-keyed.
   FaultProfile faults;
-  ClientPolicy client_policy;
 };
 
-/// Aggregates re-derived from per-connection ledgers by finalize().
-struct ServiceReport {
+/// EngineReport plus the lockstep driver's rounds, fault tallies and
+/// whole-run digest.
+struct ServiceReport : EngineReport {
   std::uint32_t rounds = 0;
-  bool all_finished = false;
   bool all_idle = false;
-
-  std::uint64_t devices = 0;
-  std::uint64_t sessions_total = 0;
-  std::uint64_t approved = 0;
-  std::uint64_t denied = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t retries = 0;
-
-  std::uint64_t frames_sent = 0;       ///< both directions, endpoint counts
-  std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_corrupt = 0;
-  FaultTally faults;                   ///< summed over every FaultyTransport
-
-  std::uint64_t sessions_expired = 0;
-  std::uint64_t nacks_sent = 0;
-  std::uint64_t enroll_activated = 0;
-  std::uint64_t revocations = 0;
-  /// Challenge batches issued, summed from the per-handler ledgers; must
-  /// equal the global db.issue_requests counter (pooled or live issuance).
-  std::uint64_t batches_issued = 0;
-
-  /// Accounting-invariant breaches, empty on a clean run.
-  std::vector<std::string> violations;
-  /// Order-independent digest of every session outcome and frame tally;
-  /// equal fingerprints across thread counts prove bit-identical runs.
+  FaultTally faults;  ///< summed over every FaultyTransport
+  /// Order-independent digest of every session outcome, retry count and
+  /// frame tally; equal fingerprints across thread counts prove
+  /// bit-identical runs.
   std::uint64_t fingerprint = 0;
-  /// Digest over session OUTCOMES only (no retries, no frame tallies) — the
-  /// part of a run that is transport-invariant. The event-loop engine
-  /// reconciles its own outcome_fingerprint against this oracle value.
-  std::uint64_t outcome_fingerprint = 0;
-
-  bool reconciled() const { return all_finished && violations.empty(); }
 };
 
 class ServiceEngine {
@@ -110,7 +66,7 @@ class ServiceEngine {
   ServiceEngine& operator=(const ServiceEngine&) = delete;
 
   const ServiceConfig& config() const { return config_; }
-  std::uint64_t device_count() const { return device_index_.size(); }
+  std::uint64_t device_count() const { return core_.device_count(); }
 
   /// Registers one device: the physical chip (client side), its enrolled
   /// server model (activated on ENROLL_BEGIN), and the scripted session
@@ -129,22 +85,17 @@ class ServiceEngine {
 
  private:
   struct Connection;
-  struct Shard;
 
-  Shard& shard_of(std::uint64_t device_id);
   void step_shard(std::size_t shard_index, std::uint32_t round);
   void serve(Connection& conn, std::uint32_t round);
   ServiceReport finalize(std::uint32_t rounds, bool all_finished,
                          bool all_idle);
 
   ServiceConfig config_;
-  StreamFamily fault_family_;
-  StreamFamily issue_family_;
-  StreamFamily measure_family_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// device_id -> (shard, index-in-shard); also fixes the serial
-  /// finalize/report iteration order.
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>> device_index_;
+  EngineCore core_;
+  /// The connections of each core shard, in provisioning order.
+  std::vector<std::vector<std::unique_ptr<Connection>>> lanes_;
+  std::map<std::uint64_t, const Connection*> connections_;
 };
 
 }  // namespace xpuf::net

@@ -439,9 +439,42 @@ TEST(AsyncServiceEngine, OverloadProducesBusyNacksNeverSilentDrops) {
       << "every queue overflow must be accounted as a busy NACK";
 }
 
+TEST(AsyncServiceEngine, EveryReportCountsOnlyItsOwnRun) {
+  // Three engines in one process with no MetricsRegistry reset between them:
+  // the process-wide net.* totals grow with every run, but each report must
+  // count its own engine's activations, revocations, NACKs and expiries.
+  Fleet fleet = make_fleet(4);
+  AsyncServiceConfig config;
+  config.seed = kSeed;
+  config.database.n_pufs = 2;
+  config.database.policy.challenge_count = 8;
+  AsyncServiceEngine engine(config);
+  for (std::size_t i = 0; i < fleet.pop.size(); ++i)
+    engine.provision(fleet.pop.chip(i), fleet.models[i],
+                     sim::Environment::nominal(), 2,
+                     /*enroll_first=*/true, /*revoke_at_end=*/i % 2 == 1);
+  const AsyncServiceReport socket = engine.run();
+  for (const auto& violation : socket.violations) ADD_FAILURE() << violation;
+  EXPECT_EQ(socket.enroll_activated, 4u);
+  EXPECT_EQ(socket.revocations, 2u);
+
+  const ServiceReport first = run_oracle(fleet, 2);
+  const ServiceReport second = run_oracle(fleet, 2);
+  for (const ServiceReport* lockstep : {&first, &second}) {
+    EXPECT_EQ(lockstep->enroll_activated, socket.enroll_activated);
+    EXPECT_EQ(lockstep->revocations, socket.revocations);
+    EXPECT_EQ(lockstep->nacks_sent, socket.nacks_sent);
+    EXPECT_EQ(lockstep->sessions_expired, socket.sessions_expired);
+    EXPECT_EQ(lockstep->outcome_fingerprint, socket.outcome_fingerprint);
+  }
+}
+
 TEST(AsyncServiceEngine, ConfigPreconditionsAreEnforced) {
   AsyncServiceConfig config;
   config.shards = 0;
+  EXPECT_THROW(AsyncServiceEngine{config}, std::invalid_argument);
+  config = AsyncServiceConfig{};
+  config.session_ttl_ticks = 0;
   EXPECT_THROW(AsyncServiceEngine{config}, std::invalid_argument);
   config = AsyncServiceConfig{};
   config.request_queue_cap = 0;

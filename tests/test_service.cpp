@@ -13,6 +13,7 @@
 
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "net/async/service_engine.hpp"
 #include "net/service.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/population.hpp"
@@ -177,6 +178,17 @@ TEST(ServiceEngine, GlobalCountersReconcileWithTheReport) {
   EXPECT_EQ(snap.counters.at("net.frames_truncated"), report.faults.truncated);
   EXPECT_EQ(snap.counters.at("net.frames_bitflipped"),
             report.faults.bitflipped);
+  // The report sums the handlers' own ledgers; the process-wide counters
+  // count the same server events independently (absent until first used).
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  EXPECT_EQ(counter("net.sessions_expired"), report.sessions_expired);
+  EXPECT_EQ(counter("net.nacks_sent"), report.nacks_sent);
+  EXPECT_EQ(counter("net.enroll_activated"), report.enroll_activated);
+  EXPECT_EQ(counter("net.revocations"), report.revocations);
+  EXPECT_EQ(report.enroll_activated, 5u);
   // Duplicated frames land in the ignored ledger: a faulted wire must move
   // it, and it can never exceed what was actually delivered.
   EXPECT_GT(snap.counters.at("net.frames_ignored"), 0u);
@@ -190,12 +202,36 @@ TEST(ServiceEngine, GlobalCountersReconcileWithTheReport) {
   EXPECT_EQ(snap.gauges.at("net.devices"), 5.0);
 }
 
+// Digests of the faulty-wire fleet and of the socket engine on the same
+// plan, recorded from a reference run. Any change to issuance, measurement,
+// fault schedules, session decisions or the digest formula moves them.
+TEST(ServiceEngine, FingerprintsMatchTheRecordedRun) {
+  Fleet fleet = make_fleet(8);
+  ServiceConfig config = base_config();
+  config.faults = FaultProfile::uniform(0.08);
+  const ServiceReport faulty = run_fleet(fleet, config, 3);
+  EXPECT_EQ(faulty.fingerprint, 0x0fc9507518a453b7ULL);
+  EXPECT_EQ(faulty.outcome_fingerprint, 0xb440fed34ce60605ULL);
+
+  async::AsyncServiceConfig socket_config;
+  socket_config.seed = config.seed;
+  socket_config.database = config.database;
+  async::AsyncServiceEngine engine(socket_config);
+  for (std::size_t i = 0; i < fleet.pop.size(); ++i)
+    engine.provision(fleet.pop.chip(i), fleet.models[i],
+                     sim::Environment::nominal(), 3,
+                     /*enroll_first=*/true, /*revoke_at_end=*/i % 3 == 2);
+  const async::AsyncServiceReport socket = engine.run();
+  for (const auto& violation : socket.violations) ADD_FAILURE() << violation;
+  EXPECT_EQ(socket.outcome_fingerprint, 0xb440fed34ce60605ULL);
+  EXPECT_EQ(socket.outcome_fingerprint,
+            run_fleet(fleet, base_config(), 3).outcome_fingerprint)
+      << "the clean-wire lockstep run is the socket engine's oracle";
+}
+
 TEST(ServiceEngine, ConfigPreconditionsAreEnforced) {
   ServiceConfig config = base_config();
   config.shards = 0;
-  EXPECT_THROW(ServiceEngine{config}, std::invalid_argument);
-  config = base_config();
-  config.session_ttl_rounds = 0;
   EXPECT_THROW(ServiceEngine{config}, std::invalid_argument);
   config = base_config();
   ServiceEngine engine(config);

@@ -37,7 +37,9 @@
 #             rejections from the re-seeded second authentication
 #   service   bench_service_load over a faulty wire (exit code is the
 #             zero-drift audit), net.* counter schema check (--expect-net),
-#             and tests/test_service under TSan
+#             the same bench at --threads 1 and --threads 4 with equal
+#             fingerprint: lines (the lockstep driver's thread invariance
+#             at bench scale), and tests/test_service under TSan
 #   service-socket
 #             bench_service_load --transport socket: the epoll event-loop
 #             engine over 1000 concurrent localhost connections, reconciled
@@ -185,7 +187,8 @@ tsan_job() {
 
 # Service layer end-to-end: the Release load bench over a faulty wire (its
 # exit code IS the zero-drift audit), the net.* schema check on its snapshot,
-# and the engine test suite under TSan (shard workers + sharded counters).
+# the bench's fingerprint at one and four worker threads, and the engine test
+# suite under TSan (shard workers + sharded counters).
 service_job() {
   "${prefix}/bench/bench_service_load" \
     --devices 24 --threads 2 \
@@ -195,9 +198,21 @@ service_job() {
     else
       echo "python3 absent; schema check skipped (snapshot at ${logdir}/service_metrics.json)"
     fi &&
+    service_thread_invariance &&
     tsan_configure &&
     cmake --build "${prefix}-tsan" -j "${jobs}" --target test_service &&
     "${prefix}-tsan/tests/test_service"
+}
+
+# The lockstep driver shards on a fixed grid, so the faulty-wire run must
+# print the same fingerprint at any worker-thread count.
+service_thread_invariance() {
+  local one four
+  one="$("${prefix}/bench/bench_service_load" --threads 1 | grep '^fingerprint:')" &&
+    four="$("${prefix}/bench/bench_service_load" --threads 4 | grep '^fingerprint:')" &&
+    echo "--threads 1 ${one}" &&
+    echo "--threads 4 ${four}" &&
+    [ -n "${one}" ] && [ "${one}" = "${four}" ]
 }
 
 # Event-loop socket service end-to-end: the Release socket bench at the
