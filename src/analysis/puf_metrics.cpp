@@ -1,5 +1,7 @@
 #include "analysis/puf_metrics.hpp"
 
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace xpuf::analysis {
@@ -72,25 +74,6 @@ double reliability_error(const sim::XorPufChip& chip, std::size_t n_pufs,
   }
   return static_cast<double>(flips) /
          static_cast<double>(n_challenges * n_rereads);
-}
-
-std::vector<double> bit_aliasing(const sim::ChipPopulation& population,
-                                 std::size_t n_pufs, std::size_t n_challenges,
-                                 const sim::Environment& env, Rng& rng) {
-  XPUF_REQUIRE(population.size() >= 1, "bit aliasing needs chips");
-  XPUF_REQUIRE(n_challenges > 0, "bit aliasing needs challenges");
-  const std::size_t stages = population.chip(0).stages();
-  std::vector<double> aliasing;
-  aliasing.reserve(n_challenges);
-  for (std::size_t i = 0; i < n_challenges; ++i) {
-    const auto c = sim::random_challenge(stages, rng);
-    std::size_t ones = 0;
-    for (std::size_t k = 0; k < population.size(); ++k)
-      if (xor_bit(population.chip(k), n_pufs, c, env, rng)) ++ones;
-    aliasing.push_back(static_cast<double>(ones) /
-                       static_cast<double>(population.size()));
-  }
-  return aliasing;
 }
 
 }  // namespace xpuf::analysis

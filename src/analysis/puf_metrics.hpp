@@ -1,12 +1,11 @@
 // Standard PUF quality metrics over a simulated fab lot: uniformity,
-// uniqueness, reliability, and bit-aliasing. The paper's evaluation focuses
+// uniqueness and reliability. The paper's evaluation focuses
 // on stability and attack resistance; these classic metrics round out the
 // characterization a PUF paper's reviewers expect, and the benches use the
 // reliability metric to cross-check the stability machinery.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/population.hpp"
 
@@ -28,12 +27,5 @@ double uniqueness(const sim::ChipPopulation& population, std::size_t n_pufs,
 double reliability_error(const sim::XorPufChip& chip, std::size_t n_pufs,
                          std::size_t n_challenges, std::size_t n_rereads,
                          const sim::Environment& env, Rng& rng);
-
-/// Per-challenge mean response across chips ("bit aliasing"); values far
-/// from 0.5 indicate systematic layout bias. Returns one value per sampled
-/// challenge.
-std::vector<double> bit_aliasing(const sim::ChipPopulation& population,
-                                 std::size_t n_pufs, std::size_t n_challenges,
-                                 const sim::Environment& env, Rng& rng);
 
 }  // namespace xpuf::analysis

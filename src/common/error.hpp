@@ -32,14 +32,6 @@ class ParseError : public std::runtime_error {
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when a wire-protocol frame cannot be decoded (bad magic, version
-/// skew, truncation, checksum failure). The serving layer catches this per
-/// frame and counts it — a hostile network must never crash the service.
-class WireError : public std::runtime_error {
- public:
-  explicit WireError(const std::string& what) : std::runtime_error(what) {}
-};
-
 namespace detail {
 [[noreturn]] inline void require_failed(const char* expr, const char* file, int line,
                                         const std::string& msg) {

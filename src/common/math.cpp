@@ -10,10 +10,7 @@ namespace xpuf {
 
 namespace {
 constexpr double kInvSqrt2 = 0.70710678118654752440;
-constexpr double kInvSqrt2Pi = 0.39894228040143267794;
 }  // namespace
-
-double normal_pdf(double x) { return kInvSqrt2Pi * std::exp(-0.5 * x * x); }
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x * kInvSqrt2); }
 
@@ -22,15 +19,6 @@ void normal_cdf_batch(std::span<const double> xs, std::span<double> out) {
   // The exact expression normal_cdf uses, element by element: the batch API
   // exists so callers make one call per block, not so results can drift.
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = 0.5 * std::erfc(-xs[i] * kInvSqrt2);
-}
-
-double log_normal_cdf(double x) {
-  if (x > -8.0) return std::log(normal_cdf(x));
-  // Asymptotic expansion of the Mills ratio for the far lower tail:
-  // Phi(x) ~ pdf(x)/|x| * (1 - 1/x^2 + 3/x^4 - 15/x^6).
-  const double x2 = x * x;
-  const double series = 1.0 - 1.0 / x2 + 3.0 / (x2 * x2) - 15.0 / (x2 * x2 * x2);
-  return -0.5 * x2 - std::log(-x) - 0.5 * std::log(2.0 * M_PI) + std::log(series);
 }
 
 double normal_quantile(double p) {

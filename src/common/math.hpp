@@ -13,9 +13,6 @@
 
 namespace xpuf {
 
-/// Standard normal probability density.
-double normal_pdf(double x);
-
 /// Standard normal CDF Phi(x), accurate in both tails (built on erfc).
 double normal_cdf(double x);
 
@@ -34,9 +31,6 @@ inline constexpr double kNormalCdfZeroTo = -0x1.33cd8c8c4dd05p+5;  // -38.475365
 /// evaluation core (sim/linear.hpp) and the scalar hot paths can never
 /// disagree. Spans must have equal length; in-place (out == xs) is fine.
 void normal_cdf_batch(std::span<const double> xs, std::span<double> out);
-
-/// log(Phi(x)); stable for very negative x where Phi underflows.
-double log_normal_cdf(double x);
 
 /// Inverse standard normal CDF (Acklam's rational approximation refined by
 /// one Halley step; relative error < 1e-13 over (0, 1)).

@@ -21,8 +21,6 @@ class GF2m {
   std::uint32_t size() const { return size_; }
   /// Multiplicative-group order q - 1.
   std::uint32_t order() const { return size_ - 1; }
-  /// The primitive polynomial in bit representation (degree-m term set).
-  std::uint32_t primitive_polynomial() const { return poly_; }
 
   /// alpha^k for any integer exponent (reduced mod q-1).
   std::uint32_t alpha_pow(std::int64_t k) const;

@@ -47,12 +47,4 @@ Vector Cholesky::solve(const Vector& b) const {
   return x;
 }
 
-double Cholesky::log_det() const {
-  double s = 0.0;
-  for (std::size_t i = 0; i < l_.rows(); ++i) s += std::log(l_(i, i));
-  return 2.0 * s;
-}
-
-Vector solve_spd(const Matrix& a, const Vector& b) { return Cholesky(a).solve(b); }
-
 }  // namespace xpuf::linalg

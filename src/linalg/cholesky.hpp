@@ -19,14 +19,8 @@ class Cholesky {
   /// The factor L with A = L L^T.
   const Matrix& factor() const { return l_; }
 
-  /// log(det A) = 2 * sum(log L_ii); useful for model-evidence diagnostics.
-  double log_det() const;
-
  private:
   Matrix l_;
 };
-
-/// One-shot SPD solve.
-Vector solve_spd(const Matrix& a, const Vector& b);
 
 }  // namespace xpuf::linalg

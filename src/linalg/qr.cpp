@@ -77,12 +77,4 @@ Matrix QR::r() const {
   return r;
 }
 
-double QR::min_abs_diag() const {
-  double m = std::fabs(qr_(0, 0));
-  for (std::size_t i = 1; i < n_; ++i) m = std::min(m, std::fabs(qr_(i, i)));
-  return m;
-}
-
-Vector solve_least_squares_qr(const Matrix& a, const Vector& b) { return QR(a).solve(b); }
-
 }  // namespace xpuf::linalg

@@ -23,17 +23,10 @@ class QR {
   /// Applies Q^T to a length-m vector.
   Vector apply_qt(const Vector& b) const;
 
-  /// Absolute value of the smallest diagonal of R — a cheap rank/condition
-  /// indicator.
-  double min_abs_diag() const;
-
  private:
   Matrix qr_;                // Householder vectors below the diagonal, R on/above
   std::vector<double> tau_;  // reflector scales
   std::size_t m_ = 0, n_ = 0;
 };
-
-/// One-shot least squares via QR.
-Vector solve_least_squares_qr(const Matrix& a, const Vector& b);
 
 }  // namespace xpuf::linalg

@@ -63,10 +63,6 @@ double mse(std::span<const double> predicted, std::span<const double> truth) {
   return s / static_cast<double>(predicted.size());
 }
 
-double rmse(std::span<const double> predicted, std::span<const double> truth) {
-  return std::sqrt(mse(predicted, truth));
-}
-
 double mae(std::span<const double> predicted, std::span<const double> truth) {
   XPUF_REQUIRE(predicted.size() == truth.size(), "mae length mismatch");
   if (predicted.empty()) return 0.0;

@@ -33,9 +33,6 @@ ConfusionMatrix confusion(std::span<const double> predicted, std::span<const dou
 /// Mean squared error.
 double mse(std::span<const double> predicted, std::span<const double> truth);
 
-/// Root mean squared error.
-double rmse(std::span<const double> predicted, std::span<const double> truth);
-
 /// Mean absolute error.
 double mae(std::span<const double> predicted, std::span<const double> truth);
 

@@ -1,7 +1,6 @@
 #include "net/wire.hpp"
 
 #include <span>
-#include <string>
 
 #include "common/error.hpp"
 #include "sim/linear.hpp"
@@ -35,21 +34,6 @@ const char* to_string(NackReason reason) {
     case NackReason::kRevoked: return "REVOKED";
   }
   return "UNKNOWN";
-}
-
-const char* to_string(DecodeStatus status) {
-  switch (status) {
-    case DecodeStatus::kOk: return "ok";
-    case DecodeStatus::kTruncated: return "truncated frame";
-    case DecodeStatus::kBadMagic: return "bad magic";
-    case DecodeStatus::kBadVersion: return "unsupported version";
-    case DecodeStatus::kBadType: return "unknown frame type";
-    case DecodeStatus::kBadLength: return "payload length out of range";
-    case DecodeStatus::kBadChecksum: return "checksum mismatch";
-    case DecodeStatus::kTrailingBytes: return "trailing bytes after checksum";
-    case DecodeStatus::kBadPayload: return "malformed payload";
-  }
-  return "unknown decode status";
 }
 
 // --- frame codec ------------------------------------------------------------
@@ -97,14 +81,6 @@ DecodeStatus decode_frame(const std::vector<std::uint8_t>& bytes, Frame& out) {
   out.header.version = version;
   out.header.type = static_cast<FrameType>(type);
   return DecodeStatus::kOk;
-}
-
-Frame decode_frame_or_throw(const std::vector<std::uint8_t>& bytes) {
-  Frame frame;
-  const DecodeStatus status = decode_frame(bytes, frame);
-  if (status != DecodeStatus::kOk)
-    throw WireError(std::string("wire frame decode failed: ") + to_string(status));
-  return frame;
 }
 
 // --- payload codecs ---------------------------------------------------------

@@ -18,9 +18,8 @@
 // xpuf_lint `wire-portability` rule forbids memcpy of structs, host-endian
 // reinterpretation, and non-fixed-width integer types in this file pair, so
 // a frame encoded on any machine decodes on every other. Decode failures are
-// typed (DecodeStatus / WireError in the common error taxonomy) and never
-// fatal: the transport may truncate or flip bits, and the session layer
-// recovers by retransmission.
+// typed (DecodeStatus) and never fatal: the transport may truncate or flip
+// bits, and the session layer recovers by retransmission.
 #pragma once
 
 #include <cstdint>
@@ -95,18 +94,12 @@ enum class DecodeStatus : std::uint8_t {
   kBadPayload,     ///< payload codec found malformed contents
 };
 
-const char* to_string(DecodeStatus status);
-
 // --- frame codec ------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
 /// Non-throwing decode; `out` is valid only on kOk.
 DecodeStatus decode_frame(const std::vector<std::uint8_t>& bytes, Frame& out);
-
-/// Throwing decode for callers that treat malformed frames as errors rather
-/// than line noise; throws WireError carrying the DecodeStatus text.
-Frame decode_frame_or_throw(const std::vector<std::uint8_t>& bytes);
 
 // --- payload codecs ---------------------------------------------------------
 

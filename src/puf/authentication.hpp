@@ -61,7 +61,9 @@ struct ChallengeBatch {
   /// Appends a canonical packed row of `stages` bits with its expected
   /// response.
   void push_back(std::span<const std::uint64_t> row, bool bit);
-  /// Packs and appends a `stages`-long challenge (reference paths only).
+  /// Packs and appends a `stages`-long challenge — how
+  /// AuthenticationServer::issue and issue_random fill their batches from
+  /// unpacked challenges.
   void push_back(const Challenge& challenge, bool bit);
 };
 

@@ -113,7 +113,7 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
       config_.pool.target > next.size() ? config_.pool.target - next.size() : 0;
   std::size_t tried = 0;
   if (want > 0) {
-    ChallengeScreener screener(view, config_.n_pufs, config_.screening);
+    ChallengeScreener screener(view, config_.n_pufs);
     const StreamFamily family = device_family(chip_id);
     // Rows already waiting in the pool: the undrained carry-over, then each
     // one this walk accepts.
@@ -151,7 +151,7 @@ void ServerDatabase::fill_live(const ModelView& view, store::ChallengeSet& ledge
   XPUF_REQUIRE(batch.size() < config_.policy.challenge_count,
                "fill_live called with an already-full batch");
   const std::size_t need = config_.policy.challenge_count - batch.size();
-  ChallengeScreener screener(view, config_.n_pufs, config_.screening);
+  ChallengeScreener screener(view, config_.n_pufs);
   const StreamFamily family(rng.fork_base());
   const ChallengeScreener::Sink sink = [&](std::span<const std::uint64_t> row, bool bit) {
     if (!ledger.insert(row)) {

@@ -67,8 +67,7 @@ struct PoolPolicy {
 struct DatabaseConfig {
   std::size_t n_pufs = 10;  ///< XOR width used for every device
   AuthenticationPolicy policy;
-  ScreeningOptions screening;  ///< candidate screening block size
-  PoolPolicy pool;             ///< issuance pools (disabled by default)
+  PoolPolicy pool;  ///< issuance pools (disabled by default)
 };
 
 /// Result of a database-level authentication request.

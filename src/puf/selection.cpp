@@ -16,10 +16,10 @@ void record_selection(const SelectionResult& result) {
   record_screening(result.candidates_tried, result.challenges.size());
 }
 
-/// The per-candidate stable-check/XOR-accumulate measurement shared by
-/// MeasurementBasedSelector::select and ::filter: measures the first n_pufs
-/// taps in order, stopping at the first unstable one (so RNG consumption
-/// matches the historical early-exit loop).
+/// MeasurementBasedSelector's per-candidate stable-check/XOR-accumulate
+/// measurement: measures the first n_pufs taps in order, stopping at the
+/// first unstable one (so RNG consumption matches the historical early-exit
+/// loop).
 struct MeasuredCandidate {
   bool all_stable = true;
   bool xor_response = false;
@@ -45,9 +45,8 @@ MeasuredCandidate measure_candidate(const sim::XorPufChip& chip, const Challenge
 
 }  // namespace
 
-ModelBasedSelector::ModelBasedSelector(const ServerModel& model, std::size_t n_pufs,
-                                       ScreeningOptions options)
-    : model_(&model), n_pufs_(n_pufs), options_(options) {
+ModelBasedSelector::ModelBasedSelector(const ServerModel& model, std::size_t n_pufs)
+    : model_(&model), n_pufs_(n_pufs) {
   XPUF_REQUIRE(n_pufs >= 1 && n_pufs <= model.puf_count(),
                "selector n_pufs out of range");
 }
@@ -60,12 +59,12 @@ SelectionResult ModelBasedSelector::select(std::size_t count, Rng& rng,
   XPUF_TRACE_SPAN("selection.select");
   SelectionResult result;
   // The walk is keyed off ONE draw from the caller's stream: candidate j is
-  // a pure function of (family, j), so block size, batched-vs-serial mode,
-  // and thread count are all invisible in the issued sequence AND in the
-  // caller's RNG consumption (see puf/screening.hpp).
+  // a pure function of (family, j), so block size and thread count are
+  // invisible in the issued sequence AND in the caller's RNG consumption
+  // (see puf/screening.hpp).
   const StreamFamily family(rng.fork_base());
   const ModelView view = ModelView::of(*model_);
-  ChallengeScreener screener(view, n_pufs_, options_);
+  ChallengeScreener screener(view, n_pufs_);
   const ChallengeScreener::Outcome outcome =
       screener.screen(family, 0, count, max_attempts,
                       [&](std::span<const std::uint64_t> row, bool bit) {
@@ -77,32 +76,6 @@ SelectionResult ModelBasedSelector::select(std::size_t count, Rng& rng,
   result.candidates_tried = outcome.tried;
   result.filled = outcome.filled;
   record_selection(result);
-  return result;
-}
-
-SelectionResult ModelBasedSelector::filter(const std::vector<Challenge>& candidates) const {
-  for (const auto& c : candidates)
-    XPUF_REQUIRE(c.size() == model_->stages(), "candidate challenge length != stage count");
-  SelectionResult result;
-  result.candidates_tried = candidates.size();
-  if (!candidates.empty()) {
-    const linalg::Matrix raw = model_->predict_raw_batch(candidates, n_pufs_);
-    std::vector<ThresholdPair> thresholds;
-    thresholds.reserve(n_pufs_);
-    for (std::size_t p = 0; p < n_pufs_; ++p)
-      thresholds.push_back(model_->adjusted_thresholds(p));
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      bool stable = true;
-      for (std::size_t p = 0; p < n_pufs_ && stable; ++p)
-        stable = thresholds[p].classify(raw(i, p)) != StableClass::kUnstable;
-      if (!stable) continue;
-      bool bit = false;
-      for (std::size_t p = 0; p < n_pufs_; ++p) bit ^= raw(i, p) > 0.5;
-      result.challenges.push_back(candidates[i]);
-      result.expected_responses.push_back(bit);
-    }
-  }
-  result.filled = true;
   return result;
 }
 
@@ -133,23 +106,6 @@ SelectionResult MeasurementBasedSelector::select(std::size_t count, Rng& rng,
   }
   result.filled = result.challenges.size() >= count;
   record_selection(result);
-  return result;
-}
-
-SelectionResult MeasurementBasedSelector::filter(const std::vector<Challenge>& candidates,
-                                                 Rng& rng) const {
-  for (const auto& c : candidates)
-    XPUF_REQUIRE(c.size() == chip_->stages(), "candidate challenge length != stage count");
-  SelectionResult result;
-  result.candidates_tried = candidates.size();
-  for (const auto& c : candidates) {
-    const MeasuredCandidate m = measure_candidate(*chip_, c, env_, trials_, n_pufs_, rng);
-    if (m.all_stable) {
-      result.challenges.push_back(c);
-      result.expected_responses.push_back(m.xor_response);
-    }
-  }
-  result.filled = true;
   return result;
 }
 

@@ -38,10 +38,7 @@ struct SelectionResult {
 class ModelBasedSelector {
  public:
   /// Uses the first `n_pufs` enrolled PUFs (the XOR width under test).
-  /// `options` tunes the screening walk (block size, batched vs the serial
-  /// reference) without changing the issued sequence.
-  ModelBasedSelector(const ServerModel& model, std::size_t n_pufs,
-                     ScreeningOptions options = {});
+  ModelBasedSelector(const ServerModel& model, std::size_t n_pufs);
 
   /// Draws random challenges until `count` stable ones are found or
   /// `max_attempts` candidates were tried. Consumes exactly one fork_base()
@@ -49,13 +46,9 @@ class ModelBasedSelector {
   SelectionResult select(std::size_t count, Rng& rng,
                          std::size_t max_attempts = 10'000'000) const;
 
-  /// Filters an existing challenge list (used by the yield benches).
-  SelectionResult filter(const std::vector<Challenge>& candidates) const;
-
  private:
   const ServerModel* model_;
   std::size_t n_pufs_;
-  ScreeningOptions options_;
 };
 
 class MeasurementBasedSelector {
@@ -66,8 +59,6 @@ class MeasurementBasedSelector {
 
   SelectionResult select(std::size_t count, Rng& rng,
                          std::size_t max_attempts = 10'000'000) const;
-
-  SelectionResult filter(const std::vector<Challenge>& candidates, Rng& rng) const;
 
  private:
   const sim::XorPufChip* chip_;

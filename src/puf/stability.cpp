@@ -39,20 +39,6 @@ ThresholdPair finalize_thresholds(double thr0, double thr1) {
   return {thr0, thr1};
 }
 
-// Every span length is legal, including empty.  xpuf-lint: allow(require-guard)
-ClassCounts classify_all(const ThresholdPair& thresholds,
-                         std::span<const double> predicted) {
-  ClassCounts counts;
-  for (double p : predicted) {
-    switch (thresholds.classify(p)) {
-      case StableClass::kStable0: ++counts.stable0; break;
-      case StableClass::kUnstable: ++counts.unstable; break;
-      case StableClass::kStable1: ++counts.stable1; break;
-    }
-  }
-  return counts;
-}
-
 // Empty input is legal and handled explicitly.  xpuf-lint: allow(require-guard)
 double measured_stable_fraction(std::span<const double> soft_responses) {
   if (soft_responses.empty()) return 0.0;

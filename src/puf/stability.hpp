@@ -65,23 +65,6 @@ ThresholdPair derive_thresholds(std::span<const double> predicted,
 /// the conservative 0.5 center.
 ThresholdPair finalize_thresholds(double thr0, double thr1);
 
-/// Counts of each class over a prediction set.
-struct ClassCounts {
-  std::size_t stable0 = 0;
-  std::size_t unstable = 0;
-  std::size_t stable1 = 0;
-
-  std::size_t total() const { return stable0 + unstable + stable1; }
-  double stable_fraction() const {
-    const std::size_t t = total();
-    return t == 0 ? 0.0
-                  : static_cast<double>(stable0 + stable1) / static_cast<double>(t);
-  }
-};
-
-ClassCounts classify_all(const ThresholdPair& thresholds,
-                         std::span<const double> predicted);
-
 /// Fraction of soft responses that are measured 100% stable.
 double measured_stable_fraction(std::span<const double> soft_responses);
 

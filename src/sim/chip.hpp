@@ -92,9 +92,6 @@ class XorPufChip {
     return linear_view(env, puf_count());
   }
 
-  /// Linear view of a single individual PUF (tap-gated like linear_view).
-  DeviceLinearView device_linear_view(std::size_t puf_index, const Environment& env) const;
-
   /// Batched per-PUF flip probabilities: challenges.size() x puf_count(),
   /// from the linear view's parity tiles — cell (c, p) is exactly
   /// normal_cdf(delay / sigma) of PUF p on challenge c. Tap-gated like
@@ -102,23 +99,6 @@ class XorPufChip {
   /// at any thread count.
   linalg::Matrix one_probabilities(const std::vector<Challenge>& challenges,
                                    const Environment& env) const;
-
-  /// Batched one-shot XOR responses, challenge i arbitrated with noise from
-  /// streams.stream(i) — the same per-device draw order as xor_response, so
-  /// a deployed chip answers identically cell for cell. The delays come
-  /// from the linear view's parity tiles (not the lockstep race of the
-  /// packed-row overload above). Always accessible. Runs on the global
-  /// thread pool; bit-identical at any thread count.
-  std::vector<std::uint8_t> xor_responses(const std::vector<Challenge>& challenges,
-                                          const Environment& env,
-                                          const StreamFamily& streams) const;
-
-  /// Batched counter-based XOR soft responses, challenge i sampling its
-  /// binomial from streams.stream(i). Always accessible; parallel and
-  /// thread-count invariant like xor_responses.
-  std::vector<SoftMeasurement> measure_xor_soft_responses(
-      const std::vector<Challenge>& challenges, const Environment& env, std::uint64_t trials,
-      const StreamFamily& streams) const;
 
   /// Whether the per-PUF tap is still readable.
   bool tap_accessible(std::size_t puf_index) const;
@@ -145,10 +125,6 @@ class XorPufChip {
   mutable FuseBank fuses_;  // mutable: blow is a physical, not logical, mutation
 
   void check_tap(std::size_t puf_index) const;
-
-  /// View over the first n devices with NO tap check — the internal route
-  /// the always-accessible XOR paths evaluate through.
-  ChipLinearView internal_view(const Environment& env, std::size_t n_pufs) const;
 };
 
 }  // namespace xpuf::sim

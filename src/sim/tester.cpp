@@ -17,12 +17,6 @@ namespace {
 // is identical for any pool size.
 constexpr std::size_t kScanChunk = 64;
 
-/// The XOR scans check lengths before their stream draw, like the others.
-bool stages_match(const std::vector<Challenge>& challenges, const XorPufChip& chip) {
-  return std::all_of(challenges.begin(), challenges.end(),
-                     [&](const Challenge& c) { return c.size() == chip.stages(); });
-}
-
 // soft_response() is ones / trials; with trials fixed the quotient takes only
 // trials + 1 distinct values, so precompute them once (same division, hence
 // the same bits). Guarded so a pathological trial count cannot demand a giant
@@ -272,48 +266,6 @@ bool ChipScanStream::next(ScanChunk& chunk) {
 ChipScanStream ChipTester::stream_individual(const XorPufChip& chip, std::size_t total,
                                              std::size_t chunk_challenges) {
   return ChipScanStream(chip, env_, trials_, total, chunk_challenges, rng_);
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_single(const XorPufChip& chip,
-                                                     std::size_t puf_index,
-                                                     const std::vector<Challenge>& challenges) {
-  XPUF_TRACE_SPAN("tester.scan_single");
-  XPUF_REQUIRE(puf_index < chip.puf_count(), "PUF index out of range");
-  const std::vector<std::uint64_t> parity = challenge_parity(challenges, chip.stages());
-  // A one-device chip view: its parity tile is the device's ascending dot.
-  ChipLinearView view;
-  if (!challenges.empty()) view = ChipLinearView({chip.device_linear_view(puf_index, env_)});
-  std::vector<SoftMeasurement> out(challenges.size());
-  const StreamFamily streams(rng_.fork_base());
-  parallel_for(challenges.size(), kScanChunk,
-               [&](std::size_t begin, std::size_t end, std::size_t) {
-                 std::vector<double> probs(end - begin);
-                 view.one_probabilities_into(parity, begin, end, probs.data());
-                 for (std::size_t c = begin; c < end; ++c) {
-                   Rng cell_rng = streams.stream(c);
-                   out[c] = {cell_rng.binomial(trials_, probs[c - begin]), trials_};
-                 }
-               });
-  return out;
-}
-
-std::vector<bool> ChipTester::sample_xor(const XorPufChip& chip,
-                                         const std::vector<Challenge>& challenges) {
-  XPUF_TRACE_SPAN("tester.sample_xor");
-  XPUF_REQUIRE(stages_match(challenges, chip), "challenge length != chip stage count");
-  static Counter& samples = MetricsRegistry::global().counter("tester.xor_samples");
-  samples.add(challenges.size());
-  const StreamFamily streams(rng_.fork_base());
-  const std::vector<std::uint8_t> bits = chip.xor_responses(challenges, env_, streams);
-  return std::vector<bool>(bits.begin(), bits.end());
-}
-
-std::vector<SoftMeasurement> ChipTester::scan_xor(const XorPufChip& chip,
-                                                  const std::vector<Challenge>& challenges) {
-  XPUF_TRACE_SPAN("tester.scan_xor");
-  XPUF_REQUIRE(stages_match(challenges, chip), "challenge length != chip stage count");
-  const StreamFamily streams(rng_.fork_base());
-  return chip.measure_xor_soft_responses(challenges, env_, trials_, streams);
 }
 
 }  // namespace xpuf::sim

@@ -165,18 +165,6 @@ class ChipTester {
   ChipScanStream stream_individual(const XorPufChip& chip, std::size_t total,
                                    std::size_t chunk_challenges);
 
-  /// Measures soft responses of one individual PUF.
-  std::vector<SoftMeasurement> scan_single(const XorPufChip& chip, std::size_t puf_index,
-                                           const std::vector<Challenge>& challenges);
-
-  /// One-shot XOR responses (the deployed-chip view).
-  std::vector<bool> sample_xor(const XorPufChip& chip,
-                               const std::vector<Challenge>& challenges);
-
-  /// XOR soft responses over `trials` evaluations.
-  std::vector<SoftMeasurement> scan_xor(const XorPufChip& chip,
-                                        const std::vector<Challenge>& challenges);
-
  private:
   Environment env_;
   std::uint64_t trials_;

@@ -53,44 +53,6 @@ sim::ChipSoftScan ScalarTester::scan_individual(const sim::XorPufChip& chip,
   return scan;
 }
 
-std::vector<sim::SoftMeasurement> ScalarTester::scan_single(
-    const sim::XorPufChip& chip, std::size_t puf_index,
-    const std::vector<sim::Challenge>& challenges) {
-  XPUF_REQUIRE(puf_index < chip.puf_count(), "PUF index out of range");
-  require_stages(challenges, chip);
-  const StreamFamily streams(rng_.fork_base());
-  std::vector<sim::SoftMeasurement> out(challenges.size());
-  for (std::size_t c = 0; c < challenges.size(); ++c) {
-    Rng cell = streams.stream(c);
-    out[c] = chip.measure_soft_response(puf_index, challenges[c], env_, trials_, cell);
-  }
-  return out;
-}
-
-std::vector<bool> ScalarTester::sample_xor(const sim::XorPufChip& chip,
-                                           const std::vector<sim::Challenge>& challenges) {
-  require_stages(challenges, chip);
-  const StreamFamily streams(rng_.fork_base());
-  std::vector<bool> out(challenges.size());
-  for (std::size_t c = 0; c < challenges.size(); ++c) {
-    Rng cell = streams.stream(c);
-    out[c] = chip.xor_response(challenges[c], env_, cell);
-  }
-  return out;
-}
-
-std::vector<sim::SoftMeasurement> ScalarTester::scan_xor(
-    const sim::XorPufChip& chip, const std::vector<sim::Challenge>& challenges) {
-  require_stages(challenges, chip);
-  const StreamFamily streams(rng_.fork_base());
-  std::vector<sim::SoftMeasurement> out(challenges.size());
-  for (std::size_t c = 0; c < challenges.size(); ++c) {
-    Rng cell = streams.stream(c);
-    out[c] = chip.measure_xor_soft_response(challenges[c], env_, trials_, cell);
-  }
-  return out;
-}
-
 puf::ChallengeScreener::Outcome serial_screen(const puf::ModelView& view, std::size_t n_pufs,
                                               const StreamFamily& family,
                                               std::uint64_t first_index, std::size_t count,

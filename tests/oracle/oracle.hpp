@@ -5,9 +5,9 @@
 // production path to it bit for bit. None is a production fallback, so none
 // lives in src/:
 //
-//  - ScalarTester: sim::ChipTester's scans with every cell walked through
-//    the recursive stage model (XorPufChip::measure_soft_response and
-//    friends) instead of the parity-word tiles.
+//  - ScalarTester: sim::ChipTester's individual scan with every cell walked
+//    through the recursive stage model (XorPufChip::measure_soft_response)
+//    instead of the parity-word tiles.
 //  - serial_screen: puf::ChallengeScreener's walk one candidate at a time,
 //    one feature_fill row and n ascending dots per candidate, instead of the
 //    byte-table survivor cascade.
@@ -30,10 +30,10 @@
 namespace xpuf::oracle {
 
 /// sim::ChipTester's API and RNG contract with per-cell evaluation: each
-/// scan takes one fork_base() draw and cell (p, c) of an individual scan
-/// draws from stream p * challenges + c (stream c for the single-PUF and
-/// XOR scans). A ScalarTester and a ChipTester built from equal generators
-/// therefore agree scan for scan, bit for bit. Serial; records no metrics.
+/// scan takes one fork_base() draw and cell (p, c) draws from stream
+/// p * challenges + c. A ScalarTester and a ChipTester built from equal
+/// generators therefore agree scan for scan, bit for bit. Serial; records
+/// no metrics.
 class ScalarTester {
  public:
   ScalarTester(sim::Environment env, std::uint64_t trials, Rng rng);
@@ -42,13 +42,6 @@ class ScalarTester {
                                                 std::size_t count);
   sim::ChipSoftScan scan_individual(const sim::XorPufChip& chip,
                                     const std::vector<sim::Challenge>& challenges);
-  std::vector<sim::SoftMeasurement> scan_single(const sim::XorPufChip& chip,
-                                                std::size_t puf_index,
-                                                const std::vector<sim::Challenge>& challenges);
-  std::vector<bool> sample_xor(const sim::XorPufChip& chip,
-                               const std::vector<sim::Challenge>& challenges);
-  std::vector<sim::SoftMeasurement> scan_xor(const sim::XorPufChip& chip,
-                                             const std::vector<sim::Challenge>& challenges);
 
  private:
   sim::Environment env_;

@@ -71,24 +71,6 @@ TEST(Cholesky, SolveValidatesDimensions) {
   EXPECT_THROW(chol.solve(Vector(4)), std::invalid_argument);
 }
 
-TEST(Cholesky, LogDetMatchesDiagonalProduct) {
-  Matrix a = Matrix::identity(3);
-  a(0, 0) = 4.0;
-  a(1, 1) = 9.0;
-  a(2, 2) = 16.0;
-  EXPECT_NEAR(Cholesky(a).log_det(), std::log(4.0 * 9.0 * 16.0), 1e-12);
-}
-
-TEST(SolveSpd, OneShotHelperMatchesClassUse) {
-  Rng rng(5);
-  const Matrix a = random_spd(4, rng);
-  Vector b(4);
-  for (auto& v : b) v = rng.normal();
-  const Vector x1 = solve_spd(a, b);
-  const Vector x2 = Cholesky(a).solve(b);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(x1[i], x2[i]);
-}
-
 // Property sweep over system sizes: residual of the solve stays tiny.
 class CholeskySizeSweep : public ::testing::TestWithParam<std::size_t> {};
 

@@ -26,7 +26,7 @@ class DatabaseTest : public ::testing::Test {
   DatabaseTest()
       : pop_(make_config()),
         rng_(808),
-        db_(DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}}) {
+        db_(DatabaseConfig{.n_pufs = kNPufs, .policy = {.challenge_count = 16}, .pool = {}}) {
     EnrollmentConfig cfg;
     cfg.training_challenges = 2'000;
     cfg.trials = 2'000;
@@ -48,7 +48,6 @@ class DatabaseTest : public ::testing::Test {
   static DatabaseConfig db_config(std::size_t pool_target = 0) {
     return DatabaseConfig{.n_pufs = kNPufs,
                           .policy = {.challenge_count = 16},
-                          .screening = {},
                           .pool = {.target = pool_target}};
   }
 

@@ -1,7 +1,7 @@
 // Golden pin of every batch evaluation entry point that reads the linear
-// delay model w . phi(c): the tester's four scans, the evaluation blocks and
-// the beta search over them, model-based filtering, the attack corpus and
-// the fit from an existing scan. Each output is hashed bit for bit over
+// delay model w . phi(c): the tester's individual scan, the evaluation
+// blocks and the beta search over them, the attack corpus and the fit from
+// an existing scan. Each output is hashed bit for bit over
 // stages {32, 64, 100} x XOR widths {1, 2, 10}, at 1 and 4 threads, against
 // constants recorded from the implementation that evaluated through a
 // row-major double Phi matrix. The parity-word core that replaced it must
@@ -17,7 +17,6 @@
 #include "common/rng.hpp"
 #include "puf/attack.hpp"
 #include "puf/enrollment.hpp"
-#include "puf/selection.hpp"
 #include "puf/threshold_adjust.hpp"
 #include "sim/population.hpp"
 #include "sim/tester.hpp"
@@ -43,14 +42,6 @@ void mix_bits(std::uint64_t& h, const std::vector<bool>& bits) {
   for (const bool b : bits) mix(h, std::uint64_t{b ? 1U : 0U});
 }
 
-void mix_measurements(std::uint64_t& h, const std::vector<sim::SoftMeasurement>& ms) {
-  mix(h, std::uint64_t{ms.size()});
-  for (const sim::SoftMeasurement& m : ms) {
-    mix(h, m.ones);
-    mix(h, m.trials);
-  }
-}
-
 void mix_dataset(std::uint64_t& h, const ml::Dataset& d) {
   mix(h, std::uint64_t{d.x.rows()});
   mix(h, std::uint64_t{d.x.cols()});
@@ -61,13 +52,9 @@ void mix_dataset(std::uint64_t& h, const ml::Dataset& d) {
 
 struct Hashes {
   std::uint64_t individual = 0;
-  std::uint64_t single = 0;
-  std::uint64_t sample_xor = 0;
-  std::uint64_t scan_xor = 0;
   std::uint64_t enroll = 0;
   std::uint64_t eval_blocks = 0;
   std::uint64_t betas = 0;
-  std::uint64_t filter = 0;
   std::uint64_t attack = 0;
 
   bool operator==(const Hashes&) const = default;
@@ -95,7 +82,7 @@ Hashes run_case(std::size_t stages, std::size_t n_pufs) {
   const sim::XorPufChip& chip = pop.chip(0);
   Hashes out;
 
-  // The tester's four scans at each corner, one tester per corner.
+  // The tester's individual scan at each corner, one tester per corner.
   std::uint64_t corner_seed = 11;
   for (const sim::Environment& env : corners()) {
     Rng rng(corner_seed++);
@@ -107,9 +94,6 @@ Hashes run_case(std::size_t stages, std::size_t n_pufs) {
       for (const double s : scan.soft[p]) mix(out.individual, s);
       mix_bits(out.individual, scan.stable[p]);
     }
-    mix_measurements(out.single, tester.scan_single(chip, n_pufs - 1, challenges));
-    mix_bits(out.sample_xor, tester.sample_xor(chip, challenges));
-    mix_measurements(out.scan_xor, tester.scan_xor(chip, challenges));
   }
 
   // A model fitted from an existing scan at the nominal corner.
@@ -144,14 +128,6 @@ Hashes run_case(std::size_t stages, std::size_t n_pufs) {
   mix(out.betas, std::uint64_t{betas.violations_after});
   mix(out.betas, std::uint64_t{betas.converged ? 1U : 0U});
 
-  // Model-based filtering of a fixed candidate list.
-  Rng filter_rng(31);
-  const std::vector<sim::Challenge> candidates = sim::random_challenges(stages, 4000, filter_rng);
-  const puf::SelectionResult filtered = puf::ModelBasedSelector(model, n_pufs).filter(candidates);
-  mix_challenges(out.filter, filtered.challenges);
-  mix_bits(out.filter, filtered.expected_responses);
-  mix(out.filter, std::uint64_t{filtered.candidates_tried});
-
   // The attack corpus.
   puf::AttackDatasetConfig acfg;
   acfg.n_pufs = n_pufs;
@@ -167,46 +143,33 @@ Hashes run_case(std::size_t stages, std::size_t n_pufs) {
 
 // Recorded by running run_case on the Phi-matrix implementation.
 const GoldenCase kCases[] = {
-    {32, 1, {0x62e767a29ed199b6ULL, 0xa733b03e4068d16bULL, 0xdba36ca1475a12feULL,
-              0xf6a438b4c08e2210ULL, 0xa1b08512139fd000ULL, 0x2c9ed776b9a85982ULL,
-              0x62f0e30665d49e20ULL, 0x86fae5a1803e0d14ULL, 0x3cc2993f2ca6dfd2ULL}},
-    {32, 2, {0xbfe51a75b5e47e32ULL, 0xf61a88362d2fd8fcULL, 0xecc6d2ac9b769365ULL,
-              0xf94a18d348cfb13cULL, 0x7cc2980eaa08dd95ULL, 0x46149daf94632390ULL,
-              0x9c2505a268141a23ULL, 0x6c3c0bc301502a98ULL, 0x1a663eb97cb20cdbULL}},
-    {32, 10, {0x880d6e2e563f2ca1ULL, 0x96175041baf69418ULL, 0xf465f72e1b0d7320ULL,
-              0x6bd33f9c6bc66d46ULL, 0x5f0f856d746db074ULL, 0xfac66fad6eaffe1fULL,
-              0x52a9e4952305c73bULL, 0xe3fd961b60416ee8ULL, 0xc1c35df67983940fULL}},
-    {64, 1, {0x4dfd44ecc6ca66acULL, 0x51432edd8e463424ULL, 0x8b876feb42f97de6ULL,
-              0x3a9e33c440d51183ULL, 0x3500fdb30fc1859fULL, 0x5a18b4856e82049eULL,
-              0x085475bf9b1eb937ULL, 0x0348edc7ceaea49cULL, 0x45d12feabc79e306ULL}},
-    {64, 2, {0x019c88ed971d564bULL, 0xdfd1bfb8c6d1ed52ULL, 0x6f02e912be0b5362ULL,
-              0x3d549ee72dd8f7f0ULL, 0x42f9273d60c23ba8ULL, 0x7d607569e5b058edULL,
-              0xe47c6b763d98491eULL, 0x09c0ae3826b8cd95ULL, 0x265f7fc76cd088daULL}},
-    {64, 10, {0x6dfe676b1028576bULL, 0xace2059ebff5c593ULL, 0x931dd45a15fa30fcULL,
-              0x4bb9a8dff81028f3ULL, 0x91f18a5fcd230de9ULL, 0xd05ce71cd48e60efULL,
-              0xfb32a116d539f009ULL, 0xf3ed6406978fbcc1ULL, 0x9bf7639306c821abULL}},
-    {100, 1, {0x4e3daab068f6bebaULL, 0x3c338d04dd702343ULL, 0xa0e096790615ce6eULL,
-              0x77d5ce51abaaa98aULL, 0xa1ad54178b54c96fULL, 0x3a3c5d86b91de695ULL,
-              0xc0ba8651106e4864ULL, 0x7f5d3a96e4fdbd9bULL, 0xbdc03cb40a8e7970ULL}},
-    {100, 2, {0x8fea39d9bbc5dadfULL, 0xef36b0a9795a62d0ULL, 0x56b1c0866dc3a8e2ULL,
-              0xf28db20bf21f7099ULL, 0x07f4c9863cb8cd65ULL, 0x9076c66ad93508d8ULL,
-              0x6c372f306c639b49ULL, 0xbf86b236d258baa2ULL, 0x3435f6dcbf0b901dULL}},
-    {100, 10, {0xe01792b5e27b26edULL, 0x5b700d21ed99784aULL, 0xb261fd2d9fd33808ULL,
-              0xb815a82a07ac620bULL, 0x1b5a3719fa5e1481ULL, 0x708b7cc9ba3210e9ULL,
-              0x44dd839ac0192881ULL, 0x22cdf264c91f3a44ULL, 0xd3924792f2fde996ULL}},
+    {32, 1, {0x62e767a29ed199b6ULL, 0xa1b08512139fd000ULL, 0x2c9ed776b9a85982ULL,
+             0x62f0e30665d49e20ULL, 0x3cc2993f2ca6dfd2ULL}},
+    {32, 2, {0xbfe51a75b5e47e32ULL, 0x7cc2980eaa08dd95ULL, 0x46149daf94632390ULL,
+             0x9c2505a268141a23ULL, 0x1a663eb97cb20cdbULL}},
+    {32, 10, {0x880d6e2e563f2ca1ULL, 0x5f0f856d746db074ULL, 0xfac66fad6eaffe1fULL,
+              0x52a9e4952305c73bULL, 0xc1c35df67983940fULL}},
+    {64, 1, {0x4dfd44ecc6ca66acULL, 0x3500fdb30fc1859fULL, 0x5a18b4856e82049eULL,
+             0x085475bf9b1eb937ULL, 0x45d12feabc79e306ULL}},
+    {64, 2, {0x019c88ed971d564bULL, 0x42f9273d60c23ba8ULL, 0x7d607569e5b058edULL,
+             0xe47c6b763d98491eULL, 0x265f7fc76cd088daULL}},
+    {64, 10, {0x6dfe676b1028576bULL, 0x91f18a5fcd230de9ULL, 0xd05ce71cd48e60efULL,
+              0xfb32a116d539f009ULL, 0x9bf7639306c821abULL}},
+    {100, 1, {0x4e3daab068f6bebaULL, 0xa1ad54178b54c96fULL, 0x3a3c5d86b91de695ULL,
+              0xc0ba8651106e4864ULL, 0xbdc03cb40a8e7970ULL}},
+    {100, 2, {0x8fea39d9bbc5dadfULL, 0x07f4c9863cb8cd65ULL, 0x9076c66ad93508d8ULL,
+              0x6c372f306c639b49ULL, 0x3435f6dcbf0b901dULL}},
+    {100, 10, {0xe01792b5e27b26edULL, 0x1b5a3719fa5e1481ULL, 0x708b7cc9ba3210e9ULL,
+               0x44dd839ac0192881ULL, 0xd3924792f2fde996ULL}},
 };
 
 void print_hashes(const char* label, const Hashes& h) {
-  std::printf("%s {0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL,\n"
-              "   0x%016llxULL, 0x%016llxULL, 0x%016llxULL, 0x%016llxULL}\n",
+  std::printf("%s {0x%016llxULL, 0x%016llxULL, 0x%016llxULL,\n"
+              "   0x%016llxULL, 0x%016llxULL}\n",
               label, static_cast<unsigned long long>(h.individual),
-              static_cast<unsigned long long>(h.single),
-              static_cast<unsigned long long>(h.sample_xor),
-              static_cast<unsigned long long>(h.scan_xor),
               static_cast<unsigned long long>(h.enroll),
               static_cast<unsigned long long>(h.eval_blocks),
               static_cast<unsigned long long>(h.betas),
-              static_cast<unsigned long long>(h.filter),
               static_cast<unsigned long long>(h.attack));
 }
 
@@ -217,13 +180,9 @@ TEST(EvalGolden, EveryBatchEntryPointMatchesThePhiMatrixImplementation) {
       ThreadPool::set_global_threads(threads);
       const Hashes got = run_case(gc.stages, gc.n_pufs);
       EXPECT_EQ(got.individual, gc.want.individual);
-      EXPECT_EQ(got.single, gc.want.single);
-      EXPECT_EQ(got.sample_xor, gc.want.sample_xor);
-      EXPECT_EQ(got.scan_xor, gc.want.scan_xor);
       EXPECT_EQ(got.enroll, gc.want.enroll);
       EXPECT_EQ(got.eval_blocks, gc.want.eval_blocks);
       EXPECT_EQ(got.betas, gc.want.betas);
-      EXPECT_EQ(got.filter, gc.want.filter);
       EXPECT_EQ(got.attack, gc.want.attack);
       if (got != gc.want) {
         std::printf("stages %zu, n %zu, %llu threads:\n", gc.stages, gc.n_pufs,

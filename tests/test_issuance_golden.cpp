@@ -95,7 +95,6 @@ std::pair<std::uint64_t, std::uint64_t> run(std::size_t stages, std::size_t n_pu
   fs::remove_all(dir);
   const DatabaseConfig cfg{.n_pufs = n_pufs,
                            .policy = {.challenge_count = 16},
-                           .screening = {},
                            .pool = {.target = 40, .low_water = 8, .seed = 0x90dd3e5ULL}};
   store::StoreOptions opts;
   opts.n_shards = 2;

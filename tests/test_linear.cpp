@@ -422,19 +422,16 @@ TEST(ChipLinearView, ChallengeParityPacksThenTakesSuffixParity) {
   EXPECT_THROW(sim::challenge_parity({}, 0), std::invalid_argument);
 }
 
-/// All four tester entry points, as comparable value types.
+/// The individual scan's outputs, as comparable value types.
 struct ScanOutputs {
   std::vector<std::vector<double>> soft;
   std::vector<std::vector<bool>> stable;
-  std::vector<double> single_soft;
-  std::vector<bool> xor_bits;
-  std::vector<double> xor_soft;
 
   bool operator==(const ScanOutputs&) const = default;
 };
 
-/// The four scans of the production tester or of its per-cell oracle, from
-/// identically seeded generators.
+/// The individual scan of the production tester or of its per-cell oracle,
+/// from identically seeded generators.
 template <class Tester>
 ScanOutputs run_scans(const sim::Environment& env) {
   sim::ChipPopulation pop = test_population(4);
@@ -445,11 +442,6 @@ ScanOutputs run_scans(const sim::Environment& env) {
   const sim::ChipSoftScan scan = tester.scan_individual(pop.chip(0), challenges);
   out.soft = scan.soft;
   out.stable = scan.stable;
-  for (const auto& m : tester.scan_single(pop.chip(0), 2, challenges))
-    out.single_soft.push_back(m.soft_response());
-  out.xor_bits = tester.sample_xor(pop.chip(0), challenges);
-  for (const auto& m : tester.scan_xor(pop.chip(0), challenges))
-    out.xor_soft.push_back(m.soft_response());
   return out;
 }
 
@@ -531,26 +523,6 @@ TEST(ModelSelection, BlockSelectMatchesSerialReference) {
   }
 }
 
-TEST(ModelSelection, FilterMatchesPerChallengeClassification) {
-  sim::ChipPopulation pop = test_population(2);
-  const puf::ServerModel model = small_server_model(pop.chip(0));
-  const puf::ModelBasedSelector selector(model, 2);
-  const auto candidates = fixed_challenges(model.stages(), 300);
-  const puf::SelectionResult filtered = selector.filter(candidates);
-  EXPECT_EQ(filtered.candidates_tried, 300u);
-  EXPECT_TRUE(filtered.filled);
-  std::size_t kept = 0;
-  for (const auto& c : candidates) {
-    if (!model.all_stable(c, 2)) continue;
-    ASSERT_LT(kept, filtered.challenges.size());
-    EXPECT_EQ(filtered.challenges[kept], c);
-    EXPECT_EQ(static_cast<bool>(filtered.expected_responses[kept]),
-              model.predict_xor(c, 2));
-    ++kept;
-  }
-  EXPECT_EQ(kept, filtered.challenges.size());
-}
-
 TEST(ServerModelBatch, StableAndXorBatchesMatchScalarPredicates) {
   sim::ChipPopulation pop = test_population(3);
   const puf::ServerModel model = small_server_model(pop.chip(0));
@@ -583,24 +555,28 @@ TEST(TapGating, LinearViewsRespectFusesButXorBatchesSurvive) {
 
   // Pre-deployment: everything works.
   EXPECT_NO_THROW(chip.linear_view(env));
-  EXPECT_NO_THROW(chip.device_linear_view(1, env));
   EXPECT_NO_THROW(chip.one_probabilities(challenges, env));
 
   chip.blow_fuses();
   EXPECT_THROW(chip.linear_view(env), AccessError);
-  EXPECT_THROW(chip.device_linear_view(1, env), AccessError);
   EXPECT_THROW(chip.one_probabilities(challenges, env), AccessError);
 
-  // The per-tap scans throw, and so does the per-cell oracle; the XOR pin
-  // remains usable.
+  // The per-tap scan throws, and so does the per-cell oracle; the XOR pin
+  // remains usable, batched and counter-based.
   Rng rng(5);
   sim::ChipTester tester(env, 50, rng.fork());
   EXPECT_THROW(tester.scan_individual(chip, challenges), AccessError);
-  EXPECT_THROW(tester.scan_single(chip, 1, challenges), AccessError);
   oracle::ScalarTester scalar(env, 50, rng.fork());
   EXPECT_THROW(scalar.scan_individual(chip, challenges), AccessError);
-  EXPECT_EQ(tester.sample_xor(chip, challenges).size(), challenges.size());
-  EXPECT_EQ(tester.scan_xor(chip, challenges).size(), challenges.size());
+  const std::size_t stride = sim::packed_words(chip.stages());
+  std::vector<std::uint64_t> rows(challenges.size() * stride);
+  for (std::size_t c = 0; c < challenges.size(); ++c)
+    sim::random_packed_challenge_into(std::span(rows).subspan(c * stride, stride),
+                                      chip.stages(), rng);
+  std::vector<std::uint8_t> bits;
+  chip.xor_responses(rows, chip.stages(), env, rng, bits);
+  EXPECT_EQ(bits.size(), challenges.size());
+  EXPECT_EQ(chip.measure_xor_soft_response(challenges[0], env, 50, rng).trials, 50u);
 }
 
 TEST(NormalCdfBatchIntegration, ChipProbabilitiesUseTheExactScalarCdf) {

@@ -330,6 +330,26 @@ TEST(LintMetricsAccounting, ATestExpectationQuotingTheNameIsAnAudit) {
   EXPECT_TRUE(with_rule(report, "metrics-accounting").empty());
 }
 
+// --- Orphan headers ---------------------------------------------------------
+
+TEST(LintOrphanHeader, FlagsAHeaderOnlyATestIncludes) {
+  const Report report = xpuf::lint::analyze_files({
+      // Reached only by its own .cpp and its test: flagged.
+      {"src/sim/orphan.hpp", "#pragma once\nint orphan();\n"},
+      {"src/sim/orphan.cpp", "#include \"sim/orphan.hpp\"\nint orphan() { return 1; }\n"},
+      {"tests/test_orphan.cpp", "#include \"sim/orphan.hpp\"\n"},
+      // Reached by another src/ file, and by an example: clean.
+      {"src/sim/core.hpp", "#pragma once\n"},
+      {"src/puf/user.cpp", "#include \"sim/core.hpp\"\n"},
+      {"src/sim/demo.hpp", "#pragma once\n"},
+      {"examples/demo.cpp", "#include \"sim/demo.hpp\"\n"},
+  });
+  const auto hits = with_rule(report, "orphan-header");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/sim/orphan.hpp");
+  EXPECT_EQ(hits[0].line, 1u);
+}
+
 // --- Guarded-by policy ------------------------------------------------------
 
 namespace guarded_fixture {

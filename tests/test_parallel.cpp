@@ -148,22 +148,6 @@ TEST(ParallelDeterminism, ScanIndividualBitIdenticalAcrossThreadCounts) {
   });
 }
 
-TEST(ParallelDeterminism, XorScansBitIdenticalAcrossThreadCounts) {
-  expect_identical_across_thread_counts([] {
-    sim::ChipPopulation pop = test_population(4);
-    Rng rng(77);
-    sim::ChipTester tester(sim::Environment::nominal(), 100, rng.fork());
-    const auto challenges = tester.random_challenges(pop.chip(0), 250);
-    std::vector<double> soft;
-    for (const auto& m : tester.scan_xor(pop.chip(0), challenges))
-      soft.push_back(m.soft_response());
-    const std::vector<bool> bits = tester.sample_xor(pop.chip(0), challenges);
-    for (const auto& m : tester.scan_single(pop.chip(0), 1, challenges))
-      soft.push_back(m.soft_response());
-    return std::make_pair(soft, bits);
-  });
-}
-
 TEST(ParallelDeterminism, AttackDatasetBitIdenticalAcrossThreadCounts) {
   expect_identical_across_thread_counts([] {
     sim::ChipPopulation pop = test_population(3);

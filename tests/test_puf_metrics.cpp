@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/puf_metrics.hpp"
-#include "common/math.hpp"
 
 namespace xpuf::analysis {
 namespace {
@@ -73,18 +72,6 @@ TEST(PufMetrics, ReliabilityGrowsWithXorWidth) {
   const double wide =
       reliability_error(pop.chip(0), 4, 800, 5, sim::Environment::nominal(), rng);
   EXPECT_GT(wide, narrow);  // the paper's security-vs-stability tension
-}
-
-TEST(PufMetrics, BitAliasingCentersAtHalf) {
-  const auto pop = make_population(6);
-  Rng rng(8);
-  const auto aliasing = bit_aliasing(pop, 4, 400, sim::Environment::nominal(), rng);
-  ASSERT_EQ(aliasing.size(), 400u);
-  EXPECT_NEAR(mean(aliasing), 0.5, 0.06);
-  for (double a : aliasing) {
-    EXPECT_GE(a, 0.0);
-    EXPECT_LE(a, 1.0);
-  }
 }
 
 }  // namespace

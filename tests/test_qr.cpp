@@ -61,7 +61,7 @@ TEST(QR, DetectsRankDeficiency) {
     a(r, 1) = static_cast<double>(r + 1);
   }
   const QR qr(a);
-  EXPECT_LT(qr.min_abs_diag(), 1e-12);
+  EXPECT_LT(std::fabs(qr.r()(1, 1)), 1e-12);
   EXPECT_THROW(qr.solve(Vector(4, 1.0)), NumericalError);
 }
 
@@ -87,18 +87,7 @@ TEST(QR, ApplyQtPreservesNorm) {
 TEST(QR, HandlesZeroColumnGracefully) {
   Matrix a(3, 2);
   a(0, 1) = 1.0;  // first column all zero
-  const QR qr(a);
-  EXPECT_LT(qr.min_abs_diag(), 1e-12);
-}
-
-TEST(SolveLeastSquaresQr, HelperMatchesClass) {
-  Rng rng(5);
-  const Matrix a = random_matrix(12, 3, rng);
-  Vector b(12);
-  for (auto& v : b) v = rng.normal();
-  const Vector x1 = solve_least_squares_qr(a, b);
-  const Vector x2 = QR(a).solve(b);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(x1[i], x2[i]);
+  EXPECT_LT(std::fabs(QR(a).r()(0, 0)), 1e-12);
 }
 
 // Parameterized shape sweep: planted solutions are recovered for tall

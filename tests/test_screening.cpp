@@ -424,7 +424,7 @@ TEST(ScreeningEquivalence, ScreeningConsumesNothingFromTheCallerRng) {
 
 TEST(ScreeningEquivalence, IssueLiveIsBitIdenticalAcrossScreeningModes) {
   ServerDatabase db(DatabaseConfig{
-      .n_pufs = 3, .policy = {.challenge_count = 16}, .screening = {}, .pool = {}});
+      .n_pufs = 3, .policy = {.challenge_count = 16}, .pool = {}});
   const ServerModel model = enroll_model();
   db.register_device(model);
   const ModelView view = ModelView::of(model);
@@ -580,7 +580,6 @@ TEST(ScreeningMargin, PaperCalibratedFleetNeverTakesTheExactPath) {
 DatabaseConfig pooled_config(std::size_t target) {
   return DatabaseConfig{.n_pufs = 3,
                         .policy = {.challenge_count = 16},
-                        .screening = {},
                         .pool = {.target = target, .low_water = 8,
                                  .seed = 0x706f6f6c73656564ull}};
 }

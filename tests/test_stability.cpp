@@ -79,22 +79,6 @@ TEST(DeriveThresholds, Validates) {
   EXPECT_THROW(derive_thresholds(a, b), std::invalid_argument);
 }
 
-TEST(ClassifyAll, CountsEveryRegion) {
-  const ThresholdPair thr{0.2, 0.8};
-  const std::vector<double> preds{0.0, 0.1, 0.5, 0.6, 0.9, 1.1, 0.3};
-  const ClassCounts counts = classify_all(thr, preds);
-  EXPECT_EQ(counts.stable0, 2u);
-  EXPECT_EQ(counts.stable1, 2u);
-  EXPECT_EQ(counts.unstable, 3u);
-  EXPECT_EQ(counts.total(), 7u);
-  EXPECT_NEAR(counts.stable_fraction(), 4.0 / 7.0, 1e-12);
-}
-
-TEST(ClassCounts, EmptyFractionIsZero) {
-  const ClassCounts counts;
-  EXPECT_DOUBLE_EQ(counts.stable_fraction(), 0.0);
-}
-
 TEST(MeasuredStableFraction, CountsExactBins) {
   const std::vector<double> soft{0.0, 1.0, 0.5, 0.0, 0.99};
   EXPECT_DOUBLE_EQ(measured_stable_fraction(soft), 0.6);

@@ -55,35 +55,6 @@ TEST(ChipTester, ScanIndividualShapesAndConsistency) {
   }
 }
 
-TEST(ChipTester, ScanSingleMatchesWidth) {
-  const auto chip = make_chip(2, 5);
-  ChipTester tester(Environment::nominal(), 500, Rng(6));
-  const auto challenges = tester.random_challenges(chip, 10);
-  const auto measurements = tester.scan_single(chip, 1, challenges);
-  ASSERT_EQ(measurements.size(), 10u);
-  for (const auto& m : measurements) EXPECT_EQ(m.trials, 500u);
-}
-
-TEST(ChipTester, SampleXorReturnsOneBitPerChallenge) {
-  const auto chip = make_chip(4, 7);
-  ChipTester tester(Environment::nominal(), 100, Rng(8));
-  const auto challenges = tester.random_challenges(chip, 12);
-  const auto bits = tester.sample_xor(chip, challenges);
-  EXPECT_EQ(bits.size(), 12u);
-}
-
-TEST(ChipTester, ScanXorProducesBoundedSoftResponses) {
-  const auto chip = make_chip(4, 9);
-  ChipTester tester(Environment::nominal(), 2'000, Rng(10));
-  const auto challenges = tester.random_challenges(chip, 15);
-  const auto ms = tester.scan_xor(chip, challenges);
-  ASSERT_EQ(ms.size(), 15u);
-  for (const auto& m : ms) {
-    EXPECT_GE(m.soft_response(), 0.0);
-    EXPECT_LE(m.soft_response(), 1.0);
-  }
-}
-
 TEST(ChipTester, IsDeterministicPerSeed) {
   const auto chip = make_chip(2, 11);
   ChipTester t1(Environment::nominal(), 1'000, Rng(12));
@@ -109,8 +80,9 @@ TEST(ChipTester, ScanFailsOnDeployedChip) {
   ChipTester tester(Environment::nominal(), 100, Rng(15));
   const auto challenges = tester.random_challenges(chip, 3);
   EXPECT_THROW(tester.scan_individual(chip, challenges), xpuf::AccessError);
-  // XOR sampling still works.
-  EXPECT_NO_THROW(tester.sample_xor(chip, challenges));
+  // The XOR output still answers.
+  Rng rng(16);
+  EXPECT_NO_THROW(chip.xor_response(challenges[0], Environment::nominal(), rng));
 }
 
 // --- LazyCdfCounter vs streams.stream(key).binomial(trials, normal_cdf(z)) ---

@@ -123,7 +123,7 @@ std::size_t Stats::suppressions_total() const {
 }
 
 std::vector<std::pair<std::string, std::string>> read_tree(const std::string& root) {
-  const std::vector<std::string> trees = {"src", "bench", "tests", "tools"};
+  const std::vector<std::string> trees = {"src", "bench", "examples", "tests", "tools"};
   std::vector<std::pair<std::string, std::string>> files;
   for (const std::string& tree : trees) {
     const fs::path dir = fs::path(root) / tree;
@@ -179,7 +179,7 @@ Report analyze_files(const std::vector<std::pair<std::string, std::string>>& fil
 
   // Semantic passes, filtered through the same suppression tables.
   for (auto* pass : {pass_layering, pass_determinism, pass_wire_pairing,
-                     pass_metrics_accounting}) {
+                     pass_metrics_accounting, pass_orphan_headers}) {
     for (Violation& v : pass(index)) {
       const auto it = sup_by_file.find(v.file);
       if (it != sup_by_file.end() && it->second.allows(v.rule, v.line - 1)) continue;

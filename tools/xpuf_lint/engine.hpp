@@ -52,8 +52,8 @@ struct Report {
   Stats stats;
 };
 
-/// Reads the lintable tree under `root` (src/, bench/, tests/, tools/ —
-/// .cpp/.hpp/.h) as (rel_path, content) pairs, sorted by path.
+/// Reads the lintable tree under `root` (src/, bench/, examples/, tests/,
+/// tools/ — .cpp/.hpp/.h) as (rel_path, content) pairs, sorted by path.
 std::vector<std::pair<std::string, std::string>> read_tree(const std::string& root);
 
 /// Runs the full analysis (per-file rules + semantic passes + suppression and

@@ -324,7 +324,8 @@ ProjectIndex build_index(std::vector<std::pair<std::string, std::string>> file_s
   // directory first, then the project include roots (matching the CMake
   // target_include_directories layout).
   static const std::regex inc_re(R"re(^\s*#\s*include\s*"([^"]+)")re");
-  const std::vector<std::string> roots = {"src", "tools/xpuf_lint", "bench", "tests"};
+  const std::vector<std::string> roots = {"src", "tools/xpuf_lint", "bench", "examples",
+                                          "tests"};
   for (const SourceFile& f : index.files) {
     for (std::size_t i = 0; i < f.raw_lines.size(); ++i) {
       std::smatch m;

@@ -80,6 +80,9 @@ const std::vector<RuleInfo> kRules = {
     {"bad-guard-ref",
      "guarded-by(callee) marker the symbol index cannot verify, or one that no longer "
      "discharges any require-guard finding"},
+    {"orphan-header",
+     "src/ header no file outside tests/ includes (its own .cpp aside); code only its "
+     "tests reach is not a production path — delete it or move the oracle to tests/"},
 };
 
 std::vector<std::string> parse_allow_list(const std::string& line, const std::string& marker) {

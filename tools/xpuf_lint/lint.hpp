@@ -60,6 +60,8 @@
 //   bad-guard-ref        a guarded-by(callee) marker whose claim the index
 //                        cannot prove (no call to an XPUF_REQUIRE-bearing
 //                        definition), or one discharging nothing
+//   orphan-header        a src/ header that no bench, tool, example or other
+//                        src/ file includes (only tests, or nothing)
 //
 // Besides allow comments there is a verified marker form,
 // `// xpuf-lint: guarded-by(callee)`, for require-guard findings whose

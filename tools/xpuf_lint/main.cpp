@@ -1,6 +1,7 @@
 // xpuf_lint CLI.
 //
-//   xpuf_lint --root <repo-root>           analyze src/ bench/ tests/ tools/
+//   xpuf_lint --root <repo-root>           analyze src/ bench/ examples/
+//                                          tests/ tools/
 //   xpuf_lint --format json                emit the SARIF-lite report instead
 //                                          of text (pair with --out FILE)
 //   xpuf_lint --stats                      print engine statistics after the

@@ -2,11 +2,11 @@
 //
 // Unlike the per-file rules in lint.cpp, each pass sees the whole tree at
 // once: the include graph (layering), every parallel region and RNG binding
-// (determinism), the paired halves of the wire codec (wire-pairing), and
-// every MetricsRegistry counter registration (metrics-accounting). Passes
-// return raw violations; the engine (engine.hpp) applies suppressions and
-// guarded-by verification afterwards, so a pass never needs to know about
-// allow comments.
+// (determinism), the paired halves of the wire codec (wire-pairing), every
+// MetricsRegistry counter registration (metrics-accounting), and who
+// includes each src/ header (orphan-header). Passes return raw violations;
+// the engine (engine.hpp) applies suppressions and guarded-by verification
+// afterwards, so a pass never needs to know about allow comments.
 #pragma once
 
 #include <vector>
@@ -42,5 +42,11 @@ std::vector<Violation> pass_wire_pairing(const ProjectIndex& index);
 /// must be incremented somewhere, and its value must be observable — a
 /// .total() read, or the name appearing in a tests//bench/ audit.
 std::vector<Violation> pass_metrics_accounting(const ProjectIndex& index);
+
+/// Rule `orphan-header`: every src/ header must be included by some file
+/// outside tests/ other than its own same-stem .cpp — a bench, tool,
+/// example or another src/ file. A header only tests include is code no
+/// production path reaches.
+std::vector<Violation> pass_orphan_headers(const ProjectIndex& index);
 
 }  // namespace xpuf::lint
