@@ -1,10 +1,9 @@
 // Key-generation walkthrough: derive a 256-bit key from a 10-XOR PUF with
 // the code-offset fuzzy extractor, using the paper's stable-challenge
 // selection to keep the error-correction budget trivial.
-#include "puf/key_generation.hpp"
-
 #include <cstdio>
 
+#include "puf/key_generation.hpp"
 #include "puf/selection.hpp"
 #include "puf/threshold_adjust.hpp"
 #include "sim/population.hpp"

@@ -6,7 +6,7 @@
 
 namespace xpuf::net::async {
 
-TimerWheel::TimerWheel(std::size_t slots) : slots_(slots) {
+TimerWheel::TimerWheel(std::size_t slots) : slots_(slots), slot_min_(slots, kNone) {
   XPUF_REQUIRE(slots > 0, "timer wheel needs at least one slot");
 }
 
@@ -19,7 +19,10 @@ void TimerWheel::arm(std::uint64_t deadline, std::uint64_t key) {
   // collect_due (which always sweeps the cursor slot) picks them up without
   // waiting a full rotation.
   const std::uint64_t slot_tick = std::max(deadline, last_collect_);
-  slots_[static_cast<std::size_t>(slot_tick % slots_.size())].push_back(entry);
+  const auto slot = static_cast<std::size_t>(slot_tick % slots_.size());
+  slots_[slot].push_back(entry);
+  slot_min_[slot] = std::min(slot_min_[slot], deadline);
+  min_deadline_ = std::min(min_deadline_, deadline);
   ++armed_count_;
 }
 
@@ -32,8 +35,9 @@ std::vector<TimerEntry> TimerWheel::collect_due(std::uint64_t now) {
     const std::uint64_t slot_count = slots_.size();
     const std::uint64_t span = std::min(now - last_collect_, slot_count);
     for (std::uint64_t i = 0; i <= span; ++i) {
-      auto& bucket =
-          slots_[static_cast<std::size_t>((last_collect_ + i) % slot_count)];
+      const auto slot = static_cast<std::size_t>((last_collect_ + i) % slot_count);
+      auto& bucket = slots_[slot];
+      std::uint64_t left = kNone;
       for (std::size_t j = 0; j < bucket.size();) {
         if (bucket[j].deadline <= now) {
           due.push_back(bucket[j]);
@@ -41,10 +45,15 @@ std::vector<TimerEntry> TimerWheel::collect_due(std::uint64_t now) {
           bucket.pop_back();
           --armed_count_;
         } else {
+          left = std::min(left, bucket[j].deadline);
           ++j;
         }
       }
+      slot_min_[slot] = left;
     }
+    // Whatever fired included the earliest deadline, so the minimum moves
+    // to the earliest slot minimum; a collect that fired nothing keeps it.
+    if (!due.empty()) min_deadline_ = *std::min_element(slot_min_.begin(), slot_min_.end());
   }
   last_collect_ = now;
   std::sort(due.begin(), due.end(),
@@ -56,16 +65,9 @@ std::vector<TimerEntry> TimerWheel::collect_due(std::uint64_t now) {
 }
 
 bool TimerWheel::next_deadline(std::uint64_t& out) const {
-  bool found = false;
-  for (const auto& bucket : slots_) {
-    for (const auto& entry : bucket) {
-      if (!found || entry.deadline < out) {
-        out = entry.deadline;
-        found = true;
-      }
-    }
-  }
-  return found;
+  if (armed_count_ == 0) return false;
+  out = min_deadline_;
+  return true;
 }
 
 }  // namespace xpuf::net::async

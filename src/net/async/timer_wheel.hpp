@@ -8,6 +8,12 @@
 // by (deadline, arm order) — a deterministic firing order regardless of
 // bucket hashing, which the ManualClock tests rely on.
 //
+// next_deadline is O(1): the wheel keeps every slot's earliest deadline and
+// the earliest of all. Arming lowers both; a sweep recomputes the swept
+// slots' minima from the entries it walks anyway, and a collect that fired
+// something takes the overall minimum again from the slot minima — O(slots),
+// never O(armed entries).
+//
 // Cancellation is lazy by design: the engine re-checks the authoritative
 // deadline when a timer fires and simply re-arms if it moved (see
 // DESIGN.md §Async socket service), so the wheel never needs a handle map.
@@ -37,14 +43,18 @@ class TimerWheel {
   std::vector<TimerEntry> collect_due(std::uint64_t now);
 
   /// Earliest armed deadline, or nullopt-like sentinel (returns false) —
-  /// bounds the poll timeout.
+  /// bounds the poll timeout. O(1).
   bool next_deadline(std::uint64_t& out) const;
 
   bool armed() const { return armed_count_ > 0; }
   std::size_t size() const { return armed_count_; }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};  ///< an empty slot's minimum
+
   std::vector<std::vector<TimerEntry>> slots_;
+  std::vector<std::uint64_t> slot_min_;  ///< earliest deadline per slot
+  std::uint64_t min_deadline_ = kNone;   ///< earliest armed deadline
   std::size_t armed_count_ = 0;
   std::uint64_t last_collect_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -11,22 +11,6 @@
 
 namespace xpuf::sim {
 
-namespace {
-
-/// Bit i of the result is the XOR of bits i..63 of x — the within-word
-/// suffix parity, by an xor-shift cascade toward the low end.
-std::uint64_t suffix_parity(std::uint64_t x) {
-  x ^= x >> 1;
-  x ^= x >> 2;
-  x ^= x >> 4;
-  x ^= x >> 8;
-  x ^= x >> 16;
-  x ^= x >> 32;
-  return x;
-}
-
-}  // namespace
-
 void feature_fill(const Challenge& challenge, double* out) {
   XPUF_REQUIRE(out != nullptr, "feature_fill needs a buffer of size() + 1 doubles");
   const std::size_t k = challenge.size();

@@ -93,6 +93,19 @@ void append_packed_bytes(std::span<const std::uint64_t> row, std::size_t stages,
 bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
                        std::span<std::uint64_t> row);
 
+/// Bit i of the result is the XOR of bits i..63 of x — the within-word
+/// suffix parity, by an xor-shift cascade toward the low end: one word of
+/// suffix_parity_words, and all of a row of up to 64 stages.
+inline std::uint64_t suffix_parity(std::uint64_t x) {
+  x ^= x >> 1;
+  x ^= x >> 2;
+  x ^= x >> 4;
+  x ^= x >> 8;
+  x ^= x >> 16;
+  x ^= x >> 32;
+  return x;
+}
+
 /// Suffix-parity form of packed challenges. `words` holds whole rows of
 /// packed_words(stages) words: stage bit i of a row in bit i % 64 of word
 /// i / 64, least-significant bit first; bits above `stages` in the last word

@@ -12,12 +12,14 @@
 // tick is not).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "net/async/acceptor.hpp"
 #include "net/async/clock.hpp"
 #include "net/async/event_loop.hpp"
@@ -135,6 +137,58 @@ TEST(TimerWheel, LongJumpsAcrossManyRotationsCollectEverything) {
   ASSERT_EQ(due.size(), 40u);
   for (std::size_t i = 1; i < due.size(); ++i)
     EXPECT_LE(due[i - 1].deadline, due[i].deadline);
+}
+
+TEST(TimerWheel, NextDeadlineIsTheEarliestArmedDeadlineAfterEveryStep) {
+  // Random arms (past-due, near, and rotations ahead) and collects driven by
+  // a ManualClock, on a wheel small enough that slots hold several
+  // rotations: after every step next_deadline must equal a brute-force
+  // minimum over the armed set, and each collect must return exactly the due
+  // entries of that set in (deadline, arm order).
+  for (const std::size_t slots : {1u, 8u, 64u}) {
+    TimerWheel wheel(slots);
+    ManualClock clock;
+    Rng rng(0x7133e1 + slots);
+    std::vector<TimerEntry> armed;  // the reference set, in arm order
+    std::uint64_t seq = 0;
+    std::uint64_t collected = 0;    // last collect time
+    for (int step = 0; step < 4'000; ++step) {
+      SCOPED_TRACE("slots=" + std::to_string(slots) + " step=" + std::to_string(step));
+      if (rng.uniform_below(3) != 0) {
+        // Deadlines from a few ticks before the last collect to several
+        // rotations past the clock.
+        const std::uint64_t lo = collected > 4 ? collected - 4 : 0;
+        const std::uint64_t deadline = lo + rng.uniform_below(clock.ticks() - lo + 4 * slots + 40);
+        const std::uint64_t key = rng.next_u64();
+        wheel.arm(deadline, key);
+        armed.push_back({deadline, key, seq++});
+      } else {
+        clock.advance(rng.uniform_below(rng.uniform_below(8) == 0 ? 10 * slots + 50 : 6));
+        collected = clock.ticks();
+        std::vector<TimerEntry> want;
+        std::vector<TimerEntry> kept;
+        for (const TimerEntry& e : armed) (e.deadline <= collected ? want : kept).push_back(e);
+        std::stable_sort(want.begin(), want.end(), [](const TimerEntry& a, const TimerEntry& b) {
+          return a.deadline < b.deadline;
+        });
+        armed = std::move(kept);
+        const std::vector<TimerEntry> due = wheel.collect_due(collected);
+        ASSERT_EQ(due.size(), want.size());
+        for (std::size_t i = 0; i < due.size(); ++i) {
+          EXPECT_EQ(due[i].deadline, want[i].deadline);
+          EXPECT_EQ(due[i].key, want[i].key);
+        }
+      }
+      ASSERT_EQ(wheel.size(), armed.size());
+      std::uint64_t next = 0;
+      ASSERT_EQ(wheel.next_deadline(next), !armed.empty());
+      if (!armed.empty()) {
+        std::uint64_t earliest = armed.front().deadline;
+        for (const TimerEntry& e : armed) earliest = std::min(earliest, e.deadline);
+        ASSERT_EQ(next, earliest);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

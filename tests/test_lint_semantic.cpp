@@ -524,6 +524,36 @@ TEST(LintParityChain, ParityKernelsAndOtherSignsAreClean) {
   EXPECT_TRUE(with_rule(report, "parity-chain").empty());
 }
 
+// --- Include order -----------------------------------------------------------
+
+TEST(LintIncludeOrder, ASameNamedHeaderElsewhereIsNotTheSelfHeader) {
+  // An example named after a library header includes it like any other
+  // project header, after the system headers.
+  const Report report = xpuf::lint::analyze_files({
+      {"examples/key_generation.cpp",
+       "#include <cstdio>\n\n#include \"puf/key_generation.hpp\"\n"},
+      {"src/puf/key_generation.hpp", "#pragma once\n"},
+  });
+  EXPECT_TRUE(with_rule(report, "include-order").empty());
+}
+
+TEST(LintIncludeOrder, ASelfHeaderOutOfOrderIsFlagged) {
+  // Resolved from the src/ include root and from the including directory.
+  const Report report = xpuf::lint::analyze_files({
+      {"src/puf/key_generation.cpp",
+       "#include <cstdio>\n\n#include \"puf/key_generation.hpp\"\n"},
+      {"src/puf/key_generation.hpp", "#pragma once\n"},
+      {"tools/demo/demo.cpp", "#include <string>\n#include \"demo.hpp\"\n"},
+      {"tools/demo/demo.hpp", "#pragma once\n"},
+  });
+  const auto hits = with_rule(report, "include-order");
+  ASSERT_EQ(hits.size(), 2u);
+  for (const Violation& v : hits) {
+    EXPECT_EQ(v.line, v.file == "tools/demo/demo.cpp" ? 2u : 3u) << v.file;
+    EXPECT_NE(v.message.find("self header"), std::string::npos) << v.message;
+  }
+}
+
 // --- Suppression budget -----------------------------------------------------
 
 TEST(LintSuppressionBudget, AllowMarkersAreCountedAndFilterFindings) {

@@ -575,6 +575,115 @@ TEST(ScreeningMargin, PaperCalibratedFleetNeverTakesTheExactPath) {
   }
 }
 
+// --- the table pass, group by group -----------------------------------------
+
+/// What PUF 0 of a kernel model does to the rows of each group of four.
+enum class FirstPass {
+  kKeepAll,  ///< thr0 = thr1 = 0.5, tabled: every group keeps all four rows
+  kDropAll,  ///< thresholds at -/+1e18, tabled: no group keeps a row
+  kOpenLane0,  ///< two rows in lane 0 of their group sit on a threshold
+  kOpenLane1,
+  kOpenLane2,
+  kOpenLane3,
+};
+
+/// An n-PUF model with Gaussian weights; PUFs 1..n-1 pass ~63 % each, as in
+/// make_cascade_model. For kOpenLane<L>, PUF 0's thresholds are the exact
+/// delays of two of candidates 0 .. 63 with index = L (mod 4): the medians
+/// of those 16 below 0.5 and of those above it. Every block of 64 or more rows holds
+/// them in lane L of their group in PUF 0's pass, the only pass that sees
+/// every row; no other row comes within the margin of a threshold.
+ServerModel make_kernel_model(std::size_t stages, std::size_t n, FirstPass first,
+                              const StreamFamily& family, std::uint64_t seed) {
+  Rng rng(seed);
+  const double sd = std::sqrt(static_cast<double>(stages + 1));
+  std::vector<PufEnrollment> pufs;
+  for (std::size_t p = 0; p < n; ++p) {
+    PufEnrollment e;
+    linalg::Vector w(stages + 1);
+    for (std::size_t i = 0; i <= stages; ++i) w[i] = rng.normal(0.0, 1.0);
+    e.thresholds.thr0 = 0.5 - 0.48 * sd;
+    e.thresholds.thr1 = 0.5 + 0.48 * sd;
+    if (p == 0 && first == FirstPass::kKeepAll) {
+      e.thresholds.thr0 = 0.5;
+      e.thresholds.thr1 = 0.5;
+    } else if (p == 0 && first == FirstPass::kDropAll) {
+      e.thresholds.thr0 = -1e18;
+      e.thresholds.thr1 = 1e18;
+    } else if (p == 0) {
+      const std::size_t lane = static_cast<std::size_t>(first) -
+                               static_cast<std::size_t>(FirstPass::kOpenLane0);
+      const std::vector<double> all = exact_delays(w.span(), stages, family, 64);
+      std::vector<double> below;
+      std::vector<double> above;
+      for (std::size_t j = lane; j < all.size(); j += 4)
+        (all[j] < 0.5 ? below : above).push_back(all[j]);
+      std::sort(below.begin(), below.end());
+      std::sort(above.begin(), above.end());
+      e.thresholds.thr0 = below.empty() ? 0.5 : below[below.size() / 2];
+      e.thresholds.thr1 = above.empty() ? 0.5 : above[above.size() / 2];
+    }
+    e.model = ArbiterPufModel(std::move(w));
+    e.train_r_squared = 0.99;
+    e.fit_time_ms = 1.0;
+    pufs.push_back(std::move(e));
+  }
+  return ServerModel(0, std::move(pufs));
+}
+
+TEST(ScreeningKernel, EveryGroupShapeMatchesTheSerialWalk) {
+  const FirstPass kinds[] = {FirstPass::kKeepAll,   FirstPass::kDropAll,
+                             FirstPass::kOpenLane0, FirstPass::kOpenLane1,
+                             FirstPass::kOpenLane2, FirstPass::kOpenLane3};
+  // K = 1, 4, 5, 8, 9, 13 byte tables: one-word rows with and without a
+  // compile-time table count, and rows of two words.
+  for (const std::size_t stages : {8u, 32u, 33u, 64u, 65u, 100u}) {
+    for (const std::size_t n : {1u, 2u, 10u}) {
+      for (const FirstPass kind : kinds) {
+        const std::uint64_t base = 0x6a0b0000ULL + 131 * stages + n;
+        const StreamFamily family(base);
+        const ServerModel model = make_kernel_model(stages, n, kind, family, 23 * stages + n);
+        const ModelView view = ModelView::of(model);
+        const ThresholdPair t0 = view.adjusted_thresholds(0);
+        ASSERT_LE(t0.thr0, 0.5);  // PUF 0 is tabled
+        ASSERT_GE(t0.thr1, 0.5);
+        SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n) +
+                     " kind=" + std::to_string(static_cast<int>(kind)));
+        // The quota outlasts max_attempts, so every block is screened whole
+        // and the exact-path count is a property of the rows alone.
+        const std::size_t max_attempts = 2'000;
+        const Walk ref = run_walk(view, kSerial, base, 0, 1'000'000, max_attempts, n);
+        ASSERT_EQ(ref.out.tried, max_attempts);
+        if (kind == FirstPass::kDropAll) {
+          ASSERT_EQ(ref.out.stable, 0u);
+        } else if (kind == FirstPass::kKeepAll && n == 1) {
+          ASSERT_EQ(ref.out.stable, max_attempts);
+        } else {
+          ASSERT_GT(ref.out.stable, 0u);
+          ASSERT_LT(ref.out.stable, max_attempts);
+        }
+        // The rows whose PUF 0 delay is exactly on a threshold: all of them
+        // take the exact path on PUF 0, which drops them (a delay on a
+        // threshold is unstable), and no other row does. At 8 stages a
+        // challenge recurs within 2,000 draws, so there are more than two.
+        std::size_t on_threshold = 0;
+        for (const double d : exact_delays(view.weights(0), stages, family, max_attempts))
+          on_threshold += d == t0.thr0 || d == t0.thr1;
+        if (kind != FirstPass::kKeepAll && kind != FirstPass::kDropAll) {
+          ASSERT_GE(on_threshold, 2u);
+        }
+        // PUF 0's pass sees m = block rows: m = 1 and m = 0, 1, 2, 3 (mod 4).
+        for (const std::size_t block : {1u, 64u, 65u, 66u, 67u}) {
+          const Walk got = run_walk(view, block, base, 0, 1'000'000, max_attempts, n);
+          SCOPED_TRACE("block=" + std::to_string(block));
+          expect_walks_identical(ref, got);
+          EXPECT_EQ(got.out.exact_fallbacks, on_threshold);
+        }
+      }
+    }
+  }
+}
+
 // --- issuance pools ---------------------------------------------------------
 
 DatabaseConfig pooled_config(std::size_t target) {

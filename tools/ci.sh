@@ -56,12 +56,13 @@
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
 #             tests/test_linear, test_screening, test_streaming, test_rng,
 #             test_math, test_tester, test_issuance_golden, test_chip,
-#             test_eval_golden, test_attack, test_selection and
-#             test_threshold_adjust on the portable scalar kernels (the
-#             parity-word tiles behind every scan, model prediction and
-#             attack corpus, parity_dots and the screener's exact path, the
-#             lazy CDF counts and their erfc cut-offs, the lockstep device
-#             race), the only path on hosts without AVX2
+#             test_eval_golden, test_attack, test_selection,
+#             test_threshold_adjust and test_database on the portable scalar
+#             kernels (the parity-word tiles behind every scan, model
+#             prediction and attack corpus, the screener's table pass and
+#             its exact path on parity_dots, which pooled refills run too,
+#             the lazy CDF counts and their erfc cut-offs, the lockstep
+#             device race), the only path on hosts without AVX2
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -132,8 +133,8 @@ asan_job() {
       ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
 }
 
-# The batch kernels' scalar fallback: the same bit-identity suites as the
-# release job, built without AVX2.
+# The batch kernels' and the screening pass's scalar fallback: the same
+# bit-identity suites as the release job, built without AVX2.
 simd_off_job() {
   cmake -B "${prefix}-simd-off" -S . \
     -DCMAKE_BUILD_TYPE=Release \
@@ -144,7 +145,7 @@ simd_off_job() {
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
       --target test_linear test_screening test_streaming test_rng test_math test_tester \
       test_issuance_golden test_chip test_eval_golden test_attack test_selection \
-      test_threshold_adjust &&
+      test_threshold_adjust test_database &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
@@ -156,7 +157,8 @@ simd_off_job() {
     "${prefix}-simd-off/tests/test_eval_golden" &&
     "${prefix}-simd-off/tests/test_attack" &&
     "${prefix}-simd-off/tests/test_selection" &&
-    "${prefix}-simd-off/tests/test_threshold_adjust"
+    "${prefix}-simd-off/tests/test_threshold_adjust" &&
+    "${prefix}-simd-off/tests/test_database"
 }
 
 # End-to-end smoke of the benchmark workloads: run.py's exit code is every

@@ -111,11 +111,6 @@ bool is_rng_file(const std::string& rel) {
   return rel == "src/common/rng.hpp" || rel == "src/common/rng.cpp";
 }
 
-std::string basename_of(const std::string& p) {
-  const std::size_t slash = p.find_last_of('/');
-  return slash == std::string::npos ? p : p.substr(slash + 1);
-}
-
 // ---------------------------------------------------------------------------
 // Simple per-line regex rules.
 
@@ -551,11 +546,18 @@ std::vector<Violation> lint_source(const std::string& rel_path, const std::strin
     const bool is_cpp =
         rel_path.size() > 4 && rel_path.substr(rel_path.size() - 4) == ".cpp";
     if (is_cpp && !includes.empty()) {
-      std::string stem = basename_of(rel_path);
-      stem = stem.substr(0, stem.size() - 4);
+      // The self header is the quoted include that resolves, from the .cpp's
+      // directory or an include root above it, to the .cpp's own directory
+      // and stem: "puf/screening.hpp" in src/puf/screening.cpp, "lint.hpp" in
+      // tools/xpuf_lint/lint.cpp — but not "puf/key_generation.hpp" in
+      // examples/key_generation.cpp, a library header of the same name.
+      const std::string self_path = rel_path.substr(0, rel_path.size() - 4) + ".hpp";
       const auto self = std::find_if(includes.begin(), includes.end(), [&](const auto& inc) {
-        const std::string base = basename_of(inc.path);
-        return !inc.angled && base == stem + ".hpp";
+        const std::string tail = "/" + inc.path;
+        return !inc.angled &&
+               (self_path == inc.path ||
+                (self_path.size() > tail.size() &&
+                 self_path.compare(self_path.size() - tail.size(), tail.size(), tail) == 0));
       });
       if (self != includes.end() && self != includes.begin()) {
         report("include-order", self->line0,
