@@ -41,7 +41,7 @@ int main() {
   std::printf("\nAt a fixed measurement budget the attack decays with n — the paper "
               "measured the same shape on silicon and concluded n >= 10 is needed "
               "(with ~1M CRPs, accuracy for n < 10 still exceeds 90%%).\n");
-  std::printf("The classic logistic-regression XOR attack is also available: see "
-              "puf::run_lr_xor_attack.\n");
+  std::printf("The reliability-based CMA-ES attack on the deployed XOR output is in "
+              "examples/reliability_attack.\n");
   return 0;
 }

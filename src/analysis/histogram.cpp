@@ -50,10 +50,6 @@ double Histogram::fraction(std::size_t bin) const {
                      : static_cast<double>(count(bin)) / static_cast<double>(total_);
 }
 
-double Histogram::first_bin_fraction() const { return fraction(0); }
-
-double Histogram::last_bin_fraction() const { return fraction(counts_.size() - 1); }
-
 std::string Histogram::render(std::size_t width, std::size_t max_rows) const {
   std::ostringstream os;
   const std::size_t merge = (counts_.size() + max_rows - 1) / max_rows;

@@ -20,11 +20,8 @@ class Histogram {
   void add_all(std::span<const double> values);
 
   std::size_t bins() const { return counts_.size(); }
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
 
   std::size_t count(std::size_t bin) const;
-  std::size_t underflow() const { return underflow_; }
   std::size_t overflow() const { return overflow_; }
   std::size_t total() const { return total_; }
 
@@ -33,11 +30,6 @@ class Histogram {
 
   /// Fraction of all added values (including outflow) in a bin.
   double fraction(std::size_t bin) const;
-
-  /// Fraction of values landing in the first bin (the paper's Pr(stable 0)
-  /// when the histogram covers soft responses with the first bin at 0.00).
-  double first_bin_fraction() const;
-  double last_bin_fraction() const;
 
   /// Compact multi-line ASCII rendering (for bench output); `width` is the
   /// bar length of the fullest bin, `max_rows` caps the printed bins by

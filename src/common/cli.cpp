@@ -8,7 +8,6 @@
 namespace xpuf {
 
 Cli::Cli(int argc, const char* const* argv) {
-  program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

@@ -28,11 +28,7 @@ class Cli {
   /// Positional (non --key) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Program name (argv[0]).
-  const std::string& program() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };

@@ -73,16 +73,6 @@ double softplus(double x) {
   return std::log1p(std::exp(x));
 }
 
-double unanimity_probability(std::uint64_t n, double p) {
-  XPUF_REQUIRE(p >= 0.0 && p <= 1.0, "unanimity_probability needs p in [0, 1]");
-  if (n == 0) return 1.0;
-  const double nd = static_cast<double>(n);
-  // (1-p)^n + p^n via logs to keep the far tails meaningful.
-  double all_zero = (p >= 1.0) ? 0.0 : std::exp(nd * std::log1p(-p));
-  double all_one = (p <= 0.0) ? 0.0 : std::exp(nd * std::log(p));
-  return all_zero + all_one;
-}
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
@@ -115,11 +105,6 @@ double pearson_correlation(std::span<const double> xs, std::span<const double> y
   }
   if (sxx <= 0.0 || syy <= 0.0) return 0.0;
   return sxy / std::sqrt(sxx * syy);
-}
-
-double clamp(double x, double lo, double hi) {
-  XPUF_REQUIRE(lo <= hi, "clamp needs lo <= hi");
-  return x < lo ? lo : (x > hi ? hi : x);
 }
 
 }  // namespace xpuf

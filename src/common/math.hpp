@@ -42,11 +42,6 @@ double sigmoid(double x);
 /// log(1 + exp(x)) without overflow.
 double softplus(double x);
 
-/// Probability that a Binomial(n, p) sample equals 0 or n, i.e. that n
-/// repeated evaluations of a response with one-probability p are unanimous.
-/// This is the exact per-challenge "100% stable" probability.
-double unanimity_probability(std::uint64_t n, double p);
-
 /// Mean of a span.
 double mean(std::span<const double> xs);
 
@@ -58,8 +53,5 @@ double stddev(std::span<const double> xs);
 
 /// Pearson correlation of two equal-length spans; 0 if either is constant.
 double pearson_correlation(std::span<const double> xs, std::span<const double> ys);
-
-/// Clamp helper mirroring std::clamp but tolerant of lo == hi.
-double clamp(double x, double lo, double hi);
 
 }  // namespace xpuf

@@ -129,7 +129,6 @@ class Rng {
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 
-  std::uint64_t poisson_knuth(double lambda);
   std::uint64_t binomial_inversion(std::uint64_t n, double p);
 };
 

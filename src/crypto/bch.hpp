@@ -27,6 +27,7 @@ class BchCode {
   std::size_t n() const { return n_; }  ///< codeword length
   std::size_t k() const { return k_; }  ///< message length
   unsigned t() const { return t_; }     ///< correctable errors
+  // Test hook: test_bch checks the generator polynomial.  xpuf-lint: allow(orphan-symbol)
   const GFPoly& generator() const { return generator_; }
 
   /// Systematic encoding: the message occupies the high-order positions

@@ -76,20 +76,6 @@ void GFPoly::normalize() {
   while (!coeff_.empty() && coeff_.back() == 0) coeff_.pop_back();
 }
 
-GFPoly GFPoly::monomial(std::uint32_t c, std::size_t k) {
-  if (c == 0) return zero();
-  std::vector<std::uint32_t> v(k + 1, 0);
-  v[k] = c;
-  return GFPoly(std::move(v));
-}
-
-GFPoly GFPoly::plus(const GFPoly& rhs) const {
-  std::vector<std::uint32_t> out(std::max(coeff_.size(), rhs.coeff_.size()), 0);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = coefficient(i) ^ rhs.coefficient(i);
-  return GFPoly(std::move(out));
-}
-
 GFPoly GFPoly::times(const GFPoly& rhs, const GF2m& field) const {
   if (is_zero() || rhs.is_zero()) return zero();
   std::vector<std::uint32_t> out(coeff_.size() + rhs.coeff_.size() - 1, 0);
@@ -127,16 +113,6 @@ std::uint32_t GFPoly::evaluate(std::uint32_t x, const GF2m& field) const {
   for (std::size_t i = coeff_.size(); i > 0; --i)
     acc = field.mul(acc, x) ^ coeff_[i - 1];
   return acc;
-}
-
-GFPoly GFPoly::derivative() const {
-  if (coeff_.size() <= 1) return zero();
-  std::vector<std::uint32_t> out(coeff_.size() - 1, 0);
-  // d/dx sum c_i x^i = sum i * c_i x^{i-1}; in characteristic 2, i*c_i is
-  // c_i for odd i and 0 for even i.
-  for (std::size_t i = 1; i < coeff_.size(); ++i)
-    out[i - 1] = (i % 2 == 1) ? coeff_[i] : 0u;
-  return GFPoly(std::move(out));
 }
 
 }  // namespace xpuf::crypto

@@ -52,8 +52,6 @@ class GFPoly {
 
   static GFPoly zero() { return GFPoly(); }
   static GFPoly one() { return GFPoly({1}); }
-  /// Monomial c * x^k.
-  static GFPoly monomial(std::uint32_t c, std::size_t k);
 
   bool is_zero() const { return coeff_.empty(); }
   /// Degree; -1 for the zero polynomial.
@@ -63,14 +61,11 @@ class GFPoly {
   }
   const std::vector<std::uint32_t>& coefficients() const { return coeff_; }
 
-  GFPoly plus(const GFPoly& rhs) const;  // also minus, characteristic 2
   GFPoly times(const GFPoly& rhs, const GF2m& field) const;
   /// Remainder of *this modulo `divisor` (divisor != 0).
   GFPoly mod(const GFPoly& divisor, const GF2m& field) const;
   /// Evaluation at a field point (Horner).
   std::uint32_t evaluate(std::uint32_t x, const GF2m& field) const;
-  /// Formal derivative (characteristic-2 rule: even terms vanish).
-  GFPoly derivative() const;
 
   bool operator==(const GFPoly& rhs) const = default;
 

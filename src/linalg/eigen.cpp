@@ -80,20 +80,4 @@ EigenDecomposition eigen_symmetric(const Matrix& a, std::size_t max_sweeps) {
   return out;
 }
 
-Matrix sqrt_spsd(const Matrix& a) {
-  const EigenDecomposition eig = eigen_symmetric(a);
-  const std::size_t n = a.rows();
-  Matrix out(n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const double lambda = eig.values[k];
-    XPUF_REQUIRE(lambda > -1e-8 * std::max(1.0, std::fabs(eig.values[n - 1])),
-                 "sqrt_spsd of a matrix with a significantly negative eigenvalue");
-    const double root = lambda > 0.0 ? std::sqrt(lambda) : 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        out(i, j) += root * eig.vectors(i, k) * eig.vectors(j, k);
-  }
-  return out;
-}
-
 }  // namespace xpuf::linalg

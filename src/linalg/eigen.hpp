@@ -1,5 +1,5 @@
 // Symmetric eigendecomposition (cyclic Jacobi) — needed by CMA-ES to sample
-// from N(m, sigma^2 C) and generally useful for covariance analysis.
+// from N(m, sigma^2 C).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -19,10 +19,5 @@ struct EigenDecomposition {
 /// genuinely non-symmetric input is a precondition violation.
 /// Throws NumericalError if the sweep limit is exceeded (pathological input).
 EigenDecomposition eigen_symmetric(const Matrix& a, std::size_t max_sweeps = 64);
-
-/// Square root of a symmetric positive semi-definite matrix:
-/// B = V diag(sqrt(max(lambda, 0))) V^T. Clamps tiny negative eigenvalues
-/// (round-off) to zero.
-Matrix sqrt_spsd(const Matrix& a);
 
 }  // namespace xpuf::linalg

@@ -1,7 +1,5 @@
 #include "linalg/least_squares.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
@@ -10,8 +8,7 @@ namespace xpuf::linalg {
 
 namespace {
 
-LeastSquaresResult finish(const Matrix& a, const Vector& b, Vector x,
-                          LeastSquaresMethod used) {
+LeastSquaresResult finish(const Matrix& a, const Vector& b, Vector x) {
   LeastSquaresResult res;
   Vector pred = matvec(a, x);
   double rss = 0.0;
@@ -24,58 +21,21 @@ LeastSquaresResult finish(const Matrix& a, const Vector& b, Vector x,
   mean_b /= static_cast<double>(b.size());
   double tss = 0.0;
   for (double v : b) tss += (v - mean_b) * (v - mean_b);
-  res.residual_norm = std::sqrt(rss);
   res.r_squared = tss > 0.0 ? 1.0 - rss / tss : 0.0;
   res.coefficients = std::move(x);
-  res.method_used = used;
   return res;
-}
-
-Vector solve_normal(const Matrix& a, const Vector& b, double ridge) {
-  Matrix g = gram(a);
-  if (ridge > 0.0)
-    for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) += ridge;
-  Vector atb = matvec_transposed(a, b);
-  return Cholesky(g).solve(atb);
 }
 
 }  // namespace
 
-LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b,
-                                       const LeastSquaresOptions& options) {
+LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b) {
   XPUF_REQUIRE(a.rows() == b.size(), "least squares: row/target mismatch");
   XPUF_REQUIRE(a.rows() >= a.cols(), "least squares: underdetermined system");
-
-  switch (options.method) {
-    case LeastSquaresMethod::kNormalEquations:
-      return finish(a, b, solve_normal(a, b, options.ridge),
-                    LeastSquaresMethod::kNormalEquations);
-    case LeastSquaresMethod::kQr: {
-      // Ridge via explicit augmentation [A; sqrt(lambda) I].
-      if (options.ridge > 0.0) {
-        Matrix aug(a.rows() + a.cols(), a.cols());
-        for (std::size_t r = 0; r < a.rows(); ++r)
-          for (std::size_t c = 0; c < a.cols(); ++c) aug(r, c) = a(r, c);
-        const double s = std::sqrt(options.ridge);
-        for (std::size_t c = 0; c < a.cols(); ++c) aug(a.rows() + c, c) = s;
-        Vector baug(a.rows() + a.cols());
-        for (std::size_t r = 0; r < a.rows(); ++r) baug[r] = b[r];
-        return finish(a, b, QR(aug).solve(baug), LeastSquaresMethod::kQr);
-      }
-      return finish(a, b, QR(a).solve(b), LeastSquaresMethod::kQr);
-    }
-    case LeastSquaresMethod::kAuto: {
-      try {
-        return finish(a, b, solve_normal(a, b, options.ridge),
-                      LeastSquaresMethod::kNormalEquations);
-      } catch (const NumericalError&) {
-        LeastSquaresOptions qr_opts = options;
-        qr_opts.method = LeastSquaresMethod::kQr;
-        return solve_least_squares(a, b, qr_opts);
-      }
-    }
+  try {
+    return finish(a, b, Cholesky(gram(a)).solve(matvec_transposed(a, b)));
+  } catch (const NumericalError&) {
+    return finish(a, b, QR(a).solve(b));
   }
-  throw NumericalError("unreachable least-squares method");
 }
 
 }  // namespace xpuf::linalg

@@ -1,41 +1,23 @@
-// Least-squares front end: picks between the fast normal-equations path and
-// the robust QR path, with optional ridge (Tikhonov) regularization.
+// Least-squares front end: the fast normal-equations path, falling back to
+// Householder QR when the Gram matrix is not positive definite.
 //
 // This is the core numerical kernel of the paper's enrollment scheme: the
 // server fits each arbiter PUF's delay-parameter vector w by regressing
 // measured soft responses on the transformed challenge features (Sec 4).
 #pragma once
 
-#include <cstdint>
-
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace xpuf::linalg {
 
-enum class LeastSquaresMethod {
-  kNormalEquations,  ///< A^T A via Cholesky — fastest, fine for PUF features
-  kQr,               ///< Householder QR — robust to ill-conditioning
-  kAuto,             ///< normal equations, falling back to QR on breakdown
-};
-
-struct LeastSquaresOptions {
-  LeastSquaresMethod method = LeastSquaresMethod::kAuto;
-  /// Ridge penalty lambda (adds lambda*I to the Gram matrix). The paper's
-  /// 5,000-sample x 33-feature problems are well-posed, so the default is a
-  /// tiny jitter that only matters for degenerate synthetic inputs.
-  double ridge = 0.0;
-};
-
 struct LeastSquaresResult {
-  Vector coefficients;       ///< fitted x
-  double residual_norm = 0;  ///< ||A x - b||_2
-  double r_squared = 0;      ///< 1 - RSS/TSS against mean(b)
-  LeastSquaresMethod method_used = LeastSquaresMethod::kAuto;
+  Vector coefficients;    ///< fitted x
+  double r_squared = 0;  ///< 1 - RSS/TSS against mean(b)
 };
 
-/// Solves min_x ||A x - b||^2 (+ ridge ||x||^2).
-LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b,
-                                       const LeastSquaresOptions& options = {});
+/// Solves min_x ||A x - b||^2: normal equations (A^T A via Cholesky), or QR
+/// when the Cholesky factorization breaks down (a singular Gram matrix).
+LeastSquaresResult solve_least_squares(const Matrix& a, const Vector& b);
 
 }  // namespace xpuf::linalg

@@ -8,17 +8,6 @@
 
 namespace xpuf::linalg {
 
-Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
-  if (rows.empty()) return Matrix{};
-  const std::size_t cols = rows.front().size();
-  Matrix m(rows.size(), cols);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    XPUF_REQUIRE(rows[r].size() == cols, "ragged rows in Matrix::from_rows");
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = rows[r][c];
-  }
-  return m;
-}
-
 Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
@@ -30,13 +19,6 @@ void Matrix::append_row(std::span<const double> row) {
   XPUF_REQUIRE(row.size() == cols_, "append_row length mismatch");
   data_.insert(data_.end(), row.begin(), row.end());
   ++rows_;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
 }
 
 Matrix& Matrix::operator+=(const Matrix& rhs) {
@@ -77,22 +59,6 @@ Vector matvec_transposed(const Matrix& a, const Vector& x) {
     for (std::size_t c = 0; c < a.cols(); ++c) y[c] += row[c] * xr;
   }
   return y;
-}
-
-Matrix matmul(const Matrix& a, const Matrix& b) {
-  XPUF_REQUIRE(a.cols() == b.rows(), "matmul shape mismatch");
-  Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double* arow = a.row(i);
-    double* crow = c.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = arow[k];
-      if (aik == 0.0) continue;
-      const double* brow = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
 }
 
 namespace {
@@ -192,14 +158,6 @@ double norm_frobenius(const Matrix& a) {
   double s = 0.0;
   for (double x : a.raw()) s += x * x;
   return std::sqrt(s);
-}
-
-double max_abs_diff(const Matrix& a, const Matrix& b) {
-  XPUF_REQUIRE(a.rows() == b.rows() && a.cols() == b.cols(), "shape mismatch");
-  double m = 0.0;
-  for (std::size_t i = 0; i < a.raw().size(); ++i)
-    m = std::max(m, std::fabs(a.raw()[i] - b.raw()[i]));
-  return m;
 }
 
 }  // namespace xpuf::linalg

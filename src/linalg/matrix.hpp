@@ -15,9 +15,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  /// Builds from nested initializer data; all rows must have equal length.
-  static Matrix from_rows(const std::vector<std::vector<double>>& rows);
-
   /// Identity matrix of order n.
   static Matrix identity(std::size_t n);
 
@@ -53,8 +50,6 @@ class Matrix {
     data_.resize(rows * cols);
   }
 
-  Matrix transposed() const;
-
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
@@ -77,11 +72,6 @@ Vector matvec(const Matrix& a, const Vector& x);
 
 /// y = A^T x.
 Vector matvec_transposed(const Matrix& a, const Vector& x);
-
-/// C = A B (naive triple loop with row-major-friendly ordering). Serial
-/// reference kernel; the blocked/parallel kernels below are tested against
-/// it.
-Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// C = A B, cache-blocked over the inner dimension and parallelized over
 /// row blocks on the global thread pool. Each output element accumulates in
@@ -110,8 +100,5 @@ Matrix gram(const Matrix& a);
 
 /// Frobenius norm.
 double norm_frobenius(const Matrix& a);
-
-/// Max |a_ij - b_ij|; matrices must have equal shape.
-double max_abs_diff(const Matrix& a, const Matrix& b);
 
 }  // namespace xpuf::linalg

@@ -1,6 +1,6 @@
 // Householder QR factorization — the numerically robust least-squares path
-// (used when the normal equations are ill-conditioned, and by tests as a
-// reference solver).
+// (solve_least_squares falls back to it when the normal equations break
+// down; tests also use it as a reference solver).
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -20,10 +20,10 @@ class QR {
   /// Upper-triangular R (n x n).
   Matrix r() const;
 
+ private:
   /// Applies Q^T to a length-m vector.
   Vector apply_qt(const Vector& b) const;
 
- private:
   Matrix qr_;                // Householder vectors below the diagonal, R on/above
   std::vector<double> tau_;  // reflector scales
   std::size_t m_ = 0, n_ = 0;

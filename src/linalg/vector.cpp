@@ -44,13 +44,6 @@ void axpy(double alpha, const Vector& x, Vector& y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
-Vector hadamard(const Vector& a, const Vector& b) {
-  XPUF_REQUIRE(a.size() == b.size(), "hadamard dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] * b[i];
-  return out;
-}
-
 bool all_finite(const Vector& v) {
   for (double x : v)
     if (!std::isfinite(x)) return false;

@@ -96,9 +96,6 @@ double norm_inf(const Vector& v);
 /// y += alpha * x (the BLAS axpy).
 void axpy(double alpha, const Vector& x, Vector& y);
 
-/// Element-wise (Hadamard) product.
-Vector hadamard(const Vector& a, const Vector& b);
-
 /// True if every element is finite.
 bool all_finite(const Vector& v);
 

@@ -35,18 +35,6 @@ Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   return out;
 }
 
-std::pair<Dataset, Dataset> Dataset::split(double train_fraction, Rng& rng) const {
-  XPUF_REQUIRE(train_fraction >= 0.0 && train_fraction <= 1.0,
-               "train_fraction must be in [0, 1]");
-  std::vector<std::size_t> idx(size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  rng.shuffle(idx);
-  const std::size_t n_train =
-      static_cast<std::size_t>(train_fraction * static_cast<double>(size()));
-  std::span<const std::size_t> all(idx);
-  return {subset(all.subspan(0, n_train)), subset(all.subspan(n_train))};
-}
-
 std::pair<Dataset, Dataset> Dataset::head_split(std::size_t n_train) const {
   XPUF_REQUIRE(n_train <= size(), "head_split: n_train exceeds dataset size");
   std::vector<std::size_t> idx(size());

@@ -34,10 +34,6 @@ struct Dataset {
   /// Returns the subset given by row indices (copies).
   Dataset subset(std::span<const std::size_t> indices) const;
 
-  /// Random split into (train, test) with `train_fraction` of the rows in
-  /// the first part. Shuffles with the provided RNG; deterministic per seed.
-  std::pair<Dataset, Dataset> split(double train_fraction, Rng& rng) const;
-
   /// First-n / remainder split without shuffling (the paper's experiments
   /// shuffle challenges up front, so head splits stay unbiased).
   std::pair<Dataset, Dataset> head_split(std::size_t n_train) const;

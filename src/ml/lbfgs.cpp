@@ -11,6 +11,13 @@ namespace {
 
 using linalg::Vector;
 
+constexpr std::size_t kHistory = 10;          // stored (s, y) correction pairs
+constexpr double kGradientTolerance = 1e-6;   // stop when ||g||_inf <= this
+constexpr double kValueTolerance = 1e-10;     // stop on relative f decrease below this
+constexpr std::size_t kMaxLineSearch = 40;    // function evaluations per line search
+constexpr double kWolfeC1 = 1e-4;             // sufficient-decrease constant
+constexpr double kWolfeC2 = 0.9;              // curvature constant
+
 /// State shared by the line search: counts evaluations and evaluates
 /// phi(alpha) = f(x + alpha d) together with phi'(alpha) = g . d.
 struct LineFunction {
@@ -49,8 +56,8 @@ double interpolate(double a_lo, double f_lo, double g_lo, double a_hi, double f_
 
 /// Strong-Wolfe line search (Nocedal & Wright Alg. 3.5/3.6). Returns the
 /// accepted step, or 0 if none was found within the evaluation budget.
-double line_search(LineFunction& phi, double f0, double dphi0, const LbfgsOptions& opt) {
-  const double c1 = opt.wolfe_c1, c2 = opt.wolfe_c2;
+double line_search(LineFunction& phi, double f0, double dphi0) {
+  const double c1 = kWolfeC1, c2 = kWolfeC2;
   double a_prev = 0.0, f_prev = f0, g_prev = dphi0;
   double alpha = 1.0;
   double a_lo = 0.0, f_lo = f0, g_lo = dphi0;
@@ -59,7 +66,7 @@ double line_search(LineFunction& phi, double f0, double dphi0, const LbfgsOption
   std::size_t evals = 0;
 
   // Bracketing phase.
-  while (evals < opt.max_line_search) {
+  while (evals < kMaxLineSearch) {
     double dphi;
     const double fval = phi(alpha, dphi);
     ++evals;
@@ -89,7 +96,7 @@ double line_search(LineFunction& phi, double f0, double dphi0, const LbfgsOption
   if (!bracketed) return 0.0;
 
   // Zoom phase.
-  while (evals < opt.max_line_search) {
+  while (evals < kMaxLineSearch) {
     const double a_j = interpolate(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi);
     double dphi;
     const double fval = phi(a_j, dphi);
@@ -130,7 +137,7 @@ LbfgsResult minimize_lbfgs(const Objective& f, Vector x0, const LbfgsOptions& op
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     res.iterations = iter + 1;
     const double gnorm = linalg::norm_inf(g);
-    if (gnorm <= options.gradient_tolerance) {
+    if (gnorm <= kGradientTolerance) {
       res.converged = true;
       res.message = "gradient tolerance reached";
       break;
@@ -168,7 +175,7 @@ LbfgsResult minimize_lbfgs(const Objective& f, Vector x0, const LbfgsOptions& op
     x_prev = x;
     g_prev = g;
     LineFunction phi{f, x_prev, d, Vector(n), Vector(n), &res.evaluations};
-    const double alpha = line_search(phi, fx, dphi0, options);
+    const double alpha = line_search(phi, fx, dphi0);
     if (alpha == 0.0) {
       res.message = "line search failed to make progress";
       break;
@@ -181,7 +188,7 @@ LbfgsResult minimize_lbfgs(const Objective& f, Vector x0, const LbfgsOptions& op
     const double decrease = fx - fx_new;
     fx = fx_new;
     if (decrease >= 0.0 &&
-        decrease <= options.value_tolerance * std::max(1.0, std::fabs(fx))) {
+        decrease <= kValueTolerance * std::max(1.0, std::fabs(fx))) {
       res.converged = true;
       res.message = "value tolerance reached";
       break;
@@ -197,7 +204,7 @@ LbfgsResult minimize_lbfgs(const Objective& f, Vector x0, const LbfgsOptions& op
       s_hist.push_back(std::move(s));
       y_hist.push_back(std::move(yv));
       rho_hist.push_back(1.0 / sy);
-      if (s_hist.size() > options.history) {
+      if (s_hist.size() > kHistory) {
         s_hist.pop_front();
         y_hist.pop_front();
         rho_hist.pop_front();

@@ -17,14 +17,12 @@ namespace xpuf::ml {
 /// (pre-sized to x.size()).
 using Objective = std::function<double(const linalg::Vector& x, linalg::Vector& grad)>;
 
+/// The iteration cap is the one knob callers set. The rest are fixed in
+/// lbfgs.cpp: 10 stored (s, y) pairs, stop at ||g||_inf <= 1e-6 or a
+/// relative f decrease below 1e-10, and a strong-Wolfe line search
+/// (c1 = 1e-4, c2 = 0.9) of at most 40 evaluations.
 struct LbfgsOptions {
   std::size_t max_iterations = 200;
-  std::size_t history = 10;          ///< stored (s, y) correction pairs
-  double gradient_tolerance = 1e-6;  ///< stop when ||g||_inf <= this
-  double value_tolerance = 1e-10;    ///< stop on relative f decrease below this
-  std::size_t max_line_search = 40;  ///< function evaluations per line search
-  double wolfe_c1 = 1e-4;            ///< sufficient-decrease constant
-  double wolfe_c2 = 0.9;             ///< curvature constant
 };
 
 struct LbfgsResult {

@@ -6,44 +6,21 @@ namespace xpuf::ml {
 
 void LinearRegression::fit(const Dataset& data) {
   XPUF_REQUIRE(!data.empty(), "LinearRegression::fit on empty dataset");
-  linalg::LeastSquaresOptions ls;
-  ls.method = options_.method;
-  ls.ridge = options_.ridge;
-
-  if (options_.fit_intercept) {
-    linalg::Matrix aug(data.x.rows(), data.x.cols() + 1);
-    for (std::size_t r = 0; r < data.x.rows(); ++r) {
-      for (std::size_t c = 0; c < data.x.cols(); ++c) aug(r, c) = data.x(r, c);
-      aug(r, data.x.cols()) = 1.0;
-    }
-    auto res = linalg::solve_least_squares(aug, data.y, ls);
-    intercept_ = res.coefficients[data.x.cols()];
-    coefficients_ = linalg::Vector(data.x.cols());
-    for (std::size_t c = 0; c < data.x.cols(); ++c) coefficients_[c] = res.coefficients[c];
-    train_r_squared_ = res.r_squared;
-  } else {
-    auto res = linalg::solve_least_squares(data.x, data.y, ls);
-    coefficients_ = std::move(res.coefficients);
-    intercept_ = 0.0;
-    train_r_squared_ = res.r_squared;
-  }
+  auto res = linalg::solve_least_squares(data.x, data.y);
+  coefficients_ = std::move(res.coefficients);
+  train_r_squared_ = res.r_squared;
 }
 
 double LinearRegression::predict(std::span<const double> features) const {
   XPUF_REQUIRE(fitted(), "LinearRegression::predict before fit");
   XPUF_REQUIRE(features.size() == coefficients_.size(),
                "LinearRegression feature-count mismatch");
-  // intercept added after the dot, matching the batched overload below so
-  // the two predict paths agree bit for bit.
-  return intercept_ + linalg::dot(coefficients_.span(), features);
+  return linalg::dot(coefficients_.span(), features);
 }
 
 linalg::Vector LinearRegression::predict(const linalg::Matrix& x) const {
   XPUF_REQUIRE(fitted(), "LinearRegression::predict before fit");
-  linalg::Vector out = linalg::matvec(x, coefficients_);
-  if (intercept_ != 0.0)
-    for (double& v : out) v += intercept_;
-  return out;
+  return linalg::matvec(x, coefficients_);
 }
 
 }  // namespace xpuf::ml

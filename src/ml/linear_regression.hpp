@@ -1,10 +1,11 @@
-// Ordinary-least-squares / ridge linear regression.
+// Ordinary-least-squares linear regression.
 //
 // This is the paper's enrollment model (Sec 4): measured *soft* responses
 // (fractional flip rates) are regressed on the transformed challenge
 // features; the fitted coefficients are proportional to the PUF's delay
 // parameters and the fitted values are the "model predicted soft responses"
-// that the threshold scheme classifies.
+// that the threshold scheme classifies. The PUF features already carry the
+// bias term, so the fit has no separate intercept.
 #pragma once
 
 #include "linalg/least_squares.hpp"
@@ -12,17 +13,8 @@
 
 namespace xpuf::ml {
 
-struct LinearRegressionOptions {
-  bool fit_intercept = false;  ///< PUF features already carry a bias term
-  double ridge = 0.0;
-  linalg::LeastSquaresMethod method = linalg::LeastSquaresMethod::kAuto;
-};
-
 class LinearRegression {
  public:
-  explicit LinearRegression(LinearRegressionOptions options = {})
-      : options_(options) {}
-
   /// Fits coefficients to the dataset; throws on underdetermined input.
   void fit(const Dataset& data);
 
@@ -34,13 +26,10 @@ class LinearRegression {
 
   bool fitted() const { return !coefficients_.empty(); }
   const linalg::Vector& coefficients() const { return coefficients_; }
-  double intercept() const { return intercept_; }
   double train_r_squared() const { return train_r_squared_; }
 
  private:
-  LinearRegressionOptions options_;
   linalg::Vector coefficients_;
-  double intercept_ = 0.0;
   double train_r_squared_ = 0.0;
 };
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "common/metrics.hpp"
 #include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "common/trace.hpp"
 
 namespace xpuf::ml {
@@ -49,11 +49,6 @@ Mlp::Mlp(std::size_t n_inputs, MlpOptions options) : options_(std::move(options)
   initialize_weights();
 }
 
-void Mlp::set_parameters(const linalg::Vector& params) {
-  XPUF_REQUIRE(params.size() == params_.size(), "Mlp parameter-count mismatch");
-  params_ = params;
-}
-
 void Mlp::initialize_weights() {
   Rng rng(options_.seed);
   params_.fill(0.0);
@@ -72,7 +67,6 @@ double Mlp::activate(double z) const {
   switch (options_.activation) {
     case Activation::kTanh: return std::tanh(z);
     case Activation::kRelu: return z > 0.0 ? z : 0.0;
-    case Activation::kSigmoid: return sigmoid(z);
   }
   return z;
 }
@@ -81,7 +75,6 @@ double Mlp::activate_derivative(double activated) const {
   switch (options_.activation) {
     case Activation::kTanh: return 1.0 - activated * activated;
     case Activation::kRelu: return activated > 0.0 ? 1.0 : 0.0;
-    case Activation::kSigmoid: return activated * (1.0 - activated);
   }
   return 1.0;
 }
@@ -208,36 +201,6 @@ LbfgsResult Mlp::fit(const Dataset& data, const LbfgsOptions& options) {
   iterations.add(res.iterations);
   evaluations.add(res.evaluations);
   return res;
-}
-
-double Mlp::fit_adam(const Dataset& data, const MlpAdamOptions& options, Rng& rng) {
-  XPUF_TRACE_SPAN("ml.mlp_fit_adam");
-  XPUF_REQUIRE(!data.empty(), "Mlp::fit_adam on empty dataset");
-  XPUF_REQUIRE(options.batch_size > 0, "Mlp::fit_adam batch size must be positive");
-  static Counter& epochs = MetricsRegistry::global().counter("ml.adam_epochs");
-  epochs.add(options.epochs);
-  Adam adam(params_.size(), options.adam);
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  linalg::Vector grad(params_.size());
-
-  for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    rng.shuffle(order);
-    for (std::size_t start = 0; start < order.size(); start += options.batch_size) {
-      const std::size_t stop = std::min(order.size(), start + options.batch_size);
-      linalg::Matrix bx(stop - start, data.features());
-      linalg::Vector by(stop - start);
-      for (std::size_t k = start; k < stop; ++k) {
-        const std::size_t src = order[k];
-        for (std::size_t c = 0; c < data.features(); ++c) bx(k - start, c) = data.x(src, c);
-        by[k - start] = data.y[src];
-      }
-      loss_and_gradient(bx, by, params_, grad);
-      adam.step(params_, grad);
-    }
-  }
-  linalg::Vector final_grad(params_.size());
-  return loss_and_gradient(data.x, data.y, params_, final_grad);
 }
 
 double Mlp::predict_probability(std::span<const double> features) const {

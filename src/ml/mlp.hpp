@@ -1,22 +1,19 @@
 // Multi-layer perceptron binary classifier trained by full-batch L-BFGS
 // (the paper's attack model: 3 hidden layers of 35/25/25 units, L-BFGS
-// optimizer, transformed challenge vectors in, 1-bit XOR responses out) or
-// by minibatch Adam for the ablations.
+// optimizer, transformed challenge vectors in, 1-bit XOR responses out).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
-#include "ml/adam.hpp"
 #include "ml/dataset.hpp"
 #include "ml/lbfgs.hpp"
 
 namespace xpuf::ml {
 
-enum class Activation { kTanh, kRelu, kSigmoid };
+enum class Activation { kTanh, kRelu };
 
 struct MlpOptions {
   /// Hidden layer widths; the paper's attack uses {35, 25, 25}.
@@ -26,21 +23,15 @@ struct MlpOptions {
   std::uint64_t seed = 1;                     ///< weight-init seed
 };
 
-struct MlpAdamOptions {
-  std::size_t epochs = 50;
-  std::size_t batch_size = 128;
-  AdamOptions adam;
-};
-
 /// Feed-forward network with a single logit output and sigmoid/BCE loss.
 /// Parameters live in one flat vector so generic optimizers can drive it.
 class Mlp {
  public:
   Mlp(std::size_t n_inputs, MlpOptions options = {});
 
-  std::size_t parameter_count() const { return params_.size(); }
+  // Test hook: the gradient checks of test_mlp and test_parallel read the
+  // weights.  xpuf-lint: allow(orphan-symbol)
   const linalg::Vector& parameters() const { return params_; }
-  void set_parameters(const linalg::Vector& params);
 
   /// Re-randomizes weights (Glorot-uniform) with the stored seed.
   void initialize_weights();
@@ -53,9 +44,6 @@ class Mlp {
   /// Full-batch L-BFGS training from the current weights.
   LbfgsResult fit(const Dataset& data, const LbfgsOptions& options = {});
 
-  /// Minibatch Adam training; returns final full-batch loss.
-  double fit_adam(const Dataset& data, const MlpAdamOptions& options, Rng& rng);
-
   /// P(label == 1 | features) for one sample.
   double predict_probability(std::span<const double> features) const;
 
@@ -66,7 +54,6 @@ class Mlp {
   linalg::Vector predict(const linalg::Matrix& x) const;
 
   std::size_t n_inputs() const { return layer_sizes_.front(); }
-  const std::vector<std::size_t>& layer_sizes() const { return layer_sizes_; }
 
  private:
   MlpOptions options_;

@@ -127,13 +127,9 @@ std::span<const double> StreamingNormalEquations::xty(std::size_t t) const {
   return xty_[t];
 }
 
-linalg::Matrix StreamingNormalEquations::solve(double ridge) const {
+linalg::Matrix StreamingNormalEquations::solve() const {
   XPUF_REQUIRE(rows_ >= features_, "streaming fit: underdetermined system");
-  linalg::Matrix g = gram();
-  if (ridge > 0.0)
-    for (std::size_t i = 0; i < features_; ++i) g(i, i) += ridge;
-
-  const linalg::Cholesky chol(g);
+  const linalg::Cholesky chol(gram());
   linalg::Matrix w(targets_, features_);
   linalg::Vector rhs(features_);
   for (std::size_t t = 0; t < targets_; ++t) {

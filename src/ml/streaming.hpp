@@ -2,7 +2,7 @@
 // fixed-memory enrollment pipeline.
 //
 // The materialized path (ml::LinearRegression over a fully built Dataset)
-// computes W = (X^T X + ridge I)^{-1} X^T y after holding all n rows of X in
+// computes W = (X^T X)^{-1} X^T y after holding all n rows of X in
 // RAM. This accumulator consumes X in row chunks and keeps only
 //
 //   G   = X^T X      (d x d, as integer disagreement counts, see below)
@@ -42,7 +42,7 @@
 
 namespace xpuf::ml {
 
-/// Per-chunk accumulator for ridge least squares over a shared
+/// Per-chunk accumulator for least squares over a shared
 /// parity-feature design matrix with `targets` independent right-hand
 /// sides. `features` is stages + 1 (at least 2).
 class StreamingNormalEquations {
@@ -64,15 +64,17 @@ class StreamingNormalEquations {
   /// The accumulated Gram matrix X^T X (full, symmetric) and target t's
   /// X^T y — what solve() factors, exposed for the bit-identity tests.
   linalg::Matrix gram() const;
+  // Test hook: test_streaming's Gram/Xty bit-identity check against the
+  // one-shot products.  xpuf-lint: allow(orphan-symbol)
   std::span<const double> xty(std::size_t t) const;
 
-  /// Solves (G + ridge I) w_t = Xty_t for every target via ONE Cholesky
-  /// factorization, returning a targets x features coefficient matrix.
-  /// Requires rows() >= features() (same underdetermined guard as
-  /// solve_least_squares). Throws linalg::NumericalError if the regularized
-  /// Gram matrix is not positive definite — the streaming path has no QR
-  /// fallback because the design matrix is gone.
-  linalg::Matrix solve(double ridge) const;
+  /// Solves G w_t = Xty_t for every target via ONE Cholesky factorization,
+  /// returning a targets x features coefficient matrix. Requires rows() >=
+  /// features() (same underdetermined guard as solve_least_squares). Throws
+  /// linalg::NumericalError if the Gram matrix is not positive definite —
+  /// the streaming path has no QR fallback because the design matrix is
+  /// gone.
+  linalg::Matrix solve() const;
 
   /// Mean of target t over all accumulated rows (ascending-order sum, the
   /// same order finish() in least_squares.cpp uses for mean_b).

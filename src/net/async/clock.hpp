@@ -5,9 +5,9 @@
 // lockstep round (see ClientPolicy in net/session.hpp for why the two
 // domains need different timeout sizes). Everything time-dependent —
 // retransmit deadlines and session TTLs — reads ticks through this
-// interface, so tests substitute ManualClock and replay the exact deadline
-// arithmetic deterministically, while production uses WallClock over the
-// monotonic Timer.
+// interface, so tests substitute a manual clock (test_async_service) and
+// replay the exact deadline arithmetic deterministically, while production
+// uses WallClock over the monotonic Timer.
 #pragma once
 
 #include <cmath>
@@ -29,22 +29,6 @@ class Clock {
   virtual double millis_until(std::uint64_t tick) = 0;
 };
 
-/// Test clock: ticks advance only when the test says so, and any armed
-/// deadline is always "due now" so a poll never sleeps on it.
-class ManualClock final : public Clock {
- public:
-  std::uint64_t ticks() override { return now_; }
-  double millis_until([[maybe_unused]] std::uint64_t tick) override {
-    return 0.0;
-  }
-
-  void advance(std::uint64_t delta) { now_ += delta; }
-  void set(std::uint64_t now) { now_ = now; }
-
- private:
-  std::uint64_t now_ = 0;
-};
-
 /// Wall clock: one tick per `tick_seconds` of monotonic time (default 1 ms).
 class WallClock final : public Clock {
  public:
@@ -61,8 +45,6 @@ class WallClock final : public Clock {
     const double remain_s = target_s - timer_.seconds();
     return remain_s <= 0.0 ? 0.0 : remain_s * 1e3;
   }
-
-  double tick_seconds() const { return tick_seconds_; }
 
  private:
   Timer timer_;

@@ -6,7 +6,7 @@
 // kWouldBlock on every wakeup — the SocketTransport pump honors this.
 // Deadlines go through the TimerWheel and fire via a single timer callback
 // keyed by an opaque engine key; the loop reads time only through the
-// injected Clock, so tests drive it with ManualClock and the firing order is
+// injected Clock, so tests drive it with a manual clock and the firing order is
 // reproducible tick-for-tick.
 //
 // Single-threaded by contract (the async engine multiplexes thousands of
@@ -55,9 +55,6 @@ class EventLoop {
   /// next armed deadline), dispatch fd handlers, then fire due timers.
   /// Returns the number of fd events dispatched.
   std::size_t poll(int max_wait_ms);
-
-  std::size_t handler_count() const { return handlers_.size(); }
-  bool timers_armed() const { return wheel_.armed(); }
 
  private:
   Clock* clock_;

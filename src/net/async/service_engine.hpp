@@ -11,7 +11,7 @@
 // session OUTCOMES are a pure function of (seed, plan) — issuance is
 // (device, session)-keyed, measurement noise is consumed per device in
 // session order, TCP preserves per-connection order, and busy NACKs only add
-// retries. The lockstep engine on FaultProfile::none() is therefore a
+// retries. The lockstep engine on a fault-free FaultProfile{} is therefore a
 // bit-exact oracle for outcome_fingerprint and per-device records;
 // wall-clock quantities (retries, latency) are reported outside the digest.
 //

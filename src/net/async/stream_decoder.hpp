@@ -37,9 +37,10 @@ class FrameStreamDecoder {
 
   /// True when no undelivered bytes are buffered (quiescence check).
   bool empty() const { return pos_ >= buffer_.size(); }
-  std::size_t buffered() const { return buffer_.size() - pos_; }
 
   /// Bytes skipped hunting for a frame boundary (lifetime total).
+  // Test hook: test_stream_decoder audits resync accounting per
+  // decoder.  xpuf-lint: allow(orphan-symbol)
   std::uint64_t resync_bytes() const { return resync_bytes_; }
 
  private:

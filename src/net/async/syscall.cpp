@@ -59,16 +59,6 @@ void Fd::close() {
   }
 }
 
-const char* to_string(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk: return "ok";
-    case IoStatus::kWouldBlock: return "would_block";
-    case IoStatus::kEof: return "eof";
-    case IoStatus::kError: return "error";
-  }
-  return "?";
-}
-
 Fd sys_listen_tcp_localhost(std::uint16_t& port, int backlog) {
   Fd fd = make_stream_socket(AF_INET);
   if (!fd.valid()) return Fd();

@@ -61,8 +61,6 @@ enum class IoStatus : std::uint8_t {
   kError,       ///< anything else; IoResult::error carries the errno value
 };
 
-const char* to_string(IoStatus status);
-
 struct IoResult {
   IoStatus status = IoStatus::kError;
   std::size_t bytes = 0;  ///< bytes actually moved (may be < requested)

@@ -6,7 +6,7 @@
 // the previous collection (or every slot once the gap spans a full
 // rotation), extracts entries whose deadline is due, and returns them sorted
 // by (deadline, arm order) — a deterministic firing order regardless of
-// bucket hashing, which the ManualClock tests rely on.
+// bucket hashing, which the manual-clock tests rely on.
 //
 // next_deadline is O(1): the wheel keeps every slot's earliest deadline and
 // the earliest of all. Arming lowers both; a sweep recomputes the swept
@@ -46,7 +46,6 @@ class TimerWheel {
   /// bounds the poll timeout. O(1).
   bool next_deadline(std::uint64_t& out) const;
 
-  bool armed() const { return armed_count_ > 0; }
   std::size_t size() const { return armed_count_; }
 
  private:

@@ -120,6 +120,8 @@ class ServerSessionHandler {
   /// ignore — never a silent drop.
   void handle(const Frame& frame, std::uint64_t now, ReplySink& sink);
 
+  // Test hook: test_async_service reads the session state across TTL
+  // expiry.  xpuf-lint: allow(orphan-symbol)
   const ServerSession& session() const { return session_; }
   const ServerLedger& ledger() const { return ledger_; }
   std::uint64_t device_id() const { return device_id_; }

@@ -22,19 +22,6 @@ bool is_terminal(SessionPhase phase) {
   return false;
 }
 
-const char* to_string(SessionPhase phase) {
-  switch (phase) {
-    case SessionPhase::kIdle: return "idle";
-    case SessionPhase::kAwaitChallenge: return "await_challenge";
-    case SessionPhase::kAwaitResult: return "await_result";
-    case SessionPhase::kApproved: return "approved";
-    case SessionPhase::kDenied: return "denied";
-    case SessionPhase::kRejected: return "rejected";
-    case SessionPhase::kFailed: return "failed";
-  }
-  return "?";
-}
-
 DeviceClient::DeviceClient(const sim::XorPufChip& chip, sim::Environment env,
                            Rng rng, Transport& to_server,
                            Transport& from_server, std::uint32_t auth_sessions,

@@ -39,7 +39,6 @@ enum class SessionPhase : std::uint8_t {
 };
 
 bool is_terminal(SessionPhase phase);
-const char* to_string(SessionPhase phase);
 
 /// Retry policy, expressed in the caller's clock domain. The DeviceClient
 /// never reads a clock: every deadline comparison uses the `round` value

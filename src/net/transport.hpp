@@ -70,7 +70,6 @@ struct FaultProfile {
 
   double total() const { return drop + duplicate + reorder + truncate + bitflip; }
 
-  static FaultProfile none() { return {}; }
   /// Every fault class at the same per-frame rate.
   static FaultProfile uniform(double rate) {
     FaultProfile p;

@@ -12,30 +12,6 @@ bool is_known_frame_type(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(FrameType::kRevoke);
 }
 
-const char* to_string(FrameType type) {
-  switch (type) {
-    case FrameType::kEnrollBegin: return "ENROLL_BEGIN";
-    case FrameType::kAuthBegin: return "AUTH_BEGIN";
-    case FrameType::kChallengeBatch: return "CHALLENGE_BATCH";
-    case FrameType::kResponseSubmit: return "RESPONSE_SUBMIT";
-    case FrameType::kAuthResult: return "AUTH_RESULT";
-    case FrameType::kNack: return "NACK";
-    case FrameType::kRevoke: return "REVOKE";
-  }
-  return "UNKNOWN";
-}
-
-const char* to_string(NackReason reason) {
-  switch (reason) {
-    case NackReason::kUnknownDevice: return "UNKNOWN_DEVICE";
-    case NackReason::kBusy: return "BUSY";
-    case NackReason::kBadState: return "BAD_STATE";
-    case NackReason::kSelectionExhausted: return "SELECTION_EXHAUSTED";
-    case NackReason::kRevoked: return "REVOKED";
-  }
-  return "UNKNOWN";
-}
-
 // --- frame codec ------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {

@@ -50,7 +50,6 @@ enum class FrameType : std::uint8_t {
 };
 
 bool is_known_frame_type(std::uint8_t raw);
-const char* to_string(FrameType type);
 
 /// Typed server rejections. retry_after_rounds == 0 marks the NACK terminal.
 enum class NackReason : std::uint8_t {
@@ -60,8 +59,6 @@ enum class NackReason : std::uint8_t {
   kSelectionExhausted = 4,   ///< stable-challenge issuance ran out of budget
   kRevoked = 5,              ///< device was revoked mid-flight
 };
-
-const char* to_string(NackReason reason);
 
 enum class AuthStatus : std::uint8_t {
   kApproved = 1,

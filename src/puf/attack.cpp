@@ -1,9 +1,6 @@
 #include "puf/attack.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
-#include "common/math.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "ml/metrics.hpp"
@@ -12,10 +9,9 @@
 namespace xpuf::puf {
 
 namespace {
-// Fixed shard sizes for the parallel CRP measurement loop and the XOR-LR
-// gradient reduction (thread-count independent, see common/parallel.hpp).
+// Fixed shard size for the parallel CRP measurement loop (thread-count
+// independent, see common/parallel.hpp).
 constexpr std::size_t kCrpChunk = 64;
-constexpr std::size_t kGradChunk = 512;
 }  // namespace
 
 AttackDataset build_stable_attack_dataset(const sim::XorPufChip& chip,
@@ -115,141 +111,22 @@ AttackDataset build_stable_attack_dataset(const sim::XorPufChip& chip,
 
 AttackResult run_mlp_attack(const AttackDataset& data, const MlpAttackConfig& config) {
   XPUF_REQUIRE(!data.train.empty(), "MLP attack needs a non-empty training set");
-  XPUF_REQUIRE(config.restarts >= 1, "MLP attack needs at least one restart");
 
   AttackResult result;
   result.train_size = data.train.size();
   result.test_size = data.test.size();
 
-  double best_loss = 0.0;
-  ml::Mlp best_model(data.train.features(), config.mlp);
   Timer timer;
-  for (std::size_t r = 0; r < config.restarts; ++r) {
-    ml::MlpOptions opts = config.mlp;
-    opts.seed = config.mlp.seed + r;
-    ml::Mlp mlp(data.train.features(), opts);
-    const ml::LbfgsResult fit = mlp.fit(data.train, config.lbfgs);
-    result.optimizer_iterations += fit.iterations;
-    if (r == 0 || fit.value < best_loss) {
-      best_loss = fit.value;
-      best_model = std::move(mlp);
-    }
-  }
+  ml::Mlp model(data.train.features(), config.mlp);
+  result.optimizer_iterations = model.fit(data.train, config.lbfgs).iterations;
   result.train_time_ms = timer.millis();
 
-  const linalg::Vector train_pred = best_model.predict(data.train.x);
+  const linalg::Vector train_pred = model.predict(data.train.x);
   result.train_accuracy = ml::accuracy(train_pred.span(), data.train.y.span());
   if (!data.test.empty()) {
-    const linalg::Vector test_pred = best_model.predict(data.test.x);
+    const linalg::Vector test_pred = model.predict(data.test.x);
     result.test_accuracy = ml::accuracy(test_pred.span(), data.test.y.span());
   }
-  return result;
-}
-
-namespace {
-
-/// Per-shard accumulator for the XOR-LR gradient reduction.
-struct XorLossGrad {
-  double loss = 0.0;
-  linalg::Vector grad;
-};
-
-/// BCE loss and gradient of the product-of-linear-delays XOR model:
-/// z = prod_i (w_i . phi), p = sigmoid(z), target = XOR bit. Rows are
-/// sharded across the thread pool; shard partials combine in fixed order.
-double xor_lr_objective(const ml::Dataset& data, std::size_t n_pufs,
-                        const linalg::Vector& params, linalg::Vector& grad) {
-  const std::size_t d = data.features();
-  const std::size_t n = data.size();
-  const double inv_n = 1.0 / static_cast<double>(n);
-  XorLossGrad zero;
-  zero.grad = linalg::Vector(params.size());
-  XorLossGrad total = parallel_reduce(
-      n, kGradChunk, zero,
-      [&](XorLossGrad& acc, std::size_t begin, std::size_t end) {
-        std::vector<double> delta(n_pufs);
-        for (std::size_t r = begin; r < end; ++r) {
-          const double* row = data.x.row(r);
-          double z = 1.0;
-          for (std::size_t p = 0; p < n_pufs; ++p) {
-            const double s = linalg::dot({params.data() + p * d, d}, {row, d});
-            delta[p] = s;
-            z *= s;
-          }
-          const double t = data.y[r] >= 0.5 ? 1.0 : 0.0;
-          acc.loss += t > 0.5 ? softplus(-z) : softplus(z);
-          const double dz = (sigmoid(z) - t) * inv_n;
-          for (std::size_t p = 0; p < n_pufs; ++p) {
-            // d z / d w_p = (prod_{q != p} delta_q) * phi. Guard the division:
-            // recompute the leave-one-out product when delta_p is tiny.
-            double loo;
-            if (std::fabs(delta[p]) > 1e-12) {
-              loo = z / delta[p];
-            } else {
-              loo = 1.0;
-              for (std::size_t q = 0; q < n_pufs; ++q)
-                if (q != p) loo *= delta[q];
-            }
-            const double coef = dz * loo;
-            double* g = acc.grad.data() + p * d;
-            for (std::size_t c = 0; c < d; ++c) g[c] += coef * row[c];
-          }
-        }
-      },
-      [](XorLossGrad& acc, XorLossGrad&& part) {
-        acc.loss += part.loss;
-        acc.grad += part.grad;
-      });
-  grad = std::move(total.grad);
-  return total.loss * inv_n;
-}
-
-}  // namespace
-
-AttackResult run_lr_xor_attack(const AttackDataset& data, const LrXorAttackConfig& config) {
-  XPUF_REQUIRE(!data.train.empty(), "LR-XOR attack needs a non-empty training set");
-  XPUF_REQUIRE(config.restarts >= 1, "LR-XOR attack needs at least one restart");
-  const std::size_t d = data.train.features();
-  const std::size_t n_pufs = data.n_pufs;
-
-  AttackResult result;
-  result.train_size = data.train.size();
-  result.test_size = data.test.size();
-
-  ml::Objective obj = [&](const linalg::Vector& w, linalg::Vector& g) {
-    return xor_lr_objective(data.train, n_pufs, w, g);
-  };
-
-  linalg::Vector best(d * n_pufs);
-  double best_loss = 0.0;
-  Timer timer;
-  for (std::size_t r = 0; r < config.restarts; ++r) {
-    Rng rng(config.seed + r);
-    linalg::Vector w0(d * n_pufs);
-    for (auto& v : w0) v = rng.normal(0.0, config.init_scale);
-    const ml::LbfgsResult fit = ml::minimize_lbfgs(obj, std::move(w0), config.lbfgs);
-    result.optimizer_iterations += fit.iterations;
-    if (r == 0 || fit.value < best_loss) {
-      best_loss = fit.value;
-      best = fit.x;
-    }
-  }
-  result.train_time_ms = timer.millis();
-
-  auto evaluate = [&](const ml::Dataset& set) {
-    if (set.empty()) return 0.0;
-    std::size_t hits = 0;
-    for (std::size_t r = 0; r < set.size(); ++r) {
-      const double* row = set.x.row(r);
-      double z = 1.0;
-      for (std::size_t p = 0; p < n_pufs; ++p)
-        z *= linalg::dot({best.data() + p * d, d}, {row, d});
-      if ((z > 0.0) == (set.y[r] >= 0.5)) ++hits;
-    }
-    return static_cast<double>(hits) / static_cast<double>(set.size());
-  };
-  result.train_accuracy = evaluate(data.train);
-  result.test_accuracy = evaluate(data.test);
   return result;
 }
 

@@ -4,9 +4,7 @@
 // layers of 35/25/25 units, L-BFGS) on transformed challenge vectors with
 // 1-bit XOR responses as targets, using ONLY 100%-stable CRPs for both the
 // training and the test set (unstable CRPs mislead the training, and only
-// stable CRPs matter for authentication). A logistic-regression attack on
-// the product-of-linear-delays model (Ruehrmair et al. [3]) is included as
-// the classic baseline.
+// stable CRPs matter for authentication).
 #pragma once
 
 #include <cstdint>
@@ -57,25 +55,12 @@ struct AttackResult {
 };
 
 struct MlpAttackConfig {
-  ml::MlpOptions mlp;       ///< defaults to the paper's 35/25/25 topology
-  ml::LbfgsOptions lbfgs;   ///< full-batch L-BFGS as in the paper
-  std::size_t restarts = 1; ///< best-of-k random initializations
+  ml::MlpOptions mlp;      ///< defaults to the paper's 35/25/25 topology
+  ml::LbfgsOptions lbfgs;  ///< full-batch L-BFGS as in the paper
 };
 
-/// Trains the MLP attack on `data.train` and scores on `data.test`.
+/// Trains the MLP attack on `data.train` (one initialization, seeded by
+/// config.mlp.seed) and scores on `data.test`.
 AttackResult run_mlp_attack(const AttackDataset& data, const MlpAttackConfig& config = {});
-
-/// Logistic-regression XOR attack: models the response probability as
-/// sigmoid(prod_i (w_i . phi)) and fits all n weight vectors jointly with
-/// L-BFGS. The classic attack of [3]; used as the baseline in the benches.
-struct LrXorAttackConfig {
-  ml::LbfgsOptions lbfgs;
-  std::uint64_t seed = 7;
-  double init_scale = 0.1;  ///< weight-initialization sigma
-  std::size_t restarts = 1;
-};
-
-AttackResult run_lr_xor_attack(const AttackDataset& data,
-                               const LrXorAttackConfig& config = {});
 
 }  // namespace xpuf::puf

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "ml/cmaes.hpp"
 #include "puf/transform.hpp"
 #include "sim/linear.hpp"
 
@@ -29,6 +30,20 @@ std::vector<ReliabilityCrp> collect_xor_reliability_crps(const sim::XorPufChip& 
 }
 
 namespace {
+
+constexpr std::size_t kSeedsPerSlot = 3;    // CMA-ES runs per slot; best distinct wins
+constexpr double kDistinctThreshold = 0.35; // |weight corr| above = duplicate find
+constexpr double kMinFitnessCorr = 0.08;    // reject runs with no reliability signal
+constexpr std::uint64_t kSeed = 11;
+
+/// CMA-ES tuned for the 33-dimensional reliability landscape; the wide
+/// stagnation window matters — the landscape has long plateaus before the
+/// basin of a constituent opens up.
+const ml::CmaEsOptions kCmaEs{.lambda = 20,
+                              .initial_sigma = 1.0,
+                              .max_generations = 400,
+                              .f_tolerance = 1e-12,
+                              .stagnation_window = 80};
 
 /// Candidate layout: the weight vector itself. The hypothetical reliability
 /// of a constituent with weights w is smooth in the margin:
@@ -102,14 +117,14 @@ ReliabilityAttackResult run_reliability_attack(const std::vector<ReliabilityCrp>
   const ReliabilityObjective objective{phi, reliability};
 
   ReliabilityAttackResult result;
-  Rng seed_rng(config.seed);
+  Rng seed_rng(kSeed);
 
   auto is_duplicate = [&](const linalg::Vector& w) {
     for (const auto& prev : result.recovered) {
       const double wc = std::fabs(pearson_correlation(
           std::span<const double>(w.data(), dim),
           std::span<const double>(prev.data(), dim)));
-      if (wc > config.distinct_threshold) return true;
+      if (wc > kDistinctThreshold) return true;
     }
     return false;
   };
@@ -122,11 +137,11 @@ ReliabilityAttackResult run_reliability_attack(const std::vector<ReliabilityCrp>
     ++result.restarts_used;
     double best_corr = -1.0;
     linalg::Vector best_w;
-    for (std::size_t attempt = 0; attempt < config.seeds_per_slot; ++attempt) {
+    for (std::size_t attempt = 0; attempt < kSeedsPerSlot; ++attempt) {
       Rng init_rng = seed_rng.fork();
       linalg::Vector x0(dim);
       for (std::size_t i = 0; i < dim; ++i) x0[i] = init_rng.normal();
-      ml::CmaEsOptions copts = config.cmaes;
+      ml::CmaEsOptions copts = kCmaEs;
       copts.seed = init_rng.next_u64();
       const ml::CmaEsResult run = ml::minimize_cmaes(objective, std::move(x0), copts);
       result.evaluations += run.evaluations;
@@ -141,7 +156,7 @@ ReliabilityAttackResult run_reliability_attack(const std::vector<ReliabilityCrp>
     // Genuine constituent basins fit distinctly better than blended local
     // optima; once one constituent is found, later finds must reach a
     // comparable correlation or the slot is retried with fresh seeds.
-    double dynamic_floor = config.min_fitness_corr;
+    double dynamic_floor = kMinFitnessCorr;
     for (double f2 : result.fitness) dynamic_floor = std::max(dynamic_floor, 0.55 * f2);
     if (best_corr < dynamic_floor || best_w.empty()) continue;
     result.recovered.push_back(std::move(best_w));

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ml/cmaes.hpp"
 #include "ml/dataset.hpp"
 #include "puf/transform.hpp"
 #include "sim/chip.hpp"
@@ -43,21 +42,13 @@ std::vector<ReliabilityCrp> collect_xor_reliability_crps(const sim::XorPufChip& 
                                                          const sim::Environment& env,
                                                          Rng& rng);
 
+/// The search itself is fixed in attack_reliability.cpp: 3 seeded CMA-ES
+/// runs per constituent slot (best distinct one wins), a find whose weights
+/// correlate above 0.35 with an earlier one is a duplicate, and a run below
+/// 0.08 reliability correlation carries no signal.
 struct ReliabilityAttackConfig {
-  std::size_t n_pufs = 2;            ///< hypothesized XOR width
-  std::size_t max_restarts = 24;     ///< constituent-slot attempts in total
-  std::size_t seeds_per_slot = 3;    ///< CMA-ES runs per slot; best distinct wins
-  double distinct_threshold = 0.35;  ///< |weight corr| above = duplicate find
-  double min_fitness_corr = 0.08;    ///< reject runs with no reliability signal
-  /// CMA-ES tuned for the 33-dimensional reliability landscape; the wide
-  /// stagnation window matters — the landscape has long plateaus before the
-  /// basin of a constituent opens up.
-  ml::CmaEsOptions cmaes{.lambda = 20,
-                         .initial_sigma = 1.0,
-                         .max_generations = 400,
-                         .f_tolerance = 1e-12,
-                         .stagnation_window = 80};
-  std::uint64_t seed = 11;
+  std::size_t n_pufs = 2;         ///< hypothesized XOR width
+  std::size_t max_restarts = 24;  ///< constituent-slot attempts in total
 };
 
 struct ReliabilityAttackResult {

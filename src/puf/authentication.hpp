@@ -29,12 +29,6 @@ struct AuthenticationOutcome {
   std::size_t challenges_used = 0;
   std::size_t mismatches = 0;
   std::size_t candidates_tried = 0;  ///< selection cost on the server
-
-  double mismatch_fraction() const {
-    return challenges_used == 0
-               ? 0.0
-               : static_cast<double>(mismatches) / static_cast<double>(challenges_used);
-  }
 };
 
 /// One issued challenge batch with the server's expected responses. The

@@ -41,7 +41,7 @@ sim::ChipLinearView weights_view(std::span<const std::span<const double>> rows) 
 /// for any chunking.
 template <class ForEachChunk>
 std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::size_t n_pufs,
-                                    std::size_t features, double ridge) {
+                                    std::size_t features) {
   ml::StreamingNormalEquations normal(features, n_pufs);
   Timer fit_timer;
   double fit_ms = 0.0;
@@ -52,7 +52,7 @@ std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::siz
     fit_ms += fit_timer.millis();
   });
   fit_timer.reset();
-  const linalg::Matrix weights = normal.solve(ridge);
+  const linalg::Matrix weights = normal.solve();
   fit_ms += fit_timer.millis();
   // Per-PUF share of the shared accumulate + solve work.
   const double fit_ms_per_puf = fit_ms / static_cast<double>(n_pufs);
@@ -189,8 +189,7 @@ ServerModel Enroller::enroll(const sim::XorPufChip& chip, Rng& rng) const {
     stream.reset();
     while (stream.next(chunk)) fn(chunk.parity, chunk.soft);
   };
-  return ServerModel(chip.id(), fit_scan(for_each_chunk, chip.puf_count(), chip.stages() + 1,
-                                         config_.ridge));
+  return ServerModel(chip.id(), fit_scan(for_each_chunk, chip.puf_count(), chip.stages() + 1));
 }
 
 ServerModel Enroller::enroll_from_scan(std::size_t chip_id,
@@ -202,8 +201,7 @@ ServerModel Enroller::enroll_from_scan(std::size_t chip_id,
   const std::size_t stages = scan.challenges.front().size();
   const std::vector<std::uint64_t> parity = sim::challenge_parity(scan.challenges, stages);
   const auto for_each_chunk = [&](const auto& fn) { fn(parity, scan.soft); };
-  return ServerModel(chip_id,
-                     fit_scan(for_each_chunk, scan.soft.size(), stages + 1, config_.ridge));
+  return ServerModel(chip_id, fit_scan(for_each_chunk, scan.soft.size(), stages + 1));
 }
 
 }  // namespace xpuf::puf

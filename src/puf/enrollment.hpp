@@ -97,7 +97,6 @@ struct EnrollmentConfig {
   std::size_t training_challenges = 5000;  ///< the paper's chosen train size
   std::uint64_t trials = 10'000;           ///< counter evaluations per CRP
   sim::Environment environment = sim::Environment::nominal();
-  double ridge = 0.0;  ///< regression regularization (0 = plain OLS)
   /// Challenges per streaming scan chunk: the working-set knob of enroll().
   /// Any value >= 1 yields bit-identical results; it only trades memory
   /// against per-chunk overhead.

@@ -51,13 +51,12 @@ class FuzzyExtractor {
  public:
   explicit FuzzyExtractor(const KeyGenConfig& config);
 
+  /// The BCH code; each key consumes code().n() response bits.
   const crypto::BchCode& code() const { return code_; }
-  /// Response bits consumed per key (the code length).
-  std::size_t response_bits() const { return code_.n(); }
 
   /// Enrollment-time key generation from a chip: evaluates the challenge
   /// list once at the given corner, draws the random codeword from `rng`.
-  /// `challenges` must contain exactly response_bits() entries.
+  /// `challenges` must contain exactly code().n() entries.
   KeyGenResult generate(const sim::XorPufChip& chip,
                         const std::vector<Challenge>& challenges,
                         const sim::Environment& env, Rng& rng) const;

@@ -40,15 +40,6 @@ bool ArbiterPufModel::predict_response(std::span<const double> phi) const {
   return predict_raw(phi) > 0.5;
 }
 
-double ArbiterPufModel::agreement(const ArbiterPufModel& a, const ArbiterPufModel& b,
-                                  const std::vector<Challenge>& sample) {
-  XPUF_REQUIRE(!sample.empty(), "agreement needs a non-empty sample");
-  std::size_t same = 0;
-  for (const auto& c : sample)
-    if (a.predict_response(c) == b.predict_response(c)) ++same;
-  return static_cast<double>(same) / static_cast<double>(sample.size());
-}
-
 const ArbiterPufModel& XorPufModel::puf(std::size_t i) const {
   XPUF_REQUIRE(i < pufs_.size(), "PUF index out of range");
   return pufs_[i];

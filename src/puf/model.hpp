@@ -37,10 +37,6 @@ class ArbiterPufModel {
   bool predict_response(const Challenge& challenge) const;
   bool predict_response(std::span<const double> phi) const;
 
-  /// Fraction of challenges on which two models agree, over a sample.
-  static double agreement(const ArbiterPufModel& a, const ArbiterPufModel& b,
-                          const std::vector<Challenge>& sample);
-
  private:
   linalg::Vector weights_;
 };

@@ -152,6 +152,8 @@ class ChallengeScreener {
   /// bits above `stages` cleared. Faster than per-bit bernoulli and equally
   /// uniform; the per-candidate stream makes the draw count per candidate
   /// irrelevant to every other candidate.
+  // Test hook: the serial oracle (tests/oracle), test_screening and test_linear
+  // draw candidates through it.  xpuf-lint: allow(orphan-symbol)
   static void candidate_into(std::span<std::uint64_t> row, std::size_t stages, Rng& rng);
 
   const ScreeningOptions& options() const { return options_; }

@@ -39,13 +39,4 @@ ThresholdPair finalize_thresholds(double thr0, double thr1) {
   return {thr0, thr1};
 }
 
-// Empty input is legal and handled explicitly.  xpuf-lint: allow(require-guard)
-double measured_stable_fraction(std::span<const double> soft_responses) {
-  if (soft_responses.empty()) return 0.0;
-  std::size_t stable = 0;
-  for (double s : soft_responses)
-    if (measured_stable(s)) ++stable;
-  return static_cast<double>(stable) / static_cast<double>(soft_responses.size());
-}
-
 }  // namespace xpuf::puf

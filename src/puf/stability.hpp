@@ -65,7 +65,4 @@ ThresholdPair derive_thresholds(std::span<const double> predicted,
 /// the conservative 0.5 center.
 ThresholdPair finalize_thresholds(double thr0, double thr1);
 
-/// Fraction of soft responses that are measured 100% stable.
-double measured_stable_fraction(std::span<const double> soft_responses);
-
 }  // namespace xpuf::puf

@@ -36,6 +36,7 @@ class ChallengeSet {
   std::vector<std::uint64_t> sorted_rows() const;
 
   /// Heap bytes held by the slot and control arrays.
+  // Test hook: test_store bounds the set's memory.  xpuf-lint: allow(orphan-symbol)
   std::size_t heap_bytes() const;
 
  private:

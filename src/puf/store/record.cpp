@@ -14,17 +14,6 @@ bool is_known_op(std::uint8_t raw) {
          raw <= static_cast<std::uint8_t>(OpType::kPad);
 }
 
-const char* to_string(OpType op) {
-  switch (op) {
-    case OpType::kRegister: return "REGISTER";
-    case OpType::kRevoke: return "REVOKE";
-    case OpType::kIssue: return "ISSUE";
-    case OpType::kPool: return "POOL";
-    case OpType::kPad: return "PAD";
-  }
-  return "UNKNOWN";
-}
-
 const char* to_string(RecordStatus status) {
   switch (status) {
     case RecordStatus::kOk: return "ok";

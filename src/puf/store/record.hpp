@@ -69,7 +69,6 @@ enum class OpType : std::uint8_t {
 inline constexpr std::uint32_t kMaxPadBytes = 7;
 
 bool is_known_op(std::uint8_t raw);
-const char* to_string(OpType op);
 
 enum class RecordStatus : std::uint8_t {
   kOk = 0,

@@ -94,6 +94,8 @@ class EnrollmentStore {
   std::size_t device_count() const { return index_.size(); }
   bool knows(std::uint64_t device_id) const { return index_.count(device_id) != 0; }
   std::vector<std::uint64_t> device_ids() const;
+  // Test hook: test_store and test_screening read record
+  // placement.  xpuf-lint: allow(orphan-symbol)
   const DeviceRecord& device_record(std::uint64_t device_id) const;
 
   /// Appends a REGISTER record (flushed before returning) and warms the

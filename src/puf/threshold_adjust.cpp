@@ -37,48 +37,46 @@ std::vector<PufEvalData> flatten(const ServerModel& model,
   return data;
 }
 
-/// A measured soft response disqualifies a stable-'0' selection when it is
-/// not exactly 0.00 (strict mode) or when it is strictly between the bins
-/// (stability-only mode).
-bool bad_for_zero(double soft, bool strict) { return strict ? soft != 0.0 : soft > 0.0 && soft < 1.0; }
-bool bad_for_one(double soft, bool strict) { return strict ? soft != 1.0 : soft > 0.0 && soft < 1.0; }
+constexpr double kStep = 0.01;     // the paper adjusts in 0.01 increments
+constexpr double kMinBeta0 = 0.05;  // search floor (gives up below this)
+constexpr double kMaxBeta1 = 4.0;   // search ceiling
 
 std::size_t count_violations(const ServerModel& model, const std::vector<PufEvalData>& data,
-                             const BetaFactors& betas, bool strict) {
+                             const BetaFactors& betas) {
   std::size_t violations = 0;
   for (std::size_t p = 0; p < data.size(); ++p) {
     const ThresholdPair thr = tighten(model.puf(p).thresholds, betas);
     for (std::size_t i = 0; i < data[p].predicted.size(); ++i) {
       const double pred = data[p].predicted[i];
       const double soft = data[p].measured[i];
-      if (pred < thr.thr0 && bad_for_zero(soft, strict)) ++violations;
-      else if (pred > thr.thr1 && bad_for_one(soft, strict)) ++violations;
+      if (pred < thr.thr0 && soft != 0.0) ++violations;
+      else if (pred > thr.thr1 && soft != 1.0) ++violations;
     }
   }
   return violations;
 }
 
 std::size_t count_side0(const ServerModel& model, const std::vector<PufEvalData>& data,
-                        double beta0, bool strict) {
+                        double beta0) {
   std::size_t violations = 0;
   for (std::size_t p = 0; p < data.size(); ++p) {
     const ThresholdPair thr =
         tighten(model.puf(p).thresholds, BetaFactors{beta0, 1.0});
     for (std::size_t i = 0; i < data[p].predicted.size(); ++i)
-      if (data[p].predicted[i] < thr.thr0 && bad_for_zero(data[p].measured[i], strict))
+      if (data[p].predicted[i] < thr.thr0 && data[p].measured[i] != 0.0)
         ++violations;
   }
   return violations;
 }
 
 std::size_t count_side1(const ServerModel& model, const std::vector<PufEvalData>& data,
-                        double beta1, bool strict) {
+                        double beta1) {
   std::size_t violations = 0;
   for (std::size_t p = 0; p < data.size(); ++p) {
     const ThresholdPair thr =
         tighten(model.puf(p).thresholds, BetaFactors{1.0, beta1});
     for (std::size_t i = 0; i < data[p].predicted.size(); ++i)
-      if (data[p].predicted[i] > thr.thr1 && bad_for_one(data[p].measured[i], strict))
+      if (data[p].predicted[i] > thr.thr1 && data[p].measured[i] != 1.0)
         ++violations;
   }
   return violations;
@@ -87,31 +85,24 @@ std::size_t count_side1(const ServerModel& model, const std::vector<PufEvalData>
 }  // namespace
 
 BetaSearchResult find_betas(const ServerModel& model,
-                            const std::vector<EvaluationBlock>& blocks,
-                            const BetaSearchConfig& config) {
+                            const std::vector<EvaluationBlock>& blocks) {
   XPUF_REQUIRE(!blocks.empty(), "beta search needs at least one evaluation block");
-  XPUF_REQUIRE(config.step > 0.0, "beta search step must be positive");
-  const bool strict = config.require_correct_value;
   const std::vector<PufEvalData> data = flatten(model, blocks);
 
   BetaSearchResult result;
-  result.violations_before = count_violations(model, data, BetaFactors{1.0, 1.0}, strict);
+  result.violations_before = count_violations(model, data, BetaFactors{1.0, 1.0});
 
   // The two sides are independent: beta0 only moves the stable-'0' boundary
   // and beta1 the stable-'1' boundary, so each is stepped separately, from
   // 1.00 toward stringency, exactly as the paper describes.
   double beta0 = 1.0;
-  while (count_side0(model, data, beta0, strict) > 0 &&
-         beta0 - config.step >= config.min_beta0)
-    beta0 -= config.step;
+  while (count_side0(model, data, beta0) > 0 && beta0 - kStep >= kMinBeta0) beta0 -= kStep;
 
   double beta1 = 1.0;
-  while (count_side1(model, data, beta1, strict) > 0 &&
-         beta1 + config.step <= config.max_beta1)
-    beta1 += config.step;
+  while (count_side1(model, data, beta1) > 0 && beta1 + kStep <= kMaxBeta1) beta1 += kStep;
 
   result.betas = BetaFactors{beta0, beta1};
-  result.violations_after = count_violations(model, data, result.betas, strict);
+  result.violations_after = count_violations(model, data, result.betas);
   result.converged = result.violations_after == 0;
   return result;
 }

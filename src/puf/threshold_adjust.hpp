@@ -22,17 +22,6 @@ struct EvaluationBlock {
   sim::Environment environment;
 };
 
-struct BetaSearchConfig {
-  double step = 0.01;      ///< the paper adjusts in 0.01 increments
-  double min_beta0 = 0.05; ///< search floor (gives up below this)
-  double max_beta1 = 4.0;  ///< search ceiling
-  /// When true (default) a "violation" additionally includes stable-but-
-  /// wrong-valued predictions (a stable-'0' classification whose measured
-  /// soft response is 1.00) — required for the zero-Hamming-distance
-  /// authentication criterion.
-  bool require_correct_value = true;
-};
-
 struct BetaSearchResult {
   BetaFactors betas;
   std::size_t violations_before = 0;  ///< unstable-selected CRPs at beta = 1
@@ -42,9 +31,13 @@ struct BetaSearchResult {
 
 /// Finds the common beta pair for one chip over the given evaluation blocks.
 /// Challenges may repeat across blocks (same challenge at several corners).
+/// Each beta steps from 1.00 in the paper's 0.01 increments, beta0 no lower
+/// than 0.05 and beta1 no higher than 4.0. A violation is a stable-'0'
+/// prediction whose measured soft response is not exactly 0.00, or a
+/// stable-'1' one not exactly 1.00: a stable prediction with the wrong
+/// value counts too, as the zero-Hamming-distance authentication requires.
 BetaSearchResult find_betas(const ServerModel& model,
-                            const std::vector<EvaluationBlock>& blocks,
-                            const BetaSearchConfig& config = {});
+                            const std::vector<EvaluationBlock>& blocks);
 
 /// The paper deploys one beta pair for the whole lot: the most conservative
 /// values over a sample of chips (min beta0, max beta1).

@@ -19,9 +19,6 @@ using sim::random_challenge;
 /// Canonical batch generator (shared with ChipTester::random_challenges).
 using sim::random_challenges;
 
-/// Number of features for a k-stage challenge (k + 1).
-inline std::size_t feature_count(std::size_t stages) { return stages + 1; }
-
 /// phi(c): length challenge.size() + 1, entries in {-1, +1}, last entry 1.
 linalg::Vector feature_vector(const Challenge& challenge);
 

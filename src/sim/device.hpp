@@ -125,8 +125,6 @@ class ArbiterPufDevice {
   /// reduced_weights (tests/analysis/batch core, not protocol code).
   DeviceLinearView linear_view(const Environment& env) const;
 
-  const DeviceParameters& parameters() const { return params_; }
-
  private:
   DeviceParameters params_;
   EnvironmentModel env_model_;

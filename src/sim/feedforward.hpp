@@ -49,8 +49,6 @@ class FeedForwardArbiterDevice {
                                         const Environment& env, std::uint64_t trials,
                                         Rng& rng) const;
 
-  const DeviceParameters& parameters() const { return params_; }
-
  private:
   DeviceParameters params_;
   EnvironmentModel env_model_;

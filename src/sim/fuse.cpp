@@ -11,11 +11,6 @@ bool FuseBank::intact(std::size_t index) const {
   return !blown_[index];
 }
 
-void FuseBank::blow(std::size_t index) {
-  XPUF_REQUIRE(index < blown_.size(), "fuse index out of range");
-  blown_[index] = true;
-}
-
 void FuseBank::blow_all() {
   for (std::size_t i = 0; i < blown_.size(); ++i) blown_[i] = true;
 }
@@ -24,13 +19,6 @@ bool FuseBank::all_blown() const {
   for (bool b : blown_)
     if (!b) return false;
   return true;
-}
-
-std::size_t FuseBank::blown_count() const {
-  std::size_t n = 0;
-  for (bool b : blown_)
-    if (b) ++n;
-  return n;
 }
 
 }  // namespace xpuf::sim

@@ -21,17 +21,13 @@ class FuseBank {
   /// True while the tap is readable.
   bool intact(std::size_t index) const;
 
-  /// Burns one fuse. Irreversible; burning an already-blown fuse is a no-op
-  /// (matches real eFuse behaviour).
-  void blow(std::size_t index);
-
   /// Burns every fuse — the pre-deployment step in the paper's Fig 6.
+  /// Irreversible; burning an already-blown fuse is a no-op (matches real
+  /// eFuse behaviour).
   void blow_all();
 
   /// True when every fuse is blown (chip is in deployed state).
   bool all_blown() const;
-
-  std::size_t blown_count() const;
 
  private:
   std::vector<bool> blown_;

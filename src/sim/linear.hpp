@@ -222,6 +222,8 @@ class LazyCdfCounter {
   explicit LazyCdfCounter(std::uint64_t trials);
 
   /// Every z <= lower_cut() has trials * normal_cdf(z) < 2^-54.
+  // Test hook: test_math and test_tester sweep the counter at its
+  // cut.  xpuf-lint: allow(orphan-symbol)
   double lower_cut() const { return lower_cut_; }
 
   /// The count for standardized delay z. `stream` is a callable returning

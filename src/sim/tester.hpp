@@ -64,11 +64,6 @@ struct ScanChunk {
 
   /// Challenges in the chunk.
   std::size_t size() const { return stages == 0 ? 0 : words.size() / packed_words(stages); }
-  /// Packed words of the chunk's i-th challenge.
-  std::span<const std::uint64_t> challenge_words(std::size_t i) const {
-    const std::size_t n = packed_words(stages);
-    return {words.data() + i * n, n};
-  }
 };
 
 /// Chunked producer over a ChipTester scan: generates challenges, measures
@@ -105,6 +100,8 @@ class ChipScanStream {
   std::size_t chunk_challenges() const { return chunk_; }
   std::size_t position() const { return position_; }
   /// Challenges [0, retained()) are kept in memory for replay.
+  // Test hook: test_streaming checks the stream's retention
+  // budget.  xpuf-lint: allow(orphan-symbol)
   std::size_t retained() const { return retained_; }
 
   /// Fills `chunk` with the next up-to-chunk_challenges() challenges and
@@ -147,7 +144,6 @@ class ChipTester {
   ChipTester(Environment env, std::uint64_t trials, Rng rng);
 
   const Environment& environment() const { return env_; }
-  void set_environment(const Environment& env) { env_ = env; }
   std::uint64_t trials() const { return trials_; }
 
   /// Generates `count` uniformly random challenges for a chip's stage count.

@@ -108,11 +108,8 @@ puf::ServerModel materialized_enroll(const puf::EnrollmentConfig& config,
     ml::Dataset data;
     data.x = phi;
     data.y = linalg::Vector(soft);
-    ml::LinearRegressionOptions opts;
-    opts.fit_intercept = false;  // phi carries the constant feature
-    opts.ridge = config.ridge;
     Timer timer;
-    ml::LinearRegression reg(opts);
+    ml::LinearRegression reg;  // no intercept: phi carries the constant feature
     reg.fit(data);
     puf::PufEnrollment e;
     e.fit_time_ms = timer.millis();

@@ -36,6 +36,22 @@
 namespace xpuf::net::async {
 namespace {
 
+/// Test clock: ticks advance only when the test says so, and any armed
+/// deadline is always "due now" so a poll never sleeps on it.
+class ManualClock final : public Clock {
+ public:
+  std::uint64_t ticks() override { return now_; }
+  double millis_until([[maybe_unused]] std::uint64_t tick) override {
+    return 0.0;
+  }
+
+  void advance(std::uint64_t delta) { now_ += delta; }
+  void set(std::uint64_t now) { now_ = now; }
+
+ private:
+  std::uint64_t now_ = 0;
+};
+
 struct Fleet {
   sim::ChipPopulation pop;
   std::vector<puf::ServerModel> models;
@@ -118,7 +134,7 @@ TEST(TimerWheel, FiresInDeadlineOrderAndNeverEarly) {
   due = wheel.collect_due(1000);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].key, 3u);
-  EXPECT_FALSE(wheel.armed());
+  EXPECT_EQ(wheel.size(), 0u);
 }
 
 TEST(TimerWheel, PastDueArmFiresOnTheNextCollect) {

@@ -1,4 +1,4 @@
-// Tests for the modeling attacks (dataset construction, MLP and LR-XOR).
+// Tests for the modeling attack (dataset construction, MLP).
 // Kept at small scale; the full Fig 4 sweep lives in the bench.
 #include <gtest/gtest.h>
 
@@ -111,33 +111,16 @@ TEST_F(AttackTest, MlpAttackWithTinyDataIsWeak) {
   EXPECT_LT(res.test_accuracy, 0.9);
 }
 
-TEST_F(AttackTest, LrXorAttackBreaksSmallXor) {
-  const AttackDataset data = build(2, 12'000);
-  LrXorAttackConfig cfg;
-  cfg.lbfgs.max_iterations = 200;
-  cfg.restarts = 3;
-  const AttackResult res = run_lr_xor_attack(data, cfg);
-  EXPECT_GT(res.test_accuracy, 0.9);
-}
-
 TEST_F(AttackTest, AttacksValidateInput) {
   AttackDataset empty;
   EXPECT_THROW(run_mlp_attack(empty), std::invalid_argument);
-  EXPECT_THROW(run_lr_xor_attack(empty), std::invalid_argument);
-  const AttackDataset data = build(1, 500);
-  MlpAttackConfig bad;
-  bad.restarts = 0;
-  EXPECT_THROW(run_mlp_attack(data, bad), std::invalid_argument);
-  LrXorAttackConfig bad2;
-  bad2.restarts = 0;
-  EXPECT_THROW(run_lr_xor_attack(data, bad2), std::invalid_argument);
 }
 
 TEST_F(AttackTest, SingleArbiterIsTriviallyBroken) {
   const AttackDataset data = build(1, 4'000);
-  LrXorAttackConfig cfg;
+  MlpAttackConfig cfg;
   cfg.lbfgs.max_iterations = 100;
-  const AttackResult res = run_lr_xor_attack(data, cfg);
+  const AttackResult res = run_mlp_attack(data, cfg);
   EXPECT_GT(res.test_accuracy, 0.97);
 }
 

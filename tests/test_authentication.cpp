@@ -126,7 +126,7 @@ TEST_F(AuthenticationTest, VerifyCountsMismatchesExactly) {
   const AuthenticationOutcome out = server.verify(batch, responses);
   EXPECT_EQ(out.mismatches, 2u);
   EXPECT_FALSE(out.approved);
-  EXPECT_NEAR(out.mismatch_fraction(), 0.25, 1e-12);
+  EXPECT_EQ(out.challenges_used, 8u);
 }
 
 TEST_F(AuthenticationTest, RelaxedHammingPolicyTolerates) {

@@ -6,9 +6,14 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
+#include "oracle/linalg_ref.hpp"
 
 namespace xpuf::linalg {
 namespace {
+
+using oracle::matmul;
+using oracle::max_abs_diff;
+using oracle::transposed;
 
 Matrix random_spd(std::size_t n, Rng& rng) {
   // A = B^T B + n * I is SPD with overwhelming probability.
@@ -25,7 +30,7 @@ TEST(Cholesky, FactorReconstructsMatrix) {
   const Matrix a = random_spd(5, rng);
   const Cholesky chol(a);
   const Matrix l = chol.factor();
-  const Matrix reconstructed = matmul(l, l.transposed());
+  const Matrix reconstructed = matmul(l, transposed(l));
   EXPECT_LT(max_abs_diff(reconstructed, a), 1e-10);
 }
 

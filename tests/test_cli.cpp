@@ -56,12 +56,6 @@ TEST(Cli, MalformedNumbersThrow) {
   EXPECT_THROW(cli.get_double("seed", 0.0), ParseError);
 }
 
-TEST(Cli, ProgramNameIsCaptured) {
-  const char* argv[] = {"myprog"};
-  const Cli cli(1, argv);
-  EXPECT_EQ(cli.program(), "myprog");
-}
-
 class ScaleTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -51,35 +51,6 @@ TEST(Dataset, SubsetValidatesIndices) {
   EXPECT_THROW(data.subset(bad), std::invalid_argument);
 }
 
-TEST(Dataset, SplitPreservesAllRows) {
-  const Dataset data = make_dataset(10, 2);
-  Rng rng(1);
-  auto [train, test] = data.split(0.7, rng);
-  EXPECT_EQ(train.size(), 7u);
-  EXPECT_EQ(test.size(), 3u);
-  std::vector<double> all;
-  for (std::size_t i = 0; i < train.size(); ++i) all.push_back(train.y[i]);
-  for (std::size_t i = 0; i < test.size(); ++i) all.push_back(test.y[i]);
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(all[i], static_cast<double>(i));
-}
-
-TEST(Dataset, SplitIsDeterministicPerSeed) {
-  const Dataset data = make_dataset(20, 1);
-  Rng r1(7), r2(7);
-  auto [a_train, a_test] = data.split(0.5, r1);
-  auto [b_train, b_test] = data.split(0.5, r2);
-  for (std::size_t i = 0; i < a_train.size(); ++i)
-    EXPECT_DOUBLE_EQ(a_train.y[i], b_train.y[i]);
-}
-
-TEST(Dataset, SplitRejectsBadFraction) {
-  const Dataset data = make_dataset(4, 1);
-  Rng rng(2);
-  EXPECT_THROW(data.split(1.5, rng), std::invalid_argument);
-  EXPECT_THROW(data.split(-0.1, rng), std::invalid_argument);
-}
-
 TEST(Dataset, HeadSplitKeepsOrder) {
   const Dataset data = make_dataset(6, 1);
   auto [train, test] = data.head_split(4);

@@ -129,7 +129,7 @@ TEST(Device, EvaluateMatchesOneProbabilityStatistically) {
 TEST(Device, NoiseSigmaScalesWithEnvironment) {
   const auto d = make_device(32, 15);
   const double nominal = d.noise_sigma(Environment::nominal());
-  EXPECT_DOUBLE_EQ(nominal, d.parameters().sigma_noise);
+  EXPECT_DOUBLE_EQ(nominal, DeviceParameters{}.sigma_noise);  // make_device keeps the default
   EXPECT_GT(d.noise_sigma({0.8, 0.0}), nominal);
 }
 

@@ -6,9 +6,14 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "linalg/eigen.hpp"
+#include "oracle/linalg_ref.hpp"
 
 namespace xpuf::linalg {
 namespace {
+
+using oracle::matmul;
+using oracle::max_abs_diff;
+using oracle::transposed;
 
 Matrix random_symmetric(std::size_t n, Rng& rng) {
   Matrix a(n, n);
@@ -58,7 +63,7 @@ TEST(Eigen, ReconstructionAndOrthogonality) {
       EXPECT_NEAR(av[i], eig.values[k] * v[i], 1e-9);
   }
   // V^T V = I.
-  const Matrix vtv = matmul(eig.vectors.transposed(), eig.vectors);
+  const Matrix vtv = matmul(transposed(eig.vectors), eig.vectors);
   EXPECT_LT(max_abs_diff(vtv, Matrix::identity(n)), 1e-10);
 }
 
@@ -81,33 +86,6 @@ TEST(Eigen, TraceAndFrobeniusInvariants) {
   frob2 = norm_frobenius(a);
   EXPECT_NEAR(trace_a, trace_l, 1e-10);
   EXPECT_NEAR(frob2 * frob2, sum_l2, 1e-8);
-}
-
-TEST(SqrtSpsd, SquaresBackToOriginal) {
-  Rng rng(4);
-  // SPD matrix: B^T B + I.
-  Matrix b(5, 5);
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j < 5; ++j) b(i, j) = rng.normal();
-  Matrix a = gram(b);
-  for (std::size_t i = 0; i < 5; ++i) a(i, i) += 1.0;
-  const Matrix root = sqrt_spsd(a);
-  EXPECT_LT(max_abs_diff(matmul(root, root), a), 1e-8);
-}
-
-TEST(SqrtSpsd, HandlesSingularMatrices) {
-  // Rank-1 PSD.
-  Matrix a(2, 2);
-  a(0, 0) = 1.0; a(0, 1) = 1.0;
-  a(1, 0) = 1.0; a(1, 1) = 1.0;
-  const Matrix root = sqrt_spsd(a);
-  EXPECT_LT(max_abs_diff(matmul(root, root), a), 1e-10);
-}
-
-TEST(SqrtSpsd, RejectsIndefinite) {
-  Matrix a = Matrix::identity(2);
-  a(1, 1) = -1.0;
-  EXPECT_THROW(sqrt_spsd(a), std::invalid_argument);
 }
 
 class EigenSizeSweep : public ::testing::TestWithParam<std::size_t> {};

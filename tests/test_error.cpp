@@ -123,6 +123,7 @@ TEST(LintRegistry, RegistryListsTheDocumentedRules) {
   EXPECT_TRUE(xpuf::lint::is_known_rule("metrics-accounting"));
   EXPECT_TRUE(xpuf::lint::is_known_rule("bad-guard-ref"));
   EXPECT_TRUE(xpuf::lint::is_known_rule("orphan-header"));
+  EXPECT_TRUE(xpuf::lint::is_known_rule("orphan-symbol"));
   EXPECT_FALSE(xpuf::lint::is_known_rule("no-such-rule"));
 }
 

@@ -37,10 +37,10 @@ TEST_F(ExperimentTest, SoftResponseStudyIsBimodal) {
   EXPECT_NEAR(study.pr_stable0 + study.pr_stable1, 0.82, 0.08);
   // The first bin covers [0, 0.01): the 100%-stable CRPs plus the nearly
   // stable ones, so it dominates but slightly exceeds Pr(stable 0).
-  EXPECT_GE(study.histogram.first_bin_fraction() + 1e-12, study.pr_stable0);
-  EXPECT_NEAR(study.histogram.first_bin_fraction(), study.pr_stable0, 0.06);
-  EXPECT_GE(study.histogram.last_bin_fraction() + 1e-12, study.pr_stable1);
-  EXPECT_NEAR(study.histogram.last_bin_fraction(), study.pr_stable1, 0.06);
+  EXPECT_GE(study.histogram.fraction(0) + 1e-12, study.pr_stable0);
+  EXPECT_NEAR(study.histogram.fraction(0), study.pr_stable0, 0.06);
+  EXPECT_GE(study.histogram.fraction(study.histogram.bins() - 1) + 1e-12, study.pr_stable1);
+  EXPECT_NEAR(study.histogram.fraction(study.histogram.bins() - 1), study.pr_stable1, 0.06);
   // Middle bins are comparatively empty.
   EXPECT_LT(study.histogram.fraction(50), 0.02);
 }

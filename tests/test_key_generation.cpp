@@ -30,7 +30,7 @@ class KeyGenerationTest : public ::testing::Test {
 
 TEST_F(KeyGenerationTest, GeometryAndValidation) {
   const FuzzyExtractor fx(KeyGenConfig{.bch_m = 7, .bch_t = 10});
-  EXPECT_EQ(fx.response_bits(), 127u);
+  EXPECT_EQ(fx.code().n(), 127u);
   EXPECT_EQ(fx.code().k(), 64u);
   const auto few = random_challenges(32, 10, rng_);
   EXPECT_THROW(fx.generate(pop_.chip(0), few, sim::Environment::nominal(), rng_),
@@ -39,12 +39,12 @@ TEST_F(KeyGenerationTest, GeometryAndValidation) {
 
 TEST_F(KeyGenerationTest, NoiseFreeRoundTripReproducesTheKey) {
   const FuzzyExtractor fx(KeyGenConfig{});
-  const auto challenges = random_challenges(32, fx.response_bits(), rng_);
+  const auto challenges = random_challenges(32, fx.code().n(), rng_);
   const KeyGenResult gen =
       fx.generate(pop_.chip(0), challenges, sim::Environment::nominal(), rng_);
   // Majority-of-15 reads approximate the enrolled (mostly stable) response
   // closely; with t = 10 the residual disagreement is well within capacity.
-  crypto::Bits response(fx.response_bits());
+  crypto::Bits response(fx.code().n());
   Rng local(99);
   for (std::size_t i = 0; i < response.size(); ++i) {
     int ones = 0;
@@ -74,7 +74,7 @@ TEST_F(KeyGenerationTest, StableChallengesReproduceAcrossCorners) {
 
   const FuzzyExtractor fx(KeyGenConfig{.bch_m = 7, .bch_t = 2});  // weak code
   ModelBasedSelector selector(model, kNPufs);
-  const SelectionResult sel = selector.select(fx.response_bits(), rng_);
+  const SelectionResult sel = selector.select(fx.code().n(), rng_);
   ASSERT_TRUE(sel.filled);
 
   const KeyGenResult gen =
@@ -89,7 +89,7 @@ TEST_F(KeyGenerationTest, StableChallengesReproduceAcrossCorners) {
 
 TEST_F(KeyGenerationTest, RandomChallengesOverwhelmAWeakCode) {
   const FuzzyExtractor fx(KeyGenConfig{.bch_m = 7, .bch_t = 2});
-  const auto challenges = random_challenges(32, fx.response_bits(), rng_);
+  const auto challenges = random_challenges(32, fx.code().n(), rng_);
   const KeyGenResult gen =
       fx.generate(pop_.chip(0), challenges, sim::Environment::nominal(), rng_);
   // With a ~10% response error rate of the 4-XOR, a t=2/127 code fails most
@@ -106,7 +106,7 @@ TEST_F(KeyGenerationTest, RandomChallengesOverwhelmAWeakCode) {
 
 TEST_F(KeyGenerationTest, DifferentChipCannotReproduceTheKey) {
   const FuzzyExtractor fx(KeyGenConfig{});
-  const auto challenges = random_challenges(32, fx.response_bits(), rng_);
+  const auto challenges = random_challenges(32, fx.code().n(), rng_);
   const KeyGenResult gen =
       fx.generate(pop_.chip(0), challenges, sim::Environment::nominal(), rng_);
   int stolen = 0;
@@ -120,7 +120,7 @@ TEST_F(KeyGenerationTest, DifferentChipCannotReproduceTheKey) {
 
 TEST_F(KeyGenerationTest, FreshRandomnessGivesFreshKeys) {
   const FuzzyExtractor fx(KeyGenConfig{});
-  const auto challenges = random_challenges(32, fx.response_bits(), rng_);
+  const auto challenges = random_challenges(32, fx.code().n(), rng_);
   const KeyGenResult a =
       fx.generate(pop_.chip(0), challenges, sim::Environment::nominal(), rng_);
   const KeyGenResult b =
@@ -132,7 +132,7 @@ TEST_F(KeyGenerationTest, ReproduceValidatesHelperShape) {
   const FuzzyExtractor fx(KeyGenConfig{});
   HelperData bad;
   bad.offset = crypto::Bits(10, 0);
-  EXPECT_THROW(fx.reproduce_from_bits(crypto::Bits(fx.response_bits(), 0), bad),
+  EXPECT_THROW(fx.reproduce_from_bits(crypto::Bits(fx.code().n(), 0), bad),
                std::invalid_argument);
   EXPECT_THROW(fx.reproduce_from_bits(crypto::Bits(5, 0), bad), std::invalid_argument);
 }

@@ -1,11 +1,14 @@
-// Tests for the least-squares front end (method selection, ridge, metrics).
+// Tests for the least-squares front end (normal equations with the QR
+// fallback, R^2).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/least_squares.hpp"
+#include "linalg/qr.hpp"
 
 namespace xpuf::linalg {
 namespace {
@@ -29,78 +32,55 @@ Problem planted_problem(std::size_t m, std::size_t n, double noise, Rng& rng) {
 }
 
 TEST(LeastSquares, NoiseFreeRecoveryAllMethods) {
+  // The normal-equations path and the QR path it falls back to.
   Rng rng(1);
   const Problem p = planted_problem(40, 5, 0.0, rng);
-  for (auto method : {LeastSquaresMethod::kNormalEquations, LeastSquaresMethod::kQr,
-                      LeastSquaresMethod::kAuto}) {
-    LeastSquaresOptions opts;
-    opts.method = method;
-    const auto res = solve_least_squares(p.a, p.b, opts);
-    for (std::size_t i = 0; i < 5; ++i)
-      EXPECT_NEAR(res.coefficients[i], p.x_true[i], 1e-8);
-    EXPECT_NEAR(res.r_squared, 1.0, 1e-10);
-    EXPECT_LT(res.residual_norm, 1e-8);
+  const auto res = solve_least_squares(p.a, p.b);
+  const Vector qr = QR(p.a).solve(p.b);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_NEAR(res.coefficients[i], p.x_true[i], 1e-8);
+    EXPECT_NEAR(qr[i], p.x_true[i], 1e-8);
   }
+  EXPECT_NEAR(res.r_squared, 1.0, 1e-10);
 }
 
 TEST(LeastSquares, NoisyProblemStillCloseAndConsistent) {
   Rng rng(2);
   const Problem p = planted_problem(500, 4, 0.1, rng);
-  const auto ne = solve_least_squares(
-      p.a, p.b, {.method = LeastSquaresMethod::kNormalEquations});
-  const auto qr = solve_least_squares(p.a, p.b, {.method = LeastSquaresMethod::kQr});
+  const auto ne = solve_least_squares(p.a, p.b);
+  const Vector qr = QR(p.a).solve(p.b);
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(ne.coefficients[i], qr.coefficients[i], 1e-8);
+    EXPECT_NEAR(ne.coefficients[i], qr[i], 1e-8);
     EXPECT_NEAR(ne.coefficients[i], p.x_true[i], 0.05);
   }
   EXPECT_GT(ne.r_squared, 0.95);
 }
 
-TEST(LeastSquares, RidgeShrinksCoefficients) {
-  Rng rng(3);
-  const Problem p = planted_problem(30, 3, 0.05, rng);
-  const auto plain = solve_least_squares(p.a, p.b, {.ridge = 0.0});
-  const auto ridged = solve_least_squares(p.a, p.b, {.ridge = 100.0});
-  EXPECT_LT(norm2(ridged.coefficients), norm2(plain.coefficients));
-}
-
-TEST(LeastSquares, RidgeAgreesBetweenMethods) {
-  Rng rng(4);
-  const Problem p = planted_problem(25, 4, 0.1, rng);
-  const auto ne = solve_least_squares(
-      p.a, p.b, {.method = LeastSquaresMethod::kNormalEquations, .ridge = 2.5});
-  const auto qr = solve_least_squares(
-      p.a, p.b, {.method = LeastSquaresMethod::kQr, .ridge = 2.5});
-  for (std::size_t i = 0; i < 4; ++i)
-    EXPECT_NEAR(ne.coefficients[i], qr.coefficients[i], 1e-8);
-}
-
 TEST(LeastSquares, AutoFallsBackToQrOnSingularGram) {
-  // Duplicated column makes A^T A singular; auto must fall back to QR and
-  // QR must then throw NumericalError (still rank-deficient), rather than
-  // returning garbage.
-  Matrix a(4, 2);
-  for (std::size_t r = 0; r < 4; ++r) {
-    a(r, 0) = static_cast<double>(r + 1);
-    a(r, 1) = static_cast<double>(r + 1);
-  }
-  const Vector b{1.0, 2.0, 3.0, 4.0};
-  EXPECT_THROW(solve_least_squares(a, b, {.method = LeastSquaresMethod::kAuto}),
-               NumericalError);
-}
+  // Lauchli's matrix: A has full column rank, but 1 + eps^2 rounds to 1, so
+  // the computed Gram matrix is exactly singular and Cholesky breaks down.
+  // The solve must then come from QR, which sees the eps rows.
+  const double eps = 1e-9;
+  Matrix a(3, 2);
+  a(0, 0) = 1.0;
+  a(0, 1) = 1.0;
+  a(1, 0) = eps;
+  a(2, 1) = eps;
+  EXPECT_THROW(Cholesky{gram(a)}, NumericalError);
+  const Vector b{3.0, eps, 2.0 * eps};  // A (1, 2)
+  const auto res = solve_least_squares(a, b);
+  EXPECT_NEAR(res.coefficients[0], 1.0, 1e-5);
+  EXPECT_NEAR(res.coefficients[1], 2.0, 1e-5);
 
-TEST(LeastSquares, AutoWithRidgeSolvesSingularGram) {
-  Matrix a(4, 2);
+  // A duplicated column is singular for QR too: NumericalError, rather
+  // than garbage.
+  Matrix dup(4, 2);
   for (std::size_t r = 0; r < 4; ++r) {
-    a(r, 0) = static_cast<double>(r + 1);
-    a(r, 1) = static_cast<double>(r + 1);
+    dup(r, 0) = static_cast<double>(r + 1);
+    dup(r, 1) = static_cast<double>(r + 1);
   }
-  const Vector b{1.0, 2.0, 3.0, 4.0};
-  const auto res = solve_least_squares(
-      a, b, {.method = LeastSquaresMethod::kAuto, .ridge = 1e-6});
-  // Symmetric problem: both coefficients equal.
-  EXPECT_NEAR(res.coefficients[0], res.coefficients[1], 1e-6);
-  EXPECT_EQ(res.method_used, LeastSquaresMethod::kNormalEquations);
+  const Vector b4{1.0, 2.0, 3.0, 4.0};
+  EXPECT_THROW(solve_least_squares(dup, b4), NumericalError);
 }
 
 TEST(LeastSquares, RejectsUnderdeterminedAndMismatched) {

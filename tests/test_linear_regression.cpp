@@ -1,4 +1,4 @@
-// Tests for OLS/ridge linear regression (the paper's enrollment model).
+// Tests for OLS linear regression (the paper's enrollment model).
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -35,15 +35,6 @@ TEST(LinearRegression, RecoversCoefficientsNoIntercept) {
   EXPECT_NEAR(reg.train_r_squared(), 1.0, 1e-12);
 }
 
-TEST(LinearRegression, RecoversInterceptWhenRequested) {
-  Rng rng(2);
-  const Dataset data = planted(300, {1.0, 2.0}, 5.0, 0.01, rng);
-  LinearRegression reg({.fit_intercept = true});
-  reg.fit(data);
-  EXPECT_NEAR(reg.intercept(), 5.0, 0.01);
-  EXPECT_NEAR(reg.coefficients()[0], 1.0, 0.01);
-}
-
 TEST(LinearRegression, WithoutInterceptMissesOffset) {
   Rng rng(3);
   const Dataset data = planted(300, {1.0}, 5.0, 0.0, rng);
@@ -63,16 +54,6 @@ TEST(LinearRegression, PredictSingleAndBatchAgree) {
     const std::vector<double> row{data.x(r, 0), data.x(r, 1)};
     EXPECT_DOUBLE_EQ(reg.predict(row), batch[r]);
   }
-}
-
-TEST(LinearRegression, RidgeShrinks) {
-  Rng rng(5);
-  const Dataset data = planted(50, {3.0, -2.0}, 0.0, 0.1, rng);
-  LinearRegression plain;
-  plain.fit(data);
-  LinearRegression ridged({.ridge = 50.0});
-  ridged.fit(data);
-  EXPECT_LT(linalg::norm2(ridged.coefficients()), linalg::norm2(plain.coefficients()));
 }
 
 TEST(LinearRegression, ErrorsOnMisuse) {

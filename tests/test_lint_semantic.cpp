@@ -350,6 +350,93 @@ TEST(LintOrphanHeader, FlagsAHeaderOnlyATestIncludes) {
   EXPECT_EQ(hits[0].line, 1u);
 }
 
+// --- Orphan symbols ---------------------------------------------------------
+
+TEST(LintOrphanSymbol, FlagsANameOnlyATestUses) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/sim/calc.hpp", "#pragma once\nint used();\nint only_tested();\nint via_macro();\n"},
+      {"src/sim/calc.cpp",
+       "#include \"sim/calc.hpp\"\nint used() { return 1; }\n"
+       "int only_tested() { return 2; }\nint via_macro() { return 3; }\n"},
+      // A comment or a string naming only_tested is no use; a macro body
+      // naming via_macro is.
+      {"bench/bench_calc.cpp",
+       "#include \"sim/calc.hpp\"\n#define CALL_IT() via_macro()\n"
+       "// only_tested() is not called here\n"
+       "int main() { const char* s = \"only_tested\"; (void)s; return used() + CALL_IT(); }\n"},
+      {"tests/test_calc.cpp",
+       "#include \"sim/calc.hpp\"\nint t() { return only_tested() + used(); }\n"},
+  });
+  const auto hits = with_rule(report, "orphan-symbol");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "src/sim/calc.hpp");
+  EXPECT_EQ(hits[0].line, 3u);
+  EXPECT_NE(hits[0].message.find("'only_tested'"), std::string::npos);
+}
+
+TEST(LintOrphanSymbol, AnOverloadSetIsLiveWhenAnyOverloadIsUsed) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/sim/ops.hpp",
+       "#pragma once\ndouble scale(double x);\ndouble scale(int x);\n"
+       "int twice(int x);\nint twice(double x);\n"},
+      {"src/sim/ops.cpp",
+       "#include \"sim/ops.hpp\"\ndouble scale(double x) { return x; }\n"
+       "double scale(int x) { return x; }\nint twice(int x) { return 2 * x; }\n"
+       "int twice(double x) { return 2; }\n"},
+      {"examples/ops_demo.cpp", "#include \"sim/ops.hpp\"\nint main() { return scale(2.0) > 1; }\n"},
+      {"tests/test_ops.cpp", "#include \"sim/ops.hpp\"\nint t() { return twice(1) + twice(1.0); }\n"},
+  });
+  // Overloads share one name: scale is live through either, and neither
+  // twice is used outside tests.
+  const auto hits = with_rule(report, "orphan-symbol");
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].line, 4u);
+  EXPECT_EQ(hits[1].line, 5u);
+}
+
+TEST(LintOrphanSymbol, InlineAccessorsAreCheckedByName) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/sim/counter.hpp",
+       "#pragma once\nstruct Counter {\n  int size() const { return n_; }\n"
+       "  int peak() const { return n_; }\n  int n_ = 0;\n};\n"},
+      {"bench/bench_counter.cpp",
+       "#include \"sim/counter.hpp\"\nint f(const Counter& c) { return c.size(); }\n"},
+      {"tests/test_counter.cpp",
+       "#include \"sim/counter.hpp\"\nint t(const Counter& c) { return c.peak(); }\n"},
+  });
+  // The field is live through the accessors that read it; the accessor only
+  // a test calls is not.
+  const auto hits = with_rule(report, "orphan-symbol");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 4u);
+  EXPECT_NE(hits[0].message.find("'peak'"), std::string::npos);
+}
+
+TEST(LintOrphanSymbol, APrivateHelperCalledInItsOwnCppIsLive) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/sim/engine.hpp",
+       "#pragma once\nclass Engine {\n public:\n  explicit Engine(int n);\n  void run();\n\n"
+       " private:\n  void step();\n  int n_;\n};\n"},
+      {"src/sim/engine.cpp",
+       "#include \"sim/engine.hpp\"\nEngine::Engine(int n) : n_(n) {}\n"
+       "void Engine::run() { step(); }\nvoid Engine::step() {}\n"},
+      {"tools/drive.cpp", "#include \"sim/engine.hpp\"\nvoid drive() { Engine e(2); e.run(); }\n"},
+  });
+  EXPECT_TRUE(with_rule(report, "orphan-symbol").empty());
+}
+
+TEST(LintOrphanSymbol, AnAllowCommentKeepsATestHook) {
+  const Report report = xpuf::lint::analyze_files({
+      {"src/sim/hook.hpp",
+       "#pragma once\nstruct Probe {\n  " + lint_marker("allow(orphan-symbol)") +
+           "\n  int hook() const { return 1; }\n};\n"},
+      {"tests/test_hook.cpp",
+       "#include \"sim/hook.hpp\"\nint t(const Probe& p) { return p.hook(); }\n"},
+  });
+  EXPECT_TRUE(with_rule(report, "orphan-symbol").empty());
+  EXPECT_EQ(report.stats.suppressions_by_rule.at("orphan-symbol"), 1u);
+}
+
 // --- Guarded-by policy ------------------------------------------------------
 
 namespace guarded_fixture {

@@ -1,5 +1,5 @@
 // Tests for the scalar special functions (normal CDF/quantile, logistic
-// helpers, unanimity probability, summary statistics).
+// helpers, summary statistics).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -182,38 +182,6 @@ TEST(Softplus, DerivativeIdentity) {
   }
 }
 
-TEST(UnanimityProbability, DegenerateCases) {
-  EXPECT_DOUBLE_EQ(unanimity_probability(0, 0.3), 1.0);
-  EXPECT_DOUBLE_EQ(unanimity_probability(10, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(unanimity_probability(10, 1.0), 1.0);
-}
-
-TEST(UnanimityProbability, MatchesDirectFormula) {
-  EXPECT_NEAR(unanimity_probability(3, 0.5), 0.25, 1e-12);  // 2 * 0.5^3
-  EXPECT_NEAR(unanimity_probability(2, 0.1), 0.81 + 0.01, 1e-12);
-}
-
-TEST(UnanimityProbability, LargeTrialTinyP) {
-  // K = 100'000, p = 1e-6: P ~ exp(-0.1) = 0.9048.
-  EXPECT_NEAR(unanimity_probability(100'000, 1e-6), std::exp(-0.1), 1e-4);
-}
-
-TEST(UnanimityProbability, IsSymmetricInP) {
-  for (double p : {0.01, 0.2, 0.4}) {
-    EXPECT_NEAR(unanimity_probability(50, p), unanimity_probability(50, 1.0 - p), 1e-12);
-  }
-}
-
-TEST(UnanimityProbability, DecreasesWithTrialCount) {
-  const double p = 1e-4;
-  double prev = 1.0;
-  for (std::uint64_t n : {10ULL, 100ULL, 1'000ULL, 10'000ULL, 100'000ULL}) {
-    const double u = unanimity_probability(n, p);
-    EXPECT_LT(u, prev);
-    prev = u;
-  }
-}
-
 TEST(SummaryStats, MeanVarianceStddev) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
@@ -247,37 +215,6 @@ TEST(PearsonCorrelation, RejectsLengthMismatch) {
   const std::vector<double> y{1.0};
   EXPECT_THROW(pearson_correlation(x, y), std::invalid_argument);
 }
-
-TEST(Clamp, ClampsAndValidates) {
-  EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
-  EXPECT_DOUBLE_EQ(clamp(-5.0, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(clamp(0.5, 0.0, 1.0), 0.5);
-  EXPECT_DOUBLE_EQ(clamp(0.7, 0.7, 0.7), 0.7);
-  EXPECT_THROW(clamp(0.0, 1.0, -1.0), std::invalid_argument);
-}
-
-// Property sweep: the unanimity probability matches a Monte-Carlo estimate
-// across a grid of (n, p) regimes, tying together binomial tails and the
-// closed form used by the analysis.
-struct UnanimityCase {
-  std::uint64_t n;
-  double p;
-};
-
-class UnanimitySweep : public ::testing::TestWithParam<UnanimityCase> {};
-
-TEST_P(UnanimitySweep, MatchesClosedForm) {
-  const auto [n, p] = GetParam();
-  double direct = std::pow(1.0 - p, static_cast<double>(n)) +
-                  std::pow(p, static_cast<double>(n));
-  EXPECT_NEAR(unanimity_probability(n, p), direct, 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, UnanimitySweep,
-    ::testing::Values(UnanimityCase{1, 0.5}, UnanimityCase{10, 0.01},
-                      UnanimityCase{100, 0.001}, UnanimityCase{1000, 0.3},
-                      UnanimityCase{100, 0.999}, UnanimityCase{5, 0.9}));
 
 }  // namespace
 }  // namespace xpuf

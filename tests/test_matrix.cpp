@@ -5,9 +5,15 @@
 
 #include "common/rng.hpp"
 #include "linalg/matrix.hpp"
+#include "oracle/linalg_ref.hpp"
 
 namespace xpuf::linalg {
 namespace {
+
+using oracle::from_rows;
+using oracle::matmul;
+using oracle::max_abs_diff;
+using oracle::transposed;
 
 TEST(Matrix, ConstructionAndIndexing) {
   Matrix m(2, 3, 1.5);
@@ -20,10 +26,10 @@ TEST(Matrix, ConstructionAndIndexing) {
 }
 
 TEST(Matrix, FromRowsValidatesShape) {
-  const Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
+  const Matrix m = from_rows({{1.0, 2.0}, {3.0, 4.0}});
   EXPECT_DOUBLE_EQ(m(1, 0), 3.0);
-  EXPECT_THROW(Matrix::from_rows({{1.0}, {2.0, 3.0}}), std::invalid_argument);
-  EXPECT_TRUE(Matrix::from_rows({}).empty());
+  EXPECT_THROW(from_rows({{1.0}, {2.0, 3.0}}), std::invalid_argument);
+  EXPECT_TRUE(from_rows({}).empty());
 }
 
 TEST(Matrix, IdentityHasUnitDiagonal) {
@@ -34,25 +40,25 @@ TEST(Matrix, IdentityHasUnitDiagonal) {
 }
 
 TEST(Matrix, TransposeSwapsIndices) {
-  const Matrix m = Matrix::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
-  const Matrix t = m.transposed();
+  const Matrix m = from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
+  const Matrix t = transposed(m);
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
 }
 
 TEST(Matrix, AdditionSubtractionScaling) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}});
-  const Matrix b = Matrix::from_rows({{10.0, 20.0}});
-  EXPECT_EQ(a + b, Matrix::from_rows({{11.0, 22.0}}));
-  EXPECT_EQ(b - a, Matrix::from_rows({{9.0, 18.0}}));
-  EXPECT_EQ(a * 3.0, Matrix::from_rows({{3.0, 6.0}}));
+  const Matrix a = from_rows({{1.0, 2.0}});
+  const Matrix b = from_rows({{10.0, 20.0}});
+  EXPECT_EQ(a + b, from_rows({{11.0, 22.0}}));
+  EXPECT_EQ(b - a, from_rows({{9.0, 18.0}}));
+  EXPECT_EQ(a * 3.0, from_rows({{3.0, 6.0}}));
   Matrix bad(2, 1);
   EXPECT_THROW(bad += a, std::invalid_argument);
 }
 
 TEST(Matvec, MultipliesCorrectly) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
+  const Matrix a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
   const Vector x{1.0, 1.0};
   EXPECT_EQ(matvec(a, x), (Vector{3.0, 7.0}));
   EXPECT_THROW(matvec(a, Vector{1.0}), std::invalid_argument);
@@ -66,15 +72,15 @@ TEST(MatvecTransposed, MatchesExplicitTranspose) {
   Vector x(4);
   for (auto& v : x) v = rng.normal();
   const Vector direct = matvec_transposed(a, x);
-  const Vector reference = matvec(a.transposed(), x);
+  const Vector reference = matvec(transposed(a), x);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(direct[i], reference[i], 1e-12);
 }
 
 TEST(Matmul, KnownProduct) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}});
-  const Matrix b = Matrix::from_rows({{5.0, 6.0}, {7.0, 8.0}});
+  const Matrix a = from_rows({{1.0, 2.0}, {3.0, 4.0}});
+  const Matrix b = from_rows({{5.0, 6.0}, {7.0, 8.0}});
   const Matrix c = matmul(a, b);
-  EXPECT_EQ(c, Matrix::from_rows({{19.0, 22.0}, {43.0, 50.0}}));
+  EXPECT_EQ(c, from_rows({{19.0, 22.0}, {43.0, 50.0}}));
   EXPECT_THROW(matmul(a, Matrix(3, 2)), std::invalid_argument);
 }
 
@@ -93,7 +99,7 @@ TEST(Gram, MatchesExplicitProduct) {
   for (std::size_t r = 0; r < 5; ++r)
     for (std::size_t c = 0; c < 3; ++c) a(r, c) = rng.normal();
   const Matrix g = gram(a);
-  const Matrix reference = matmul(a.transposed(), a);
+  const Matrix reference = matmul(transposed(a), a);
   EXPECT_LT(max_abs_diff(g, reference), 1e-12);
   // Symmetry.
   for (std::size_t i = 0; i < 3; ++i)
@@ -101,13 +107,13 @@ TEST(Gram, MatchesExplicitProduct) {
 }
 
 TEST(NormFrobenius, KnownValue) {
-  const Matrix m = Matrix::from_rows({{3.0, 0.0}, {0.0, 4.0}});
+  const Matrix m = from_rows({{3.0, 0.0}, {0.0, 4.0}});
   EXPECT_DOUBLE_EQ(norm_frobenius(m), 5.0);
 }
 
 TEST(MaxAbsDiff, DetectsLargestDeviation) {
-  const Matrix a = Matrix::from_rows({{1.0, 2.0}});
-  const Matrix b = Matrix::from_rows({{1.5, 2.1}});
+  const Matrix a = from_rows({{1.0, 2.0}});
+  const Matrix b = from_rows({{1.5, 2.1}});
   EXPECT_DOUBLE_EQ(max_abs_diff(a, b), 0.5);
   EXPECT_THROW(max_abs_diff(a, Matrix(2, 2)), std::invalid_argument);
 }
@@ -136,9 +142,9 @@ TEST(MatmulBlocked, MatchesNaiveOnNonSquareShapes) {
 }
 
 TEST(MatmulBlocked, TinyAndDegenerateShapes) {
-  const Matrix a = Matrix::from_rows({{2.0}});
-  EXPECT_EQ(matmul_blocked(a, Matrix::from_rows({{3.0}})),
-            Matrix::from_rows({{6.0}}));
+  const Matrix a = from_rows({{2.0}});
+  EXPECT_EQ(matmul_blocked(a, from_rows({{3.0}})),
+            from_rows({{6.0}}));
   // Zero-dimension operands: empty result of the right shape, no crash.
   const Matrix zero_rows(0, 4);
   const Matrix c = matmul_blocked(zero_rows, Matrix(4, 3));
@@ -155,7 +161,7 @@ TEST(MatmulNt, MatchesExplicitTranspose) {
   Rng rng(12);
   const Matrix a = random_matrix(19, 6, rng);
   const Matrix bt = random_matrix(11, 6, rng);  // B^T stored row-major
-  EXPECT_LT(max_abs_diff(matmul_nt(a, bt), matmul(a, bt.transposed())), 1e-12);
+  EXPECT_LT(max_abs_diff(matmul_nt(a, bt), matmul(a, transposed(bt))), 1e-12);
   EXPECT_THROW(matmul_nt(Matrix(2, 3), Matrix(4, 5)), std::invalid_argument);
 }
 
@@ -164,7 +170,7 @@ TEST(MatmulTn, MatchesExplicitTranspose) {
   // Tall inputs so the row-chunked partial accumulation spans many chunks.
   const Matrix a = random_matrix(1'000, 4, rng);
   const Matrix b = random_matrix(1'000, 7, rng);
-  EXPECT_LT(max_abs_diff(matmul_tn(a, b), matmul(a.transposed(), b)), 1e-9);
+  EXPECT_LT(max_abs_diff(matmul_tn(a, b), matmul(transposed(a), b)), 1e-9);
   EXPECT_THROW(matmul_tn(Matrix(2, 3), Matrix(4, 5)), std::invalid_argument);
 }
 

@@ -44,33 +44,6 @@ TEST(ArbiterPufModel, HardDecisionCentersAtHalf) {
   EXPECT_FALSE(model2.predict_response(Challenge{0, 0}));
 }
 
-TEST(ArbiterPufModel, AgreementIsOneWithItself) {
-  Rng rng(2);
-  linalg::Vector w(11);
-  for (auto& v : w) v = rng.normal();
-  const ArbiterPufModel model(w);
-  const auto sample = random_challenges(10, 40, rng);
-  EXPECT_DOUBLE_EQ(ArbiterPufModel::agreement(model, model, sample), 1.0);
-}
-
-TEST(ArbiterPufModel, AgreementDetectsComplementaryModels) {
-  Rng rng(3);
-  linalg::Vector w(11);
-  for (auto& v : w) v = rng.normal();
-  // Mirror around 0.5: w' = -w except constant maps c -> 1 - c.
-  linalg::Vector w2 = w;
-  for (auto& v : w2) v = -v;
-  w2[10] = 1.0 - w[10];
-  const ArbiterPufModel a(w), b(w2);
-  const auto sample = random_challenges(10, 60, rng);
-  EXPECT_LT(ArbiterPufModel::agreement(a, b, sample), 0.1);
-}
-
-TEST(ArbiterPufModel, AgreementNeedsSample) {
-  const ArbiterPufModel m(linalg::Vector(5));
-  EXPECT_THROW(ArbiterPufModel::agreement(m, m, {}), std::invalid_argument);
-}
-
 TEST(XorPufModel, EmptyModelRejectsPrediction) {
   const XorPufModel model;
   EXPECT_EQ(model.puf_count(), 0u);

@@ -352,27 +352,6 @@ TEST(ObservabilityIntegration, UnknownDeviceRequestsAreCounted) {
   EXPECT_EQ(snap.counters.at("db.auth_requests"), 2u);
 }
 
-// A workload counter that meters raw work volume: ml.adam_epochs equals the
-// epochs the Adam options asked for.
-TEST(ObservabilityIntegration, AdamEpochCounterMatchesWorkload) {
-  auto& registry = MetricsRegistry::global();
-  registry.reset();
-  ml::Dataset data;
-  for (int i = 0; i < 32; ++i) {
-    const double a = (i % 2 == 0) ? 1.0 : -1.0;
-    const double features[2] = {a, 0.5 * a};
-    data.add(features, a > 0 ? 1.0 : 0.0);
-  }
-  ml::Mlp mlp(2, ml::MlpOptions{.hidden_layers = {4}});
-  ml::MlpAdamOptions options;
-  options.epochs = 3;
-  options.batch_size = 8;
-  Rng adam_rng(7);
-  mlp.fit_adam(data, options, adam_rng);
-  EXPECT_EQ(registry.snapshot().counters.at("ml.adam_epochs"),
-            options.epochs);
-}
-
 // The concurrent half of the ServerDatabase contract (database.hpp):
 // issue/verify/authenticate for DISTINCT pre-registered devices may run in
 // parallel, and the registry counters must still equal the summed outcome

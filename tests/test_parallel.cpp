@@ -177,7 +177,7 @@ TEST(ParallelDeterminism, MlpLossAndGradientBitIdenticalAcrossThreadCounts) {
   opt.hidden_layers = {20, 12};
   ml::Mlp mlp(d, opt);
   expect_identical_across_thread_counts([&] {
-    linalg::Vector grad(mlp.parameter_count());
+    linalg::Vector grad(mlp.parameters().size());
     const double loss = mlp.loss_and_gradient(x, y, mlp.parameters(), grad);
     return std::make_pair(loss, grad.raw());
   });

@@ -74,16 +74,6 @@ TEST(QR, RDiagonalMagnitudeMatchesColumnNorm) {
   EXPECT_NEAR(std::fabs(QR(a).r()(0, 0)), 3.0, 1e-12);
 }
 
-TEST(QR, ApplyQtPreservesNorm) {
-  Rng rng(4);
-  const Matrix a = random_matrix(10, 10, rng);
-  Vector b(10);
-  for (auto& v : b) v = rng.normal();
-  const QR qr(a);
-  const Vector qtb = qr.apply_qt(b);
-  EXPECT_NEAR(norm2(qtb), norm2(b), 1e-9);
-}
-
 TEST(QR, HandlesZeroColumnGracefully) {
   Matrix a(3, 2);
   a(0, 1) = 1.0;  // first column all zero

@@ -79,12 +79,6 @@ TEST(DeriveThresholds, Validates) {
   EXPECT_THROW(derive_thresholds(a, b), std::invalid_argument);
 }
 
-TEST(MeasuredStableFraction, CountsExactBins) {
-  const std::vector<double> soft{0.0, 1.0, 0.5, 0.0, 0.99};
-  EXPECT_DOUBLE_EQ(measured_stable_fraction(soft), 0.6);
-  EXPECT_DOUBLE_EQ(measured_stable_fraction({}), 0.0);
-}
-
 TEST(Tighten, ScalesTowardStringency) {
   const ThresholdPair raw{0.3, 0.7};
   const ThresholdPair t = tighten(raw, BetaFactors{0.74, 1.08});

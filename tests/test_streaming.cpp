@@ -438,14 +438,12 @@ TEST(StreamingNormalEquations, SolveMatchesOneShotCholeskyBitwise) {
     step = step % 5 + 1;
   }
 
-  const double ridge = 1e-8;
-  const linalg::Matrix w = acc.solve(ridge);
+  const linalg::Matrix w = acc.solve();
   ASSERT_EQ(w.rows(), targets);
   ASSERT_EQ(w.cols(), d);
   // One-shot reference: the kernel sequence solve_least_squares' normal-
   // equations route runs on a materialized Phi.
-  OneShot oracle = one_shot(challenges, ys);
-  for (std::size_t i = 0; i < d; ++i) oracle.gram(i, i) += ridge;
+  const OneShot oracle = one_shot(challenges, ys);
   const linalg::Cholesky chol(oracle.gram);
   for (std::size_t t = 0; t < targets; ++t) {
     const linalg::Vector ref = chol.solve(oracle.xty[t]);
@@ -463,7 +461,7 @@ TEST(StreamingNormalEquations, RejectsUnderdeterminedAndShapeMismatch) {
   const std::vector<std::uint64_t> parity{0b101, 0b011};
   std::vector<std::vector<double>> y{{1.0, 0.0}};
   acc.accumulate(parity, y);
-  EXPECT_THROW(acc.solve(0.0), std::invalid_argument);  // 2 rows < 4 features
+  EXPECT_THROW(acc.solve(), std::invalid_argument);  // 2 rows < 4 features
   std::vector<std::vector<double>> short_y{{1.0}};
   EXPECT_THROW(acc.accumulate(parity, short_y), std::invalid_argument);
   std::vector<std::vector<double>> two_targets{{1.0, 0.0}, {0.0, 1.0}};

@@ -49,14 +49,6 @@ TEST(Table, RaggedRowsRenderEmptyCells) {
   EXPECT_NE(os.str().find('1'), std::string::npos);
 }
 
-TEST(Table, RowCountTracksAdds) {
-  Table t("t");
-  EXPECT_EQ(t.row_count(), 0u);
-  t.add_row({"x"});
-  t.add_row({"y"});
-  EXPECT_EQ(t.row_count(), 2u);
-}
-
 TEST(TableFormat, NumFormatsFixedPrecision) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(-1.0, 3), "-1.000");

@@ -68,12 +68,6 @@ TEST(ChipTester, IsDeterministicPerSeed) {
   EXPECT_EQ(s1.soft, s2.soft);
 }
 
-TEST(ChipTester, EnvironmentCanBeRetargeted) {
-  ChipTester tester(Environment::nominal(), 100, Rng(13));
-  tester.set_environment({0.8, 60.0});
-  EXPECT_TRUE(tester.environment() == (Environment{0.8, 60.0}));
-}
-
 TEST(ChipTester, ScanFailsOnDeployedChip) {
   auto chip = make_chip(2, 14);
   chip.blow_fuses();

@@ -93,24 +93,41 @@ TEST_F(ThresholdAdjustTest, SelectedStableCrpsAreTrulyStableAfterAdjustment) {
   }
 }
 
-TEST_F(ThresholdAdjustTest, StabilityOnlyModeIsLessStrict) {
+TEST_F(ThresholdAdjustTest, StrictCheckCountsWrongValuedStablePredictions) {
+  // A CRP the adjusted model selects as stable '0' that measures a perfectly
+  // stable '1' is not unstable, but it would fail the zero-Hamming-distance
+  // check: the search must count it and tighten beta0 past it.
   std::vector<EvaluationBlock> blocks{measure({0.8, 0.0}, 2'000)};
-  BetaSearchConfig strict_cfg;
-  strict_cfg.require_correct_value = true;
-  BetaSearchConfig loose_cfg;
-  loose_cfg.require_correct_value = false;
-  const BetaSearchResult strict = find_betas(model_, blocks, strict_cfg);
-  const BetaSearchResult loose = find_betas(model_, blocks, loose_cfg);
-  EXPECT_LE(strict.betas.beta0, loose.betas.beta0);
-  EXPECT_GE(strict.betas.beta1, loose.betas.beta1);
+  const BetaSearchResult base = find_betas(model_, blocks);
+  ASSERT_TRUE(base.converged);
+  ServerModel adjusted = model_;
+  adjusted.set_betas(base.betas);
+  std::size_t flip_p = 0, flip_c = 0;
+  double flip_pred = -1e300;
+  for (std::size_t p = 0; p < adjusted.puf_count(); ++p) {
+    const double thr0 = adjusted.adjusted_thresholds(p).thr0;
+    for (std::size_t c = 0; c < blocks[0].challenges.size(); ++c) {
+      const double pred = adjusted.predict_soft(p, blocks[0].challenges[c]);
+      if (pred < thr0 && pred > flip_pred) {
+        flip_pred = pred;
+        flip_p = p;
+        flip_c = c;
+      }
+    }
+  }
+  ASSERT_GT(flip_pred, -1e300) << "no stable-'0' selection to corrupt";
+  ASSERT_EQ(blocks[0].soft[flip_p][flip_c], 0.0);
+  blocks[0].soft[flip_p][flip_c] = 1.0;
+
+  const BetaSearchResult wrong = find_betas(model_, blocks);
+  EXPECT_EQ(wrong.violations_before, base.violations_before + 1);
+  EXPECT_LT(wrong.betas.beta0, base.betas.beta0);
+  EXPECT_EQ(wrong.betas.beta1, base.betas.beta1);
+  EXPECT_TRUE(wrong.converged);
 }
 
 TEST_F(ThresholdAdjustTest, SearchValidatesInput) {
   EXPECT_THROW(find_betas(model_, {}), std::invalid_argument);
-  BetaSearchConfig cfg;
-  cfg.step = 0.0;
-  const auto block = measure(sim::Environment::nominal(), 100);
-  EXPECT_THROW(find_betas(model_, {block}, cfg), std::invalid_argument);
 }
 
 TEST_F(ThresholdAdjustTest, MismatchedBlockShapesThrow) {

@@ -95,11 +95,6 @@ TEST(Transform, FlippingOneBitFlipsAPrefix) {
   for (std::size_t i = flip + 1; i < phi.size(); ++i) EXPECT_DOUBLE_EQ(phi2[i], phi[i]);
 }
 
-TEST(Transform, FeatureCountHelper) {
-  EXPECT_EQ(feature_count(32), 33u);
-  EXPECT_EQ(feature_count(64), 65u);
-}
-
 TEST(Transform, RandomChallengesProducesRequestedCount) {
   Rng rng(6);
   const auto cs = random_challenges(10, 7, rng);

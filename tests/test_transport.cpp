@@ -45,7 +45,7 @@ TEST(PipeTransport, DeliversInFifoOrderExactlyOnce) {
 TEST(FaultyTransport, NoneProfileIsTransparent) {
   PipeTransport pipe;
   const StreamFamily family(Rng(99).fork_base());
-  FaultyTransport faulty(pipe, FaultProfile::none(), family, 0);
+  FaultyTransport faulty(pipe, FaultProfile{}, family, 0);
   ChannelStats tx_stats, rx_stats;
   for (std::uint32_t i = 0; i < 20; ++i)
     send_frame(faulty, make_frame(i), tx_stats);
@@ -157,11 +157,11 @@ TEST(FaultyTransport, ScheduleIsAPureFunctionOfTheConnectionKey) {
 TEST(FaultyTransport, ZeroProfileStreamPositionMatchesNonZero) {
   // The fault draw happens even at zero probabilities, so enabling faults
   // never shifts the stream another consumer would see. Observable here as:
-  // a none() run and a uniform(0) run behave identically (trivially), and
+  // a FaultProfile{} run and a uniform(0) run behave identically (trivially), and
   // the schedule under uniform(p) depends only on (family, key, order).
   const StreamFamily family(Rng(31).fork_base());
   PipeTransport pipe_a, pipe_b;
-  FaultyTransport a(pipe_a, FaultProfile::none(), family, 9);
+  FaultyTransport a(pipe_a, FaultProfile{}, family, 9);
   FaultyTransport b(pipe_b, FaultProfile::uniform(0.0), family, 9);
   ChannelStats stats_a, stats_b;
   for (std::uint32_t i = 0; i < 50; ++i) {

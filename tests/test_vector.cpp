@@ -79,11 +79,6 @@ TEST(Axpy, AccumulatesScaledVector) {
   EXPECT_THROW(axpy(1.0, x, bad), std::invalid_argument);
 }
 
-TEST(Hadamard, ElementwiseProduct) {
-  EXPECT_EQ(hadamard(Vector{1.0, 2.0}, Vector{3.0, 4.0}), (Vector{3.0, 8.0}));
-  EXPECT_THROW(hadamard(Vector{1.0}, Vector{1.0, 2.0}), std::invalid_argument);
-}
-
 TEST(AllFinite, DetectsNonFiniteEntries) {
   EXPECT_TRUE(all_finite(Vector{1.0, -2.0}));
   EXPECT_FALSE(all_finite(Vector{1.0, std::nan("")}));

@@ -179,7 +179,7 @@ Report analyze_files(const std::vector<std::pair<std::string, std::string>>& fil
 
   // Semantic passes, filtered through the same suppression tables.
   for (auto* pass : {pass_layering, pass_determinism, pass_wire_pairing,
-                     pass_metrics_accounting, pass_orphan_headers}) {
+                     pass_metrics_accounting, pass_orphan_headers, pass_orphan_symbols}) {
     for (Violation& v : pass(index)) {
       const auto it = sup_by_file.find(v.file);
       if (it != sup_by_file.end() && it->second.allows(v.rule, v.line - 1)) continue;

@@ -15,31 +15,6 @@ const std::set<std::string>& signature_stop_words() {
   return kw;
 }
 
-/// Blanks preprocessor-directive lines (they are not ;-terminated, so they
-/// would otherwise pollute the statement buffer of the structural pass).
-std::string blank_preprocessor_lines(const std::string& code) {
-  std::string out = code;
-  std::size_t line_start = 0;
-  bool in_directive = false;  // carries across '\'-continued directive lines
-  for (std::size_t i = 0; i <= code.size(); ++i) {
-    if (i == code.size() || code[i] == '\n') {
-      std::size_t j = line_start;
-      while (j < i && std::isspace(static_cast<unsigned char>(code[j]))) ++j;
-      if (j < i && code[j] == '#') in_directive = true;
-      if (in_directive) {
-        for (std::size_t k = line_start; k < i; ++k) out[k] = ' ';
-        std::size_t last = i;
-        while (last > line_start &&
-               std::isspace(static_cast<unsigned char>(code[last - 1])) && code[last - 1] != '\n')
-          --last;
-        in_directive = last > line_start && code[last - 1] == '\\';
-      }
-      line_start = i + 1;
-    }
-  }
-  return out;
-}
-
 /// Collapses "a/b/../c" and "./" segments; keeps the path repo-relative.
 std::string normalize_path(const std::string& path) {
   std::vector<std::string> parts;
@@ -155,6 +130,29 @@ void collect_counter_sites(const SourceFile& f, std::vector<CounterSite>& out) {
 }
 
 }  // namespace
+
+std::string blank_preprocessor_lines(const std::string& code) {
+  std::string out = code;
+  std::size_t line_start = 0;
+  bool in_directive = false;  // carries across '\'-continued directive lines
+  for (std::size_t i = 0; i <= code.size(); ++i) {
+    if (i == code.size() || code[i] == '\n') {
+      std::size_t j = line_start;
+      while (j < i && std::isspace(static_cast<unsigned char>(code[j]))) ++j;
+      if (j < i && code[j] == '#') in_directive = true;
+      if (in_directive) {
+        for (std::size_t k = line_start; k < i; ++k) out[k] = ' ';
+        std::size_t last = i;
+        while (last > line_start &&
+               std::isspace(static_cast<unsigned char>(code[last - 1])) && code[last - 1] != '\n')
+          --last;
+        in_directive = last > line_start && code[last - 1] == '\\';
+      }
+      line_start = i + 1;
+    }
+  }
+  return out;
+}
 
 std::vector<FunctionDef> namespace_scope_functions(const std::string& raw_code) {
   const std::string code = blank_preprocessor_lines(raw_code);

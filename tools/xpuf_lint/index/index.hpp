@@ -80,6 +80,11 @@ struct ProjectIndex {
   bool function_has_require(const std::string& name) const;
 };
 
+/// Blanks preprocessor-directive lines, '\'-continued ones included (they
+/// are not ;-terminated, so they would otherwise pollute the statement
+/// buffer of a structural scan).
+std::string blank_preprocessor_lines(const std::string& code);
+
 /// Structural function-definition scan used by both the index and the
 /// require-guard rule. `code` must already have comments/strings blanked.
 struct FunctionDef {

@@ -83,6 +83,10 @@ const std::vector<RuleInfo> kRules = {
     {"orphan-header",
      "src/ header no file outside tests/ includes (its own .cpp aside); code only its "
      "tests reach is not a production path — delete it or move the oracle to tests/"},
+    {"orphan-symbol",
+     "function, method or field declared in a src/ header whose name appears outside "
+     "tests/ only where it is declared or defined; delete it, move a test helper to "
+     "tests/, or mark a kept test hook allow(orphan-symbol) naming its test"},
 };
 
 std::vector<std::string> parse_allow_list(const std::string& line, const std::string& marker) {

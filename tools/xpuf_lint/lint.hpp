@@ -62,6 +62,9 @@
 //                        definition), or one discharging nothing
 //   orphan-header        a src/ header that no bench, tool, example or other
 //                        src/ file includes (only tests, or nothing)
+//   orphan-symbol        a function, method or field declared in a src/
+//                        header whose name appears outside tests/ only at
+//                        its own declaration and definition
 //
 // Besides allow comments there is a verified marker form,
 // `// xpuf-lint: guarded-by(callee)`, for require-guard findings whose

@@ -31,7 +31,7 @@ const std::regex& rng_decl_pattern() {
 /// Every method on xpuf::Rng that advances generator state.
 const std::regex& rng_draw_pattern() {
   static const std::regex re(
-      R"((\w+)\s*\.\s*(next_u64|uniform|uniform_below|normal|bernoulli|binomial|shuffle|poisson_knuth|binomial_inversion)\s*\()");
+      R"((\w+)\s*\.\s*(next_u64|uniform|uniform_below|normal|bernoulli|binomial|shuffle|binomial_inversion)\s*\()");
   return re;
 }
 

@@ -3,8 +3,9 @@
 // Unlike the per-file rules in lint.cpp, each pass sees the whole tree at
 // once: the include graph (layering), every parallel region and RNG binding
 // (determinism), the paired halves of the wire codec (wire-pairing), every
-// MetricsRegistry counter registration (metrics-accounting), and who
-// includes each src/ header (orphan-header). Passes return raw violations;
+// MetricsRegistry counter registration (metrics-accounting), who
+// includes each src/ header (orphan-header), and where each src/ header's
+// names are used (orphan-symbol). Passes return raw violations;
 // the engine (engine.hpp) applies suppressions and guarded-by verification
 // afterwards, so a pass never needs to know about allow comments.
 #pragma once
@@ -48,5 +49,12 @@ std::vector<Violation> pass_metrics_accounting(const ProjectIndex& index);
 /// example or another src/ file. A header only tests include is code no
 /// production path reaches.
 std::vector<Violation> pass_orphan_headers(const ProjectIndex& index);
+
+/// Rule `orphan-symbol`: the name-level counterpart of orphan-header. A
+/// function, method or field declared in a src/ header fails when, outside
+/// tests/, its name appears only where it is declared or defined. Names are
+/// matched unqualified, so a name some other declaration shares and uses
+/// counts as live: the rule can miss an orphan, never flag a live name.
+std::vector<Violation> pass_orphan_symbols(const ProjectIndex& index);
 
 }  // namespace xpuf::lint
