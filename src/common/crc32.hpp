@@ -7,7 +7,10 @@
 
 namespace xpuf {
 
-/// CRC-32 of `size` bytes at `data`, slicing-by-8. Check value:
+/// CRC-32 of `size` bytes at `data`. Inputs of 64 bytes or more fold by
+/// carry-less multiply (PCLMULQDQ) when the build's SIMD gate is open
+/// (src/CMakeLists.txt); the tail, short inputs and the portable build take
+/// slicing-by-8. Every path returns the same value. Check value:
 /// crc32("123456789") == 0xCBF43926.
 std::uint32_t crc32(const std::uint8_t* data, std::uint64_t size);
 

@@ -95,8 +95,7 @@ std::vector<std::uint8_t> encode_challenge_batch(std::uint32_t stages,
   out.reserve(8 + count * sim::packed_bytes(stages));
   put_u32(out, static_cast<std::uint32_t>(count));
   put_u32(out, stages);
-  for (std::uint64_t at = 0; at < words.size(); at += stride)
-    sim::append_packed_bytes({words.data() + at, stride}, stages, out);
+  sim::append_packed_bytes(words, stages, out);
   return out;
 }
 
@@ -110,15 +109,10 @@ DecodeStatus decode_challenge_batch(const std::vector<std::uint8_t>& payload,
   const std::uint64_t row_bytes = sim::packed_bytes(stages);
   if (static_cast<std::uint64_t>(count) * row_bytes != reader.remaining())
     return DecodeStatus::kBadPayload;
-  const std::uint64_t stride = sim::packed_words(stages);
-  words.resize(count * stride);
-  const std::uint8_t* rows = payload.data() + reader.position();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::span<std::uint64_t> row(words.data() + i * stride, stride);
-    if (!sim::read_packed_bytes(rows + i * row_bytes, stages, row))
-      return DecodeStatus::kBadPayload;
-  }
-  return DecodeStatus::kOk;
+  words.resize(count * sim::packed_words(stages));
+  return sim::read_packed_bytes(payload.data() + reader.position(), stages, words)
+             ? DecodeStatus::kOk
+             : DecodeStatus::kBadPayload;
 }
 
 std::vector<std::uint8_t> encode_response_bits(

@@ -119,6 +119,7 @@ std::size_t ServerDatabase::refill_pool(std::size_t chip_id, const ModelView& vi
     // one this walk accepts.
     const std::size_t stride = sim::packed_words(next.stages);
     store::ChallengeSet pooled(next.stages);
+    pooled.reserve(config_.pool.target);
     for (std::size_t at = 0; at < next.words.size(); at += stride)
       pooled.insert({next.words.data() + at, stride});
     const ChallengeScreener::Sink sink = [&](std::span<const std::uint64_t> row, bool bit) {

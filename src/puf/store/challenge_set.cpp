@@ -1,6 +1,8 @@
 #include "puf/store/challenge_set.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -65,7 +67,7 @@ bool ChallengeSet::contains(std::span<const std::uint64_t> row) const {
 bool ChallengeSet::insert(std::span<const std::uint64_t> row) {
   require_key(row);
   // At most 7/8 full, so every probe meets an empty slot.
-  if ((size_ + 1) * 8 > ctrl_.size() * 7) grow();
+  if ((size_ + 1) * 8 > ctrl_.size() * 7) rehash(ctrl_.empty() ? 16 : 2 * ctrl_.size());
   const std::uint64_t hash = hash_row(row);
   const std::size_t i = probe(row, hash);
   if (ctrl_[i] != 0) return false;
@@ -75,8 +77,17 @@ bool ChallengeSet::insert(std::span<const std::uint64_t> row) {
   return true;
 }
 
-void ChallengeSet::grow() {
-  const std::size_t capacity = ctrl_.empty() ? 16 : 2 * ctrl_.size();
+void ChallengeSet::reserve(std::size_t n) {
+  XPUF_REQUIRE(stride_ > 0, "reserve on a set with no stage count");
+  XPUF_REQUIRE(n <= std::numeric_limits<std::size_t>::max() / 16, "reserve size out of range");
+  std::size_t capacity = 16;
+  while (n * 8 > capacity * 7) capacity *= 2;
+  if (capacity > ctrl_.size()) rehash(capacity);
+}
+
+void ChallengeSet::rehash(std::size_t capacity) {
+  XPUF_REQUIRE(std::has_single_bit(capacity) && size_ * 8 <= capacity * 7,
+               "rehash needs a power-of-two capacity that holds every key");
   const std::vector<std::uint64_t> old_slots =
       std::exchange(slots_, std::vector<std::uint64_t>(capacity * stride_));
   const std::vector<std::uint8_t> old_ctrl =

@@ -30,6 +30,9 @@ class ChallengeSet {
   bool contains(std::span<const std::uint64_t> row) const;
   /// Adds `row`; false when it was already present.
   bool insert(std::span<const std::uint64_t> row);
+  /// Sizes the slots for `n` keys up front, so inserts up to that size
+  /// never rehash.
+  void reserve(std::size_t n);
 
   /// Every key, back to back, in ascending order of its on-disk bytes
   /// (sim::append_packed_bytes) — the order compaction writes.
@@ -43,7 +46,8 @@ class ChallengeSet {
   void require_key(std::span<const std::uint64_t> row) const;
   /// The slot holding `row`, or the empty slot where it would go.
   std::size_t probe(std::span<const std::uint64_t> row, std::uint64_t hash) const;
-  void grow();
+  /// Moves every key into `capacity` slots (a power of two).
+  void rehash(std::size_t capacity);
   const std::uint64_t* slot(std::size_t i) const { return slots_.data() + i * stride_; }
   std::uint64_t* slot(std::size_t i) { return slots_.data() + i * stride_; }
 

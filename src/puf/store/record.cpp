@@ -184,8 +184,7 @@ std::vector<std::uint8_t> encode_ledger(std::uint32_t stages,
   out.reserve(kLedgerFixedBytes + count * sim::packed_bytes(stages));
   put_u32(out, static_cast<std::uint32_t>(count));
   put_u32(out, stages);
-  for (std::size_t i = 0; i < count; ++i)
-    sim::append_packed_bytes(rows.subspan(i * stride, stride), stages, out);
+  sim::append_packed_bytes(rows, stages, out);
   return out;
 }
 
@@ -243,9 +242,7 @@ std::vector<std::uint8_t> encode_pool(const PoolPayload& pool) {
   std::uint8_t* bits = out.data() + kPoolFixedBytes;
   for (std::size_t i = 0; i < count; ++i)
     if (pool.expected[i] != 0) bits[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-  const std::span<const std::uint64_t> words(pool.words);
-  for (std::size_t i = 0; i < count; ++i)
-    sim::append_packed_bytes(words.subspan(i * stride, stride), pool.stages, out);
+  sim::append_packed_bytes(pool.words, pool.stages, out);
   return out;
 }
 
@@ -274,14 +271,13 @@ RecordStatus decode_pool(const std::uint8_t* payload, std::uint32_t len, PoolVie
 void PoolView::read(std::uint32_t first, std::uint32_t n, std::vector<std::uint64_t>& words,
                     std::vector<std::uint8_t>& expected) const {
   XPUF_REQUIRE(first <= count && n <= count - first, "pool slice out of range");
-  const std::uint64_t row = sim::packed_bytes(stages);
   const std::size_t stride = sim::packed_words(stages);
-  std::size_t at = words.size();
+  const std::size_t at = words.size();
   words.resize(at + n * stride);
-  for (std::uint32_t i = first; i < first + n; ++i, at += stride) {
-    sim::read_packed_bytes(rows + i * row, stages, {words.data() + at, stride});
+  sim::read_packed_bytes(rows + first * sim::packed_bytes(stages), stages,
+                         {words.data() + at, n * stride});
+  for (std::uint32_t i = first; i < first + n; ++i)
     expected.push_back(static_cast<std::uint8_t>((bits[i / 8] >> (i % 8)) & 1u));
-  }
 }
 
 // --- zero-copy model view ----------------------------------------------------

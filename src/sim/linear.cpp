@@ -65,23 +65,74 @@ void pack_challenge_into(const Challenge& challenge, std::span<std::uint64_t> ro
     row[i / 64] |= static_cast<std::uint64_t>(challenge[i] != 0) << (i % 64);
 }
 
-void append_packed_bytes(std::span<const std::uint64_t> row, std::size_t stages,
+namespace {
+
+/// The eight bytes at `p` as a little-endian word, and its inverse. Built
+/// from explicit shifts, so every host reads and writes the same bytes; a
+/// little-endian host fuses each into one unaligned load or store.
+std::uint64_t load_le64(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(p[0]) | static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 | static_cast<std::uint64_t>(p[3]) << 24 |
+         static_cast<std::uint64_t>(p[4]) << 32 | static_cast<std::uint64_t>(p[5]) << 40 |
+         static_cast<std::uint64_t>(p[6]) << 48 | static_cast<std::uint64_t>(p[7]) << 56;
+}
+
+void store_le64(std::uint64_t w, std::uint8_t* p) {
+  p[0] = static_cast<std::uint8_t>(w);
+  p[1] = static_cast<std::uint8_t>(w >> 8);
+  p[2] = static_cast<std::uint8_t>(w >> 16);
+  p[3] = static_cast<std::uint8_t>(w >> 24);
+  p[4] = static_cast<std::uint8_t>(w >> 32);
+  p[5] = static_cast<std::uint8_t>(w >> 40);
+  p[6] = static_cast<std::uint8_t>(w >> 48);
+  p[7] = static_cast<std::uint8_t>(w >> 56);
+}
+
+}  // namespace
+
+void append_packed_bytes(std::span<const std::uint64_t> rows, std::size_t stages,
                          std::vector<std::uint8_t>& out) {
   XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
-  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
-  for (std::size_t b = 0; b < packed_bytes(stages); ++b)
-    out.push_back(static_cast<std::uint8_t>(row[b / 8] >> (8 * (b % 8))));
+  const std::size_t stride = packed_words(stages);
+  XPUF_REQUIRE(rows.size() % stride == 0, "packed rows need packed_words(stages) words each");
+  // A row is `full` whole words, then `tail` bytes of its last word.
+  const std::size_t row_bytes = packed_bytes(stages);
+  const std::size_t full = row_bytes / 8;
+  const std::size_t tail = row_bytes % 8;
+  const std::size_t at = out.size();
+  out.resize(at + rows.size() / stride * row_bytes);
+  std::uint8_t* p = out.data() + at;
+  for (std::size_t r = 0; r < rows.size(); r += stride, p += row_bytes) {
+    for (std::size_t w = 0; w < full; ++w) store_le64(rows[r + w], p + 8 * w);
+    for (std::size_t b = 0; b < tail; ++b)
+      p[8 * full + b] = static_cast<std::uint8_t>(rows[r + full] >> (8 * b));
+  }
 }
 
 bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
-                       std::span<std::uint64_t> row) {
+                       std::span<std::uint64_t> rows) {
   XPUF_REQUIRE(stages > 0, "a challenge needs at least one stage");
-  XPUF_REQUIRE(row.size() == packed_words(stages), "packed row needs packed_words(stages) words");
-  std::fill(row.begin(), row.end(), 0);
-  const std::size_t n = packed_bytes(stages);
-  for (std::size_t b = 0; b < n; ++b)
-    row[b / 8] |= static_cast<std::uint64_t>(bytes[b]) << (8 * (b % 8));
-  return stages % 8 == 0 || (bytes[n - 1] >> (stages % 8)) == 0;
+  const std::size_t stride = packed_words(stages);
+  XPUF_REQUIRE(rows.size() % stride == 0, "packed rows need packed_words(stages) words each");
+  XPUF_REQUIRE(bytes != nullptr || rows.empty(), "read_packed_bytes: null bytes");
+  const std::size_t row_bytes = packed_bytes(stages);
+  const std::size_t full = row_bytes / 8;
+  const std::size_t tail = row_bytes % 8;
+  // Stage bits in a row's last word (1..64); any bit read above them is set
+  // in the byte form only, so `above` collects those across every row.
+  const std::size_t top = stages - (stride - 1) * 64;
+  std::uint64_t above = 0;
+  for (std::size_t r = 0; r < rows.size(); r += stride, bytes += row_bytes) {
+    for (std::size_t w = 0; w < full; ++w) rows[r + w] = load_le64(bytes + 8 * w);
+    if (tail != 0) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < tail; ++b)
+        word |= static_cast<std::uint64_t>(bytes[8 * full + b]) << (8 * b);
+      rows[r + full] = word;
+    }
+    if (top < 64) above |= rows[r + stride - 1] >> top;
+  }
+  return above == 0;
 }
 
 void suffix_parity_words(std::span<const std::uint64_t> words, std::size_t stages,

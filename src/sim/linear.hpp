@@ -82,16 +82,19 @@ void pack_challenge_into(const Challenge& challenge, std::span<std::uint64_t> ro
 /// 8b .. 8b + 7, least-significant first.
 constexpr std::size_t packed_bytes(std::size_t stages) { return (stages + 7) / 8; }
 
-/// Appends the packed_bytes(stages) bytes of one packed row to `out`.
-void append_packed_bytes(std::span<const std::uint64_t> row, std::size_t stages,
+/// Appends the packed_bytes(stages) bytes of each packed row in `rows`
+/// (packed_words(stages) words per row) to `out`, back to back: one resize,
+/// then each row's whole words and its last word's tail bytes.
+void append_packed_bytes(std::span<const std::uint64_t> rows, std::size_t stages,
                          std::vector<std::uint8_t>& out);
 
-/// Reads packed_bytes(stages) bytes into `row` (packed_words(stages)
-/// words). Returns false when a bit above `stages` is set: rejecting those
-/// keeps exactly one byte form per challenge, so two byte strings can never
-/// alias one replay-ledger key.
+/// Reads rows.size() / packed_words(stages) rows of packed_bytes(stages)
+/// bytes each into `rows`, the inverse of append_packed_bytes. Returns false
+/// when a bit above `stages` is set in any row: rejecting those keeps
+/// exactly one byte form per challenge, so two byte strings can never alias
+/// one replay-ledger key.
 bool read_packed_bytes(const std::uint8_t* bytes, std::size_t stages,
-                       std::span<std::uint64_t> row);
+                       std::span<std::uint64_t> rows);
 
 /// Bit i of the result is the XOR of bits i..63 of x — the within-word
 /// suffix parity, by an xor-shift cascade toward the low end: one word of

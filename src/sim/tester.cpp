@@ -187,8 +187,6 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   chunk.parity.resize(m * n_words);
   chunk.soft.resize(n_pufs);
   for (auto& row : chunk.soft) row.resize(m);
-  chunk.stable.resize(n_pufs);
-  for (auto& row : chunk.stable) row.resize(m);
 
   // Kept chunks lie on the same chunk grid, so this chunk is kept whole or
   // not at all. Serve it from its first measurement.
@@ -198,11 +196,7 @@ bool ChipScanStream::next(ScanChunk& chunk) {
     words_from_suffix_parity(chunk.parity, n_words, chunk.words);
     const std::uint16_t* counts = retained_counts_.data() + begin_global * n_pufs;
     for (std::size_t p = 0; p < n_pufs; ++p) {
-      for (std::size_t c = 0; c < m; ++c) {
-        const std::uint64_t ones = counts[p * m + c];
-        chunk.soft[p][c] = soft_lut_[ones];
-        chunk.stable[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
-      }
+      for (std::size_t c = 0; c < m; ++c) chunk.soft[p][c] = soft_lut_[counts[p * m + c]];
     }
     position_ += m;
     return true;
@@ -232,11 +226,9 @@ bool ChipScanStream::next(ScanChunk& chunk) {
     retained_counts_.resize((begin_global + m) * n_pufs);
     counts = retained_counts_.data() + begin_global * n_pufs;
   }
-  // Stores one cell's count from the parallel workers below. ScanChunk::stable
-  // rows are std::uint8_t, not packed bits, so workers never share a word.
+  // Stores one cell's count from the parallel workers below.
   auto emit = [&](std::size_t p, std::size_t c, std::uint64_t ones) {
     chunk.soft[p][c] = soft_of(soft_lut_, ones, trials_);
-    chunk.stable[p][c] = (ones == 0 || ones == trials_) ? 1 : 0;
     if (counts != nullptr) counts[p * m + c] = static_cast<std::uint16_t>(ones);
   };
 

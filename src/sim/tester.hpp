@@ -45,8 +45,9 @@ struct ChipSoftScan {
 /// of word i / 64, drawn by random_packed_challenge_into), and `parity` their
 /// suffix_parity_words — the signs of each challenge's Phi row, which is all
 /// the scan's parity tiles and the normal equations read. No Phi matrix and no
-/// Challenge copies are built. `soft[p][i]` / `stable[p][i]` are the
-/// measurements for the chunk's i-th challenge. All vectors keep their heap
+/// Challenge copies are built. `soft[p][i]` is the measurement for the
+/// chunk's i-th challenge (exactly 0.0 or 1.0 where the counter saw no
+/// flips, since soft = ones / trials). All vectors keep their heap
 /// blocks across next() calls, so a steady-state chunk costs zero
 /// allocations.
 struct ScanChunk {
@@ -58,9 +59,6 @@ struct ScanChunk {
   std::vector<std::uint64_t> parity;
   /// soft[p][i] = soft response of PUF p on the chunk's i-th challenge.
   std::vector<std::vector<double>> soft;
-  /// stable[p][i] = the counter saw zero flips (byte flags, not packed bits,
-  /// so parallel chunk workers never share a word).
-  std::vector<std::vector<std::uint8_t>> stable;
 
   /// Challenges in the chunk.
   std::size_t size() const { return stages == 0 ? 0 : words.size() / packed_words(stages); }

@@ -4,17 +4,21 @@
 // directory that carries a server model between processes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/byte_codec.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "oracle/packed_bytes_ref.hpp"
 #include "puf/authentication.hpp"
 #include "puf/database.hpp"
 #include "puf/store/record.hpp"
@@ -261,6 +265,114 @@ TEST(StoreCodec, PayloadRowsWithPaddingBitsAreRejected) {
   }
 }
 
+/// `count` random packed `stages`-bit rows, every bit above `stages` zero.
+std::vector<std::uint64_t> random_rows(std::uint32_t stages, std::uint32_t count, Rng& rng) {
+  const std::size_t stride = sim::packed_words(stages);
+  const std::size_t top = stages - (stride - 1) * 64;
+  std::vector<std::uint64_t> rows(count * stride);
+  for (std::size_t at = 0; at < rows.size(); at += stride) {
+    for (std::size_t w = 0; w < stride; ++w) rows[at + w] = rng.next_u64();
+    if (top < 64) rows[at + stride - 1] &= (1ULL << top) - 1;
+  }
+  return rows;
+}
+
+// The word-at-a-time row codec against the per-byte oracle
+// (tests/oracle/packed_bytes_ref.hpp) at widths on both sides of a byte and
+// a word boundary: ISSUE and POOL payloads byte-identical to the oracle's
+// rows behind their documented headers, each round-tripping through its
+// decoder, and a bit above `stages` still rejected.
+TEST(StoreCodec, PackedRowsMatchTheBytewiseOracleAtEveryWidth) {
+  for (const std::uint32_t stages : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 128u}) {
+    SCOPED_TRACE("stages " + std::to_string(stages));
+    const std::size_t stride = sim::packed_words(stages);
+    const std::uint32_t count = 11;
+    Rng rng(stages);
+    const std::vector<std::uint64_t> rows = random_rows(stages, count, rng);
+    std::vector<std::uint8_t> row_bytes;
+    for (std::size_t at = 0; at < rows.size(); at += stride)
+      oracle::append_packed_bytes_ref({rows.data() + at, stride}, stages, row_bytes);
+    std::vector<std::uint64_t> read_back(rows.size());
+    ASSERT_TRUE(sim::read_packed_bytes(row_bytes.data(), stages, read_back));
+    EXPECT_EQ(read_back, rows);
+
+    // ISSUE: u32 count, u32 stages, the rows.
+    std::vector<std::uint8_t> issue;
+    put_u32(issue, count);
+    put_u32(issue, stages);
+    issue.insert(issue.end(), row_bytes.begin(), row_bytes.end());
+    ASSERT_EQ(encode_ledger(stages, rows), issue);
+    ChallengeSet set(stages);
+    std::uint64_t inserted = 0;
+    ASSERT_EQ(decode_ledger(issue.data(), static_cast<std::uint32_t>(issue.size()), set,
+                            inserted),
+              RecordStatus::kOk);
+    std::set<std::vector<std::uint64_t>> distinct;
+    for (std::size_t at = 0; at < rows.size(); at += stride) {
+      const std::span<const std::uint64_t> row(rows.data() + at, stride);
+      distinct.emplace(row.begin(), row.end());
+      EXPECT_TRUE(set.contains(row));
+    }
+    EXPECT_EQ(inserted, distinct.size());
+    EXPECT_EQ(set.size(), distinct.size());
+
+    // POOL: u32 count, u32 stages, u32 epoch, u32 reserved, u64 cursor, the
+    // expected-bit bytes, the rows.
+    PoolPayload pool;
+    pool.stages = stages;
+    pool.epoch = 7;
+    pool.cursor = 0x0123456789abcdefULL;
+    pool.words = rows;
+    for (std::uint32_t i = 0; i < count; ++i)
+      pool.expected.push_back(static_cast<std::uint8_t>(rng.next_u64() & 1u));
+    std::vector<std::uint8_t> pool_bytes;
+    put_u32(pool_bytes, count);
+    put_u32(pool_bytes, stages);
+    put_u32(pool_bytes, pool.epoch);
+    put_u32(pool_bytes, 0);
+    put_u64(pool_bytes, pool.cursor);
+    for (std::uint32_t base = 0; base < count; base += 8) {
+      std::uint8_t byte = 0;
+      for (std::uint32_t b = 0; b < 8 && base + b < count; ++b)
+        byte = static_cast<std::uint8_t>(byte | pool.expected[base + b] << b);
+      pool_bytes.push_back(byte);
+    }
+    pool_bytes.insert(pool_bytes.end(), row_bytes.begin(), row_bytes.end());
+    ASSERT_EQ(encode_pool(pool), pool_bytes);
+    PoolView view;
+    ASSERT_EQ(decode_pool(pool_bytes.data(), static_cast<std::uint32_t>(pool_bytes.size()), view),
+              RecordStatus::kOk);
+    std::vector<std::uint64_t> words;
+    std::vector<std::uint8_t> expected;
+    view.read(0, count, words, expected);
+    EXPECT_EQ(words, rows);
+    EXPECT_EQ(expected, pool.expected);
+    // A slice appends entries 3..7 after what the vectors already hold.
+    view.read(3, 5, words, expected);
+    ASSERT_EQ(words.size(), rows.size() + 5 * stride);
+    EXPECT_TRUE(std::equal(words.begin() + static_cast<std::ptrdiff_t>(rows.size()), words.end(),
+                           rows.begin() + static_cast<std::ptrdiff_t>(3 * stride)));
+    EXPECT_TRUE(std::equal(expected.begin() + count, expected.end(), pool.expected.begin() + 3));
+
+    if (stages % 8 == 0) continue;  // a whole last byte has no padding bit
+    const std::uint8_t pad_bit = static_cast<std::uint8_t>(1u << (stages % 8));
+    row_bytes.back() |= pad_bit;  // the last row's last byte
+    issue.back() |= pad_bit;
+    pool_bytes.back() |= pad_bit;
+    std::vector<std::uint64_t> last(stride);
+    EXPECT_FALSE(oracle::read_packed_bytes_ref(
+        row_bytes.data() + (count - 1) * sim::packed_bytes(stages), stages, last));
+    EXPECT_FALSE(sim::read_packed_bytes(row_bytes.data(), stages, read_back));
+    ChallengeSet untouched(stages);
+    EXPECT_EQ(decode_ledger(issue.data(), static_cast<std::uint32_t>(issue.size()), untouched,
+                            inserted),
+              RecordStatus::kBadPayload);
+    EXPECT_EQ(untouched.size(), 0u);
+    EXPECT_EQ(decode_pool(pool_bytes.data(), static_cast<std::uint32_t>(pool_bytes.size()), view),
+              RecordStatus::kBadPayload);
+  }
+}
+
 TEST(StoreCodec, ManifestRoundTripsAndDetectsCorruption) {
   const std::vector<std::uint8_t> bytes = encode_manifest(16);
   EXPECT_EQ(bytes.size(), kManifestBytes);
@@ -323,6 +435,24 @@ TEST(ChallengeSetTest, MatchesOracleAndOrdersRowsByTheirOnDiskBytes) {
     for (std::size_t r = sorted.size(); r > 0; r -= stride)
       reordered.insert({sorted.data() + r - stride, stride});
     EXPECT_EQ(reordered.sorted_rows(), sorted);
+  }
+}
+
+// A refill sizes its dedupe set for the pool target up front: up to the
+// reserved count, inserts never move the slot arrays.
+TEST(ChallengeSetTest, ReservedSetNeverRehashesUpToItsSize) {
+  for (const std::size_t n : {1u, 14u, 15u, 1000u}) {
+    ChallengeSet set(64);
+    set.reserve(n);
+    const std::size_t reserved = set.heap_bytes();
+    EXPECT_GT(reserved, 0u);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      ASSERT_TRUE(set.insert(std::vector<std::uint64_t>{k * 0x9e3779b97f4a7c15ULL}));
+      ASSERT_EQ(set.heap_bytes(), reserved) << "n " << n << ", key " << k;
+    }
+    set.reserve(n / 2);  // never shrinks
+    EXPECT_EQ(set.heap_bytes(), reserved);
+    EXPECT_EQ(set.size(), n);
   }
 }
 

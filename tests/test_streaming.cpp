@@ -57,7 +57,9 @@ sim::PopulationConfig small_lot() {
 }
 
 /// Drains a stream into materialized-scan shape (soft[p][c], stable[p][c]),
-/// with every chunk's packed words and parity words concatenated.
+/// with every chunk's packed words and parity words concatenated. A cell is
+/// stable when its soft response is exactly 0.0 or 1.0 (soft = ones /
+/// trials, so that is the counter seeing no flips).
 struct CollectedScan {
   std::vector<std::uint64_t> words;
   std::vector<std::uint64_t> parity;
@@ -77,8 +79,8 @@ CollectedScan collect(sim::ChipScanStream& stream, std::size_t n_pufs) {
     out.parity.insert(out.parity.end(), chunk.parity.begin(), chunk.parity.end());
     for (std::size_t p = 0; p < n_pufs; ++p) {
       out.soft[p].insert(out.soft[p].end(), chunk.soft[p].begin(), chunk.soft[p].end());
-      out.stable[p].insert(out.stable[p].end(), chunk.stable[p].begin(),
-                           chunk.stable[p].end());
+      for (const double soft : chunk.soft[p])
+        out.stable[p].push_back(soft == 0.0 || soft == 1.0 ? 1 : 0);
     }
   }
   return out;

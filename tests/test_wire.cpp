@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "net/wire.hpp"
+#include "oracle/packed_bytes_ref.hpp"
 #include "sim/device.hpp"
 #include "sim/linear.hpp"
 
@@ -226,6 +229,46 @@ TEST(WirePayload, ChallengeBatchRejectsPaddingBits) {
     ASSERT_EQ(decode_frame(encode_frame(frame), wire), DecodeStatus::kOk);
     EXPECT_EQ(decode_challenge_batch(wire.payload, got_stages, words),
               DecodeStatus::kBadPayload);
+  }
+}
+
+// The word-at-a-time row codec against the per-byte oracle
+// (tests/oracle/packed_bytes_ref.hpp): a CHALLENGE_BATCH payload is its
+// header then the oracle's rows, byte for byte, it decodes back to the same
+// words, and a bit above `stages` in any row is rejected.
+TEST(WirePayload, ChallengeBatchMatchesTheBytewiseOracleAtEveryWidth) {
+  for (const std::uint32_t stages : {1u, 7u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 100u, 128u}) {
+    SCOPED_TRACE("stages " + std::to_string(stages));
+    const std::uint32_t stride = static_cast<std::uint32_t>(sim::packed_words(stages));
+    const std::uint32_t top = stages - (stride - 1) * 64;
+    const std::uint32_t count = 9;
+    Rng rng(stages + 1000);
+    std::vector<std::uint64_t> words(count * stride);
+    for (std::uint32_t at = 0; at < words.size(); at += stride) {
+      for (std::uint32_t w = 0; w < stride; ++w) words[at + w] = rng.next_u64();
+      if (top < 64) words[at + stride - 1] &= (1ULL << top) - 1;
+    }
+    std::vector<std::uint8_t> want;
+    put_u32(want, count);
+    put_u32(want, stages);
+    for (std::uint32_t at = 0; at < words.size(); at += stride)
+      oracle::append_packed_bytes_ref({words.data() + at, stride}, stages, want);
+    ASSERT_EQ(encode_challenge_batch(stages, words), want);
+    std::uint32_t got_stages = 0;
+    std::vector<std::uint64_t> got;
+    ASSERT_EQ(decode_challenge_batch(want, got_stages, got), DecodeStatus::kOk);
+    EXPECT_EQ(got_stages, stages);
+    EXPECT_EQ(got, words);
+
+    if (stages % 8 == 0) continue;  // a whole last byte has no padding bit
+    const std::uint8_t pad_bit = static_cast<std::uint8_t>(1u << (stages % 8));
+    const std::uint32_t row_bytes = (stages + 7) / 8;
+    for (const std::uint32_t row : {0u, count / 2, count - 1}) {
+      std::vector<std::uint8_t> padded = want;
+      padded[8 + row * row_bytes + row_bytes - 1] |= pad_bit;
+      EXPECT_EQ(decode_challenge_batch(padded, got_stages, got), DecodeStatus::kBadPayload)
+          << "row " << row;
+    }
   }
 }
 

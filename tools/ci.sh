@@ -57,12 +57,15 @@
 #             tests/test_linear, test_screening, test_streaming, test_rng,
 #             test_math, test_tester, test_issuance_golden, test_chip,
 #             test_eval_golden, test_attack, test_selection,
-#             test_threshold_adjust and test_database on the portable scalar
+#             test_threshold_adjust, test_database, test_crc32, test_wire,
+#             test_stream_decoder and test_store on the portable scalar
 #             kernels (the parity-word tiles behind every scan, model
 #             prediction and attack corpus, the screener's table pass and
 #             its exact path on parity_dots, which pooled refills run too,
 #             the lazy CDF counts and their erfc cut-offs, the lockstep
-#             device race), the only path on hosts without AVX2
+#             device race, the slicing-by-8 CRC-32 under every frame and
+#             store record), the only path on hosts without AVX2 and
+#             PCLMULQDQ
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -133,8 +136,10 @@ asan_job() {
       ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
 }
 
-# The batch kernels' and the screening pass's scalar fallback: the same
-# bit-identity suites as the release job, built without AVX2.
+# The batch kernels' and the screening pass's scalar fallback, the CRC-32's
+# slicing-by-8 walk on inputs of every length, and the store and wire
+# codecs over it: the same suites as the release job, built without AVX2
+# and PCLMULQDQ.
 simd_off_job() {
   cmake -B "${prefix}-simd-off" -S . \
     -DCMAKE_BUILD_TYPE=Release \
@@ -145,7 +150,7 @@ simd_off_job() {
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
       --target test_linear test_screening test_streaming test_rng test_math test_tester \
       test_issuance_golden test_chip test_eval_golden test_attack test_selection \
-      test_threshold_adjust test_database &&
+      test_threshold_adjust test_database test_crc32 test_wire test_stream_decoder test_store &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
@@ -158,7 +163,11 @@ simd_off_job() {
     "${prefix}-simd-off/tests/test_attack" &&
     "${prefix}-simd-off/tests/test_selection" &&
     "${prefix}-simd-off/tests/test_threshold_adjust" &&
-    "${prefix}-simd-off/tests/test_database"
+    "${prefix}-simd-off/tests/test_database" &&
+    "${prefix}-simd-off/tests/test_crc32" &&
+    "${prefix}-simd-off/tests/test_wire" &&
+    "${prefix}-simd-off/tests/test_stream_decoder" &&
+    "${prefix}-simd-off/tests/test_store"
 }
 
 # End-to-end smoke of the benchmark workloads: run.py's exit code is every
