@@ -1,7 +1,7 @@
 #include "puf/enrollment.hpp"
 
-#include <limits>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -35,7 +35,8 @@ sim::ChipLinearView weights_view(std::span<const std::span<const double>> rows) 
 /// Pass 2 derives thresholds and R^2 against the fitted weights.
 /// Predictions come from the parity tile over the fitted weights, whose
 /// per-element chain equals a matvec over Phi (ascending index, bias last);
-/// rss/tss accumulate in ascending row order. So the weights, thresholds
+/// ml::StreamingResiduals takes the threshold extrema and accumulates
+/// rss/tss in ascending row order. So the weights, thresholds
 /// and R^2 all equal an ordinary least-squares fit over the materialized Phi
 /// (normal equations, derive_thresholds, least-squares R^2) bit for bit,
 /// for any chunking.
@@ -60,13 +61,9 @@ std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::siz
   std::vector<std::span<const double>> rows;
   for (std::size_t p = 0; p < n_pufs; ++p) rows.emplace_back(weights.row(p), features);
   const sim::ChipLinearView fitted_view = weights_view(rows);
-  const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> thr0(n_pufs, inf);
-  std::vector<double> thr1(n_pufs, -inf);
-  std::vector<double> rss(n_pufs, 0.0);
-  std::vector<double> tss(n_pufs, 0.0);
-  std::vector<double> mean(n_pufs, 0.0);
+  std::vector<double> mean(n_pufs);
   for (std::size_t p = 0; p < n_pufs; ++p) mean[p] = normal.target_mean(p);
+  ml::StreamingResiduals residuals(std::move(mean));
   std::vector<double> pred;
   for_each_chunk([&](std::span<const std::uint64_t> parity,
                      const std::vector<std::vector<double>>& soft) {
@@ -75,18 +72,7 @@ std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::siz
     parallel_for(m, kPredictGrain, [&](std::size_t begin, std::size_t end, std::size_t) {
       fitted_view.delay_differences_into(parity, begin, end, pred.data() + begin * n_pufs);
     });
-    for (std::size_t p = 0; p < n_pufs; ++p) {
-      for (std::size_t r = 0; r < m; ++r) {
-        const double pr = pred[r * n_pufs + p];
-        const double y = soft[p][r];
-        if (y > 0.0 && pr < thr0[p]) thr0[p] = pr;
-        if (y < 1.0 && pr > thr1[p]) thr1[p] = pr;
-        const double e = pr - y;
-        rss[p] += e * e;
-        const double d = y - mean[p];
-        tss[p] += d * d;
-      }
-    }
+    residuals.accumulate(pred, soft);
   });
 
   std::vector<PufEnrollment> pufs;
@@ -96,8 +82,9 @@ std::vector<PufEnrollment> fit_scan(const ForEachChunk& for_each_chunk, std::siz
     for (std::size_t c = 0; c < features; ++c) w[c] = weights(p, c);
     PufEnrollment e;
     e.model = ArbiterPufModel(std::move(w));
-    e.thresholds = finalize_thresholds(thr0[p], thr1[p]);
-    e.train_r_squared = tss[p] > 0.0 ? 1.0 - rss[p] / tss[p] : 0.0;
+    e.thresholds =
+        finalize_thresholds(residuals.lowest_above_zero(p), residuals.highest_below_one(p));
+    e.train_r_squared = residuals.r_squared(p);
     e.fit_time_ms = fit_ms_per_puf;
     pufs.push_back(std::move(e));
   }

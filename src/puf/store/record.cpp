@@ -98,16 +98,19 @@ std::vector<std::uint8_t> encode_model(const ServerModel& model) {
   out.reserve(kModelFixedBytes + 2 * sizeof(double) + puf_count * per_puf);
   put_u32(out, static_cast<std::uint32_t>(puf_count));
   put_u32(out, static_cast<std::uint32_t>(stages));
-  put_f64(out, model.betas().beta0);
-  put_f64(out, model.betas().beta1);
+  // The doubles: one resize, then each stored in place.
+  out.resize(kModelFixedBytes + 2 * sizeof(double) + puf_count * per_puf);
+  std::uint8_t* at = out.data() + kModelFixedBytes;
+  at = store_f64(model.betas().beta0, at);
+  at = store_f64(model.betas().beta1, at);
   for (std::size_t p = 0; p < puf_count; ++p) {
     const PufEnrollment& e = model.puf(p);
-    put_f64(out, e.thresholds.thr0);
-    put_f64(out, e.thresholds.thr1);
-    put_f64(out, e.train_r_squared);
-    put_f64(out, e.fit_time_ms);
+    at = store_f64(e.thresholds.thr0, at);
+    at = store_f64(e.thresholds.thr1, at);
+    at = store_f64(e.train_r_squared, at);
+    at = store_f64(e.fit_time_ms, at);
     const linalg::Vector& w = e.model.weights();
-    for (std::size_t i = 0; i < w.size(); ++i) put_f64(out, w[i]);
+    for (std::size_t i = 0; i < w.size(); ++i) at = store_f64(w[i], at);
   }
   return out;
 }
@@ -205,6 +208,7 @@ RecordStatus decode_ledger(const std::uint8_t* payload, std::uint32_t len,
       !rows_canonical(rows, count, stages))
     return RecordStatus::kBadPayload;
   std::vector<std::uint64_t> key(into.stride());
+  into.reserve(into.size() + count);
   inserted = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     sim::read_packed_bytes(rows + i * row, stages, key);
@@ -295,7 +299,7 @@ bool model_view_from_payload(const std::uint8_t* payload, std::uint32_t len,
   // store predating aligned compaction just falls back to the decode path.
   const std::uint8_t* f64_begin = payload + 8;
   if (reinterpret_cast<std::uintptr_t>(f64_begin) % alignof(double) != 0) return false;
-  // On-disk doubles are IEEE-754 little-endian bit patterns (put_f64), which
+  // On-disk doubles are IEEE-754 little-endian bit patterns (store_f64), which
   // on this target IS the in-memory representation, so pointing spans at the
   // mapping is exact. The static_assert keeps a big-endian port honest.
   static_assert(std::endian::native == std::endian::little,

@@ -89,10 +89,15 @@ const char* to_string(RecordStatus status);
 // IEEE-754 bit pattern in a little-endian u64, so a model round-trips
 // bit-exactly on any host.
 
-inline void put_f64(std::vector<std::uint8_t>& out, double v) {
+/// Writes v's bit pattern as eight little-endian bytes at `at` (explicit
+/// shifts, so every host writes the same bytes) and returns the byte past
+/// them. Writers size their buffer once and store each double in place.
+inline std::uint8_t* store_f64(double v, std::uint8_t* at) {
   static_assert(std::numeric_limits<double>::is_iec559,
                 "store codec requires IEEE-754 doubles");
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+  for (std::uint32_t b = 0; b < 8; ++b) at[b] = static_cast<std::uint8_t>(bits >> (8 * b));
+  return at + 8;
 }
 
 inline bool read_f64(ByteReader& reader, double& v) {

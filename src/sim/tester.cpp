@@ -148,19 +148,37 @@ ChipScanStream::ChipScanStream(const XorPufChip& chip, const Environment& env,
       trials_(trials),
       total_(total),
       chunk_(chunk),
-      challenge_rng_(tester_rng),
       counter_(trials),
       soft_lut_(build_soft_lut(trials)) {
   XPUF_REQUIRE(chunk >= 1, "scan stream needs a chunk size of at least one");
-  challenge_rng_resume_ = challenge_rng_;
-  // Pre-roll: advance the tester's generator past exactly the draws the
-  // materialized path's challenge generation would consume (one u64 per
-  // challenge bit), so the base draw below lands on the same state
-  // scan_individual's fork_base() would see — and the tester continues from
-  // the same state afterwards. O(1) memory; the drawn bits are regenerated
-  // chunk by chunk from the saved copy.
   const std::size_t stages = chip.stages();
-  for (std::size_t i = 0; i < total * stages; ++i) tester_rng.next_u64();
+  const std::size_t n_pufs = chip.puf_count();
+  const std::size_t n_words = packed_words(stages);
+  // The kept prefix: every whole chunk whose end stays within the byte
+  // budget (kept chunks lie on the chunk grid), or the whole scan if it fits.
+  // Counts past 16 bits are never kept.
+  const std::size_t bytes_per_challenge = n_words * sizeof(std::uint64_t) +
+                                          n_pufs * sizeof(std::uint16_t);
+  const std::size_t fit = kRetainBytes / bytes_per_challenge;
+  if (trials <= std::numeric_limits<std::uint16_t>::max())
+    retained_ = total <= fit ? total : fit / chunk * chunk;
+  // Pre-roll: draw exactly what the materialized path's challenge
+  // generation would consume (one u64 per challenge bit), so the base draw
+  // below lands on the same state scan_individual's fork_base() would see —
+  // and the tester continues from the same state afterwards. The kept
+  // prefix's challenges are drawn once, here, into the kept parity buffer;
+  // the rest are skipped and drawn again chunk by chunk from the saved
+  // generator copy.
+  retained_parity_.resize(retained_ * n_words);
+  for (std::size_t i = 0; i < retained_; ++i)
+    random_packed_challenge_into({retained_parity_.data() + i * n_words, n_words}, stages,
+                                 tester_rng);
+  // Rows convert in place: each word is read before its own slot is written.
+  suffix_parity_words(retained_parity_, stages, retained_parity_);
+  retained_counts_.reserve(retained_ * n_pufs);
+  challenge_rng_ = tester_rng;
+  challenge_rng_resume_ = tester_rng;
+  for (std::size_t i = retained_ * stages; i < total * stages; ++i) tester_rng.next_u64();
   base_ = tester_rng.fork_base();
   // Materializing the linear view also performs the per-tap access check a
   // deployed chip must fail — at stream construction, not first use.
@@ -189,40 +207,35 @@ bool ChipScanStream::next(ScanChunk& chunk) {
   for (auto& row : chunk.soft) row.resize(m);
 
   // Kept chunks lie on the same chunk grid, so this chunk is kept whole or
-  // not at all. Serve it from its first measurement.
-  if (begin_global < retained_) {
+  // not at all. A kept chunk's challenges come from the parity drawn at
+  // construction, and its soft responses from its first measurement.
+  const bool kept = begin_global < retained_;
+  if (kept) {
     std::copy_n(retained_parity_.data() + begin_global * n_words, m * n_words,
                 chunk.parity.data());
     words_from_suffix_parity(chunk.parity, n_words, chunk.words);
-    const std::uint16_t* counts = retained_counts_.data() + begin_global * n_pufs;
-    for (std::size_t p = 0; p < n_pufs; ++p) {
-      for (std::size_t c = 0; c < m; ++c) chunk.soft[p][c] = soft_lut_[counts[p * m + c]];
+    if (begin_global < counted_) {
+      const std::uint16_t* counts = retained_counts_.data() + begin_global * n_pufs;
+      for (std::size_t p = 0; p < n_pufs; ++p) {
+        for (std::size_t c = 0; c < m; ++c) chunk.soft[p][c] = soft_lut_[counts[p * m + c]];
+      }
+      position_ += m;
+      return true;
     }
-    position_ += m;
-    return true;
+  } else {
+    // Draw this chunk's challenges from the saved generator copy, packed:
+    // the draw sequence is the materialized path's, just consumed lazily
+    // and written straight into the words.
+    for (std::size_t i = 0; i < m; ++i)
+      random_packed_challenge_into({chunk.words.data() + i * n_words, n_words}, stages,
+                                   challenge_rng_);
+    suffix_parity_words(chunk.words, stages, chunk.parity);
   }
 
-  // Regenerate this chunk's challenges from the saved generator copy,
-  // packed: the draw sequence is the materialized path's, just consumed
-  // lazily and written straight into the words.
-  for (std::size_t i = 0; i < m; ++i)
-    random_packed_challenge_into({chunk.words.data() + i * n_words, n_words}, stages,
-                                 challenge_rng_);
-  suffix_parity_words(chunk.words, stages, chunk.parity);
-
-  // Keep the chunk if it extends the kept prefix within the byte budget.
-  const std::size_t bytes_per_challenge = n_words * sizeof(std::uint64_t) +
-                                          n_pufs * sizeof(std::uint16_t);
-  const bool retain = trials_ <= std::numeric_limits<std::uint16_t>::max() &&
-                      begin_global == retained_ &&
-                      (begin_global + m) * bytes_per_challenge <= kRetainBytes;
+  // A kept chunk measured for the first time keeps its counts. Chunks are
+  // served in order from the first, so it extends the counted prefix.
   std::uint16_t* counts = nullptr;
-  if (retain) {
-    if (retained_counts_.empty()) {
-      const std::size_t capacity = std::min(total_, kRetainBytes / bytes_per_challenge);
-      retained_parity_.reserve(capacity * n_words);
-      retained_counts_.reserve(capacity * n_pufs);
-    }
+  if (kept) {
     retained_counts_.resize((begin_global + m) * n_pufs);
     counts = retained_counts_.data() + begin_global * n_pufs;
   }
@@ -246,11 +259,7 @@ bool ChipScanStream::next(ScanChunk& chunk) {
     count_tile(counter_, streams, z.data(), n_pufs, begin, end, total_, begin_global, emit);
     measurements.add((end - begin) * n_pufs);
   });
-  if (retain) {
-    retained_parity_.insert(retained_parity_.end(), chunk.parity.begin(), chunk.parity.end());
-    retained_ += m;
-    challenge_rng_resume_ = challenge_rng_;
-  }
+  if (kept) counted_ += m;
   position_ += m;
   return true;
 }

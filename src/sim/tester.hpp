@@ -71,21 +71,23 @@ struct ScanChunk {
 ///
 /// Determinism contract: a stream over `total` challenges is bit-identical
 /// to the materialized sequence `random_challenges(total)` followed by
-/// `scan_individual` — for ANY chunk size. Challenges replay the exact draw
+/// `scan_individual` — for ANY chunk size. Challenges follow the exact draw
 /// sequence of the materialized path, packed into words as they are drawn,
-/// from a saved generator copy (the
-/// tester's generator is pre-advanced past those draws at construction), and
-/// every cell's measurement stream is keyed by `p * total + c` off one base
-/// draw taken after the pre-roll, exactly where scan_individual takes it.
+/// and every cell's measurement stream is keyed by `p * total + c` off one
+/// base draw taken after all the challenge draws, exactly where
+/// scan_individual takes it.
 ///
-/// Each cell is simulated once. While next() measures a chunk it keeps the
-/// chunk's parity words and per-cell counts, as long as the kept prefix of
-/// the scan stays within kRetainBytes and every count fits 16 bits (trials
-/// <= 65535). reset() rewinds to the first chunk: kept chunks come back from
-/// memory (words rebuilt from the parity words, soft from the counts), and
-/// only the chunks past the budget are drawn and measured again — from the
-/// same generator state and cell streams, so either way the replayed scan
-/// is bit-identical.
+/// Each cell is simulated once, and each challenge bit of the kept prefix
+/// drawn once. The kept prefix is the run of whole chunks from the first
+/// whose parity words and per-cell counts fit kRetainBytes, when every count
+/// fits 16 bits (trials <= 65535). Construction draws the kept prefix's
+/// challenges into memory and skips the rest, saving the generator state
+/// for them; next() measures a kept chunk once and keeps its counts. reset()
+/// rewinds to the first chunk: kept chunks come back from memory (words
+/// rebuilt from the parity words, soft from the counts), and only the
+/// chunks past the budget are drawn and measured again — from the same
+/// generator state and cell streams, so either way the replayed scan is
+/// bit-identical.
 ///
 /// The stream borrows the chip; it must outlive the stream.
 class ChipScanStream {
@@ -129,9 +131,13 @@ class ChipScanStream {
   LazyCdfCounter counter_;
   std::vector<double> soft_lut_;
   std::size_t retained_ = 0;
-  /// Parity words of challenges [0, retained_), packed_words(stages) each.
+  /// Challenges [0, counted_) have their counts kept; it advances only once
+  /// a chunk's measurement has finished.
+  std::size_t counted_ = 0;
+  /// Parity words of challenges [0, retained_), packed_words(stages) each,
+  /// drawn at construction.
   std::vector<std::uint64_t> retained_parity_;
-  /// Counts of challenges [0, retained_), chunk by chunk: the chunk at
+  /// Counts of challenges [0, counted_), chunk by chunk: the chunk at
   /// offset o with m challenges holds PUF p's counts at o * pufs + p * m.
   std::vector<std::uint16_t> retained_counts_;
 };

@@ -2,11 +2,14 @@
 // threshold derivation, and the ServerModel API.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "oracle/oracle.hpp"
 #include "puf/enrollment.hpp"
 #include "sim/population.hpp"
 
@@ -204,6 +207,68 @@ TEST_F(EnrollmentTest, MoreTrainingDataImprovesFit) {
   };
   EXPECT_GT(body_corr(big), body_corr(small) - 0.005);
   EXPECT_GT(body_corr(big), 0.99);
+}
+
+/// Pass 2 (thresholds and R^2) on the rows its compares find hardest. One
+/// or two stages leave two or four distinct challenges, so most rows tie
+/// with an earlier row's prediction bit for bit; one or three trials make
+/// most soft responses exactly 0.0 or 1.0 (three also leaves 1/3 and 2/3).
+/// Four, five and eight PUFs fill whole four-PUF vectors and leave a
+/// scalar tail. Every value must equal the materialized fit's bits.
+TEST(EnrollmentPassTwo, StableRowsAndTiedPredictionsMatchMaterializedFit) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t stages : {1u, 2u}) {
+    for (const std::uint64_t trials : {1u, 3u}) {
+      for (const std::size_t n_pufs : {4u, 5u, 8u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "stages " << stages << ", trials " << trials << ", pufs " << n_pufs);
+        sim::PopulationConfig pcfg;
+        pcfg.n_chips = 1;
+        pcfg.n_pufs_per_chip = n_pufs;
+        pcfg.device.stages = stages;
+        pcfg.seed = 99;
+        const sim::ChipPopulation pop(pcfg);
+        EnrollmentConfig cfg;
+        cfg.training_challenges = 300;
+        cfg.trials = trials;
+        cfg.chunk_challenges = 64;
+
+        // The scan both fits see has exact 0.0 and 1.0 rows.
+        Rng scan_rng(2025);
+        sim::ChipTester tester(cfg.environment, cfg.trials, scan_rng.fork());
+        const sim::ChipSoftScan scan = tester.scan_individual(
+            pop.chip(0), tester.random_challenges(pop.chip(0), cfg.training_challenges));
+        std::size_t zeros = 0, ones = 0;
+        for (const std::vector<double>& soft : scan.soft)
+          for (const double y : soft) {
+            zeros += y == 0.0 ? 1 : 0;
+            ones += y == 1.0 ? 1 : 0;
+          }
+        EXPECT_GT(zeros, 0u);
+        EXPECT_GT(ones, 0u);
+
+        Rng want_rng(2025), got_rng(2025);
+        const ServerModel want = oracle::materialized_enroll(cfg, pop.chip(0), want_rng);
+        const ServerModel got = Enroller(cfg).enroll(pop.chip(0), got_rng);
+        ASSERT_EQ(got.puf_count(), n_pufs);
+        // Thresholds set by the scan, not the 0.5 fallback, on some PUF.
+        std::size_t fitted = 0;
+        for (std::size_t p = 0; p < n_pufs; ++p)
+          fitted += want.puf(p).thresholds.thr0 != want.puf(p).thresholds.thr1 ? 1 : 0;
+        EXPECT_GT(fitted, 0u);
+        for (std::size_t p = 0; p < n_pufs; ++p) {
+          EXPECT_EQ(got.puf(p).model.weights().raw(), want.puf(p).model.weights().raw())
+              << "PUF " << p;
+          EXPECT_EQ(bits(got.puf(p).thresholds.thr0), bits(want.puf(p).thresholds.thr0))
+              << "PUF " << p;
+          EXPECT_EQ(bits(got.puf(p).thresholds.thr1), bits(want.puf(p).thresholds.thr1))
+              << "PUF " << p;
+          EXPECT_EQ(bits(got.puf(p).train_r_squared), bits(want.puf(p).train_r_squared))
+              << "PUF " << p;
+        }
+      }
+    }
+  }
 }
 
 TEST(EnrollmentValidation, EmptyScanRejected) {

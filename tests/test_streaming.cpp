@@ -389,7 +389,9 @@ TEST(StreamingNormalEquations, ParityAccumulateMatchesOneShotGramAndXtyBitwise) 
         y[r] = r % 17 == 0 ? 0.0 : r % 19 == 0 ? -0.0 : rng.uniform(-1.0, 1.0);
     const OneShot oracle = one_shot(challenges, ys);
 
-    for (const std::size_t targets : {1u, 10u}) {
+    // One target, three (a partial AVX2 residual group, though Xty is per
+    // target) and the paper's ten.
+    for (const std::size_t targets : {1u, 3u, 10u}) {
       for (const std::size_t chunk : {1u, 7u, 4096u}) {
         SCOPED_TRACE(::testing::Message() << "stages " << stages << ", targets " << targets
                                           << ", chunk " << chunk);
@@ -475,6 +477,68 @@ TEST(StreamingNormalEquations, RejectsUnderdeterminedAndShapeMismatch) {
   EXPECT_THROW(wide.accumulate(partial, one_row), std::invalid_argument);
 }
 
+TEST(StreamingResiduals, MatchesDeriveThresholdsAndScalarSumsBitwise) {
+  // Targets in [0, 1] with exact 0.0 and 1.0 rows. Predictions take three
+  // values, the extreme one tied between +0.0 and -0.0 (the lowest on even
+  // targets, the highest on odd ones), so the strict compares decide which
+  // zero each threshold keeps. Odd targets also get a NaN prediction and
+  // targets 2, 5, 8 a NaN target row; the others keep finite sums for the
+  // R^2 check.
+  Rng rng(77);
+  const std::size_t n = 203;
+  const double even_pool[3] = {0.0, -0.0, 0.5};
+  const double odd_pool[3] = {-0.5, 0.0, -0.0};
+  for (const std::size_t targets : {1u, 3u, 4u, 5u, 8u, 9u}) {
+    std::vector<double> pred(n * targets);
+    std::vector<std::vector<double>> ys(targets, std::vector<double>(n));
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t t = 0; t < targets; ++t) {
+        const std::uint64_t k = rng.uniform_below(3);
+        const bool nan_pred = t % 2 == 1 && r == 5 + t;
+        pred[r * targets + t] = nan_pred ? std::nan("") : t % 2 == 0 ? even_pool[k] : odd_pool[k];
+        const std::uint64_t j = rng.uniform_below(5);
+        const bool nan_y = t % 3 == 2 && r == 9;
+        ys[t][r] = nan_y ? std::nan("") : j == 0 ? 0.0 : j == 1 ? 1.0 : rng.uniform(0.0, 1.0);
+      }
+    }
+    std::vector<double> means(targets);
+    for (std::size_t t = 0; t < targets; ++t) means[t] = 0.3 + 0.05 * static_cast<double>(t);
+    for (const std::size_t chunk : {1u, 7u, 4096u}) {
+      SCOPED_TRACE(::testing::Message() << "targets " << targets << ", chunk " << chunk);
+      ml::StreamingResiduals res(means);
+      for (std::size_t pos = 0; pos < n; pos += chunk) {
+        const std::size_t m = std::min(chunk, n - pos);
+        std::vector<std::vector<double>> chunk_y(targets);
+        for (std::size_t t = 0; t < targets; ++t)
+          chunk_y[t].assign(ys[t].begin() + static_cast<std::ptrdiff_t>(pos),
+                            ys[t].begin() + static_cast<std::ptrdiff_t>(pos + m));
+        res.accumulate({pred.data() + pos * targets, m * targets}, chunk_y);
+      }
+      for (std::size_t t = 0; t < targets; ++t) {
+        std::vector<double> pt(n);
+        for (std::size_t r = 0; r < n; ++r) pt[r] = pred[r * targets + t];
+        const puf::ThresholdPair want = puf::derive_thresholds(pt, ys[t]);
+        const puf::ThresholdPair got =
+            puf::finalize_thresholds(res.lowest_above_zero(t), res.highest_below_one(t));
+        EXPECT_TRUE(same_bits(&got.thr0, &want.thr0, 1)) << "thr0, target " << t;
+        EXPECT_TRUE(same_bits(&got.thr1, &want.thr1, 1)) << "thr1, target " << t;
+        double rss = 0.0, tss = 0.0;
+        for (std::size_t r = 0; r < n; ++r) {
+          const double e = pt[r] - ys[t][r];
+          rss += e * e;
+          const double d = ys[t][r] - means[t];
+          tss += d * d;
+        }
+        if (t % 2 == 1 || t % 3 == 2) continue;
+        const double r2 = tss > 0.0 ? 1.0 - rss / tss : 0.0;
+        const double got_r2 = res.r_squared(t);
+        EXPECT_TRUE(same_bits(&got_r2, &r2, 1)) << "R^2, target " << t;
+      }
+    }
+  }
+  EXPECT_THROW(ml::StreamingResiduals(std::vector<double>{}), std::invalid_argument);
+}
+
 // --- End-to-end: streaming enroll vs materialized enroll ------------------
 
 void expect_models_identical(const puf::ServerModel& a, const puf::ServerModel& b) {
@@ -495,9 +559,10 @@ TEST(StreamingEnrollment, BitIdenticalToMaterializedAcrossChunksAndThreads) {
   cfg.trials = 200;
 
   // One, two and three parity words per challenge, with the word-boundary
-  // stage counts; one PUF, a few, and the paper's ten.
+  // stage counts; one PUF, a few, one whole four-PUF residual vector, one
+  // past it, and the paper's ten.
   for (const std::size_t stages : {1u, 32u, 64u, 65u, 129u}) {
-    for (const std::size_t n_pufs : {1u, 3u, 10u}) {
+    for (const std::size_t n_pufs : {1u, 3u, 4u, 5u, 10u}) {
       sim::PopulationConfig pcfg = small_lot();
       pcfg.n_pufs_per_chip = n_pufs;
       pcfg.device.stages = stages;

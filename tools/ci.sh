@@ -54,18 +54,19 @@
 #             metric-name check against BENCHMARK.json (builds build-e2e/
 #             with one compile job on first use)
 #   simd-off  Release with -DXPUF_BATCH_SIMD=OFF: builds and runs
-#             tests/test_linear, test_screening, test_streaming, test_rng,
-#             test_math, test_tester, test_issuance_golden, test_chip,
-#             test_eval_golden, test_attack, test_selection,
-#             test_threshold_adjust, test_database, test_crc32, test_wire,
-#             test_stream_decoder and test_store on the portable scalar
-#             kernels (the parity-word tiles behind every scan, model
-#             prediction and attack corpus, the screener's table pass and
-#             its exact path on parity_dots, which pooled refills run too,
-#             the lazy CDF counts and their erfc cut-offs, the lockstep
-#             device race, the slicing-by-8 CRC-32 under every frame and
-#             store record), the only path on hosts without AVX2 and
-#             PCLMULQDQ
+#             tests/test_linear, test_screening, test_streaming,
+#             test_enrollment, test_rng, test_math, test_tester,
+#             test_issuance_golden, test_chip, test_eval_golden,
+#             test_attack, test_selection, test_threshold_adjust,
+#             test_database, test_crc32, test_wire, test_stream_decoder and
+#             test_store on the portable scalar kernels (the parity-word
+#             tiles behind every scan, model prediction and attack corpus,
+#             the streaming fit's X^T y, Gram and threshold/R^2 loops, the
+#             screener's table pass and its exact path on parity_dots,
+#             which pooled refills run too, the lazy CDF counts and their
+#             erfc cut-offs, the lockstep device race, the slicing-by-8
+#             CRC-32 under every frame and store record), the only path on
+#             hosts without AVX2 and PCLMULQDQ
 #   asan      ASan+UBSan RelWithDebInfo, full test suite
 #   tsan      TSan RelWithDebInfo, parallel-layer tests
 #             (tests/test_parallel.cpp hammers the pool with 1/2/8-lane
@@ -148,12 +149,13 @@ simd_off_job() {
     -DXPUF_BUILD_BENCHMARKS=OFF \
     -DXPUF_BUILD_EXAMPLES=OFF &&
     cmake --build "${prefix}-simd-off" -j "${jobs}" \
-      --target test_linear test_screening test_streaming test_rng test_math test_tester \
-      test_issuance_golden test_chip test_eval_golden test_attack test_selection \
+      --target test_linear test_screening test_streaming test_enrollment test_rng test_math \
+      test_tester test_issuance_golden test_chip test_eval_golden test_attack test_selection \
       test_threshold_adjust test_database test_crc32 test_wire test_stream_decoder test_store &&
     "${prefix}-simd-off/tests/test_linear" &&
     "${prefix}-simd-off/tests/test_screening" &&
     "${prefix}-simd-off/tests/test_streaming" &&
+    "${prefix}-simd-off/tests/test_enrollment" &&
     "${prefix}-simd-off/tests/test_rng" &&
     "${prefix}-simd-off/tests/test_math" &&
     "${prefix}-simd-off/tests/test_tester" &&
