@@ -17,14 +17,17 @@ namespace xpuf {
 /// derive child seeds. Passes BigCrush as a 64-bit mixer.
 class SplitMix64 {
  public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
-
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+  /// The state increment (the golden-ratio gamma) and the output mix.
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
+
+  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() { return mix(state_ += kGamma); }
 
  private:
   std::uint64_t state_;
@@ -147,8 +150,19 @@ class StreamFamily {
 
   /// The child stream for work item `index`.
   Rng stream(std::uint64_t index) const {
-    SplitMix64 sm(base_ ^ (0x9e3779b97f4a7c15ULL * (index + 1)));
+    SplitMix64 sm(base_ ^ (SplitMix64::kGamma * (index + 1)));
     return Rng(sm.next());
+  }
+
+  /// stream(index).next_u64() without building the stream: three splitmix
+  /// rounds (the stream's seed, then its state words 0 and 3, which are all
+  /// xoshiro256++'s first output reads).
+  std::uint64_t first_u64(std::uint64_t index) const {
+    const std::uint64_t seed =
+        SplitMix64::mix((base_ ^ (SplitMix64::kGamma * (index + 1))) + SplitMix64::kGamma);
+    const std::uint64_t s0 = SplitMix64::mix(seed + SplitMix64::kGamma);
+    const std::uint64_t s3 = SplitMix64::mix(seed + 4 * SplitMix64::kGamma);
+    return std::rotl(s0 + s3, 23) + s0;
   }
 
   std::uint64_t base() const { return base_; }

@@ -16,7 +16,10 @@
 //  - ChipLinearView: the n devices' weights stacked for the parity tiles,
 //    which evaluate every PUF on a row range (the scans, the enrollment fit's
 //    diagnostics, model predictions), and parity_dots evaluates one weight
-//    row on any subset of rows (stable-challenge screening).
+//    row on any subset of rows (stable-challenge screening);
+//  - LazyCdfCounter turns a tile row of standardized delays into the scan's
+//    binomial counts, deciding most from each cell's first generator word
+//    before any CDF is computed.
 //
 // Determinism contract: the parity tiles and parity_dots accumulate each
 // output element as the ascending-index dot does — w_i with phi_i's sign
@@ -198,25 +201,39 @@ class ChipLinearView {
   std::vector<double> noise_sigmas_; // per-PUF sigma at the snapshot corner
 };
 
-/// Counter readings Binomial(trials, normal_cdf(z)) of scan cells, from
-/// each cell's standardized delay z, with normal_cdf evaluated only where
-/// the count can depend on it:
+/// Counter readings Binomial(trials, normal_cdf(z)) of scan cells: cell c
+/// of a row has standardized delay z and draws from its own fresh stream,
+/// and its count is exactly `stream.binomial(trials, normal_cdf(z))`.
+/// normal_cdf runs only where the count can depend on it.
 ///
-///  - z >= kNormalCdfOneFrom: normal_cdf(z) is exactly 1.0, so the count is
-///    `trials`; no stream is built and nothing is drawn.
-///  - z <= kNormalCdfZeroTo: normal_cdf(z) is exactly 0.0, so the count is
-///    0, again with no stream.
-///  - z <= lower_cut(): trials * normal_cdf(z) < 2^-54, so Rng::binomial's
-///    zero-count exit bound 1 - n p - 2^-40 rounds to exactly kZeroExit. A
-///    probe copy of the stream draws that exit's uniform; at or below
-///    kZeroExit the count is 0 and the stream takes the probe's state, as
-///    binomial would leave it. Only above it (odds 2^-40) is normal_cdf
-///    computed, and binomial runs on the untouched stream.
-///  - otherwise: binomial(trials, normal_cdf(z)), exactly as drawn before.
+/// Most cells leave Rng::binomial at its zero-count exit: the first uniform
+/// u is at most 1 - n q - 2^-40 (q = normal_cdf(z) on the low side, and
+/// 1 - normal_cdf(z) on the mirror side, whose exit count is `trials`),
+/// wherever n q < 30. An exit table decides that from u before any CDF is
+/// computed. Its knots lie 2^-7 apart from one knot below
+/// lower_cut(trials) (rounded down to a knot) up to kNormalCdfOneFrom
+/// (rounded up), and slot i covers knots [i - 1, i):
 ///
-/// Hence both the count and the stream's final state equal
-/// `stream.binomial(trials, normal_cdf(z))` for every z; a NaN z reaches
-/// binomial, which rejects it.
+///  - slot 0 is every z below the first knot. There trials * normal_cdf(z)
+///    < 2^-54, so the exit bound rounds to exactly kZeroExit, count 0.
+///  - an interval wholly at or below 0 and wholly in the inversion regime
+///    (n q < 30 at its upper knot) stores the bound computed as binomial
+///    does at that knot, count 0; an interval wholly at or above 0 with
+///    normal_cdf > 0.5 at its lower knot stores the mirror bound at that
+///    knot, count `trials`. Each is the interval's smallest bound, because
+///    normal_cdf is monotone (tests/test_math.cpp sweeps it) and so is
+///    every rounded step of the bound.
+///  - the last slot is every z from the last knot up, where normal_cdf(z)
+///    is exactly 1: count `trials` for any u.
+///  - every other slot decides nothing.
+///
+/// A slot then keeps the smallest bound of itself and its two neighbours,
+/// and decides nothing where their counts differ, so a z that rounding
+/// indexes one interval off still meets a bound no larger than its own.
+/// NaN decides nothing. Cells the table does not decide run
+/// `streams.stream(key).binomial(trials, normal_cdf(z))` exactly as an
+/// eager scan does, so every count is bit-identical; the streams are the
+/// cells' own and are discarded, so no state leaks out.
 class LazyCdfCounter {
  public:
   /// Rng::binomial's zero-count exit bound wherever n p < 2^-54.
@@ -224,32 +241,40 @@ class LazyCdfCounter {
 
   explicit LazyCdfCounter(std::uint64_t trials);
 
-  /// Every z <= lower_cut() has trials * normal_cdf(z) < 2^-54.
-  // Test hook: test_math and test_tester sweep the counter at its
-  // cut.  xpuf-lint: allow(orphan-symbol)
-  double lower_cut() const { return lower_cut_; }
+  /// The cut below which every z has trials * normal_cdf(z) < 2^-54.
+  static double lower_cut(std::uint64_t trials);
 
-  /// The count for standardized delay z. `stream` is a callable returning
-  /// an Rng& to the cell's fresh stream; it is called at most once, and not
-  /// at all where the count needs no draw.
-  template <class StreamFn>
-  std::uint64_t count(double z, StreamFn&& stream) const {
-    if (z >= kNormalCdfOneFrom) return trials_;
-    if (z <= kNormalCdfZeroTo) return 0;
-    Rng& rng = stream();
-    if (z <= lower_cut_) {
-      Rng probe = rng;
-      if (probe.uniform() <= kZeroExit) {
-        rng = probe;
-        return 0;
-      }
-    }
-    return rng.binomial(trials_, normal_cdf(z));
-  }
+  /// The table's decision for standardized delay z: a cell whose first
+  /// uniform u is at most `bound` has count `count`. `bound` is a multiple
+  /// of 2^-53 (a value u can take), and negative where the table decides
+  /// nothing.
+  struct Exit {
+    double bound;
+    std::uint64_t count;
+  };
+  Exit exit_for(double z) const;
+
+  /// Counts of a row of m cells: cell c has standardized delay
+  /// z[c * z_stride], draws from streams.stream(first_key + c) and gets its
+  /// count in out[c]. The first generator word of every cell is
+  /// StreamFamily::first_u64; the table decides most cells from it, and the
+  /// rest build their stream. Throws (as binomial does) on a NaN z.
+  void count_row(const double* z, std::size_t z_stride, std::size_t m,
+                 const StreamFamily& streams, std::uint64_t first_key,
+                 std::uint64_t* out) const;
 
  private:
+  std::size_t slot(double z) const;
+
   std::uint64_t trials_;
-  double lower_cut_;
+  double first_knot_;
+  /// Slot indices are clamped to [0, top_].
+  double top_;
+  /// Slots from here on exit with `trials`, those below with 0.
+  std::size_t mirror_from_;
+  /// Per slot: a cell exits when its first word >> 11 is at most this,
+  /// that is, when u <= limit * 2^-53. -1 decides nothing.
+  std::vector<std::int64_t> limits_;
 };
 
 }  // namespace xpuf::sim

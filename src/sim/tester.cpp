@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -40,21 +39,18 @@ double soft_of(const std::vector<double>& lut, std::uint64_t ones, std::uint64_t
 /// The count kernel both individual scans share: the counts of
 /// tile rows [begin, end) from the tile's standardized delays `z`
 /// ((end - begin) x n_pufs, row-major), cell (p, c) drawing from stream
-/// p * key_stride + key_offset + c. `emit(p, c, ones)` stores each count.
-/// PUF-outer order keeps its writes contiguous; it cannot change a value,
-/// because every cell owns its stream.
+/// p * key_stride + key_offset + c. One LazyCdfCounter row pass per PUF;
+/// `emit(p, c, ones)` stores each count.
 template <class Emit>
 void count_tile(const LazyCdfCounter& counter, const StreamFamily& streams, const double* z,
                 std::size_t n_pufs, std::size_t begin, std::size_t end,
                 std::uint64_t key_stride, std::uint64_t key_offset, Emit&& emit) {
+  thread_local std::vector<std::uint64_t> counts;
+  counts.resize(end - begin);
   for (std::size_t p = 0; p < n_pufs; ++p) {
-    for (std::size_t c = begin; c < end; ++c) {
-      std::optional<Rng> cell;
-      const std::uint64_t ones = counter.count(z[(c - begin) * n_pufs + p], [&]() -> Rng& {
-        return cell.emplace(streams.stream(p * key_stride + key_offset + c));
-      });
-      emit(p, c, ones);
-    }
+    counter.count_row(z + p, n_pufs, end - begin, streams, p * key_stride + key_offset + begin,
+                      counts.data());
+    for (std::size_t c = begin; c < end; ++c) emit(p, c, counts[c - begin]);
   }
 }
 

@@ -12,10 +12,13 @@
 // Every scan evaluates through the linear-view core (sim/linear.hpp): the
 // challenges become suffix-parity words once per scan (per chunk on the
 // streaming scan), one parity tile per parallel chunk yields every cell's
-// standardized delay, and LazyCdfCounter turns each into a binomial counter
-// reading from the cell's own stream. The per-cell stage walk is the test
-// oracle they are held to (tests/oracle/); see DESIGN.md "Batched
-// evaluation core" and "Streaming enrollment" for the equivalence contract.
+// standardized delay, and one LazyCdfCounter row pass per PUF turns them
+// into binomial counter readings: most cells are settled from the first
+// word of their own stream by the counter's exit table, and the rest draw
+// binomial(trials, normal_cdf(z)) from that stream. The per-cell stage walk
+// is the test oracle they are held to (tests/oracle/); see DESIGN.md
+// "Batched evaluation core" and "Streaming enrollment" for the equivalence
+// contract.
 #pragma once
 
 #include <cstdint>

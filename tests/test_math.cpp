@@ -68,7 +68,7 @@ TEST(NormalCdfCutOffs, ExactlyZeroUpToTheZeroCutOff) {
 TEST(NormalCdfCutOffs, LowerCutOffKeepsTheBinomialProductBelowTwoToMinus54) {
   auto check = [](std::uint64_t trials) {
     const double n = static_cast<double>(trials);
-    const double cut = sim::LazyCdfCounter(trials).lower_cut();
+    const double cut = sim::LazyCdfCounter::lower_cut(trials);
     ASSERT_GT(cut, kNormalCdfZeroTo) << "trials " << trials;
     ASSERT_LT(n * normal_cdf(cut), 0x1p-54) << "trials " << trials;
     ASSERT_LT(n * normal_cdf(std::nextafter(cut, -40.0)), 0x1p-54) << "trials " << trials;
@@ -81,9 +81,33 @@ TEST(NormalCdfCutOffs, LowerCutOffKeepsTheBinomialProductBelowTwoToMinus54) {
 
   for (const std::uint64_t trials : {1ULL, 200ULL, 10000ULL, 65535ULL, 1ULL << 40}) {
     const double n = static_cast<double>(trials);
-    const double cut = sim::LazyCdfCounter(trials).lower_cut();
+    const double cut = sim::LazyCdfCounter::lower_cut(trials);
     for (double z = cut; z > kNormalCdfZeroTo; z -= 0x1p-12)
       ASSERT_LT(n * normal_cdf(z), 0x1p-54) << "trials " << trials << ", z = " << z;
+  }
+}
+
+// The lazy scan counts' exit table (sim::LazyCdfCounter) bounds every z in
+// an interval by the interval's knot nearest 0, which is sound only where
+// normal_cdf is monotone. Sweep the table's whole range densely, and walk
+// 32 ulps either side of every 2^-7 knot, ulp by ulp.
+TEST(NormalCdf, MonotoneAcrossTheExitTableRange) {
+  double prev = normal_cdf(-40.0);
+  for (double z = -40.0; z <= 9.0; z += 0x1p-12) {
+    const double p = normal_cdf(z);
+    ASSERT_LE(prev, p) << "z = " << z;
+    prev = p;
+  }
+  for (double k = -12.0 * 128; k <= 9.0 * 128; k += 1.0) {
+    double z = k / 128.0;
+    for (int i = 0; i < 32; ++i) z = std::nextafter(z, -40.0);
+    prev = normal_cdf(z);
+    for (int i = 0; i < 64; ++i) {
+      z = std::nextafter(z, 40.0);
+      const double p = normal_cdf(z);
+      ASSERT_LE(prev, p) << "z = " << z;
+      prev = p;
+    }
   }
 }
 

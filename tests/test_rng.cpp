@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/math.hpp"
 #include "common/rng.hpp"
@@ -61,6 +62,24 @@ TEST(StreamFamily, StreamDrawsMatchGoldenValues) {
     Rng rng = StreamFamily(g.base).stream(g.index);
     EXPECT_EQ(rng.next_u64(), g.first) << std::hex << g.base << " / " << g.index;
     EXPECT_EQ(rng.next_u64(), g.second) << std::hex << g.base << " / " << g.index;
+  }
+}
+
+TEST(StreamFamily, FirstWordIsTheStreamsFirstOutput) {
+  // first_u64 skips building the stream; it must be its first word for
+  // every key, the ends of the key range and the golden words among them.
+  EXPECT_EQ(StreamFamily(0).first_u64(0), 0x655ffadf89fa28b1ULL);
+  EXPECT_EQ(StreamFamily(0xdecafbadULL).first_u64(~0ULL), 0xceab87be1b77defcULL);
+  Rng rng(99);
+  const std::uint64_t bases[] = {0, ~0ULL, 0xdecafbadULL, rng.next_u64(), rng.next_u64()};
+  for (const std::uint64_t base : bases) {
+    const StreamFamily family(base);
+    std::vector<std::uint64_t> keys{0, 1, 2, 3, ~0ULL, ~0ULL - 1, 1ULL << 63};
+    for (int i = 0; i < 1000; ++i) keys.push_back(rng.next_u64());
+    for (std::uint64_t k = 0; k < 1000; ++k) keys.push_back(k);
+    for (const std::uint64_t key : keys)
+      ASSERT_EQ(family.first_u64(key), family.stream(key).next_u64())
+          << std::hex << base << " / " << key;
   }
 }
 
