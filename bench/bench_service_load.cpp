@@ -33,9 +33,10 @@
 //
 // Artifacts: bench_out/service_load_timing.json (pipe) or
 // bench_out/service_socket_timing.json (socket; extra fields
-// lockstep_seconds/socket_seconds/overload_seconds/p50_ms/p99_ms) and, with
-// --metrics-out, the counter snapshot the schema checker validates
-// (tools/check_metrics_schema.py --expect-net / --expect-net-socket).
+// lockstep_seconds/socket_seconds/overload_seconds/p50_ms/p99_ms/
+// reads_per_frame) and, with --metrics-out, the counter snapshot the
+// schema checker validates (tools/check_metrics_schema.py --expect-net /
+// --expect-net-socket).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -285,6 +286,16 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.bytes_written),
                 static_cast<unsigned long long>(
                     reg.counter("net.async.resync_bytes").total()));
+    // One read per readable edge: each frame arrives whole in one short
+    // read, so the ratio sits at 1 on a clean run.
+    const std::uint64_t read_calls = reg.counter("net.async.read_calls").total();
+    const double reads_per_frame =
+        report.frames_delivered == 0
+            ? 0.0
+            : static_cast<double>(read_calls) /
+                  static_cast<double>(report.frames_delivered);
+    std::printf("reads: calls=%llu per delivered frame=%.3f\n",
+                static_cast<unsigned long long>(read_calls), reads_per_frame);
     std::printf("fingerprint: %016llx (oracle %016llx)\n",
                 static_cast<unsigned long long>(report.outcome_fingerprint),
                 static_cast<unsigned long long>(
@@ -421,6 +432,7 @@ int main(int argc, char** argv) {
     bench.set_field("overload_seconds", overload_seconds);
     bench.set_field("p50_ms", p50);
     bench.set_field("p99_ms", p99);
+    bench.set_field("reads_per_frame", reads_per_frame);
   }
 
   if (!drift.empty()) {

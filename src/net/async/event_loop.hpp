@@ -2,8 +2,9 @@
 //
 // One loop owns one epoll instance. Handlers register per-fd and receive
 // folded readiness events (readable/writable/hangup); registration is
-// edge-triggered for BOTH directions, so a handler must drain its fd until
-// kWouldBlock on every wakeup — the SocketTransport pump honors this.
+// edge-triggered for BOTH directions, so a handler must empty its fd's
+// receive queue on every wakeup — the SocketTransport pump stops at the
+// first short read, which proves it empty, or reads to EOF on a hangup.
 // Deadlines go through the TimerWheel and fire via a single timer callback
 // keyed by an opaque engine key; the loop reads time only through the
 // injected Clock, so tests drive it with a manual clock and the firing order is

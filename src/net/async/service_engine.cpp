@@ -223,7 +223,7 @@ void AsyncServiceEngine::on_client_ready(std::size_t index, bool readable,
     }
     conn.connected = true;
   }
-  if (readable || hangup) conn.transport->pump_reads();
+  if (readable || hangup) conn.transport->pump_reads(hangup);
   if (writable) conn.transport->flush_writes();
   if (conn.connected) step_client(index);
 }
@@ -271,10 +271,12 @@ void AsyncServiceEngine::on_server_ready(std::uint64_t conn_id, bool readable,
   if (it == server_conns_.end() || it->second->closed) return;
   ServerConn& conn = *it->second;
   if (readable || hangup) {
-    const PumpStatus pump = conn.transport.pump_reads();
+    const PumpStatus pump = conn.transport.pump_reads(hangup);
     while (auto frame = recv_frame(conn.transport, conn.stats))
       enqueue_request(conn, std::move(*frame));
-    if (pump == PumpStatus::kPeerClosed && conn.transport.decoder().empty()) {
+    // Every whole frame is queued; bytes still in the decoder are a frame
+    // the closed peer never finished, and no later byte can complete it.
+    if (pump == PumpStatus::kPeerClosed) {
       close_server_conn(conn_id);
       return;
     }

@@ -23,14 +23,17 @@ std::optional<std::vector<std::uint8_t>> SocketTransport::receive() {
   return decoder_.next();
 }
 
-PumpStatus SocketTransport::pump_reads() {
-  std::uint8_t chunk[16384];
+PumpStatus SocketTransport::pump_reads(bool hangup) {
+  std::uint8_t chunk[kReadChunk];
   for (;;) {
     const IoResult r = sys_read(fd_, chunk, sizeof chunk);
     switch (r.status) {
       case IoStatus::kOk:
         decoder_.feed(chunk, r.bytes);
-        break;  // keep draining (edge-triggered contract)
+        // A short read emptied the receive queue; later bytes raise a new
+        // edge. Only a hangup must read on to the EOF behind the data.
+        if (r.bytes < sizeof chunk && !hangup) return PumpStatus::kOk;
+        break;
       case IoStatus::kWouldBlock:
         return PumpStatus::kOk;
       case IoStatus::kEof:

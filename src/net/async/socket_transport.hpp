@@ -13,12 +13,17 @@
 // capped — a peer that stops reading eventually marks the transport failed,
 // which the engine counts and closes (overflow is never a silent drop).
 //
-// Read path: pump_reads() (called on EPOLLIN) drains the socket until
-// kWouldBlock/EOF into the FrameStreamDecoder; receive() then yields one
-// validated blob per call, which recv_frame decodes with the same corrupt
-// accounting as every other transport.
+// Read path: pump_reads() (called on EPOLLIN) feeds the socket's bytes into
+// the FrameStreamDecoder in kReadChunk reads and stops at the first short
+// one: on a stream socket a read shorter than asked for has emptied the
+// receive queue, and any byte arriving later raises a new edge (epoll(7)),
+// so the EAGAIN read that would confirm it is skipped. Only an edge that
+// carried a hangup reads on to EOF, so the peer's close is still seen.
+// receive() then yields one validated blob per call, which recv_frame
+// decodes with the same corrupt accounting as every other transport.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -50,8 +55,14 @@ class SocketTransport final : public Transport {
   void tick() override {}  // time lives in the event loop, not the transport
 
   // Event-loop surface ----------------------------------------------------
-  /// Drains the socket into the decoder until kWouldBlock or EOF.
-  PumpStatus pump_reads();
+  /// Bytes asked of each read.
+  static constexpr std::size_t kReadChunk = 16384;
+
+  /// Reads the socket into the decoder until a read comes back shorter than
+  /// kReadChunk (the receive queue is empty), or until kWouldBlock. With
+  /// `hangup` (the edge reported the peer's close or an error) it reads on
+  /// to EOF and returns kPeerClosed.
+  PumpStatus pump_reads(bool hangup = false);
   /// Flushes buffered writes until kWouldBlock or the buffer empties.
   PumpStatus flush_writes();
 
@@ -59,7 +70,6 @@ class SocketTransport final : public Transport {
   bool failed() const { return failed_; }
   int fd() const { return fd_.get(); }
   const Fd& fd_handle() const { return fd_; }  ///< for sys_socket_error
-  const FrameStreamDecoder& decoder() const { return decoder_; }
 
  private:
   Fd fd_;

@@ -138,7 +138,12 @@ IoResult sys_read(const Fd& fd, std::uint8_t* buf, std::size_t n) {
   // must match — the audit bench_service_load --transport socket enforces.
   static Counter& bytes_read_total =
       MetricsRegistry::global().counter("net.async.bytes_read");
+  // Every read syscall, EAGAIN and EOF included: the pump's one-read-per-
+  // edge contract is audited against the frames delivered.
+  static Counter& read_calls =
+      MetricsRegistry::global().counter("net.async.read_calls");
   for (;;) {
+    read_calls.add();
     const ssize_t got = ::read(fd.get(), buf, n);
     if (got > 0) {
       const auto bytes = static_cast<std::size_t>(got);
@@ -191,9 +196,11 @@ Fd sys_epoll_create() { return Fd(::epoll_create1(EPOLL_CLOEXEC)); }
 
 bool sys_epoll_add(const Fd& epoll_fd, int fd, std::uint64_t key) {
   epoll_event ev{};
-  // Edge-triggered on both directions: handlers drain until kWouldBlock on
-  // every wakeup, so a level re-arm is never needed and EPOLL_CTL_MOD stays
-  // off the hot path entirely.
+  // Edge-triggered on both directions: on every wakeup a handler reads
+  // until a short read has emptied the receive queue (to EOF when the edge
+  // carried a hangup) and writes until its buffer empties or kWouldBlock.
+  // Bytes that arrive later raise a new edge, so a level re-arm is never
+  // needed and EPOLL_CTL_MOD stays off the hot path entirely.
   ev.events = EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP;
   ev.data.u64 = key;
   return ::epoll_ctl(epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) == 0;

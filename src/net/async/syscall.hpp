@@ -94,7 +94,8 @@ int sys_socket_error(const Fd& fd);
 // --- data plane -------------------------------------------------------------
 
 /// One read(2) attempt, EINTR retried. kOk with bytes > 0, kEof on orderly
-/// shutdown, kWouldBlock when drained. Counts net.async.bytes_read.
+/// shutdown, kWouldBlock when drained. Counts net.async.bytes_read and
+/// every read(2) call in net.async.read_calls.
 IoResult sys_read(const Fd& fd, std::uint8_t* buf, std::size_t n);
 
 /// One write(2) attempt, EINTR retried; bytes may be short of n (caller

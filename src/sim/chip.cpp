@@ -1,6 +1,7 @@
 #include "sim/chip.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -12,6 +13,56 @@ namespace {
 // from the thread count) so the chunk grid is identical for any pool size;
 // matches the tester's scan chunking.
 constexpr std::size_t kProbabilityChunk = 64;
+
+// Rows xor_responses races per block: the block's accumulators (n per row)
+// stay in L1 while every stage walks them.
+constexpr std::size_t kRaceBlock = 64;
+// Challenges per vector of the race: four doubles, one row each.
+constexpr std::size_t kLanes = 4;
+
+// The lockstep race of `count` <= kRaceBlock packed rows of `stride` words
+// through the n devices' stage delays (device d's at delays + 2 d stages).
+// acc[(g n + d) kLanes + k] ends as device d's delay difference on row
+// g kLanes + k. The lanes are challenges: each stage's bit in a group's four
+// rows becomes a sign mask that flips the group's n accumulators (race_stage's
+// XOR) and picks each device's straight or crossed delay, followed by one
+// add, so every lane performs delay_difference's IEEE operations in its
+// order. Lanes past `count` race all-straight and are never read. Written
+// once with vector extensions: AVX2 under the SIMD gate, SSE2 pairs without
+// it; the vector types stay inside so no ABI depends on the ISA.
+void race_block(const std::uint64_t* rows, std::size_t stride, std::size_t count,
+                std::size_t stages, const double* delays, std::size_t n, double* acc) {
+  typedef double Delays __attribute__((vector_size(32)));
+  typedef std::uint64_t Bits __attribute__((vector_size(32)));
+  const std::size_t groups = (count + kLanes - 1) / kLanes;
+  std::fill(acc, acc + groups * n * kLanes, 0.0);
+  std::uint64_t words[kRaceBlock];
+  for (std::size_t w = 0; w < stride; ++w) {
+    for (std::size_t r = 0; r < groups * kLanes; ++r)
+      words[r] = r < count ? rows[r * stride + w] : 0;
+    const std::size_t end = std::min(stages, 64 * w + 64);
+    for (std::size_t i = 64 * w; i < end; ++i) {
+      for (std::size_t g = 0; g < groups; ++g) {
+        Bits bit;
+        std::memcpy(&bit, words + g * kLanes, sizeof bit);
+        bit = (bit >> (i % 64)) & 1;
+        const Bits take = -bit;  // all ones where the stage is crossed
+        const Bits flip = bit << 63;
+        double* a = acc + g * n * kLanes;
+        const double* stage = delays + 2 * i;
+        for (std::size_t d = 0; d < n; ++d, a += kLanes, stage += 2 * stages) {
+          const Delays straight = {stage[0], stage[0], stage[0], stage[0]};
+          const Delays crossed = {stage[1], stage[1], stage[1], stage[1]};
+          const Bits pick = ((Bits)straight & ~take) | ((Bits)crossed & take);
+          Bits delta;
+          std::memcpy(&delta, a, sizeof delta);
+          const Delays sum = (Delays)(delta ^ flip) + (Delays)pick;
+          std::memcpy(a, &sum, sizeof sum);
+        }
+      }
+    }
+  }
+}
 }  // namespace
 
 XorPufChip::XorPufChip(std::size_t chip_id, std::size_t n_pufs,
@@ -40,29 +91,28 @@ void XorPufChip::xor_responses(std::span<const std::uint64_t> rows, std::size_t 
   const std::size_t stride = packed_words(stages);
   XPUF_REQUIRE(rows.size() % stride == 0, "packed rows need packed_words(stages) words each");
   const std::size_t n = devices_.size();
-  // delays[(2 i + b) n + d]: device d's stage-i delay for select bit b, so
-  // one stage's n lockstep adds read contiguous doubles.
-  std::vector<double> delays(2 * stages * n);
-  std::vector<double> own(2 * stages);
-  std::vector<double> sigma(n);
+  // One scratch for the call: device d's (straight, crossed) stage delays at
+  // delays + 2 d stages, the n noise sigmas, then one block's accumulators.
+  std::vector<double> scratch(2 * stages * n + n + kRaceBlock * n);
+  double* const delays = scratch.data();
+  double* const sigma = delays + 2 * stages * n;
+  double* const acc = sigma + n;
   for (std::size_t d = 0; d < n; ++d) {
-    devices_[d].effective_stage_delays(env, own);
-    for (std::size_t j = 0; j < 2 * stages; ++j) delays[j * n + d] = own[j];
+    devices_[d].effective_stage_delays(env, {delays + 2 * stages * d, 2 * stages});
     sigma[d] = devices_[d].noise_sigma(env);
   }
-  std::vector<double> delta(n);
   out.resize(rows.size() / stride);
-  for (std::size_t c = 0; c < out.size(); ++c) {
-    const std::uint64_t* row = rows.data() + c * stride;
-    std::fill(delta.begin(), delta.end(), 0.0);
-    for (std::size_t i = 0; i < stages; ++i) {
-      const std::uint64_t crossed = (row[i / 64] >> (i % 64)) & 1U;
-      const double* stage = delays.data() + (2 * i + crossed) * n;
-      for (std::size_t d = 0; d < n; ++d) delta[d] = race_stage(delta[d], crossed, stage[d]);
+  for (std::size_t first = 0; first < out.size(); first += kRaceBlock) {
+    const std::size_t count = std::min(kRaceBlock, out.size() - first);
+    race_block(rows.data() + first * stride, stride, count, stages, delays, n, acc);
+    // The noise samples, in (row, device) order as xor_response draws them.
+    for (std::size_t r = 0; r < count; ++r) {
+      const double* delta = acc + (r / kLanes) * n * kLanes + r % kLanes;
+      bool bit = false;
+      for (std::size_t d = 0; d < n; ++d)
+        bit ^= delta[d * kLanes] + rng.normal(0.0, sigma[d]) > 0.0;
+      out[first + r] = bit ? 1 : 0;
     }
-    bool bit = false;
-    for (std::size_t d = 0; d < n; ++d) bit ^= delta[d] + rng.normal(0.0, sigma[d]) > 0.0;
-    out[c] = bit ? 1 : 0;
   }
 }
 

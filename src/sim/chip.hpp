@@ -53,10 +53,12 @@ class XorPufChip {
   /// `rng` in the same state:
   ///
   /// the call snapshots every device's effective (straight, crossed) stage
-  /// delays once, at `env` and the current aging level, then races the n
-  /// devices in lockstep, stage by stage, each chain doing delay_difference's
-  /// IEEE operations in its order (race_stage) with the stage bit read
-  /// straight from the row; the n noise samples follow in device order, as
+  /// delays once, at `env` and the current aging level, then races four
+  /// rows per vector, stage by stage, one accumulator per (group of four
+  /// rows, device): the stage bit of each row becomes a sign mask that
+  /// flips its lane (race_stage's XOR) and selects the stage delay, then one
+  /// add, so every lane does delay_difference's IEEE operations in its
+  /// order. The noise samples follow in (row, device) order, as
   /// xor_response draws them. The snapshot lives for one call only, so it
   /// can never go stale across age().
   void xor_responses(std::span<const std::uint64_t> rows, std::size_t stages,

@@ -38,9 +38,9 @@ Challenge random_challenge(std::size_t stages, Rng& rng);
 /// signal paths, negating the accumulated top-minus-bottom difference — a
 /// sign-bit flip — before its own delay is added; a straight stage adds its
 /// delay to the difference as it is. `stage_delay` is the stage's effective
-/// straight or crossed delay, as the bit selects. The one race step of
-/// ArbiterPufDevice::delay_difference and XorPufChip's lockstep race, so
-/// both perform the same IEEE operations.
+/// straight or crossed delay, as the bit selects. The race step of
+/// ArbiterPufDevice::delay_difference; XorPufChip's vector race performs
+/// the same IEEE operations in each lane (a sign-mask XOR, then one add).
 inline double race_stage(double delta, std::uint64_t crossed, double stage_delay) {
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(delta) ^ (crossed << 63)) +
          stage_delay;

@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -283,6 +286,102 @@ TEST(SocketTransport, FramesSurviveTheSocketAndIdleTracksBothSides) {
   EXPECT_FALSE(tx.failed());
 }
 
+std::uint64_t read_calls() {
+  return MetricsRegistry::global().counter("net.async.read_calls").total();
+}
+
+Frame numbered_frame(std::uint64_t device_id, std::size_t payload_bytes) {
+  Frame frame;
+  frame.header.type = FrameType::kChallengeBatch;
+  frame.header.device_id = device_id;
+  frame.header.session_id = 1;
+  frame.payload.assign(payload_bytes, static_cast<std::uint8_t>(device_id));
+  return frame;
+}
+
+TEST(SocketTransport, AShortReadEndsThePumpWithEveryByteDelivered) {
+  Fd a, b;
+  ASSERT_TRUE(sys_socketpair(a, b));
+  SocketTransport tx(std::move(a));
+  SocketTransport rx(std::move(b));
+  ChannelStats tx_stats, rx_stats;
+  send_frame(tx, numbered_frame(5, 40), tx_stats);
+
+  const std::uint64_t before = read_calls();
+  ASSERT_EQ(rx.pump_reads(), PumpStatus::kOk);
+  // The read came back shorter than its chunk, so the receive queue is
+  // empty: no read confirms it with EAGAIN.
+  EXPECT_EQ(read_calls() - before, 1u);
+  const auto got = recv_frame(rx, rx_stats);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->header.device_id, 5u);
+  EXPECT_EQ(got->payload.size(), 40u);
+  EXPECT_TRUE(rx.idle());
+}
+
+TEST(SocketTransport, ABurstLargerThanOneChunkArrivesWholeInOnePump) {
+  Fd a, b;
+  ASSERT_TRUE(sys_socketpair(a, b));
+  SocketTransport tx(std::move(a));
+  SocketTransport rx(std::move(b));
+  ChannelStats tx_stats, rx_stats;
+  // About 40 KiB of frames: two full chunks, then a short read.
+  constexpr std::uint64_t kFrames = 40;
+  std::size_t burst = 0;
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const Frame frame = numbered_frame(i, 1000);
+    burst += encode_frame(frame).size();
+    send_frame(tx, frame, tx_stats);
+  }
+  ASSERT_FALSE(tx.wants_write()) << "the socket buffer must take the whole burst";
+  ASSERT_GT(burst, 2 * SocketTransport::kReadChunk);
+
+  const std::uint64_t before = read_calls();
+  ASSERT_EQ(rx.pump_reads(), PumpStatus::kOk);
+  EXPECT_EQ(read_calls() - before, burst / SocketTransport::kReadChunk + 1);
+  for (std::uint64_t i = 0; i < kFrames; ++i) {
+    const auto got = recv_frame(rx, rx_stats);
+    ASSERT_TRUE(got.has_value()) << "frame " << i << " missing after one pump";
+    EXPECT_EQ(got->header.device_id, i);
+  }
+  EXPECT_TRUE(rx.idle());
+  EXPECT_EQ(rx_stats.delivered, kFrames);
+}
+
+TEST(SocketTransport, DataThenCloseWithHangupDeliversTheFrameAndPeerClosed) {
+  Fd a, b;
+  ASSERT_TRUE(sys_socketpair(a, b));
+  SocketTransport rx(std::move(b));
+  ChannelStats tx_stats, rx_stats;
+  {
+    SocketTransport tx(std::move(a));
+    send_frame(tx, numbered_frame(9, 16), tx_stats);
+  }  // closes the writer: the frame and the EOF are both queued
+
+  // The edge that carries a hangup reads past the short read to the EOF.
+  ASSERT_EQ(rx.pump_reads(/*hangup=*/true), PumpStatus::kPeerClosed);
+  const auto got = recv_frame(rx, rx_stats);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->header.device_id, 9u);
+}
+
+TEST(SocketTransport, DataThenCloseWithoutHangupStopsAtTheDataUntilAHangup) {
+  Fd a, b;
+  ASSERT_TRUE(sys_socketpair(a, b));
+  SocketTransport rx(std::move(b));
+  ChannelStats tx_stats, rx_stats;
+  {
+    SocketTransport tx(std::move(a));
+    send_frame(tx, numbered_frame(9, 16), tx_stats);
+  }
+
+  ASSERT_EQ(rx.pump_reads(), PumpStatus::kOk);
+  const auto got = recv_frame(rx, rx_stats);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->header.device_id, 9u);
+  EXPECT_EQ(rx.pump_reads(/*hangup=*/true), PumpStatus::kPeerClosed);
+}
+
 TEST(SocketTransport, WriteBufferOverflowIsTypedNeverSilent) {
   MetricsRegistry::global().reset();
   Fd a, b;
@@ -457,6 +556,7 @@ TEST(AsyncServiceEngine, OutcomesReconcileExactlyWithTheLockstepOracle) {
     engine.provision(fleet.pop.chip(i), fleet.models[i],
                      sim::Environment::nominal(), 2,
                      /*enroll_first=*/true, /*revoke_at_end=*/i % 2 == 1);
+  const std::uint64_t reads_before = read_calls();
   const AsyncServiceReport report = engine.run();
   for (const auto& violation : report.violations) ADD_FAILURE() << violation;
   EXPECT_TRUE(report.all_finished);
@@ -476,6 +576,76 @@ TEST(AsyncServiceEngine, OutcomesReconcileExactlyWithTheLockstepOracle) {
   EXPECT_EQ(report.bytes_read, report.bytes_written)
       << "loopback byte conservation must hold at quiescence";
   EXPECT_GT(report.connections_accepted, 0u);
+  // One read per readable edge: each edge brings one frame, read whole by
+  // one short read, with at most one more read per connection.
+  EXPECT_LE(read_calls() - reads_before,
+            report.frames_delivered + report.connections_accepted);
+}
+
+TEST(AsyncServiceEngine, APeerThatWritesAndClosesInOneEdgeIsClosed) {
+  // A stranger connects while the fleet is served, writes the head of a
+  // frame and closes, so the edge that reports its bytes also reports the
+  // hangup. The pump must read on to the EOF: the engine then closes that
+  // server connection, dropping the frame no later byte can finish. A pump
+  // that stopped at the data would leave the connection open with bytes
+  // pending, and the run could never become quiescent.
+  constexpr std::size_t kDevices = 2;
+  const std::string path = "xpuf_test_hangup.sock";
+  Fleet fleet = make_fleet(kDevices);
+  Frame frame;
+  frame.header.type = FrameType::kAuthBegin;
+  frame.header.device_id = 1;
+  frame.header.session_id = 1;
+  const std::vector<std::uint8_t> bytes = encode_frame(frame);
+  Counter& written = MetricsRegistry::global().counter("net.async.bytes_written");
+  Counter& closed = MetricsRegistry::global().counter("net.async.connections_closed");
+
+  // The stranger races the fleet: an attempt where the fleet finished
+  // before the stranger connected proves nothing and is run again.
+  bool stranger_served = false;
+  for (int attempt = 0; attempt < 5 && !stranger_served; ++attempt) {
+    AsyncServiceConfig config;
+    config.seed = kSeed;
+    config.database.n_pufs = 2;
+    config.database.policy.challenge_count = 8;
+    config.unix_socket = true;
+    config.unix_path = path;
+    // A starved queue makes the fleet wait out busy NACKs, so the loop
+    // sleeps in epoll_wait and the stranger runs even on one core.
+    config.request_queue_cap = 1;
+    config.serve_budget_per_poll = 1;
+    config.client_max_retries = 40;
+    AsyncServiceEngine engine(config);
+    for (std::size_t i = 0; i < kDevices; ++i)
+      engine.provision(fleet.pop.chip(i), fleet.models[i],
+                       sim::Environment::nominal(), 2,
+                       /*enroll_first=*/true, /*revoke_at_end=*/false);
+    const std::uint64_t written_before = written.total();
+    const std::uint64_t closed_before = closed.total();
+    std::atomic<bool> waiting{false};
+    std::jthread stranger([&] {
+      waiting = true;
+      // The fleet's first frame leaves in the run's first connect batch:
+      // the engine has taken its byte baselines, and its run can no longer
+      // end before it has read every byte the stranger writes.
+      for (int spin = 0; spin < 10'000'000 && written.total() == written_before; ++spin)
+        std::this_thread::yield();
+      auto [fd, status] = sys_connect_unix(path);
+      if (status == IoStatus::kOk) sys_write(fd, bytes.data(), bytes.size() / 2);
+    });  // the stranger's socket closes as the thread ends
+    while (!waiting) std::this_thread::yield();
+    const AsyncServiceReport report = engine.run();
+    stranger.join();  // a throwing run() joins in the destructor
+    if (report.connections_accepted != kDevices + 1) continue;
+    stranger_served = true;
+    for (const auto& violation : report.violations) ADD_FAILURE() << violation;
+    EXPECT_TRUE(report.all_finished);
+    // The stranger's connection was closed during the run, the rest at
+    // teardown: every server connection and every client socket once.
+    EXPECT_EQ(closed.total() - closed_before, report.connections_accepted + kDevices);
+  }
+  EXPECT_TRUE(stranger_served) << "the fleet finished before the stranger connected";
+  std::filesystem::remove(path);
 }
 
 TEST(AsyncServiceEngine, OverloadProducesBusyNacksNeverSilentDrops) {

@@ -170,9 +170,11 @@ TEST(Chip, LockstepPackedRaceEqualsPerChallengeResponses) {
   // xor_responses must be a loop over xor_response in disguise: the same
   // bits, and the generator left where the loop leaves it — checked through
   // a next normal (the polar method's cached deviate) and a next raw draw.
-  // 41 rows: a 1-PUF chip leaves an odd number of normals drawn.
+  // The race runs four rows per vector, so the row counts cover every
+  // remainder mod 4 and a lone partial group; 41 rows on a 1-PUF chip leave
+  // an odd number of normals drawn.
   for (const std::size_t stages : {32u, 64u, 100u}) {
-    for (const std::size_t n_pufs : {1u, 10u}) {
+    for (const std::size_t n_pufs : {1u, 2u, 3u, 10u}) {
       for (const double sigma_noise : {0.327, 4.0}) {
         DeviceParameters params;
         params.stages = stages;
@@ -182,27 +184,31 @@ TEST(Chip, LockstepPackedRaceEqualsPerChallengeResponses) {
         const std::size_t stride = packed_words(stages);
         // Raw words: the bits above `stages` are garbage the race must ignore.
         Rng draw(stages * 31 + n_pufs);
-        std::vector<std::uint64_t> rows(41 * stride);
-        for (std::uint64_t& w : rows) w = draw.next_u64();
+        std::vector<std::uint64_t> words(41 * stride);
+        for (std::uint64_t& w : words) w = draw.next_u64();
         for (const double hours : {0.0, 20000.0}) {
           chip.age(hours);
-          for (const Environment& env : paper_corner_grid()) {
-            SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n_pufs) +
-                         " sigma=" + std::to_string(sigma_noise) + " aged=" +
-                         std::to_string(hours) + " " + env.label());
-            Rng lockstep(4242);
-            Rng looped(4242);
-            std::vector<std::uint8_t> got;
-            chip.xor_responses(rows, stages, env, lockstep, got);
-            std::vector<std::uint8_t> want;
-            Challenge c;
-            for (std::size_t at = 0; at < rows.size(); at += stride) {
-              unpack_challenge_into({rows.data() + at, stride}, stages, c);
-              want.push_back(chip.xor_response(c, env, looped) ? 1 : 0);
+          for (const std::size_t n_rows : {1u, 2u, 3u, 4u, 5u, 41u}) {
+            const std::span<const std::uint64_t> rows(words.data(), n_rows * stride);
+            for (const Environment& env : paper_corner_grid()) {
+              SCOPED_TRACE("stages=" + std::to_string(stages) + " n=" + std::to_string(n_pufs) +
+                           " sigma=" + std::to_string(sigma_noise) + " aged=" +
+                           std::to_string(hours) + " rows=" + std::to_string(n_rows) + " " +
+                           env.label());
+              Rng lockstep(4242);
+              Rng looped(4242);
+              std::vector<std::uint8_t> got;
+              chip.xor_responses(rows, stages, env, lockstep, got);
+              std::vector<std::uint8_t> want;
+              Challenge c;
+              for (std::size_t at = 0; at < rows.size(); at += stride) {
+                unpack_challenge_into({rows.data() + at, stride}, stages, c);
+                want.push_back(chip.xor_response(c, env, looped) ? 1 : 0);
+              }
+              EXPECT_EQ(got, want);
+              EXPECT_EQ(lockstep.normal(), looped.normal());
+              EXPECT_EQ(lockstep.next_u64(), looped.next_u64());
             }
-            EXPECT_EQ(got, want);
-            EXPECT_EQ(lockstep.normal(), looped.normal());
-            EXPECT_EQ(lockstep.next_u64(), looped.next_u64());
           }
         }
       }

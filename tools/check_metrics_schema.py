@@ -22,7 +22,8 @@ and mmap bytes flow only when mmap hits occur.
 With --expect-net-socket (tools/ci.sh `service-socket` job, fed by
 bench_service_load --transport socket) the net.* relations above must hold
 AND the event-loop layer must show its work: the net.async.* counters
-present, nonzero accepted connections, byte conservation
+(read_calls among them) present, nonzero accepted connections, byte
+conservation
 (bytes_read == bytes_written at quiescence), overload evidence
 (request_overflow > 0 — the CI bench always runs its starved-queue phase),
 and a session latency histogram accounting for every opened session.
@@ -82,7 +83,7 @@ def check_socket_counters(counters: dict, histograms: dict) -> str:
         "net.async.connections_accepted", "net.async.connections_closed",
         "net.async.accept_overflow", "net.async.request_overflow",
         "net.async.timers_fired", "net.async.resync_bytes",
-        "net.async.write_overflow",
+        "net.async.write_overflow", "net.async.read_calls",
     ]
     for name in required:
         if name not in counters:

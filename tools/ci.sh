@@ -231,8 +231,9 @@ service_thread_invariance() {
 # Event-loop socket service end-to-end: the Release socket bench at the
 # 1000-connection acceptance floor (its exit code IS the oracle
 # reconciliation + zero-drift + overload audit), the net.async.* schema
-# check on its snapshot, the lockstep-vs-socket timing gate, and the async
-# engine suite under TSan (epoll readiness + timer wheel + stream decoder).
+# check on its snapshot, the lockstep-vs-socket timing gate, the same
+# bench over Unix-domain sockets at 64 devices, and the async engine suite
+# under TSan (epoll readiness + timer wheel + stream decoder).
 service_socket_job() {
   "${prefix}/bench/bench_service_load" --transport socket --devices 1000 \
     --metrics-out "${logdir}/service_socket_metrics.json" &&
@@ -244,6 +245,11 @@ service_socket_job() {
     else
       echo "python3 absent; schema check skipped (snapshot at ${logdir}/service_socket_metrics.json)"
     fi &&
+    # Unix-domain stream sockets take the same short-read exit; the exit
+    # code is the oracle reconciliation, byte-conservation and overload
+    # audit.
+    "${prefix}/bench/bench_service_load" --transport socket --unix 1 \
+      --devices 64 &&
     tsan_configure &&
     cmake --build "${prefix}-tsan" -j "${jobs}" --target test_async_service &&
     "${prefix}-tsan/tests/test_async_service"
