@@ -26,6 +26,7 @@ class Acceptor {
 
   bool valid() const { return listen_fd_.valid(); }
   int fd() const { return listen_fd_.get(); }
+  void close() { listen_fd_.close(); }
 
   /// Accepts until the backlog drains. `admit` takes ownership (moves from
   /// the reference) and returns true, or leaves the fd untouched and returns

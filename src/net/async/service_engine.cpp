@@ -444,7 +444,11 @@ AsyncServiceReport AsyncServiceEngine::run() {
   for (const auto& entry : server_conns_)
     if (!entry.second->closed)
       close_server_conn(entry.first);
-  if (acceptor_) loop_->remove(acceptor_->fd());
+  if (acceptor_) {
+    loop_->remove(acceptor_->fd());
+    acceptor_->close();
+    if (config_.unix_socket) sys_unlink_unix(config_.unix_path);
+  }
 
   AsyncServiceReport report = finalize(clean);
   report.bytes_read =

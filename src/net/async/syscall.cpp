@@ -81,7 +81,7 @@ Fd sys_listen_tcp_localhost(std::uint16_t& port, int backlog) {
 Fd sys_listen_unix(const std::string& path, int backlog) {
   sockaddr_un addr{};
   if (!unix_addr(path, addr)) return Fd();
-  ::unlink(path.c_str());  // stale socket file from a previous run
+  sys_unlink_unix(path);  // stale socket file from a previous run
   Fd fd = make_stream_socket(AF_UNIX);
   if (!fd.valid()) return Fd();
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
@@ -90,6 +90,8 @@ Fd sys_listen_unix(const std::string& path, int backlog) {
   if (::listen(fd.get(), backlog) != 0) return Fd();
   return fd;
 }
+
+void sys_unlink_unix(const std::string& path) { ::unlink(path.c_str()); }
 
 std::pair<Fd, IoStatus> sys_connect_tcp_localhost(std::uint16_t port) {
   Fd fd = make_stream_socket(AF_INET);

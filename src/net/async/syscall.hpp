@@ -76,6 +76,9 @@ Fd sys_listen_tcp_localhost(std::uint16_t& port, int backlog);
 /// Nonblocking Unix-domain stream listener at `path` (unlinked first).
 Fd sys_listen_unix(const std::string& path, int backlog);
 
+/// Removes the socket file at `path`; a missing file is not an error.
+void sys_unlink_unix(const std::string& path);
+
 /// Nonblocking TCP socket with a connect to 127.0.0.1:`port` already
 /// initiated. status kOk = connected, kWouldBlock = in progress (wait for
 /// writability, then check sys_socket_error), kError = failed outright.

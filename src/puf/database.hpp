@@ -13,8 +13,9 @@
 // and model weights are served through a capacity-bounded LRU cache
 // (db.cache_hits/db.cache_misses/db.cache_evictions), so authentication over
 // a million-device fleet runs in bounded memory. open(dir) puts that store in
-// a caller-named directory, durable across processes and crashes; save()
-// compacts it in place. The plain constructor puts it in a fresh private
+// a caller-named directory, durable across processes and process crashes
+// (records are flushed, not fsynced: an OS crash or power loss can lose the
+// unsynced tail); save() compacts it in place. The plain constructor puts it in a fresh private
 // directory under the system temp path that the database deletes when it
 // dies — the same log code, but NOT durable past the object's lifetime.
 //
@@ -26,10 +27,10 @@
 //
 // Concurrency contract: issue(), verify(), authenticate() and the const
 // accessors are safe to call concurrently for DISTINCT pre-registered
-// devices — they never mutate the store's index or ledger maps, only the
-// per-device ledger set the caller's device owns, and the store locks its
-// shared cache, pool slots and shard files internally. register_device(),
-// revoke_device() and save() mutate the maps and require exclusive access;
+// devices — they write only the caller's own entry of the store's device
+// table, never its shape, and the store locks its shared cache and shard
+// files internally. register_device(), revoke_device() and save() insert
+// into or erase from the table and require exclusive access;
 // the net/ ServiceEngine satisfies this by giving each shard its own
 // ServerDatabase and keeping all calls on the owning shard lane.
 // tests/test_observability.cpp exercises the concurrent half of the contract

@@ -223,9 +223,7 @@ bool model_view_from_payload(const std::uint8_t* payload, std::uint32_t len,
 void append_alignment_pad(std::vector<std::uint8_t>& out, std::uint64_t base_offset = 0);
 
 // --- shard manifest ---------------------------------------------------------
-// Tiny fixed-size file at the store root recording the shard fan-out; its
-// presence is also how load() distinguishes a binary store from a legacy
-// CSV directory.
+// Tiny fixed-size file at the store root recording the shard fan-out.
 //
 //   offset  size  field
 //        0     2  magic      0x534D ("MS": manifest of shards)

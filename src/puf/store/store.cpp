@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
@@ -39,11 +38,11 @@ void append_issue_records(std::vector<std::uint8_t>& out, std::uint64_t device_i
 EnrollmentStore::EnrollmentStore(ShardedLog log, StoreOptions options)
     : options_(options),
       log_(std::move(log)),
+      pool_undrained_(std::make_unique<std::atomic<std::uint64_t>>(0)),
       maps_(log_.n_shards()),
       cache_(options.cache_capacity),
       shard_mu_(std::make_unique<std::mutex[]>(log_.n_shards())),
       cache_mu_(std::make_unique<std::mutex>()),
-      pool_mu_(std::make_unique<std::mutex>()),
       shard_ledger_total_(std::make_unique<std::atomic<std::uint64_t>[]>(log_.n_shards())) {
   auto& registry = MetricsRegistry::global();
   shard_gauges_.reserve(log_.n_shards());
@@ -62,7 +61,7 @@ EnrollmentStore EnrollmentStore::open(const std::string& dir, StoreOptions optio
     store.remap_shard(k);
   }
   static Gauge& devices = MetricsRegistry::global().gauge("db.devices");
-  devices.set(static_cast<double>(store.index_.size()));
+  devices.set(static_cast<double>(store.devices_.size()));
   return store;
 }
 
@@ -94,7 +93,7 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
     if (status != RecordStatus::kOk) throw corrupt(offset, to_string(status));
     switch (view.op) {
       case OpType::kRegister: {
-        if (index_.count(view.device_id) != 0)
+        if (devices_.count(view.device_id) != 0)
           throw corrupt(offset, "REGISTER for already-registered device " +
                                     std::to_string(view.device_id));
         std::uint32_t puf_count = 0;
@@ -103,57 +102,53 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
                 RecordStatus::kOk ||
             view.payload_len != model_payload_bytes(puf_count, stages))
           throw corrupt(offset, "malformed model payload");
-        index_[view.device_id] =
-            DeviceRecord{k, view.begin, view.end - view.begin, puf_count, stages};
-        ledgers_.insert_or_assign(view.device_id, ChallengeSet(stages));
+        devices_.emplace(view.device_id,
+                         Device{DeviceRecord{k, view.begin, view.end - view.begin, puf_count,
+                                             stages},
+                                std::nullopt, ChallengeSet(stages)});
         break;
       }
       case OpType::kRevoke: {
         if (view.payload_len != 0) throw corrupt(offset, "REVOKE with a payload");
-        const auto it = ledgers_.find(view.device_id);
-        if (it == ledgers_.end() || index_.erase(view.device_id) == 0)
+        const auto it = devices_.find(view.device_id);
+        if (it == devices_.end())
           throw corrupt(offset, "REVOKE for unknown device " +
                                     std::to_string(view.device_id));
-        shard_ledger_total_[k].fetch_sub(it->second.size(), std::memory_order_relaxed);
-        ledgers_.erase(it);
-        if (const auto pit = pools_.find(view.device_id); pit != pools_.end()) {
-          pool_undrained_ -= pit->second.count - pit->second.head;
-          pools_.erase(pit);
-        }
+        shard_ledger_total_[k].fetch_sub(it->second.ledger.size(), std::memory_order_relaxed);
+        set_pool(it->second, std::nullopt);
+        devices_.erase(it);
         break;
       }
       case OpType::kIssue: {
-        const auto it = ledgers_.find(view.device_id);
-        if (it == ledgers_.end())
+        const auto it = devices_.find(view.device_id);
+        if (it == devices_.end())
           throw corrupt(offset, "orphaned ISSUE record for unknown device " +
                                     std::to_string(view.device_id) +
                                     " — issued challenges must never be forgotten");
         // Rows decode straight into the ledger; a payload of another
         // geometry than the registered model is rejected as malformed.
         std::uint64_t inserted = 0;
-        if (decode_ledger(view.payload, view.payload_len, it->second, inserted) !=
+        if (decode_ledger(view.payload, view.payload_len, it->second.ledger, inserted) !=
             RecordStatus::kOk)
           throw corrupt(offset, "malformed ledger payload");
         shard_ledger_total_[k].fetch_add(inserted, std::memory_order_relaxed);
         break;
       }
       case OpType::kPool: {
-        if (index_.count(view.device_id) == 0)
+        const auto it = devices_.find(view.device_id);
+        if (it == devices_.end())
           throw corrupt(offset, "POOL record for unknown device " +
                                     std::to_string(view.device_id));
         PoolView pool;
         if (decode_pool(view.payload, view.payload_len, pool) != RecordStatus::kOk)
           throw corrupt(offset, "malformed pool payload");
-        if (pool.stages != index_.at(view.device_id).stages)
+        if (pool.stages != it->second.record.stages)
           throw corrupt(offset, "pool geometry does not match the registered model");
         // Append order is authority: a refill's record supersedes its
         // predecessor. head restarts at 0 — the replay ledger screens out
         // the already-issued prefix on the first post-crash drain.
-        if (const auto pit = pools_.find(view.device_id); pit != pools_.end())
-          pool_undrained_ -= pit->second.count - pit->second.head;
-        pool_undrained_ += pool.count;
-        pools_[view.device_id] = PoolSlot{k, view.begin, view.end - view.begin, pool.count, 0,
-                                          pool.epoch, pool.cursor};
+        set_pool(it->second, PoolSlot{k, view.begin, view.end - view.begin, pool.count, 0,
+                                      pool.epoch, pool.cursor});
         break;
       }
       case OpType::kPad: {
@@ -176,22 +171,35 @@ void EnrollmentStore::replay_shard(std::uint32_t k) {
 
 std::vector<std::uint64_t> EnrollmentStore::device_ids() const {
   std::vector<std::uint64_t> ids;
-  ids.reserve(index_.size());
-  for (const auto& [id, rec] : index_) ids.push_back(id);
+  ids.reserve(devices_.size());
+  for (const auto& entry : devices_) ids.push_back(entry.first);
   return ids;
 }
 
-const DeviceRecord& EnrollmentStore::device_record(std::uint64_t device_id) const {
-  const auto it = index_.find(device_id);
-  XPUF_REQUIRE(it != index_.end(), "unknown device id");
+const EnrollmentStore::Device& EnrollmentStore::device(std::uint64_t device_id) const {
+  const auto it = devices_.find(device_id);
+  XPUF_REQUIRE(it != devices_.end(), "unknown device id");
   return it->second;
 }
 
-void EnrollmentStore::append_record(std::uint32_t shard,
-                                    const std::vector<std::uint8_t>& bytes) {
+EnrollmentStore::Device& EnrollmentStore::device(std::uint64_t device_id) {
+  return const_cast<Device&>(std::as_const(*this).device(device_id));
+}
+
+void EnrollmentStore::set_pool(Device& entry, std::optional<PoolSlot> slot) {
+  const auto undrained = [](const std::optional<PoolSlot>& s) {
+    return s ? s->count - s->head : 0u;
+  };
+  pool_undrained_->fetch_sub(undrained(entry.pool), std::memory_order_relaxed);
+  pool_undrained_->fetch_add(undrained(slot), std::memory_order_relaxed);
+  entry.pool = slot;
+}
+
+std::uint64_t EnrollmentStore::append_record(std::uint32_t shard,
+                                             const std::vector<std::uint8_t>& bytes) {
   XPUF_REQUIRE(shard < n_shards(), "shard index out of range");
   std::lock_guard<std::mutex> lock(shard_mu_[shard]);
-  log_.shard(shard).append(bytes);
+  return log_.shard(shard).append(bytes);
 }
 
 void EnrollmentStore::register_device(ServerModel model) {
@@ -216,43 +224,36 @@ void EnrollmentStore::register_device(ServerModel model) {
     record_len = bytes.size() - pad_bytes;
     end = log_.shard(k).append(bytes);
   }
-  index_[id] = DeviceRecord{k, end - record_len, record_len,
-                            static_cast<std::uint32_t>(model.puf_count()),
-                            static_cast<std::uint32_t>(model.stages())};
-  ledgers_.insert_or_assign(id, ChallengeSet(model.stages()));
+  devices_.emplace(id, Device{DeviceRecord{k, end - record_len, record_len,
+                                            static_cast<std::uint32_t>(model.puf_count()),
+                                            static_cast<std::uint32_t>(model.stages())},
+                              std::nullopt, ChallengeSet(model.stages())});
   auto shared = std::make_shared<const ServerModel>(std::move(model));
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
     evictions.add(cache_.put(id, std::move(shared)));
   }
   static Gauge& devices = MetricsRegistry::global().gauge("db.devices");
-  devices.set(static_cast<double>(index_.size()));
+  devices.set(static_cast<double>(devices_.size()));
 }
 
 void EnrollmentStore::revoke_device(std::uint64_t device_id) {
-  XPUF_REQUIRE(knows(device_id), "revoking an unknown device");
+  const auto it = devices_.find(device_id);
+  XPUF_REQUIRE(it != devices_.end(), "revoking an unknown device");
   const std::uint32_t k = log_.shard_of(device_id);
   std::vector<std::uint8_t> bytes;
   encode_record(bytes, OpType::kRevoke, device_id, {});
   append_record(k, bytes);
-  shard_ledger_total_[k].fetch_sub(ledgers_.at(device_id).size(),
-                                   std::memory_order_relaxed);
-  index_.erase(device_id);
-  ledgers_.erase(device_id);
-  {
-    std::lock_guard<std::mutex> lock(*pool_mu_);
-    if (const auto pit = pools_.find(device_id); pit != pools_.end()) {
-      pool_undrained_ -= pit->second.count - pit->second.head;
-      pools_.erase(pit);
-    }
-  }
+  shard_ledger_total_[k].fetch_sub(it->second.ledger.size(), std::memory_order_relaxed);
+  set_pool(it->second, std::nullopt);
+  devices_.erase(it);
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
     cache_.erase(device_id);
   }
   refresh_ledger_gauges(k);
   static Gauge& devices = MetricsRegistry::global().gauge("db.devices");
-  devices.set(static_cast<double>(index_.size()));
+  devices.set(static_cast<double>(devices_.size()));
 }
 
 std::shared_ptr<const ServerModel> EnrollmentStore::model(std::uint64_t device_id) const {
@@ -260,8 +261,7 @@ std::shared_ptr<const ServerModel> EnrollmentStore::model(std::uint64_t device_i
   static Counter& hits = registry.counter("db.cache_hits");
   static Counter& misses = registry.counter("db.cache_misses");
   static Counter& evictions = registry.counter("db.cache_evictions");
-  const auto it = index_.find(device_id);
-  XPUF_REQUIRE(it != index_.end(), "unknown device id");
+  const DeviceRecord& rec = device(device_id).record;
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
     if (auto cached = cache_.get(device_id)) {
@@ -270,7 +270,6 @@ std::shared_ptr<const ServerModel> EnrollmentStore::model(std::uint64_t device_i
     }
   }
   misses.add(1);
-  const DeviceRecord& rec = it->second;
   std::vector<std::uint8_t> bytes;
   {
     std::lock_guard<std::mutex> lock(shard_mu_[rec.shard]);
@@ -298,8 +297,7 @@ ModelView EnrollmentStore::model_view(std::uint64_t device_id) const {
   static Counter& hits = registry.counter("db.cache_hits");
   static Counter& mmap_hits = registry.counter("db.mmap_hits");
   static Counter& mmap_bytes = registry.counter("db.mmap_bytes");
-  const auto it = index_.find(device_id);
-  XPUF_REQUIRE(it != index_.end(), "unknown device id");
+  const DeviceRecord& rec = device(device_id).record;
   {
     std::lock_guard<std::mutex> lock(*cache_mu_);
     if (auto cached = cache_.get(device_id)) {
@@ -307,7 +305,6 @@ ModelView EnrollmentStore::model_view(std::uint64_t device_id) const {
       return ModelView::of(std::move(cached));
     }
   }
-  const DeviceRecord& rec = it->second;
   // Zero-copy cold path: when the REGISTER record sits inside the shard's
   // frozen mapping, crc-check it in place and hand out spans over the mapped
   // bytes. Deliberately bypasses the LRU — the point is that cold lookups
@@ -336,55 +333,41 @@ void EnrollmentStore::remap_shard(std::uint32_t k) {
 }
 
 void EnrollmentStore::record_pool(std::uint64_t device_id, const PoolPayload& pool) {
-  const auto it = index_.find(device_id);
-  XPUF_REQUIRE(it != index_.end(), "unknown device id");
-  XPUF_REQUIRE(pool.stages == it->second.stages,
+  Device& entry = device(device_id);
+  XPUF_REQUIRE(pool.stages == entry.record.stages,
                "pool geometry does not match the registered model");
   const std::uint32_t k = log_.shard_of(device_id);
   std::vector<std::uint8_t> bytes;
   encode_record(bytes, OpType::kPool, device_id, encode_pool(pool));
-  std::uint64_t end = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard_mu_[k]);
-    end = log_.shard(k).append(bytes);
-  }
-  std::lock_guard<std::mutex> lock(*pool_mu_);
-  if (const auto pit = pools_.find(device_id); pit != pools_.end())
-    pool_undrained_ -= pit->second.count - pit->second.head;
-  pool_undrained_ += pool.size();
-  pools_[device_id] = PoolSlot{k, end - bytes.size(), bytes.size(),
-                               static_cast<std::uint32_t>(pool.size()), 0, pool.epoch,
-                               pool.cursor};
+  const std::uint64_t end = append_record(k, bytes);
+  set_pool(entry, PoolSlot{k, end - bytes.size(), bytes.size(),
+                           static_cast<std::uint32_t>(pool.size()), 0, pool.epoch,
+                           pool.cursor});
 }
 
 bool EnrollmentStore::pool_slot(std::uint64_t device_id, PoolSlot& out) const {
-  std::lock_guard<std::mutex> lock(*pool_mu_);
-  const auto it = pools_.find(device_id);
-  if (it == pools_.end()) return false;
-  out = it->second;
+  const auto it = devices_.find(device_id);
+  if (it == devices_.end() || !it->second.pool) return false;
+  out = *it->second.pool;
   return true;
 }
 
 void EnrollmentStore::set_pool_head(std::uint64_t device_id, std::uint32_t head) {
-  std::lock_guard<std::mutex> lock(*pool_mu_);
-  const auto it = pools_.find(device_id);
-  XPUF_REQUIRE(it != pools_.end(), "device has no pool");
-  XPUF_REQUIRE(head >= it->second.head && head <= it->second.count,
+  const auto it = devices_.find(device_id);
+  XPUF_REQUIRE(it != devices_.end() && it->second.pool, "device has no pool");
+  PoolSlot slot = *it->second.pool;
+  XPUF_REQUIRE(head >= slot.head && head <= slot.count,
                "pool head must advance monotonically within the record");
-  pool_undrained_ -= head - it->second.head;
-  it->second.head = head;
-}
-
-std::uint64_t EnrollmentStore::pool_entries_total() const {
-  std::lock_guard<std::mutex> lock(*pool_mu_);
-  return pool_undrained_;
+  slot.head = head;
+  set_pool(it->second, slot);
 }
 
 void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t first,
                                       std::uint32_t n, std::vector<std::uint64_t>& words,
                                       std::vector<std::uint8_t>& expected) const {
-  PoolSlot slot;
-  XPUF_REQUIRE(pool_slot(device_id, slot), "device has no pool");
+  const auto it = devices_.find(device_id);
+  XPUF_REQUIRE(it != devices_.end() && it->second.pool, "device has no pool");
+  const PoolSlot& slot = *it->second.pool;
   XPUF_REQUIRE(first <= slot.count && n <= slot.count - first,
                "pool slice out of range");
   const auto corrupt = [&] {
@@ -416,22 +399,10 @@ void EnrollmentStore::read_pool_slice(std::uint64_t device_id, std::uint32_t fir
     throw corrupt();
   PoolView pool;
   if (decode_pool(view.payload, view.payload_len, pool) != RecordStatus::kOk ||
-      pool.count != slot.count || pool.stages != index_.at(device_id).stages)
+      pool.count != slot.count || pool.stages != it->second.record.stages)
     throw corrupt();
   // Only the requested slice is materialized.
   pool.read(first, n, words, expected);
-}
-
-ChallengeSet& EnrollmentStore::ledger(std::uint64_t device_id) {
-  const auto it = ledgers_.find(device_id);
-  XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
-  return it->second;
-}
-
-const ChallengeSet& EnrollmentStore::ledger(std::uint64_t device_id) const {
-  const auto it = ledgers_.find(device_id);
-  XPUF_REQUIRE(it != ledgers_.end(), "unknown device id");
-  return it->second;
 }
 
 void EnrollmentStore::record_issued(std::uint64_t device_id, std::uint32_t stages,
@@ -468,35 +439,36 @@ void EnrollmentStore::refresh_ledger_gauges(std::uint32_t shard) const {
 
 void EnrollmentStore::compact() {
   XPUF_TRACE_SPAN("db.compact");
+  // One walk of the table buckets the live devices by shard, each bucket in
+  // ascending id order — the order a compacted shard lists its devices in.
+  std::vector<std::vector<std::pair<const std::uint64_t, Device>*>> buckets(n_shards());
+  for (auto& entry : devices_) buckets[entry.second.record.shard].push_back(&entry);
+  std::vector<std::uint8_t> record_bytes;
   for (std::uint32_t k = 0; k < n_shards(); ++k) {
     std::vector<std::uint8_t> fresh;
-    std::map<std::uint64_t, DeviceRecord> rewritten;
-    std::map<std::uint64_t, PoolSlot> rewritten_pools;
-    for (const auto& [id, rec] : index_) {
-      if (rec.shard != k) continue;
+    // Per device, its REGISTER and POOL records' new offsets (the second
+    // unused without a pool), applied only once the new shard is in place.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> offsets;
+    offsets.reserve(buckets[k].size());
+    for (const auto* entry : buckets[k]) {
+      const auto& [id, dev] = *entry;
       // Copy the REGISTER record bytes verbatim: the model survives
       // compaction bit-exactly without ever being decoded. The pad keeps
       // its f64 region 8-aligned so the rewritten shard is mmap-servable
       // even when the original (pre-alignment) store was not.
       append_alignment_pad(fresh);
-      std::vector<std::uint8_t> record_bytes;
-      log_.shard(k).read_at(rec.offset, rec.length, record_bytes);
-      DeviceRecord updated = rec;
-      updated.offset = fresh.size();
+      const std::uint64_t register_at = fresh.size();
+      log_.shard(k).read_at(dev.record.offset, dev.record.length, record_bytes);
       fresh.insert(fresh.end(), record_bytes.begin(), record_bytes.end());
-      rewritten[id] = updated;
       // Keys in ascending on-disk byte order, so a compacted shard is a
       // pure function of the ledger's contents.
-      append_issue_records(fresh, id, rec.stages, ledgers_.at(id).sorted_rows());
-      PoolSlot slot;
-      if (pool_slot(id, slot)) {
+      append_issue_records(fresh, id, dev.record.stages, dev.ledger.sorted_rows());
+      offsets.emplace_back(register_at, fresh.size());
+      if (dev.pool) {
         // The latest POOL record also travels verbatim; head/epoch/cursor
         // are slot state, only the location changes.
-        std::vector<std::uint8_t> pool_bytes;
-        log_.shard(k).read_at(slot.offset, slot.length, pool_bytes);
-        slot.offset = fresh.size();
-        fresh.insert(fresh.end(), pool_bytes.begin(), pool_bytes.end());
-        rewritten_pools[id] = slot;
+        log_.shard(k).read_at(dev.pool->offset, dev.pool->length, record_bytes);
+        fresh.insert(fresh.end(), record_bytes.begin(), record_bytes.end());
       }
     }
     if (fresh.empty()) {
@@ -506,10 +478,10 @@ void EnrollmentStore::compact() {
     } else {
       log_.shard(k).replace_with(fresh);
     }
-    for (const auto& [id, rec] : rewritten) index_[id] = rec;
-    {
-      std::lock_guard<std::mutex> lock(*pool_mu_);
-      for (const auto& [id, slot] : rewritten_pools) pools_[id] = slot;
+    for (std::size_t i = 0; i < buckets[k].size(); ++i) {
+      Device& dev = buckets[k][i]->second;
+      dev.record.offset = offsets[i].first;
+      if (dev.pool) dev.pool->offset = offsets[i].second;
     }
     // Swap in a mapping of the rewritten shard; views handed out over the
     // old mapping keep it alive until they die.

@@ -1,4 +1,6 @@
-// EnrollmentStore — the crash-safe, bounded-memory device registry.
+// EnrollmentStore — the bounded-memory device registry. Acknowledged ops
+// survive a process crash; records are flushed, not fsynced, so surviving
+// an OS crash or power loss is not claimed.
 //
 // Durability model: every mutation (register / revoke / issue) is one
 // framed, crc'd record appended to the device's shard log and flushed
@@ -10,8 +12,8 @@
 // resurrected by older records, and compaction (write-temp-then-rename per
 // shard) only ever swaps a complete old shard for a complete new one.
 //
-// Memory model: the index (device -> shard/offset/geometry) and the
-// issued-challenge ledgers stay resident — each ledger a flat ChallengeSet
+// Memory model: one table entry per device (REGISTER place, pool slot and
+// issued-challenge ledger) stays resident — each ledger a flat ChallengeSet
 // of packed rows, ~10–21 bytes per 8-byte key (~31 at the peak of a
 // rehash), nothing for a device never issued to; model weights — the bulk of the
 // bytes — are decoded on demand through a capacity-bounded LRU cache
@@ -25,8 +27,8 @@
 // Concurrency contract mirrors ServerDatabase: model()/model_view()/
 // ledger()/record_issued() and the pool accessors (record_pool /
 // read_pool_slice / set_pool_head) are safe concurrently for DISTINCT
-// registered devices
-// (the cache has its own lock, appends take the shard's lock);
+// registered devices, each writing only its own table entry (the cache has
+// its own lock, appends take the shard's lock, the pool total is atomic);
 // register_device / revoke_device / compact / open require exclusive
 // access. Gauges are last-writer-wins under concurrent issue, like every
 // gauge in the registry; counters are exact.
@@ -37,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -83,7 +86,7 @@ struct PoolSlot {
 class EnrollmentStore {
  public:
   /// Opens (creating if needed) the store at `dir` and replays the shard
-  /// logs into the in-memory index/ledgers. Torn tails are truncated and
+  /// logs into the in-memory device table. Torn tails are truncated and
   /// counted under db.log_truncated; mid-file corruption throws ParseError.
   static EnrollmentStore open(const std::string& dir, StoreOptions options);
 
@@ -91,19 +94,21 @@ class EnrollmentStore {
   const StoreOptions& options() const { return options_; }
   std::uint32_t n_shards() const { return log_.n_shards(); }
 
-  std::size_t device_count() const { return index_.size(); }
-  bool knows(std::uint64_t device_id) const { return index_.count(device_id) != 0; }
+  std::size_t device_count() const { return devices_.size(); }
+  bool knows(std::uint64_t device_id) const { return devices_.count(device_id) != 0; }
   std::vector<std::uint64_t> device_ids() const;
   // Test hook: test_store and test_screening read record
   // placement.  xpuf-lint: allow(orphan-symbol)
-  const DeviceRecord& device_record(std::uint64_t device_id) const;
+  const DeviceRecord& device_record(std::uint64_t device_id) const {
+    return device(device_id).record;
+  }
 
   /// Appends a REGISTER record (flushed before returning) and warms the
   /// cache. Rejects duplicate ids and out-of-bounds geometry.
   void register_device(ServerModel model);
 
-  /// Appends a REVOKE record and drops the device from index, ledger and
-  /// cache. Replay order guarantees it stays gone after recovery.
+  /// Appends a REVOKE record and drops the device's table entry and cached
+  /// model. Replay order guarantees it stays gone after recovery.
   void revoke_device(std::uint64_t device_id);
 
   /// The device's model, through the LRU cache (hit) or decoded from its
@@ -143,11 +148,13 @@ class EnrollmentStore {
   void set_pool_head(std::uint64_t device_id, std::uint32_t head);
 
   /// Undrained pool entries across the fleet (sum of count - head).
-  std::uint64_t pool_entries_total() const;
+  std::uint64_t pool_entries_total() const {
+    return pool_undrained_->load(std::memory_order_relaxed);
+  }
 
   /// The device's memory-resident replay ledger (packed challenge rows).
-  ChallengeSet& ledger(std::uint64_t device_id);
-  const ChallengeSet& ledger(std::uint64_t device_id) const;
+  ChallengeSet& ledger(std::uint64_t device_id) { return device(device_id).ledger; }
+  const ChallengeSet& ledger(std::uint64_t device_id) const { return device(device_id).ledger; }
 
   /// Durably acknowledges freshly issued challenges: appends one ISSUE
   /// record with the packed rows `fresh` (already inserted into ledger() by
@@ -177,30 +184,41 @@ class EnrollmentStore {
   EnrollmentStore(ShardedLog log, StoreOptions options);
 
   void replay_shard(std::uint32_t k);
-  void append_record(std::uint32_t shard, const std::vector<std::uint8_t>& bytes);
+  /// Appends under the shard's lock; returns the shard's new end offset.
+  std::uint64_t append_record(std::uint32_t shard, const std::vector<std::uint8_t>& bytes);
   void refresh_ledger_gauges(std::uint32_t shard) const;
 
   void remap_shard(std::uint32_t k);
 
+  /// One registered device: its REGISTER record's place, its latest POOL
+  /// record's slot (none before the first refill) and its replay ledger.
+  struct Device {
+    DeviceRecord record;
+    std::optional<PoolSlot> pool;
+    ChallengeSet ledger;
+  };
+
+  Device& device(std::uint64_t device_id);
+  const Device& device(std::uint64_t device_id) const;
+  /// Replaces the device's pool slot, keeping pool_undrained_ in step.
+  void set_pool(Device& entry, std::optional<PoolSlot> slot);
+
   StoreOptions options_;
   ShardedLog log_;
-  std::map<std::uint64_t, DeviceRecord> index_;
-  std::map<std::uint64_t, PoolSlot> pools_;
-  /// Fleet-wide undrained pool entries (sum of count - head over pools_),
-  /// maintained incrementally at every slot mutation so the auth.pool_size
-  /// gauge refresh on the issue() hot path is O(1) instead of an O(fleet)
-  /// map scan. Guarded by pool_mu_.
-  std::uint64_t pool_undrained_ = 0;
+  /// Ordered by id, the order device_ids() and compacted shards list devices in.
+  std::map<std::uint64_t, Device> devices_;
+  /// Fleet-wide undrained pool entries (sum of count - head over every
+  /// slot), kept in step by set_pool() so the auth.pool_size gauge refresh
+  /// on the issue() hot path is O(1) instead of an O(fleet) scan.
+  std::unique_ptr<std::atomic<std::uint64_t>> pool_undrained_;
   /// Per-shard read-only mappings for zero-copy serving. Length-frozen at
   /// open()/compact(); records appended later fall back to the decode path.
   /// Handed-out views co-own their mapping, so swapping a shard's entry
   /// never invalidates a live view.
   std::vector<std::shared_ptr<const MappedFile>> maps_;
-  std::map<std::uint64_t, ChallengeSet> ledgers_;
   mutable ModelCache cache_;
   std::unique_ptr<std::mutex[]> shard_mu_;
   mutable std::unique_ptr<std::mutex> cache_mu_;
-  mutable std::unique_ptr<std::mutex> pool_mu_;  ///< guards pools_
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_ledger_total_;
   std::vector<Gauge*> shard_gauges_;
 };

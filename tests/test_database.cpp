@@ -149,6 +149,31 @@ TEST_F(DatabaseTest, RevocationRemovesDevice) {
   EXPECT_THROW(db_.revoke_device(1), std::invalid_argument);
 }
 
+TEST_F(DatabaseTest, ReRegisteringARevokedIdStartsAFreshEntry) {
+  ServerDatabase db(db_config(/*pool_target=*/32));
+  register_fleet(db);
+  store::PoolSlot first;
+  ASSERT_TRUE(db.store().pool_slot(0, first));
+  const ChallengeBatch before = db.issue(0, rng_);
+  ASSERT_EQ(db.issued_count(0), 16u);
+
+  ServerModel model(*db.model_snapshot(0));
+  db.revoke_device(0);
+  db.register_device(std::move(model));
+  // Nothing of the revoked registration carries over: an empty ledger and
+  // a first-generation pool, screened from the start of the candidate stream.
+  EXPECT_EQ(db.issued_count(0), 0u);
+  store::PoolSlot slot;
+  ASSERT_TRUE(db.store().pool_slot(0, slot));
+  EXPECT_EQ(slot.epoch, 1u);
+  EXPECT_EQ(slot.head, 0u);
+  EXPECT_EQ(slot.count, first.count);
+  EXPECT_EQ(slot.cursor, first.cursor);
+  // The candidate stream depends only on (pool seed, id), so the re-registered
+  // id is issued the challenges it was issued before revocation.
+  EXPECT_EQ(db.issue(0, rng_).words, before.words);
+}
+
 // GCC 12's value-range propagation mis-models std::less<vector<uint8_t>> when
 // set::insert inlines memcmp in Release and reports an impossible bound
 // (stringop-overread); the comparison is well-defined for any real vector.

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -661,6 +662,70 @@ TEST_F(StoreDirTest, PerShardLedgerTotalsSumToTheFleetGauge) {
   EXPECT_EQ(registry.gauge("db.ledger_size").get(), 10.0);
   EXPECT_EQ(registry.gauge("db.shard_ledger_size.0").get(), 4.0);
   EXPECT_EQ(registry.gauge("db.shard_ledger_size.1").get(), 6.0);
+}
+
+/// Every shard file's bytes, by shard index.
+std::vector<std::string> shard_bytes(const std::string& dir, std::uint32_t n_shards) {
+  std::vector<std::string> out;
+  for (std::uint32_t k = 0; k < n_shards; ++k) {
+    std::ifstream in(dir + "/shard_" + std::to_string(k) + ".log", std::ios::binary);
+    out.emplace_back(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+TEST_F(StoreDirTest, CompactionOfRecordsPastTheMappingIsStableAndReplaysExactly) {
+  StoreOptions opts;
+  opts.n_shards = 2;
+  {
+    EnrollmentStore seed = EnrollmentStore::open(dir_, opts);
+    for (std::uint64_t id = 0; id < 4; ++id) seed.register_device(make_model(id, 2, 8));
+  }
+  // open() freezes each shard's mapping; every record below lies past it.
+  EnrollmentStore store = EnrollmentStore::open(dir_, opts);
+  store.register_device(make_model(6, 2, 8));
+  PoolPayload pool;
+  pool.stages = 8;
+  pool.epoch = 3;
+  pool.cursor = 4242;
+  for (std::uint64_t row = 0; row < 5; ++row) {
+    pool.words.push_back(0x81 + row);
+    pool.expected.push_back(row % 2);
+  }
+  store.record_pool(6, pool);
+  store.set_pool_head(6, 2);
+  for (const std::uint64_t id : {1u, 6u}) {
+    const std::vector<std::uint64_t> fresh = {0x10 + id, 0x20 + id};
+    for (const std::uint64_t key : fresh) store.ledger(id).insert({&key, 1});
+    store.record_issued(id, 8, fresh);
+  }
+  store.revoke_device(2);
+
+  store.compact();
+  const std::vector<std::string> first = shard_bytes(dir_, 2);
+  store.compact();
+  EXPECT_EQ(shard_bytes(dir_, 2), first) << "a second compaction must be a fixed point";
+
+  EnrollmentStore reopened = EnrollmentStore::open(dir_, opts);
+  ASSERT_EQ(reopened.device_ids(), (std::vector<std::uint64_t>{0, 1, 3, 6}));
+  for (const std::uint64_t id : reopened.device_ids()) {
+    EXPECT_EQ(reopened.ledger(id).sorted_rows(), store.ledger(id).sorted_rows()) << id;
+    expect_models_bit_exact(make_model(id, 2, 8), *reopened.model(id));
+    PoolSlot live;
+    PoolSlot replayed;
+    ASSERT_EQ(reopened.pool_slot(id, replayed), store.pool_slot(id, live)) << id;
+  }
+  PoolSlot slot;
+  ASSERT_TRUE(reopened.pool_slot(6, slot));
+  EXPECT_EQ(slot.count, 5u);
+  EXPECT_EQ(slot.epoch, 3u);
+  EXPECT_EQ(slot.cursor, 4242u);
+  EXPECT_EQ(slot.head, 0u);  // the drain head is in-memory only
+  std::vector<std::uint64_t> words;
+  std::vector<std::uint8_t> expected;
+  reopened.read_pool_slice(6, 0, 5, words, expected);
+  EXPECT_EQ(words, pool.words);
+  EXPECT_EQ(expected, pool.expected);
 }
 
 // --- truncation torture -----------------------------------------------------

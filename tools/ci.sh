@@ -250,6 +250,11 @@ service_socket_job() {
     # audit.
     "${prefix}/bench/bench_service_load" --transport socket --unix 1 \
       --devices 64 &&
+    # The engine removes its socket file when it closes its listener.
+    if [ -e bench_async.sock ]; then
+      echo "bench_service_load --unix 1 left bench_async.sock behind"
+      false
+    fi &&
     tsan_configure &&
     cmake --build "${prefix}-tsan" -j "${jobs}" --target test_async_service &&
     "${prefix}-tsan/tests/test_async_service"
